@@ -9,15 +9,21 @@
 //! * `set/*` — the struct-of-arrays tag probe and single-probe hit path
 //!   of [`SetAssocCache`];
 //! * `stream/*` — [`SyntheticStream::next_op`], the synthetic workload
-//!   generator that feeds every retired op.
+//!   generator that feeds every retired op;
+//! * `harness/*` — the two set-up steps of every cache-served sweep and
+//!   report: opening the committed result store (`store_open`) and
+//!   expanding and keying the `--mid` spec (`combo_jobs`). One
+//!   iteration is one whole step, not a `BATCH`.
 //!
-//! Each closure runs a fixed batch of operations per iteration and
-//! reports the mean per batch; divide by `BATCH` for per-op cost.
+//! The kernel closures run a fixed batch of operations per iteration
+//! and report the mean per batch; divide by `BATCH` for per-op cost.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sim_cache::{LruOrder, SetAssocCache};
 use sim_mem::{Geometry, OpStream};
+use snug_harness::{BudgetPreset, ResultStore, SweepSpec};
 use snug_workloads::Benchmark;
+use std::path::Path;
 
 /// Operations per timed batch.
 const BATCH: usize = 10_000;
@@ -150,5 +156,22 @@ fn bench_stream(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_lru, bench_set, bench_stream);
+fn bench_harness(c: &mut Criterion) {
+    let mut g = c.benchmark_group("harness");
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let committed = ResultStore::open(&results).expect("the committed store opens");
+    assert!(
+        !committed.is_empty(),
+        "no committed store under {}",
+        results.display()
+    );
+    g.bench_function("store_open", |b| {
+        b.iter(|| ResultStore::open(&results).map(|store| store.len()))
+    });
+    let mid = SweepSpec::full(BudgetPreset::Mid);
+    g.bench_function("combo_jobs", |b| b.iter(|| mid.combo_jobs()));
+    g.finish();
+}
+
+criterion_group!(benches, bench_lru, bench_set, bench_stream, bench_harness);
 criterion_main!(benches);

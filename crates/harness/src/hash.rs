@@ -7,23 +7,31 @@
 //! results. FNV-1a (64-bit) is stable across runs and platforms, unlike
 //! `std::hash`'s randomised `DefaultHasher`.
 
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01B3;
+
+/// One FNV-1a step.
+fn fnv_step(h: u64, b: u8) -> u64 {
+    (h ^ b as u64).wrapping_mul(FNV_PRIME)
+}
+
 /// FNV-1a over a byte string.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
+    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv_step(h, b))
 }
 
 /// A 32-hex-digit content key: two independent FNV-1a passes (forward
-/// and salted) to push collision odds far below any realistic sweep
-/// size.
+/// and salted, i.e. over the reversed bytes) to push collision odds far
+/// below any realistic sweep size. Both passes run in one loop, with no
+/// reversed copy.
 pub fn content_key(input: &str) -> String {
-    let a = fnv1a64(input.as_bytes());
-    let salted: Vec<u8> = input.bytes().rev().collect();
-    let b = fnv1a64(&salted);
+    let bytes = input.as_bytes();
+    let (a, b) = bytes
+        .iter()
+        .zip(bytes.iter().rev())
+        .fold((FNV_OFFSET, FNV_OFFSET), |(a, b), (&f, &r)| {
+            (fnv_step(a, f), fnv_step(b, r))
+        });
     format!("{a:016x}{b:016x}")
 }
 
@@ -39,6 +47,24 @@ mod tests {
         assert!(k1.chars().all(|c| c.is_ascii_hexdigit()));
         assert_ne!(k1, content_key("combo=ammp|budget=eval"));
         assert_ne!(k1, content_key("combo=mcf|budget=quick"));
+    }
+
+    #[test]
+    fn keys_are_pinned_to_the_two_pass_definition() {
+        assert_eq!(
+            content_key("combo=ammp|budget=quick"),
+            "1312915248ab551a9f8ce8a535f93112"
+        );
+        assert_eq!(content_key(""), "cbf29ce484222325cbf29ce484222325");
+        for input in ["a", "ab", "odd", "é€|x"] {
+            let reversed: Vec<u8> = input.bytes().rev().collect();
+            let two_pass = format!(
+                "{:016x}{:016x}",
+                fnv1a64(input.as_bytes()),
+                fnv1a64(&reversed)
+            );
+            assert_eq!(content_key(input), two_pass, "{input}");
+        }
     }
 
     #[test]

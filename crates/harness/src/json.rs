@@ -95,6 +95,21 @@ impl Value {
             .ok_or_else(|| JsonError(format!("missing field `{key}`")))
     }
 
+    /// Move a required string field out of an object, leaving an empty
+    /// string behind — for decoders that own the parsed tree.
+    pub fn take_str(&mut self, key: &str) -> Result<String, JsonError> {
+        let field = match self {
+            Value::Obj(map) => map
+                .get_mut(key)
+                .ok_or_else(|| JsonError(format!("missing field `{key}`")))?,
+            v => return Err(JsonError::shape("object", v)),
+        };
+        match field {
+            Value::Str(s) => Ok(std::mem::take(s)),
+            v => Err(JsonError::shape("string", v)),
+        }
+    }
+
     /// Render to a compact JSON string.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -142,21 +157,32 @@ fn write_num(x: f64, out: &mut String) {
     let _ = write!(out, "{x:?}");
 }
 
+/// Write `s` as a quoted JSON string. Every byte that needs an escape is
+/// ASCII, so the plain runs between them start and end on character
+/// boundaries and go out with one `push_str` each.
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            b if b < 0x20 => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -186,11 +212,21 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Store lines nest a
+/// handful of levels; the cap turns a hostile `[[[[…` into an error
+/// instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document. Trailing garbage is an error.
+///
+/// Linear in the input: every byte is scanned once, and each string is
+/// copied once, in runs between escapes.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -202,8 +238,10 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -244,11 +282,28 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(JsonError(format!("unexpected input at byte {}", self.pos))),
         }
+    }
+
+    /// Parse an array or object one level deeper, within [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, JsonError> {
@@ -354,16 +409,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s =
-                        std::str::from_utf8(rest).map_err(|_| JsonError("invalid UTF-8".into()))?;
-                    let c = s
-                        .chars()
-                        .next()
+                    // Copy the plain run up to the next `"` or `\`. Both
+                    // are ASCII, so the run ends on a character boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
                         .ok_or_else(|| JsonError("unterminated string".into()))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let end = self.pos + run;
+                    let plain = self
+                        .text
+                        .get(self.pos..end)
+                        .ok_or_else(|| JsonError("string splits a character".into()))?;
+                    out.push_str(plain);
+                    self.pos = end;
                 }
             }
         }
@@ -380,9 +438,13 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| JsonError("invalid number bytes".into()))?;
+        // `1e999` parses to infinity, which JSON cannot hold and the
+        // writer refuses, so it is an error here too.
         text.parse::<f64>()
+            .ok()
+            .filter(|x| x.is_finite())
             .map(Value::Num)
-            .map_err(|_| JsonError(format!("invalid number `{text}`")))
+            .ok_or_else(|| JsonError(format!("invalid number `{text}`")))
     }
 }
 
@@ -445,5 +507,119 @@ mod tests {
         assert!(parse("1 2").is_err());
         assert!(Value::obj(vec![]).get("missing").is_err());
         assert!(Value::Null.as_num().is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for text in ["1e999", "-1e999", "[1,1e400]"] {
+            assert!(parse(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&deep).is_err());
+        assert!(parse(&"{\"a\":[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn take_str_moves_fields_and_checks_shape() {
+        let mut v = Value::obj(vec![("s", Value::str("moved")), ("n", Value::num(1.0))]);
+        assert_eq!(v.take_str("s").unwrap(), "moved");
+        assert!(v.take_str("n").is_err());
+        assert!(v.take_str("missing").is_err());
+        assert!(Value::Null.take_str("s").is_err());
+    }
+
+    /// A long string parses in time linear in its length: the bound
+    /// is generous for one linear scan, while a per-character scan of
+    /// the remaining input takes minutes.
+    #[test]
+    fn a_mebibyte_string_parses_in_linear_time() {
+        let pattern = "plain ascii é€𐍈 \"quoted\" back\\slash\n";
+        let s = pattern.repeat((1 << 20) / pattern.len() + 1);
+        let text = Value::str(&s).render();
+        let start = std::time::Instant::now();
+        let back = parse(&text).unwrap();
+        let took = start.elapsed();
+        assert_eq!(back.as_str().unwrap(), s);
+        assert!(
+            took < std::time::Duration::from_secs(5),
+            "1 MiB string took {took:?}"
+        );
+    }
+
+    use proptest::prelude::*;
+
+    /// Characters that stress the string codec: both delimiters, every
+    /// short escape, raw control characters, `/`, DEL and multi-byte
+    /// UTF-8 of every width.
+    const TRICKY: &[char] = &[
+        '"',
+        '\\',
+        '\n',
+        '\r',
+        '\t',
+        '\u{0}',
+        '\u{8}',
+        '\u{c}',
+        '\u{1f}',
+        '/',
+        '\u{7f}',
+        'a',
+        'é',
+        '€',
+        '\u{10348}',
+        '\u{fffd}',
+    ];
+
+    /// Bytes JSON's grammar reacts to, so random soup gets past the
+    /// first byte and into every parser state.
+    const SOUP: &[u8] =
+        b"{}[]\",:\\ \t\n0123456789.eE+-tfnrulsabu\x00\x1f\x7f\xc3\xa9\xe2\x82\xac\xff";
+
+    proptest! {
+        /// Arbitrary bytes (lossily decoded, as a reader of an
+        /// arbitrary file would) never panic the parser; anything it
+        /// does accept renders and re-parses to the same value.
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..512)) {
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(v) = parse(&text) {
+                prop_assert_eq!(parse(&v.render()), Ok(v));
+            }
+        }
+
+        /// The same, over bytes drawn from the grammar's own alphabet.
+        #[test]
+        fn json_token_soup_never_panics(picks in proptest::collection::vec(0usize..SOUP.len(), 0..256)) {
+            let bytes: Vec<u8> = picks.iter().map(|&i| SOUP[i]).collect();
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(v) = parse(&text) {
+                prop_assert_eq!(parse(&v.render()), Ok(v));
+            }
+        }
+
+        /// Strings mixing escapes, control characters and multi-byte
+        /// UTF-8 right next to `"` and `\` survive a render/parse round
+        /// trip, as values and as object keys, and render with no raw
+        /// control characters.
+        #[test]
+        fn tricky_strings_round_trip(picks in proptest::collection::vec((0usize..=TRICKY.len(), 0u32..0x11_0000), 0..64)) {
+            let s: String = picks
+                .iter()
+                .map(|&(i, code)| match TRICKY.get(i) {
+                    Some(&c) => c,
+                    None => char::from_u32(code).unwrap_or('\u{fffd}'),
+                })
+                .collect();
+            let v = Value::Obj(BTreeMap::from([(s.clone(), Value::Str(s))]));
+            let text = v.render();
+            prop_assert!(!text.bytes().any(|b| b < 0x20), "raw control byte in {text:?}");
+            prop_assert_eq!(parse(&text), Ok(v));
+        }
     }
 }

@@ -233,10 +233,11 @@ impl SweepSpec {
     pub fn combo_jobs(&self) -> Vec<ComboJob> {
         let config = self.compare_config();
         let phase = self.phase_schedule();
+        let keyed = KeyedPoints::new(&config, phase.as_ref());
         self.combos()
             .into_iter()
             .map(|combo| ComboJob {
-                units: unit_jobs_phased(&combo, &config, self.shared_warmup, phase.as_ref()),
+                units: keyed.unit_jobs(&combo, self.shared_warmup),
                 combo,
                 config,
             })
@@ -469,20 +470,88 @@ pub fn unit_jobs_phased(
     shared_warmup: bool,
     phase: Option<&PhaseSchedule>,
 ) -> Vec<UnitJob> {
-    SchemePoint::all()
-        .into_iter()
-        .map(|point| {
-            let shared = shared_warmup && matches!(point, SchemePoint::Cc { .. });
-            UnitJob {
-                key: unit_key_phased(combo, &point, config, shared, phase),
-                combo: *combo,
-                point,
-                config: *config,
-                phase: phase.cloned(),
-                shared_warmup: shared,
-            }
-        })
-        .collect()
+    KeyedPoints::new(config, phase).unit_jobs(combo, shared_warmup)
+}
+
+/// Every scheme point of one (configuration, phase) expansion with the
+/// key input it shares across combos — the platform `Debug` string, the
+/// plan fingerprint, the point's parameter fingerprint and the phase
+/// suffix — rendered once per expansion instead of once per unit.
+struct KeyedPoints<'a> {
+    config: &'a CompareConfig,
+    phase: Option<&'a PhaseSchedule>,
+    /// [`SchemePoint::all`], each with its [`point_fragment`].
+    points: Vec<(SchemePoint, String)>,
+    /// The [`phase_fragment`].
+    phase_fragment: String,
+}
+
+impl<'a> KeyedPoints<'a> {
+    fn new(config: &'a CompareConfig, phase: Option<&'a PhaseSchedule>) -> Self {
+        let system = format!("{:?}", config.system);
+        let plan = config.plan.fingerprint();
+        KeyedPoints {
+            config,
+            phase,
+            points: SchemePoint::all()
+                .into_iter()
+                .map(|point| {
+                    let fragment = point_fragment(&point, config, &system, &plan);
+                    (point, fragment)
+                })
+                .collect(),
+            phase_fragment: phase_fragment(phase),
+        }
+    }
+
+    /// One combo's unit jobs.
+    fn unit_jobs(&self, combo: &Combo, shared_warmup: bool) -> Vec<UnitJob> {
+        let combo_debug = format!("{combo:?}");
+        self.points
+            .iter()
+            .map(|(point, fragment)| {
+                let shared = shared_warmup && matches!(point, SchemePoint::Cc { .. });
+                UnitJob {
+                    key: unit_key_of(&combo_debug, fragment, shared, &self.phase_fragment),
+                    combo: *combo,
+                    point: *point,
+                    config: *self.config,
+                    phase: self.phase.cloned(),
+                    shared_warmup: shared,
+                }
+            })
+            .collect()
+    }
+}
+
+/// The key input after the combo that one point shares across combos:
+/// `{point:?}|{system:?}|{plan fingerprint}|{param fingerprint}`.
+fn point_fragment(point: &SchemePoint, config: &CompareConfig, system: &str, plan: &str) -> String {
+    format!(
+        "{point:?}|{system}|{plan}|{}",
+        point.param_fingerprint(config)
+    )
+}
+
+/// The key suffix of a phase-change schedule; empty for the stationary
+/// workload, keeping every pre-phase-schedule key byte-identical.
+fn phase_fragment(phase: Option<&PhaseSchedule>) -> String {
+    phase
+        .map(|p| format!("|phase={}", p.fingerprint()))
+        .unwrap_or_default()
+}
+
+/// A unit key from its rendered fragments.
+fn unit_key_of(
+    combo_debug: &str,
+    point_fragment: &str,
+    shared_warmup: bool,
+    phase: &str,
+) -> String {
+    let mode = if shared_warmup { "|shared-warmup" } else { "" };
+    content_key(&format!(
+        "{SCHEMA_VERSION}|{combo_debug}|{point_fragment}{mode}{phase}"
+    ))
 }
 
 /// The content key of one (combo, scheme point) simulation.
@@ -524,17 +593,22 @@ pub fn unit_key_phased(
     shared_warmup: bool,
     phase: Option<&PhaseSchedule>,
 ) -> String {
-    let mode = if shared_warmup { "|shared-warmup" } else { "" };
-    let phase = match phase {
-        Some(p) => format!("|phase={}", p.fingerprint()),
-        None => String::new(),
-    };
-    content_key(&format!(
-        "{SCHEMA_VERSION}|{combo:?}|{point:?}|{:?}|{}|{}{mode}{phase}",
-        config.system,
-        config.plan.fingerprint(),
-        point.param_fingerprint(config),
-    ))
+    unit_key_of(
+        &format!("{combo:?}"),
+        &single_point_fragment(point, config),
+        shared_warmup,
+        &phase_fragment(phase),
+    )
+}
+
+/// [`point_fragment`] for a one-off key, rendering the shared parts too.
+fn single_point_fragment(point: &SchemePoint, config: &CompareConfig) -> String {
+    point_fragment(
+        point,
+        config,
+        &format!("{:?}", config.system),
+        &config.plan.fingerprint(),
+    )
 }
 
 /// The content key of a recorded time series (`snug trace`): the unit
@@ -548,15 +622,10 @@ pub fn trace_key(
     stride: u64,
     phase: Option<&PhaseSchedule>,
 ) -> String {
-    let phase = match phase {
-        Some(p) => format!("|phase={}", p.fingerprint()),
-        None => String::new(),
-    };
     content_key(&format!(
-        "{SCHEMA_VERSION}|trace|{combo:?}|{point:?}|{:?}|{}|{}|stride={stride}{phase}",
-        config.system,
-        config.plan.fingerprint(),
-        point.param_fingerprint(config),
+        "{SCHEMA_VERSION}|trace|{combo:?}|{}|stride={stride}{}",
+        single_point_fragment(point, config),
+        phase_fragment(phase),
     ))
 }
 

@@ -40,7 +40,7 @@ use crate::sweep::UnitSpan;
 use snug_experiments::{ComboResult, SchemeRun, TraceSeries};
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write as _;
+use std::io::{BufRead as _, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 
 /// File name of the JSONL store inside the results directory.
@@ -97,7 +97,9 @@ impl StoreEntry {
         ])
     }
 
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
+    /// Decode a parsed line, moving `key` and `inputs` out of the tree
+    /// rather than copying them.
+    fn from_json(mut v: Value) -> Result<Self, JsonError> {
         let result = if let Ok(unit) = v.get("unit") {
             StoredResult::Unit(SchemeRun::from_json(unit)?)
         } else if let Ok(series) = v.get("series") {
@@ -108,10 +110,15 @@ impl StoreEntry {
             StoredResult::Combo(ComboResult::from_json(v.get("result")?)?)
         };
         Ok(StoreEntry {
-            key: v.get("key")?.as_str()?.to_string(),
-            inputs: v.get("inputs")?.as_str()?.to_string(),
+            key: v.take_str("key")?,
+            inputs: v.take_str("inputs")?,
             result,
         })
+    }
+
+    /// Parse and decode one JSONL line.
+    fn parse_line(line: &str) -> Result<Self, JsonError> {
+        parse(line).and_then(StoreEntry::from_json)
     }
 
     /// The entry rendered as one JSONL line (no trailing newline) — the
@@ -131,40 +138,71 @@ fn load_jsonl(
     path: &Path,
     entries: &mut BTreeMap<String, StoreEntry>,
 ) -> Result<usize, StoreError> {
+    let file = match fs::File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => return Err(StoreError::io(path, e)),
+    };
     let mut file_lines = 0usize;
-    match fs::read_to_string(path) {
-        Ok(text) => {
-            let lines: Vec<&str> = text.lines().collect();
-            let mut offset = 0u64;
-            for (lineno, line) in lines.iter().enumerate() {
-                let line_start = offset;
-                offset += line.len() as u64 + 1;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match parse(line).and_then(|v| StoreEntry::from_json(&v)) {
-                    Ok(entry) => {
-                        entries.insert(entry.key.clone(), entry);
-                        file_lines += 1;
-                    }
-                    Err(_) if lineno + 1 == lines.len() => {
-                        fs::OpenOptions::new()
-                            .write(true)
-                            .open(path)
-                            .and_then(|f| f.set_len(line_start))
-                            .map_err(|e| {
-                                StoreError::Io(path.display().to_string(), e.to_string())
-                            })?;
-                        break;
-                    }
-                    Err(e) => return Err(StoreError::corrupt(path, lineno, e)),
-                }
-            }
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(StoreError::Io(path.display().to_string(), e.to_string())),
+    let torn = read_entries(path, file, |entry| {
+        entries.insert(entry.key.clone(), entry);
+        file_lines += 1;
+        Ok(())
+    })?;
+    if let Some(line_start) = torn {
+        fs::OpenOptions::new()
+            .write(true)
+            .open(path)
+            .and_then(|f| f.set_len(line_start))
+            .map_err(|e| StoreError::io(path, e))?;
     }
     Ok(file_lines)
+}
+
+/// Decode the data lines of a JSONL store file in order, handing each
+/// entry to `visit`. The file streams through one reused line buffer, so
+/// it is never held whole next to the entries decoded from it. A line
+/// that does not decode is fatal, unless it is the file's last: that is
+/// the torn tail of an interrupted append, and its byte offset is
+/// returned for the caller to truncate at or skip.
+fn read_entries(
+    path: &Path,
+    file: fs::File,
+    mut visit: impl FnMut(StoreEntry) -> Result<(), StoreError>,
+) -> Result<Option<u64>, StoreError> {
+    let mut reader = BufReader::with_capacity(1 << 16, file);
+    let mut line = Vec::new();
+    let mut offset = 0u64;
+    let mut lineno = 0usize;
+    loop {
+        line.clear();
+        let read = reader
+            .read_until(b'\n', &mut line)
+            .map_err(|e| StoreError::io(path, e))?;
+        if read == 0 {
+            return Ok(None);
+        }
+        let line_start = offset;
+        offset += read as u64;
+        lineno += 1;
+        let decoded = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => StoreEntry::parse_line(text),
+            Err(_) => Err(JsonError("invalid UTF-8".into())),
+        };
+        match decoded {
+            Ok(entry) => visit(entry)?,
+            Err(_)
+                if reader
+                    .fill_buf()
+                    .map_err(|e| StoreError::io(path, e))?
+                    .is_empty() =>
+            {
+                return Ok(Some(line_start))
+            }
+            Err(e) => return Err(StoreError::corrupt(path, lineno, e)),
+        }
+    }
 }
 
 /// A per-worker append-only shard file under `results/shards/`. Workers
@@ -197,23 +235,21 @@ impl ShardWriter {
 
     /// Append one entry as a JSONL line and flush it to disk.
     pub(crate) fn append(&mut self, entry: &StoreEntry) -> Result<(), StoreError> {
-        let io_err =
-            |p: &Path, e: std::io::Error| StoreError::Io(p.display().to_string(), e.to_string());
         let file = match self.file.as_mut() {
             Some(file) => file,
             None => {
                 if let Some(parent) = self.path.parent() {
-                    fs::create_dir_all(parent).map_err(|e| io_err(parent, e))?;
+                    fs::create_dir_all(parent).map_err(|e| StoreError::io(parent, e))?;
                 }
                 let file = fs::OpenOptions::new()
                     .create(true)
                     .append(true)
                     .open(&self.path)
-                    .map_err(|e| io_err(&self.path, e))?;
+                    .map_err(|e| StoreError::io(&self.path, e))?;
                 self.file.insert(file)
             }
         };
-        writeln!(file, "{}", entry.render_line()).map_err(|e| io_err(&self.path, e))
+        writeln!(file, "{}", entry.render_line()).map_err(|e| StoreError::io(&self.path, e))
     }
 }
 
@@ -331,9 +367,7 @@ impl ResultStore {
         if self.entries.is_empty() && !store_path.exists() && !spans_path.exists() {
             return Ok((0, 0));
         }
-        let io_err =
-            |p: &Path, e: std::io::Error| StoreError::Io(p.display().to_string(), e.to_string());
-        fs::create_dir_all(&self.dir).map_err(|e| io_err(&self.dir, e))?;
+        fs::create_dir_all(&self.dir).map_err(|e| StoreError::io(&self.dir, e))?;
         let mut store_text = String::new();
         let mut spans_text = String::new();
         for entry in self.entries.values() {
@@ -345,16 +379,16 @@ impl ResultStore {
             text.push('\n');
         }
         let tmp = self.dir.join(format!("{STORE_FILE}.tmp"));
-        fs::write(&tmp, &store_text).map_err(|e| io_err(&tmp, e))?;
-        fs::rename(&tmp, &store_path).map_err(|e| io_err(&store_path, e))?;
+        fs::write(&tmp, &store_text).map_err(|e| StoreError::io(&tmp, e))?;
+        fs::rename(&tmp, &store_path).map_err(|e| StoreError::io(&store_path, e))?;
         if spans_text.is_empty() {
             if spans_path.exists() {
-                fs::remove_file(&spans_path).map_err(|e| io_err(&spans_path, e))?;
+                fs::remove_file(&spans_path).map_err(|e| StoreError::io(&spans_path, e))?;
             }
         } else {
             let tmp = self.dir.join(format!("{SPANS_FILE}.tmp"));
-            fs::write(&tmp, &spans_text).map_err(|e| io_err(&tmp, e))?;
-            fs::rename(&tmp, &spans_path).map_err(|e| io_err(&spans_path, e))?;
+            fs::write(&tmp, &spans_text).map_err(|e| StoreError::io(&tmp, e))?;
+            fs::rename(&tmp, &spans_path).map_err(|e| StoreError::io(&spans_path, e))?;
         }
         self.file_lines = kept;
         Ok((kept, dropped))
@@ -421,16 +455,14 @@ impl ResultStore {
             result,
         };
         let line = entry.render_line();
-        fs::create_dir_all(&self.dir)
-            .map_err(|e| StoreError::Io(self.dir.display().to_string(), e.to_string()))?;
+        fs::create_dir_all(&self.dir).map_err(|e| StoreError::io(&self.dir, e))?;
         let path = self.dir.join(file);
         let mut file = fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
-            .map_err(|e| StoreError::Io(path.display().to_string(), e.to_string()))?;
-        writeln!(file, "{line}")
-            .map_err(|e| StoreError::Io(path.display().to_string(), e.to_string()))?;
+            .map_err(|e| StoreError::io(&path, e))?;
+        writeln!(file, "{line}").map_err(|e| StoreError::io(&path, e))?;
         self.entries.insert(key, entry);
         self.file_lines += 1;
         Ok(())
@@ -468,35 +500,23 @@ impl ResultStore {
     /// [`ResultStore::compact`] afterwards to drop the superseded
     /// duplicates from disk.
     pub fn merge_file(&mut self, path: &Path) -> Result<MergeStats, StoreError> {
-        let text = fs::read_to_string(path)
-            .map_err(|e| StoreError::Io(path.display().to_string(), e.to_string()))?;
-        let lines: Vec<&str> = text.lines().collect();
+        let file = fs::File::open(path).map_err(|e| StoreError::io(path, e))?;
         let mut stats = MergeStats::default();
-        for (lineno, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let entry = match parse(line).and_then(|v| StoreEntry::from_json(&v)) {
-                Ok(entry) => entry,
-                // A partial trailing line is the expected artifact of an
-                // interrupted shard; the shard is read-only, so it is
-                // skipped rather than truncated.
-                Err(_) if lineno + 1 == lines.len() => break,
-                Err(e) => return Err(StoreError::corrupt(path, lineno, e)),
-            };
+        // A partial trailing line is the expected artifact of an
+        // interrupted shard; the shard is read-only, so it is skipped
+        // rather than truncated.
+        read_entries(path, file, |entry| {
             stats.read += 1;
             match self.entries.get(&entry.key) {
-                Some(existing) if *existing == entry => stats.unchanged += 1,
-                Some(_) => {
-                    stats.superseded += 1;
-                    self.insert(entry.key.clone(), entry.inputs, entry.result)?;
+                Some(existing) if *existing == entry => {
+                    stats.unchanged += 1;
+                    return Ok(());
                 }
-                None => {
-                    stats.added += 1;
-                    self.insert(entry.key.clone(), entry.inputs, entry.result)?;
-                }
+                Some(_) => stats.superseded += 1,
+                None => stats.added += 1,
             }
-        }
+            self.insert(entry.key.clone(), entry.inputs, entry.result)
+        })?;
         Ok(stats)
     }
 
@@ -508,16 +528,14 @@ impl ResultStore {
     /// total merge stats, all zero when there is nothing to recover.
     pub fn recover_shards(&mut self) -> Result<MergeStats, StoreError> {
         let shards_dir = self.dir.join(SHARDS_DIR);
-        let io_err =
-            |p: &Path, e: std::io::Error| StoreError::Io(p.display().to_string(), e.to_string());
         let read_dir = match fs::read_dir(&shards_dir) {
             Ok(rd) => rd,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(MergeStats::default()),
-            Err(e) => return Err(io_err(&shards_dir, e)),
+            Err(e) => return Err(StoreError::io(&shards_dir, e)),
         };
         let mut shard_paths: Vec<PathBuf> = Vec::new();
         for dirent in read_dir {
-            let path = dirent.map_err(|e| io_err(&shards_dir, e))?.path();
+            let path = dirent.map_err(|e| StoreError::io(&shards_dir, e))?.path();
             if path.extension().is_some_and(|ext| ext == "jsonl") {
                 shard_paths.push(path);
             }
@@ -530,7 +548,7 @@ impl ResultStore {
             total.added += stats.added;
             total.superseded += stats.superseded;
             total.unchanged += stats.unchanged;
-            fs::remove_file(path).map_err(|e| io_err(path, e))?;
+            fs::remove_file(path).map_err(|e| StoreError::io(path, e))?;
         }
         // Best-effort: the directory may legitimately hold other files.
         let _ = fs::remove_dir(&shards_dir);
@@ -562,8 +580,13 @@ pub enum StoreError {
 }
 
 impl StoreError {
-    fn corrupt(path: &Path, lineno: usize, e: JsonError) -> Self {
-        StoreError::Corrupt(path.display().to_string(), lineno + 1, e.0)
+    fn io(path: &Path, e: std::io::Error) -> Self {
+        StoreError::Io(path.display().to_string(), e.to_string())
+    }
+
+    /// A corrupt line, at its 1-based line number.
+    fn corrupt(path: &Path, line: usize, e: JsonError) -> Self {
+        StoreError::Corrupt(path.display().to_string(), line, e.0)
     }
 }
 
@@ -737,6 +760,33 @@ mod tests {
             .unwrap();
         let reopened = ResultStore::open(&dir).unwrap();
         assert_eq!(reopened.len(), 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_tail_torn_inside_a_character_is_truncated_not_fatal() {
+        let dir = tmp_dir("torn-utf8");
+        let mut store = ResultStore::open(&dir).unwrap();
+        store
+            .insert("k1".into(), "i".into(), fake("x+y", 1.0))
+            .unwrap();
+        let path = dir.join(STORE_FILE);
+        let clean = fs::read(&path).unwrap();
+        // An append cut off halfway through a two-byte character.
+        let mut bytes = clean.clone();
+        bytes.extend_from_slice(b"{\"key\":\"k2\",\"inputs\":\"\xc3");
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(ResultStore::open(&dir).unwrap().len(), 1);
+        assert_eq!(fs::read(&path).unwrap(), clean, "tail truncated");
+
+        // The same bytes before an intact line are corruption, located.
+        let mut bytes = b"{\"key\":\"k2\",\"inputs\":\"\xc3\n".to_vec();
+        bytes.extend_from_slice(&clean);
+        fs::write(&path, &bytes).unwrap();
+        match ResultStore::open(&dir) {
+            Err(StoreError::Corrupt(_, line, _)) => assert_eq!(line, 1),
+            other => panic!("expected corrupt error, got {other:?}"),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -956,6 +1006,85 @@ mod tests {
         let mut store = ResultStore::open(&dir).unwrap();
         assert_eq!(store.compact().unwrap(), (0, 0));
         assert!(!dir.exists(), "no file materialised");
+    }
+
+    /// The committed results directory.
+    fn committed_dir() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
+    }
+
+    /// The committed `store.jsonl`, read once per test binary.
+    fn committed_store() -> &'static str {
+        static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        TEXT.get_or_init(|| fs::read_to_string(committed_dir().join(STORE_FILE)).unwrap())
+    }
+
+    /// The first committed line, and the first carrying every optional
+    /// unit field (`measured_cycles`, `stop_reason`, `plateaus`).
+    fn sample_lines() -> [&'static str; 2] {
+        let mut lines = committed_store().lines();
+        let first = lines.next().unwrap();
+        let richest = committed_store()
+            .lines()
+            .find(|l| l.contains("\"measured_cycles\"") && l.contains("\"plateaus\""))
+            .unwrap();
+        [first, richest]
+    }
+
+    #[test]
+    fn committed_store_re_renders_byte_for_byte() {
+        let store = ResultStore::open(committed_dir()).unwrap();
+        let text = committed_store();
+        let mut rendered = String::with_capacity(text.len());
+        for line in text.lines() {
+            let key = parse(line).unwrap().take_str("key").unwrap();
+            rendered.push_str(&store.entries[&key].render_line());
+            rendered.push('\n');
+        }
+        assert_eq!(text.lines().count(), 756);
+        assert_eq!(store.unit_count(), 756);
+        assert!(
+            rendered == text,
+            "decode → encode changed the committed store"
+        );
+    }
+
+    #[test]
+    fn every_truncation_of_a_committed_line_is_an_error() {
+        for line in sample_lines() {
+            for cut in (0..line.len()).filter(|&c| line.is_char_boundary(c)) {
+                assert!(parse(&line[..cut]).is_err(), "json prefix {cut}");
+                assert!(
+                    StoreEntry::parse_line(&line[..cut]).is_err(),
+                    "entry prefix {cut}"
+                );
+            }
+        }
+    }
+
+    /// Every single-byte mutation of a committed line — to each byte
+    /// the grammar treats differently: structure, quotes, escapes,
+    /// number and literal characters, control, DEL and non-ASCII —
+    /// either fails to decode or decodes to an entry that round-trips;
+    /// none panics.
+    #[test]
+    fn every_byte_mutation_of_a_committed_line_decodes_or_errs() {
+        const REPLACEMENTS: &[u8] = b"\x00\x1f \"',-.+0159:eE[\\]aflnrstu{}/\x7f\x80\xc3\xff";
+        for line in sample_lines() {
+            let mut bytes = line.as_bytes().to_vec();
+            for pos in 0..bytes.len() {
+                let original = bytes[pos];
+                for &b in REPLACEMENTS {
+                    bytes[pos] = b;
+                    let text = String::from_utf8_lossy(&bytes);
+                    if let Ok(entry) = StoreEntry::parse_line(&text) {
+                        let again = StoreEntry::parse_line(&entry.render_line());
+                        assert_eq!(again.as_ref(), Ok(&entry), "byte {pos} = {b:#04x}");
+                    }
+                }
+                bytes[pos] = original;
+            }
+        }
     }
 
     #[test]
