@@ -2,22 +2,24 @@
 //! weighted speedup, fair speedup) over the Table 8 workload classes.
 //!
 //! Prints the reproduced per-class tables at a reduced budget (the full
-//! run is `cargo run --release --example scheme_comparison`), then
+//! run is `snug sweep --eval` followed by `snug report --eval`), then
 //! benchmarks one (combo, scheme) simulation as the timing unit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use snug_core::SchemeSpec;
-use snug_experiments::{figure_table, run_all, run_scheme, summarize, CompareConfig, Figure};
+use snug_experiments::{
+    figure_table, run_combo, run_scheme, summarize, ComboResult, CompareConfig, Figure,
+};
 use snug_workloads::{all_combos, ComboClass};
 
 fn print_reproduction() {
     // One combo per class at the quick budget keeps this under a minute.
     let cfg = CompareConfig::quick();
-    let combos: Vec<_> = ComboClass::ALL
+    let results: Vec<ComboResult> = ComboClass::ALL
         .iter()
         .map(|&class| all_combos().into_iter().find(|c| c.class == class).unwrap())
+        .map(|combo| run_combo(&combo, &cfg))
         .collect();
-    let results = run_all(&combos, &cfg, 0);
     for fig in [Figure::Throughput, Figure::Aws, Figure::FairSpeedup] {
         let summary = summarize(&results, fig);
         println!("\n{}", figure_table(&summary, fig).to_markdown());

@@ -67,15 +67,6 @@ impl Cc {
         self.p_spill
     }
 
-    /// Retune the spill probability mid-flight (used by the shared
-    /// warm-up sweep mode: one warmed snapshot is measured once per §4.1
-    /// sweep point). Cache contents, RNG and round-robin state are
-    /// untouched.
-    pub fn set_spill_probability(&mut self, p_spill: f64) {
-        assert!((0.0..=1.0).contains(&p_spill));
-        self.p_spill = p_spill;
-    }
-
     /// Access to the underlying chassis (tests/diagnostics).
     pub fn chassis(&self) -> &PrivateChassis {
         &self.chassis

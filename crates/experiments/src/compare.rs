@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 use sim_cmp::{L2Org, RunPlan, SimSession, StopSpec, SystemConfig, SystemResult};
 use sim_mem::OpStream;
-use snug_core::{AnyOrg, Cc, DsrConfig, SchemeSpec, SnugConfig};
+use snug_core::{AnyOrg, DsrConfig, SchemeSpec, SnugConfig};
 use snug_metrics::{geomean, IpcVector, MetricSet, Table};
 use snug_workloads::{Combo, ComboClass, PhaseSchedule};
 
@@ -579,101 +579,12 @@ pub fn pace_of(baseline: &SchemeRun, cfg: &CompareConfig) -> Pace {
     }
 }
 
-/// Run a subset of the §4.1 CC spill sweep from **one shared warm-up**:
-/// a single CC session is warmed with spilling inhibited (`p = 0`), its
-/// post-warm-up state is snapshotted, and each requested spill point
-/// restores the snapshot, retunes `p` and runs only the measured window.
-///
-/// This is the session API's warm-up-reuse fast path: `k` spill points
-/// cost one warm-up instead of `k`. It is a *methodology variant*, not a
-/// reproduction of the canonical per-point runs — under canonical
-/// semantics each probability also shapes the warm-up (spills happen
-/// during warm-up too), so shared-warm-up results are close to but not
-/// bit-identical with the default sweep and are cached under their own
-/// store keys. Matched warm-up state across the sweep also removes
-/// warm-up variance from the CC(Best) selection.
-pub fn run_cc_points_shared(
-    combo: &Combo,
-    points: &[SchemePoint],
-    cfg: &CompareConfig,
-) -> Vec<(SchemePoint, SchemeRun)> {
-    run_cc_points_shared_phased(combo, points, cfg, None, None)
-}
-
-/// [`run_cc_points_shared`] under an optional phase-change schedule
-/// and/or an optional baseline pace. With a pace, the whole family
-/// measures over exactly the window the combo's converged baseline
-/// settled on (the composition `--shared-warmup --until-converged`
-/// uses: one warm-up snapshot, then baseline-paced fixed-window
-/// measurement from it) and inherits the baseline's stop reason.
-pub fn run_cc_points_shared_phased(
-    combo: &Combo,
-    points: &[SchemePoint],
-    cfg: &CompareConfig,
-    phase: Option<&PhaseSchedule>,
-    pace: Option<&Pace>,
-) -> Vec<(SchemePoint, SchemeRun)> {
-    assert!(
-        points.iter().all(|p| matches!(p, SchemePoint::Cc { .. })),
-        "shared warm-up applies to the CC spill sweep"
-    );
-    let run_cfg = match pace {
-        Some(p) => paced_config(cfg, p.measured_window),
-        None => *cfg,
-    };
-    let mut warm = session_for_org_phased(combo, Cc::new(cfg.system, 0.0), &run_cfg, phase);
-    warm.run_until(run_cfg.plan.warmup_cycles);
-    debug_assert!(warm.measuring(), "warm-up boundary crossed");
-    // snug-lint: allow(panic-audit, "synthetic workload streams always support snapshotting; only recorded traces can refuse")
-    let snap = warm.snapshot().expect("synthetic streams snapshot");
-    points
-        .iter()
-        .map(|point| {
-            let SchemePoint::Cc { spill_probability } = *point else {
-                // snug-lint: allow(panic-audit, "the caller builds points exclusively from SchemePoint::Cc, checked by the let-else above")
-                unreachable!("asserted above");
-            };
-            // snug-lint: allow(panic-audit, "a snapshot taken from synthetic streams always restores")
-            let mut sess = snap.to_session().expect("snapshot streams clone");
-            sess.org_mut().set_spill_probability(spill_probability);
-            let (r, phase_means) = run_with_phase_means(&mut sess, &run_cfg.plan, phase);
-            let mut measured_cycles = sess
-                .stopped_at()
-                .map(|c| c.saturating_sub(run_cfg.plan.warmup_cycles));
-            // The family ran under `run_cfg`: the original early-exit
-            // plan when unpaced, the baseline's fixed window when
-            // paced — in which case the pace's window and stop reason
-            // override, exactly as `run_point_paced` records them.
-            let (mut stop_reason, mut plateaus) = early_exit_outcome(&sess, &run_cfg.plan);
-            if plateaus.is_empty() {
-                plateaus = phase_means;
-            }
-            if let Some(p) = pace {
-                if p.measured_window < cfg.plan.measure_cycles() {
-                    measured_cycles = Some(p.measured_window);
-                }
-                stop_reason = Some(p.stop_reason);
-            }
-            (
-                *point,
-                SchemeRun {
-                    scheme: point.label(),
-                    ipcs: r.ipcs(),
-                    measured_cycles,
-                    stop_reason,
-                    plateaus,
-                },
-            )
-        })
-        .collect()
-}
-
 /// Index of the winning CC point in a `(spill probability, normalised
 /// throughput)` sweep: the *first* maximum by throughput, §4.1's "the
 /// spill-probability that produces the best performance is selected as
 /// CC (Best)". This is the single definition of the tie-break rule —
-/// result assembly, store migration and reporting must all agree on it
-/// or cached and fresh results diverge.
+/// result assembly and reporting must agree on it or cached and fresh
+/// results diverge.
 pub fn best_cc_index(cc_sweep: &[(f64, f64)]) -> Option<usize> {
     cc_sweep
         .iter()

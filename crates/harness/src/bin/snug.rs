@@ -71,7 +71,7 @@ snug — SNUG experiment orchestration
 USAGE:
   snug sweep        [--class C1..C6]... [budget flags] [--phase-shift SPEC]...
                     [--jobs N] [--results DIR] [--name NAME] [--spec FILE]
-                    [--shared-warmup] [--verbose]
+                    [--verbose]
   snug report       [--class ...] [budget flags] [--phase-shift SPEC]...
                     [--results DIR] [--out DIR] [--format md|csv] [--name NAME]
                     [--experiments-md | --experiments-eval-md [--check] [--md-path FILE]]
@@ -117,11 +117,7 @@ Sweeps are cached at per-(combo, scheme, config-point) granularity: each
 unit job is keyed by a content hash of exactly the inputs it depends on
 and stored as JSONL under --results (default: results/). Re-running a
 sweep executes only jobs whose inputs changed — a scheme-parameter edit
-re-runs only that scheme's jobs. `snug sweep --shared-warmup` measures
-the CC spill sweep from one shared warm-up snapshot per combo (faster; a
-methodology variant cached under its own keys); combined with
---until-converged the family measures the baseline-paced window from
-that one snapshot. `snug report` renders Figures 9-11 and the per-combo
+re-runs only that scheme's jobs. `snug report` renders Figures 9-11 and the per-combo
 table from the store (plus the per-combo stop summary on early-exit
 specs); `snug report --experiments-md` renders the committed
 EXPERIMENTS.md (budget defaults to --mid there) and --check fails if the
@@ -306,7 +302,6 @@ struct Flags {
     /// `None` means "not given": each document command falls back to
     /// its own committed default path.
     md_path: Option<PathBuf>,
-    shared_warmup: bool,
     stride: Option<u64>,
     phase_shift: Vec<String>,
     verbose: bool,
@@ -331,7 +326,6 @@ impl Flags {
             experiments_eval_md: false,
             check: false,
             md_path: None,
-            shared_warmup: false,
             stride: None,
             phase_shift: Vec::new(),
             verbose: false,
@@ -383,7 +377,6 @@ impl Flags {
                 }
                 "--intervals" => f.intervals = parse_num(&value("--intervals")?)? as usize,
                 "--accesses" => f.accesses = parse_num(&value("--accesses")?)? as usize,
-                "--shared-warmup" => f.shared_warmup = true,
                 "--verbose" => f.verbose = true,
                 "--stride" => f.stride = Some(parse_num(&value("--stride")?)?),
                 "--phase-shift" => f.phase_shift.push(value("--phase-shift")?),
@@ -452,8 +445,8 @@ impl Flags {
 
     fn spec_with_default(&self, default_budget: BudgetPreset) -> Result<SweepSpec, String> {
         if let Some(path) = &self.spec_file {
-            if !self.classes.is_empty() || self.name.is_some() || self.shared_warmup {
-                return Err("--spec cannot be combined with --class/--name/--shared-warmup".into());
+            if !self.classes.is_empty() || self.name.is_some() {
+                return Err("--spec cannot be combined with --class/--name".into());
             }
             if !self.phase_shift.is_empty() {
                 return Err(
@@ -494,7 +487,6 @@ impl Flags {
             budget: self.budget.budget(default_budget)?,
             stop,
             phase_shift: self.phase_schedule()?.map(|p| p.fingerprint()),
-            shared_warmup: self.shared_warmup,
         })
     }
 }
@@ -569,18 +561,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let verbose = flags.verbose;
     let mut spans: Vec<UnitSpan> = Vec::new();
     let outcome = run_sweep(&spec, &mut store, flags.threads, |event| match event {
-        SweepEvent::Planned {
-            total,
-            hits,
-            migrated,
-        } => {
-            let migrated_note = if migrated > 0 {
-                format!(" ({migrated} migrated from v1)")
-            } else {
-                String::new()
-            };
+        SweepEvent::Planned { total, hits } => {
             println!(
-                "sweep `{}` ({}): {total} unit jobs, {hits} cache hits{migrated_note}, {} to run",
+                "sweep `{}` ({}): {total} unit jobs, {hits} cache hits, {} to run",
                 spec.name,
                 spec.budget_label(),
                 total - hits
@@ -747,13 +730,6 @@ fn cmd_experiments_md(flags: &Flags) -> Result<(), String> {
                 .into(),
         );
     }
-    if flags.shared_warmup {
-        return Err(
-            "--experiments-md documents the canonical per-point runs; --shared-warmup \
-             results live under their own keys and are not part of it"
-                .into(),
-        );
-    }
     // Converged and shifted runs are likewise keyed separately — the
     // committed document is defined over the canonical fixed-budget,
     // stationary-workload entries.
@@ -806,13 +782,6 @@ fn cmd_experiments_eval_md(flags: &Flags) -> Result<(), String> {
         return Err(
             "--experiments-eval-md renders the full eval evaluation; it cannot be combined \
              with --class/--name/--spec"
-                .into(),
-        );
-    }
-    if flags.shared_warmup {
-        return Err(
-            "--experiments-eval-md documents the canonical per-point runs; --shared-warmup \
-             results live under their own keys and are not part of it"
                 .into(),
         );
     }
@@ -974,9 +943,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     // whole time series), so the convergence flags are rejected rather
     // than silently ignored.
     flags.budget.reject_convergence("trace")?;
-    if flags.shared_warmup {
-        return Err("--shared-warmup does not apply to `snug trace`".into());
-    }
 
     let all = all_combos();
     let combo = all
@@ -1079,9 +1045,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     flags.reject_stride("profile")?;
     flags.reject_phase_shift("profile")?;
     flags.reject_verbose("profile")?;
-    if flags.shared_warmup {
-        return Err("--shared-warmup does not apply to `snug profile`".into());
-    }
 
     let all = all_combos();
     let combo = all

@@ -2,15 +2,15 @@
 //!
 //! Hand-written (the environment has no `serde_json`): each codec maps a
 //! result type to/from [`crate::json::Value`]. Floats round-trip
-//! bit-exactly (see `json`), so a decoded [`ComboResult`] is `==` to the
+//! bit-exactly (see `json`), so a decoded [`SchemeRun`] is `==` to the
 //! one that was stored — the property the result cache's acceptance test
 //! pins down.
 
 use crate::json::{JsonError, Value};
 use sim_cache::CacheStats;
 use sim_cmp::{PeriodSample, SchemeEvent, SchemeEventKind};
-use snug_experiments::{ComboResult, SchemeResult, SchemeRun, TraceSeries};
-use snug_metrics::{MetricSet, SimCounters, WALK_DEPTH_BUCKETS};
+use snug_experiments::{SchemeRun, TraceSeries};
+use snug_metrics::{SimCounters, WALK_DEPTH_BUCKETS};
 use snug_workloads::ComboClass;
 
 /// Types storable in the result store.
@@ -27,42 +27,6 @@ fn f64_vec(v: &Value) -> Result<Vec<f64>, JsonError> {
 
 fn f64_arr(xs: &[f64]) -> Value {
     Value::Arr(xs.iter().map(|&x| Value::num(x)).collect())
-}
-
-impl JsonCodec for MetricSet {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("throughput", Value::num(self.throughput)),
-            ("aws", Value::num(self.aws)),
-            ("fair", Value::num(self.fair)),
-        ])
-    }
-
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(MetricSet {
-            throughput: v.get("throughput")?.as_num()?,
-            aws: v.get("aws")?.as_num()?,
-            fair: v.get("fair")?.as_num()?,
-        })
-    }
-}
-
-impl JsonCodec for SchemeResult {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("scheme", Value::str(&self.scheme)),
-            ("metrics", self.metrics.to_json()),
-            ("ipcs", f64_arr(&self.ipcs)),
-        ])
-    }
-
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(SchemeResult {
-            scheme: v.get("scheme")?.as_str()?.to_string(),
-            metrics: MetricSet::from_json(v.get("metrics")?)?,
-            ipcs: f64_vec(v.get("ipcs")?)?,
-        })
-    }
 }
 
 impl JsonCodec for SchemeRun {
@@ -427,91 +391,9 @@ impl JsonCodec for ComboClass {
     }
 }
 
-impl JsonCodec for ComboResult {
-    fn to_json(&self) -> Value {
-        let sweep = Value::Arr(
-            self.cc_sweep
-                .iter()
-                .map(|&(p, tp)| Value::Arr(vec![Value::num(p), Value::num(tp)]))
-                .collect(),
-        );
-        Value::obj(vec![
-            ("label", Value::str(&self.label)),
-            ("class", self.class.to_json()),
-            ("baseline_ipcs", f64_arr(&self.baseline_ipcs)),
-            (
-                "schemes",
-                Value::Arr(self.schemes.iter().map(JsonCodec::to_json).collect()),
-            ),
-            ("cc_sweep", sweep),
-        ])
-    }
-
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let cc_sweep = v
-            .get("cc_sweep")?
-            .as_arr()?
-            .iter()
-            .map(|pair| {
-                let pair = pair.as_arr()?;
-                if pair.len() != 2 {
-                    return Err(JsonError("cc_sweep entries are [p, throughput]".into()));
-                }
-                Ok((pair[0].as_num()?, pair[1].as_num()?))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ComboResult {
-            label: v.get("label")?.as_str()?.to_string(),
-            class: ComboClass::from_json(v.get("class")?)?,
-            baseline_ipcs: f64_vec(v.get("baseline_ipcs")?)?,
-            schemes: v
-                .get("schemes")?
-                .as_arr()?
-                .iter()
-                .map(SchemeResult::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            cc_sweep,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> ComboResult {
-        let mk = |name: &str, tp: f64| SchemeResult {
-            scheme: name.into(),
-            metrics: MetricSet {
-                throughput: tp,
-                aws: tp * 0.99,
-                fair: tp * 0.97,
-            },
-            ipcs: vec![0.1 + tp, 1.0 / 3.0, tp, 0.7],
-        };
-        ComboResult {
-            label: "ammp+parser+swim+mesa".into(),
-            class: ComboClass::C5,
-            baseline_ipcs: vec![0.25, 2.0 / 3.0, 0.5, 1.1],
-            schemes: vec![
-                mk("L2S", 0.97),
-                mk("CC(Best)", 1.02),
-                mk("DSR", 1.05),
-                mk("SNUG", 1.13),
-            ],
-            cc_sweep: vec![(0.0, 1.0), (0.25, 1.01), (1.0, 0.98)],
-        }
-    }
-
-    #[test]
-    fn combo_result_round_trips_bit_identically() {
-        let r = sample();
-        let text = r.to_json().render();
-        let back = ComboResult::from_json(&crate::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
-        // And the rendered form is stable (determinism for hashing).
-        assert_eq!(back.to_json().render(), text);
-    }
 
     #[test]
     fn scheme_run_round_trips_bit_identically() {
@@ -628,9 +510,22 @@ mod tests {
 
     #[test]
     fn malformed_results_are_rejected() {
-        let good = sample().to_json();
-        let mut missing = good.as_obj().unwrap().clone();
-        missing.remove("schemes");
-        assert!(ComboResult::from_json(&Value::Obj(missing)).is_err());
+        let good = SchemeRun {
+            scheme: "snug".into(),
+            ipcs: vec![0.5, 1.25],
+            measured_cycles: None,
+            stop_reason: None,
+            plateaus: Vec::new(),
+        }
+        .to_json();
+        assert!(SchemeRun::from_json(&good).is_ok());
+        for field in ["scheme", "ipcs"] {
+            let mut missing = good.as_obj().unwrap().clone();
+            missing.remove(field);
+            assert!(
+                SchemeRun::from_json(&Value::Obj(missing)).is_err(),
+                "{field}"
+            );
+        }
     }
 }

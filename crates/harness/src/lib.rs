@@ -6,13 +6,13 @@
 //!
 //! * [`spec`] — declarative [`spec::SweepSpec`]s (classes × schemes ×
 //!   budget) that expand into content-keyed jobs;
-//! * [`exec`] — a work-stealing parallel executor for deterministic
-//!   simulation jobs (subsumes `snug_experiments::runner` for sweeps);
+//! * [`exec`] — the parallel executor for deterministic simulation
+//!   jobs, run as a dependency graph;
 //! * [`store`] — the content-addressed JSONL result cache under
 //!   `results/`: re-running a sweep only executes jobs whose inputs
 //!   changed, and cached results decode bit-identically;
 //! * [`sweep`] — orchestration tying the three together with streamed
-//!   progress and v1→v2 store migration;
+//!   progress;
 //! * [`report`] — Figures 9–11 / Table 8 renderings (Markdown + CSV)
 //!   from stored results;
 //! * [`experiments_md`] — the committed, regenerable `EXPERIMENTS.md`
@@ -52,9 +52,8 @@ pub use report::{
     render_markdown, report_tables, stop_summary_table, write_report, CEILING_FOOTNOTE,
 };
 pub use spec::{
-    legacy_combo_key, trace_key, unit_jobs_for, unit_jobs_for_mode, unit_jobs_phased, unit_key,
-    unit_key_mode, unit_key_phased, BudgetPreset, ComboJob, StopPreset, SweepSpec, UnitJob,
-    SCHEMA_VERSION, SCHEMA_VERSION_V1,
+    trace_key, unit_jobs_for, unit_jobs_phased, unit_key, unit_key_phased, BudgetPreset, ComboJob,
+    StopPreset, SweepSpec, UnitJob, SCHEMA_VERSION,
 };
 pub use store::{MergeStats, ResultStore, StoreError, StoredResult, SHARDS_DIR, SPANS_FILE};
 pub use sweep::{

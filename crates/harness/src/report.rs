@@ -245,7 +245,6 @@ mod tests {
             budget: BudgetPreset::Quick,
             stop: crate::spec::StopPreset::Fixed,
             phase_shift: None,
-            shared_warmup: false,
         }
     }
 
@@ -268,7 +267,6 @@ mod tests {
                 rel_epsilon: None,
             },
             phase_shift: Some("400000:profile=mcf".into()),
-            shared_warmup: false,
         };
         let jobs = shifted.combo_jobs();
         let run = |plateaus: Vec<f64>| SchemeRun {

@@ -22,12 +22,6 @@ use snug_workloads::{all_combos, Combo, ComboClass, PhaseSchedule};
 /// the inputs that simulation depends on; see [`unit_key`].
 pub const SCHEMA_VERSION: &str = "snug-harness/v2";
 
-/// The v1 key prefix. v1 keys addressed a whole (combo, config) five-
-/// scheme comparison; [`legacy_combo_key`] still computes them so sweeps
-/// can migrate v1 store entries into v2 unit entries (see
-/// `sweep::run_sweep`).
-pub const SCHEMA_VERSION_V1: &str = "snug-harness/v1";
-
 /// Which run budget (and matching SNUG stage lengths) a sweep uses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum BudgetPreset {
@@ -158,14 +152,6 @@ pub struct SweepSpec {
     /// ([`SweepSpec::phase_schedule`] panics on a string that does not
     /// parse).
     pub phase_shift: Option<String>,
-    /// Measure the §4.1 CC spill sweep from one shared warm-up snapshot
-    /// per combo instead of warming each point separately
-    /// (`snug sweep --shared-warmup`). A faster *methodology variant*:
-    /// results are close to, but not bit-identical with, the canonical
-    /// per-point runs (each probability also shapes its own warm-up
-    /// there), so shared-mode CC jobs are keyed separately and never mix
-    /// with canonical entries.
-    pub shared_warmup: bool,
 }
 
 impl SweepSpec {
@@ -178,7 +164,6 @@ impl SweepSpec {
             budget,
             stop: StopPreset::Fixed,
             phase_shift: None,
-            shared_warmup: false,
         }
     }
 
@@ -237,7 +222,7 @@ impl SweepSpec {
         self.combos()
             .into_iter()
             .map(|combo| ComboJob {
-                units: keyed.unit_jobs(&combo, self.shared_warmup),
+                units: keyed.unit_jobs(&combo),
                 combo,
                 config,
             })
@@ -278,7 +263,6 @@ impl JsonCodec for SweepSpec {
                 Value::Arr(self.combos.iter().map(|s| Value::str(s.as_str())).collect()),
             ),
             ("budget", budget),
-            ("shared_warmup", Value::Bool(self.shared_warmup)),
         ];
         if let Some(spec) = &self.phase_shift {
             fields.push(("phase_shift", Value::str(spec)));
@@ -321,12 +305,18 @@ impl JsonCodec for SweepSpec {
                 .collect::<Result<Vec<_>, _>>()?,
             Err(_) => Vec::new(),
         };
-        // `shared_warmup` is optional in the JSON form (older specs
-        // omit it; canonical semantics are the default).
-        let shared_warmup = match v.get("shared_warmup") {
-            Ok(flag) => flag.as_bool()?,
-            Err(_) => false,
-        };
+        // Specs written before the shared-warm-up variant was removed
+        // carry `"shared_warmup": false`, which is the only semantics
+        // left; `true` asked for a variant that no longer exists.
+        if let Ok(flag) = v.get("shared_warmup") {
+            if flag.as_bool()? {
+                return Err(JsonError(
+                    "shared_warmup: the shared-warm-up variant was removed; \
+                     drop the field to run the canonical per-point sweep"
+                        .into(),
+                ));
+            }
+        }
         // The stop presets are optional too: absent means the fixed
         // stop policy every pre-plan spec used.
         let stop = match (v.get("until_converged"), v.get("until_reconverged")) {
@@ -375,7 +365,6 @@ impl JsonCodec for SweepSpec {
             budget,
             stop,
             phase_shift,
-            shared_warmup,
         })
     }
 }
@@ -422,9 +411,6 @@ pub struct UnitJob {
     /// The phase-change schedule this job's workload runs under
     /// (`None`: stationary canonical workload; baked into the key).
     pub phase: Option<PhaseSchedule>,
-    /// Whether this job runs under the shared-warm-up variant (CC
-    /// points only; baked into the key).
-    pub shared_warmup: bool,
 }
 
 impl UnitJob {
@@ -446,20 +432,10 @@ pub struct ComboJob {
     pub units: Vec<UnitJob>,
 }
 
-/// The unit jobs of one combo under one configuration (canonical
-/// warm-up semantics, stationary workload).
+/// The unit jobs of one combo under one configuration (stationary
+/// workload).
 pub fn unit_jobs_for(combo: &Combo, config: &CompareConfig) -> Vec<UnitJob> {
-    unit_jobs_for_mode(combo, config, false)
-}
-
-/// The unit jobs of one combo; with `shared_warmup`, CC points carry
-/// the shared-warm-up keys and marker.
-pub fn unit_jobs_for_mode(
-    combo: &Combo,
-    config: &CompareConfig,
-    shared_warmup: bool,
-) -> Vec<UnitJob> {
-    unit_jobs_phased(combo, config, shared_warmup, None)
+    unit_jobs_phased(combo, config, None)
 }
 
 /// The unit jobs of one combo, optionally under a phase-change
@@ -467,10 +443,9 @@ pub fn unit_jobs_for_mode(
 pub fn unit_jobs_phased(
     combo: &Combo,
     config: &CompareConfig,
-    shared_warmup: bool,
     phase: Option<&PhaseSchedule>,
 ) -> Vec<UnitJob> {
-    KeyedPoints::new(config, phase).unit_jobs(combo, shared_warmup)
+    KeyedPoints::new(config, phase).unit_jobs(combo)
 }
 
 /// Every scheme point of one (configuration, phase) expansion with the
@@ -505,20 +480,16 @@ impl<'a> KeyedPoints<'a> {
     }
 
     /// One combo's unit jobs.
-    fn unit_jobs(&self, combo: &Combo, shared_warmup: bool) -> Vec<UnitJob> {
+    fn unit_jobs(&self, combo: &Combo) -> Vec<UnitJob> {
         let combo_debug = format!("{combo:?}");
         self.points
             .iter()
-            .map(|(point, fragment)| {
-                let shared = shared_warmup && matches!(point, SchemePoint::Cc { .. });
-                UnitJob {
-                    key: unit_key_of(&combo_debug, fragment, shared, &self.phase_fragment),
-                    combo: *combo,
-                    point: *point,
-                    config: *self.config,
-                    phase: self.phase.cloned(),
-                    shared_warmup: shared,
-                }
+            .map(|(point, fragment)| UnitJob {
+                key: unit_key_of(&combo_debug, fragment, &self.phase_fragment),
+                combo: *combo,
+                point: *point,
+                config: *self.config,
+                phase: self.phase.cloned(),
             })
             .collect()
     }
@@ -542,15 +513,9 @@ fn phase_fragment(phase: Option<&PhaseSchedule>) -> String {
 }
 
 /// A unit key from its rendered fragments.
-fn unit_key_of(
-    combo_debug: &str,
-    point_fragment: &str,
-    shared_warmup: bool,
-    phase: &str,
-) -> String {
-    let mode = if shared_warmup { "|shared-warmup" } else { "" };
+fn unit_key_of(combo_debug: &str, point_fragment: &str, phase: &str) -> String {
     content_key(&format!(
-        "{SCHEMA_VERSION}|{combo_debug}|{point_fragment}{mode}{phase}"
+        "{SCHEMA_VERSION}|{combo_debug}|{point_fragment}{phase}"
     ))
 }
 
@@ -567,22 +532,10 @@ fn unit_key_of(
 /// invalidates only that scheme's cached jobs; every other point keeps
 /// hitting.
 pub fn unit_key(combo: &Combo, point: &SchemePoint, config: &CompareConfig) -> String {
-    unit_key_mode(combo, point, config, false)
+    unit_key_phased(combo, point, config, None)
 }
 
-/// [`unit_key`] with the execution-mode marker: shared-warm-up CC runs
-/// change the simulation semantics (warm-up happens once, with spilling
-/// inhibited), so their results live under distinct keys.
-pub fn unit_key_mode(
-    combo: &Combo,
-    point: &SchemePoint,
-    config: &CompareConfig,
-    shared_warmup: bool,
-) -> String {
-    unit_key_phased(combo, point, config, shared_warmup, None)
-}
-
-/// [`unit_key_mode`] with an optional phase-change schedule. A schedule
+/// [`unit_key`] with an optional phase-change schedule. A schedule
 /// is part of the workload, so its canonical fingerprint joins the key
 /// input; the stationary case contributes nothing, keeping every
 /// pre-phase-schedule key byte-identical.
@@ -590,13 +543,11 @@ pub fn unit_key_phased(
     combo: &Combo,
     point: &SchemePoint,
     config: &CompareConfig,
-    shared_warmup: bool,
     phase: Option<&PhaseSchedule>,
 ) -> String {
     unit_key_of(
         &format!("{combo:?}"),
         &single_point_fragment(point, config),
-        shared_warmup,
         &phase_fragment(phase),
     )
 }
@@ -629,23 +580,6 @@ pub fn trace_key(
     ))
 }
 
-/// The v1 content key of a whole (combo, config) five-scheme
-/// comparison. New code never writes entries under these keys; sweeps
-/// compute them to find v1 store entries worth migrating. The v1-era
-/// `CompareConfig` debug string (with its `budget: RunBudget { … }`
-/// field) is reconstructed from the plan fingerprint so genuinely old
-/// stores keep migrating across the plan refactor; converged plans
-/// never had v1 entries, so their synthetic keys simply never match.
-pub fn legacy_combo_key(combo: &Combo, config: &CompareConfig) -> String {
-    content_key(&format!(
-        "{SCHEMA_VERSION_V1}|{combo:?}|CompareConfig {{ system: {:?}, budget: {}, snug: {:?}, dsr: {:?} }}",
-        config.system,
-        config.plan.fingerprint(),
-        config.snug,
-        config.dsr,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,7 +604,6 @@ mod tests {
             budget: BudgetPreset::Quick,
             stop: StopPreset::Fixed,
             phase_shift: None,
-            shared_warmup: false,
         };
         let jobs = spec.combo_jobs();
         assert_eq!(jobs.len(), 3, "Table 8: C5 has three combos");
@@ -731,27 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_warmup_rekeys_only_cc_points() {
-        let combo = all_combos()[0];
-        let cfg = BudgetPreset::Quick.compare_config();
-        let canonical = unit_jobs_for_mode(&combo, &cfg, false);
-        let shared = unit_jobs_for_mode(&combo, &cfg, true);
-        for (c, s) in canonical.iter().zip(&shared) {
-            assert_eq!(c.point, s.point);
-            match c.point {
-                SchemePoint::Cc { .. } => {
-                    assert_ne!(c.key, s.key, "CC points get shared-warm-up keys");
-                    assert!(s.shared_warmup);
-                }
-                _ => {
-                    assert_eq!(c.key, s.key, "non-CC points are unaffected");
-                    assert!(!s.shared_warmup);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn trace_keys_are_distinct_from_unit_keys_and_stride_sensitive() {
         let combo = all_combos()[0];
         let cfg = BudgetPreset::Quick.compare_config();
@@ -770,17 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_keys_are_stable_and_distinct_from_unit_keys() {
-        let combo = all_combos()[0];
-        let cfg = BudgetPreset::Quick.compare_config();
-        let legacy = legacy_combo_key(&combo, &cfg);
-        assert_eq!(legacy, legacy_combo_key(&combo, &cfg));
-        for point in SchemePoint::all() {
-            assert_ne!(legacy, unit_key(&combo, &point, &cfg));
-        }
-    }
-
-    #[test]
     fn custom_budget_feeds_the_config() {
         let spec = SweepSpec {
             name: "tiny".into(),
@@ -792,7 +693,6 @@ mod tests {
             },
             stop: StopPreset::Fixed,
             phase_shift: None,
-            shared_warmup: false,
         };
         let cfg = spec.compare_config();
         assert_eq!(cfg.plan.warmup_cycles, 11);
@@ -890,7 +790,6 @@ mod tests {
                 },
                 stop: StopPreset::Fixed,
                 phase_shift: None,
-                shared_warmup: true,
             },
             SweepSpec {
                 name: "conv".into(),
@@ -902,7 +801,6 @@ mod tests {
                     rel_epsilon: None,
                 },
                 phase_shift: None,
-                shared_warmup: false,
             },
             SweepSpec {
                 name: "conv-tuned".into(),
@@ -914,7 +812,6 @@ mod tests {
                     rel_epsilon: Some(0.25),
                 },
                 phase_shift: None,
-                shared_warmup: false,
             },
             SweepSpec {
                 name: "shifted-reconv".into(),
@@ -926,10 +823,9 @@ mod tests {
                     rel_epsilon: None,
                 },
                 phase_shift: Some("1500000:near=10;1800000:demand=200@0,2".into()),
-                shared_warmup: false,
             },
             SweepSpec {
-                name: "shifted-shared-conv".into(),
+                name: "shifted-conv".into(),
                 classes: Vec::new(),
                 combos: Vec::new(),
                 budget: BudgetPreset::Quick,
@@ -938,12 +834,28 @@ mod tests {
                     rel_epsilon: Some(0.5),
                 },
                 phase_shift: Some("400000:profile=mcf".into()),
-                shared_warmup: true,
             },
         ] {
             let text = spec.to_json().render();
             let back = SweepSpec::from_json(&crate::json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, spec);
+
+            // Specs written while the shared-warm-up variant existed
+            // carry the field: `false` still decodes to the same spec,
+            // `true` names the removed variant instead of silently
+            // running canonical semantics.
+            let mut obj = spec.to_json().as_obj().unwrap().clone();
+            obj.insert("shared_warmup".into(), Value::Bool(false));
+            assert_eq!(
+                SweepSpec::from_json(&Value::Obj(obj.clone())).unwrap(),
+                spec
+            );
+            obj.insert("shared_warmup".into(), Value::Bool(true));
+            let err = SweepSpec::from_json(&Value::Obj(obj)).unwrap_err();
+            assert!(
+                err.0.contains("shared-warm-up variant was removed"),
+                "{err:?}"
+            );
         }
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! ## Files
 //!
-//! * [`STORE_FILE`] (`store.jsonl`) — the deterministic truth: unit,
-//!   series and legacy combo entries. Byte-identical for `--jobs 1` and
+//! * [`STORE_FILE`] (`store.jsonl`) — the deterministic truth: unit
+//!   and series entries. Byte-identical for `--jobs 1` and
 //!   `--jobs N` sweeps, because sweeps merge results into it in job
 //!   order at sweep end.
 //! * [`SPANS_FILE`] (`spans.jsonl`) — wall-clock execution telemetry
@@ -24,20 +24,18 @@
 //!   are recovered through [`ResultStore::recover_shards`] under the
 //!   usual merge semantics.
 //!
-//! ## Key-schema versions
+//! ## Key schema
 //!
-//! * **v2** (current, [`crate::spec::SCHEMA_VERSION`]) — one line per
-//!   *(combo, scheme point)* simulation, value a
-//!   [`snug_experiments::SchemeRun`] under the `"unit"` field.
-//! * **v1** (legacy) — one line per whole (combo, config) five-scheme
-//!   comparison, value a [`ComboResult`] under the `"result"` field.
-//!   v1 lines are still decoded so sweeps can migrate them (see
-//!   `sweep::run_sweep`); new code never writes them.
+//! Keys are [`crate::spec::SCHEMA_VERSION`] (v2) content hashes: one
+//! line per *(combo, scheme point)* simulation, value a
+//! [`snug_experiments::SchemeRun`] under the `"unit"` field. A v1 line
+//! (a whole five-scheme comparison under a `"result"` field) is
+//! rejected as corrupt: the v1 schema is no longer read.
 
 use crate::codec::JsonCodec;
 use crate::json::{parse, JsonError, Value};
 use crate::sweep::UnitSpan;
-use snug_experiments::{ComboResult, SchemeRun, TraceSeries};
+use snug_experiments::{SchemeRun, TraceSeries};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -55,18 +53,16 @@ pub const SPANS_FILE: &str = "spans.jsonl";
 /// shard files of an in-flight sweep.
 pub const SHARDS_DIR: &str = "shards";
 
-/// What a store entry holds: the unit of the current schema, a recorded
-/// probe time series, or a whole combo result from a v1 store.
+/// What a store entry holds: one unit simulation, a recorded probe time
+/// series, or the execution telemetry of one sweep piece.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoredResult {
-    /// v2: one (combo, scheme point) simulation.
+    /// One (combo, scheme point) simulation.
     Unit(SchemeRun),
-    /// v2: a recorded per-period time series (`snug trace`).
+    /// A recorded per-period time series (`snug trace`).
     Series(TraceSeries),
-    /// v2: wall-clock telemetry for one executed sweep piece.
+    /// Wall-clock telemetry for one executed sweep piece.
     Span(UnitSpan),
-    /// v1 legacy: a whole assembled five-scheme comparison.
-    Combo(ComboResult),
 }
 
 /// One stored line: the key, a little human-readable context, and the
@@ -88,7 +84,6 @@ impl StoreEntry {
             StoredResult::Unit(run) => ("unit", run.to_json()),
             StoredResult::Series(series) => ("series", series.to_json()),
             StoredResult::Span(span) => ("span", span.to_json()),
-            StoredResult::Combo(result) => ("result", result.to_json()),
         };
         Value::obj(vec![
             ("key", Value::str(&self.key)),
@@ -107,7 +102,11 @@ impl StoreEntry {
         } else if let Ok(span) = v.get("span") {
             StoredResult::Span(UnitSpan::from_json(span)?)
         } else {
-            StoredResult::Combo(ComboResult::from_json(v.get("result")?)?)
+            return Err(JsonError(
+                "entry has no `unit`, `series` or `span` payload (a `result` payload is a \
+                 whole-combo entry of the removed v1 store schema)"
+                    .into(),
+            ));
         };
         Ok(StoreEntry {
             key: v.take_str("key")?,
@@ -117,6 +116,7 @@ impl StoreEntry {
     }
 
     /// Parse and decode one JSONL line.
+    #[cfg(test)]
     fn parse_line(line: &str) -> Result<Self, JsonError> {
         parse(line).and_then(StoreEntry::from_json)
     }
@@ -162,9 +162,11 @@ fn load_jsonl(
 /// Decode the data lines of a JSONL store file in order, handing each
 /// entry to `visit`. The file streams through one reused line buffer, so
 /// it is never held whole next to the entries decoded from it. A line
-/// that does not decode is fatal, unless it is the file's last: that is
+/// that does not parse is fatal, unless it is the file's last: that is
 /// the torn tail of an interrupted append, and its byte offset is
-/// returned for the caller to truncate at or skip.
+/// returned for the caller to truncate at or skip. A line that parses
+/// but does not decode is fatal wherever it sits — a torn append is
+/// never complete JSON, so dropping it would discard a whole entry.
 fn read_entries(
     path: &Path,
     file: fs::File,
@@ -185,13 +187,15 @@ fn read_entries(
         let line_start = offset;
         offset += read as u64;
         lineno += 1;
-        let decoded = match std::str::from_utf8(&line) {
+        let parsed = match std::str::from_utf8(&line) {
             Ok(text) if text.trim().is_empty() => continue,
-            Ok(text) => StoreEntry::parse_line(text),
+            Ok(text) => parse(text),
             Err(_) => Err(JsonError("invalid UTF-8".into())),
         };
-        match decoded {
-            Ok(entry) => visit(entry)?,
+        match parsed {
+            Ok(value) => visit(
+                StoreEntry::from_json(value).map_err(|e| StoreError::corrupt(path, lineno, e))?,
+            )?,
             Err(_)
                 if reader
                     .fill_buf()
@@ -309,14 +313,6 @@ impl ResultStore {
         }
     }
 
-    /// Look up a v1 legacy combo result by content key.
-    pub fn get_legacy_combo(&self, key: &str) -> Option<&ComboResult> {
-        match self.get(key) {
-            Some(StoredResult::Combo(result)) => Some(result),
-            _ => None,
-        }
-    }
-
     /// Look up a recorded time series by content key.
     pub fn get_series(&self, key: &str) -> Option<&TraceSeries> {
         match self.get(key) {
@@ -399,14 +395,6 @@ impl ResultStore {
         self.entries
             .values()
             .filter(|e| matches!(e.result, StoredResult::Unit(_)))
-            .count()
-    }
-
-    /// Number of v1 legacy entries still in the store.
-    pub fn legacy_count(&self) -> usize {
-        self.entries
-            .values()
-            .filter(|e| matches!(e.result, StoredResult::Combo(_)))
             .count()
     }
 
@@ -606,9 +594,6 @@ impl std::error::Error for StoreError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snug_experiments::SchemeResult;
-    use snug_metrics::MetricSet;
-    use snug_workloads::ComboClass;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -625,60 +610,6 @@ mod tests {
             stop_reason: None,
             plateaus: Vec::new(),
         })
-    }
-
-    fn fake_legacy(label: &str, tp: f64) -> ComboResult {
-        ComboResult {
-            label: label.into(),
-            class: ComboClass::C3,
-            baseline_ipcs: vec![1.0, 0.5],
-            schemes: vec![SchemeResult {
-                scheme: "SNUG".into(),
-                metrics: MetricSet {
-                    throughput: tp,
-                    aws: tp,
-                    fair: tp,
-                },
-                ipcs: vec![1.0, 0.6],
-            }],
-            cc_sweep: vec![(0.0, 1.0)],
-        }
-    }
-
-    #[test]
-    fn unit_and_legacy_entries_coexist_and_are_typed() {
-        let dir = tmp_dir("typed");
-        let mut store = ResultStore::open(&dir).unwrap();
-        store
-            .insert_unit(
-                "u1".into(),
-                "unit-inputs".into(),
-                SchemeRun {
-                    scheme: "cc@50%".into(),
-                    ipcs: vec![0.5, 0.25],
-                    measured_cycles: None,
-                    stop_reason: None,
-                    plateaus: Vec::new(),
-                },
-            )
-            .unwrap();
-        store
-            .insert(
-                "c1".into(),
-                "combo-inputs".into(),
-                StoredResult::Combo(fake_legacy("a+b", 1.1)),
-            )
-            .unwrap();
-
-        let back = ResultStore::open(&dir).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.unit_count(), 1);
-        assert_eq!(back.legacy_count(), 1);
-        assert_eq!(back.get_unit("u1").unwrap().scheme, "cc@50%");
-        assert!(back.get_unit("c1").is_none(), "typed lookup rejects kind");
-        assert_eq!(back.get_legacy_combo("c1").unwrap().label, "a+b");
-        assert!(back.get_legacy_combo("u1").is_none());
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -717,14 +648,31 @@ mod tests {
             .insert("k".into(), "i".into(), fake("x+y", 1.0))
             .unwrap();
         let path = dir.join(STORE_FILE);
-        let mut text = fs::read_to_string(&path).unwrap();
-        let good_line = text.clone();
-        text.insert_str(0, "{\"key\": \"k2\", nope\n");
-        text.push_str(&good_line); // corrupt line is now interior
-        fs::write(&path, text).unwrap();
-        match ResultStore::open(&dir) {
-            Err(StoreError::Corrupt(_, line, _)) => assert_eq!(line, 1),
-            other => panic!("expected corrupt error, got {other:?}"),
+        let good_line = fs::read_to_string(&path).unwrap();
+        // A v1 whole-combo entry is complete JSON the current schema no
+        // longer reads: rejected with its location even as the last
+        // line, where a torn append would be dropped.
+        let v1 = "{\"key\":\"c1\",\"inputs\":\"combo-inputs\",\"result\":{\"label\":\"a+b\",\
+                  \"class\":\"C3\",\"baseline_ipcs\":[1,0.5],\"schemes\":[],\"cc_sweep\":[[0,1]]}}\n";
+        for (bad, text) in [
+            ("{\"key\": \"k2\", nope\n", None),
+            (v1, None),
+            (v1, Some(format!("{good_line}{v1}"))),
+        ] {
+            // Default: the bad line first, so it is interior.
+            let text = text.unwrap_or_else(|| format!("{bad}{good_line}"));
+            let line = text.lines().position(|l| l == bad.trim_end()).unwrap() + 1;
+            fs::write(&path, &text).unwrap();
+            match ResultStore::open(&dir) {
+                Err(StoreError::Corrupt(file, at, msg)) => {
+                    assert_eq!((file, at), (path.display().to_string(), line), "{msg}");
+                    if bad == v1 {
+                        assert!(msg.contains("v1"), "{msg}");
+                    }
+                }
+                other => panic!("expected corrupt error, got {other:?}"),
+            }
+            assert_eq!(fs::read_to_string(&path).unwrap(), text, "nothing dropped");
         }
         fs::remove_dir_all(&dir).unwrap();
     }

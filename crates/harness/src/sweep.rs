@@ -1,7 +1,7 @@
 //! Sweep orchestration: expand a spec into per-(combo, scheme point)
-//! unit jobs, serve cached units from the store, migrate what a v1
-//! store can still prove, run the rest as a dependency graph on the
-//! parallel executor, and assemble per-combo results.
+//! unit jobs, serve cached units from the store, run the rest as a
+//! dependency graph on the parallel executor, and assemble per-combo
+//! results.
 //!
 //! Parallel execution is the default path and must never change the
 //! store: workers append completed entries to per-worker shard files
@@ -12,14 +12,13 @@
 
 use crate::exec::{self, ExecEvent, JobOutcome};
 use crate::hash::content_key;
-use crate::spec::{
-    legacy_combo_key, unit_key_phased, ComboJob, SweepSpec, UnitJob, SCHEMA_VERSION,
-};
+use crate::spec::{unit_key_phased, SweepSpec, UnitJob, SCHEMA_VERSION};
 use crate::store::{ResultStore, ShardWriter, StoreEntry, StoreError, StoredResult, SHARDS_DIR};
 use snug_experiments::{
-    assemble_combo, best_cc_index, pace_of, run_cc_points_shared_phased, run_point_paced,
-    run_point_phased, ComboResult, Pace, SchemePoint, SchemeRun,
+    assemble_combo, pace_of, run_point_paced, run_point_phased, ComboResult, Pace, SchemePoint,
+    SchemeRun,
 };
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -31,10 +30,8 @@ pub enum SweepEvent {
     Planned {
         /// Total unit jobs in the spec.
         total: usize,
-        /// Units already present in the store (including migrated ones).
+        /// Units already present in the store.
         hits: usize,
-        /// Of the hits, units synthesised from v1 combo entries.
-        migrated: usize,
     },
     /// A unit simulation started.
     JobStarted {
@@ -207,10 +204,8 @@ pub struct ComboOutcome {
 pub struct SweepOutcome {
     /// Per-combo assembled outcomes.
     pub combos: Vec<ComboOutcome>,
-    /// Unit jobs served from the store (including migrated units).
+    /// Unit jobs served from the store.
     pub cache_hits: usize,
-    /// Of the cache hits, units synthesised from v1 combo entries.
-    pub migrated: usize,
     /// Unit jobs executed fresh.
     pub executed: usize,
     /// Cycles actually simulated across all units (warm-up + measured;
@@ -228,71 +223,6 @@ impl SweepOutcome {
     pub fn results(&self) -> Vec<ComboResult> {
         self.combos.iter().map(|c| c.result.clone()).collect()
     }
-}
-
-/// Migrate what a v1 store entry for `job`'s combo can still prove into
-/// v2 unit entries: the L2P / L2S / DSR / SNUG points carry their full
-/// per-core IPCs in a v1 `ComboResult`, and the winning CC point is
-/// recoverable via [`best_cc_index`] — the same rule result assembly
-/// uses, so re-assembly re-selects the identical point. The four losing
-/// CC points are not reconstructible and stay pending. Returns the
-/// number of units migrated.
-fn migrate_v1_units(job: &ComboJob, store: &mut ResultStore) -> Result<usize, StoreError> {
-    // v1 entries only ever described the stationary canonical
-    // workload; a shifted combo's units must never be served from them.
-    if job.units.iter().any(|u| u.phase.is_some()) {
-        return Ok(0);
-    }
-    let legacy_key = legacy_combo_key(&job.combo, &job.config);
-    let Some(old) = store.get_legacy_combo(&legacy_key).cloned() else {
-        return Ok(0);
-    };
-    let best_cc_p = best_cc_index(&old.cc_sweep).map(|i| old.cc_sweep[i].0);
-    let mut migrated = 0;
-    for unit in &job.units {
-        if unit.shared_warmup {
-            // Shared-warm-up keys describe a different warm-up
-            // semantics; canonical v1 values must not masquerade as
-            // them.
-            continue;
-        }
-        if store.get_unit(&unit.key).is_some() {
-            continue;
-        }
-        let ipcs = match unit.point {
-            SchemePoint::L2p => Some(old.baseline_ipcs.clone()),
-            SchemePoint::L2s => scheme_ipcs(&old, "L2S"),
-            SchemePoint::Dsr => scheme_ipcs(&old, "DSR"),
-            SchemePoint::Snug => scheme_ipcs(&old, "SNUG"),
-            SchemePoint::Cc { spill_probability } if Some(spill_probability) == best_cc_p => {
-                scheme_ipcs(&old, "CC(Best)")
-            }
-            SchemePoint::Cc { .. } => None,
-        };
-        if let Some(ipcs) = ipcs {
-            store.insert_unit(
-                unit.key.clone(),
-                format!("migrated from v1 entry {legacy_key}"),
-                SchemeRun {
-                    scheme: unit.point.label(),
-                    ipcs,
-                    measured_cycles: None,
-                    stop_reason: None,
-                    plateaus: Vec::new(),
-                },
-            )?;
-            migrated += 1;
-        }
-    }
-    Ok(migrated)
-}
-
-fn scheme_ipcs(result: &ComboResult, scheme: &str) -> Option<Vec<f64>> {
-    result
-        .schemes
-        .iter()
-        .find(|s| s.scheme == scheme)
-        .map(|s| s.ipcs.clone())
 }
 
 /// Where a paced node's measurement window comes from: the baseline's
@@ -318,97 +248,48 @@ impl PaceSource {
     }
 }
 
-/// One schedulable node of the sweep's dependency graph: a single unit
-/// simulation, a unit paced to its combo baseline's measured window, or
-/// a combo's shared-warm-up CC points (which run together so they share
-/// one warm-up snapshot — paced too under an early-exit plan).
+/// One schedulable node of the sweep's dependency graph — exactly one
+/// unit simulation: free-running, or paced to its combo baseline's
+/// measured window.
 enum ExecNode<'a> {
     Single(&'a UnitJob),
     Paced(&'a UnitJob, PaceSource),
-    CcShared(Vec<&'a UnitJob>, Option<PaceSource>),
 }
 
 impl<'a> ExecNode<'a> {
+    fn job(&self) -> &'a UnitJob {
+        match self {
+            ExecNode::Single(job) | ExecNode::Paced(job, _) => job,
+        }
+    }
+
     fn label(&self) -> String {
         match self {
             ExecNode::Single(job) => job.label(),
             ExecNode::Paced(job, _) => format!("{} [paced]", job.label()),
-            ExecNode::CcShared(jobs, pace) => format!(
-                "{} [cc sweep x{}, shared warmup{}]",
-                jobs[0].combo.label(),
-                jobs.len(),
-                if pace.is_some() { ", paced" } else { "" },
+        }
+    }
+
+    /// Simulate this node's unit.
+    fn run(&self, paces: &[Mutex<Option<Pace>>]) -> SchemeRun {
+        match self {
+            ExecNode::Single(job) => {
+                run_point_phased(&job.combo, &job.point, &job.config, job.phase.as_ref())
+            }
+            ExecNode::Paced(job, source) => run_point_paced(
+                &job.combo,
+                &job.point,
+                &job.config,
+                &source.resolve(paces),
+                job.phase.as_ref(),
             ),
         }
     }
-
-    /// The node's first member — every member shares one (combo,
-    /// configuration, phase), so this is where per-node plan facts come
-    /// from. Only the test failpoint needs it today.
-    #[cfg(test)]
-    fn first_job(&self) -> &'a UnitJob {
-        match self {
-            ExecNode::Single(job) | ExecNode::Paced(job, _) => job,
-            ExecNode::CcShared(jobs, _) => jobs[0],
-        }
-    }
-
-    /// Simulate and return every (job, result) pair of this node.
-    fn run(&self, paces: &[Mutex<Option<Pace>>]) -> Vec<(&'a UnitJob, SchemeRun)> {
-        match self {
-            ExecNode::Single(job) => {
-                vec![(
-                    *job,
-                    run_point_phased(&job.combo, &job.point, &job.config, job.phase.as_ref()),
-                )]
-            }
-            ExecNode::Paced(job, source) => {
-                let pace = source.resolve(paces);
-                vec![(
-                    *job,
-                    run_point_paced(
-                        &job.combo,
-                        &job.point,
-                        &job.config,
-                        &pace,
-                        job.phase.as_ref(),
-                    ),
-                )]
-            }
-            ExecNode::CcShared(jobs, source) => {
-                let pace = source.as_ref().map(|s| s.resolve(paces));
-                run_cc_family(jobs, pace.as_ref())
-            }
-        }
-    }
-}
-
-/// Run a shared-warm-up CC family (optionally baseline-paced) and pair
-/// each result back with its job.
-fn run_cc_family<'a>(jobs: &[&'a UnitJob], pace: Option<&Pace>) -> Vec<(&'a UnitJob, SchemeRun)> {
-    let points: Vec<SchemePoint> = jobs.iter().map(|j| j.point).collect();
-    run_cc_points_shared_phased(
-        &jobs[0].combo,
-        &points,
-        &jobs[0].config,
-        jobs[0].phase.as_ref(),
-        pace,
-    )
-    .into_iter()
-    .zip(jobs.iter())
-    .map(|((point, run), job)| {
-        debug_assert_eq!(point, job.point);
-        (*job, run)
-    })
-    .collect()
 }
 
 /// Build the sweep's dependency graph from the pending jobs:
 ///
-/// * fixed-plan units run free ([`ExecNode::Single`], no edges), with
-///   a combo's shared-warm-up CC units batched into one
-///   [`ExecNode::CcShared`] node (a family shares one warm-up, so every
-///   member must describe the same simulation inputs);
+/// * fixed-plan units run free ([`ExecNode::Single`], no edges);
 /// * early-exit units group per (combo, configuration, phase). When the
 ///   combo's L2P baseline is itself pending it becomes a free
 ///   [`ExecNode::Single`] node and every sibling node depends on it
@@ -420,8 +301,7 @@ fn run_cc_family<'a>(jobs: &[&'a UnitJob], pace: Option<&Pace>) -> Vec<(&'a Unit
 ///   in parallel, paced by the cached baselines);
 /// * an early-exit subset whose baseline is neither cached nor pending
 ///   (a caller-supplied subset) cannot be paced; its members fall back
-///   to independent converged runs — shared-warm-up CC members still
-///   batch as one (unpaced) family.
+///   to independent converged runs.
 ///
 /// Returns the nodes plus, per node, the indices of the nodes it
 /// depends on — the exact shape [`exec::run_graph`] consumes.
@@ -429,40 +309,31 @@ fn plan_exec_nodes<'a>(
     pending: &[&'a UnitJob],
     store: &ResultStore,
 ) -> (Vec<ExecNode<'a>>, Vec<Vec<usize>>) {
+    /// A free unit, or an index into `families`.
     enum Item<'a> {
         Free(&'a UnitJob),
-        CcFamily(Vec<&'a UnitJob>),
-        EarlyFamily(Vec<&'a UnitJob>),
+        Family(usize),
     }
-    let family_tag = |kind: &str, job: &UnitJob| {
-        format!(
-            "{kind}|{:?}|{:?}|{:?}",
+    let mut items: Vec<Item<'a>> = Vec::new();
+    let mut families: Vec<Vec<&'a UnitJob>> = Vec::new();
+    let mut family_index: BTreeMap<String, usize> = BTreeMap::new();
+    for &job in pending {
+        if !job.config.plan.can_stop_early() {
+            items.push(Item::Free(job));
+            continue;
+        }
+        let tag = format!(
+            "{:?}|{:?}|{:?}",
             job.combo,
             job.config,
             job.phase.as_ref().map(|p| p.fingerprint())
-        )
-    };
-    let mut items: Vec<Item<'a>> = Vec::new();
-    let mut family_index: BTreeMap<String, usize> = BTreeMap::new();
-    for &job in pending {
-        let (tag, make): (String, fn(Vec<&'a UnitJob>) -> Item<'a>) =
-            if job.config.plan.can_stop_early() {
-                (family_tag("early", job), Item::EarlyFamily)
-            } else if job.shared_warmup && matches!(job.point, SchemePoint::Cc { .. }) {
-                (family_tag("cc", job), Item::CcFamily)
-            } else {
-                items.push(Item::Free(job));
-                continue;
-            };
-        match family_index.get(&tag) {
-            Some(&i) => match &mut items[i] {
-                Item::CcFamily(jobs) | Item::EarlyFamily(jobs) => jobs.push(job),
-                // snug-lint: allow(panic-audit, "the index is only written when a family item is pushed, two lines below")
-                Item::Free(_) => unreachable!("family index never points at a free job"),
-            },
-            None => {
-                family_index.insert(tag, items.len());
-                items.push(make(vec![job]));
+        );
+        match family_index.entry(tag) {
+            Entry::Occupied(f) => families[*f.get()].push(job),
+            Entry::Vacant(slot) => {
+                slot.insert(families.len());
+                items.push(Item::Family(families.len()));
+                families.push(vec![job]);
             }
         }
     }
@@ -470,59 +341,44 @@ fn plan_exec_nodes<'a>(
     let mut nodes: Vec<ExecNode<'a>> = Vec::new();
     let mut deps: Vec<Vec<usize>> = Vec::new();
     for item in items {
-        match item {
+        let jobs = match item {
             Item::Free(job) => {
                 nodes.push(ExecNode::Single(job));
                 deps.push(Vec::new());
+                continue;
             }
-            Item::CcFamily(jobs) => {
-                nodes.push(ExecNode::CcShared(jobs, None));
-                deps.push(Vec::new());
-            }
-            Item::EarlyFamily(jobs) => {
-                let probe = jobs[0];
-                let source = if let Some(p) = jobs.iter().position(|j| j.point == SchemePoint::L2p)
-                {
-                    let baseline = nodes.len();
-                    nodes.push(ExecNode::Single(jobs[p]));
-                    deps.push(Vec::new());
-                    Some(PaceSource::Node(baseline))
-                } else {
-                    let baseline_key = unit_key_phased(
-                        &probe.combo,
-                        &SchemePoint::L2p,
-                        &probe.config,
-                        false,
-                        probe.phase.as_ref(),
-                    );
-                    store
-                        .get_unit(&baseline_key)
-                        .map(|baseline| PaceSource::Cached(pace_of(baseline, &probe.config)))
-                };
-                let edges: Vec<usize> = match source {
-                    Some(PaceSource::Node(baseline)) => vec![baseline],
-                    _ => Vec::new(),
-                };
-                let cc_shared: Vec<&UnitJob> =
-                    jobs.iter().copied().filter(|j| j.shared_warmup).collect();
-                for &job in jobs
-                    .iter()
-                    .filter(|j| !j.shared_warmup && j.point != SchemePoint::L2p)
-                {
-                    match source {
-                        Some(src) => {
-                            nodes.push(ExecNode::Paced(job, src));
-                            deps.push(edges.clone());
-                        }
-                        None => {
-                            nodes.push(ExecNode::Single(job));
-                            deps.push(Vec::new());
-                        }
-                    }
+            Item::Family(f) => std::mem::take(&mut families[f]),
+        };
+        let probe = jobs[0];
+        let source = if let Some(p) = jobs.iter().position(|j| j.point == SchemePoint::L2p) {
+            let baseline = nodes.len();
+            nodes.push(ExecNode::Single(jobs[p]));
+            deps.push(Vec::new());
+            Some(PaceSource::Node(baseline))
+        } else {
+            let baseline_key = unit_key_phased(
+                &probe.combo,
+                &SchemePoint::L2p,
+                &probe.config,
+                probe.phase.as_ref(),
+            );
+            store
+                .get_unit(&baseline_key)
+                .map(|baseline| PaceSource::Cached(pace_of(baseline, &probe.config)))
+        };
+        let edges: Vec<usize> = match source {
+            Some(PaceSource::Node(baseline)) => vec![baseline],
+            _ => Vec::new(),
+        };
+        for &job in jobs.iter().filter(|j| j.point != SchemePoint::L2p) {
+            match source {
+                Some(src) => {
+                    nodes.push(ExecNode::Paced(job, src));
+                    deps.push(edges.clone());
                 }
-                if !cc_shared.is_empty() {
-                    nodes.push(ExecNode::CcShared(cc_shared, source));
-                    deps.push(edges);
+                None => {
+                    nodes.push(ExecNode::Single(job));
+                    deps.push(Vec::new());
                 }
             }
         }
@@ -530,30 +386,25 @@ fn plan_exec_nodes<'a>(
     (nodes, deps)
 }
 
-/// Content key for the span record of the piece that executed the
-/// member units with these keys. Derived from the member unit keys, so
-/// re-running the same piece supersedes its previous span (newest
-/// telemetry wins under the store's gc rule) instead of accumulating.
-fn span_key(member_keys: &[&str]) -> String {
-    content_key(&format!("{SCHEMA_VERSION}|span|{}", member_keys.join("+")))
+/// Content key for the span record of the piece that executed the unit
+/// with this key. Derived from the unit key, so re-running the same
+/// piece supersedes its previous span (newest telemetry wins under the
+/// store's gc rule) instead of accumulating.
+fn span_key(unit_key: &str) -> String {
+    content_key(&format!("{SCHEMA_VERSION}|span|{unit_key}"))
 }
 
 /// The human-readable input description recorded beside a unit's
 /// content key — shared by the shard and main-store paths so a shard
 /// line and the store line it merges into are byte-identical.
 fn unit_inputs(job: &UnitJob) -> String {
-    let mode = if job.shared_warmup {
-        " | shared-warmup"
-    } else {
-        ""
-    };
     let phase = job
         .phase
         .as_ref()
         .map(|p| format!(" | phase={}", p.fingerprint()))
         .unwrap_or_default();
     format!(
-        "{:?} | {} | {:?}{mode}{phase}",
+        "{:?} | {} | {:?}{phase}",
         job.combo,
         job.point.label(),
         job.config
@@ -695,10 +546,11 @@ pub fn run_unit_jobs(
         workers,
         |i, worker| {
             let node = &nodes[i];
+            let job = node.job();
             #[cfg(test)]
-            failpoint::maybe_panic(&node.label(), node.first_job().config.plan.warmup_cycles);
+            failpoint::maybe_panic(&node.label(), job.config.plan.warmup_cycles);
             let picked = Instant::now();
-            let results = node.run(&paces);
+            let run = node.run(&paces);
             let wall_nanos = picked.elapsed().as_nanos() as u64;
             // Publish the baseline's pace before this node is marked
             // complete: the executor unblocks dependents only after this
@@ -706,28 +558,21 @@ pub fn run_unit_jobs(
             if let ExecNode::Single(job) = node {
                 if job.point == SchemePoint::L2p && job.config.plan.can_stop_early() {
                     *paces[i].lock().unwrap_or_else(PoisonError::into_inner) =
-                        Some(pace_of(&results[0].1, &job.config));
+                        Some(pace_of(&run, &job.config));
                 }
             }
-            let mut span = UnitSpan {
+            let plan = job.config.plan;
+            let measured = run.measured_cycles.unwrap_or(plan.measure_cycles());
+            let span = UnitSpan {
                 label: node.label(),
                 queue_nanos: picked.duration_since(submitted).as_nanos() as u64,
                 wall_nanos,
-                sim_cycles: 0,
-                instructions: 0,
+                sim_cycles: plan.warmup_cycles + measured,
+                instructions: (run.ipcs.iter().sum::<f64>() * measured as f64).round() as u64,
                 worker,
                 shard: format!("worker-{worker}.jsonl"),
             };
-            let mut member_keys: Vec<&str> = Vec::with_capacity(results.len());
-            for (job, run) in &results {
-                let plan = job.config.plan;
-                let measured = run.measured_cycles.unwrap_or(plan.measure_cycles());
-                span.sim_cycles += plan.warmup_cycles + measured;
-                span.instructions +=
-                    (run.ipcs.iter().sum::<f64>() * measured as f64).round() as u64;
-                member_keys.push(job.key.as_str());
-            }
-            let span_key = span_key(&member_keys);
+            let span_key = span_key(&job.key);
             // Crash durability: every completed entry reaches this
             // worker's shard before the piece reports done.
             {
@@ -742,13 +587,11 @@ pub fn run_unit_jobs(
                             .get_or_insert(e);
                     }
                 };
-                for (job, run) in &results {
-                    append(StoreEntry {
-                        key: job.key.clone(),
-                        inputs: unit_inputs(job),
-                        result: StoredResult::Unit(run.clone()),
-                    });
-                }
+                append(StoreEntry {
+                    key: job.key.clone(),
+                    inputs: unit_inputs(job),
+                    result: StoredResult::Unit(run.clone()),
+                });
                 append(StoreEntry {
                     key: span_key.clone(),
                     inputs: format!("span | {}", span.label),
@@ -756,7 +599,7 @@ pub fn run_unit_jobs(
                 });
             }
             *spans[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(span.clone());
-            (results, span_key, span)
+            (run, span_key, span)
         },
         |event| {
             let mut p = progress_cell.lock().unwrap_or_else(PoisonError::into_inner);
@@ -800,10 +643,8 @@ pub fn run_unit_jobs(
     let mut skipped: Vec<String> = Vec::new();
     for (i, outcome) in outcomes.into_iter().enumerate() {
         match outcome {
-            JobOutcome::Done((results, span_key, span)) => {
-                for (job, run) in results {
-                    completed.insert(job.key.clone(), run);
-                }
+            JobOutcome::Done((run, span_key, span)) => {
+                completed.insert(nodes[i].job().key.clone(), run);
                 finished_spans.push((span_key, span));
             }
             JobOutcome::Failed(error) => {
@@ -873,10 +714,9 @@ pub fn run_unit_jobs(
 }
 
 /// Run `spec` against `store`: leftover shards from a killed sweep are
-/// recovered first, v1 entries are migrated where possible, cached
-/// units are served, missing units run as a dependency graph on up to
-/// `threads` workers (0 = all CPUs), and per-combo results are
-/// assembled from the units.
+/// recovered first, cached units are served, missing units run as a
+/// dependency graph on up to `threads` workers (0 = all CPUs), and
+/// per-combo results are assembled from the units.
 pub fn run_sweep(
     spec: &SweepSpec,
     store: &mut ResultStore,
@@ -887,12 +727,6 @@ pub fn run_sweep(
     // completed are reported as hits, not re-planned.
     store.recover_shards()?;
     let combo_jobs = spec.combo_jobs();
-
-    let mut migrated = 0;
-    for job in &combo_jobs {
-        migrated += migrate_v1_units(job, store)?;
-    }
-
     let all_units: Vec<UnitJob> = combo_jobs.iter().flat_map(|j| j.units.clone()).collect();
     let hits = all_units
         .iter()
@@ -901,7 +735,6 @@ pub fn run_sweep(
     progress(SweepEvent::Planned {
         total: all_units.len(),
         hits,
-        migrated,
     });
 
     let unit_outcomes = run_unit_jobs(&all_units, store, threads, &mut progress)?;
@@ -939,7 +772,6 @@ pub fn run_sweep(
     Ok(SweepOutcome {
         combos,
         cache_hits,
-        migrated,
         executed,
         simulated_cycles,
         budgeted_cycles,
@@ -980,7 +812,6 @@ mod tests {
             },
             stop: StopPreset::Fixed,
             phase_shift: None,
-            shared_warmup: false,
         }
     }
 
@@ -1187,9 +1018,7 @@ mod tests {
         let mut finished: std::collections::HashSet<String> = std::collections::HashSet::new();
         let mut paced_started = 0usize;
         run_sweep(&spec, &mut store, 4, |e| match e {
-            SweepEvent::JobStarted { label }
-                if label.contains("[paced]") || label.contains("shared warmup, paced") =>
-            {
+            SweepEvent::JobStarted { label } if label.contains("[paced]") => {
                 paced_started += 1;
                 let combo = label.split(" [").next().unwrap().to_string();
                 assert!(
@@ -1266,98 +1095,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_warmup_sweep_batches_cc_and_caches_separately() {
-        let mut spec = tiny_spec();
-        spec.shared_warmup = true;
-        let (dir, mut store) = tmp_store("shared-warmup");
-
-        // The CC points of each combo run as one batched piece.
-        let mut labels = Vec::new();
-        let first = run_sweep(&spec, &mut store, 2, |e| {
-            if let SweepEvent::JobStarted { label } = e {
-                labels.push(label);
-            }
-        })
-        .unwrap();
-        assert_eq!(first.executed, 3 * UNITS_PER_COMBO);
-        assert_eq!(
-            labels
-                .iter()
-                .filter(|l| l.contains("shared warmup"))
-                .count(),
-            3,
-            "one batched CC piece per combo: {labels:?}"
-        );
-
-        // Second shared run: all cache hits, identical results.
-        let second = run_sweep(&spec, &mut store, 2, |_| {}).unwrap();
-        assert_eq!(second.executed, 0);
-        assert_eq!(second.results(), first.results());
-
-        // A canonical sweep shares the non-CC units but re-runs CC under
-        // its own keys — the two modes never serve each other.
-        let canonical = run_sweep(&tiny_spec(), &mut store, 2, |_| {}).unwrap();
-        let cc_points = snug_core::SchemeSpec::CC_SPILL_SWEEP.len();
-        assert_eq!(canonical.cache_hits, 3 * (UNITS_PER_COMBO - cc_points));
-        assert_eq!(canonical.executed, 3 * cc_points);
-
-        // Both runs agree on the baseline by construction; CC numbers
-        // may differ (different warm-up semantics) but stay plausible.
-        for (s, c) in first.results().iter().zip(&canonical.results()) {
-            assert_eq!(s.baseline_ipcs, c.baseline_ipcs);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn shared_warmup_families_never_mix_configs() {
-        // Same combo at two budgets: the CC families must batch per
-        // (combo, config), or one budget's results would silently be
-        // simulated under the other's.
-        let (dir, mut store) = tmp_store("shared-mixed-config");
-        let combo = snug_workloads::all_combos()
-            .into_iter()
-            .find(|c| c.class == ComboClass::C1)
-            .unwrap();
-        let quick = BudgetPreset::Custom {
-            warmup_cycles: 10_000,
-            measure_cycles: 60_000,
-        }
-        .compare_config();
-        let mut bigger = quick;
-        bigger.plan = snug_experiments::RunPlan::fixed(10_000, 90_000);
-        let jobs: Vec<UnitJob> = crate::spec::unit_jobs_for_mode(&combo, &quick, true)
-            .into_iter()
-            .chain(crate::spec::unit_jobs_for_mode(&combo, &bigger, true))
-            .filter(|j| j.shared_warmup)
-            .collect();
-
-        let mut family_labels = 0;
-        let outcomes = run_unit_jobs(&jobs, &mut store, 2, &mut |e| {
-            if let SweepEvent::JobStarted { label } = e {
-                if label.contains("shared warmup") {
-                    family_labels += 1;
-                }
-            }
-        })
-        .unwrap();
-        assert_eq!(family_labels, 2, "one family per (combo, config)");
-
-        // Same point, different budget => different IPCs: proof the
-        // second family really ran under its own config.
-        let cc_pairs: Vec<(&UnitOutcome, &UnitOutcome)> = outcomes
-            .iter()
-            .zip(outcomes.iter().skip(jobs.len() / 2))
-            .take(jobs.len() / 2)
-            .collect();
-        assert!(
-            cc_pairs.iter().any(|(a, b)| a.run.ipcs != b.run.ipcs),
-            "budgets produced distinguishable results"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn converged_sweep_caches_separately_and_reports_the_saving() {
         let mut spec = tiny_spec();
         let (dir, mut store) = tmp_store("converged");
@@ -1428,70 +1165,6 @@ mod tests {
         let fixed_again = run_sweep(&tiny_spec(), &mut store, 2, |_| {}).unwrap();
         assert_eq!(fixed_again.executed, 0);
         assert_eq!(fixed_again.results(), fixed.results());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn shared_warmup_composes_with_converged_stops() {
-        // The PR-4 follow-up: one warm-up snapshot per combo AND
-        // baseline-paced converged measurement, composed instead of
-        // rejected.
-        let mut spec = tiny_spec();
-        spec.shared_warmup = true;
-        spec.stop = StopPreset::Converged {
-            window_cycles: None,
-            rel_epsilon: Some(0.9),
-        };
-        let (dir, mut store) = tmp_store("shared-converged");
-        let mut labels = Vec::new();
-        let outcome = run_sweep(&spec, &mut store, 2, |e| {
-            if let SweepEvent::JobStarted { label } = e {
-                labels.push(label);
-            }
-        })
-        .unwrap();
-        assert_eq!(outcome.executed, 3 * UNITS_PER_COMBO);
-        assert_eq!(
-            labels
-                .iter()
-                .filter(|l| l.contains("shared warmup, paced"))
-                .count(),
-            3,
-            "one paced CC family per combo: {labels:?}"
-        );
-        assert!(
-            outcome.simulated_cycles < outcome.budgeted_cycles,
-            "early exit still saves cycles"
-        );
-        // Baseline pacing holds across the shared CC family too: one
-        // window and one stop reason per combo, on every unit.
-        for job in spec.combo_jobs() {
-            let runs: Vec<&SchemeRun> = job
-                .units
-                .iter()
-                .map(|u| store.get_unit(&u.key).expect("unit stored"))
-                .collect();
-            let windows: std::collections::HashSet<Option<u64>> =
-                runs.iter().map(|r| r.measured_cycles).collect();
-            assert_eq!(windows.len(), 1, "{}", job.combo.label());
-            assert!(
-                runs.iter().all(|r| r.stop_reason.is_some()),
-                "every early-exit-capable unit records its stop reason"
-            );
-        }
-
-        // Re-run: all cache hits; and the plain shared-warmup fixed
-        // sweep still runs under its own keys.
-        let rerun = run_sweep(&spec, &mut store, 2, |_| {}).unwrap();
-        assert_eq!(rerun.executed, 0);
-        let mut fixed_shared = tiny_spec();
-        fixed_shared.shared_warmup = true;
-        let fixed = run_sweep(&fixed_shared, &mut store, 2, |_| {}).unwrap();
-        assert_eq!(
-            fixed.executed,
-            3 * UNITS_PER_COMBO,
-            "converged and fixed shared runs never share keys"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

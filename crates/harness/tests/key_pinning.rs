@@ -6,7 +6,7 @@
 //! loop. This test keeps the original formula as the reference — one
 //! format string per unit, two separate FNV-1a passes — and checks the
 //! two agree for every spec the committed documents are served from,
-//! including the shared-warm-up and trace-key variants. It also checks
+//! and for their trace keys. It also checks
 //! that the committed store holds every unit key of those specs.
 
 use snug_experiments::{CompareConfig, SchemePoint};
@@ -40,13 +40,11 @@ fn reference_unit_key(
     combo: &Combo,
     point: &SchemePoint,
     config: &CompareConfig,
-    shared_warmup: bool,
     phase: Option<&PhaseSchedule>,
 ) -> String {
-    let mode = if shared_warmup { "|shared-warmup" } else { "" };
     let phase = reference_phase(phase);
     reference_content_key(&format!(
-        "{SCHEMA_VERSION}|{combo:?}|{point:?}|{:?}|{}|{}{mode}{phase}",
+        "{SCHEMA_VERSION}|{combo:?}|{point:?}|{:?}|{}|{}{phase}",
         config.system,
         config.plan.fingerprint(),
         point.param_fingerprint(config),
@@ -90,38 +88,22 @@ fn committed_specs() -> [SweepSpec; 3] {
 
 #[test]
 fn expansion_keys_match_the_reference_formula() {
-    for base in committed_specs() {
-        for shared_warmup in [false, true] {
-            let spec = SweepSpec {
-                shared_warmup,
-                ..base.clone()
-            };
-            let units = spec.unit_jobs();
-            assert_eq!(units.len(), 189);
-            for unit in &units {
-                let reference = reference_unit_key(
-                    &unit.combo,
-                    &unit.point,
-                    &unit.config,
-                    unit.shared_warmup,
-                    unit.phase.as_ref(),
-                );
-                assert_eq!(
-                    unit.key,
-                    reference,
-                    "{} ({})",
-                    unit.label(),
-                    spec.budget_label()
-                );
-                let single = unit_key_phased(
-                    &unit.combo,
-                    &unit.point,
-                    &unit.config,
-                    unit.shared_warmup,
-                    unit.phase.as_ref(),
-                );
-                assert_eq!(single, reference, "{}", unit.label());
-            }
+    for spec in committed_specs() {
+        let units = spec.unit_jobs();
+        assert_eq!(units.len(), 189);
+        for unit in &units {
+            let reference =
+                reference_unit_key(&unit.combo, &unit.point, &unit.config, unit.phase.as_ref());
+            assert_eq!(
+                unit.key,
+                reference,
+                "{} ({})",
+                unit.label(),
+                spec.budget_label()
+            );
+            let single =
+                unit_key_phased(&unit.combo, &unit.point, &unit.config, unit.phase.as_ref());
+            assert_eq!(single, reference, "{}", unit.label());
         }
     }
 }

@@ -11,11 +11,11 @@
 //! * [`plan`] — [`plan::RunPlan`]s: warm-up spec + first-class
 //!   stopping policies ([`plan::StopPolicy`] with fixed-window and
 //!   convergence-based implementations);
-//! * [`session`] — steppable [`session::SimSession`]s: incremental
-//!   `step`/`run_until` driving, stride probes, policy-driven early
-//!   exit, deterministic snapshot/restore;
-//! * [`system`] — the legacy one-shot driver, a thin wrapper over a
-//!   session.
+//! * [`session`] — steppable [`session::SimSession`]s, the one way to
+//!   run a simulation: incremental `step`/`run_until` driving or one
+//!   `run_to_completion`, stride probes, policy-driven early exit,
+//!   deterministic snapshot/restore, and the [`SystemResult`] a run
+//!   reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +26,6 @@ pub mod core;
 pub mod plan;
 pub mod scheme;
 pub mod session;
-pub mod system;
 
 pub use bus::{Bus, BusGrant, BusStats};
 pub use config::{BusConfig, CoreConfig, SystemConfig};
@@ -37,6 +36,6 @@ pub use plan::{
 };
 pub use scheme::{ChipResources, CloneOrg, L2Fill, L2Org, L2Outcome, SchemeEvent, SchemeEventKind};
 pub use session::{
-    PeriodSample, Probe, SessionBuilder, SessionSnapshot, SimSession, SnapshotError,
+    CoreResult, PeriodSample, Probe, SessionBuilder, SessionSnapshot, SimSession, SnapshotError,
+    SystemResult,
 };
-pub use system::{CmpSystem, CoreResult, SystemResult};

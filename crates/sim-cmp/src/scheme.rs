@@ -157,7 +157,7 @@ impl CloneOrg for Box<dyn L2Org> {
     }
 }
 
-/// Forwarding impl so `CmpSystem<Box<dyn L2Org>>` works with the
+/// Forwarding impl so `SimSession<Box<dyn L2Org>>` works with the
 /// scheme factory in `snug-core`.
 impl L2Org for Box<dyn L2Org> {
     fn access(

@@ -35,14 +35,54 @@
 //! fixed and converged plans alike.
 
 use crate::config::SystemConfig;
-use crate::core::CoreModel;
+use crate::core::{CoreModel, CoreStats};
 use crate::plan::{RunPlan, StopObservation, StopPolicy};
 use crate::scheme::{ChipResources, CloneOrg, L2Org, SchemeEvent, SchemeEventKind};
-use crate::system::{CoreResult, SystemResult};
 use crate::Bus;
+use serde::{Deserialize, Serialize};
 use sim_cache::{CacheStats, SetAssocCache};
 use sim_mem::{AccessKind, Dram, OpStream, StreamShift};
 use snug_metrics::{PhasePlateau, SimCounters, WALK_DEPTH_BUCKETS};
+
+/// Result for one core after a measured run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CoreResult {
+    /// Workload label (benchmark name).
+    pub label: String,
+    /// Instructions retired during measurement.
+    pub instructions: u64,
+    /// Cycles elapsed during measurement.
+    pub cycles: u64,
+    /// Instructions per cycle.
+    pub ipc: f64,
+    /// Core stall counters for the whole run (warm-up included).
+    pub stalls: CoreStats,
+    /// L1D statistics over the measured phase.
+    pub l1d: CacheStats,
+}
+
+/// Result of a full system run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SystemResult {
+    /// Scheme name.
+    pub scheme: String,
+    /// Per-core results.
+    pub cores: Vec<CoreResult>,
+    /// Aggregate L2 statistics.
+    pub l2: CacheStats,
+}
+
+impl SystemResult {
+    /// Sum of per-core IPCs (the paper's throughput metric numerator).
+    pub fn throughput(&self) -> f64 {
+        self.cores.iter().map(|c| c.ipc).sum()
+    }
+
+    /// Per-core IPC vector.
+    pub fn ipcs(&self) -> Vec<f64> {
+        self.cores.iter().map(|c| c.ipc).collect()
+    }
+}
 
 /// One probe-stride sample of the running system — the row type of the
 /// time series `snug trace` records.
@@ -1046,35 +1086,6 @@ impl<O: L2Org> SimSession<O> {
         self.note_events(&events);
         self.assemble_counters()
     }
-
-    /// Replace the streams and run window, keeping all hardware state.
-    /// This is the legacy `CmpSystem::run` entry path; new code should
-    /// configure the builder instead.
-    pub(crate) fn rearm(
-        &mut self,
-        streams: Vec<Box<dyn OpStream>>,
-        warmup_cycles: u64,
-        measure_cycles: u64,
-    ) {
-        assert_eq!(streams.len(), self.cfg.num_cores, "one stream per core");
-        let plan = RunPlan::fixed(warmup_cycles, measure_cycles);
-        self.labels = streams.iter().map(|s| s.label().to_string()).collect();
-        self.streams = streams;
-        self.warmup_cycles = plan.warmup_cycles;
-        self.policy = plan.policy();
-        self.stopped_at = None;
-        self.policy_next_at = 0;
-        self.policy_origin = 0;
-        self.policy_prev_cycle = 0;
-        self.policy_cores.clear();
-        self.measuring = false;
-        self.baseline.clear();
-        self.shifts.clear();
-        self.next_shift = 0;
-        self.fired_shifts.clear();
-        self.tally = SimCounters::default();
-        self.probe_counters = SimCounters::default();
-    }
 }
 
 impl<O: CloneOrg> SimSession<O> {
@@ -1134,7 +1145,9 @@ mod tests {
     use super::*;
     use sim_mem::VecStream;
 
-    /// The same minimal private organisation the system tests use.
+    /// Minimal private-L2 organisation: every slice is an isolated cache
+    /// backed by DRAM (no write buffer, no sharing). Enough to test the
+    /// driver.
     #[derive(Clone)]
     struct TestOrg {
         slices: Vec<SetAssocCache>,
@@ -1168,6 +1181,11 @@ mod tests {
                     fill: crate::L2Fill::LocalHit,
                 }
             } else {
+                if let Some(ev) = r.evicted {
+                    if ev.flags.dirty {
+                        res.dram.write(now);
+                    }
+                }
                 let done = res.dram.read(now);
                 crate::L2Outcome {
                     latency: self.local_lat + (done - now),
@@ -1276,6 +1294,92 @@ mod tests {
             .streams(streams(blocks, 3))
             .budget(2_000, 30_000)
             .build()
+    }
+
+    fn small_loop_stream(label: &str, blocks: u64, gap: u32) -> Box<dyn OpStream> {
+        let addrs: Vec<u64> = (0..blocks).map(|i| i * 64).collect();
+        Box::new(VecStream::loads(label, addrs, gap))
+    }
+
+    /// Run `streams` through a fresh session over the `warmup` +
+    /// `measure` fixed window.
+    fn run_fixed(streams: Vec<Box<dyn OpStream>>, warmup: u64, measure: u64) -> SystemResult {
+        let cfg = SystemConfig::tiny_test();
+        SimSession::builder(cfg, TestOrg::new(&cfg))
+            .streams(streams)
+            .budget(warmup, measure)
+            .build()
+            .run_to_completion()
+    }
+
+    #[test]
+    fn all_cores_complete_budget() {
+        let streams: Vec<Box<dyn OpStream>> = (0..4)
+            .map(|i| small_loop_stream(&format!("w{i}"), 4, 3))
+            .collect();
+        let res = run_fixed(streams, 500, 20_000);
+        for c in &res.cores {
+            assert!(c.instructions > 0);
+            assert!(c.cycles >= 19_000, "every core ran the full window");
+            assert!(c.ipc > 0.0);
+        }
+        assert_eq!(res.scheme, "test-l2p");
+    }
+
+    #[test]
+    fn cache_friendly_workload_beats_thrashing() {
+        // Fits in L1 (4 sets × 2 ways = 8 blocks): near-peak IPC.
+        let friendly: Vec<Box<dyn OpStream>> =
+            (0..4).map(|_| small_loop_stream("fit", 4, 7)).collect();
+        // 4096 distinct blocks: L1 and the 64-block L2 both thrash.
+        let thrash: Vec<Box<dyn OpStream>> = (0..4)
+            .map(|_| small_loop_stream("thrash", 4096, 7))
+            .collect();
+        let a = run_fixed(friendly, 2_000, 50_000);
+        let b = run_fixed(thrash, 2_000, 50_000);
+        assert!(
+            a.throughput() > 3.0 * b.throughput(),
+            "friendly {} vs thrash {}",
+            a.throughput(),
+            b.throughput()
+        );
+    }
+
+    #[test]
+    fn stores_do_not_stall_cores() {
+        let addrs: Vec<u64> = (0..4096u64).map(|i| i * 64).collect();
+        let load_streams: Vec<Box<dyn OpStream>> = (0..4)
+            .map(|_| Box::new(VecStream::loads("ld", addrs.clone(), 3)) as Box<dyn OpStream>)
+            .collect();
+        let store_streams: Vec<Box<dyn OpStream>> = (0..4)
+            .map(|_| {
+                let ops: Vec<_> = addrs
+                    .iter()
+                    .map(|&a| sim_mem::CoreOp::new(3, sim_mem::Access::store(a)))
+                    .collect();
+                Box::new(VecStream::cycle("st", ops)) as Box<dyn OpStream>
+            })
+            .collect();
+        let l = run_fixed(load_streams, 2_000, 50_000);
+        let s = run_fixed(store_streams, 2_000, 50_000);
+        assert!(
+            s.throughput() > 2.0 * l.throughput(),
+            "stores {} should vastly outpace loads {}",
+            s.throughput(),
+            l.throughput()
+        );
+    }
+
+    #[test]
+    fn ipc_measured_after_warmup_only() {
+        let streams: Vec<Box<dyn OpStream>> =
+            (0..4).map(|_| small_loop_stream("fit", 4, 7)).collect();
+        let res = run_fixed(streams, 5_000, 20_000);
+        // After warm-up the 4-block loop lives in L1: misses ≈ 0.
+        assert_eq!(res.l2.misses, 0, "no L2 demand misses after warm-up");
+        for c in &res.cores {
+            assert!(c.ipc > 3.0, "near-peak IPC, got {}", c.ipc);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use sim_cmp::{CmpSystem, SystemConfig};
+use sim_cmp::{SimSession, SystemConfig};
 use sim_mem::OpStream;
 use snug_core::{Snug, SnugConfig};
 use snug_workloads::Benchmark;
@@ -32,9 +32,12 @@ fn main() {
         .map(|(core, b)| Box::new(b.spec().stream(system.l2_slice, core)) as Box<dyn OpStream>)
         .collect();
 
-    let mut sys = CmpSystem::new(system, snug);
+    let mut sys = SimSession::builder(system, snug)
+        .streams(streams)
+        .budget(500_000, 4_200_000)
+        .build();
     println!("running 4.2M cycles on the SNUG quad-core...");
-    let result = sys.run(streams, 500_000, 4_200_000);
+    let result = sys.run_to_completion();
 
     println!("\nper-core results:");
     for (i, core) in result.cores.iter().enumerate() {

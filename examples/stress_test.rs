@@ -12,7 +12,7 @@
 //! cargo run --release --example stress_test -- parser
 //! ```
 
-use sim_cmp::{CmpSystem, SystemConfig};
+use sim_cmp::{SimSession, SystemConfig};
 use sim_mem::OpStream;
 use snug_core::{SchemeSpec, Snug, SnugConfig};
 use snug_experiments::{CompareConfig, RunPlan};
@@ -21,12 +21,14 @@ use snug_workloads::Benchmark;
 
 fn run(bench: Benchmark, spec: &SchemeSpec, plan: &RunPlan) -> Vec<f64> {
     let system = SystemConfig::paper();
-    let org = spec.build(system);
-    let mut sys = CmpSystem::new(system, org);
     let streams: Vec<Box<dyn OpStream>> = (0..4)
         .map(|core| Box::new(bench.spec().stream(system.l2_slice, core)) as Box<dyn OpStream>)
         .collect();
-    sys.run(streams, plan.warmup_cycles, plan.measure_cycles())
+    SimSession::builder(system, spec.build(system))
+        .streams(streams)
+        .budget(plan.warmup_cycles, plan.measure_cycles())
+        .build()
+        .run_to_completion()
         .ipcs()
 }
 
@@ -77,11 +79,14 @@ fn main() {
 
     // Show the flipping machinery directly.
     let system = SystemConfig::paper();
-    let mut sys = CmpSystem::new(system, Snug::new(system, snug_on));
     let streams: Vec<Box<dyn OpStream>> = (0..4)
         .map(|core| Box::new(bench.spec().stream(system.l2_slice, core)) as Box<dyn OpStream>)
         .collect();
-    sys.run(streams, plan.warmup_cycles, plan.measure_cycles());
+    let mut sys = SimSession::builder(system, Snug::new(system, snug_on))
+        .streams(streams)
+        .budget(plan.warmup_cycles, plan.measure_cycles())
+        .build();
+    sys.run_to_completion();
     let ev = sys.org().events();
     println!("\nSNUG spill placement in the stress test:");
     println!("  same-index spills : {}", ev.spills_same_index);

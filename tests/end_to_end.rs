@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: full workload → CMP system → metrics
 //! pipelines under every L2 organisation.
 
-use sim_cmp::{CmpSystem, SystemConfig};
+use sim_cmp::{SimSession, SystemConfig};
 use sim_mem::OpStream;
 use snug_core::{SchemeSpec, Snug};
 use snug_experiments::{run_combo, run_scheme, CompareConfig};
@@ -63,7 +63,6 @@ fn run_combo_produces_all_figure_schemes() {
 fn snug_single_copy_invariant_after_full_run() {
     let cfg = tiny_cfg();
     let system = SystemConfig::paper();
-    let mut sys = CmpSystem::new(system, Snug::new(system, cfg.snug));
     let combo = all_combos()[0];
     let streams: Vec<Box<dyn OpStream>> = combo
         .apps
@@ -71,7 +70,11 @@ fn snug_single_copy_invariant_after_full_run() {
         .enumerate()
         .map(|(core, b)| Box::new(b.spec().stream(system.l2_slice, core)) as Box<dyn OpStream>)
         .collect();
-    sys.run(streams, 50_000, 400_000);
+    let mut sys = SimSession::builder(system, Snug::new(system, cfg.snug))
+        .streams(streams)
+        .budget(50_000, 400_000)
+        .build();
+    sys.run_to_completion();
     assert!(
         sys.org().chassis().single_copy_invariant(),
         "a block appeared in two slices simultaneously"

@@ -1,7 +1,7 @@
 //! Integration tests for the beyond-paper extensions and the trace
 //! capture/replay plumbing.
 
-use sim_cmp::{CmpSystem, L2Org, SystemConfig};
+use sim_cmp::{L2Org, SimSession, SystemConfig};
 use sim_mem::{Geometry, OpStream, Trace, VecStream};
 use snug_core::{Cc, DsrConfig, SchemeSpec, Snug, SnugConfig};
 use snug_workloads::Benchmark;
@@ -26,8 +26,11 @@ fn trace_replay_reproduces_generator_run() {
     }
 
     let run = |streams: Vec<Box<dyn OpStream>>| {
-        let mut sys = CmpSystem::new(system, Snug::new(system, SnugConfig::scaled(500)));
-        sys.run(streams, 30_000, 200_000)
+        SimSession::builder(system, Snug::new(system, SnugConfig::scaled(500)))
+            .streams(streams)
+            .budget(30_000, 200_000)
+            .build()
+            .run_to_completion()
     };
 
     let live: Vec<Box<dyn OpStream>> = (0..4)
@@ -56,7 +59,6 @@ fn eight_core_system_works() {
     let mut snug_cfg = SnugConfig::scaled(500);
     snug_cfg.stage1_cycles = 60_000;
     snug_cfg.stage2_cycles = 300_000;
-    let mut sys = CmpSystem::new(cfg, Snug::new(cfg, snug_cfg));
     let streams: Vec<Box<dyn OpStream>> = (0..8)
         .map(|core| {
             let b = if core % 2 == 0 {
@@ -67,7 +69,11 @@ fn eight_core_system_works() {
             Box::new(b.spec().stream(cfg.l2_slice, core)) as Box<dyn OpStream>
         })
         .collect();
-    let r = sys.run(streams, 300_000, 1_200_000);
+    let mut sys = SimSession::builder(cfg, Snug::new(cfg, snug_cfg))
+        .streams(streams)
+        .budget(300_000, 1_200_000)
+        .build();
+    let r = sys.run_to_completion();
     assert_eq!(r.cores.len(), 8);
     assert!(r.cores.iter().all(|c| c.ipc > 0.0));
     assert!(sys.org().chassis().single_copy_invariant());
@@ -80,13 +86,16 @@ fn eight_core_system_works() {
 fn n_chance_cc_extends_victim_lifetimes() {
     let system = SystemConfig::paper();
     let run = |chances: u32| {
-        let mut sys = CmpSystem::new(system, Cc::with_chances(system, 1.0, chances));
         let streams: Vec<Box<dyn OpStream>> = (0..4)
             .map(|core| {
                 Box::new(Benchmark::Ammp.spec().stream(system.l2_slice, core)) as Box<dyn OpStream>
             })
             .collect();
-        let r = sys.run(streams, 300_000, 1_200_000);
+        let mut sys = SimSession::builder(system, Cc::with_chances(system, 1.0, chances))
+            .streams(streams)
+            .budget(300_000, 1_200_000)
+            .build();
+        let r = sys.run_to_completion();
         assert!(sys.org().chassis().single_copy_invariant());
         r.l2
     };
@@ -113,13 +122,16 @@ fn wider_flipping_places_at_least_as_many_spills() {
     let run = |width: u32| {
         let mut cfg = SnugConfig::scaled(500);
         cfg.flip_width = width;
-        let mut sys = CmpSystem::new(system, Snug::new(system, cfg));
         let streams: Vec<Box<dyn OpStream>> = (0..4)
             .map(|core| {
                 Box::new(Benchmark::Ammp.spec().stream(system.l2_slice, core)) as Box<dyn OpStream>
             })
             .collect();
-        let r = sys.run(streams, 300_000, 1_200_000);
+        let mut sys = SimSession::builder(system, Snug::new(system, cfg))
+            .streams(streams)
+            .budget(300_000, 1_200_000)
+            .build();
+        let r = sys.run_to_completion();
         assert!(sys.org().chassis().single_copy_invariant());
         (r.l2.spills_out, sys.org().events().spills_unplaced)
     };

@@ -2,13 +2,13 @@
 //! from the content-addressed store are bit-identical to fresh runs,
 //! across processes (the store is re-opened from disk) and across the
 //! JSON encode/decode boundary; a scheme-config edit re-runs only that
-//! scheme's unit jobs; and v1 store entries migrate into v2 units.
+//! scheme's unit jobs.
 
 use snug_harness::{
-    cached_results, legacy_combo_key, run_sweep, run_unit_jobs, unit_jobs_for, BudgetPreset,
-    JsonCodec, ResultStore, StoredResult, SweepEvent, SweepSpec,
+    cached_results, run_sweep, run_unit_jobs, unit_jobs_for, BudgetPreset, JsonCodec, ResultStore,
+    SweepEvent, SweepSpec,
 };
-use snug_sim::experiments::{run_combo, SchemePoint};
+use snug_sim::experiments::{run_combo, run_point, SchemePoint, SchemeRun};
 use snug_workloads::ComboClass;
 use std::path::PathBuf;
 
@@ -29,7 +29,6 @@ fn tiny_spec() -> SweepSpec {
         },
         stop: snug_harness::StopPreset::Fixed,
         phase_shift: None,
-        shared_warmup: false,
     }
 }
 
@@ -80,20 +79,19 @@ fn cached_combo_results_are_bit_identical_to_fresh_runs() {
 
 #[test]
 fn json_boundary_preserves_every_float_bit() {
-    // Run one real combo and push it through the store codec: the IPCs
-    // and metrics are arbitrary f64s produced by the simulator, so this
+    // Run one real combo's units and push each through the store codec:
+    // the IPCs are arbitrary f64s produced by the simulator, so this
     // exercises float round-tripping on realistic values.
     let spec = tiny_spec();
-    let jobs = spec.combo_jobs();
-    let job = &jobs[0];
-    let result = run_combo(&job.combo, &job.config);
-    let decoded = snug_sim::experiments::ComboResult::from_json(
-        &snug_harness::json::parse(&result.to_json().render()).unwrap(),
-    )
-    .unwrap();
-    assert_eq!(decoded, result);
-    for (a, b) in decoded.baseline_ipcs.iter().zip(&result.baseline_ipcs) {
-        assert_eq!(a.to_bits(), b.to_bits(), "bit-exact IPC");
+    for unit in &spec.combo_jobs()[0].units {
+        let run = run_point(&unit.combo, &unit.point, &unit.config);
+        let decoded =
+            SchemeRun::from_json(&snug_harness::json::parse(&run.to_json().render()).unwrap())
+                .unwrap();
+        assert_eq!(decoded, run, "{}", unit.label());
+        for (a, b) in decoded.ipcs.iter().zip(&run.ipcs) {
+            assert_eq!(a.to_bits(), b.to_bits(), "bit-exact IPC");
+        }
     }
 }
 
@@ -144,69 +142,6 @@ fn snug_config_edit_reruns_only_snug_units() {
         outcomes.iter().filter(|o| o.from_cache).count(),
         3 * UNITS - 3
     );
-
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn v1_store_entries_migrate_and_round_trip() {
-    let spec = tiny_spec();
-    let cfg = spec.compare_config();
-    let dir = tmp_dir("v1-migration");
-
-    // Build a v1-format store by hand: one legacy combo entry per C5
-    // combo, exactly as PR 1's harness would have written it.
-    let mut store = ResultStore::open(&dir).unwrap();
-    let fresh: Vec<_> = spec
-        .combos()
-        .iter()
-        .map(|combo| {
-            let result = run_combo(combo, &cfg);
-            store
-                .insert(
-                    legacy_combo_key(combo, &cfg),
-                    format!("{combo:?} | {cfg:?}"),
-                    StoredResult::Combo(result.clone()),
-                )
-                .unwrap();
-            result
-        })
-        .collect();
-    drop(store);
-
-    // A sweep over the reopened store migrates the provable units —
-    // L2P, L2S, DSR, SNUG and the winning CC point (5 of 9 per combo) —
-    // and re-runs only the four losing CC points per combo.
-    let mut reopened = ResultStore::open(&dir).unwrap();
-    assert_eq!(reopened.legacy_count(), 3);
-    let mut planned = None;
-    let outcome = run_sweep(&spec, &mut reopened, 0, |e| {
-        if let SweepEvent::Planned {
-            total,
-            hits,
-            migrated,
-        } = e
-        {
-            planned = Some((total, hits, migrated));
-        }
-    })
-    .unwrap();
-    assert_eq!(planned, Some((3 * UNITS, 3 * 5, 3 * 5)));
-    assert_eq!(outcome.migrated, 15);
-    assert_eq!(outcome.cache_hits, 15);
-    assert_eq!(outcome.executed, 12, "four losing CC points per combo");
-
-    // Round trip: the assembled results are bit-identical to the v1
-    // originals — migration changed the storage granularity, not one
-    // simulated number.
-    assert_eq!(outcome.results(), fresh);
-
-    // And the store is now fully v2 for this spec: a further sweep runs
-    // nothing.
-    let again = run_sweep(&spec, &mut reopened, 0, |_| {}).unwrap();
-    assert_eq!(again.executed, 0);
-    assert_eq!(again.migrated, 0);
-    assert_eq!(again.cache_hits, 3 * UNITS);
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -33,7 +33,6 @@ fn tiny_spec(stop: StopPreset, phase_shift: Option<&str>) -> SweepSpec {
                 .expect("valid test schedule")
                 .fingerprint()
         }),
-        shared_warmup: false,
     }
 }
 

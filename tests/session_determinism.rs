@@ -2,8 +2,8 @@
 //!
 //! 1. any interleaving of `step()` / `run_until()` calls retires the
 //!    same operation sequence — and therefore the same measured result —
-//!    as one `run_to_completion()` (which is also what the legacy
-//!    `CmpSystem::run` wrapper drives);
+//!    as one `run_to_completion()` (the call every one-shot run —
+//!    `run_scheme`, `run_point`, the examples — drives);
 //! 2. snapshot → restore → resume is bit-identical to the uninterrupted
 //!    run, however the original session continues afterwards;
 //! 3. a `Converged`-policy run stops at the same cycle and retires the
@@ -24,7 +24,7 @@
 //!    unchanged.
 
 use proptest::prelude::*;
-use sim_cmp::{CmpSystem, L2Org, RunPlan, SimSession, SystemConfig, SystemResult};
+use sim_cmp::{L2Org, RunPlan, SimSession, SystemConfig, SystemResult};
 use sim_mem::{OpStream, ShiftDirective, StreamShift};
 use snug_core::{DsrConfig, SchemeSpec, SnugConfig};
 use snug_workloads::Benchmark;
@@ -245,16 +245,6 @@ fn converged_policy_stops_every_scheme_early() {
         assert!(stop < s.horizon(), "{spec}: stop {stop}");
         assert!(stop >= WARMUP + 4 * 2_000, "{spec}: full window first");
         assert!(result.throughput() > 0.0, "{spec}");
-    }
-}
-
-#[test]
-fn one_shot_wrapper_equals_session_for_every_scheme() {
-    for spec in schemes() {
-        let cfg = SystemConfig::tiny_test();
-        let mut sys = CmpSystem::new(cfg, spec.build(cfg));
-        let wrapper = sys.run(streams(&cfg), WARMUP, MEASURE);
-        assert_eq!(wrapper, reference(&spec), "{spec}");
     }
 }
 
