@@ -8,5 +8,12 @@
 //! `snug sweep --mid` (see `snug-harness`) for the calibrated paper
 //! reproduction.
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]

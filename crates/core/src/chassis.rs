@@ -181,7 +181,10 @@ impl PrivateChassis {
     /// Handles the receiving set's victim: a dirty owned victim goes to
     /// the *peer's* write buffer; clean or CC victims are dropped
     /// (one-chance forwarding). Updates spill counters.
-    #[allow(clippy::too_many_arguments)] // mirrors the bus transaction's fields
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the bus transaction's fields"
+    )]
     pub fn receive_spill(
         &mut self,
         from: usize,

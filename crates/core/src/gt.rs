@@ -4,10 +4,8 @@
 //! at the end of each Identification stage. Addressable independently of
 //! the cache arrays so peers can consult it during snoops.
 
-use serde::{Deserialize, Serialize};
-
 /// A per-slice G/T vector. `true` = taker, `false` = giver.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GtVector {
     bits: Vec<bool>,
 }
@@ -57,7 +55,7 @@ impl GtVector {
 
 /// Outcome of consulting a peer's G/T vector for a spilled block's home
 /// index — the three cases of paper Fig. 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupCase {
     /// Case 1: the same-index set is a giver → receive there, f = 0.
     SameIndex,

@@ -18,7 +18,14 @@
 //! * [`overhead`] — the §3.4 storage-overhead arithmetic (Tables 2–3);
 //! * [`factory`] — one constructor for all five schemes.
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod cc;

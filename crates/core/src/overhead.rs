@@ -6,10 +6,8 @@
 //! and an L2 line holds {tag, valid, dirty, CC, f, LRU, data} plus the
 //! per-set G/T bit.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the overhead computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverheadParams {
     /// Usable physical address bits (paper Table 2: 32; Table 3 also
     /// evaluates 44 used bits of a 64-bit address).

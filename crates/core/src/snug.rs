@@ -248,7 +248,10 @@ impl Snug {
         for j in (0..n).filter(|&j| j != owner) {
             let probe_set = match self.gt[j].group_case_wide(set, w) {
                 GroupCase::SameIndex => set,
-                // snug-lint: allow(panic-audit, "FlippedIndex is only returned when the flip partner exists in the group table")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "FlippedIndex is only returned when the flip partner exists in the group table"
+                )]
                 GroupCase::FlippedIndex => self.gt[j].flip_partner(set, w).expect("partner exists"),
                 GroupCase::NoMatch => continue,
             };
@@ -290,8 +293,11 @@ impl Snug {
             }
             let (target_set, flipped) = match self.gt[j].group_case_wide(set, w) {
                 GroupCase::SameIndex => (set, false),
+                #[expect(
+                    clippy::expect_used,
+                    reason = "FlippedIndex is only returned when the flip partner exists in the group table"
+                )]
                 GroupCase::FlippedIndex => (
-                    // snug-lint: allow(panic-audit, "FlippedIndex is only returned when the flip partner exists in the group table")
                     self.gt[j].flip_partner(set, w).expect("partner exists"),
                     true,
                 ),

@@ -7,13 +7,12 @@
 //! the stream into sampling intervals, and report each interval's
 //! normalised bucket sizes (Formula 5).
 
-use serde::{Deserialize, Serialize};
 use sim_cache::{BucketDistribution, DemandParams, SetAssocCache, SetDemandProfiler};
 use sim_mem::{Geometry, IntervalClock, OpStream, SamplingPlan};
 use snug_workloads::Benchmark;
 
 /// Configuration of one characterisation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CharacterizeConfig {
     /// Interval plan (paper: 1000 × 100 K L2 accesses).
     pub plan: SamplingPlan,
@@ -48,7 +47,7 @@ impl CharacterizeConfig {
 
 /// The result: one bucket distribution per sampling interval — the data
 /// behind one of the paper's stacked-area Figures 1–3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandCharacterization {
     /// Benchmark name.
     pub benchmark: String,

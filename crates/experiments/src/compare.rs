@@ -5,7 +5,6 @@
 //! "CC(Best)"), DSR and SNUG, all normalised to an L2P run of the same
 //! combination. Class results aggregate with the geometric mean (§5).
 
-use serde::{Deserialize, Serialize};
 use sim_cmp::{L2Org, RunPlan, SimSession, StopSpec, SystemConfig, SystemResult};
 use sim_mem::OpStream;
 use snug_core::{AnyOrg, DsrConfig, SchemeSpec, SnugConfig};
@@ -155,7 +154,7 @@ impl CompareConfig {
 }
 
 /// Result of one scheme on one combo.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemeResult {
     /// Scheme display name ("L2S", "CC(Best)", "DSR", "SNUG").
     pub scheme: String,
@@ -166,7 +165,7 @@ pub struct SchemeResult {
 }
 
 /// Result of the full comparison on one combo.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComboResult {
     /// Combo label ("ammp+parser+bzip2+mcf").
     pub label: String,
@@ -253,7 +252,7 @@ pub fn run_scheme(combo: &Combo, spec: &SchemeSpec, cfg: &CompareConfig) -> Syst
 /// therefore the unit of caching in the harness result store. CC expands
 /// into one point per §4.1 spill probability, so editing one scheme's
 /// parameters invalidates only that scheme's cached runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchemePoint {
     /// Private baseline (the normalisation denominator of Figs. 9–11).
     L2p,
@@ -331,7 +330,7 @@ impl SchemePoint {
 /// stabilised — which is exactly what L2S does on every `--mid` combo,
 /// so downstream numbers silently mixed plateau and mid-ramp
 /// measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// The stop policy found a stable plateau (for paced siblings: the
     /// combo's baseline did, and this run measured that window).
@@ -363,7 +362,7 @@ impl StopReason {
 /// The raw output of one (combo, scheme point) simulation: the per-core
 /// IPCs everything else derives from. This is what the harness store
 /// persists per unit job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemeRun {
     /// The producing point's label (for humans auditing the store).
     pub scheme: String,
@@ -605,11 +604,14 @@ pub fn best_cc_index(cc_sweep: &[(f64, f64)]) -> Option<usize> {
 /// Panics if `runs` is missing any point of [`SchemePoint::all`] — the
 /// harness only calls this once every unit job of a combo completed.
 pub fn assemble_combo(combo: &Combo, runs: &[(SchemePoint, SchemeRun)]) -> ComboResult {
+    #[expect(
+        clippy::panic,
+        reason = "assemble_combo is fed by the runner, which produces every scheme point per combo"
+    )]
     let ipcs_of = |want: &SchemePoint| -> Vec<f64> {
         runs.iter()
             .find(|(p, _)| p == want)
             .unwrap_or_else(|| {
-                // snug-lint: allow(panic-audit, "assemble_combo is fed by the runner, which produces every scheme point per combo")
                 panic!(
                     "missing scheme point {} for {}",
                     want.label(),
@@ -647,10 +649,17 @@ pub fn assemble_combo(combo: &Combo, runs: &[(SchemePoint, SchemeRun)]) -> Combo
         .zip(&candidates)
         .map(|(&p, c)| (p, c.metrics.throughput))
         .collect();
-    // snug-lint: allow(panic-audit, "CC_SPILL_POINTS is a non-empty const; the sweep always has candidates")
+    #[expect(
+        clippy::expect_used,
+        reason = "CC_SPILL_POINTS is a non-empty const; the sweep always has candidates"
+    )]
     let best = best_cc_index(&cc_sweep).expect("non-empty sweep");
-    // snug-lint: allow(panic-audit, "best_cc_index returns an index into the same candidates vec")
-    schemes.push(candidates.into_iter().nth(best).expect("index in range"));
+    #[expect(
+        clippy::expect_used,
+        reason = "best_cc_index returns an index into the same candidates vec"
+    )]
+    let cc_best = candidates.into_iter().nth(best).expect("index in range");
+    schemes.push(cc_best);
 
     schemes.push(scheme_result("DSR", ipcs_of(&SchemePoint::Dsr)));
     schemes.push(scheme_result("SNUG", ipcs_of(&SchemePoint::Snug)));
@@ -698,7 +707,7 @@ pub fn run_combo(combo: &Combo, cfg: &CompareConfig) -> ComboResult {
 
 /// Per-class geometric-mean summary of one metric across combos — one
 /// group of bars in Figs. 9–11.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassSummary {
     /// The class ("C1".."C6") or "AVG".
     pub class: String,
@@ -707,7 +716,7 @@ pub struct ClassSummary {
 }
 
 /// Which of the three figures to summarise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Figure {
     /// Fig. 9: normalised throughput.
     Throughput,
@@ -750,9 +759,12 @@ pub fn summarize(results: &[ComboResult], figure: Figure) -> Vec<ClassSummary> {
         }
         let mut values = Vec::new();
         for (i, scheme) in FIGURE_SCHEMES.iter().enumerate() {
+            #[expect(
+                clippy::expect_used,
+                reason = "FIGURE_SCHEMES is the exact scheme set assemble_combo emits"
+            )]
             let vals: Vec<f64> = in_class
                 .iter()
-                // snug-lint: allow(panic-audit, "FIGURE_SCHEMES is the exact scheme set assemble_combo emits")
                 .map(|r| figure.pick(&r.metrics_of(scheme).expect("scheme present")))
                 .collect();
             let g = geomean(&vals);

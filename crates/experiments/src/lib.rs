@@ -16,7 +16,14 @@
 //! sweep`). Storage-overhead Tables 2–3 are pure arithmetic and live in
 //! `snug_core::overhead`.
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod characterize;

@@ -63,15 +63,15 @@ impl TraceSeries {
     /// stationary run; `boundary + 1` entries once shifts fired inside
     /// the measured window.
     pub fn phase_throughputs(&self) -> Vec<f64> {
-        let mut phases: Vec<Vec<f64>> = vec![Vec::new()];
+        let mut phases: Vec<Vec<f64>> = Vec::new();
+        let mut current = Vec::new();
         for s in self.measured() {
-            // snug-lint: allow(panic-audit, "phases is seeded with one element and push only grows it")
-            if !s.shifts.is_empty() && !phases.last().expect("non-empty").is_empty() {
-                phases.push(Vec::new());
+            if !s.shifts.is_empty() && !current.is_empty() {
+                phases.push(std::mem::take(&mut current));
             }
-            // snug-lint: allow(panic-audit, "phases is seeded with one element and push only grows it")
-            phases.last_mut().expect("non-empty").push(s.throughput());
+            current.push(s.throughput());
         }
+        phases.push(current);
         phases
             .into_iter()
             .map(|tps| if tps.is_empty() { 0.0 } else { mean(&tps) })

@@ -48,7 +48,6 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(rest),
         "profile" => cmd_profile(rest),
         "store" => cmd_store(rest),
-        "lint" => cmd_lint(rest),
         "bench" => cmd_bench(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -84,7 +83,6 @@ USAGE:
                     [--format md|csv]
   snug store gc     [--results DIR]
   snug store merge  SHARD.jsonl... [--results DIR]
-  snug lint         [--format human|md|json] [--list-rules]
   snug bench        [kernel|sweep|micro]... [--emit|--check]
   snug characterize [--bench NAME[,NAME]...] [--intervals N] [--accesses N] [--out DIR]
 
@@ -1242,8 +1240,8 @@ fn cmd_characterize(args: &[String]) -> Result<(), String> {
 }
 
 /// `snug bench`: one front door for the committed benchmark
-/// trajectories, mirroring `snug lint`. Resolves the workspace root,
-/// then drives `cargo bench -p snug-bench` for the requested suites —
+/// trajectories. Drives `cargo bench -p snug-bench` from the current
+/// directory (cargo finds the workspace) for the requested suites —
 /// `kernel` (kernel_throughput → BENCH_kernel.json), `sweep`
 /// (sweep_scaling → BENCH_sweep.json) and `micro` (micro_kernels, the
 /// hot-path primitive microbenches, measure-only). With no suite both
@@ -1276,9 +1274,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             "the micro suite has no committed baseline; run it without --emit/--check".into(),
         );
     }
-    let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
-    let root = snug_lint::find_workspace_root(&cwd)
-        .ok_or("no [workspace] Cargo.toml found above the current directory")?;
     for suite in suites {
         let target = match suite {
             "kernel" => "kernel_throughput",
@@ -1286,8 +1281,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             _ => "micro_kernels",
         };
         let mut cmd = std::process::Command::new("cargo");
-        cmd.current_dir(&root)
-            .args(["bench", "-q", "-p", "snug-bench", "--bench", target]);
+        cmd.args(["bench", "-q", "-p", "snug-bench", "--bench", target]);
         if let Some(m) = mode {
             cmd.args(["--", m]);
         }
@@ -1299,40 +1293,4 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn cmd_lint(args: &[String]) -> Result<(), String> {
-    let mut format = String::from("human");
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--format" => {
-                format = iter
-                    .next()
-                    .ok_or("--format needs human|md|json")?
-                    .to_string();
-            }
-            "--list-rules" => {
-                print!("{}", snug_lint::report::rule_list());
-                return Ok(());
-            }
-            other => return Err(format!("unknown lint flag `{other}`")),
-        }
-    }
-    let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
-    let root = snug_lint::find_workspace_root(&cwd)
-        .ok_or("no [workspace] Cargo.toml found above the current directory")?;
-    let findings = snug_lint::lint_workspace(&root)?;
-    let rendered = match format.as_str() {
-        "human" => snug_lint::report::human(&findings),
-        "md" => snug_lint::report::markdown(&findings),
-        "json" => snug_lint::report::json(&findings),
-        other => return Err(format!("unknown lint format `{other}`")),
-    };
-    print!("{rendered}");
-    if findings.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("{} lint finding(s)", findings.len()))
-    }
 }

@@ -5,6 +5,11 @@
 //! bit-exactly (see `json`), so a decoded [`SchemeRun`] is `==` to the
 //! one that was stored — the property the result cache's acceptance test
 //! pins down.
+//!
+//! Every `to_json` starts by destructuring its struct exhaustively (no
+//! `..`) and every `from_json` builds a full struct literal, so a field
+//! added to a stored type fails to compile until both directions handle
+//! it, and a field dropped from the encoder leaves an unused binding.
 
 use crate::json::{JsonError, Value};
 use sim_cache::CacheStats;
@@ -31,20 +36,24 @@ fn f64_arr(xs: &[f64]) -> Value {
 
 impl JsonCodec for SchemeRun {
     fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("scheme", Value::str(&self.scheme)),
-            ("ipcs", f64_arr(&self.ipcs)),
-        ];
+        let SchemeRun {
+            scheme,
+            ipcs,
+            measured_cycles,
+            stop_reason,
+            plateaus,
+        } = self;
+        let mut fields = vec![("scheme", Value::str(scheme)), ("ipcs", f64_arr(ipcs))];
         // The optional fields are written only when set, so canonical
         // fixed-plan entries render exactly as they always did.
-        if let Some(cycles) = self.measured_cycles {
-            fields.push(("measured_cycles", Value::num(cycles as f64)));
+        if let Some(cycles) = measured_cycles {
+            fields.push(("measured_cycles", Value::num(*cycles as f64)));
         }
-        if let Some(reason) = self.stop_reason {
+        if let Some(reason) = stop_reason {
             fields.push(("stop_reason", Value::str(reason.label())));
         }
-        if !self.plateaus.is_empty() {
-            fields.push(("plateaus", f64_arr(&self.plateaus)));
+        if !plateaus.is_empty() {
+            fields.push(("plateaus", f64_arr(plateaus)));
         }
         Value::obj(fields)
     }
@@ -88,24 +97,32 @@ fn u64_arr(xs: &[u64]) -> Value {
 
 impl JsonCodec for CacheStats {
     fn to_json(&self) -> Value {
+        let CacheStats {
+            hits,
+            misses,
+            cc_hits,
+            evictions,
+            writebacks,
+            spills_out,
+            spills_in,
+            forwards,
+            retrieved_from_peer,
+            shadow_hits,
+            write_buffer_hits,
+        } = *self;
+        let n = |x: u64| Value::num(x as f64);
         Value::obj(vec![
-            ("hits", Value::num(self.hits as f64)),
-            ("misses", Value::num(self.misses as f64)),
-            ("cc_hits", Value::num(self.cc_hits as f64)),
-            ("evictions", Value::num(self.evictions as f64)),
-            ("writebacks", Value::num(self.writebacks as f64)),
-            ("spills_out", Value::num(self.spills_out as f64)),
-            ("spills_in", Value::num(self.spills_in as f64)),
-            ("forwards", Value::num(self.forwards as f64)),
-            (
-                "retrieved_from_peer",
-                Value::num(self.retrieved_from_peer as f64),
-            ),
-            ("shadow_hits", Value::num(self.shadow_hits as f64)),
-            (
-                "write_buffer_hits",
-                Value::num(self.write_buffer_hits as f64),
-            ),
+            ("hits", n(hits)),
+            ("misses", n(misses)),
+            ("cc_hits", n(cc_hits)),
+            ("evictions", n(evictions)),
+            ("writebacks", n(writebacks)),
+            ("spills_out", n(spills_out)),
+            ("spills_in", n(spills_in)),
+            ("forwards", n(forwards)),
+            ("retrieved_from_peer", n(retrieved_from_peer)),
+            ("shadow_hits", n(shadow_hits)),
+            ("write_buffer_hits", n(write_buffer_hits)),
         ])
     }
 
@@ -129,38 +146,70 @@ impl JsonCodec for CacheStats {
 
 impl JsonCodec for SimCounters {
     fn to_json(&self) -> Value {
+        let SimCounters {
+            retired_ops,
+            l1i_hits,
+            l1i_misses,
+            l1d_hits,
+            l1d_misses,
+            l1_walk_depths,
+            l2_hits,
+            l2_misses,
+            l2_cc_hits,
+            l2_evictions,
+            l2_writebacks,
+            spills_out,
+            spills_in,
+            forwards,
+            retrieved_from_peer,
+            shadow_hits,
+            write_buffer_hits,
+            org_accesses,
+            org_writebacks,
+            relatches,
+            identifies,
+            bus_address_transactions,
+            bus_data_transactions,
+            bus_queue_cycles,
+            dram_reads,
+            dram_writes,
+            dram_queue_cycles,
+            core_rob_stall_cycles,
+            core_mshr_stall_cycles,
+            core_dep_stall_cycles,
+        } = *self;
         let n = |x: u64| Value::num(x as f64);
         Value::obj(vec![
-            ("retired_ops", n(self.retired_ops)),
-            ("l1i_hits", n(self.l1i_hits)),
-            ("l1i_misses", n(self.l1i_misses)),
-            ("l1d_hits", n(self.l1d_hits)),
-            ("l1d_misses", n(self.l1d_misses)),
-            ("l1_walk_depths", u64_arr(&self.l1_walk_depths)),
-            ("l2_hits", n(self.l2_hits)),
-            ("l2_misses", n(self.l2_misses)),
-            ("l2_cc_hits", n(self.l2_cc_hits)),
-            ("l2_evictions", n(self.l2_evictions)),
-            ("l2_writebacks", n(self.l2_writebacks)),
-            ("spills_out", n(self.spills_out)),
-            ("spills_in", n(self.spills_in)),
-            ("forwards", n(self.forwards)),
-            ("retrieved_from_peer", n(self.retrieved_from_peer)),
-            ("shadow_hits", n(self.shadow_hits)),
-            ("write_buffer_hits", n(self.write_buffer_hits)),
-            ("org_accesses", n(self.org_accesses)),
-            ("org_writebacks", n(self.org_writebacks)),
-            ("relatches", n(self.relatches)),
-            ("identifies", n(self.identifies)),
-            ("bus_address_transactions", n(self.bus_address_transactions)),
-            ("bus_data_transactions", n(self.bus_data_transactions)),
-            ("bus_queue_cycles", n(self.bus_queue_cycles)),
-            ("dram_reads", n(self.dram_reads)),
-            ("dram_writes", n(self.dram_writes)),
-            ("dram_queue_cycles", n(self.dram_queue_cycles)),
-            ("core_rob_stall_cycles", n(self.core_rob_stall_cycles)),
-            ("core_mshr_stall_cycles", n(self.core_mshr_stall_cycles)),
-            ("core_dep_stall_cycles", n(self.core_dep_stall_cycles)),
+            ("retired_ops", n(retired_ops)),
+            ("l1i_hits", n(l1i_hits)),
+            ("l1i_misses", n(l1i_misses)),
+            ("l1d_hits", n(l1d_hits)),
+            ("l1d_misses", n(l1d_misses)),
+            ("l1_walk_depths", u64_arr(&l1_walk_depths)),
+            ("l2_hits", n(l2_hits)),
+            ("l2_misses", n(l2_misses)),
+            ("l2_cc_hits", n(l2_cc_hits)),
+            ("l2_evictions", n(l2_evictions)),
+            ("l2_writebacks", n(l2_writebacks)),
+            ("spills_out", n(spills_out)),
+            ("spills_in", n(spills_in)),
+            ("forwards", n(forwards)),
+            ("retrieved_from_peer", n(retrieved_from_peer)),
+            ("shadow_hits", n(shadow_hits)),
+            ("write_buffer_hits", n(write_buffer_hits)),
+            ("org_accesses", n(org_accesses)),
+            ("org_writebacks", n(org_writebacks)),
+            ("relatches", n(relatches)),
+            ("identifies", n(identifies)),
+            ("bus_address_transactions", n(bus_address_transactions)),
+            ("bus_data_transactions", n(bus_data_transactions)),
+            ("bus_queue_cycles", n(bus_queue_cycles)),
+            ("dram_reads", n(dram_reads)),
+            ("dram_writes", n(dram_writes)),
+            ("dram_queue_cycles", n(dram_queue_cycles)),
+            ("core_rob_stall_cycles", n(core_rob_stall_cycles)),
+            ("core_mshr_stall_cycles", n(core_mshr_stall_cycles)),
+            ("core_dep_stall_cycles", n(core_dep_stall_cycles)),
         ])
     }
 
@@ -212,15 +261,24 @@ impl JsonCodec for SimCounters {
 
 impl JsonCodec for crate::sweep::UnitSpan {
     fn to_json(&self) -> Value {
+        let crate::sweep::UnitSpan {
+            label,
+            queue_nanos,
+            wall_nanos,
+            sim_cycles,
+            instructions,
+            worker,
+            shard,
+        } = self;
         let n = |x: u64| Value::num(x as f64);
         Value::obj(vec![
-            ("label", Value::str(&self.label)),
-            ("queue_nanos", n(self.queue_nanos)),
-            ("wall_nanos", n(self.wall_nanos)),
-            ("sim_cycles", n(self.sim_cycles)),
-            ("instructions", n(self.instructions)),
-            ("worker", n(self.worker as u64)),
-            ("shard", Value::str(&self.shard)),
+            ("label", Value::str(label)),
+            ("queue_nanos", n(*queue_nanos)),
+            ("wall_nanos", n(*wall_nanos)),
+            ("sim_cycles", n(*sim_cycles)),
+            ("instructions", n(*instructions)),
+            ("worker", n(*worker as u64)),
+            ("shard", Value::str(shard)),
         ])
     }
 
@@ -247,16 +305,21 @@ impl JsonCodec for crate::sweep::UnitSpan {
 
 impl JsonCodec for SchemeEvent {
     fn to_json(&self) -> Value {
-        let kind = match self.kind {
+        let SchemeEvent {
+            cycle,
+            kind,
+            takers,
+        } = self;
+        let kind = match kind {
             SchemeEventKind::IdentifyBegin => "identify",
             SchemeEventKind::GroupedBegin => "grouped",
         };
         Value::obj(vec![
-            ("cycle", Value::num(self.cycle as f64)),
+            ("cycle", Value::num(*cycle as f64)),
             ("kind", Value::str(kind)),
             (
                 "takers",
-                Value::Arr(self.takers.iter().map(|&t| Value::num(t as f64)).collect()),
+                Value::Arr(takers.iter().map(|&t| Value::num(t as f64)).collect()),
             ),
         ])
     }
@@ -282,36 +345,41 @@ impl JsonCodec for SchemeEvent {
 
 impl JsonCodec for PeriodSample {
     fn to_json(&self) -> Value {
+        let PeriodSample {
+            cycle,
+            during_warmup,
+            instructions,
+            cycles,
+            l2,
+            events,
+            shifts,
+            counters,
+        } = self;
         let mut fields = vec![
-            ("cycle", Value::num(self.cycle as f64)),
-            ("during_warmup", Value::Bool(self.during_warmup)),
-            ("instructions", u64_arr(&self.instructions)),
-            ("cycles", u64_arr(&self.cycles)),
-            ("l2", self.l2.to_json()),
+            ("cycle", Value::num(*cycle as f64)),
+            ("during_warmup", Value::Bool(*during_warmup)),
+            ("instructions", u64_arr(instructions)),
+            ("cycles", u64_arr(cycles)),
+            ("l2", l2.to_json()),
             (
                 "events",
-                Value::Arr(self.events.iter().map(JsonCodec::to_json).collect()),
+                Value::Arr(events.iter().map(JsonCodec::to_json).collect()),
             ),
         ];
         // Written only when a shift fired in the interval, so
         // stationary traces (every pre-phase-schedule store entry)
         // render exactly as they always did. Each shift round-trips
         // through its canonical `CYCLE:DIRECTIVE[@CORES]` string.
-        if !self.shifts.is_empty() {
+        if !shifts.is_empty() {
             fields.push((
                 "shifts",
-                Value::Arr(
-                    self.shifts
-                        .iter()
-                        .map(|s| Value::str(s.to_string()))
-                        .collect(),
-                ),
+                Value::Arr(shifts.iter().map(|s| Value::str(s.to_string())).collect()),
             ));
         }
         // Same only-when-present discipline: counter blocks exist only
         // on samples recorded with the `obs` feature on, and every
         // committed pre-counter series entry renders unchanged.
-        if let Some(c) = &self.counters {
+        if let Some(c) = counters {
             fields.push(("counters", c.to_json()));
         }
         Value::obj(fields)
@@ -353,13 +421,19 @@ impl JsonCodec for PeriodSample {
 
 impl JsonCodec for TraceSeries {
     fn to_json(&self) -> Value {
+        let TraceSeries {
+            scheme,
+            stride,
+            warmup_cycles,
+            samples,
+        } = self;
         Value::obj(vec![
-            ("scheme", Value::str(&self.scheme)),
-            ("stride", Value::num(self.stride as f64)),
-            ("warmup_cycles", Value::num(self.warmup_cycles as f64)),
+            ("scheme", Value::str(scheme)),
+            ("stride", Value::num(*stride as f64)),
+            ("warmup_cycles", Value::num(*warmup_cycles as f64)),
             (
                 "samples",
-                Value::Arr(self.samples.iter().map(JsonCodec::to_json).collect()),
+                Value::Arr(samples.iter().map(JsonCodec::to_json).collect()),
             ),
         ])
     }

@@ -309,15 +309,16 @@ where
         }
     });
 
-    outcomes
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                // snug-lint: allow(panic-audit, "pool drains every job to a terminal outcome before scope exit; an empty slot is a scheduler bug worth crashing on")
-                .expect("every submitted job reached a terminal state")
-        })
-        .collect()
+    #[expect(
+        clippy::expect_used,
+        reason = "pool drains every job to a terminal outcome before scope exit; an empty slot is a scheduler bug worth crashing on"
+    )]
+    let terminal = |slot: Mutex<Option<JobOutcome<T>>>| {
+        slot.into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .expect("every submitted job reached a terminal state")
+    };
+    outcomes.into_iter().map(terminal).collect()
 }
 
 /// Run `n_jobs` independent jobs across `threads` workers
@@ -337,9 +338,15 @@ where
         .into_iter()
         .map(|outcome| match outcome {
             JobOutcome::Done(t) => t,
-            // snug-lint: allow(panic-audit, "run() documents fail-fast: a panicking job re-panics on the caller thread")
+            #[expect(
+                clippy::panic,
+                reason = "run() documents fail-fast: a panicking job re-panics on the caller thread"
+            )]
             JobOutcome::Failed(msg) => panic!("executor job panicked: {msg}"),
-            // snug-lint: allow(panic-audit, "deps are empty, so no job can be skipped")
+            #[expect(
+                clippy::unreachable,
+                reason = "deps are empty, so no job can be skipped"
+            )]
             JobOutcome::Skipped { .. } => unreachable!("independent jobs are never skipped"),
         })
         .collect()

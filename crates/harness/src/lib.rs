@@ -29,7 +29,14 @@
 //! The `snug` binary (this crate's `src/bin/snug.rs`) exposes it all as
 //! `snug characterize | compare | sweep | report`.
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![deny(missing_docs)]
 
 pub mod codec;

@@ -32,7 +32,10 @@ pub fn per_combo_table(results: &[ComboResult]) -> Table {
     for r in results {
         let mut row = vec![r.label.clone(), r.class.name().to_string()];
         for scheme in FIGURE_SCHEMES {
-            // snug-lint: allow(panic-audit, "FIGURE_SCHEMES is the exact scheme set every stored ComboResult carries")
+            #[expect(
+                clippy::expect_used,
+                reason = "FIGURE_SCHEMES is the exact scheme set every stored ComboResult carries"
+            )]
             let m = r.metrics_of(scheme).expect("scheme present in result");
             row.push(f3(m.throughput));
         }

@@ -10,7 +10,6 @@
 use crate::codec::JsonCodec;
 use crate::hash::content_key;
 use crate::json::{JsonError, Value};
-use serde::{Deserialize, Serialize};
 use snug_experiments::{CompareConfig, RunPlan, SchemePoint};
 use snug_workloads::{all_combos, Combo, ComboClass, PhaseSchedule};
 
@@ -23,7 +22,7 @@ use snug_workloads::{all_combos, Combo, ComboClass, PhaseSchedule};
 pub const SCHEMA_VERSION: &str = "snug-harness/v2";
 
 /// Which run budget (and matching SNUG stage lengths) a sweep uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BudgetPreset {
     /// `CompareConfig::quick` — tests and smoke sweeps.
     Quick,
@@ -76,7 +75,7 @@ impl BudgetPreset {
 
 /// How a sweep's runs stop: at the fixed budget horizon, or early on
 /// measured-throughput convergence (`snug sweep --until-converged`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StopPreset {
     /// Run the full measured window — the canonical methodology every
     /// committed store entry uses.
@@ -127,7 +126,7 @@ impl StopPreset {
 }
 
 /// A declarative sweep: combos (by class) × schemes × budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Human-readable sweep name (used in report headers).
     pub name: String,
@@ -191,10 +190,13 @@ impl SweepSpec {
     /// Panics if the stored spec string does not parse — specs built by
     /// the CLI are canonicalised at parse time, so this only trips on a
     /// hand-edited JSON spec, which `from_json` already rejects.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented # Panics: specs are canonicalised at parse time and from_json rejects bad schedules"
+    )]
     pub fn phase_schedule(&self) -> Option<PhaseSchedule> {
         self.phase_shift
             .as_deref()
-            // snug-lint: allow(panic-audit, "documented # Panics: specs are canonicalised at parse time and from_json rejects bad schedules")
             .map(|s| PhaseSchedule::parse(s).expect("spec carries a valid phase schedule"))
     }
 
@@ -240,7 +242,15 @@ impl SweepSpec {
 
 impl JsonCodec for SweepSpec {
     fn to_json(&self) -> Value {
-        let budget = match self.budget {
+        let SweepSpec {
+            name,
+            classes,
+            combos,
+            budget,
+            stop,
+            phase_shift,
+        } = self;
+        let budget = match *budget {
             BudgetPreset::Quick => Value::str("quick"),
             BudgetPreset::Mid => Value::str("mid"),
             BudgetPreset::Eval => Value::str("eval"),
@@ -253,21 +263,21 @@ impl JsonCodec for SweepSpec {
             ]),
         };
         let mut fields = vec![
-            ("name", Value::str(&self.name)),
+            ("name", Value::str(name)),
             (
                 "classes",
-                Value::Arr(self.classes.iter().map(JsonCodec::to_json).collect()),
+                Value::Arr(classes.iter().map(JsonCodec::to_json).collect()),
             ),
             (
                 "combos",
-                Value::Arr(self.combos.iter().map(|s| Value::str(s.as_str())).collect()),
+                Value::Arr(combos.iter().map(|s| Value::str(s.as_str())).collect()),
             ),
             ("budget", budget),
         ];
-        if let Some(spec) = &self.phase_shift {
+        if let Some(spec) = phase_shift {
             fields.push(("phase_shift", Value::str(spec)));
         }
-        match self.stop {
+        match *stop {
             StopPreset::Fixed => {}
             StopPreset::Converged {
                 window_cycles,
@@ -381,18 +391,35 @@ fn stop_params(window_cycles: Option<u64>, rel_epsilon: Option<f64>) -> Value {
     Value::obj(stop)
 }
 
-/// Decode a stop preset's optional tuning knobs.
+/// Decode a stop preset's optional tuning knobs, rejecting the values
+/// the `--window`/`--rel-eps` flags reject: a window below one cycle or
+/// a negative epsilon.
 fn parse_stop_params(obj: &Value) -> Result<(Option<u64>, Option<f64>), JsonError> {
-    Ok((
-        match obj.get("window_cycles") {
-            Ok(w) => Some(w.as_num()? as u64),
-            Err(_) => None,
-        },
-        match obj.get("rel_epsilon") {
-            Ok(e) => Some(e.as_num()?),
-            Err(_) => None,
-        },
-    ))
+    let window_cycles = match obj.get("window_cycles") {
+        Ok(w) => {
+            let w = w.as_num()?;
+            if w < 1.0 {
+                return Err(JsonError(format!(
+                    "window_cycles must be at least 1, got {w}"
+                )));
+            }
+            Some(w as u64)
+        }
+        Err(_) => None,
+    };
+    let rel_epsilon = match obj.get("rel_epsilon") {
+        Ok(e) => {
+            let e = e.as_num()?;
+            if e < 0.0 {
+                return Err(JsonError(format!(
+                    "rel_epsilon must be non-negative, got {e}"
+                )));
+            }
+            Some(e)
+        }
+        Err(_) => None,
+    };
+    Ok((window_cycles, rel_epsilon))
 }
 
 /// One unit job: run a single scheme point on one combo — the cache
@@ -615,7 +642,7 @@ mod tests {
     fn keys_differ_across_units_and_budgets() {
         let quick = SweepSpec::full(BudgetPreset::Quick);
         let keys: Vec<String> = quick.unit_jobs().into_iter().map(|j| j.key).collect();
-        let unique: std::collections::HashSet<&String> = keys.iter().collect();
+        let unique: std::collections::BTreeSet<&String> = keys.iter().collect();
         assert_eq!(unique.len(), keys.len(), "unit keys are distinct");
 
         let eval = SweepSpec::full(BudgetPreset::Eval);
@@ -765,13 +792,31 @@ mod tests {
         assert_eq!(spec.budget_label(), "mid+shifted+reconverged");
     }
 
+    /// Spec fields the CLI flags would reject fail decoding too: an
+    /// unparsable phase schedule, and stop knobs outside `--window`'s
+    /// and `--rel-eps`'s bounds, which would otherwise reach
+    /// `RunPlan::until_converged`'s asserts.
     #[test]
     fn bad_phase_shift_specs_fail_json_decoding() {
         let mut spec = SweepSpec::full(BudgetPreset::Quick);
         spec.phase_shift = Some("1000:demand=200".into());
-        let mut obj = spec.to_json().as_obj().unwrap().clone();
-        obj.insert("phase_shift".into(), Value::str("1000:warp=9"));
-        assert!(SweepSpec::from_json(&Value::Obj(obj)).is_err());
+        let base = spec.to_json().as_obj().unwrap().clone();
+        let mut bad = vec![("phase_shift", Value::str("1000:warp=9"))];
+        for preset in ["until_converged", "until_reconverged"] {
+            for (window, eps) in [(0.0, -1.0), (-5.0, 0.02), (0.5, 0.02), (1.0, -1.0)] {
+                let knobs = vec![
+                    ("window_cycles", Value::num(window)),
+                    ("rel_epsilon", Value::num(eps)),
+                ];
+                bad.push((preset, Value::obj(knobs)));
+            }
+        }
+        for (field, value) in bad {
+            let mut obj = base.clone();
+            obj.insert(field.into(), value.clone());
+            let decoded = SweepSpec::from_json(&Value::Obj(obj));
+            assert!(decoded.is_err(), "{field}: {value:?}");
+        }
     }
 
     #[test]

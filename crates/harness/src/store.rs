@@ -80,14 +80,19 @@ pub struct StoreEntry {
 
 impl StoreEntry {
     fn to_json(&self) -> Value {
-        let payload = match &self.result {
+        let StoreEntry {
+            key,
+            inputs,
+            result,
+        } = self;
+        let payload = match result {
             StoredResult::Unit(run) => ("unit", run.to_json()),
             StoredResult::Series(series) => ("series", series.to_json()),
             StoredResult::Span(span) => ("span", span.to_json()),
         };
         Value::obj(vec![
-            ("key", Value::str(&self.key)),
-            ("inputs", Value::str(&self.inputs)),
+            ("key", Value::str(key)),
+            ("inputs", Value::str(inputs)),
             payload,
         ])
     }

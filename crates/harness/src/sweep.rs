@@ -239,11 +239,14 @@ impl PaceSource {
     fn resolve(&self, paces: &[Mutex<Option<Pace>>]) -> Pace {
         match self {
             PaceSource::Cached(pace) => *pace,
-            PaceSource::Node(baseline) => paces[*baseline]
+            #[expect(
+                clippy::expect_used,
+                reason = "pacing edges make the baseline a dependency; the executor runs dependents only after it completed and published"
+            )]
+            PaceSource::Node(baseline) => (*paces[*baseline]
                 .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                // snug-lint: allow(panic-audit, "pacing edges make the baseline a dependency; the executor runs dependents only after it completed and published")
-                .expect("a baseline node completes before its dependents run"),
+                .unwrap_or_else(PoisonError::into_inner))
+            .expect("a baseline node completes before its dependents run"),
         }
     }
 }
@@ -699,18 +702,19 @@ pub fn run_unit_jobs(
 
     // Assemble outcomes in job order, now that everything is stored.
     let executed: BTreeSet<&str> = pending.iter().map(|j| j.key.as_str()).collect();
-    Ok(jobs
-        .iter()
-        .map(|job| UnitOutcome {
-            key: job.key.clone(),
-            from_cache: !executed.contains(job.key.as_str()),
-            run: store
-                .get_unit(&job.key)
-                // snug-lint: allow(panic-audit, "every pending unit was persisted above and cached units were present before the sweep started")
-                .expect("unit just stored or cached")
-                .clone(),
-        })
-        .collect())
+    #[expect(
+        clippy::expect_used,
+        reason = "every pending unit was persisted above and cached units were present before the sweep started"
+    )]
+    let outcome = |job: &UnitJob| UnitOutcome {
+        key: job.key.clone(),
+        from_cache: !executed.contains(job.key.as_str()),
+        run: store
+            .get_unit(&job.key)
+            .expect("unit just stored or cached")
+            .clone(),
+    };
+    Ok(jobs.iter().map(outcome).collect())
 }
 
 /// Run `spec` against `store`: leftover shards from a killed sweep are
@@ -1015,7 +1019,7 @@ mod tests {
             rel_epsilon: Some(0.9),
         };
         let (dir, mut store) = tmp_store("pacing-graph");
-        let mut finished: std::collections::HashSet<String> = std::collections::HashSet::new();
+        let mut finished: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
         let mut paced_started = 0usize;
         run_sweep(&spec, &mut store, 4, |e| match e {
             SweepEvent::JobStarted { label } if label.contains("[paced]") => {
@@ -1141,7 +1145,7 @@ mod tests {
         // Baseline pacing: within each combo every unit measured the
         // same window — the one its L2P baseline converged at.
         for job in spec.combo_jobs() {
-            let windows: std::collections::HashSet<Option<u64>> = job
+            let windows: std::collections::BTreeSet<Option<u64>> = job
                 .units
                 .iter()
                 .map(|u| store.get_unit(&u.key).expect("unit stored").measured_cycles)

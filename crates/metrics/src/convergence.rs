@@ -8,10 +8,6 @@
 //! below a policy's `rel_epsilon` means every recent interval agrees on
 //! the throughput to within that tolerance — the signal
 //! `sim_cmp::Converged` stop policies act on.
-//!
-//! The estimator is plain data (`Clone` + `PartialEq`), so session
-//! snapshots capture it and restored runs resume with the identical
-//! convergence state.
 
 use std::collections::VecDeque;
 

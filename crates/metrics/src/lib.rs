@@ -9,7 +9,14 @@
 //!   simulators fill in and `snug profile` renders;
 //! * [`table`] — Markdown/CSV table rendering for EXPERIMENTS.md.
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod convergence;

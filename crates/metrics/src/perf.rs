@@ -9,10 +9,8 @@
 //!   mean of relative IPCs (Luo et al.), balancing performance and
 //!   fairness.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-core IPCs for one (workload, scheme) run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IpcVector {
     /// IPC of each core.
     pub ipcs: Vec<f64>,
@@ -70,7 +68,7 @@ pub fn fair_speedup(scheme: &IpcVector, baseline: &IpcVector) -> f64 {
 }
 
 /// All three metrics for one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricSet {
     /// Normalised throughput.
     pub throughput: f64,

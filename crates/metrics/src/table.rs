@@ -1,9 +1,7 @@
 //! Markdown/CSV table rendering for EXPERIMENTS.md and bench output.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple rectangular table with a header row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Table title (rendered as a heading in Markdown).
     pub title: String,
@@ -85,7 +83,7 @@ impl Table {
 }
 
 /// Output formats a [`Table`] renders to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableFormat {
     /// GitHub-flavoured Markdown with a `###` title heading.
     Markdown,

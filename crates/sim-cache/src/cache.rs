@@ -15,11 +15,10 @@
 use crate::lru::LruOrder;
 use crate::set::{Evicted, LineFlags, SetMut, SetRef, INVALID_BLOCK, META_CC, META_VALID};
 use crate::stats::CacheStats;
-use serde::{Deserialize, Serialize};
 use sim_mem::{BlockAddr, Geometry};
 
 /// Result of a demand access through [`SetAssocCache::access`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessResult {
     /// Whether the block was resident.
     pub hit: bool,
@@ -30,7 +29,7 @@ pub struct AccessResult {
 }
 
 /// A set-associative cache (struct-of-arrays storage).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SetAssocCache {
     geo: Geometry,
     /// `set * assoc + way` → block address; invalid ways hold
@@ -51,6 +50,10 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// Create an empty cache with the given geometry.
     pub fn new(geo: Geometry) -> Self {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the cache allocates num_sets * assoc lines below, so num_sets fits usize"
+        )]
         let lines = geo.num_sets as usize * geo.assoc;
         SetAssocCache {
             geo,
@@ -241,6 +244,10 @@ impl SetAssocCache {
     /// Total valid CC lines across all sets (O(1): maintained
     /// incrementally by every fill/invalidate).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "cc_lines counts resident lines, at most blocks.len()"
+    )]
     pub fn cc_lines(&self) -> usize {
         self.cc_lines as usize
     }

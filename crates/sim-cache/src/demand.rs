@@ -9,10 +9,9 @@
 //!   sizes, the quantity plotted in Figures 1–3.
 
 use crate::stack_dist::SetHistogram;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the demand quantification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DemandParams {
     /// Associativity treated as "infinite" (paper: 2 × A_baseline = 32).
     pub a_threshold: usize,
@@ -87,7 +86,7 @@ pub fn block_required(hist: &SetHistogram, params: &DemandParams) -> usize {
 }
 
 /// Per-interval distribution of set demand over buckets — Formula (5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BucketDistribution {
     /// `sizes[j-1] = size_bucket_j(I)` — fraction of sets in bucket j.
     pub sizes: Vec<f64>,

@@ -16,7 +16,15 @@
 //!   Formulas (1)–(5) behind Figures 1–3;
 //! * [`stats`] — per-cache event counters.
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![warn(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -21,8 +21,6 @@
 //! `Vec::remove`/`insert` pair. Associativities 17–255 (deep profiler
 //! stacks) keep the byte-vector representation.
 
-use serde::{Deserialize, Serialize};
-
 /// `0x...11111`: broadcasts a nibble value across all 16 lanes.
 const NIBBLE_LSB: u64 = 0x1111_1111_1111_1111;
 /// `0x...88888`: the per-nibble detector bit for zero-nibble scans.
@@ -54,7 +52,7 @@ fn low_nibble_mask(nibbles: usize) -> u64 {
 
 /// Recency order over `n` ways of a set: a `u64` nibble-permutation for
 /// `n ≤ 16`, a byte vector MRU → LRU otherwise.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Repr {
     /// Nibble `p` of `bits` is the way at stack position `p` (0 = MRU).
     /// Nibbles at positions ≥ `n` are always zero.
@@ -64,7 +62,7 @@ enum Repr {
 }
 
 /// Recency order over the `n` ways of a set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LruOrder {
     repr: Repr,
 }
@@ -78,11 +76,16 @@ impl LruOrder {
             for p in 0..n {
                 bits |= (p as u64) << (4 * p);
             }
-            // snug-lint: allow(no-lossy-cast-in-kernel, "this branch has n <= 16")
-            Repr::Packed { bits, n: n as u8 }
+            #[expect(clippy::cast_possible_truncation, reason = "this branch has n <= 16")]
+            let n = n as u8;
+            Repr::Packed { bits, n }
         } else {
-            // snug-lint: allow(no-lossy-cast-in-kernel, "new() asserts n <= u8::MAX")
-            Repr::Wide((0..n as u8).collect())
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "new() asserts n <= u8::MAX"
+            )]
+            let n = n as u8;
+            Repr::Wide((0..n).collect())
         };
         LruOrder { repr }
     }
@@ -114,11 +117,14 @@ impl LruOrder {
     pub fn position(&self, way: usize) -> usize {
         match &self.repr {
             Repr::Packed { bits, n } => packed_position(*bits, *n, way) + 1,
+            #[expect(
+                clippy::expect_used,
+                reason = "documented contract: callers pass a way belonging to this set; a miss is a simulator bug worth crashing on"
+            )]
             Repr::Wide(order) => {
                 order
                     .iter()
                     .position(|&w| w as usize == way)
-                    // snug-lint: allow(panic-audit, "documented contract: callers pass a way belonging to this set; a miss is a simulator bug worth crashing on")
                     .expect("way must be tracked by this LruOrder")
                     + 1
             }
@@ -147,10 +153,13 @@ impl LruOrder {
                 p + 1
             }
             Repr::Wide(order) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "documented contract: callers pass a way belonging to this set; a miss is a simulator bug worth crashing on"
+                )]
                 let pos = order
                     .iter()
                     .position(|&w| w as usize == way)
-                    // snug-lint: allow(panic-audit, "documented contract: callers pass a way belonging to this set; a miss is a simulator bug worth crashing on")
                     .expect("way must be tracked by this LruOrder");
                 let w = order.remove(pos);
                 order.insert(0, w);
@@ -164,10 +173,11 @@ impl LruOrder {
     pub fn lru_way(&self) -> usize {
         match &self.repr {
             Repr::Packed { bits, n } => ((bits >> (4 * (*n as usize - 1))) & 0xF) as usize,
-            Repr::Wide(order) => {
-                // snug-lint: allow(panic-audit, "associativity is at least 1, so the order vec is never empty")
-                *order.last().expect("non-empty order") as usize
-            }
+            #[expect(
+                clippy::expect_used,
+                reason = "associativity is at least 1, so the order vec is never empty"
+            )]
+            Repr::Wide(order) => *order.last().expect("non-empty order") as usize,
         }
     }
 
@@ -191,10 +201,13 @@ impl LruOrder {
                 }
             }
             Repr::Wide(order) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "documented contract: callers pass a way belonging to this set; a miss is a simulator bug worth crashing on"
+                )]
                 let pos = order
                     .iter()
                     .position(|&w| w as usize == way)
-                    // snug-lint: allow(panic-audit, "documented contract: callers pass a way belonging to this set; a miss is a simulator bug worth crashing on")
                     .expect("way must be tracked by this LruOrder");
                 let w = order.remove(pos);
                 order.push(w);
@@ -212,7 +225,7 @@ impl LruOrder {
 /// distance profiling: stores raw tags rather than way indices, evicting
 /// the deepest entry on overflow. Used by the A_threshold-deep profiler
 /// behind Figures 1–3.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TagStack {
     tags: Vec<u64>,
     capacity: usize,
@@ -406,7 +419,11 @@ mod tests {
                 if round == 0 {
                     assert_eq!(got, None, "cold");
                 } else {
-                    assert_eq!(got, Some(d as usize), "warm cyclic hits at depth d");
+                    assert_eq!(
+                        got,
+                        Some(d.try_into().unwrap()),
+                        "warm cyclic hits at depth d"
+                    );
                 }
             }
         }

@@ -7,10 +7,8 @@
 //! then answers "would doubling this set's capacity raise its hit rate by
 //! at least 1/p?": MSB = 1 ⇒ the set is a **taker**, MSB = 0 ⇒ **giver**.
 
-use serde::{Deserialize, Serialize};
-
 /// A k-bit saturating counter (1 ≤ k ≤ 16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SatCounter {
     value: u16,
     max: u16,
@@ -21,9 +19,15 @@ impl SatCounter {
     /// Create a k-bit counter initialised to `2^(k-1) - 1` (paper Fig. 7).
     pub fn new(k: u32) -> Self {
         assert!((1..=16).contains(&k), "counter width must be 1..=16 bits");
-        // snug-lint: allow(no-lossy-cast-in-kernel, "k is asserted 1..=16, so 2^k - 1 <= u16::MAX")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "k is asserted 1..=16, so 2^k - 1 <= u16::MAX"
+        )]
         let max = ((1u32 << k) - 1) as u16;
-        // snug-lint: allow(no-lossy-cast-in-kernel, "k is asserted 1..=16, so 2^(k-1) - 1 <= u16::MAX")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "k is asserted 1..=16, so 2^(k-1) - 1 <= u16::MAX"
+        )]
         let init = ((1u32 << (k - 1)) - 1) as u16;
         SatCounter {
             value: init,
@@ -88,7 +92,7 @@ impl SatCounter {
 /// Wider saturating counter for DSR's PSEL policy selector (10 bits in
 /// Qureshi's HPCA'09 paper). Semantics identical to [`SatCounter`] but
 /// u32-valued for convenience.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Psel {
     value: u32,
     max: u32,
@@ -139,7 +143,7 @@ impl Psel {
 /// The complete per-set monitor: the k-bit saturating counter plus the
 /// modulo-p divider that turns "one decrement per p real-or-shadow hits"
 /// into counter operations (paper Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DemandMonitor {
     counter: SatCounter,
     /// Counts hits modulo p; on reaching p the saturating counter is

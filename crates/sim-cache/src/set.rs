@@ -18,7 +18,6 @@
 //! [`SetAssocCache`]: crate::cache::SetAssocCache
 
 use crate::lru::LruOrder;
-use serde::{Deserialize, Serialize};
 use sim_mem::BlockAddr;
 
 /// Metadata-byte bit: line holds a block.
@@ -58,7 +57,7 @@ pub(crate) fn probe_ways(blocks: &[BlockAddr], block: BlockAddr) -> Option<usize
 }
 
 /// Metadata bits carried by every line (beyond tag/valid/LRU).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LineFlags {
     /// Line has been written and must be written back on eviction.
     pub dirty: bool,
@@ -110,7 +109,7 @@ impl LineFlags {
 }
 
 /// One cache line, materialized by value from the packed storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheLine {
     /// Full block address (superset of the architectural tag).
     pub block: BlockAddr,
@@ -122,7 +121,7 @@ pub struct CacheLine {
 
 /// A line evicted by a fill, reported to the caller so the owning scheme
 /// can decide its fate (writeback, spill, or drop).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
     /// Block address of the victim.
     pub block: BlockAddr,

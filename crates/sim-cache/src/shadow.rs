@@ -15,7 +15,6 @@
 use crate::lru::LruOrder;
 use crate::satcounter::DemandMonitor;
 use crate::set::{probe_ways, INVALID_BLOCK};
-use serde::{Deserialize, Serialize};
 use sim_mem::BlockAddr;
 
 /// A tag-only set with its own LRU replacement.
@@ -24,7 +23,7 @@ use sim_mem::BlockAddr;
 /// convention as the real sets (`crate::set::INVALID_BLOCK`), so the
 /// probe is the branch-free compare loop shared with
 /// [`crate::SetAssocCache`] rather than an `Option` walk.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShadowSet {
     tags: Vec<BlockAddr>,
     lru: LruOrder,
@@ -93,7 +92,7 @@ impl ShadowSet {
 
 /// The full per-slice monitor: one shadow set and one [`DemandMonitor`]
 /// per L2 set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShadowArray {
     sets: Vec<ShadowSet>,
     monitors: Vec<DemandMonitor>,

@@ -7,7 +7,6 @@
 //! associativity `A ≤ A_threshold` is recovered from one pass.
 
 use crate::lru::TagStack;
-use serde::{Deserialize, Serialize};
 use sim_mem::BlockAddr;
 
 /// Per-set hit-position histogram for one sampling interval.
@@ -15,7 +14,7 @@ use sim_mem::BlockAddr;
 /// `positions[d]` counts hits at stack distance `d` (1-based);
 /// `positions[0]` counts cold/beyond-threshold references (misses even at
 /// `A_threshold`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetHistogram {
     positions: Vec<u64>,
 }

@@ -1,14 +1,12 @@
 //! Per-cache event counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters maintained by every cache structure in the hierarchy.
 ///
 /// Scheme-specific events (spills, receives, forwards, shadow activity)
 /// are also counted here so that every L2 organisation reports through a
 /// single type; organisations that never spill simply leave those fields
 /// at zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand accesses that hit (including hits on cooperatively cached
     /// lines held locally).

@@ -7,12 +7,11 @@
 //! buffer ("direct read"), and a new dirty victim for a buffered block
 //! merges with the existing entry.
 
-use serde::{Deserialize, Serialize};
 use sim_mem::BlockAddr;
 use std::collections::VecDeque;
 
 /// Outcome of pushing a victim into the write buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushOutcome {
     /// Stored in a free entry.
     Stored,
@@ -25,7 +24,7 @@ pub enum PushOutcome {
 }
 
 /// Statistics for one write buffer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WriteBufferStats {
     /// Victims accepted (stored or merged).
     pub pushes: u64,
@@ -40,7 +39,7 @@ pub struct WriteBufferStats {
 }
 
 /// The FIFO mergeable write-back buffer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteBuffer {
     entries: VecDeque<BlockAddr>,
     capacity: usize,

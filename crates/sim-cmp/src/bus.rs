@@ -12,10 +12,9 @@
 //! network.
 
 use crate::config::BusConfig;
-use serde::{Deserialize, Serialize};
 
 /// Bus statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BusStats {
     /// Address-only transactions (snoops, retrieval probes).
     pub address_transactions: u64,

@@ -1,11 +1,10 @@
 //! System configuration mirroring paper Table 4.
 
-use serde::{Deserialize, Serialize};
 use sim_mem::{DramConfig, Geometry};
 
 /// Core timing-model parameters (simplified out-of-order model; see
 /// the `snug-workloads` crate docs for the substitution argument).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Instructions issued per cycle (paper: 8-wide issue/commit).
     pub issue_width: u32,
@@ -30,7 +29,7 @@ impl CoreConfig {
 
 /// Snoop-bus parameters (paper Table 4: 16 B-wide split-transaction bus,
 /// 4:1 core-to-bus speed ratio, 1 cycle arbitration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusConfig {
     /// Bus width in bytes.
     pub width_bytes: u64,
@@ -63,7 +62,7 @@ impl BusConfig {
 }
 
 /// Full system configuration (paper Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Number of cores (paper: 4).
     pub num_cores: usize,

@@ -15,7 +15,6 @@
 //! hit/miss profile — the quantity the paper's three metrics aggregate.
 
 use crate::config::CoreConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// An outstanding load miss: data arrives at `completes_at`; the core
@@ -27,7 +26,7 @@ struct OutstandingMiss {
 }
 
 /// Per-core performance counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Cycles stalled waiting on the ROB-reach limit.
     pub rob_stall_cycles: u64,
@@ -101,12 +100,20 @@ impl CoreModel {
         let w = self.cfg.issue_width as u64;
         if w & (w - 1) == 0 {
             self.cycle += total >> w.trailing_zeros();
-            // snug-lint: allow(no-lossy-cast-in-kernel, "masked by w - 1, and issue_width is a u32")
-            self.issue_slot = (total & (w - 1)) as u32;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "masked by w - 1, and issue_width is a u32"
+            )]
+            let slot = (total & (w - 1)) as u32;
+            self.issue_slot = slot;
         } else {
             self.cycle += total / w;
-            // snug-lint: allow(no-lossy-cast-in-kernel, "remainder is < w, and issue_width is a u32")
-            self.issue_slot = (total % w) as u32;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "remainder is < w, and issue_width is a u32"
+            )]
+            let slot = (total % w) as u32;
+            self.issue_slot = slot;
         }
         self.instrs = end_pos;
     }
@@ -122,7 +129,10 @@ impl CoreModel {
         }
         self.stats.load_misses += 1;
         if self.outstanding.len() == self.cfg.max_outstanding {
-            // snug-lint: allow(panic-audit, "guarded by len == max_outstanding, which is validated nonzero in SystemConfig")
+            #[expect(
+                clippy::expect_used,
+                reason = "guarded by len == max_outstanding, which is validated nonzero in SystemConfig"
+            )]
             let oldest = self.outstanding.pop_front().expect("non-empty");
             if oldest.completes_at > self.cycle {
                 self.stats.mshr_stall_cycles += oldest.completes_at - self.cycle;

@@ -14,10 +14,17 @@
 //! * [`session`] — steppable [`session::SimSession`]s, the one way to
 //!   run a simulation: incremental `step`/`run_until` driving or one
 //!   `run_to_completion`, stride probes, policy-driven early exit,
-//!   deterministic snapshot/restore, and the [`SystemResult`] a run
-//!   reports.
+//!   and the [`SystemResult`] a run reports.
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![warn(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 pub mod bus;
@@ -34,8 +41,5 @@ pub use plan::{
     Converged, FixedCycles, Reconverged, RunPlan, StopObservation, StopPolicy, StopSpec,
     WINDOW_SAMPLES,
 };
-pub use scheme::{ChipResources, CloneOrg, L2Fill, L2Org, L2Outcome, SchemeEvent, SchemeEventKind};
-pub use session::{
-    CoreResult, PeriodSample, Probe, SessionBuilder, SessionSnapshot, SimSession, SnapshotError,
-    SystemResult,
-};
+pub use scheme::{ChipResources, L2Fill, L2Org, L2Outcome, SchemeEvent, SchemeEventKind};
+pub use session::{CoreResult, PeriodSample, Probe, SessionBuilder, SimSession, SystemResult};

@@ -24,8 +24,7 @@
 //! configurations, store keys and CLI flags) and [`StopPolicy`] (the
 //! stateful trait object a [`crate::SimSession`] drives) keeps plans
 //! hashable and comparable while the runtime side carries the
-//! estimator state — which session snapshots capture, so early exit is
-//! deterministic and snapshot/restore-safe. The shift boundaries a
+//! estimator state. The shift boundaries a
 //! `Reconverged` policy segments at are not part of the spec (they
 //! belong to the workload's phase schedule); the session supplies them
 //! when it materialises the policy via
@@ -256,9 +255,8 @@ pub struct StopObservation {
 /// session at `observe_stride` boundaries of the measured window.
 ///
 /// Implementations must be deterministic functions of the observation
-/// sequence — the session clones them into snapshots (via
-/// [`StopPolicy::clone_policy`]) so a restored run resumes with the
-/// identical stopping state.
+/// sequence, so every stepping interleaving stops at the same
+/// boundary.
 pub trait StopPolicy: Send {
     /// Hard ceiling on the measured window, in cycles.
     fn max_measure_cycles(&self) -> u64;
@@ -281,9 +279,6 @@ pub trait StopPolicy: Send {
         Vec::new()
     }
 
-    /// Deep copy, estimator state included.
-    fn clone_policy(&self) -> Box<dyn StopPolicy>;
-
     /// Short human-readable description for logs.
     fn describe(&self) -> String;
 }
@@ -298,10 +293,6 @@ pub struct FixedCycles {
 impl StopPolicy for FixedCycles {
     fn max_measure_cycles(&self) -> u64 {
         self.measure_cycles
-    }
-
-    fn clone_policy(&self) -> Box<dyn StopPolicy> {
-        Box::new(*self)
     }
 
     fn describe(&self) -> String {
@@ -361,10 +352,6 @@ impl StopPolicy for Converged {
         }
         self.window.push(obs.throughput);
         obs.measured_cycles >= self.min_cycles && self.window.converged(self.rel_epsilon)
-    }
-
-    fn clone_policy(&self) -> Box<dyn StopPolicy> {
-        Box::new(self.clone())
     }
 
     fn describe(&self) -> String {
@@ -505,10 +492,6 @@ impl StopPolicy for Reconverged {
         let mut out = self.recorded.clone();
         out.push(self.current_plateau());
         out
-    }
-
-    fn clone_policy(&self) -> Box<dyn StopPolicy> {
-        Box::new(self.clone())
     }
 
     fn describe(&self) -> String {
@@ -776,24 +759,5 @@ mod tests {
         assert_ne!(reconv.fingerprint(), base.fingerprint());
         assert!(reconv.can_stop_early());
         assert_eq!(reconv.measure_cycles(), 3_000_000);
-    }
-
-    #[test]
-    fn clone_policy_carries_the_estimator_state() {
-        let mut policy = Converged::new(100, 0.05, 0, 10_000);
-        let obs = |k: u64| StopObservation {
-            cycle: k * 100,
-            measured_cycles: k * 100,
-            interval_cycles: 100,
-            throughput: 2.0,
-        };
-        for k in 1..=3 {
-            policy.observe(&obs(k));
-        }
-        let mut cloned = policy.clone_policy();
-        // One more stable sample converges both the original and the
-        // clone at the same boundary.
-        assert!(policy.observe(&obs(4)));
-        assert!(cloned.observe(&obs(4)));
     }
 }

@@ -5,7 +5,6 @@
 //! in the `snug-core` crate) plug in behind [`L2Org`].
 
 use crate::bus::Bus;
-use serde::{Deserialize, Serialize};
 use sim_cache::CacheStats;
 use sim_mem::{BlockAddr, Dram};
 
@@ -19,7 +18,7 @@ pub struct ChipResources<'a> {
 
 /// How an L2 demand access was satisfied (for classification and
 /// latency attribution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum L2Fill {
     /// Hit in the core's own L2 slice (or local L2S bank).
     LocalHit,
@@ -32,7 +31,7 @@ pub enum L2Fill {
 }
 
 /// Result of one L2 demand access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2Outcome {
     /// Total latency below L1 (cycles from request to data).
     pub latency: u64,
@@ -41,7 +40,7 @@ pub struct L2Outcome {
 }
 
 /// What kind of scheme-side event fired (see [`SchemeEvent`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchemeEventKind {
     /// A staged scheme began a new identification/sampling stage (for
     /// SNUG: a new sampling period started and monitors are counting).
@@ -116,11 +115,8 @@ pub trait L2Org {
     /// Reset statistics at the end of warm-up (cache contents retained).
     fn reset_stats(&mut self);
 
-    /// Deep-copy this organisation behind a fresh box, for session
-    /// snapshots. Every scheme owns plain-data state, so this is a
-    /// straight clone; the type-erased form lets `Box<dyn L2Org>`
-    /// sessions capture their organisation without knowing the concrete
-    /// scheme.
+    /// Deep-copy this organisation behind a fresh box. Every scheme
+    /// owns plain-data state, so this is a straight clone.
     fn clone_dyn(&self) -> Box<dyn L2Org>;
 
     /// Drain buffered scheme-side events (stage transitions, policy
@@ -128,75 +124,6 @@ pub trait L2Org {
     /// without staged policy state return nothing.
     fn drain_events(&mut self) -> Vec<SchemeEvent> {
         Vec::new()
-    }
-}
-
-/// Organisation cloning that preserves the concrete type — what
-/// [`crate::SimSession::snapshot`] needs so a restored session has the
-/// same `O` as the one it was captured from.
-///
-/// Every `L2Org + Clone` type gets this for free; `Box<dyn L2Org>`
-/// (the factory's type-erased form) routes through
-/// [`L2Org::clone_dyn`].
-pub trait CloneOrg: L2Org {
-    /// A deep copy of this organisation.
-    fn clone_org(&self) -> Self
-    where
-        Self: Sized;
-}
-
-impl<T: L2Org + Clone> CloneOrg for T {
-    fn clone_org(&self) -> Self {
-        self.clone()
-    }
-}
-
-impl CloneOrg for Box<dyn L2Org> {
-    fn clone_org(&self) -> Self {
-        (**self).clone_dyn()
-    }
-}
-
-/// Forwarding impl so `SimSession<Box<dyn L2Org>>` works with the
-/// scheme factory in `snug-core`.
-impl L2Org for Box<dyn L2Org> {
-    fn access(
-        &mut self,
-        core: usize,
-        block: BlockAddr,
-        is_write: bool,
-        now: u64,
-        res: &mut ChipResources<'_>,
-    ) -> L2Outcome {
-        (**self).access(core, block, is_write, now, res)
-    }
-
-    fn writeback(&mut self, core: usize, block: BlockAddr, now: u64, res: &mut ChipResources<'_>) {
-        (**self).writeback(core, block, now, res)
-    }
-
-    fn slice_stats(&self, core: usize) -> &CacheStats {
-        (**self).slice_stats(core)
-    }
-
-    fn num_cores(&self) -> usize {
-        (**self).num_cores()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn reset_stats(&mut self) {
-        (**self).reset_stats()
-    }
-
-    fn clone_dyn(&self) -> Box<dyn L2Org> {
-        (**self).clone_dyn()
-    }
-
-    fn drain_events(&mut self) -> Vec<SchemeEvent> {
-        (**self).drain_events()
     }
 }
 

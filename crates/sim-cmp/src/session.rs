@@ -16,36 +16,30 @@
 //! * [`Probe`]s fire on a configurable cycle stride and receive
 //!   [`PeriodSample`]s — per-core IPC, the L2 event mix and any
 //!   scheme-side [`SchemeEvent`]s (SNUG stage/G-T transitions) for that
-//!   interval;
-//! * [`SimSession::snapshot`] / [`SessionSnapshot::to_session`] capture
-//!   and replay the full deterministic state, so a post-warm-up snapshot
-//!   can be measured under several policy variants without re-running
-//!   the warm-up.
+//!   interval.
 //!
 //! Determinism contract: a session driven by any interleaving of
-//! `step`/`run_until` calls — including one that snapshots, restores and
-//! resumes — retires exactly the same operation sequence as a single
-//! `run_to_completion`, because every step picks the globally minimal
-//! core clock and phase transitions are functions of the frontier alone.
-//! Stop policies keep the contract: they observe only at fixed
-//! frontier-derived boundaries, their state is part of the snapshot,
-//! and the early-exit decision latches after the exact same operation
-//! in every interleaving. The property tests in
+//! `step`/`run_until` calls retires exactly the same operation sequence
+//! as a single `run_to_completion`, because every step picks the
+//! globally minimal core clock and phase transitions are functions of
+//! the frontier alone. Stop policies keep the contract: they observe
+//! only at fixed frontier-derived boundaries, and the early-exit
+//! decision latches after the exact same operation in every
+//! interleaving. The property tests in
 //! `tests/session_determinism.rs` pin this down for all five schemes,
 //! fixed and converged plans alike.
 
 use crate::config::SystemConfig;
 use crate::core::{CoreModel, CoreStats};
 use crate::plan::{RunPlan, StopObservation, StopPolicy};
-use crate::scheme::{ChipResources, CloneOrg, L2Org, SchemeEvent, SchemeEventKind};
+use crate::scheme::{ChipResources, L2Org, SchemeEvent, SchemeEventKind};
 use crate::Bus;
-use serde::{Deserialize, Serialize};
 use sim_cache::{CacheStats, SetAssocCache};
 use sim_mem::{AccessKind, Dram, OpStream, StreamShift};
 use snug_metrics::{PhasePlateau, SimCounters, WALK_DEPTH_BUCKETS};
 
 /// Result for one core after a measured run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreResult {
     /// Workload label (benchmark name).
     pub label: String,
@@ -62,7 +56,7 @@ pub struct CoreResult {
 }
 
 /// Result of a full system run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemResult {
     /// Scheme name.
     pub scheme: String,
@@ -140,107 +134,6 @@ impl<F: FnMut(&PeriodSample)> Probe for F {
     }
 }
 
-/// Why a snapshot could not be taken.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The stream driving this core does not support deep-copying.
-    StreamNotCloneable(usize),
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::StreamNotCloneable(core) => {
-                write!(f, "stream for core {core} does not support snapshotting")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-/// A deterministic capture of a session's full state. Cheap to replay:
-/// [`SessionSnapshot::to_session`] clones the snapshot, so one capture
-/// can seed any number of sessions (the warm-up-reuse pattern).
-pub struct SessionSnapshot<O> {
-    cfg: SystemConfig,
-    cores: Vec<CoreModel>,
-    l1d: Vec<SetAssocCache>,
-    l1i: Vec<SetAssocCache>,
-    bus: Bus,
-    dram: Dram,
-    org: O,
-    streams: Vec<Box<dyn OpStream>>,
-    labels: Vec<String>,
-    warmup_cycles: u64,
-    policy: Box<dyn StopPolicy>,
-    stopped_at: Option<u64>,
-    policy_next_at: u64,
-    policy_origin: u64,
-    policy_prev_cycle: u64,
-    policy_cores: Vec<(u64, u64)>,
-    measuring: bool,
-    baseline: Vec<(u64, u64)>,
-    shifts: Vec<StreamShift>,
-    next_shift: usize,
-    tally: SimCounters,
-}
-
-impl<O: CloneOrg> SessionSnapshot<O> {
-    /// Materialise a new session from this snapshot. The snapshot stays
-    /// intact, so the call can be repeated; probes are not part of the
-    /// captured state and start disabled.
-    pub fn to_session(&self) -> Result<SimSession<O>, SnapshotError> {
-        let streams = clone_streams(&self.streams)?;
-        Ok(SimSession {
-            cfg: self.cfg,
-            cores: self.cores.clone(),
-            l1d: self.l1d.clone(),
-            l1i: self.l1i.clone(),
-            bus: self.bus.clone(),
-            dram: self.dram.clone(),
-            org: self.org.clone_org(),
-            streams,
-            labels: self.labels.clone(),
-            warmup_cycles: self.warmup_cycles,
-            policy: self.policy.clone_policy(),
-            stopped_at: self.stopped_at,
-            policy_next_at: self.policy_next_at,
-            policy_origin: self.policy_origin,
-            policy_prev_cycle: self.policy_prev_cycle,
-            policy_cores: self.policy_cores.clone(),
-            measuring: self.measuring,
-            baseline: self.baseline.clone(),
-            shifts: self.shifts.clone(),
-            next_shift: self.next_shift,
-            fired_shifts: Vec::new(),
-            probe_stride: 0,
-            next_probe_at: 0,
-            probe_cores: Vec::new(),
-            probe_l2: CacheStats::default(),
-            probes: Vec::new(),
-            series: None,
-            tally: self.tally,
-            probe_counters: SimCounters::default(),
-        })
-    }
-
-    /// The organisation as captured (e.g. to tweak a policy parameter
-    /// before [`SessionSnapshot::to_session`] — note the tweak applies
-    /// to *future* sessions only after `org_mut` on the built session).
-    pub fn org(&self) -> &O {
-        &self.org
-    }
-}
-
-fn clone_streams(streams: &[Box<dyn OpStream>]) -> Result<Vec<Box<dyn OpStream>>, SnapshotError> {
-    streams
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s.clone_dyn().ok_or(SnapshotError::StreamNotCloneable(i)))
-        .collect()
-}
-
 /// Builder for [`SimSession`]: platform + organisation + streams + the
 /// run plan, with optional probing.
 pub struct SessionBuilder<O: L2Org> {
@@ -296,8 +189,7 @@ impl<O: L2Org> SessionBuilder<O> {
     /// Schedule deterministic mid-run workload shifts (a phase-change
     /// scenario): each shift is applied to its target cores' streams at
     /// the first frontier boundary at or past its cycle, so shifted
-    /// runs stay deterministic across stepping interleavings and
-    /// snapshot/restore. Replaces any previous schedule. Under a
+    /// runs stay deterministic across stepping interleavings. Replaces any previous schedule. Under a
     /// [`crate::StopSpec::Reconverged`] plan the shift cycles inside
     /// the measured window also become the policy's phase boundaries.
     pub fn phase_shifts(mut self, mut shifts: Vec<StreamShift>) -> Self {
@@ -404,8 +296,7 @@ pub struct SimSession<O: L2Org> {
     streams: Vec<Box<dyn OpStream>>,
     labels: Vec<String>,
     warmup_cycles: u64,
-    /// The stop policy governing the measured window (state included —
-    /// cloned into snapshots).
+    /// The stop policy governing the measured window.
     policy: Box<dyn StopPolicy>,
     /// The frontier cycle at which the policy ended the run early
     /// (`None`: still running, or the run reaches the horizon).
@@ -435,25 +326,24 @@ pub struct SimSession<O: L2Org> {
     /// Index of the next unapplied shift.
     next_shift: usize,
     /// Shifts applied since the last probe sample (drained into
-    /// [`PeriodSample::shifts`]; not part of snapshots, like probes).
-    fired_shifts: Vec<StreamShift>, // snug-lint: allow(snapshot-completeness, "probe-period drain buffer; restored sessions start a fresh period")
-    probe_stride: u64, // snug-lint: allow(snapshot-completeness, "probe config, not simulation state; to_session re-installs probes explicitly")
-    next_probe_at: u64, // snug-lint: allow(snapshot-completeness, "probe latch; restored sessions restart probing from install_probe")
+    /// [`PeriodSample::shifts`]).
+    fired_shifts: Vec<StreamShift>,
+    probe_stride: u64,
+    next_probe_at: u64,
     /// Per-core (instructions, cycle) at the previous probe tick.
-    probe_cores: Vec<(u64, u64)>, // snug-lint: allow(snapshot-completeness, "probe latch, re-seeded when probing restarts")
+    probe_cores: Vec<(u64, u64)>,
     /// Aggregate L2 stats at the previous probe tick.
-    probe_l2: CacheStats, // snug-lint: allow(snapshot-completeness, "probe latch, re-seeded when probing restarts")
-    probes: Vec<Box<dyn Probe>>, // snug-lint: allow(snapshot-completeness, "trait objects are observers, not state; snapshots restore with no probes attached")
-    series: Option<Vec<PeriodSample>>, // snug-lint: allow(snapshot-completeness, "recorded samples belong to the recording session; restore starts a fresh series")
+    probe_l2: CacheStats,
+    probes: Vec<Box<dyn Probe>>,
+    series: Option<Vec<PeriodSample>>,
     /// Observability tallies the session itself increments on the hot
     /// path (retired ops, L1 walk depths, L2Org dispatches, scheme
     /// relatch events); zero-cost when the `obs` feature is off. The
     /// remaining [`SimCounters`] fields are harvested from component
-    /// statistics at assembly time. Part of snapshots.
+    /// statistics at assembly time.
     tally: SimCounters,
-    /// Assembled counters at the previous probe tick (interval deltas;
-    /// not part of snapshots, like the other probe latches).
-    probe_counters: SimCounters, // snug-lint: allow(snapshot-completeness, "probe latch, re-seeded when probing restarts")
+    /// Assembled counters at the previous probe tick (interval deltas).
+    probe_counters: SimCounters,
 }
 
 impl<O: L2Org> SimSession<O> {
@@ -567,8 +457,7 @@ impl<O: L2Org> SimSession<O> {
         }
         // Apply scheduled workload shifts at frontier boundaries:
         // frontier-derived like the phase transition above, so a shift
-        // lands before the exact same operation in every interleaving
-        // and in every snapshot → restore → resume replay.
+        // lands before the exact same operation in every interleaving.
         if self.next_shift < self.shifts.len() {
             self.sync_shifts(min_cycle);
         }
@@ -978,7 +867,7 @@ impl<O: L2Org> SimSession<O> {
     }
 
     /// Mutable access to the organisation (e.g. to retune a policy
-    /// parameter after restoring a shared warm-up snapshot).
+    /// parameter mid-run).
     pub fn org_mut(&mut self) -> &mut O {
         &mut self.org
     }
@@ -1085,37 +974,6 @@ impl<O: L2Org> SimSession<O> {
         let events = self.org.drain_events();
         self.note_events(&events);
         self.assemble_counters()
-    }
-}
-
-impl<O: CloneOrg> SimSession<O> {
-    /// Capture the session's full deterministic state. Fails if any
-    /// stream does not support deep-copying. Probes and any recorded
-    /// series are not captured.
-    pub fn snapshot(&self) -> Result<SessionSnapshot<O>, SnapshotError> {
-        Ok(SessionSnapshot {
-            cfg: self.cfg,
-            cores: self.cores.clone(),
-            l1d: self.l1d.clone(),
-            l1i: self.l1i.clone(),
-            bus: self.bus.clone(),
-            dram: self.dram.clone(),
-            org: self.org.clone_org(),
-            streams: clone_streams(&self.streams)?,
-            labels: self.labels.clone(),
-            warmup_cycles: self.warmup_cycles,
-            policy: self.policy.clone_policy(),
-            stopped_at: self.stopped_at,
-            policy_next_at: self.policy_next_at,
-            policy_origin: self.policy_origin,
-            policy_prev_cycle: self.policy_prev_cycle,
-            policy_cores: self.policy_cores.clone(),
-            measuring: self.measuring,
-            baseline: self.baseline.clone(),
-            shifts: self.shifts.clone(),
-            next_shift: self.next_shift,
-            tally: self.tally,
-        })
     }
 }
 
@@ -1239,7 +1097,6 @@ mod tests {
     /// rescales on a `DemandScale` directive (a percent-scale knob is
     /// all the shift plumbing needs; the real demand semantics live in
     /// the workload crate).
-    #[derive(Clone)]
     struct GapStream {
         label: String,
         addrs: Vec<u64>,
@@ -1269,14 +1126,11 @@ mod tests {
             &self.label
         }
 
-        fn clone_dyn(&self) -> Option<Box<dyn OpStream>> {
-            Some(Box::new(self.clone()))
-        }
-
         fn apply_shift(&mut self, directive: &sim_mem::ShiftDirective) -> bool {
             match directive {
                 sim_mem::ShiftDirective::DemandScale { percent } => {
-                    self.gap = ((self.gap as u64 * *percent as u64) / 100).max(1) as u32;
+                    let scaled = (u64::from(self.gap) * u64::from(*percent) / 100).max(1);
+                    self.gap = u32::try_from(scaled).unwrap();
                     true
                 }
                 _ => false,
@@ -1400,25 +1254,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_resume_is_bit_identical() {
-        let reference = session(64).run_to_completion();
-
-        let mut warm = session(64);
-        warm.run_until(2_000);
-        assert!(warm.measuring(), "warm-up boundary crossed");
-        let snap = warm.snapshot().expect("VecStream snapshots");
-        let warm_result = warm.run_to_completion();
-        assert_eq!(warm_result, reference);
-
-        // Replay from the snapshot twice: both identical to the
-        // uninterrupted run.
-        for _ in 0..2 {
-            let result = snap.to_session().unwrap().run_to_completion();
-            assert_eq!(result, reference);
-        }
-    }
-
-    #[test]
     fn probes_fire_on_stride_and_cover_the_run() {
         let cfg = SystemConfig::tiny_test();
         let mut s = SimSession::builder(cfg, TestOrg::new(&cfg))
@@ -1482,14 +1317,10 @@ mod tests {
         assert_eq!(again.run_to_completion(), result);
         assert_eq!(again.stopped_at(), Some(stop));
 
-        // Snapshot mid-measurement (estimator partially filled),
-        // restore, resume: the restored session makes the identical
-        // early-exit decision.
+        // Pausing mid-measurement (estimator partially filled) and
+        // resuming makes the identical early-exit decision.
         let mut warm = build();
         warm.run_until(3_500);
-        let mut restored = warm.snapshot().unwrap().to_session().unwrap();
-        assert_eq!(restored.run_to_completion(), result);
-        assert_eq!(restored.stopped_at(), Some(stop));
         assert_eq!(warm.run_to_completion(), result);
         assert_eq!(warm.stopped_at(), Some(stop));
     }
@@ -1546,14 +1377,11 @@ mod tests {
             "recorded at the first boundary past the shift"
         );
 
-        // Re-running and snapshot → restore → resume reproduce the
-        // shifted run bit-identically (pending shifts travel with the
-        // snapshot).
+        // Re-running, and pausing before the shift then resuming,
+        // reproduce the shifted run bit-identically.
         assert_eq!(build(vec![shift.clone()]).run_to_completion(), result);
         let mut warm = build(vec![shift.clone()]);
         warm.run_until(6_000);
-        let snap = warm.snapshot().expect("GapStream snapshots");
-        assert_eq!(snap.to_session().unwrap().run_to_completion(), result);
         assert_eq!(warm.run_to_completion(), result);
     }
 
@@ -1593,18 +1421,17 @@ mod tests {
             plateaus[1].mean_throughput
         );
 
-        // Deterministic: rerun and snapshot → restore agree on the stop
-        // cycle and the plateau records.
+        // Deterministic: a rerun and a paused-then-resumed run agree on
+        // the stop cycle and the plateau records.
         let mut again = build();
         assert_eq!(again.run_to_completion(), result);
         assert_eq!(again.stopped_at(), Some(stop));
         assert_eq!(again.phase_plateaus(), plateaus);
         let mut warm = build();
         warm.run_until(11_500);
-        let mut restored = warm.snapshot().unwrap().to_session().unwrap();
-        assert_eq!(restored.run_to_completion(), result);
-        assert_eq!(restored.stopped_at(), Some(stop));
-        assert_eq!(restored.phase_plateaus(), plateaus);
+        assert_eq!(warm.run_to_completion(), result);
+        assert_eq!(warm.stopped_at(), Some(stop));
+        assert_eq!(warm.phase_plateaus(), plateaus);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! cache hierarchy.
 
 use crate::address::Addr;
-use serde::{Deserialize, Serialize};
 
 /// The kind of a memory reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A data load. Loads can stall the core when they miss.
     Load,
@@ -31,7 +30,7 @@ impl AccessKind {
 }
 
 /// A single memory reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
     /// Referenced byte address.
     pub addr: Addr,
@@ -71,7 +70,7 @@ impl Access {
 /// One unit of work for a core: `gap` non-memory instructions, then one
 /// memory reference. The reference itself also counts as one instruction
 /// for IPC purposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreOp {
     /// Number of non-memory instructions preceding the reference.
     pub gap: u32,
@@ -121,14 +120,6 @@ pub trait OpStream {
     /// A short human-readable name (benchmark name) for reports.
     fn label(&self) -> &str;
 
-    /// Deep-copy this stream (including its generator state) for session
-    /// snapshots. Streams that cannot be captured return `None`, which
-    /// makes `SimSession::snapshot` fail loudly instead of silently
-    /// diverging on resume.
-    fn clone_dyn(&self) -> Option<Box<dyn OpStream>> {
-        None
-    }
-
     /// Re-parameterise the stream mid-run (a phase-change scenario; see
     /// [`crate::shift`]). Returns whether the directive was understood
     /// and applied; the default implementation ignores every directive —
@@ -136,8 +127,7 @@ pub trait OpStream {
     ///
     /// Implementations must stay deterministic: applying the same
     /// directive at the same point in the op sequence must yield the
-    /// same subsequent ops, and [`OpStream::clone_dyn`] must capture any
-    /// state the shift mutated.
+    /// same subsequent ops.
     fn apply_shift(&mut self, _directive: &crate::shift::ShiftDirective) -> bool {
         false
     }
@@ -191,10 +181,6 @@ impl OpStream for VecStream {
 
     fn label(&self) -> &str {
         &self.label
-    }
-
-    fn clone_dyn(&self) -> Option<Box<dyn OpStream>> {
-        Some(Box::new(self.clone()))
     }
 }
 

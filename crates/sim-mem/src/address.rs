@@ -5,19 +5,17 @@
 //! the same types serve the L1 caches, the L2 slices, the shadow tag
 //! arrays and the deeper stack-distance profiler.
 
-use serde::{Deserialize, Serialize};
-
 /// A byte-granular physical address.
 ///
 /// Stored as `u64` so 64-bit address experiments (paper Table 3) are
 /// expressible, even though the baseline configuration is 32-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Addr(pub u64);
 
 /// A block (cache-line) address: the byte address shifted right by the
 /// block-offset bits. Two accesses with the same `BlockAddr` touch the
 /// same cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockAddr(pub u64);
 
 impl Addr {
@@ -43,7 +41,7 @@ impl BlockAddr {
 /// hardware tag: the simulator compares block identities, and the
 /// hardware tag width only matters for the storage-overhead analysis in
 /// overhead-style arithmetic (done in `snug-core`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
     /// Line size in bytes (power of two).
     pub block_bytes: u64,
@@ -86,6 +84,10 @@ impl Geometry {
 
     /// Set index for a block address (low `index_bits` of the block addr).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "masked below num_sets, and caches hold a Vec of num_sets sets"
+    )]
     pub fn set_index(&self, block: BlockAddr) -> usize {
         (block.0 & (self.num_sets - 1)) as usize
     }

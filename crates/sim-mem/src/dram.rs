@@ -6,10 +6,8 @@
 //! several cores miss simultaneously (the precise quantity the paper's
 //! schemes are trying to reduce).
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the DRAM model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Latency from request issue to data return, in core cycles.
     pub latency: u64,
@@ -39,7 +37,7 @@ impl DramConfig {
 }
 
 /// Counters exported by the DRAM model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Demand reads (fills).
     pub reads: u64,

@@ -13,7 +13,15 @@
 //! * [`trace`] — trace capture/replay and the 1000 × 100 K-access
 //!   interval sampling plan of the paper's characterisation (§2.2).
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![warn(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 pub mod access;

@@ -8,15 +8,12 @@
 //! [`crate::OpStream::apply_shift`] hook concrete streams implement —
 //! so the simulator can deliver shifts without depending on any
 //! particular workload model. A [`StreamShift`] is plain, cloneable
-//! data: session snapshots capture pending shifts and restored runs
-//! apply them at the identical frontier boundaries.
-
-use serde::{Deserialize, Serialize};
+//! data the session applies at frontier boundaries.
 
 /// What changes when a shift fires. Interpreted by the concrete stream;
 /// generators that do not understand a directive ignore it (see
 /// [`crate::OpStream::apply_shift`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ShiftDirective {
     /// Scale the per-set capacity demand to `percent` % of its current
     /// value (200 doubles every set's working set, 50 halves it) —
@@ -98,7 +95,7 @@ impl std::str::FromStr for ShiftDirective {
 /// One scheduled mid-run re-parameterisation: at frontier cycle
 /// `at_cycle`, apply `directive` to the streams of `cores` (empty =
 /// every core).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StreamShift {
     /// Absolute frontier cycle the shift fires at.
     pub at_cycle: u64,

@@ -9,10 +9,9 @@
 use crate::access::{Access, AccessKind, CoreOp};
 use crate::address::Addr;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of an interval-sampled characterisation run (paper §2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingPlan {
     /// Number of sampling intervals (paper: 1000).
     pub intervals: usize,
@@ -149,7 +148,7 @@ impl Trace {
         if bytes.remaining() < 8 {
             return Err(TraceDecodeError::Truncated);
         }
-        let n = bytes.get_u64_le() as usize;
+        let n = usize::try_from(bytes.get_u64_le()).map_err(|_| TraceDecodeError::Truncated)?;
         if bytes.remaining() < n * 13 {
             return Err(TraceDecodeError::Truncated);
         }

@@ -1,21 +1,21 @@
-//! A small hand-rolled Rust lexer: comment-, string-, and
-//! raw-string-aware, just enough structure for the lint rules.
+//! A small hand-rolled Rust lexer: comment-, string- and
+//! raw-string-aware, just enough structure to find string literals in
+//! non-test code.
 //!
 //! The lexer does not aim to be a full Rust front end. It produces a
 //! flat token stream with line numbers, correctly skipping over the
-//! three places where rule keywords could appear without meaning
+//! places where a quote or a keyword could appear without meaning
 //! anything: line/block comments (including nested block comments),
 //! string literals (plain, byte, raw with arbitrary `#` fences), and
-//! char literals. Everything the rules match on — identifiers,
-//! punctuation, literal contents — comes out of this stream, so a
-//! `HashMap` inside a doc comment or a raw string never trips a rule.
+//! char literals. A `"|frag"` inside a doc comment, or a `#` fence
+//! inside a raw string, never desynchronises the stream.
 
-/// Token classes the rules care about.
+/// Token classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword (includes raw identifiers, `r#type`).
     Ident,
-    /// Lifetime, e.g. `'a` (without the quote in `text`? no — full lexeme).
+    /// Lifetime, e.g. `'a` (the full lexeme, quote included).
     Lifetime,
     /// String literal: plain `"…"` or byte `b"…"`, escapes intact.
     Str,
@@ -78,7 +78,7 @@ fn is_ident_continue(c: char) -> bool {
 }
 
 /// Lex `src` into a flat token stream. Never fails: unterminated
-/// constructs are closed at end of input (the rules run on whatever
+/// constructs are closed at end of input (scanning runs on whatever
 /// was recognised, and rustc reports the real error).
 pub fn lex(src: &str) -> Vec<Tok> {
     Lexer {

@@ -1,17 +1,17 @@
-//! A minimal Cargo manifest reader — just enough TOML for the lint
-//! rules: section headers, `key = value` pairs (string, inline table,
-//! and possibly multi-line array values), comment stripping outside
-//! strings. No external parser crates, matching the repo's hand-rolled
+//! A minimal Cargo manifest reader — just enough TOML to enumerate
+//! workspace members and read their tables: section headers,
+//! `key = value` pairs (string, inline table, and possibly multi-line
+//! array values), comment stripping outside strings. No external parser crates, matching the repo's hand-rolled
 //! JSON codec discipline.
 
 use std::collections::BTreeMap;
 
-/// A parsed manifest: section name → ordered `(key, raw value, line)`
-/// triples. Dotted headers like `[workspace.dependencies]` keep their
+/// A parsed manifest: section name → ordered `(key, raw value)`
+/// pairs. Dotted headers like `[workspace.dependencies]` keep their
 /// full dotted name as the section key.
 #[derive(Debug, Default)]
 pub struct Manifest {
-    sections: BTreeMap<String, Vec<(String, String, u32)>>,
+    sections: BTreeMap<String, Vec<(String, String)>>,
 }
 
 impl Manifest {
@@ -20,9 +20,8 @@ impl Manifest {
     pub fn parse(src: &str) -> Manifest {
         let mut m = Manifest::default();
         let mut section = String::new();
-        let mut lines = src.lines().enumerate().peekable();
-        while let Some((idx, raw)) = lines.next() {
-            let lineno = idx as u32 + 1;
+        let mut lines = src.lines();
+        while let Some(raw) = lines.next() {
             let line = strip_comment(raw);
             let line = line.trim();
             if line.is_empty() {
@@ -47,7 +46,7 @@ impl Manifest {
                 // brackets balance.
                 while bracket_depth(&value) > 0 {
                     match lines.next() {
-                        Some((_, next)) => {
+                        Some(next) => {
                             value.push(' ');
                             value.push_str(strip_comment(next).trim());
                         }
@@ -57,7 +56,7 @@ impl Manifest {
                 m.sections
                     .entry(section.clone())
                     .or_default()
-                    .push((key, value, lineno));
+                    .push((key, value));
             }
         }
         m
@@ -68,30 +67,16 @@ impl Manifest {
         self.sections
             .get(section)?
             .iter()
-            .find(|(k, _, _)| k == key)
-            .map(|(_, v, _)| v.as_str())
-    }
-
-    /// 1-based manifest line where `key` is declared in `section`.
-    pub fn line_of_key(&self, section: &str, key: &str) -> Option<u32> {
-        self.sections
-            .get(section)?
-            .iter()
-            .find(|(k, _, _)| k == key)
-            .map(|(_, _, l)| *l)
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
     }
 
     /// All keys declared in `section` (empty if the section is absent).
     pub fn keys(&self, section: &str) -> Vec<&str> {
         self.sections
             .get(section)
-            .map(|kv| kv.iter().map(|(k, _, _)| k.as_str()).collect())
+            .map(|kv| kv.iter().map(|(k, _)| k.as_str()).collect())
             .unwrap_or_default()
-    }
-
-    /// True if the manifest declares the section at all.
-    pub fn has_section(&self, section: &str) -> bool {
-        self.sections.contains_key(section)
     }
 
     /// The `[package] name` value, unquoted.

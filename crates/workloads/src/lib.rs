@@ -18,7 +18,14 @@
 //!   of the per-core streams (the scenario axis that exercises SNUG's
 //!   stage-based adaptation).
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod combos;

@@ -27,12 +27,11 @@
 
 use rand::rngs::SmallRng;
 use rand::{Divisor, Rng, RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 use sim_mem::{Access, AccessKind, Addr, CoreOp, Geometry, OpStream};
 
 /// One component of a per-set demand mixture: `weight` fraction of sets
 /// get a demand drawn uniformly from `lo..=hi` blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DemandComponent {
     /// Fraction of sets (weights in a profile are normalised).
     pub weight: f64,
@@ -50,7 +49,7 @@ impl DemandComponent {
 }
 
 /// A per-set demand profile for one program phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandProfile {
     /// The mixture. Weights are normalised at assignment time.
     pub components: Vec<DemandComponent>,
@@ -74,6 +73,14 @@ impl DemandProfile {
     /// The same seed yields the same per-set map — co-scheduled copies of
     /// one benchmark share their demand *profile* (it is a property of
     /// the program) even though their address spaces are disjoint.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "mixture models are built with at least one component"
+    )]
+    #[expect(
+        clippy::unreachable,
+        reason = "the last-component guard always returns on the final iteration"
+    )]
     pub fn assign(&self, num_sets: usize, seed: u64) -> Vec<u16> {
         let total: f64 = self.components.iter().map(|c| c.weight).sum();
         assert!(total > 0.0, "profile must have positive weight");
@@ -82,13 +89,11 @@ impl DemandProfile {
             .map(|_| {
                 let mut pick = rng.gen::<f64>() * total;
                 for c in &self.components {
-                    // snug-lint: allow(panic-audit, "mixture models are built with at least one component")
                     if pick < c.weight || std::ptr::eq(c, self.components.last().unwrap()) {
                         return rng.gen_range(c.lo..=c.hi.max(c.lo));
                     }
                     pick -= c.weight;
                 }
-                // snug-lint: allow(panic-audit, "the last-component guard above always returns on the final iteration")
                 unreachable!("mixture sampling fell through")
             })
             .collect()
@@ -97,7 +102,7 @@ impl DemandProfile {
 
 /// One phase of a benchmark: a fraction of the phase cycle spent under a
 /// given profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// Fraction of the phase cycle (normalised across phases).
     pub fraction: f64,
@@ -106,7 +111,7 @@ pub struct Phase {
 }
 
 /// The reference-pattern family of a benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Pattern {
     /// Pool-based reuse: per-set block pools sized by the demand profile,
     /// cycled far/near. One or more phases.
@@ -123,7 +128,7 @@ pub enum Pattern {
 }
 
 /// A complete benchmark model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkSpec {
     /// Benchmark name (e.g. "ammp").
     pub name: String,
@@ -436,7 +441,10 @@ impl SyntheticStream {
     }
 
     fn sample_set(&mut self) -> usize {
-        // snug-lint: allow(panic-audit, "the cdf is rebuilt from a non-empty component list before sampling")
+        #[expect(
+            clippy::expect_used,
+            reason = "the cdf is rebuilt from a non-empty component list before sampling"
+        )]
         let total = *self.set_cdf.last().expect("non-empty cdf");
         let x = self.rng.gen::<f64>() * total;
         self.locate_cdf(x).min(self.sets.len() - 1)
@@ -637,10 +645,6 @@ impl OpStream for SyntheticStream {
         &self.spec.name
     }
 
-    fn clone_dyn(&self) -> Option<Box<dyn OpStream>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn apply_shift(&mut self, directive: &sim_mem::ShiftDirective) -> bool {
         self.shift(directive)
     }
@@ -717,10 +721,10 @@ mod tests {
         let geo = Geometry::new(64, 64, 4);
         let mut s0 = spec.stream(geo, 0);
         let mut s1 = spec.stream(geo, 1);
-        let a0: std::collections::HashSet<u64> = (0..2000)
+        let a0: std::collections::BTreeSet<u64> = (0..2000)
             .map(|_| s0.next_op().access.addr.block(64).0)
             .collect();
-        let a1: std::collections::HashSet<u64> = (0..2000)
+        let a1: std::collections::BTreeSet<u64> = (0..2000)
             .map(|_| s1.next_op().access.addr.block(64).0)
             .collect();
         assert!(a0.is_disjoint(&a1));
@@ -731,7 +735,7 @@ mod tests {
         let spec = pooled_spec(vec![DemandComponent::new(1.0, 3, 3)], 0.0);
         let geo = Geometry::new(64, 16, 4);
         let mut s = spec.stream(geo, 0);
-        let mut per_set: Vec<std::collections::HashSet<u64>> = vec![Default::default(); 16];
+        let mut per_set: Vec<std::collections::BTreeSet<u64>> = vec![Default::default(); 16];
         for _ in 0..5000 {
             let b = s.next_op().access.addr.block(64);
             per_set[geo.set_index(b)].insert(b.0);
@@ -760,7 +764,7 @@ mod tests {
         let blocks: Vec<u64> = (0..1000)
             .map(|_| s.next_op().access.addr.block(64).0)
             .collect();
-        let uniq: std::collections::HashSet<_> = blocks.iter().collect();
+        let uniq: std::collections::BTreeSet<_> = blocks.iter().collect();
         assert_eq!(uniq.len(), blocks.len());
     }
 
@@ -960,7 +964,7 @@ mod tests {
         // that nothing recurs.
         blocks.dedup();
         let streamed = &blocks[1..];
-        let uniq: std::collections::HashSet<_> = streamed.iter().collect();
+        let uniq: std::collections::BTreeSet<_> = streamed.iter().collect();
         assert_eq!(uniq.len(), streamed.len(), "no block revisited");
         // Demand directives no longer apply to a streaming pattern.
         assert!(!s.apply_shift(&ShiftDirective::DemandScale { percent: 200 }));
@@ -996,7 +1000,7 @@ mod tests {
             s.next_op();
         }
         s.apply_shift(&ShiftDirective::DemandScale { percent: 300 });
-        let mut cloned = s.clone_dyn().expect("synthetic streams clone");
+        let mut cloned = s.clone();
         for _ in 0..500 {
             assert_eq!(s.next_op(), cloned.next_op());
         }

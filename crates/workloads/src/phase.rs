@@ -5,7 +5,7 @@
 //! (demand scale, near-reuse fraction, streaming switch, profile swap;
 //! see [`sim_mem::ShiftDirective`]). The simulator applies each shift at
 //! the first frontier boundary at or past its cycle, so a shifted run is
-//! deterministic across stepping interleavings and snapshot/restore.
+//! deterministic across stepping interleavings.
 //!
 //! The paper's core claim is that SNUG's stage-based G/T relatching
 //! *adapts*: after a shift, takers and givers swap roles and the next

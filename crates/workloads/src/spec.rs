@@ -16,10 +16,9 @@
 //! application-level demand above 1 MB.
 
 use crate::model::{BenchmarkSpec, DemandComponent, DemandProfile, Pattern, Phase};
-use serde::{Deserialize, Serialize};
 
 /// Table 6 application classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppClass {
     /// > 1 MB, set-level non-uniform.
     A,
@@ -34,8 +33,11 @@ pub enum AppClass {
 }
 
 /// The benchmarks modelled from the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[expect(
+    missing_docs,
+    reason = "the variants are the paper's SPEC benchmark names"
+)]
 pub enum Benchmark {
     Ammp,
     Parser,

@@ -24,7 +24,7 @@ fn run(bench: Benchmark, spec: &SchemeSpec, plan: &RunPlan) -> Vec<f64> {
     let streams: Vec<Box<dyn OpStream>> = (0..4)
         .map(|core| Box::new(bench.spec().stream(system.l2_slice, core)) as Box<dyn OpStream>)
         .collect();
-    SimSession::builder(system, spec.build(system))
+    SimSession::builder(system, spec.build_any(system))
         .streams(streams)
         .budget(plan.warmup_cycles, plan.measure_cycles())
         .build()

@@ -5,7 +5,14 @@
 //! map, data flow and result-store key schema are documented in
 //! `ARCHITECTURE.md`; the committed evaluation is `EXPERIMENTS.md`.
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub use snug_experiments as experiments;

@@ -158,7 +158,7 @@ fn factory_names_are_table_keys() {
         (SchemeSpec::Dsr(DsrConfig::tiny()), "DSR"),
         (SchemeSpec::Snug(SnugConfig::scaled(1000)), "SNUG"),
     ] {
-        assert_eq!(spec.build(cfg).name(), name);
+        assert_eq!(spec.build_any(cfg).name(), name);
     }
 }
 

@@ -105,7 +105,7 @@ proptest! {
     ) {
         let mut stack = TagStack::new(32);
         stack.access(target);
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = std::collections::BTreeSet::new();
         for &t in &between {
             stack.access(t);
             distinct.insert(t);

@@ -4,29 +4,26 @@
 //!    same operation sequence — and therefore the same measured result —
 //!    as one `run_to_completion()` (the call every one-shot run —
 //!    `run_scheme`, `run_point`, the examples — drives);
-//! 2. snapshot → restore → resume is bit-identical to the uninterrupted
-//!    run, however the original session continues afterwards;
-//! 3. a `Converged`-policy run stops at the same cycle and retires the
-//!    identical op sequence across interleaved stepping and
-//!    snapshot → restore → resume (the early-exit decision is a pure
-//!    function of the frontier-derived observation sequence);
-//! 4. a phase-change schedule (mid-run stream shifts) keeps all of the
+//! 2. a `Converged`-policy run stops at the same cycle and retires the
+//!    identical op sequence across interleaved stepping (the early-exit
+//!    decision is a pure function of the frontier-derived observation
+//!    sequence);
+//! 3. a phase-change schedule (mid-run stream shifts) keeps all of the
 //!    above: shifts land before the identical operation in every
-//!    interleaving and travel with snapshots, and a `Reconverged`
-//!    policy's extended stop cycle and per-phase plateau records are
-//!    interleaving- and snapshot-invariant;
-//! 5. observability is *observational*: harvesting `counters()` or
+//!    interleaving, and a `Reconverged` policy's extended stop cycle
+//!    and per-phase plateau records are interleaving-invariant;
+//! 4. observability is *observational*: harvesting `counters()` or
 //!    enabling probe recording never perturbs the retired op sequence,
-//!    and the measured-window counters themselves are interleaving- and
-//!    snapshot-invariant (they travel with snapshots). The whole file
+//!    and the measured-window counters themselves are
+//!    interleaving-invariant. The whole file
 //!    compiles and passes with the `obs` feature on or off — with it
 //!    off, counters read zero but the determinism contract is
 //!    unchanged.
 
 use proptest::prelude::*;
-use sim_cmp::{L2Org, RunPlan, SimSession, SystemConfig, SystemResult};
+use sim_cmp::{RunPlan, SimSession, SystemConfig, SystemResult};
 use sim_mem::{OpStream, ShiftDirective, StreamShift};
-use snug_core::{DsrConfig, SchemeSpec, SnugConfig};
+use snug_core::{AnyOrg, DsrConfig, SchemeSpec, SnugConfig};
 use snug_workloads::Benchmark;
 
 const WARMUP: u64 = 3_000;
@@ -56,8 +53,7 @@ fn schemes() -> Vec<SchemeSpec> {
 }
 
 /// A mixed multiprogrammed workload on the tiny platform: synthetic
-/// streams (with RNG state) so snapshots must capture generator state
-/// faithfully.
+/// streams with RNG state.
 fn streams(cfg: &SystemConfig) -> Vec<Box<dyn OpStream>> {
     [
         Benchmark::Ammp,
@@ -71,9 +67,9 @@ fn streams(cfg: &SystemConfig) -> Vec<Box<dyn OpStream>> {
     .collect()
 }
 
-fn session(spec: &SchemeSpec) -> SimSession<Box<dyn L2Org>> {
+fn session(spec: &SchemeSpec) -> SimSession<AnyOrg> {
     let cfg = SystemConfig::tiny_test();
-    SimSession::builder(cfg, spec.build(cfg))
+    SimSession::builder(cfg, spec.build_any(cfg))
         .streams(streams(&cfg))
         .budget(WARMUP, MEASURE)
         .build()
@@ -90,9 +86,9 @@ fn converged_plan() -> RunPlan {
     RunPlan::fixed(WARMUP, MEASURE).until_converged(2_000, 0.5)
 }
 
-fn converged_session(spec: &SchemeSpec) -> SimSession<Box<dyn L2Org>> {
+fn converged_session(spec: &SchemeSpec) -> SimSession<AnyOrg> {
     let cfg = SystemConfig::tiny_test();
-    SimSession::builder(cfg, spec.build(cfg))
+    SimSession::builder(cfg, spec.build_any(cfg))
         .streams(streams(&cfg))
         .plan(converged_plan())
         .build()
@@ -112,9 +108,9 @@ fn shifts() -> Vec<StreamShift> {
     ]
 }
 
-fn shifted_session(spec: &SchemeSpec) -> SimSession<Box<dyn L2Org>> {
+fn shifted_session(spec: &SchemeSpec) -> SimSession<AnyOrg> {
     let cfg = SystemConfig::tiny_test();
-    SimSession::builder(cfg, spec.build(cfg))
+    SimSession::builder(cfg, spec.build_any(cfg))
         .streams(streams(&cfg))
         .budget(WARMUP, MEASURE)
         .phase_shifts(shifts())
@@ -123,9 +119,9 @@ fn shifted_session(spec: &SchemeSpec) -> SimSession<Box<dyn L2Org>> {
 
 /// A reconverged plan over the shifted workload: generous epsilon so
 /// every scheme's streams re-stabilise inside the tiny window.
-fn reconverged_session(spec: &SchemeSpec) -> SimSession<Box<dyn L2Org>> {
+fn reconverged_session(spec: &SchemeSpec) -> SimSession<AnyOrg> {
     let cfg = SystemConfig::tiny_test();
-    SimSession::builder(cfg, spec.build(cfg))
+    SimSession::builder(cfg, spec.build_any(cfg))
         .streams(streams(&cfg))
         .plan(RunPlan::fixed(WARMUP, MEASURE).until_reconverged(2_000, 0.6))
         .phase_shifts(shifts())
@@ -164,17 +160,17 @@ fn streams_8core(cfg: &SystemConfig) -> Vec<Box<dyn OpStream>> {
     .collect()
 }
 
-fn session_8core(spec: &SchemeSpec) -> SimSession<Box<dyn L2Org>> {
+fn session_8core(spec: &SchemeSpec) -> SimSession<AnyOrg> {
     let cfg = cfg_8core();
-    SimSession::builder(cfg, spec.build(cfg))
+    SimSession::builder(cfg, spec.build_any(cfg))
         .streams(streams_8core(&cfg))
         .budget(WARMUP, MEASURE)
         .build()
 }
 
-fn converged_session_8core(spec: &SchemeSpec) -> SimSession<Box<dyn L2Org>> {
+fn converged_session_8core(spec: &SchemeSpec) -> SimSession<AnyOrg> {
     let cfg = cfg_8core();
-    SimSession::builder(cfg, spec.build(cfg))
+    SimSession::builder(cfg, spec.build_any(cfg))
         .streams(streams_8core(&cfg))
         .plan(converged_plan())
         .build()
@@ -320,15 +316,13 @@ fn session_tallies_read_zero_with_obs_compiled_out() {
 proptest! {
     /// Harvesting counters and enabling probe recording never perturb
     /// the retired op sequence, and the measured-window counters are
-    /// identical across one-shot, interleaved, and
-    /// snapshot → restore → resume driving (they travel with the
-    /// snapshot). Holds with `obs` on or off — off, the counters
-    /// compare as all-zero blocks and the result equalities still bite.
+    /// identical across one-shot and interleaved driving. Holds with
+    /// `obs` on or off — off, the counters compare as all-zero blocks
+    /// and the result equalities still bite.
     #[test]
-    fn counters_are_observational_and_snapshot_invariant(
+    fn counters_are_observational_and_interleaving_invariant(
         scheme_idx in 0usize..5,
         hops in proptest::collection::vec(1u64..9_000, 0..6),
-        snap_at in 1u64..(WARMUP + MEASURE),
     ) {
         let spec = schemes()[scheme_idx];
         let expected = reference(&spec);
@@ -345,18 +339,8 @@ proptest! {
             probed.run_until(cursor);
             probed.step();
         }
-        prop_assert_eq!(probed.run_to_completion(), expected.clone());
+        prop_assert_eq!(probed.run_to_completion(), expected);
         prop_assert_eq!(probed.counters(), expected_counters);
-
-        // Counter state travels with snapshots.
-        let mut original = session(&spec);
-        original.run_until(snap_at);
-        let snap = original.snapshot().expect("streams snapshot");
-        let mut restored = snap.to_session().expect("snapshot replays");
-        prop_assert_eq!(restored.run_to_completion(), expected.clone());
-        prop_assert_eq!(restored.counters(), expected_counters);
-        prop_assert_eq!(original.run_to_completion(), expected);
-        prop_assert_eq!(original.counters(), expected_counters);
     }
 
     /// Random step/run_until interleavings are bit-identical to the
@@ -383,39 +367,14 @@ proptest! {
         prop_assert_eq!(s.run_to_completion(), expected);
     }
 
-    /// Snapshot → restore → resume reproduces the uninterrupted run,
-    /// wherever the snapshot is taken — before, at, or after the
-    /// warm-up boundary.
+    /// A mid-run phase shift under interleaved stepping retires the
+    /// identical op sequence as a one-shot run: shifts are
+    /// frontier-derived.
     #[test]
-    fn snapshot_restore_resume_is_bit_identical(
-        scheme_idx in 0usize..5,
-        snap_at in 1u64..(WARMUP + MEASURE),
-    ) {
-        let spec = schemes()[scheme_idx];
-        let expected = reference(&spec);
-
-        let mut original = session(&spec);
-        original.run_until(snap_at);
-        let snap = original.snapshot().expect("streams snapshot");
-
-        // The original, resumed, still matches.
-        prop_assert_eq!(original.run_to_completion(), expected.clone());
-
-        // A session restored from the snapshot matches too.
-        let mut restored = snap.to_session().expect("snapshot replays");
-        prop_assert_eq!(restored.run_to_completion(), expected);
-    }
-
-    /// A mid-run phase shift under interleaved stepping and
-    /// snapshot → restore → resume retires the identical op sequence as
-    /// a one-shot run: shifts are frontier-derived and pending shifts
-    /// travel with the snapshot.
-    #[test]
-    fn shifted_runs_are_interleaving_and_snapshot_invariant(
+    fn shifted_runs_are_interleaving_invariant(
         scheme_idx in 0usize..5,
         hops in proptest::collection::vec(1u64..9_000, 0..8),
         step_runs in proptest::collection::vec(1usize..400, 0..6),
-        snap_at in 1u64..(WARMUP + MEASURE),
     ) {
         let spec = schemes()[scheme_idx];
         let expected = shifted_session(&spec).run_to_completion();
@@ -432,26 +391,16 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(interleaved.run_to_completion(), expected.clone());
-
-        // Snapshot → restore → resume, snapped anywhere — before,
-        // between, or after the scheduled shifts.
-        let mut original = shifted_session(&spec);
-        original.run_until(snap_at);
-        let snap = original.snapshot().expect("synthetic streams snapshot");
-        let mut restored = snap.to_session().expect("snapshot replays");
-        prop_assert_eq!(restored.run_to_completion(), expected.clone());
-        prop_assert_eq!(original.run_to_completion(), expected);
+        prop_assert_eq!(interleaved.run_to_completion(), expected);
     }
 
     /// A `Reconverged`-policy shifted run latches the same extended stop
     /// cycle and the same per-phase plateau records in every
-    /// interleaving and across snapshot → restore → resume.
+    /// interleaving.
     #[test]
-    fn reconverged_stop_and_plateaus_are_interleaving_and_snapshot_invariant(
+    fn reconverged_stop_and_plateaus_are_interleaving_invariant(
         scheme_idx in 0usize..5,
         hops in proptest::collection::vec(1u64..6_000, 0..6),
-        snap_at in 1u64..(WARMUP + MEASURE),
     ) {
         let spec = schemes()[scheme_idx];
         let mut one_shot = reconverged_session(&spec);
@@ -467,34 +416,19 @@ proptest! {
             interleaved.run_until(cursor);
             interleaved.step();
         }
-        prop_assert_eq!(interleaved.run_to_completion(), expected.clone());
+        prop_assert_eq!(interleaved.run_to_completion(), expected);
         prop_assert_eq!(interleaved.stopped_at(), expected_stop);
-        prop_assert_eq!(interleaved.phase_plateaus(), expected_plateaus.clone());
-
-        let mut original = reconverged_session(&spec);
-        original.run_until(snap_at);
-        if original.stopped_at().is_none() {
-            let snap = original.snapshot().expect("synthetic streams snapshot");
-            let mut restored = snap.to_session().expect("snapshot replays");
-            prop_assert_eq!(restored.run_to_completion(), expected.clone());
-            prop_assert_eq!(restored.stopped_at(), expected_stop);
-            prop_assert_eq!(restored.phase_plateaus(), expected_plateaus.clone());
-        }
-        prop_assert_eq!(original.run_to_completion(), expected);
-        prop_assert_eq!(original.stopped_at(), expected_stop);
-        prop_assert_eq!(original.phase_plateaus(), expected_plateaus);
+        prop_assert_eq!(interleaved.phase_plateaus(), expected_plateaus);
     }
 
     /// The determinism contract holds at twice the paper's core count:
-    /// random step/run_until interleavings and snapshot → restore →
-    /// resume of the 8-core platform are bit-identical to its one-shot
-    /// run for every scheme.
+    /// random step/run_until interleavings of the 8-core platform are
+    /// bit-identical to its one-shot run for every scheme.
     #[test]
-    fn eight_core_interleaving_and_snapshot_are_bit_identical(
+    fn eight_core_interleaving_is_bit_identical(
         scheme_idx in 0usize..5,
         hops in proptest::collection::vec(1u64..9_000, 0..6),
         step_runs in proptest::collection::vec(1usize..300, 0..4),
-        snap_at in 1u64..(WARMUP + MEASURE),
     ) {
         let spec = schemes()[scheme_idx];
         let expected = session_8core(&spec).run_to_completion();
@@ -510,14 +444,7 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(interleaved.run_to_completion(), expected.clone());
-
-        let mut original = session_8core(&spec);
-        original.run_until(snap_at);
-        let snap = original.snapshot().expect("streams snapshot");
-        let mut restored = snap.to_session().expect("snapshot replays");
-        prop_assert_eq!(restored.run_to_completion(), expected.clone());
-        prop_assert_eq!(original.run_to_completion(), expected);
+        prop_assert_eq!(interleaved.run_to_completion(), expected);
     }
 
     /// The `Converged` policy is interleaving-invariant at 8 cores too:
@@ -547,16 +474,13 @@ proptest! {
 
     /// A `Converged`-policy run stops at the same cycle and retires the
     /// identical op sequence (same `SystemResult`, same per-core
-    /// instruction counts) whether driven one-shot, through a random
-    /// interleaving of `run_until`/`step`, or through a mid-run
-    /// snapshot → restore → resume — the estimator state travels with
-    /// the snapshot.
+    /// instruction counts) whether driven one-shot or through a random
+    /// interleaving of `run_until`/`step`.
     #[test]
-    fn converged_stop_cycle_is_interleaving_and_snapshot_invariant(
+    fn converged_stop_cycle_is_interleaving_invariant(
         scheme_idx in 0usize..5,
         hops in proptest::collection::vec(1u64..6_000, 0..8),
         step_runs in proptest::collection::vec(1usize..300, 0..6),
-        snap_at in 1u64..(WARMUP + MEASURE),
     ) {
         let spec = schemes()[scheme_idx];
         let mut one_shot = converged_session(&spec);
@@ -576,19 +500,7 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(interleaved.run_to_completion(), expected.clone());
+        prop_assert_eq!(interleaved.run_to_completion(), expected);
         prop_assert_eq!(interleaved.stopped_at(), expected_stop);
-
-        // Snapshot → restore → resume (and the original, resumed).
-        let mut original = converged_session(&spec);
-        original.run_until(snap_at);
-        if original.stopped_at().is_none() {
-            let snap = original.snapshot().expect("streams snapshot");
-            let mut restored = snap.to_session().expect("snapshot replays");
-            prop_assert_eq!(restored.run_to_completion(), expected.clone());
-            prop_assert_eq!(restored.stopped_at(), expected_stop);
-        }
-        prop_assert_eq!(original.run_to_completion(), expected);
-        prop_assert_eq!(original.stopped_at(), expected_stop);
     }
 }
