@@ -237,6 +237,30 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
     Ok(v)
 }
 
+/// The offset of the first `"` or `\` in `bytes` — where a string's
+/// plain run ends — found eight bytes at a time.
+///
+/// For a word `x`, `(x - 0x01…01) & !x & 0x80…80` flags each zero
+/// byte; a borrow can also flag bytes above a real zero, never below
+/// it, so the lowest flag of `word ^ "…"` or `word ^ \…\` is exact.
+/// Bytes ≥ 0x80 keep their top bit under the XOR and are never flagged.
+fn plain_run_len(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const TOPS: u64 = 0x8080_8080_8080_8080;
+    let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & TOPS;
+    let (words, tail) = bytes.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
+        let word = u64::from_le_bytes(*word);
+        let hits = zero_bytes(word ^ (ONES * u64::from(b'"')))
+            | zero_bytes(word ^ (ONES * u64::from(b'\\')));
+        if hits != 0 {
+            return Some(8 * i + hits.trailing_zeros() as usize / 8);
+        }
+    }
+    let rest = tail.iter().position(|&b| b == b'"' || b == b'\\')?;
+    Some(8 * words.len() + rest)
+}
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
@@ -411,9 +435,7 @@ impl Parser<'_> {
                 Some(_) => {
                     // Copy the plain run up to the next `"` or `\`. Both
                     // are ASCII, so the run ends on a character boundary.
-                    let run = self.bytes[self.pos..]
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
+                    let run = plain_run_len(&self.bytes[self.pos..])
                         .ok_or_else(|| JsonError("unterminated string".into()))?;
                     let end = self.pos + run;
                     let plain = self
@@ -552,7 +574,37 @@ mod tests {
         );
     }
 
+    /// The byte-wise scan [`plain_run_len`] must agree with.
+    fn bytewise_run_len(bytes: &[u8]) -> Option<usize> {
+        bytes.iter().position(|&b| b == b'"' || b == b'\\')
+    }
+
+    /// A lone `"` or `\` at every offset across two words and a tail,
+    /// flanked by bytes ≥ 0x80 (including each delimiter with its top
+    /// bit set) inside a multi-byte UTF-8 run.
+    #[test]
+    fn plain_run_scan_finds_a_delimiter_at_every_offset() {
+        let run = "é€\u{10348}".repeat(3);
+        for at in 0..18 {
+            for delimiter in [b'"', b'\\'] {
+                for flank in [0x80, 0xa2, 0xdc, 0xff] {
+                    let mut bytes = run.as_bytes()[..at].to_vec();
+                    bytes.extend([delimiter, flank, delimiter]);
+                    if let Some(before) = at.checked_sub(1) {
+                        bytes[before] = flank;
+                    }
+                    assert_eq!(plain_run_len(&bytes), Some(at), "{bytes:x?}");
+                    assert_eq!(plain_run_len(&bytes[..at]), None, "{bytes:x?}");
+                }
+            }
+        }
+    }
+
     use proptest::prelude::*;
+
+    /// Bytes next to the delimiters in value, or equal to them with the
+    /// top bit set, that a wrong mask would confuse with them.
+    const NEAR_MISSES: &[u8] = b"\"\\!#[]\x00\x7f\x80\xa2\xdc\xff";
 
     /// Characters that stress the string codec: both delimiters, every
     /// short escape, raw control characters, `/`, DEL and multi-byte
@@ -582,6 +634,30 @@ mod tests {
         b"{}[]\",:\\ \t\n0123456789.eE+-tfnrulsabu\x00\x1f\x7f\xc3\xa9\xe2\x82\xac\xff";
 
     proptest! {
+        /// The word-at-a-time scan returns exactly the byte-wise
+        /// position on arbitrary bytes, on bytes drawn mostly from the
+        /// delimiters' near misses, and on multi-byte UTF-8 text with a
+        /// delimiter spliced in at any offset up to 17.
+        #[test]
+        fn plain_run_scan_matches_the_bytewise_scan(
+            bytes in proptest::collection::vec(0u8..=255, 0..48),
+            near in proptest::collection::vec(0usize..NEAR_MISSES.len() * 4, 0..48),
+            text in proptest::collection::vec(0u32..0x11_0000, 0..12),
+            at in 0usize..18,
+        ) {
+            let near: Vec<u8> = near
+                .iter()
+                .map(|&i| NEAR_MISSES.get(i).copied().unwrap_or(b'a'))
+                .collect();
+            let text: String = text.iter().map(|&c| char::from_u32(c).unwrap_or('é')).collect();
+            let mut spliced = text.into_bytes();
+            let at = at.min(spliced.len());
+            spliced.insert(at, if at % 2 == 0 { b'"' } else { b'\\' });
+            for input in [&bytes, &near, &spliced] {
+                prop_assert_eq!(plain_run_len(input), bytewise_run_len(input));
+            }
+        }
+
         /// Arbitrary bytes (lossily decoded, as a reader of an
         /// arbitrary file would) never panic the parser; anything it
         /// does accept renders and re-parses to the same value.

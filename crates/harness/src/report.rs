@@ -1,7 +1,7 @@
 //! Report generation: the paper's Tables 7–8 / Figures 9–11 comparisons
 //! rendered from stored sweep results as Markdown and CSV.
 
-use crate::spec::{ComboJob, SweepSpec};
+use crate::spec::{unit_key_phased, ComboJob, SweepSpec};
 use crate::store::ResultStore;
 use snug_experiments::{
     figure_table, pace_of, summarize, ComboResult, Figure, SchemePoint, StopReason, FIGURE_SCHEMES,
@@ -81,10 +81,19 @@ pub fn stop_summary_table(spec: &SweepSpec, store: &ResultStore) -> Option<Table
         headers.extend(FIGURE_SCHEMES.iter().map(|s| format!("{s} post")));
     }
     let mut t = Table::new("Stop summary (per-combo window, baseline-paced)", headers);
-    for job in spec.combo_jobs() {
-        let baseline = job.units.iter().find(|u| u.point == SchemePoint::L2p)?;
-        let run = store.get_unit(&baseline.key)?;
-        let pace = pace_of(run, &job.config);
+    let config = spec.compare_config();
+    let phase = spec.phase_schedule();
+    // Only the post-shift columns read a combo's other units; without
+    // them, key the baselines alone rather than the full expansion.
+    let jobs = if shifted {
+        spec.combo_jobs()
+    } else {
+        Vec::new()
+    };
+    for (i, combo) in spec.combos().iter().enumerate() {
+        let baseline = unit_key_phased(combo, &SchemePoint::L2p, &config, phase.as_ref());
+        let run = store.get_unit(&baseline)?;
+        let pace = pace_of(run, &config);
         let stop = match pace.stop_reason {
             StopReason::Converged => "converged".to_string(),
             StopReason::Ceiling => "ceiling †".to_string(),
@@ -99,15 +108,15 @@ pub fn stop_summary_table(spec: &SweepSpec, store: &ResultStore) -> Option<Table
                 .join(" → ")
         };
         let mut row = vec![
-            job.combo.label(),
-            job.combo.class.name().to_string(),
+            combo.label(),
+            combo.class.name().to_string(),
             pace.measured_window.to_string(),
             stop,
             plateaus,
         ];
-        if shifted {
+        if let Some(job) = jobs.get(i) {
             for scheme in FIGURE_SCHEMES {
-                row.push(post_shift_plateau(store, &job, scheme));
+                row.push(post_shift_plateau(store, job, scheme));
             }
         }
         t.push_row(row);
@@ -332,6 +341,88 @@ mod tests {
             !md.contains("post") && md.contains("Baseline plateaus"),
             "stationary specs keep the legacy columns:\n{md}"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A stationary spec's stop summary, keyed from the baselines
+    /// alone, renders byte-identically to the table built from the full
+    /// `combo_jobs()` expansion; the same combos under a phase shift
+    /// still get their post-shift columns from the full expansion.
+    #[test]
+    fn baseline_only_stop_summary_matches_the_full_expansion() {
+        use crate::spec::StopPreset;
+        use snug_experiments::SchemeRun;
+
+        let dir =
+            std::env::temp_dir().join(format!("snug-report-baselines-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = ResultStore::open(&dir).unwrap();
+        let stop = StopPreset::Converged {
+            window_cycles: Some(150_000),
+            rel_epsilon: None,
+        };
+        let stationary = SweepSpec { stop, ..spec() };
+        let shifted = SweepSpec {
+            phase_shift: Some("400000:profile=mcf".into()),
+            ..stationary.clone()
+        };
+        // Every unit of both specs is stored, each with its own window,
+        // stop reason and plateaus, so a row that read any unit but its
+        // combo's baseline would show.
+        let units = stationary
+            .unit_jobs()
+            .into_iter()
+            .chain(shifted.unit_jobs());
+        for (i, u) in (0u64..).zip(units) {
+            let run = SchemeRun {
+                scheme: u.point.label(),
+                ipcs: vec![1.0; 4],
+                measured_cycles: (i % 3 != 0).then_some(100_000 + i),
+                stop_reason: (i % 5 != 0).then_some(StopReason::Converged),
+                plateaus: vec![0.5 + i as f64 / 1000.0; (i % 3) as usize],
+            };
+            store.insert_unit(u.key, String::new(), run).unwrap();
+        }
+
+        let mut reference = Table::new(
+            "Stop summary (per-combo window, baseline-paced)",
+            vec![
+                "Combination",
+                "Class",
+                "Window (cycles)",
+                "Stop",
+                "Baseline plateaus",
+            ],
+        );
+        for job in stationary.combo_jobs() {
+            let baseline = job.units.iter().find(|u| u.point == SchemePoint::L2p);
+            let run = store.get_unit(&baseline.unwrap().key).unwrap();
+            let pace = pace_of(run, &job.config);
+            let plateaus: Vec<String> = run.plateaus.iter().map(|p| f3(*p)).collect();
+            reference.push_row(vec![
+                job.combo.label(),
+                job.combo.class.name().to_string(),
+                pace.measured_window.to_string(),
+                match pace.stop_reason {
+                    StopReason::Converged => "converged".to_string(),
+                    StopReason::Ceiling => "ceiling †".to_string(),
+                },
+                if plateaus.is_empty() {
+                    "-".to_string()
+                } else {
+                    plateaus.join(" → ")
+                },
+            ]);
+        }
+        let table = stop_summary_table(&stationary, &store).unwrap();
+        assert_eq!(table.len(), 21);
+        assert_eq!(table.to_markdown(), reference.to_markdown());
+        assert_eq!(table.to_csv(), reference.to_csv());
+
+        let md = stop_summary_table(&shifted, &store).unwrap().to_markdown();
+        for h in ["L2S post", "CC(Best) post", "DSR post", "SNUG post"] {
+            assert!(md.contains(h), "missing header {h}:\n{md}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,7 +8,9 @@
 //! (`snug sweep --spec file.json`).
 
 use crate::codec::JsonCodec;
-use crate::hash::content_key;
+use crate::hash::{
+    content_key, content_key_split, fnv1a64, fnv1a64_fan, fnv1a64_rev_from, key_hex, FNV_OFFSET,
+};
 use crate::json::{JsonError, Value};
 use snug_experiments::{CompareConfig, RunPlan, SchemePoint};
 use snug_workloads::{all_combos, Combo, ComboClass, PhaseSchedule};
@@ -476,43 +478,59 @@ pub fn unit_jobs_phased(
 }
 
 /// Every scheme point of one (configuration, phase) expansion with the
-/// key input it shares across combos — the platform `Debug` string, the
-/// plan fingerprint, the point's parameter fingerprint and the phase
-/// suffix — rendered once per expansion instead of once per unit.
+/// key input it shares across combos. A unit key hashes
+/// `{key_prefix}{suffix}`, where only the ~70-byte prefix names the
+/// combo and the ~1 KB suffix — the point, platform `Debug` string,
+/// plan and parameter fingerprints and phase — is the same for every
+/// combo. The reverse lane meets the suffix first, so its state after
+/// the suffix is hashed once here; per unit it covers only the prefix.
 struct KeyedPoints<'a> {
     config: &'a CompareConfig,
     phase: Option<&'a PhaseSchedule>,
-    /// [`SchemePoint::all`], each with its [`point_fragment`].
-    points: Vec<(SchemePoint, String)>,
-    /// The [`phase_fragment`].
-    phase_fragment: String,
+    /// [`SchemePoint::all`].
+    points: Vec<SchemePoint>,
+    /// Each point's [`key_suffix`].
+    suffixes: Vec<String>,
+    /// Each suffix's reverse-lane state.
+    reverse: Vec<u64>,
 }
 
 impl<'a> KeyedPoints<'a> {
     fn new(config: &'a CompareConfig, phase: Option<&'a PhaseSchedule>) -> Self {
         let system = format!("{:?}", config.system);
         let plan = config.plan.fingerprint();
+        let phase_fragment = phase_fragment(phase);
+        let points = SchemePoint::all();
+        let suffixes: Vec<String> = points
+            .iter()
+            .map(|point| key_suffix(point, config, &system, &plan, &phase_fragment))
+            .collect();
         KeyedPoints {
             config,
             phase,
-            points: SchemePoint::all()
-                .into_iter()
-                .map(|point| {
-                    let fragment = point_fragment(&point, config, &system, &plan);
-                    (point, fragment)
-                })
+            points,
+            reverse: suffixes
+                .iter()
+                .map(|s| fnv1a64_rev_from(FNV_OFFSET, s.as_bytes()))
                 .collect(),
-            phase_fragment: phase_fragment(phase),
+            suffixes,
         }
     }
 
-    /// One combo's unit jobs.
+    /// One combo's unit jobs: the forward lane hashes the combo's
+    /// prefix once and fans out over the nine suffixes; the reverse
+    /// lane finishes each point's pre-hashed suffix state over the
+    /// prefix.
     fn unit_jobs(&self, combo: &Combo) -> Vec<UnitJob> {
-        let combo_debug = format!("{combo:?}");
+        let prefix = key_prefix(combo);
+        let prefix = prefix.as_bytes();
+        let forward = fnv1a64_fan(fnv1a64(prefix), &self.suffixes);
         self.points
             .iter()
-            .map(|(point, fragment)| UnitJob {
-                key: unit_key_of(&combo_debug, fragment, &self.phase_fragment),
+            .zip(forward)
+            .zip(&self.reverse)
+            .map(|((point, forward), &reverse)| UnitJob {
+                key: key_hex(forward, fnv1a64_rev_from(reverse, prefix)),
                 combo: *combo,
                 point: *point,
                 config: *self.config,
@@ -520,6 +538,26 @@ impl<'a> KeyedPoints<'a> {
             })
             .collect()
     }
+}
+
+/// The part of a unit key's input that names the combo:
+/// `{SCHEMA_VERSION}|{combo:?}|`.
+fn key_prefix(combo: &Combo) -> String {
+    format!("{SCHEMA_VERSION}|{combo:?}|")
+}
+
+/// The part of a unit key's input every combo shares:
+/// `{point fragment}{phase}`.
+fn key_suffix(
+    point: &SchemePoint,
+    config: &CompareConfig,
+    system: &str,
+    plan: &str,
+    phase: &str,
+) -> String {
+    let mut suffix = point_fragment(point, config, system, plan);
+    suffix.push_str(phase);
+    suffix
 }
 
 /// The key input after the combo that one point shares across combos:
@@ -537,13 +575,6 @@ fn phase_fragment(phase: Option<&PhaseSchedule>) -> String {
     phase
         .map(|p| format!("|phase={}", p.fingerprint()))
         .unwrap_or_default()
-}
-
-/// A unit key from its rendered fragments.
-fn unit_key_of(combo_debug: &str, point_fragment: &str, phase: &str) -> String {
-    content_key(&format!(
-        "{SCHEMA_VERSION}|{combo_debug}|{point_fragment}{phase}"
-    ))
 }
 
 /// The content key of one (combo, scheme point) simulation.
@@ -572,11 +603,14 @@ pub fn unit_key_phased(
     config: &CompareConfig,
     phase: Option<&PhaseSchedule>,
 ) -> String {
-    unit_key_of(
-        &format!("{combo:?}"),
-        &single_point_fragment(point, config),
+    let suffix = key_suffix(
+        point,
+        config,
+        &format!("{:?}", config.system),
+        &config.plan.fingerprint(),
         &phase_fragment(phase),
-    )
+    );
+    content_key_split(key_prefix(combo).as_bytes(), suffix.as_bytes())
 }
 
 /// [`point_fragment`] for a one-off key, rendering the shared parts too.
@@ -688,6 +722,288 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A unit key hashed from its pieces — the expansion's shared
+    /// suffix states and four-lane fan, and the one-off split key —
+    /// equals the key of the joined input string.
+    #[test]
+    fn expansion_keys_equal_the_joined_input_key() {
+        let mut shifted = SweepSpec::full(BudgetPreset::Mid);
+        shifted.stop = StopPreset::Reconverged {
+            window_cycles: Some(150_000),
+            rel_epsilon: None,
+        };
+        shifted.phase_shift = Some("1800000:demand=300".into());
+        for spec in [
+            SweepSpec::full(BudgetPreset::Quick),
+            SweepSpec::full(BudgetPreset::Mid),
+            shifted,
+            crate::experiments_md::eval_converged_spec(),
+        ] {
+            let units = spec.unit_jobs();
+            assert_eq!(units.len(), 189);
+            for u in units {
+                let (combo, point, cfg) = (u.combo, u.point, u.config);
+                let phase = phase_fragment(u.phase.as_ref());
+                let joined = content_key(&format!(
+                    "{SCHEMA_VERSION}|{combo:?}|{point:?}|{:?}|{}|{}{phase}",
+                    cfg.system,
+                    cfg.plan.fingerprint(),
+                    point.param_fingerprint(&cfg),
+                ));
+                assert_eq!(u.key, joined, "{} ({})", u.label(), spec.budget_label());
+                let single = unit_key_phased(&combo, &point, &cfg, u.phase.as_ref());
+                assert_eq!(single, joined, "{}", u.label());
+            }
+        }
+    }
+
+    /// A named perturbation of one configuration field, with the point
+    /// whose keys it must change (`None`: every point).
+    type ConfigEdit = (&'static str, Option<SchemePoint>, fn(&mut CompareConfig));
+
+    /// One [`ConfigEdit`] per key input field. The exhaustive patterns
+    /// make a new field of any of these types a compile error here
+    /// until it gets an edit.
+    fn config_edits() -> Vec<ConfigEdit> {
+        use sim_cmp::{BusConfig, CoreConfig, StopSpec, SystemConfig};
+        use sim_mem::{DramConfig, Geometry};
+        use snug_core::{DsrConfig, SnugConfig};
+
+        let cfg = CompareConfig::quick();
+        let CompareConfig {
+            system,
+            plan,
+            snug,
+            dsr,
+        } = cfg;
+        let SystemConfig {
+            num_cores: _,
+            l1,
+            l2_slice: _,
+            l1_latency: _,
+            l2_local_latency: _,
+            l2_remote_latency: _,
+            snug_remote_latency: _,
+            core,
+            bus,
+            dram,
+            write_buffer_entries: _,
+            address_bits: _,
+        } = system;
+        let Geometry {
+            block_bytes: _,
+            num_sets: _,
+            assoc: _,
+        } = l1;
+        let CoreConfig {
+            issue_width: _,
+            rob_size: _,
+            max_outstanding: _,
+        } = core;
+        let BusConfig {
+            width_bytes: _,
+            speed_ratio: _,
+            arbitration: _,
+        } = bus;
+        let DramConfig {
+            latency: _,
+            service_interval: _,
+        } = dram;
+        let RunPlan {
+            warmup_cycles: _,
+            stop: _,
+        } = plan;
+        let SnugConfig {
+            counter_bits: _,
+            p: _,
+            stage1_cycles: _,
+            stage2_cycles: _,
+            flipping: _,
+            flip_width: _,
+            clear_shadows_each_period: _,
+            continuous_sampling: _,
+        } = snug;
+        let DsrConfig {
+            sample_stride: _,
+            psel_bits: _,
+        } = dsr;
+
+        let snug = Some(SchemePoint::Snug);
+        let dsr = Some(SchemePoint::Dsr);
+        vec![
+            ("num_cores", None, |c| c.system.num_cores += 1),
+            ("l1.block_bytes", None, |c| c.system.l1.block_bytes *= 2),
+            ("l1.num_sets", None, |c| c.system.l1.num_sets *= 2),
+            ("l1.assoc", None, |c| c.system.l1.assoc += 1),
+            ("l2_slice.block_bytes", None, |c| {
+                c.system.l2_slice.block_bytes *= 2
+            }),
+            ("l2_slice.num_sets", None, |c| {
+                c.system.l2_slice.num_sets *= 2
+            }),
+            ("l2_slice.assoc", None, |c| c.system.l2_slice.assoc += 1),
+            ("l1_latency", None, |c| c.system.l1_latency += 1),
+            ("l2_local_latency", None, |c| c.system.l2_local_latency += 1),
+            ("l2_remote_latency", None, |c| {
+                c.system.l2_remote_latency += 1
+            }),
+            ("snug_remote_latency", None, |c| {
+                c.system.snug_remote_latency += 1
+            }),
+            ("core.issue_width", None, |c| c.system.core.issue_width += 1),
+            ("core.rob_size", None, |c| c.system.core.rob_size += 1),
+            ("core.max_outstanding", None, |c| {
+                c.system.core.max_outstanding += 1
+            }),
+            ("bus.width_bytes", None, |c| c.system.bus.width_bytes += 1),
+            ("bus.speed_ratio", None, |c| c.system.bus.speed_ratio += 1),
+            ("bus.arbitration", None, |c| c.system.bus.arbitration += 1),
+            ("dram.latency", None, |c| c.system.dram.latency += 1),
+            ("dram.service_interval", None, |c| {
+                c.system.dram.service_interval += 1
+            }),
+            ("write_buffer_entries", None, |c| {
+                c.system.write_buffer_entries += 1
+            }),
+            ("address_bits", None, |c| c.system.address_bits += 1),
+            ("plan.warmup_cycles", None, |c| c.plan.warmup_cycles += 1),
+            ("plan.measured window", None, |c| match &mut c.plan.stop {
+                StopSpec::FixedCycles { measure_cycles: m }
+                | StopSpec::Converged { max_cycles: m, .. }
+                | StopSpec::Reconverged { max_cycles: m, .. } => *m += 1,
+            }),
+            ("plan.window_cycles", None, |c| match &mut c.plan.stop {
+                StopSpec::FixedCycles { .. } => {}
+                StopSpec::Converged { window_cycles, .. }
+                | StopSpec::Reconverged { window_cycles, .. } => *window_cycles += 1,
+            }),
+            ("plan.rel_epsilon", None, |c| match &mut c.plan.stop {
+                StopSpec::FixedCycles { .. } => {}
+                StopSpec::Converged { rel_epsilon, .. }
+                | StopSpec::Reconverged { rel_epsilon, .. } => *rel_epsilon += 0.01,
+            }),
+            ("plan.min_cycles", None, |c| match &mut c.plan.stop {
+                StopSpec::FixedCycles { .. } => {}
+                StopSpec::Converged { min_cycles, .. }
+                | StopSpec::Reconverged { min_cycles, .. } => *min_cycles += 1,
+            }),
+            ("plan.stop policy", None, |c| {
+                c.plan.stop = match c.plan.stop {
+                    StopSpec::FixedCycles { measure_cycles } => StopSpec::Converged {
+                        window_cycles: measure_cycles / 10,
+                        rel_epsilon: 0.02,
+                        min_cycles: 0,
+                        max_cycles: measure_cycles,
+                    },
+                    StopSpec::Converged {
+                        window_cycles,
+                        rel_epsilon,
+                        min_cycles,
+                        max_cycles,
+                    } => StopSpec::Reconverged {
+                        window_cycles,
+                        rel_epsilon,
+                        min_cycles,
+                        max_cycles,
+                    },
+                    StopSpec::Reconverged { max_cycles, .. } => StopSpec::FixedCycles {
+                        measure_cycles: max_cycles,
+                    },
+                }
+            }),
+            ("snug.counter_bits", snug, |c| c.snug.counter_bits += 1),
+            ("snug.p", snug, |c| c.snug.p += 1),
+            ("snug.stage1_cycles", snug, |c| c.snug.stage1_cycles += 1),
+            ("snug.stage2_cycles", snug, |c| c.snug.stage2_cycles += 1),
+            ("snug.flipping", snug, |c| c.snug.flipping ^= true),
+            ("snug.flip_width", snug, |c| c.snug.flip_width += 1),
+            ("snug.clear_shadows_each_period", snug, |c| {
+                c.snug.clear_shadows_each_period ^= true
+            }),
+            ("snug.continuous_sampling", snug, |c| {
+                c.snug.continuous_sampling ^= true
+            }),
+            ("dsr.sample_stride", dsr, |c| c.dsr.sample_stride += 1),
+            ("dsr.psel_bits", dsr, |c| c.dsr.psel_bits += 1),
+        ]
+    }
+
+    /// Key injectivity per field: perturbing one field of the
+    /// platform, the run plan, SNUG's or DSR's parameters, or the
+    /// phase schedule re-keys every point that reads it and keeps every
+    /// other point's key, through both the expansion and the one-off
+    /// key path.
+    #[test]
+    fn each_key_input_field_rekeys_exactly_its_points() {
+        let combo = all_combos()[0];
+        let points = SchemePoint::all();
+        let keys = |cfg: &CompareConfig, phase: Option<&PhaseSchedule>| -> Vec<String> {
+            let expanded: Vec<String> = unit_jobs_phased(&combo, cfg, phase)
+                .into_iter()
+                .map(|u| u.key)
+                .collect();
+            let single: Vec<String> = points
+                .iter()
+                .map(|p| unit_key_phased(&combo, p, cfg, phase))
+                .collect();
+            assert_eq!(expanded, single);
+            expanded
+        };
+        let check =
+            |what: &str, reads: Option<SchemePoint>, before: &[String], after: &[String]| {
+                for ((point, b), a) in points.iter().zip(before).zip(after) {
+                    let rekeyed = reads.is_none_or(|p| p == *point);
+                    assert_eq!(b != a, rekeyed, "{what}: {} key", point.label());
+                }
+            };
+
+        let quick = CompareConfig::quick();
+        let bases = [
+            (quick, None),
+            (
+                quick.until_converged(Some(30_000), Some(0.05)),
+                Some("400000:demand=300"),
+            ),
+            (
+                quick.until_reconverged(Some(30_000), Some(0.05)),
+                Some("200000:near=10;400000:profile=mcf@0,2"),
+            ),
+        ];
+        let mut changed_something = vec![false; config_edits().len()];
+        for (base, phase) in bases {
+            let phase = phase.map(|s| PhaseSchedule::parse(s).unwrap());
+            let before = keys(&base, phase.as_ref());
+            for ((what, reads, edit), changed) in
+                config_edits().into_iter().zip(&mut changed_something)
+            {
+                let mut edited = base;
+                edit(&mut edited);
+                if edited == base {
+                    continue; // a converged-only field on a fixed plan
+                }
+                *changed = true;
+                check(what, reads, &before, &keys(&edited, phase.as_ref()));
+            }
+            for other in [
+                "400000:demand=200",
+                "400001:demand=300",
+                "400000:demand=300@1",
+            ] {
+                let other = PhaseSchedule::parse(other).unwrap();
+                if Some(&other) != phase.as_ref() {
+                    check("phase", None, &before, &keys(&base, Some(&other)));
+                }
+            }
+            if phase.is_some() {
+                check("no phase", None, &before, &keys(&base, None));
+            }
+        }
+        assert!(
+            changed_something.iter().all(|&c| c),
+            "every edit applies to some base"
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Content keys stay pinned to the formula the committed store was
 //! keyed with.
 //!
-//! The key functions render the fragments a spec shares across units
-//! once per expansion, and hash the forward and reversed bytes in one
-//! loop. This test keeps the original formula as the reference — one
+//! The key functions hash a key's shared suffix once per expansion and
+//! only its combo prefix per unit, advancing several forward lanes in
+//! one loop. This test keeps the original formula as the reference — one
 //! format string per unit, two separate FNV-1a passes — and checks the
 //! two agree for every spec the committed documents are served from,
 //! and for their trace keys. It also checks
