@@ -66,7 +66,8 @@ pub const CEILING_FOOTNOTE: &str = "† hit the budget ceiling without stabilisi
 /// Returns `None` for fixed-stop specs (nothing to summarise) or when
 /// the store is missing the spec's baselines.
 pub fn stop_summary_table(spec: &SweepSpec, store: &ResultStore) -> Option<Table> {
-    if !spec.compare_config().plan.can_stop_early() {
+    let config = spec.compare_config();
+    if !config.plan.can_stop_early() {
         return None;
     }
     let shifted = spec.phase_shift.is_some();
@@ -81,7 +82,6 @@ pub fn stop_summary_table(spec: &SweepSpec, store: &ResultStore) -> Option<Table
         headers.extend(FIGURE_SCHEMES.iter().map(|s| format!("{s} post")));
     }
     let mut t = Table::new("Stop summary (per-combo window, baseline-paced)", headers);
-    let config = spec.compare_config();
     let phase = spec.phase_schedule();
     // Only the post-shift columns read a combo's other units; without
     // them, key the baselines alone rather than the full expansion.
