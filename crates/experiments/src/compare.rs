@@ -7,7 +7,7 @@
 
 use sim_cmp::{L2Org, RunPlan, SimSession, StopSpec, SystemConfig, SystemResult};
 use sim_mem::OpStream;
-use snug_core::{AnyOrg, DsrConfig, SchemeSpec, SnugConfig};
+use snug_core::{DsrConfig, SchemeSpec, SnugConfig};
 use snug_metrics::{geomean, IpcVector, MetricSet, Table};
 use snug_workloads::{Combo, ComboClass, PhaseSchedule};
 
@@ -200,18 +200,14 @@ pub fn combo_streams(combo: &Combo, system: &SystemConfig) -> Vec<Box<dyn OpStre
 }
 
 /// Build a ready-to-drive session for one combo under one organisation:
-/// combo streams attached, budget set, nothing run yet. The scheme-spec
-/// form is [`session_for`]; this one takes a concrete organisation so
-/// callers keep typed access to it (e.g. the shared-warm-up CC sweep).
-pub fn session_for_org<O: L2Org>(combo: &Combo, org: O, cfg: &CompareConfig) -> SimSession<O> {
-    session_for_org_phased(combo, org, cfg, None)
-}
-
-/// [`session_for_org`] with an optional phase-change schedule: the
-/// session applies the scheduled stream shifts at frontier boundaries,
-/// and a [`StopSpec::Reconverged`] plan segments its measured window at
-/// the schedule's shift cycles.
-pub fn session_for_org_phased<O: L2Org>(
+/// combo streams attached, plan set, nothing run yet. Callers holding a
+/// [`SchemeSpec`] pass `spec.build_any(cfg.system)`: the enum-dispatched
+/// [`AnyOrg`](snug_core::AnyOrg) devirtualizes the per-miss scheme call
+/// on the session hot path. Under a phase-change schedule the session
+/// applies the scheduled stream shifts at frontier boundaries, and a
+/// [`StopSpec::Reconverged`] plan segments its measured window at the
+/// schedule's shift cycles.
+pub fn session_for<O: L2Org>(
     combo: &Combo,
     org: O,
     cfg: &CompareConfig,
@@ -224,28 +220,9 @@ pub fn session_for_org_phased<O: L2Org>(
         .build()
 }
 
-/// Build a ready-to-drive session for one combo under one scheme spec.
-/// The organisation is the enum-dispatched [`AnyOrg`], so the per-miss
-/// scheme call devirtualizes on the session hot path.
-pub fn session_for(combo: &Combo, spec: &SchemeSpec, cfg: &CompareConfig) -> SimSession<AnyOrg> {
-    session_for_org(combo, spec.build_any(cfg.system), cfg)
-}
-
-/// [`session_for`] with an optional phase-change schedule.
-pub fn session_for_phased(
-    combo: &Combo,
-    spec: &SchemeSpec,
-    cfg: &CompareConfig,
-    phase: Option<&PhaseSchedule>,
-) -> SimSession<AnyOrg> {
-    session_for_org_phased(combo, spec.build_any(cfg.system), cfg, phase)
-}
-
 /// Run one combo under one scheme spec; returns the raw system result.
-/// (The original one-shot entry point, now a thin wrapper over
-/// [`session_for`].)
 pub fn run_scheme(combo: &Combo, spec: &SchemeSpec, cfg: &CompareConfig) -> SystemResult {
-    session_for(combo, spec, cfg).run_to_completion()
+    session_for(combo, spec.build_any(cfg.system), cfg, None).run_to_completion()
 }
 
 /// One point of the five-scheme comparison — the unit of simulation and
@@ -387,15 +364,9 @@ pub struct SchemeRun {
     pub plateaus: Vec<f64>,
 }
 
-/// Run one scheme point of one combo.
-pub fn run_point(combo: &Combo, point: &SchemePoint, cfg: &CompareConfig) -> SchemeRun {
-    run_point_phased(combo, point, cfg, None)
-}
-
 /// The stop reason and per-phase plateaus of a completed session under
-/// `plan` — the single derivation both the per-point and shared-warm-up
-/// paths record: `Some(reason)` exactly when the plan can stop early,
-/// plateau means exactly under a re-convergence policy.
+/// `plan`: `Some(reason)` exactly when the plan can stop early, plateau
+/// means exactly under a re-convergence policy.
 fn early_exit_outcome<O: L2Org>(
     session: &SimSession<O>,
     plan: &RunPlan,
@@ -485,32 +456,6 @@ fn segment_throughput(prev: Option<&SystemResult>, cur: &SystemResult) -> f64 {
         .sum()
 }
 
-/// Run one scheme point of one combo under an optional phase-change
-/// schedule, recording the explicit stop reason on early-exit-capable
-/// plans and per-phase means on paced fixed-window shifted runs.
-pub fn run_point_phased(
-    combo: &Combo,
-    point: &SchemePoint,
-    cfg: &CompareConfig,
-    phase: Option<&PhaseSchedule>,
-) -> SchemeRun {
-    let mut session = session_for_phased(combo, &point.spec(cfg), cfg, phase);
-    let (r, phase_means) = run_with_phase_means(&mut session, &cfg.plan, phase);
-    let (stop_reason, mut plateaus) = early_exit_outcome(&session, &cfg.plan);
-    if plateaus.is_empty() {
-        plateaus = phase_means;
-    }
-    SchemeRun {
-        scheme: point.label(),
-        ipcs: r.ipcs(),
-        measured_cycles: session
-            .stopped_at()
-            .map(|c| c.saturating_sub(cfg.plan.warmup_cycles)),
-        stop_reason,
-        plateaus,
-    }
-}
-
 /// `cfg` with its plan replaced by a fixed window of `measured_window`
 /// cycles — how a combo's non-baseline points run once the baseline's
 /// convergence has fixed the pace.
@@ -532,29 +477,50 @@ pub struct Pace {
     pub stop_reason: StopReason,
 }
 
-/// Run one scheme point over an exact pace (the window a converged
-/// baseline run set for its combo). The window is recorded in the run
-/// when it beats the plan's ceiling, and the baseline's stop reason is
-/// inherited, so cached entries carry both the cycles they actually
-/// simulated and whether those cycles were a plateau.
-pub fn run_point_paced(
+/// Run one scheme point of one combo, optionally under a phase-change
+/// schedule, recording the explicit stop reason on early-exit-capable
+/// plans and per-phase means on fixed-window shifted runs.
+///
+/// With a `pace` (the window a converged baseline run set for its
+/// combo) the point runs [`paced_config`]'s fixed window instead of
+/// `cfg`'s plan. The window is recorded in the run when it beats the
+/// plan's ceiling, and the baseline's stop reason is inherited, so
+/// cached entries carry both the cycles they actually simulated and
+/// whether those cycles were a plateau.
+pub fn run_point(
     combo: &Combo,
     point: &SchemePoint,
     cfg: &CompareConfig,
-    pace: &Pace,
     phase: Option<&PhaseSchedule>,
+    pace: Option<&Pace>,
 ) -> SchemeRun {
-    let mut run = run_point_phased(
-        combo,
-        point,
-        &paced_config(cfg, pace.measured_window),
-        phase,
-    );
-    if pace.measured_window < cfg.plan.measure_cycles() {
-        run.measured_cycles = Some(pace.measured_window);
+    let run_cfg = pace.map_or(*cfg, |p| paced_config(cfg, p.measured_window));
+    let org = point.spec(&run_cfg).build_any(run_cfg.system);
+    let mut session = session_for(combo, org, &run_cfg, phase);
+    let (r, phase_means) = run_with_phase_means(&mut session, &run_cfg.plan, phase);
+    let (stop_reason, mut plateaus) = early_exit_outcome(&session, &run_cfg.plan);
+    if plateaus.is_empty() {
+        plateaus = phase_means;
     }
-    run.stop_reason = Some(pace.stop_reason);
-    run
+    let (measured_cycles, stop_reason) = match pace {
+        Some(p) => (
+            (p.measured_window < cfg.plan.measure_cycles()).then_some(p.measured_window),
+            Some(p.stop_reason),
+        ),
+        None => (
+            session
+                .stopped_at()
+                .map(|c| c.saturating_sub(cfg.plan.warmup_cycles)),
+            stop_reason,
+        ),
+    };
+    SchemeRun {
+        scheme: point.label(),
+        ipcs: r.ipcs(),
+        measured_cycles,
+        stop_reason,
+        plateaus,
+    }
 }
 
 /// The pace a converged baseline run sets for its combo: its early-stop
@@ -685,19 +651,15 @@ pub fn assemble_combo(combo: &Combo, runs: &[(SchemePoint, SchemeRun)]) -> Combo
 /// scheme's tail contributed — while still stopping as soon as the
 /// measured system is stable instead of at a guessed cycle count.
 pub fn run_combo(combo: &Combo, cfg: &CompareConfig) -> ComboResult {
-    let baseline = run_point(combo, &SchemePoint::L2p, cfg);
-    let pace = pace_of(&baseline, cfg);
+    let baseline = run_point(combo, &SchemePoint::L2p, cfg, None, None);
+    let pace = cfg.plan.can_stop_early().then(|| pace_of(&baseline, cfg));
     let runs: Vec<(SchemePoint, SchemeRun)> = std::iter::once((SchemePoint::L2p, baseline))
         .chain(
             SchemePoint::all()
                 .into_iter()
                 .filter(|p| *p != SchemePoint::L2p)
                 .map(|point| {
-                    let run = if cfg.plan.can_stop_early() {
-                        run_point_paced(combo, &point, cfg, &pace, None)
-                    } else {
-                        run_point(combo, &point, cfg)
-                    };
+                    let run = run_point(combo, &point, cfg, None, pace.as_ref());
                     (point, run)
                 }),
         )
@@ -901,6 +863,46 @@ mod tests {
     }
 
     #[test]
+    fn paced_runs_record_the_window_below_the_ceiling_and_inherit_the_stop_reason() {
+        use snug_workloads::Benchmark;
+        let combo = Combo {
+            class: ComboClass::C1,
+            apps: [Benchmark::Ammp; 4],
+        };
+        let mut cfg = CompareConfig::quick();
+        cfg.plan = RunPlan::fixed(10_000, 60_000);
+        let cfg = cfg.until_converged(Some(10_000), None);
+        let ceiling = cfg.plan.measure_cycles();
+        for (window, stop_reason, recorded) in [
+            (40_000, StopReason::Converged, Some(40_000)),
+            (40_000, StopReason::Ceiling, Some(40_000)),
+            (ceiling, StopReason::Ceiling, None),
+            (ceiling, StopReason::Converged, None),
+        ] {
+            let pace = Pace {
+                measured_window: window,
+                stop_reason,
+            };
+            let paced = run_point(&combo, &SchemePoint::Dsr, &cfg, None, Some(&pace));
+            assert_eq!(paced.measured_cycles, recorded, "{pace:?}");
+            assert_eq!(paced.stop_reason, Some(stop_reason), "{pace:?}");
+
+            // The paced run is the fixed-plan run over the same window;
+            // only the recorded window and stop reason differ.
+            let fixed = run_point(
+                &combo,
+                &SchemePoint::Dsr,
+                &paced_config(&cfg, window),
+                None,
+                None,
+            );
+            assert_eq!(paced.ipcs, fixed.ipcs, "{pace:?}");
+            assert_eq!(fixed.measured_cycles, None);
+            assert_eq!(fixed.stop_reason, None);
+        }
+    }
+
+    #[test]
     fn paced_shifted_fixed_runs_record_per_phase_means() {
         use snug_workloads::Benchmark;
         let combo = Combo {
@@ -911,7 +913,7 @@ mod tests {
         cfg.plan = RunPlan::fixed(10_000, 60_000);
         let phase = PhaseSchedule::parse("40000:demand=300").unwrap();
 
-        let run = run_point_phased(&combo, &SchemePoint::Snug, &cfg, Some(&phase));
+        let run = run_point(&combo, &SchemePoint::Snug, &cfg, Some(&phase), None);
         assert_eq!(
             run.plateaus.len(),
             2,
@@ -923,18 +925,18 @@ mod tests {
         // Recording is observation only: pausing at the boundary must
         // leave the measured result identical to a one-shot drive of
         // the same shifted session.
-        let mut one_shot =
-            session_for_phased(&combo, &SchemePoint::Snug.spec(&cfg), &cfg, Some(&phase));
+        let org = SchemePoint::Snug.spec(&cfg).build_any(cfg.system);
+        let mut one_shot = session_for(&combo, org, &cfg, Some(&phase));
         let r = one_shot.run_to_completion();
         assert_eq!(r.ipcs(), run.ipcs, "run_until pauses perturbed the run");
 
         // A shift outside the measured window records nothing.
         let late = PhaseSchedule::parse("500000:demand=300").unwrap();
-        let run = run_point_phased(&combo, &SchemePoint::Snug, &cfg, Some(&late));
+        let run = run_point(&combo, &SchemePoint::Snug, &cfg, Some(&late), None);
         assert!(run.plateaus.is_empty(), "{:?}", run.plateaus);
 
         // Stationary fixed runs stay empty too.
-        let run = run_point_phased(&combo, &SchemePoint::Snug, &cfg, None);
+        let run = run_point(&combo, &SchemePoint::Snug, &cfg, None, None);
         assert!(run.plateaus.is_empty(), "{:?}", run.plateaus);
     }
 }

@@ -11,7 +11,7 @@
 //! boundaries — become a [`TraceSeries`] the harness stores and the
 //! `snug trace` CLI renders.
 
-use crate::compare::{session_for_phased, CompareConfig, SchemePoint};
+use crate::compare::{session_for, CompareConfig, SchemePoint};
 use sim_cmp::{PeriodSample, SchemeEvent, SchemeEventKind};
 use snug_metrics::{mean, Table};
 use snug_workloads::{Combo, PhaseSchedule};
@@ -166,29 +166,19 @@ pub fn default_stride(cfg: &CompareConfig) -> u64 {
 
 /// Run one (combo, scheme point) simulation with a recording probe and
 /// return its time series. Same simulation semantics as
-/// [`crate::run_point`] — the probe only observes.
+/// [`crate::run_point`] — the probe only observes. Under a phase-change
+/// schedule the shifts are applied mid-run and appear as phase-boundary
+/// events in the recorded samples ([`PeriodSample::shifts`]), which is
+/// how `snug trace --phase-shift` shows a scheme reacting — or failing
+/// to react — to a workload change.
 pub fn trace_point(
-    combo: &Combo,
-    point: &SchemePoint,
-    cfg: &CompareConfig,
-    stride: u64,
-) -> TraceSeries {
-    trace_point_phased(combo, point, cfg, stride, None)
-}
-
-/// [`trace_point`] under an optional phase-change schedule: the shifts
-/// are applied mid-run and appear as phase-boundary events in the
-/// recorded samples ([`PeriodSample::shifts`]), which is how `snug
-/// trace --phase-shift` shows a scheme reacting — or failing to react —
-/// to a workload change.
-pub fn trace_point_phased(
     combo: &Combo,
     point: &SchemePoint,
     cfg: &CompareConfig,
     stride: u64,
     phase: Option<&PhaseSchedule>,
 ) -> TraceSeries {
-    let mut session = session_for_phased(combo, &point.spec(cfg), cfg, phase);
+    let mut session = session_for(combo, point.spec(cfg).build_any(cfg.system), cfg, phase);
     session.enable_recording(stride);
     let _ = session.run_to_completion();
     TraceSeries {
@@ -202,7 +192,6 @@ pub fn trace_point_phased(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare::session_for;
     use snug_workloads::all_combos;
 
     fn tiny_cfg() -> CompareConfig {
@@ -217,7 +206,7 @@ mod tests {
     fn snug_trace_carries_stage_events() {
         let combo = all_combos()[0];
         let cfg = tiny_cfg();
-        let series = trace_point(&combo, &SchemePoint::Snug, &cfg, 25_000);
+        let series = trace_point(&combo, &SchemePoint::Snug, &cfg, 25_000, None);
         assert_eq!(series.scheme, "snug");
         assert!(series.samples.len() >= 6, "got {}", series.samples.len());
         assert!(
@@ -243,7 +232,7 @@ mod tests {
     fn trace_table_renders_all_samples() {
         let combo = all_combos()[0];
         let cfg = tiny_cfg();
-        let series = trace_point(&combo, &SchemePoint::L2p, &cfg, 50_000);
+        let series = trace_point(&combo, &SchemePoint::L2p, &cfg, 50_000, None);
         assert_eq!(series.event_count(), 0, "L2P has no staged policy");
         let t = series.table(&combo.label());
         assert_eq!(t.len(), series.samples.len());
@@ -255,7 +244,7 @@ mod tests {
         let combo = all_combos()[0];
         let cfg = tiny_cfg();
         let sched = PhaseSchedule::parse("120000:demand=300").unwrap();
-        let series = trace_point_phased(&combo, &SchemePoint::Snug, &cfg, 25_000, Some(&sched));
+        let series = trace_point(&combo, &SchemePoint::Snug, &cfg, 25_000, Some(&sched));
         assert_eq!(series.shift_count(), 1, "one phase boundary recorded");
         let phases = series.phase_throughputs();
         assert_eq!(phases.len(), 2, "one mean per workload phase");
@@ -268,7 +257,7 @@ mod tests {
             "phase boundary rendered as an event"
         );
         // A stationary trace has a single phase and no shift events.
-        let plain = trace_point(&combo, &SchemePoint::Snug, &cfg, 25_000);
+        let plain = trace_point(&combo, &SchemePoint::Snug, &cfg, 25_000, None);
         assert_eq!(plain.shift_count(), 0);
         assert_eq!(plain.phase_throughputs().len(), 1);
         assert_ne!(
@@ -284,8 +273,9 @@ mod tests {
         // same point retire identical IPCs.
         let combo = all_combos()[3];
         let cfg = tiny_cfg();
-        let plain = crate::run_point(&combo, &SchemePoint::Snug, &cfg);
-        let mut session = session_for(&combo, &SchemePoint::Snug.spec(&cfg), &cfg);
+        let plain = crate::run_point(&combo, &SchemePoint::Snug, &cfg, None, None);
+        let spec = SchemePoint::Snug.spec(&cfg);
+        let mut session = session_for(&combo, spec.build_any(cfg.system), &cfg, None);
         session.enable_recording(30_000);
         let traced = session.run_to_completion();
         assert_eq!(traced.ipcs(), plain.ipcs);

@@ -18,7 +18,7 @@
 //! committed file is stale.
 
 use snug_core::SchemeSpec;
-use snug_experiments::{default_stride, session_for, trace_point_phased, SchemePoint};
+use snug_experiments::{default_stride, session_for, trace_point, SchemePoint};
 use snug_harness::{
     cached_results, check_experiments_md, eval_converged_spec, fmt_eng, render_experiments_eval_md,
     render_experiments_md, render_markdown, run_sweep, stop_summary_table, telemetry_footer,
@@ -977,7 +977,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let (series, from_cache) = match store.get_series(&key) {
         Some(series) => (series.clone(), true),
         None => {
-            let series = trace_point_phased(combo, &point, &cfg, stride, phase.as_ref());
+            let series = trace_point(combo, &point, &cfg, stride, phase.as_ref());
             let phase_inputs = phase
                 .as_ref()
                 .map(|p| format!(" | phase={}", p.fingerprint()))
@@ -1058,9 +1058,8 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let budget = flags.budget.budget(BudgetPreset::Quick)?;
     let cfg = budget.compare_config();
 
-    // The obs counters themselves cannot be toggled at runtime (they
-    // are a compile-time feature), so the measurable overhead is the
-    // probe machinery on top of an identically-compiled bare run.
+    // The counters are always on, so the measurable overhead is the
+    // probe machinery on top of an otherwise identical bare run.
     // Bare and probed runs interleave for three repetitions and each
     // takes its best time, so one-off warm-up costs (page faults, lazy
     // allocation) do not masquerade as probe overhead.
@@ -1070,12 +1069,12 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let mut harvested = None;
     for _ in 0..3 {
         let bare_started = Instant::now();
-        let mut bare = session_for(combo, &spec, &cfg);
+        let mut bare = session_for(combo, spec.build_any(cfg.system), &cfg, None);
         bare.run_to_completion();
         bare_nanos = bare_nanos.min(bare_started.elapsed().as_nanos().max(1) as u64);
 
         let probed_started = Instant::now();
-        let mut session = session_for(combo, &spec, &cfg);
+        let mut session = session_for(combo, spec.build_any(cfg.system), &cfg, None);
         session.enable_recording(stride);
         let result = session.run_to_completion();
         probed_nanos = probed_nanos.min(probed_started.elapsed().as_nanos().max(1) as u64);
@@ -1293,4 +1292,63 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use sim_mem::{ShiftDirective, StreamShift};
+
+    /// Near misses of the text grammars the CLI reaches, `|`-separated:
+    /// separators, directive words, scheme and class names, flags, and
+    /// a 30-digit run that overflows every integer field.
+    const PIECES: &str = "0|1|9|_|:|;|@|,|=|-|%|(|)| |.|demand|near|streaming|profile|mcf|l2p|\
+        cc|snug|dsr|C|--class|--phase-shift|--window|--rel-eps|--warmup|--measure|--jobs|\
+        --until-converged|123456789012345678901234567890|é|\0";
+
+    /// Feed `text` to every parser; each must return, never panic. An
+    /// error must say what went wrong.
+    fn parse_everything(text: &str) -> Result<(), TestCaseError> {
+        fn named<T, E: std::fmt::Display>(r: Result<T, E>) -> bool {
+            r.map_or_else(|e| !e.to_string().is_empty(), |_| true)
+        }
+        prop_assert!(named(PhaseSchedule::parse(text)), "{text:?}");
+        prop_assert!(named(text.parse::<StreamShift>()), "{text:?}");
+        prop_assert!(named(text.parse::<ShiftDirective>()), "{text:?}");
+        prop_assert!(named(text.parse::<SchemeSpec>()), "{text:?}");
+        prop_assert!(named(text.parse::<ComboClass>()), "{text:?}");
+        let args: Vec<String> = text.split(' ').map(str::to_string).collect();
+        if let Ok(flags) = Flags::parse(&args) {
+            prop_assert!(named(flags.phase_schedule()), "{text:?}");
+            prop_assert!(named(flags.budget.stop()), "{text:?}");
+            prop_assert!(named(flags.budget.budget(BudgetPreset::Quick)), "{text:?}");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Arbitrary bytes, lossily decoded as a shell would hand them
+        /// over, never panic a parser.
+        #[test]
+        fn arbitrary_bytes_never_panic_a_parser(
+            inputs in proptest::collection::vec(proptest::collection::vec(0u8..=255, 0..64), 16),
+        ) {
+            for bytes in &inputs {
+                parse_everything(&String::from_utf8_lossy(bytes))?;
+            }
+        }
+
+        /// Neither do strings built from the grammars' own alphabet.
+        #[test]
+        fn grammar_near_misses_never_panic_a_parser(
+            inputs in proptest::collection::vec(proptest::collection::vec(0usize..1024, 0..24), 16),
+        ) {
+            let pieces: Vec<&str> = PIECES.split('|').collect();
+            for picks in &inputs {
+                let text: String = picks.iter().map(|&i| pieces[i % pieces.len()]).collect();
+                parse_everything(&text)?;
+            }
+        }
+    }
 }

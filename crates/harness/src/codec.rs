@@ -376,9 +376,8 @@ impl JsonCodec for PeriodSample {
                 Value::Arr(shifts.iter().map(|s| Value::str(s.to_string())).collect()),
             ));
         }
-        // Same only-when-present discipline: counter blocks exist only
-        // on samples recorded with the `obs` feature on, and every
-        // committed pre-counter series entry renders unchanged.
+        // Same only-when-present discipline: every committed
+        // pre-counter series entry renders unchanged.
         if let Some(c) = counters {
             fields.push(("counters", c.to_json()));
         }

@@ -59,8 +59,8 @@ pub use report::{
     render_markdown, report_tables, stop_summary_table, write_report, CEILING_FOOTNOTE,
 };
 pub use spec::{
-    trace_key, unit_jobs_for, unit_jobs_phased, unit_key, unit_key_phased, BudgetPreset, ComboJob,
-    StopPreset, SweepSpec, UnitJob, SCHEMA_VERSION,
+    trace_key, unit_jobs_for, unit_key, BudgetPreset, ComboJob, StopPreset, SweepSpec, UnitJob,
+    SCHEMA_VERSION,
 };
 pub use store::{MergeStats, ResultStore, StoreError, StoredResult, SHARDS_DIR, SPANS_FILE};
 pub use sweep::{

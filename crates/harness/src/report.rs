@@ -1,7 +1,7 @@
 //! Report generation: the paper's Tables 7–8 / Figures 9–11 comparisons
 //! rendered from stored sweep results as Markdown and CSV.
 
-use crate::spec::{unit_key_phased, ComboJob, SweepSpec};
+use crate::spec::{unit_key, ComboJob, SweepSpec};
 use crate::store::ResultStore;
 use snug_experiments::{
     figure_table, pace_of, summarize, ComboResult, Figure, SchemePoint, StopReason, FIGURE_SCHEMES,
@@ -91,7 +91,7 @@ pub fn stop_summary_table(spec: &SweepSpec, store: &ResultStore) -> Option<Table
         Vec::new()
     };
     for (i, combo) in spec.combos().iter().enumerate() {
-        let baseline = unit_key_phased(combo, &SchemePoint::L2p, &config, phase.as_ref());
+        let baseline = unit_key(combo, &SchemePoint::L2p, &config, phase.as_ref());
         let run = store.get_unit(&baseline)?;
         let pace = pace_of(run, &config);
         let stop = match pace.stop_reason {

@@ -461,15 +461,10 @@ pub struct ComboJob {
     pub units: Vec<UnitJob>,
 }
 
-/// The unit jobs of one combo under one configuration (stationary
-/// workload).
-pub fn unit_jobs_for(combo: &Combo, config: &CompareConfig) -> Vec<UnitJob> {
-    unit_jobs_phased(combo, config, None)
-}
-
-/// The unit jobs of one combo, optionally under a phase-change
-/// schedule (which re-keys every unit — the workload is different).
-pub fn unit_jobs_phased(
+/// The unit jobs of one combo under one configuration, optionally
+/// under a phase-change schedule (which re-keys every unit — the
+/// workload is different).
+pub fn unit_jobs_for(
     combo: &Combo,
     config: &CompareConfig,
     phase: Option<&PhaseSchedule>,
@@ -588,16 +583,11 @@ fn phase_fragment(phase: Option<&PhaseSchedule>) -> String {
 /// only (`cfg.snug` for SNUG points, `cfg.dsr` for DSR points, nothing
 /// extra for the rest). Editing one scheme's configuration therefore
 /// invalidates only that scheme's cached jobs; every other point keeps
-/// hitting.
-pub fn unit_key(combo: &Combo, point: &SchemePoint, config: &CompareConfig) -> String {
-    unit_key_phased(combo, point, config, None)
-}
-
-/// [`unit_key`] with an optional phase-change schedule. A schedule
-/// is part of the workload, so its canonical fingerprint joins the key
-/// input; the stationary case contributes nothing, keeping every
-/// pre-phase-schedule key byte-identical.
-pub fn unit_key_phased(
+/// hitting. A phase-change schedule is part of the workload, so its
+/// canonical fingerprint joins the key input; the stationary case
+/// (`None`) contributes nothing, keeping every pre-phase-schedule key
+/// byte-identical.
+pub fn unit_key(
     combo: &Combo,
     point: &SchemePoint,
     config: &CompareConfig,
@@ -704,9 +694,9 @@ mod tests {
         dsr_edit.dsr.psel_bits += 1;
 
         for point in SchemePoint::all() {
-            let orig = unit_key(&combo, &point, &base);
-            let after_snug = unit_key(&combo, &point, &snug_edit);
-            let after_dsr = unit_key(&combo, &point, &dsr_edit);
+            let orig = unit_key(&combo, &point, &base, None);
+            let after_snug = unit_key(&combo, &point, &snug_edit, None);
+            let after_dsr = unit_key(&combo, &point, &dsr_edit, None);
             match point {
                 SchemePoint::Snug => {
                     assert_ne!(orig, after_snug, "SNUG edit re-keys SNUG jobs");
@@ -753,7 +743,7 @@ mod tests {
                     point.param_fingerprint(&cfg),
                 ));
                 assert_eq!(u.key, joined, "{} ({})", u.label(), spec.budget_label());
-                let single = unit_key_phased(&combo, &point, &cfg, u.phase.as_ref());
+                let single = unit_key(&combo, &point, &cfg, u.phase.as_ref());
                 assert_eq!(single, joined, "{}", u.label());
             }
         }
@@ -940,13 +930,13 @@ mod tests {
         let combo = all_combos()[0];
         let points = SchemePoint::all();
         let keys = |cfg: &CompareConfig, phase: Option<&PhaseSchedule>| -> Vec<String> {
-            let expanded: Vec<String> = unit_jobs_phased(&combo, cfg, phase)
+            let expanded: Vec<String> = unit_jobs_for(&combo, cfg, phase)
                 .into_iter()
                 .map(|u| u.key)
                 .collect();
             let single: Vec<String> = points
                 .iter()
-                .map(|p| unit_key_phased(&combo, p, cfg, phase))
+                .map(|p| unit_key(&combo, p, cfg, phase))
                 .collect();
             assert_eq!(expanded, single);
             expanded
@@ -1013,7 +1003,7 @@ mod tests {
         let sched = PhaseSchedule::parse("1800000:demand=200").unwrap();
         for point in SchemePoint::all() {
             let t = trace_key(&combo, &point, &cfg, 50_000, None);
-            assert_ne!(t, unit_key(&combo, &point, &cfg));
+            assert_ne!(t, unit_key(&combo, &point, &cfg, None));
             assert_ne!(t, trace_key(&combo, &point, &cfg, 25_000, None));
             assert_eq!(t, trace_key(&combo, &point, &cfg, 50_000, None));
             assert_ne!(

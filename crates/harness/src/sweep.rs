@@ -12,11 +12,10 @@
 
 use crate::exec::{self, ExecEvent, JobOutcome};
 use crate::hash::content_key;
-use crate::spec::{unit_key_phased, SweepSpec, UnitJob, SCHEMA_VERSION};
+use crate::spec::{unit_key, SweepSpec, UnitJob, SCHEMA_VERSION};
 use crate::store::{ResultStore, ShardWriter, StoreEntry, StoreError, StoredResult, SHARDS_DIR};
 use snug_experiments::{
-    assemble_combo, pace_of, run_point_paced, run_point_phased, ComboResult, Pace, SchemePoint,
-    SchemeRun,
+    assemble_combo, pace_of, run_point, ComboResult, Pace, SchemePoint, SchemeRun,
 };
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -252,56 +251,47 @@ impl PaceSource {
 }
 
 /// One schedulable node of the sweep's dependency graph — exactly one
-/// unit simulation: free-running, or paced to its combo baseline's
-/// measured window.
-enum ExecNode<'a> {
-    Single(&'a UnitJob),
-    Paced(&'a UnitJob, PaceSource),
+/// unit simulation: free-running (`pace: None`), or paced to its combo
+/// baseline's measured window.
+struct ExecNode<'a> {
+    job: &'a UnitJob,
+    pace: Option<PaceSource>,
 }
 
-impl<'a> ExecNode<'a> {
-    fn job(&self) -> &'a UnitJob {
-        match self {
-            ExecNode::Single(job) | ExecNode::Paced(job, _) => job,
-        }
-    }
-
+impl ExecNode<'_> {
     fn label(&self) -> String {
-        match self {
-            ExecNode::Single(job) => job.label(),
-            ExecNode::Paced(job, _) => format!("{} [paced]", job.label()),
+        match self.pace {
+            None => self.job.label(),
+            Some(_) => format!("{} [paced]", self.job.label()),
         }
     }
 
     /// Simulate this node's unit.
     fn run(&self, paces: &[Mutex<Option<Pace>>]) -> SchemeRun {
-        match self {
-            ExecNode::Single(job) => {
-                run_point_phased(&job.combo, &job.point, &job.config, job.phase.as_ref())
-            }
-            ExecNode::Paced(job, source) => run_point_paced(
-                &job.combo,
-                &job.point,
-                &job.config,
-                &source.resolve(paces),
-                job.phase.as_ref(),
-            ),
-        }
+        let job = self.job;
+        let pace = self.pace.map(|source| source.resolve(paces));
+        run_point(
+            &job.combo,
+            &job.point,
+            &job.config,
+            job.phase.as_ref(),
+            pace.as_ref(),
+        )
     }
 }
 
 /// Build the sweep's dependency graph from the pending jobs:
 ///
-/// * fixed-plan units run free ([`ExecNode::Single`], no edges);
+/// * fixed-plan units run free (no pace, no edges);
 /// * early-exit units group per (combo, configuration, phase). When the
-///   combo's L2P baseline is itself pending it becomes a free
-///   [`ExecNode::Single`] node and every sibling node depends on it
-///   ([`PaceSource::Node`]) — combos parallelize against each other,
-///   only the intra-combo pacing order is sequenced. When the baseline
-///   is already in the store, its recorded window paces each sibling
-///   with no edges at all ([`PaceSource::Cached`]), keeping unit
-///   granularity (a scheme-parameter edit re-runs that scheme's units
-///   in parallel, paced by the cached baselines);
+///   combo's L2P baseline is itself pending it becomes a free node and
+///   every sibling node depends on it ([`PaceSource::Node`]) — combos
+///   parallelize against each other, only the intra-combo pacing order
+///   is sequenced. When the baseline is already in the store, its
+///   recorded window paces each sibling with no edges at all
+///   ([`PaceSource::Cached`]), keeping unit granularity (a
+///   scheme-parameter edit re-runs that scheme's units in parallel,
+///   paced by the cached baselines);
 /// * an early-exit subset whose baseline is neither cached nor pending
 ///   (a caller-supplied subset) cannot be paced; its members fall back
 ///   to independent converged runs.
@@ -346,7 +336,7 @@ fn plan_exec_nodes<'a>(
     for item in items {
         let jobs = match item {
             Item::Free(job) => {
-                nodes.push(ExecNode::Single(job));
+                nodes.push(ExecNode { job, pace: None });
                 deps.push(Vec::new());
                 continue;
             }
@@ -355,11 +345,14 @@ fn plan_exec_nodes<'a>(
         let probe = jobs[0];
         let source = if let Some(p) = jobs.iter().position(|j| j.point == SchemePoint::L2p) {
             let baseline = nodes.len();
-            nodes.push(ExecNode::Single(jobs[p]));
+            nodes.push(ExecNode {
+                job: jobs[p],
+                pace: None,
+            });
             deps.push(Vec::new());
             Some(PaceSource::Node(baseline))
         } else {
-            let baseline_key = unit_key_phased(
+            let baseline_key = unit_key(
                 &probe.combo,
                 &SchemePoint::L2p,
                 &probe.config,
@@ -374,16 +367,8 @@ fn plan_exec_nodes<'a>(
             _ => Vec::new(),
         };
         for &job in jobs.iter().filter(|j| j.point != SchemePoint::L2p) {
-            match source {
-                Some(src) => {
-                    nodes.push(ExecNode::Paced(job, src));
-                    deps.push(edges.clone());
-                }
-                None => {
-                    nodes.push(ExecNode::Single(job));
-                    deps.push(Vec::new());
-                }
-            }
+            nodes.push(ExecNode { job, pace: source });
+            deps.push(edges.clone());
         }
     }
     (nodes, deps)
@@ -549,7 +534,7 @@ pub fn run_unit_jobs(
         workers,
         |i, worker| {
             let node = &nodes[i];
-            let job = node.job();
+            let job = node.job;
             #[cfg(test)]
             failpoint::maybe_panic(&node.label(), job.config.plan.warmup_cycles);
             let picked = Instant::now();
@@ -558,11 +543,9 @@ pub fn run_unit_jobs(
             // Publish the baseline's pace before this node is marked
             // complete: the executor unblocks dependents only after this
             // closure returns, so paced siblings always find it.
-            if let ExecNode::Single(job) = node {
-                if job.point == SchemePoint::L2p && job.config.plan.can_stop_early() {
-                    *paces[i].lock().unwrap_or_else(PoisonError::into_inner) =
-                        Some(pace_of(&run, &job.config));
-                }
+            if job.point == SchemePoint::L2p && job.config.plan.can_stop_early() {
+                *paces[i].lock().unwrap_or_else(PoisonError::into_inner) =
+                    Some(pace_of(&run, &job.config));
             }
             let plan = job.config.plan;
             let measured = run.measured_cycles.unwrap_or(plan.measure_cycles());
@@ -647,7 +630,7 @@ pub fn run_unit_jobs(
     for (i, outcome) in outcomes.into_iter().enumerate() {
         match outcome {
             JobOutcome::Done((run, span_key, span)) => {
-                completed.insert(nodes[i].job().key.clone(), run);
+                completed.insert(nodes[i].job.key.clone(), run);
                 finished_spans.push((span_key, span));
             }
             JobOutcome::Failed(error) => {
@@ -1266,7 +1249,7 @@ mod tests {
         let jobs: Vec<UnitJob> = spec
             .combos()
             .iter()
-            .flat_map(|combo| crate::spec::unit_jobs_for(combo, &edited))
+            .flat_map(|combo| crate::spec::unit_jobs_for(combo, &edited, None))
             .collect();
         let outcomes = run_unit_jobs(&jobs, &mut store, 0, &mut |_| {}).unwrap();
 

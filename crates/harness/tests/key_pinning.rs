@@ -14,8 +14,8 @@
 use snug_experiments::{CompareConfig, SchemePoint};
 use snug_harness::hash::fnv1a64;
 use snug_harness::{
-    eval_converged_spec, trace_key, unit_key_phased, BudgetPreset, ResultStore, StopPreset,
-    SweepSpec, SCHEMA_VERSION,
+    eval_converged_spec, trace_key, unit_key, BudgetPreset, ResultStore, StopPreset, SweepSpec,
+    SCHEMA_VERSION,
 };
 use snug_workloads::{Combo, PhaseSchedule};
 use std::collections::BTreeSet;
@@ -103,8 +103,7 @@ fn expansion_keys_match_the_reference_formula() {
                 unit.label(),
                 spec.budget_label()
             );
-            let single =
-                unit_key_phased(&unit.combo, &unit.point, &unit.config, unit.phase.as_ref());
+            let single = unit_key(&unit.combo, &unit.point, &unit.config, unit.phase.as_ref());
             assert_eq!(single, reference, "{}", unit.label());
         }
     }

@@ -5,15 +5,14 @@
 //! layer of the simulated machine: per-level cache hit/miss, the L1 LRU
 //! walk-depth histogram, L2Org dispatch counts, scheme relatch events,
 //! bus and DRAM traffic, and core stall attribution. `sim-cmp`'s
-//! `SimSession` assembles one per run — the hot-path increments are
-//! compiled out when its `obs` feature is off — and the harness renders
+//! `SimSession` assembles one per run and the harness renders
 //! them as tables (`snug profile`) or a one-line summary (the
 //! calibration examples).
 //!
 //! Counters are *observational by contract*: they are derived from the
-//! retired op sequence and never feed back into timing, so enabling or
-//! disabling them cannot perturb simulation results (the session
-//! determinism suite runs with the feature both on and off).
+//! retired op sequence and never feed back into timing, so they cannot
+//! perturb simulation results (the session determinism suite pins
+//! this).
 
 use crate::table::Table;
 

@@ -99,9 +99,9 @@ pub struct PeriodSample {
     /// Workload phase shifts applied during the interval (phase-change
     /// scenarios; empty for stationary runs).
     pub shifts: Vec<StreamShift>,
-    /// Observability counter delta over the interval. Populated only
-    /// when the `obs` feature is on; `None` otherwise, so recorded
-    /// series serialise exactly as they did before counters existed.
+    /// Observability counter delta over the interval. Every session
+    /// fills it; it is optional so that series stored before counters
+    /// existed still decode.
     pub counters: Option<SimCounters>,
 }
 
@@ -338,9 +338,8 @@ pub struct SimSession<O: L2Org> {
     series: Option<Vec<PeriodSample>>,
     /// Observability tallies the session itself increments on the hot
     /// path (retired ops, L1 walk depths, L2Org dispatches, scheme
-    /// relatch events); zero-cost when the `obs` feature is off. The
-    /// remaining [`SimCounters`] fields are harvested from component
-    /// statistics at assembly time.
+    /// relatch events). The remaining [`SimCounters`] fields are
+    /// harvested from component statistics at assembly time.
     tally: SimCounters,
     /// Assembled counters at the previous probe tick (interval deltas).
     probe_counters: SimCounters,
@@ -680,11 +679,9 @@ impl<O: L2Org> SimSession<O> {
             AccessKind::Store => (&mut self.l1d[c], false),
         };
         let r = l1.access(block, op.access.kind.is_write());
-        if cfg!(feature = "obs") {
-            self.tally.retired_ops += 1;
-            if let Some(d) = r.distance {
-                self.tally.l1_walk_depths[d.min(WALK_DEPTH_BUCKETS) - 1] += 1;
-            }
+        self.tally.retired_ops += 1;
+        if let Some(d) = r.distance {
+            self.tally.l1_walk_depths[d.min(WALK_DEPTH_BUCKETS) - 1] += 1;
         }
         if r.hit {
             // 1-cycle pipelined L1 hit: covered by the issue slot.
@@ -698,15 +695,11 @@ impl<O: L2Org> SimSession<O> {
         // critical path, no demand-access accounting).
         if let Some(ev) = r.evicted {
             if ev.flags.dirty {
-                if cfg!(feature = "obs") {
-                    self.tally.org_writebacks += 1;
-                }
+                self.tally.org_writebacks += 1;
                 self.org.writeback(c, ev.block, now, &mut res);
             }
         }
-        if cfg!(feature = "obs") {
-            self.tally.org_accesses += 1;
-        }
+        self.tally.org_accesses += 1;
         let outcome = self
             .org
             .access(c, block, op.access.kind.is_write(), now, &mut res);
@@ -743,15 +736,10 @@ impl<O: L2Org> SimSession<O> {
         }
         let l2_now = self.org.aggregate_stats();
         let events = self.org.drain_events();
-        let counters = if cfg!(feature = "obs") {
-            self.note_events(&events);
-            let now = self.assemble_counters();
-            let delta = now.delta(&self.probe_counters);
-            self.probe_counters = now;
-            Some(delta)
-        } else {
-            None
-        };
+        self.note_events(&events);
+        let now = self.assemble_counters();
+        let counters = now.delta(&self.probe_counters);
+        self.probe_counters = now;
         let sample = PeriodSample {
             cycle: boundary,
             during_warmup: !self.measuring,
@@ -768,7 +756,7 @@ impl<O: L2Org> SimSession<O> {
             l2: stats_delta(&l2_now, &self.probe_l2),
             events,
             shifts: std::mem::take(&mut self.fired_shifts),
-            counters,
+            counters: Some(counters),
         };
         self.probe_cores = now_cores;
         self.probe_l2 = l2_now;
@@ -906,9 +894,6 @@ impl<O: L2Org> SimSession<O> {
     /// timing arbitrary — so membership is decided by the event's own
     /// cycle, not by when the boundary reset happened.
     fn note_events(&mut self, events: &[SchemeEvent]) {
-        if !cfg!(feature = "obs") {
-            return;
-        }
         for e in events {
             if e.cycle < self.warmup_cycles {
                 continue;
@@ -967,9 +952,7 @@ impl<O: L2Org> SimSession<O> {
     /// boundary and cover the measured window. Pending scheme events
     /// are drained into the relatch tally first — with probe recording
     /// enabled, call this only after the run is over or the next sample
-    /// will miss those events. Session-side tallies are zero when the
-    /// `obs` feature is off; the harvested component statistics are
-    /// always filled in.
+    /// will miss those events.
     pub fn counters(&mut self) -> SimCounters {
         let events = self.org.drain_events();
         self.note_events(&events);

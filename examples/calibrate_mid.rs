@@ -189,11 +189,9 @@ fn main() {
         // the figure geomeans.
         let combos = all_combos();
         let combo = &combos[0];
-        let mut session = snug_sim::experiments::session_for(
-            combo,
-            &snug_sim::experiments::SchemePoint::Snug.spec(&cfg),
-            &cfg,
-        );
+        let snug = snug_sim::experiments::SchemePoint::Snug.spec(&cfg);
+        let mut session =
+            snug_sim::experiments::session_for(combo, snug.build_any(cfg.system), &cfg, None);
         session.run_to_completion();
         println!(
             "counters [SNUG | {}]: {}",

@@ -45,13 +45,13 @@ struct StagePoint {
 }
 
 fn sweep_combo(combo: &snug_sim::workloads::Combo, cfg: &CompareConfig) -> (f64, Vec<StagePoint>) {
-    let base = IpcVector::new(run_point(combo, &SchemePoint::L2p, cfg).ipcs);
+    let base = IpcVector::new(run_point(combo, &SchemePoint::L2p, cfg, None, None).ipcs);
     // CC(Best): the §4.1 oracle — run the spill sweep, keep the winner.
     let cc_sweep: Vec<(f64, f64)> = SchemePoint::all()
         .into_iter()
         .filter_map(|p| match p {
             SchemePoint::Cc { spill_probability } => {
-                let run = run_point(combo, &p, cfg);
+                let run = run_point(combo, &p, cfg, None, None);
                 let m = MetricSet::compute(&IpcVector::new(run.ipcs), &base);
                 Some((spill_probability, m.throughput))
             }
@@ -67,7 +67,8 @@ fn sweep_combo(combo: &snug_sim::workloads::Combo, cfg: &CompareConfig) -> (f64,
             let mut tuned = *cfg;
             tuned.snug.stage1_cycles = stage1;
             tuned.snug.stage2_cycles = stage2;
-            let mut session = session_for(combo, &SchemePoint::Snug.spec(&tuned), &tuned);
+            let snug = SchemePoint::Snug.spec(&tuned).build_any(tuned.system);
+            let mut session = session_for(combo, snug, &tuned, None);
             session.enable_recording(100_000);
             let result = session.run_to_completion();
             let m = MetricSet::compute(&IpcVector::new(result.ipcs()), &base);

@@ -84,7 +84,7 @@ fn json_boundary_preserves_every_float_bit() {
     // exercises float round-tripping on realistic values.
     let spec = tiny_spec();
     for unit in &spec.combo_jobs()[0].units {
-        let run = run_point(&unit.combo, &unit.point, &unit.config);
+        let run = run_point(&unit.combo, &unit.point, &unit.config, None, None);
         let decoded =
             SchemeRun::from_json(&snug_harness::json::parse(&run.to_json().render()).unwrap())
                 .unwrap();
@@ -128,7 +128,7 @@ fn snug_config_edit_reruns_only_snug_units() {
     let jobs: Vec<_> = spec
         .combos()
         .iter()
-        .flat_map(|combo| unit_jobs_for(combo, &edited))
+        .flat_map(|combo| unit_jobs_for(combo, &edited, None))
         .collect();
     let outcomes = run_unit_jobs(&jobs, &mut store, 0, &mut |_| {}).unwrap();
     let executed: Vec<&str> = outcomes

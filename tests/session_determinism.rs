@@ -15,10 +15,7 @@
 //! 4. observability is *observational*: harvesting `counters()` or
 //!    enabling probe recording never perturbs the retired op sequence,
 //!    and the measured-window counters themselves are
-//!    interleaving-invariant. The whole file
-//!    compiles and passes with the `obs` feature on or off — with it
-//!    off, counters read zero but the determinism contract is
-//!    unchanged.
+//!    interleaving-invariant.
 
 use proptest::prelude::*;
 use sim_cmp::{RunPlan, SimSession, SystemConfig, SystemResult};
@@ -260,10 +257,9 @@ fn fixed_awkward_interleaving_matches_for_every_scheme() {
     }
 }
 
-/// With observability compiled in, the counters of a run reconcile
-/// with the measured result: ops retire, every retired op is exactly
-/// one L1D lookup, and L2 activity balances the L1 misses feeding it.
-#[cfg(feature = "obs")]
+/// The counters of a run reconcile with the measured result: ops
+/// retire, every retired op is exactly one L1D lookup, and L2 activity
+/// balances the L1 misses feeding it.
 #[test]
 fn counters_reconcile_with_the_measured_result_for_every_scheme() {
     for spec in schemes() {
@@ -289,36 +285,10 @@ fn counters_reconcile_with_the_measured_result_for_every_scheme() {
     }
 }
 
-/// Without observability compiled in, the session-side hot-path
-/// tallies read zero — the zero-cost configuration records nothing on
-/// the op path — while component statistics (which exist regardless of
-/// the feature) are still harvested into the block.
-#[cfg(not(feature = "obs"))]
-#[test]
-fn session_tallies_read_zero_with_obs_compiled_out() {
-    for spec in schemes() {
-        let mut s = session(&spec);
-        s.run_to_completion();
-        let c = s.counters();
-        assert_eq!(c.retired_ops, 0, "{spec}");
-        assert_eq!(c.walk_samples(), 0, "{spec}");
-        assert_eq!(c.org_accesses, 0, "{spec}");
-        assert_eq!(c.org_writebacks, 0, "{spec}");
-        assert_eq!(c.relatches, 0, "{spec}");
-        assert_eq!(c.identifies, 0, "{spec}");
-        assert!(
-            c.l1d_hits + c.l1d_misses > 0,
-            "{spec}: component statistics are still harvested"
-        );
-    }
-}
-
 proptest! {
     /// Harvesting counters and enabling probe recording never perturb
     /// the retired op sequence, and the measured-window counters are
-    /// identical across one-shot and interleaved driving. Holds with
-    /// `obs` on or off — off, the counters compare as all-zero blocks
-    /// and the result equalities still bite.
+    /// identical across one-shot and interleaved driving.
     #[test]
     fn counters_are_observational_and_interleaving_invariant(
         scheme_idx in 0usize..5,
