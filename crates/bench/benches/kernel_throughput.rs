@@ -209,7 +209,7 @@ fn render(entries: &[BenchEntry]) -> String {
             Value::Arr(entries.iter().map(BenchEntry::to_json).collect()),
         ),
     ]);
-    format!("{}\n", doc.render())
+    format!("{}\n", doc.render().expect("bench figures are finite"))
 }
 
 fn load(path: &Path) -> Result<(String, Vec<BenchEntry>), String> {

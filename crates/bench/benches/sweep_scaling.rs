@@ -120,7 +120,7 @@ fn render(spec: &SweepSpec, m: &Measurement) -> String {
         ("wall_secs_jobs_n", Value::num(m.wall_n)),
         ("speedup", Value::num(m.wall_1 / m.wall_n)),
     ]);
-    format!("{}\n", doc.render())
+    format!("{}\n", doc.render().expect("bench figures are finite"))
 }
 
 fn check(path: &Path, spec: &SweepSpec) -> Result<(), String> {

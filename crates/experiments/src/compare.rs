@@ -5,11 +5,16 @@
 //! "CC(Best)"), DSR and SNUG, all normalised to an L2P run of the same
 //! combination. Class results aggregate with the geometric mean (§5).
 
-use sim_cmp::{L2Org, RunPlan, SimSession, StopSpec, SystemConfig, SystemResult};
-use sim_mem::OpStream;
+use sim_cmp::{
+    FrontError, L2Org, RunPlan, SessionBuilder, SharedFront, SimSession, StopSpec, SystemConfig,
+    SystemResult,
+};
+use sim_mem::{Geometry, OpStream};
 use snug_core::{DsrConfig, SchemeSpec, SnugConfig};
 use snug_metrics::{geomean, IpcVector, MetricSet, Table};
-use snug_workloads::{Combo, ComboClass, PhaseSchedule};
+use snug_workloads::{BenchmarkSpec, Combo, ComboClass, PhaseSchedule, SyntheticStream};
+use std::path::Path;
+use std::sync::Arc;
 
 /// Default relative-spread threshold for convergence-based early exit
 /// (`snug sweep --until-converged` without `--rel-eps`): the baseline's
@@ -189,14 +194,62 @@ impl ComboResult {
     }
 }
 
-/// One op stream per core for a combo on the given platform.
-pub fn combo_streams(combo: &Combo, system: &SystemConfig) -> Vec<Box<dyn OpStream>> {
+/// A combo's per-core generators on `system`: each core slot's
+/// benchmark model, sized to the L2 slice. [`FrontKey`] names exactly
+/// these inputs.
+fn combo_generators<'a>(
+    combo: &'a Combo,
+    system: &'a SystemConfig,
+) -> impl Iterator<Item = SyntheticStream> + 'a {
     combo
         .apps
         .iter()
         .enumerate()
-        .map(|(core, b)| Box::new(b.spec().stream(system.l2_slice, core)) as Box<dyn OpStream>)
+        .map(|(core, b)| b.spec().stream(system.l2_slice, core))
+}
+
+/// One op stream per core for a combo on the given platform.
+pub fn combo_streams(combo: &Combo, system: &SystemConfig) -> Vec<Box<dyn OpStream>> {
+    combo_generators(combo, system)
+        .map(|s| Box::new(s) as Box<dyn OpStream>)
         .collect()
+}
+
+/// A combo's front ends on `system`, shared through record files
+/// `dir/{name}-core{c}.front`: every session built over it with
+/// [`run_point`] runs bit-identically to one over [`combo_streams`].
+pub fn combo_shared_front(
+    combo: &Combo,
+    system: &SystemConfig,
+    dir: &Path,
+    name: &str,
+) -> std::io::Result<SharedFront> {
+    let streams = combo_generators(combo, system)
+        .map(|s| Box::new(s) as Box<dyn OpStream + Send>)
+        .collect();
+    SharedFront::create(dir, name, streams, system.l1)
+}
+
+/// What a combo's front ends depend on: each core slot's benchmark
+/// model, the L2-slice geometry the generators size their demand to,
+/// and the L1 geometry. Combos and platforms with equal keys have
+/// identical front ends, whatever the scheme, plan or pace.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FrontKey {
+    specs: Vec<BenchmarkSpec>,
+    l1: Geometry,
+    l2_slice: Geometry,
+}
+
+impl FrontKey {
+    /// The key of `combo`'s front ends on `system`.
+    pub fn of(combo: &Combo, system: &SystemConfig) -> FrontKey {
+        FrontKey {
+            specs: combo.apps.iter().map(|b| b.spec()).collect(),
+            l1: system.l1,
+            l2_slice: system.l2_slice,
+        }
+    }
 }
 
 /// Build a ready-to-drive session for one combo under one organisation:
@@ -213,8 +266,18 @@ pub fn session_for<O: L2Org>(
     cfg: &CompareConfig,
     phase: Option<&PhaseSchedule>,
 ) -> SimSession<O> {
-    SimSession::builder(cfg.system, org)
-        .streams(combo_streams(combo, &cfg.system))
+    let builder = SimSession::builder(cfg.system, org).streams(combo_streams(combo, &cfg.system));
+    planned(builder, cfg, phase)
+}
+
+/// Set `cfg`'s plan and `phase`'s shifts on a builder whose front ends
+/// are attached, and build.
+fn planned<O: L2Org>(
+    builder: SessionBuilder<O>,
+    cfg: &CompareConfig,
+    phase: Option<&PhaseSchedule>,
+) -> SimSession<O> {
+    builder
         .plan(cfg.plan)
         .phase_shifts(phase.map(|p| p.shifts().to_vec()).unwrap_or_default())
         .build()
@@ -405,7 +468,16 @@ fn run_with_phase_means<O: L2Org>(
     session: &mut SimSession<O>,
     plan: &RunPlan,
     phase: Option<&PhaseSchedule>,
-) -> (SystemResult, Vec<f64>) {
+) -> Result<(SystemResult, Vec<f64>), FrontError> {
+    // Drive to `cycle` (past the horizon: to the end) and take the
+    // measured result, unless a shared front end failed on the way.
+    let drive_to = |session: &mut SimSession<O>, cycle: u64| {
+        session.run_until(cycle);
+        match session.front_error() {
+            Some(e) => Err(e.clone()),
+            None => Ok(session.result()),
+        }
+    };
     let horizon = plan.warmup_cycles + plan.measure_cycles();
     let mut cuts: Vec<u64> = match phase {
         Some(p) if !plan.can_stop_early() => p
@@ -418,21 +490,20 @@ fn run_with_phase_means<O: L2Org>(
     };
     cuts.dedup();
     if cuts.is_empty() {
-        return (session.run_to_completion(), Vec::new());
+        return Ok((drive_to(session, u64::MAX)?, Vec::new()));
     }
     let mut marks: Vec<SystemResult> = Vec::with_capacity(cuts.len());
     for &cut in &cuts {
-        session.run_until(cut);
-        marks.push(session.result());
+        marks.push(drive_to(session, cut)?);
     }
-    let r = session.run_to_completion();
+    let r = drive_to(session, u64::MAX)?;
     let mut means = Vec::with_capacity(marks.len() + 1);
     let mut prev: Option<&SystemResult> = None;
     for mark in marks.iter().chain(std::iter::once(&r)) {
         means.push(segment_throughput(prev, mark));
         prev = Some(mark);
     }
-    (r, means)
+    Ok((r, means))
 }
 
 /// Sum of per-core IPCs over the segment between two cumulative
@@ -487,17 +558,32 @@ pub struct Pace {
 /// plan's ceiling, and the baseline's stop reason is inherited, so
 /// cached entries carry both the cycles they actually simulated and
 /// whether those cycles were a plateau.
+///
+/// With a `front` (the combo's [`combo_shared_front`] on `cfg.system`)
+/// the session reads its ops and L1 outcomes from the shared record
+/// files instead of generating them; the result is bit-identical. A
+/// shared front end cannot take a `phase` schedule, and is the only
+/// source of an error: a record file that cannot be read, written or
+/// decoded. Without one the run cannot fail.
 pub fn run_point(
     combo: &Combo,
     point: &SchemePoint,
     cfg: &CompareConfig,
     phase: Option<&PhaseSchedule>,
     pace: Option<&Pace>,
-) -> SchemeRun {
+    front: Option<&Arc<SharedFront>>,
+) -> Result<SchemeRun, FrontError> {
     let run_cfg = pace.map_or(*cfg, |p| paced_config(cfg, p.measured_window));
     let org = point.spec(&run_cfg).build_any(run_cfg.system);
-    let mut session = session_for(combo, org, &run_cfg, phase);
-    let (r, phase_means) = run_with_phase_means(&mut session, &run_cfg.plan, phase);
+    let mut session = match front {
+        Some(front) => planned(
+            SimSession::builder(run_cfg.system, org).shared_front(front.clone()),
+            &run_cfg,
+            phase,
+        ),
+        None => session_for(combo, org, &run_cfg, phase),
+    };
+    let (r, phase_means) = run_with_phase_means(&mut session, &run_cfg.plan, phase)?;
     let (stop_reason, mut plateaus) = early_exit_outcome(&session, &run_cfg.plan);
     if plateaus.is_empty() {
         plateaus = phase_means;
@@ -514,13 +600,13 @@ pub fn run_point(
             stop_reason,
         ),
     };
-    SchemeRun {
+    Ok(SchemeRun {
         scheme: point.label(),
         ipcs: r.ipcs(),
         measured_cycles,
         stop_reason,
         plateaus,
-    }
+    })
 }
 
 /// The pace a converged baseline run sets for its combo: its early-stop
@@ -651,7 +737,14 @@ pub fn assemble_combo(combo: &Combo, runs: &[(SchemePoint, SchemeRun)]) -> Combo
 /// scheme's tail contributed — while still stopping as soon as the
 /// measured system is stable instead of at a guessed cycle count.
 pub fn run_combo(combo: &Combo, cfg: &CompareConfig) -> ComboResult {
-    let baseline = run_point(combo, &SchemePoint::L2p, cfg, None, None);
+    #[expect(
+        clippy::expect_used,
+        reason = "run_point fails only on a shared front end, and these runs are live"
+    )]
+    let live = |point: &SchemePoint, pace: Option<&Pace>| {
+        run_point(combo, point, cfg, None, pace, None).expect("live front ends cannot fail")
+    };
+    let baseline = live(&SchemePoint::L2p, None);
     let pace = cfg.plan.can_stop_early().then(|| pace_of(&baseline, cfg));
     let runs: Vec<(SchemePoint, SchemeRun)> = std::iter::once((SchemePoint::L2p, baseline))
         .chain(
@@ -659,7 +752,7 @@ pub fn run_combo(combo: &Combo, cfg: &CompareConfig) -> ComboResult {
                 .into_iter()
                 .filter(|p| *p != SchemePoint::L2p)
                 .map(|point| {
-                    let run = run_point(combo, &point, cfg, None, pace.as_ref());
+                    let run = live(&point, pace.as_ref());
                     (point, run)
                 }),
         )
@@ -883,7 +976,8 @@ mod tests {
                 measured_window: window,
                 stop_reason,
             };
-            let paced = run_point(&combo, &SchemePoint::Dsr, &cfg, None, Some(&pace));
+            let paced =
+                run_point(&combo, &SchemePoint::Dsr, &cfg, None, Some(&pace), None).unwrap();
             assert_eq!(paced.measured_cycles, recorded, "{pace:?}");
             assert_eq!(paced.stop_reason, Some(stop_reason), "{pace:?}");
 
@@ -895,7 +989,9 @@ mod tests {
                 &paced_config(&cfg, window),
                 None,
                 None,
-            );
+                None,
+            )
+            .unwrap();
             assert_eq!(paced.ipcs, fixed.ipcs, "{pace:?}");
             assert_eq!(fixed.measured_cycles, None);
             assert_eq!(fixed.stop_reason, None);
@@ -913,7 +1009,7 @@ mod tests {
         cfg.plan = RunPlan::fixed(10_000, 60_000);
         let phase = PhaseSchedule::parse("40000:demand=300").unwrap();
 
-        let run = run_point(&combo, &SchemePoint::Snug, &cfg, Some(&phase), None);
+        let run = run_point(&combo, &SchemePoint::Snug, &cfg, Some(&phase), None, None).unwrap();
         assert_eq!(
             run.plateaus.len(),
             2,
@@ -932,11 +1028,11 @@ mod tests {
 
         // A shift outside the measured window records nothing.
         let late = PhaseSchedule::parse("500000:demand=300").unwrap();
-        let run = run_point(&combo, &SchemePoint::Snug, &cfg, Some(&late), None);
+        let run = run_point(&combo, &SchemePoint::Snug, &cfg, Some(&late), None, None).unwrap();
         assert!(run.plateaus.is_empty(), "{:?}", run.plateaus);
 
         // Stationary fixed runs stay empty too.
-        let run = run_point(&combo, &SchemePoint::Snug, &cfg, None, None);
+        let run = run_point(&combo, &SchemePoint::Snug, &cfg, None, None, None).unwrap();
         assert!(run.plateaus.is_empty(), "{:?}", run.plateaus);
     }
 }

@@ -9,7 +9,8 @@
 //!   probabilities. Every simulation is driven through a
 //!   [`sim_cmp::SimSession`] built by [`session_for`]; [`run_point`]
 //!   runs one (combo, scheme point) unit, optionally under a phase
-//!   schedule and a baseline's pace;
+//!   schedule and a baseline's pace, or over the combo's
+//!   [`combo_shared_front`];
 //! * [`trace`] — phase-resolved time series ([`trace_point`]) behind
 //!   the `snug trace` CLI.
 //!
@@ -36,10 +37,10 @@ pub use characterize::{characterize, CharacterizeConfig, DemandCharacterization}
 #[doc(hidden)]
 pub use compare::session_for as session_for_org_phased;
 pub use compare::{
-    assemble_combo, best_cc_index, combo_streams, default_window, figure_table, pace_of,
-    paced_config, run_combo, run_point, run_scheme, session_for, summarize, ClassSummary,
-    ComboResult, CompareConfig, Figure, Pace, SchemePoint, SchemeResult, SchemeRun, StopReason,
-    DEFAULT_REL_EPSILON, FIGURE_SCHEMES,
+    assemble_combo, best_cc_index, combo_shared_front, combo_streams, default_window, figure_table,
+    pace_of, paced_config, run_combo, run_point, run_scheme, session_for, summarize, ClassSummary,
+    ComboResult, CompareConfig, Figure, FrontKey, Pace, SchemePoint, SchemeResult, SchemeRun,
+    StopReason, DEFAULT_REL_EPSILON, FIGURE_SCHEMES,
 };
 pub use sim_cmp::{RunPlan, StopSpec};
 pub use trace::{default_stride, trace_point, TraceSeries};

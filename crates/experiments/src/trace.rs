@@ -273,7 +273,7 @@ mod tests {
         // same point retire identical IPCs.
         let combo = all_combos()[3];
         let cfg = tiny_cfg();
-        let plain = crate::run_point(&combo, &SchemePoint::Snug, &cfg, None, None);
+        let plain = crate::run_point(&combo, &SchemePoint::Snug, &cfg, None, None, None).unwrap();
         let spec = SchemePoint::Snug.spec(&cfg);
         let mut session = session_for(&combo, spec.build_any(cfg.system), &cfg, None);
         session.enable_recording(30_000);

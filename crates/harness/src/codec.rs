@@ -489,10 +489,10 @@ mod tests {
                 stop_reason,
                 plateaus: plateaus.clone(),
             };
-            let text = run.to_json().render();
+            let text = run.to_json().render().unwrap();
             let back = SchemeRun::from_json(&crate::json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, run);
-            assert_eq!(back.to_json().render(), text);
+            assert_eq!(back.to_json().render().unwrap(), text);
             assert_eq!(
                 text.contains("measured_cycles"),
                 measured_cycles.is_some(),
@@ -522,7 +522,10 @@ mod tests {
             ("scheme", Value::str("l2p")),
             ("ipcs", f64_arr(&[1.0, 2.0])),
         ]);
-        assert_eq!(canonical.to_json().render(), legacy_form.render());
+        assert_eq!(
+            canonical.to_json().render().unwrap(),
+            legacy_form.render().unwrap()
+        );
     }
 
     #[test]
@@ -555,7 +558,11 @@ mod tests {
             let mutated = Value::Obj(obj);
             let decoded = SimCounters::from_json(&mutated).unwrap();
             assert_ne!(decoded, zero, "key `{key}` must reach a field");
-            assert_eq!(decoded.to_json().render(), mutated.render(), "{key}");
+            assert_eq!(
+                decoded.to_json().render().unwrap(),
+                mutated.render().unwrap(),
+                "{key}"
+            );
         }
         let short = Value::obj(vec![("l1_walk_depths", f64_arr(&[1.0]))]);
         assert!(SimCounters::from_json(&short).is_err(), "bucket count");
@@ -572,10 +579,10 @@ mod tests {
             worker: 3,
             shard: "worker-3.jsonl".into(),
         };
-        let text = span.to_json().render();
+        let text = span.to_json().render().unwrap();
         let back = crate::sweep::UnitSpan::from_json(&crate::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, span);
-        assert_eq!(back.to_json().render(), text);
+        assert_eq!(back.to_json().render().unwrap(), text);
         // The throughput helpers stay defined at zero wall time.
         assert_eq!(crate::sweep::UnitSpan::default().cycles_per_sec(), 0.0);
         assert_eq!(crate::sweep::UnitSpan::default().ops_per_sec(), 0.0);

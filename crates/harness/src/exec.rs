@@ -76,7 +76,8 @@ pub enum ExecEvent {
 pub enum JobOutcome<T> {
     /// The job ran to completion.
     Done(T),
-    /// The job panicked; the payload, rendered.
+    /// The job returned an error or panicked; the error, or the panic
+    /// payload rendered.
     Failed(String),
     /// The job never ran: a dependency failed.
     Skipped {
@@ -134,9 +135,10 @@ struct Sched {
 /// `job(i, w)` computes the result of job `i` on worker `w` (the worker
 /// index is stable for the call's duration — per-worker resources like
 /// shard files key off it); `on_event` observes progress (called under
-/// a lock — keep it light). Outcomes return in job order. Panics are
-/// caught per job: the job reports [`JobOutcome::Failed`] and its
-/// transitive dependents report [`JobOutcome::Skipped`] without running.
+/// a lock — keep it light). Outcomes return in job order. A job fails
+/// by returning `Err` or by panicking (panics are caught per job): it
+/// reports [`JobOutcome::Failed`] and its transitive dependents report
+/// [`JobOutcome::Skipped`] without running.
 ///
 /// Panics if `deps` references an out-of-range job or contains a cycle
 /// (both are caller bugs, detected before any job runs).
@@ -149,7 +151,7 @@ pub fn run_graph<T, F, E>(
 ) -> Vec<JobOutcome<T>>
 where
     T: Send,
-    F: Fn(usize, usize) -> T + Sync,
+    F: Fn(usize, usize) -> Result<T, String> + Sync,
     E: FnMut(ExecEvent) + Send,
 {
     assert_eq!(deps.len(), n_jobs, "one dependency list per job");
@@ -237,7 +239,11 @@ where
                     index: idx,
                     worker: w,
                 });
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(idx, w)));
+                let result =
+                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(idx, w))) {
+                        Ok(result) => result,
+                        Err(payload) => Err(panic_message(payload)),
+                    };
                 // Record the outcome and unlock (or doom) the
                 // dependents. Events are emitted while still holding the
                 // scheduler lock so `done` counts arrive monotonically.
@@ -270,8 +276,7 @@ where
                             }
                         }
                     }
-                    Err(payload) => {
-                        let error = panic_message(payload);
+                    Err(error) => {
                         *outcomes[idx].lock().unwrap_or_else(PoisonError::into_inner) =
                             Some(JobOutcome::Failed(error.clone()));
                         emit(ExecEvent::Failed {
@@ -334,7 +339,7 @@ where
     E: FnMut(ExecEvent) + Send,
 {
     let deps = vec![Vec::new(); n_jobs];
-    run_graph(n_jobs, &deps, threads, |i, _w| job(i), on_event)
+    run_graph(n_jobs, &deps, threads, |i, _w| Ok(job(i)), on_event)
         .into_iter()
         .map(|outcome| match outcome {
             JobOutcome::Done(t) => t,
@@ -448,7 +453,7 @@ mod tests {
                 threads,
                 |i, _w| {
                     started.lock().unwrap().push(i);
-                    i * 10
+                    Ok(i * 10)
                 },
                 |e| {
                     if let ExecEvent::Finished { index, .. } = e {
@@ -489,7 +494,7 @@ mod tests {
                 if i == 1 {
                     panic!("baseline exploded");
                 }
-                i
+                Ok(i)
             },
             |e| events.push(e),
         );
@@ -531,15 +536,16 @@ mod tests {
                 2,
                 |i, _w| {
                     if i == 1 {
-                        panic!("no");
+                        return Err("no".to_string());
                     }
                     if i == 2 {
                         ran.fetch_add(1, Ordering::SeqCst);
                     }
-                    i
+                    Ok(i)
                 },
                 |_| {},
             );
+            assert_eq!(outcomes[1], JobOutcome::Failed("no".into()));
             assert_eq!(outcomes[2], JobOutcome::Skipped { failed_dep: 1 });
             assert_eq!(ran.load(Ordering::SeqCst), 0, "skipped job never ran");
         }
@@ -549,14 +555,14 @@ mod tests {
     #[should_panic(expected = "cycle")]
     fn dependency_cycles_are_rejected_up_front() {
         let deps = vec![vec![1], vec![0]];
-        run_graph(2, &deps, 2, |i, _w| i, |_| {});
+        run_graph(2, &deps, 2, |i, _w| Ok(i), |_| {});
     }
 
     #[test]
     fn worker_index_is_in_range() {
         let threads = 3;
         let deps = vec![Vec::new(); 12];
-        let outcomes = run_graph(12, &deps, threads, |_i, w| w, |_| {});
+        let outcomes = run_graph(12, &deps, threads, |_i, w| Ok(w), |_| {});
         assert!(outcomes
             .into_iter()
             .all(|o| matches!(o, JobOutcome::Done(w) if w < threads)));

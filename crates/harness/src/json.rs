@@ -20,7 +20,8 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// A finite number.
+    /// A number. Only finite numbers render: [`Value::render`] refuses
+    /// NaN and the infinities, which JSON cannot express.
     Num(f64),
     /// A string.
     Str(String),
@@ -41,10 +42,8 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Shorthand for a finite number; panics on NaN/∞ (never produced by
-    /// the simulators).
+    /// Shorthand for a number (rendering fails if it is not finite).
     pub fn num(x: f64) -> Value {
-        assert!(x.is_finite(), "JSON numbers must be finite, got {x}");
         Value::Num(x)
     }
 
@@ -110,18 +109,19 @@ impl Value {
         }
     }
 
-    /// Render to a compact JSON string.
-    pub fn render(&self) -> String {
+    /// Render to a compact JSON string. Fails on a non-finite number,
+    /// naming the field path that holds it.
+    pub fn render(&self) -> Result<String, JsonError> {
         let mut out = String::new();
-        self.write(&mut out);
-        out
+        self.write(&mut out)?;
+        Ok(out)
     }
 
-    fn write(&self, out: &mut String) {
+    fn write(&self, out: &mut String) -> Result<(), JsonError> {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(x) => write_num(*x, out),
+            Value::Num(x) => write_num(*x, out)?,
             Value::Str(s) => write_str(s, out),
             Value::Arr(items) => {
                 out.push('[');
@@ -129,7 +129,8 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.write(out)
+                        .map_err(|e| JsonError(format!("[{i}]{}", e.0)))?;
                 }
                 out.push(']');
             }
@@ -141,20 +142,25 @@ impl Value {
                     }
                     write_str(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.write(out)
+                        .map_err(|e| JsonError(format!(".{k}{}", e.0)))?;
                 }
                 out.push('}');
             }
         }
+        Ok(())
     }
 }
 
-fn write_num(x: f64, out: &mut String) {
-    assert!(x.is_finite(), "JSON numbers must be finite");
+fn write_num(x: f64, out: &mut String) -> Result<(), JsonError> {
+    if !x.is_finite() {
+        return Err(JsonError(format!(": {x} is not a finite JSON number")));
+    }
     // Rust's float formatting is shortest-round-trip: parsing the output
     // recovers the exact bits. Integers render without a fraction; keep
     // them as-is (JSON permits both).
     let _ = write!(out, "{x:?}");
+    Ok(())
 }
 
 /// Write `s` as a quoted JSON string. Every byte that needs an escape is
@@ -487,7 +493,23 @@ mod tests {
             "{}",
         ] {
             let v = parse(text).unwrap();
-            assert_eq!(parse(&v.render()).unwrap(), v, "{text}");
+            assert_eq!(parse(&v.render().unwrap()).unwrap(), v, "{text}");
+        }
+    }
+
+    #[test]
+    fn non_finite_numbers_are_an_error_naming_their_path() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let v = Value::obj(vec![(
+                "ipcs",
+                Value::Arr(vec![Value::num(1.0), Value::num(x)]),
+            )]);
+            let err = v.render().unwrap_err();
+            assert_eq!(
+                err.0,
+                format!(".ipcs[1]: {x} is not a finite JSON number"),
+                "{x}"
+            );
         }
     }
 
@@ -495,7 +517,7 @@ mod tests {
     fn floats_round_trip_bit_exactly() {
         for x in [0.1, 1.0 / 3.0, 6.02e23, -0.0, 1e-308, 123456789.1234568] {
             let v = Value::num(x);
-            let back = parse(&v.render()).unwrap().as_num().unwrap();
+            let back = parse(&v.render().unwrap()).unwrap().as_num().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x}");
         }
     }
@@ -507,7 +529,7 @@ mod tests {
             ("alpha", Value::str("x")),
             ("mid", Value::Arr(vec![Value::Bool(true), Value::Null])),
         ]);
-        let text = v.render();
+        let text = v.render().unwrap();
         assert!(
             text.find("alpha").unwrap() < text.find("zeta").unwrap(),
             "sorted keys"
@@ -519,7 +541,10 @@ mod tests {
     fn string_escapes_survive() {
         let nasty = "quote\" slash\\ newline\n tab\t unicode\u{1}end";
         let v = Value::str(nasty);
-        assert_eq!(parse(&v.render()).unwrap().as_str().unwrap(), nasty);
+        assert_eq!(
+            parse(&v.render().unwrap()).unwrap().as_str().unwrap(),
+            nasty
+        );
     }
 
     #[test]
@@ -563,7 +588,7 @@ mod tests {
     fn a_mebibyte_string_parses_in_linear_time() {
         let pattern = "plain ascii é€𐍈 \"quoted\" back\\slash\n";
         let s = pattern.repeat((1 << 20) / pattern.len() + 1);
-        let text = Value::str(&s).render();
+        let text = Value::str(&s).render().unwrap();
         let start = std::time::Instant::now();
         let back = parse(&text).unwrap();
         let took = start.elapsed();
@@ -665,7 +690,7 @@ mod tests {
         fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..512)) {
             let text = String::from_utf8_lossy(&bytes);
             if let Ok(v) = parse(&text) {
-                prop_assert_eq!(parse(&v.render()), Ok(v));
+                prop_assert_eq!(parse(&v.render().unwrap()), Ok(v));
             }
         }
 
@@ -675,7 +700,7 @@ mod tests {
             let bytes: Vec<u8> = picks.iter().map(|&i| SOUP[i]).collect();
             let text = String::from_utf8_lossy(&bytes);
             if let Ok(v) = parse(&text) {
-                prop_assert_eq!(parse(&v.render()), Ok(v));
+                prop_assert_eq!(parse(&v.render().unwrap()), Ok(v));
             }
         }
 
@@ -693,7 +718,7 @@ mod tests {
                 })
                 .collect();
             let v = Value::Obj(BTreeMap::from([(s.clone(), Value::Str(s))]));
-            let text = v.render();
+            let text = v.render().unwrap();
             prop_assert!(!text.bytes().any(|b| b < 0x20), "raw control byte in {text:?}");
             prop_assert_eq!(parse(&text), Ok(v));
         }

@@ -62,7 +62,9 @@ pub use spec::{
     trace_key, unit_jobs_for, unit_key, BudgetPreset, ComboJob, StopPreset, SweepSpec, UnitJob,
     SCHEMA_VERSION,
 };
-pub use store::{MergeStats, ResultStore, StoreError, StoredResult, SHARDS_DIR, SPANS_FILE};
+pub use store::{
+    MergeStats, ResultStore, StoreError, StoredResult, FRONTS_DIR, SHARDS_DIR, SPANS_FILE,
+};
 pub use sweep::{
     cached_results, fmt_eng, run_sweep, run_unit_jobs, telemetry_footer, ComboOutcome, SweepError,
     SweepEvent, SweepOutcome, UnitOutcome, UnitSpan,

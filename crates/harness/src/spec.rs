@@ -1187,7 +1187,7 @@ mod tests {
                 phase_shift: Some("400000:profile=mcf".into()),
             },
         ] {
-            let text = spec.to_json().render();
+            let text = spec.to_json().render().unwrap();
             let back = SweepSpec::from_json(&crate::json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, spec);
 

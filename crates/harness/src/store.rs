@@ -23,6 +23,11 @@
 //!   store and deleted at sweep end. Leftover shards (a killed sweep)
 //!   are recovered through [`ResultStore::recover_shards`] under the
 //!   usual merge semantics.
+//! * [`FRONTS_DIR`]`/front{N}-core{C}.front` — shared front-end record
+//!   files of an in-flight sweep (see [`crate::sweep`]): created on the
+//!   first unit that reads them, deleted when the last one finishes,
+//!   and the directory removed before the sweep returns. A leftover
+//!   directory (a killed sweep) is cleared when the next sweep starts.
 //!
 //! ## Key schema
 //!
@@ -52,6 +57,10 @@ pub const SPANS_FILE: &str = "spans.jsonl";
 /// Directory (inside the results directory) holding the per-worker
 /// shard files of an in-flight sweep.
 pub const SHARDS_DIR: &str = "shards";
+
+/// Directory (inside the results directory) holding the shared
+/// front-end record files of an in-flight sweep.
+pub const FRONTS_DIR: &str = "fronts";
 
 /// What a store entry holds: one unit simulation, a recorded probe time
 /// series, or the execution telemetry of one sweep piece.
@@ -129,8 +138,10 @@ impl StoreEntry {
     /// The entry rendered as one JSONL line (no trailing newline) — the
     /// exact bytes `insert` appends, shared with the shard writers so a
     /// shard line and a store line for the same result are identical.
-    pub(crate) fn render_line(&self) -> String {
-        self.to_json().render()
+    pub(crate) fn render_line(&self) -> Result<String, StoreError> {
+        self.to_json()
+            .render()
+            .map_err(|e| StoreError::Encode(self.key.clone(), e.0))
     }
 }
 
@@ -244,6 +255,12 @@ impl ShardWriter {
 
     /// Append one entry as a JSONL line and flush it to disk.
     pub(crate) fn append(&mut self, entry: &StoreEntry) -> Result<(), StoreError> {
+        let line = entry.render_line()?;
+        self.append_line(&line)
+    }
+
+    /// Append one entry already rendered by [`StoreEntry::render_line`].
+    pub(crate) fn append_line(&mut self, line: &str) -> Result<(), StoreError> {
         let file = match self.file.as_mut() {
             Some(file) => file,
             None => {
@@ -258,7 +275,7 @@ impl ShardWriter {
                 self.file.insert(file)
             }
         };
-        writeln!(file, "{}", entry.render_line()).map_err(|e| StoreError::io(&self.path, e))
+        writeln!(file, "{line}").map_err(|e| StoreError::io(&self.path, e))
     }
 }
 
@@ -376,7 +393,7 @@ impl ResultStore {
                 StoredResult::Span(_) => &mut spans_text,
                 _ => &mut store_text,
             };
-            text.push_str(&entry.render_line());
+            text.push_str(&entry.render_line()?);
             text.push('\n');
         }
         let tmp = self.dir.join(format!("{STORE_FILE}.tmp"));
@@ -447,7 +464,7 @@ impl ResultStore {
             inputs,
             result,
         };
-        let line = entry.render_line();
+        let line = entry.render_line()?;
         fs::create_dir_all(&self.dir).map_err(|e| StoreError::io(&self.dir, e))?;
         let path = self.dir.join(file);
         let mut file = fs::OpenOptions::new()
@@ -570,6 +587,9 @@ pub enum StoreError {
     /// A line that does not parse or decode (path, 1-based line,
     /// message).
     Corrupt(String, usize, String),
+    /// An entry that cannot be encoded (key, message) — a non-finite
+    /// number in its result.
+    Encode(String, String),
 }
 
 impl StoreError {
@@ -589,6 +609,9 @@ impl std::fmt::Display for StoreError {
             StoreError::Io(path, msg) => write!(f, "result store I/O error at {path}: {msg}"),
             StoreError::Corrupt(path, line, msg) => {
                 write!(f, "corrupt result store {path}:{line}: {msg}")
+            }
+            StoreError::Encode(key, msg) => {
+                write!(f, "cannot store entry {key}: {msg}")
             }
         }
     }
@@ -847,7 +870,7 @@ mod tests {
         };
         let path = dir.join(STORE_FILE);
         let mut text = fs::read_to_string(&path).unwrap();
-        text.push_str(&span_entry.render_line());
+        text.push_str(&span_entry.render_line().unwrap());
         text.push('\n');
         fs::write(&path, text).unwrap();
 
@@ -991,7 +1014,7 @@ mod tests {
         let mut rendered = String::with_capacity(text.len());
         for line in text.lines() {
             let key = parse(line).unwrap().take_str("key").unwrap();
-            rendered.push_str(&store.entries[&key].render_line());
+            rendered.push_str(&store.entries[&key].render_line().unwrap());
             rendered.push('\n');
         }
         assert_eq!(text.lines().count(), 756);
@@ -1031,7 +1054,7 @@ mod tests {
                     bytes[pos] = b;
                     let text = String::from_utf8_lossy(&bytes);
                     if let Ok(entry) = StoreEntry::parse_line(&text) {
-                        let again = StoreEntry::parse_line(&entry.render_line());
+                        let again = StoreEntry::parse_line(&entry.render_line().unwrap());
                         assert_eq!(again.as_ref(), Ok(&entry), "byte {pos} = {b:#04x}");
                     }
                 }

@@ -9,17 +9,30 @@
 //! pending-job order at sweep end (schedule-independent bytes), and
 //! baseline pacing is an explicit dependency edge — a combo's L2P unit
 //! gates its paced siblings, everything else runs free.
+//!
+//! A combo's units share one front end (op streams plus private L1s):
+//! the per-core sequence of ops and L1 outcomes is the same for every
+//! scheme point, so when two or more pending units of a combo run
+//! without a phase schedule they read it from one
+//! [`SharedFront`]'s record files under [`FRONTS_DIR`] instead of each
+//! regenerating it. Nothing of it outlives the sweep.
 
 use crate::exec::{self, ExecEvent, JobOutcome};
 use crate::hash::content_key;
 use crate::spec::{unit_key, SweepSpec, UnitJob, SCHEMA_VERSION};
-use crate::store::{ResultStore, ShardWriter, StoreEntry, StoreError, StoredResult, SHARDS_DIR};
+use crate::store::{
+    ResultStore, ShardWriter, StoreEntry, StoreError, StoredResult, FRONTS_DIR, SHARDS_DIR,
+};
+use sim_cmp::SharedFront;
 use snug_experiments::{
-    assemble_combo, pace_of, run_point, ComboResult, Pace, SchemePoint, SchemeRun,
+    assemble_combo, combo_shared_front, pace_of, run_point, ComboResult, FrontKey, Pace,
+    SchemePoint, SchemeRun,
 };
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Mutex, PoisonError};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Progress events streamed while a sweep runs.
@@ -252,10 +265,12 @@ impl PaceSource {
 
 /// One schedulable node of the sweep's dependency graph — exactly one
 /// unit simulation: free-running (`pace: None`), or paced to its combo
-/// baseline's measured window.
+/// baseline's measured window; reading its ops from the shared front
+/// end in slot `front`, or generating them live (`None`).
 struct ExecNode<'a> {
     job: &'a UnitJob,
     pace: Option<PaceSource>,
+    front: Option<usize>,
 }
 
 impl ExecNode<'_> {
@@ -266,8 +281,12 @@ impl ExecNode<'_> {
         }
     }
 
-    /// Simulate this node's unit.
-    fn run(&self, paces: &[Mutex<Option<Pace>>]) -> SchemeRun {
+    /// Simulate this node's unit, over `front` when it shares one.
+    fn run(
+        &self,
+        paces: &[Mutex<Option<Pace>>],
+        front: Option<&Arc<SharedFront>>,
+    ) -> Result<SchemeRun, String> {
         let job = self.job;
         let pace = self.pace.map(|source| source.resolve(paces));
         run_point(
@@ -276,7 +295,114 @@ impl ExecNode<'_> {
             &job.config,
             job.phase.as_ref(),
             pace.as_ref(),
+            front,
         )
+        .map_err(|e| e.to_string())
+    }
+}
+
+/// One front end shared by two or more pending units: created by the
+/// first of them to start, dropped — deleting its record files — when
+/// the last one finishes, fails or is skipped.
+struct FrontSlot<'a> {
+    /// A unit reading it: the combo and platform to generate from.
+    job: &'a UnitJob,
+    front: Mutex<Option<Arc<SharedFront>>>,
+    /// Units that have not finished, failed or been skipped yet.
+    remaining: AtomicUsize,
+}
+
+/// Give every group of two or more stationary nodes with equal
+/// [`FrontKey`]s a shared front-end slot. Nodes under a phase schedule
+/// run live: their shifts land at timing-dependent points of the op
+/// sequence.
+fn plan_fronts<'a>(nodes: &mut [ExecNode<'a>]) -> Vec<FrontSlot<'a>> {
+    let mut keys: Vec<FrontKey> = Vec::new();
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    for (i, node) in nodes.iter().enumerate() {
+        if node.job.phase.is_some() {
+            continue;
+        }
+        let key = FrontKey::of(&node.job.combo, &node.job.config.system);
+        match keys.iter().position(|k| *k == key) {
+            Some(g) => members[g].push(i),
+            None => {
+                keys.push(key);
+                members.push(vec![i]);
+            }
+        }
+    }
+    let mut slots = Vec::new();
+    for group in members.into_iter().filter(|g| g.len() >= 2) {
+        for &i in &group {
+            nodes[i].front = Some(slots.len());
+        }
+        slots.push(FrontSlot {
+            job: nodes[group[0]].job,
+            front: Mutex::new(None),
+            remaining: AtomicUsize::new(group.len()),
+        });
+    }
+    slots
+}
+
+impl FrontSlot<'_> {
+    /// The shared front end, created under `dir` on first use.
+    fn acquire(&self, dir: &Path, index: usize) -> Result<Arc<SharedFront>, String> {
+        let mut front = self.front.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(front) = &*front {
+            return Ok(front.clone());
+        }
+        let created = std::fs::create_dir_all(dir)
+            .map_err(|e| format!("{}: {e}", dir.display()))
+            .and_then(|()| {
+                combo_shared_front(
+                    &self.job.combo,
+                    &self.job.config.system,
+                    dir,
+                    &format!("front{index}"),
+                )
+                .map_err(|e| e.to_string())
+            })
+            .map_err(|e| format!("creating the shared front end: {e}"))?;
+        Ok(front.insert(Arc::new(created)).clone())
+    }
+}
+
+/// A unit's claim on its front-end slot: releasing the last claim drops
+/// the slot's front end, which deletes its files. Released on drop, so
+/// a unit that fails or panics releases too.
+struct FrontLease<'s, 'a>(&'s FrontSlot<'a>);
+
+impl Drop for FrontLease<'_, '_> {
+    fn drop(&mut self) {
+        if self.0.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            drop(
+                self.0
+                    .front
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take(),
+            );
+        }
+    }
+}
+
+/// The sweep's shared front-end directory: cleared when claimed (a
+/// killed sweep may have left one behind) and removed when dropped, on
+/// every return path.
+struct FrontsDir(PathBuf);
+
+impl FrontsDir {
+    fn claim(path: PathBuf) -> FrontsDir {
+        let _ = std::fs::remove_dir_all(&path);
+        FrontsDir(path)
+    }
+}
+
+impl Drop for FrontsDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -336,7 +462,11 @@ fn plan_exec_nodes<'a>(
     for item in items {
         let jobs = match item {
             Item::Free(job) => {
-                nodes.push(ExecNode { job, pace: None });
+                nodes.push(ExecNode {
+                    job,
+                    pace: None,
+                    front: None,
+                });
                 deps.push(Vec::new());
                 continue;
             }
@@ -348,6 +478,7 @@ fn plan_exec_nodes<'a>(
             nodes.push(ExecNode {
                 job: jobs[p],
                 pace: None,
+                front: None,
             });
             deps.push(Vec::new());
             Some(PaceSource::Node(baseline))
@@ -367,7 +498,11 @@ fn plan_exec_nodes<'a>(
             _ => Vec::new(),
         };
         for &job in jobs.iter().filter(|j| j.point != SchemePoint::L2p) {
-            nodes.push(ExecNode { job, pace: source });
+            nodes.push(ExecNode {
+                job,
+                pace: source,
+                front: None,
+            });
             deps.push(edges.clone());
         }
     }
@@ -490,6 +625,24 @@ pub(crate) mod failpoint {
             }
         }
     }
+
+    /// Armed like [`ARMED`]: a matching piece's run gets a NaN IPC,
+    /// as a degenerate simulation would produce.
+    pub(crate) static NAN_IPC: Mutex<Option<(String, u64)>> = Mutex::new(None);
+
+    pub(crate) fn maybe_poison(
+        label: &str,
+        warmup_cycles: u64,
+        mut run: snug_experiments::SchemeRun,
+    ) -> snug_experiments::SchemeRun {
+        let armed = NAN_IPC.lock().expect("failpoint poisoned").clone();
+        if let Some((pattern, warmup)) = armed {
+            if warmup_cycles == warmup && label.contains(&pattern) {
+                run.ipcs[0] = f64::NAN;
+            }
+        }
+        run
+    }
 }
 
 /// Run `jobs` against `store`: cached units are served, missing units
@@ -514,7 +667,9 @@ pub fn run_unit_jobs(
         .iter()
         .filter(|j| store.get_unit(&j.key).is_none())
         .collect();
-    let (nodes, deps) = plan_exec_nodes(&pending, store);
+    let (mut nodes, deps) = plan_exec_nodes(&pending, store);
+    let fronts_dir = FrontsDir::claim(store.dir().join(FRONTS_DIR));
+    let fronts = plan_fronts(&mut nodes);
     let workers = exec::effective_threads(threads, nodes.len());
     let shards_dir = store.dir().join(SHARDS_DIR);
     let shard_writers: Vec<Mutex<ShardWriter>> = (0..workers)
@@ -535,11 +690,29 @@ pub fn run_unit_jobs(
         |i, worker| {
             let node = &nodes[i];
             let job = node.job;
+            let lease = node.front.map(|slot| FrontLease(&fronts[slot]));
             #[cfg(test)]
             failpoint::maybe_panic(&node.label(), job.config.plan.warmup_cycles);
             let picked = Instant::now();
-            let run = node.run(&paces);
+            let front = node
+                .front
+                .map(|slot| fronts[slot].acquire(&fronts_dir.0, slot))
+                .transpose()?;
+            let run = node.run(&paces, front.as_ref())?;
+            drop(front);
+            drop(lease);
             let wall_nanos = picked.elapsed().as_nanos() as u64;
+            #[cfg(test)]
+            let run = failpoint::maybe_poison(&node.label(), job.config.plan.warmup_cycles, run);
+            // A result the store cannot hold fails the unit here, before
+            // its pace unblocks any sibling.
+            let unit_line = StoreEntry {
+                key: job.key.clone(),
+                inputs: unit_inputs(job),
+                result: StoredResult::Unit(run.clone()),
+            }
+            .render_line()
+            .map_err(|e| e.to_string())?;
             // Publish the baseline's pace before this node is marked
             // complete: the executor unblocks dependents only after this
             // closure returns, so paced siblings always find it.
@@ -565,27 +738,23 @@ pub fn run_unit_jobs(
                 let mut shard = shard_writers[worker]
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
-                let mut append = |entry: StoreEntry| {
-                    if let Err(e) = shard.append(&entry) {
-                        shard_error
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .get_or_insert(e);
-                    }
-                };
-                append(StoreEntry {
-                    key: job.key.clone(),
-                    inputs: unit_inputs(job),
-                    result: StoredResult::Unit(run.clone()),
-                });
-                append(StoreEntry {
+                let span_entry = StoreEntry {
                     key: span_key.clone(),
                     inputs: format!("span | {}", span.label),
                     result: StoredResult::Span(span.clone()),
-                });
+                };
+                if let Err(e) = shard
+                    .append_line(&unit_line)
+                    .and_then(|()| shard.append(&span_entry))
+                {
+                    shard_error
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .get_or_insert(e);
+                }
             }
             *spans[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(span.clone());
-            (run, span_key, span)
+            Ok((run, span_key, span))
         },
         |event| {
             let mut p = progress_cell.lock().unwrap_or_else(PoisonError::into_inner);
@@ -611,10 +780,15 @@ pub fn run_unit_jobs(
                 }),
                 ExecEvent::Skipped {
                     index, failed_dep, ..
-                } => (*p)(SweepEvent::JobSkipped {
-                    label: nodes[index].label(),
-                    failed_dep: nodes[failed_dep].label(),
-                }),
+                } => {
+                    // A skipped unit never runs its job, so release its
+                    // front-end claim here.
+                    drop(nodes[index].front.map(|slot| FrontLease(&fronts[slot])));
+                    (*p)(SweepEvent::JobSkipped {
+                        label: nodes[index].label(),
+                        failed_dep: nodes[failed_dep].label(),
+                    })
+                }
             }
         },
     );
@@ -1263,6 +1437,146 @@ mod tests {
             }
         }
         assert_eq!(snug_units, 3, "one SNUG unit per C1 combo");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The files a results directory holds, by name.
+    fn listing(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn shared_front_ends_live_only_while_their_combo_runs() {
+        let spec = tiny_spec();
+        let (dir, mut store) = tmp_store("fronts");
+        // A directory a killed sweep left behind is cleared at start.
+        let fronts = dir.join(FRONTS_DIR);
+        std::fs::create_dir_all(&fronts).unwrap();
+        std::fs::write(fronts.join("front0-core0.front"), b"stale").unwrap();
+        // Every unit finishing while its combo has units left to run
+        // sees the combo's record files; the last one never does.
+        let mut seen_open = 0;
+        let first = run_sweep(&spec, &mut store, 2, |e| {
+            if let SweepEvent::JobFinished { .. } = e {
+                if fronts.exists() && std::fs::read_dir(&fronts).unwrap().count() > 0 {
+                    seen_open += 1;
+                }
+            }
+        })
+        .unwrap();
+        assert_eq!(first.executed, 3 * UNITS_PER_COMBO);
+        assert!(seen_open > 0, "units shared record files");
+        assert!(!fronts.exists(), "no scratch directory after the sweep");
+
+        // The shared runs are the live runs, bit for bit.
+        for combo in &first.combos {
+            let job = spec
+                .combo_jobs()
+                .into_iter()
+                .find(|j| j.combo.label() == combo.label)
+                .unwrap();
+            let unit = &job.units[SchemePoint::COUNT - 1];
+            let live = run_point(&unit.combo, &unit.point, &unit.config, None, None, None).unwrap();
+            assert_eq!(store.get_unit(&unit.key), Some(&live), "{}", unit.label());
+        }
+
+        // A fully cache-served sweep leaves the directory as it was.
+        let before = listing(&dir);
+        let again = run_sweep(&spec, &mut store, 2, |_| {}).unwrap();
+        assert_eq!(again.executed, 0);
+        assert_eq!(listing(&dir), before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failing_unit_leaves_no_shared_front_end_behind() {
+        let mut spec = tiny_spec();
+        // A warm-up budget unique to this test keys the failpoint.
+        spec.budget = BudgetPreset::Custom {
+            warmup_cycles: 12_000,
+            measure_cycles: 72_000,
+        };
+        let (dir, mut store) = tmp_store("fronts-failing");
+        let victim = format!("{} [cc@50%]", spec.combos()[1].label());
+        *failpoint::ARMED.lock().unwrap() = Some((victim.clone(), 12_000));
+        let err = run_sweep(&spec, &mut store, 2, |_| {}).unwrap_err();
+        *failpoint::ARMED.lock().unwrap() = None;
+        assert!(
+            matches!(&err, SweepError::UnitFailed { label, .. } if *label == victim),
+            "{err}"
+        );
+        assert!(!dir.join(FRONTS_DIR).exists(), "removed on error too");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_baseline_releases_its_combo_front_end() {
+        let mut spec = tiny_spec();
+        spec.combos = vec![spec.combos()[0].label()];
+        spec.budget = BudgetPreset::Custom {
+            warmup_cycles: 14_000,
+            measure_cycles: 70_000,
+        };
+        spec.stop = StopPreset::Converged {
+            window_cycles: Some(14_000),
+            rel_epsilon: Some(0.05),
+        };
+        let (dir, mut store) = tmp_store("fronts-skipped");
+        let fronts = dir.join(FRONTS_DIR);
+        // The baseline creates the front end, then fails; its paced
+        // siblings are skipped. The last skip drops the front end.
+        let victim = format!("{} [l2p]", spec.combos()[0].label());
+        *failpoint::NAN_IPC.lock().unwrap() = Some((victim.clone(), 14_000));
+        let mut files_at_skip = Vec::new();
+        let err = run_sweep(&spec, &mut store, 2, |e| {
+            if let SweepEvent::JobSkipped { .. } = e {
+                files_at_skip.push(match std::fs::read_dir(&fronts) {
+                    Ok(entries) => entries.count(),
+                    Err(_) => 0,
+                });
+            }
+        })
+        .unwrap_err();
+        *failpoint::NAN_IPC.lock().unwrap() = None;
+        assert!(
+            matches!(&err, SweepError::UnitFailed { label, .. } if *label == victim),
+            "{err}"
+        );
+        assert_eq!(files_at_skip.len(), UNITS_PER_COMBO - 1);
+        assert!(files_at_skip[0] > 0, "the baseline created the files");
+        assert_eq!(files_at_skip.last(), Some(&0), "the last skip deleted them");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_nan_ipc_fails_its_unit_naming_it() {
+        let mut spec = tiny_spec();
+        spec.budget = BudgetPreset::Custom {
+            warmup_cycles: 13_000,
+            measure_cycles: 78_000,
+        };
+        let (dir, mut store) = tmp_store("nan-ipc");
+        let victim = format!("{} [l2s]", spec.combos()[0].label());
+        *failpoint::NAN_IPC.lock().unwrap() = Some((victim.clone(), 13_000));
+        let err = run_sweep(&spec, &mut store, 2, |_| {}).unwrap_err();
+        *failpoint::NAN_IPC.lock().unwrap() = None;
+        let text = err.to_string();
+        assert!(
+            text.starts_with(&format!("unit `{victim}` failed:")),
+            "{text}"
+        );
+        assert!(
+            text.contains("ipcs[0]: NaN is not a finite JSON number"),
+            "{text}"
+        );
+        // Nothing else was lost: a re-run executes only the victim.
+        let outcome = run_sweep(&spec, &mut store, 2, |_| {}).unwrap();
+        assert_eq!(outcome.executed, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

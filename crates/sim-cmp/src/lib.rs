@@ -11,6 +11,9 @@
 //! * [`plan`] — [`plan::RunPlan`]s: warm-up spec + first-class
 //!   stopping policies ([`plan::StopPolicy`] with fixed-window and
 //!   convergence-based implementations);
+//! * [`front`] — per-core front ends (op stream plus private L1), live
+//!   or shared across sessions through a [`front::SharedFront`]'s
+//!   record files;
 //! * [`session`] — steppable [`session::SimSession`]s, the one way to
 //!   run a simulation: incremental `step`/`run_until` driving or one
 //!   `run_to_completion`, stride probes, policy-driven early exit,
@@ -30,6 +33,7 @@
 pub mod bus;
 pub mod config;
 pub mod core;
+pub mod front;
 pub mod plan;
 pub mod scheme;
 pub mod session;
@@ -37,6 +41,7 @@ pub mod session;
 pub use bus::{Bus, BusGrant, BusStats};
 pub use config::{BusConfig, CoreConfig, SystemConfig};
 pub use core::{CoreModel, CoreStats};
+pub use front::{FrontError, SharedFront};
 pub use plan::{
     Converged, FixedCycles, Reconverged, RunPlan, StopObservation, StopPolicy, StopSpec,
     WINDOW_SAMPLES,

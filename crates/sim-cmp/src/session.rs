@@ -1,8 +1,9 @@
 //! Steppable simulation sessions.
 //!
-//! [`SimSession`] owns every piece of run state — cores, split L1 I/D
-//! caches, snoop bus, DRAM, the L2 organisation and the per-core op
-//! streams — and exposes the paper's fixed-window methodology as an
+//! [`SimSession`] owns every piece of run state — cores, the per-core
+//! front ends (op stream plus split L1 I/D, live or read from a
+//! [`SharedFront`]), snoop bus, DRAM and the L2 organisation — and
+//! exposes the paper's fixed-window methodology as an
 //! *incremental* API:
 //!
 //! * [`SimSession::step`] executes one operation on the core with the
@@ -31,12 +32,14 @@
 
 use crate::config::SystemConfig;
 use crate::core::{CoreModel, CoreStats};
+use crate::front::{CoreFront, FrontError, FrontReader, LiveFront, SharedFront};
 use crate::plan::{RunPlan, StopObservation, StopPolicy};
 use crate::scheme::{ChipResources, L2Org, SchemeEvent, SchemeEventKind};
 use crate::Bus;
-use sim_cache::{CacheStats, SetAssocCache};
-use sim_mem::{AccessKind, Dram, OpStream, StreamShift};
+use sim_cache::CacheStats;
+use sim_mem::{AccessKind, Dram, L1Outcome, OpStream, StreamShift};
 use snug_metrics::{PhasePlateau, SimCounters, WALK_DEPTH_BUCKETS};
+use std::sync::Arc;
 
 /// Result for one core after a measured run.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,12 +137,20 @@ impl<F: FnMut(&PeriodSample)> Probe for F {
     }
 }
 
-/// Builder for [`SimSession`]: platform + organisation + streams + the
-/// run plan, with optional probing.
+/// Where a session's per-core ops come from.
+enum FrontSource {
+    /// One stream per core, each behind a session-owned L1 pair.
+    Live(Vec<Box<dyn OpStream>>),
+    /// Records read from a shared front end.
+    Shared(Arc<SharedFront>),
+}
+
+/// Builder for [`SimSession`]: platform + organisation + front ends +
+/// the run plan, with optional probing.
 pub struct SessionBuilder<O: L2Org> {
     cfg: SystemConfig,
     org: O,
-    streams: Vec<Box<dyn OpStream>>,
+    source: FrontSource,
     plan: RunPlan,
     shifts: Vec<StreamShift>,
     probe_stride: u64,
@@ -158,7 +169,7 @@ impl<O: L2Org> SessionBuilder<O> {
         SessionBuilder {
             cfg,
             org,
-            streams: Vec::new(),
+            source: FrontSource::Live(Vec::new()),
             plan: RunPlan::fixed(0, 0),
             shifts: Vec::new(),
             probe_stride: 0,
@@ -167,9 +178,19 @@ impl<O: L2Org> SessionBuilder<O> {
         }
     }
 
-    /// Attach one op stream per core (replaces any previous streams).
+    /// Attach one op stream per core, each behind its own live L1 pair
+    /// (replaces any previous front ends).
     pub fn streams(mut self, streams: Vec<Box<dyn OpStream>>) -> Self {
-        self.streams = streams;
+        self.source = FrontSource::Live(streams);
+        self
+    }
+
+    /// Read every core's ops and L1 outcomes from a shared front end
+    /// (replaces any previous front ends). The run is bit-identical to
+    /// one over the streams the front end was created from. A session
+    /// over a shared front end cannot take a phase schedule.
+    pub fn shared_front(mut self, front: Arc<SharedFront>) -> Self {
+        self.source = FrontSource::Shared(front);
         self
     }
 
@@ -221,13 +242,36 @@ impl<O: L2Org> SessionBuilder<O> {
     }
 
     /// Build the session.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one front end per core, or when a phase
+    /// schedule is set over a shared front end: shifts land at
+    /// timing-dependent points of the op sequence, which a front end
+    /// shared across schemes cannot follow.
     pub fn build(self) -> SimSession<O> {
-        assert_eq!(
-            self.streams.len(),
-            self.cfg.num_cores,
-            "one stream per core"
-        );
-        let labels = self.streams.iter().map(|s| s.label().to_string()).collect();
+        let n = self.cfg.num_cores;
+        let fronts: Vec<CoreFront> = match self.source {
+            FrontSource::Live(streams) => {
+                assert_eq!(streams.len(), n, "one stream per core");
+                streams
+                    .into_iter()
+                    .map(|s| CoreFront::Live(LiveFront::new(s, self.cfg.l1)))
+                    .collect()
+            }
+            FrontSource::Shared(front) => {
+                assert!(
+                    self.shifts.is_empty(),
+                    "a session with a phase schedule needs live front ends"
+                );
+                assert_eq!(front.num_cores(), n, "one shared front end per core");
+                assert_eq!(front.l1(), self.cfg.l1, "shared front end L1 geometry");
+                (0..n)
+                    .map(|c| CoreFront::Shared(FrontReader::new(front.clone(), c)))
+                    .collect()
+            }
+        };
+        let labels = fronts.iter().map(|f| f.label().to_string()).collect();
         // A reconverged policy segments the measured window at the
         // schedule's shift cycles; shifts during warm-up or past the
         // ceiling never segment it.
@@ -244,16 +288,13 @@ impl<O: L2Org> SessionBuilder<O> {
             cores: (0..self.cfg.num_cores)
                 .map(|_| CoreModel::new(self.cfg.core))
                 .collect(),
-            l1d: (0..self.cfg.num_cores)
-                .map(|_| SetAssocCache::new(self.cfg.l1))
-                .collect(),
-            l1i: (0..self.cfg.num_cores)
-                .map(|_| SetAssocCache::new(self.cfg.l1))
-                .collect(),
+            fronts,
+            front_error: None,
+            l1i_stats: vec![CacheStats::default(); n],
+            l1d_stats: vec![CacheStats::default(); n],
             bus: Bus::new(self.cfg.bus),
             dram: Dram::new(self.cfg.dram),
             org: self.org,
-            streams: self.streams,
             labels,
             warmup_cycles: self.plan.warmup_cycles,
             policy: self.plan.policy_with_boundaries(&boundaries),
@@ -288,12 +329,16 @@ impl<O: L2Org> SessionBuilder<O> {
 pub struct SimSession<O: L2Org> {
     cfg: SystemConfig,
     cores: Vec<CoreModel>,
-    l1d: Vec<SetAssocCache>,
-    l1i: Vec<SetAssocCache>,
+    fronts: Vec<CoreFront>,
+    /// The shared-front-end failure that stopped the session, if any.
+    front_error: Option<FrontError>,
+    /// Per-core L1I/L1D statistics, tallied from the front ends'
+    /// outcomes — the same counts for live and shared front ends.
+    l1i_stats: Vec<CacheStats>,
+    l1d_stats: Vec<CacheStats>,
     bus: Bus,
     dram: Dram,
     org: O,
-    streams: Vec<Box<dyn OpStream>>,
     labels: Vec<String>,
     warmup_cycles: u64,
     /// The stop policy governing the measured window.
@@ -396,8 +441,8 @@ impl<O: L2Org> SimSession<O> {
     /// The warm-up boundary actions (see [`SimSession::sync_phase`]).
     fn begin_measurement(&mut self) {
         self.org.reset_stats();
-        for l1 in self.l1d.iter_mut().chain(self.l1i.iter_mut()) {
-            l1.reset_stats();
+        for l1 in self.l1d_stats.iter_mut().chain(self.l1i_stats.iter_mut()) {
+            l1.reset();
         }
         self.bus.reset_stats();
         self.dram.reset_stats();
@@ -430,10 +475,11 @@ impl<O: L2Org> SimSession<O> {
     }
 
     /// Execute one operation on the core with the smallest local clock.
-    /// Returns `false` once every core has reached the horizon or the
-    /// stop policy has ended the run (the session is complete).
+    /// Returns `false` once every core has reached the horizon, the
+    /// stop policy has ended the run (the session is complete), or a
+    /// shared front end failed ([`SimSession::front_error`]).
     pub fn step(&mut self) -> bool {
-        if self.stopped_at.is_some() {
+        if self.stopped_at.is_some() || self.front_error.is_some() {
             return false;
         }
         // One scan serves three purposes: the global minimum clock IS
@@ -460,7 +506,9 @@ impl<O: L2Org> SimSession<O> {
         if self.next_shift < self.shifts.len() {
             self.sync_shifts(min_cycle);
         }
-        self.exec_op(min_core);
+        if !self.exec_op(min_core) {
+            return false;
+        }
         if self.probe_stride > 0 {
             self.fire_probes();
         }
@@ -504,7 +552,7 @@ impl<O: L2Org> SimSession<O> {
     /// the ops where stepping would have invoked them non-trivially.
     fn run_batched(&mut self, target: u64) {
         loop {
-            if self.stopped_at.is_some() {
+            if self.stopped_at.is_some() || self.front_error.is_some() {
                 return;
             }
             // Pre-exec boundary checks, in `step`'s order (first index
@@ -559,7 +607,9 @@ impl<O: L2Org> SimSession<O> {
             }
             let mut post_limit = self.post_exec_limit();
             loop {
-                self.exec_op(min_core);
+                if !self.exec_op(min_core) {
+                    return;
+                }
                 let cyc = self.cores[min_core].cycle();
                 let frontier = cyc.min(second_cycle);
                 if frontier >= post_limit {
@@ -613,9 +663,9 @@ impl<O: L2Org> SimSession<O> {
             }
             let shift = self.shifts[self.next_shift].clone();
             let mut applied = false;
-            for (core, stream) in self.streams.iter_mut().enumerate() {
+            for (core, front) in self.fronts.iter_mut().enumerate() {
                 if shift.targets(core) {
-                    applied |= stream.apply_shift(&shift.directive);
+                    applied |= front.apply_shift(&shift.directive);
                 }
             }
             if applied {
@@ -626,9 +676,22 @@ impl<O: L2Org> SimSession<O> {
     }
 
     /// Run the whole window and return the measured result.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`FrontError`] if a shared front end failed; a
+    /// caller that must survive that drives the session with
+    /// [`SimSession::run_until`] and checks [`SimSession::front_error`].
+    #[expect(
+        clippy::panic,
+        reason = "documented: this entry point has no error channel; run_until callers check front_error"
+    )]
     pub fn run_to_completion(&mut self) -> SystemResult {
         self.run_batched(u64::MAX);
         self.sync_phase();
+        if let Some(e) = &self.front_error {
+            panic!("the run stopped early: {e}");
+        }
         self.result()
     }
 
@@ -655,7 +718,7 @@ impl<O: L2Org> SimSession<O> {
                     cycles,
                     ipc: instructions as f64 / cycles as f64,
                     stalls: self.cores[i].stats(),
-                    l1d: *self.l1d[i].stats(),
+                    l1d: self.l1d_stats[i],
                 }
             })
             .collect();
@@ -666,43 +729,54 @@ impl<O: L2Org> SimSession<O> {
         }
     }
 
-    /// Execute one operation on core `c` (the old driver's inner step,
-    /// verbatim).
-    fn exec_op(&mut self, c: usize) {
-        let op = self.streams[c].next_op();
+    /// Execute one operation on core `c`: take its next op and L1
+    /// outcome from the core's front end, then charge the L2 path.
+    /// Returns `false`, executing nothing, when a shared front end
+    /// fails; the error is kept for [`SimSession::front_error`].
+    fn exec_op(&mut self, c: usize) -> bool {
+        let op = match self.fronts[c].next_op() {
+            Ok(op) => op,
+            Err(e) => {
+                self.front_error = Some(e);
+                return false;
+            }
+        };
         self.cores[c].issue(op.instructions());
         let now = self.cores[c].cycle();
-        let block = op.access.addr.block(self.cfg.l1.block_bytes);
-        let (l1, stalls_core) = match op.access.kind {
-            AccessKind::IFetch => (&mut self.l1i[c], true),
-            AccessKind::Load => (&mut self.l1d[c], true),
-            AccessKind::Store => (&mut self.l1d[c], false),
+        let (l1, stalls_core) = match op.kind {
+            AccessKind::IFetch => (&mut self.l1i_stats[c], true),
+            AccessKind::Load => (&mut self.l1d_stats[c], true),
+            AccessKind::Store => (&mut self.l1d_stats[c], false),
         };
-        let r = l1.access(block, op.access.kind.is_write());
         self.tally.retired_ops += 1;
-        if let Some(d) = r.distance {
-            self.tally.l1_walk_depths[d.min(WALK_DEPTH_BUCKETS) - 1] += 1;
-        }
-        if r.hit {
-            // 1-cycle pipelined L1 hit: covered by the issue slot.
-            return;
-        }
+        let victim = match op.l1 {
+            L1Outcome::Hit { distance } => {
+                // 1-cycle pipelined L1 hit: covered by the issue slot.
+                l1.hits += 1;
+                self.tally.l1_walk_depths[distance.clamp(1, WALK_DEPTH_BUCKETS) - 1] += 1;
+                return true;
+            }
+            L1Outcome::Miss { victim } => victim,
+        };
+        l1.misses += 1;
         let mut res = ChipResources {
             bus: &mut self.bus,
             dram: &mut self.dram,
         };
-        // L1 fill displaced a dirty victim: write it back to L2 (off the
-        // critical path, no demand-access accounting).
-        if let Some(ev) = r.evicted {
-            if ev.flags.dirty {
+        if let Some(v) = victim {
+            l1.evictions += 1;
+            // L1 fill displaced a dirty victim: write it back to L2 (off
+            // the critical path, no demand-access accounting).
+            if v.dirty {
+                l1.writebacks += 1;
                 self.tally.org_writebacks += 1;
-                self.org.writeback(c, ev.block, now, &mut res);
+                self.org.writeback(c, v.block, now, &mut res);
             }
         }
         self.tally.org_accesses += 1;
         let outcome = self
             .org
-            .access(c, block, op.access.kind.is_write(), now, &mut res);
+            .access(c, op.block, op.kind.is_write(), now, &mut res);
         if stalls_core {
             // L1 hit latency is charged on top of the L2 path.
             let completes = now + self.cfg.l1_latency + outcome.latency;
@@ -712,6 +786,7 @@ impl<O: L2Org> SimSession<O> {
                 self.cores[c].track_load(completes);
             }
         }
+        true
     }
 
     /// Emit probe samples for every stride boundary the frontier has
@@ -882,9 +957,17 @@ impl<O: L2Org> SimSession<O> {
         self.dram.stats()
     }
 
+    /// The shared-front-end failure that stopped the session, if any.
+    /// Once set, the session executes no further ops, so its results
+    /// cover only the ops before the failure: a caller that attached a
+    /// [`SharedFront`] must check this before trusting them.
+    pub fn front_error(&self) -> Option<&FrontError> {
+        self.front_error.as_ref()
+    }
+
     /// L1D statistics for one core.
     pub fn l1d_stats(&self, core: usize) -> &CacheStats {
-        self.l1d[core].stats()
+        &self.l1d_stats[core]
     }
 
     /// Tally scheme events into the observability counters (called as
@@ -910,13 +993,13 @@ impl<O: L2Org> SimSession<O> {
     /// core stall attribution) harvested at call time.
     fn assemble_counters(&self) -> SimCounters {
         let mut c = self.tally;
-        for l1 in &self.l1i {
-            c.l1i_hits += l1.stats().hits;
-            c.l1i_misses += l1.stats().misses;
+        for l1 in &self.l1i_stats {
+            c.l1i_hits += l1.hits;
+            c.l1i_misses += l1.misses;
         }
-        for l1 in &self.l1d {
-            c.l1d_hits += l1.stats().hits;
-            c.l1d_misses += l1.stats().misses;
+        for l1 in &self.l1d_stats {
+            c.l1d_hits += l1.hits;
+            c.l1d_misses += l1.misses;
         }
         let l2 = self.org.aggregate_stats();
         c.l2_hits = l2.hits;
@@ -984,6 +1067,7 @@ fn stats_delta(now: &CacheStats, earlier: &CacheStats) -> CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_cache::SetAssocCache;
     use sim_mem::VecStream;
 
     /// Minimal private-L2 organisation: every slice is an isolated cache

@@ -10,8 +10,10 @@
 //!   plus channel occupancy, paper Table 4);
 //! * [`shift`] — mid-run workload shift directives (phase-change
 //!   scenarios) delivered through [`access::OpStream::apply_shift`];
-//! * [`trace`] — trace capture/replay and the 1000 × 100 K-access
-//!   interval sampling plan of the paper's characterisation (§2.2).
+//! * [`trace`] — [`trace::FrontOp`] records (an op plus its private-L1
+//!   outcome) with their compact binary codec, and the 1000 × 100
+//!   K-access interval sampling plan of the paper's characterisation
+//!   (§2.2).
 
 #![warn(
     clippy::unwrap_used,
@@ -34,4 +36,7 @@ pub use access::{Access, AccessKind, CoreOp, OpStream, VecStream};
 pub use address::{tag_bits, Addr, BlockAddr, Geometry};
 pub use dram::{Dram, DramConfig, DramStats};
 pub use shift::{ShiftDirective, StreamShift};
-pub use trace::{IntervalClock, SamplingPlan, Trace, TraceDecodeError};
+pub use trace::{
+    FrontDecoder, FrontEncoder, FrontOp, IntervalClock, L1Outcome, SamplingPlan, TraceDecodeError,
+    Victim, FRONT_RECORD_MAX,
+};

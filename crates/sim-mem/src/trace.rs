@@ -1,14 +1,14 @@
-//! Trace recording, serialisation and interval segmentation.
+//! Front-end records, their binary codec, and interval segmentation.
 //!
 //! The characterisation methodology (paper §2.2) slices an L2 access
 //! stream into 1000 sampling intervals of 100 K accesses each. This
-//! module provides the interval bookkeeping plus a compact binary trace
-//! format so expensive workload generation can be captured once and
-//! replayed across schemes.
+//! module provides the interval bookkeeping plus [`FrontOp`], one op
+//! together with its private-L1 outcome, and a compact variable-length
+//! codec for sequences of them, so a stream's generation and L1 can run
+//! once and be replayed by every scheme simulated over it.
 
-use crate::access::{Access, AccessKind, CoreOp};
-use crate::address::Addr;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::access::AccessKind;
+use crate::address::BlockAddr;
 
 /// Parameters of an interval-sampled characterisation run (paper §2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,107 +92,289 @@ impl IntervalClock {
     }
 }
 
-/// A recorded trace of core operations, serialisable to a compact binary
-/// framing (8-byte address, 4-byte gap, 1-byte kind per record).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Trace {
-    /// The recorded operations in program order.
-    pub ops: Vec<CoreOp>,
+/// What a private L1 did with one reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum L1Outcome {
+    /// The block was resident, at this 1-based LRU stack distance.
+    Hit {
+        /// Stack distance observed by the hit.
+        distance: usize,
+    },
+    /// The block was filled; the fill displaced `victim`, if the set was
+    /// full.
+    Miss {
+        /// The displaced line, if any.
+        victim: Option<Victim>,
+    },
 }
 
+/// A line an L1 fill displaced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Victim {
+    /// Block address of the displaced line.
+    pub block: BlockAddr,
+    /// Whether the line was dirty (it must be written back).
+    pub dirty: bool,
+}
+
+/// One core operation as it leaves the core's private L1: the op (its
+/// non-memory gap, reference kind, critical flag and block) plus the
+/// L1's verdict on the reference. A core's private L1 sees only that
+/// core's own ops, so the sequence of `FrontOp`s a stream yields does
+/// not depend on timing or on the L2 organisation behind the L1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrontOp {
+    /// Non-memory instructions preceding the reference.
+    pub gap: u32,
+    /// Kind of reference.
+    pub kind: AccessKind,
+    /// Whether following instructions depend on this load.
+    pub critical: bool,
+    /// Referenced block.
+    pub block: BlockAddr,
+    /// The L1 outcome of the reference.
+    pub l1: L1Outcome,
+}
+
+impl FrontOp {
+    /// Total instructions represented by this op (gap + the memory op).
+    #[inline]
+    pub fn instructions(&self) -> u64 {
+        u64::from(self.gap) + 1
+    }
+}
+
+/// The longest encoding of one [`FrontOp`]: two header bytes, a 4-byte
+/// gap and two 8-byte fields.
+pub const FRONT_RECORD_MAX: usize = 22;
+
+// Header byte 0: bits 0-1 the access kind, bit 2 the critical flag,
+// bits 3-4 the L1 outcome, bits 5-7 the gap's byte length (0-4).
+// Header byte 1: bits 0-3 the block field's byte length, bits 4-7 the
+// aux field's (0-8 each). The fields follow little-endian, without
+// leading zero bytes: the gap, the block as a zigzag delta from the
+// previous record's block, and the aux field — the hit distance, or the
+// victim as a zigzag delta from the block.
 const KIND_LOAD: u8 = 0;
 const KIND_STORE: u8 = 1;
 const KIND_IFETCH: u8 = 2;
-const CRITICAL_BIT: u8 = 0x80;
+const KIND_MASK: u8 = 0b11;
+/// Access kinds by their header code (a table lookup, not a branch).
+const KINDS: [Option<AccessKind>; 4] = [
+    Some(AccessKind::Load),
+    Some(AccessKind::Store),
+    Some(AccessKind::IFetch),
+    None,
+];
+const CRITICAL_BIT: u8 = 0b100;
+const OUTCOME_SHIFT: u8 = 3;
+const OUTCOME_HIT: u8 = 0;
+const OUTCOME_MISS: u8 = 1;
+const OUTCOME_CLEAN_VICTIM: u8 = 2;
+const OUTCOME_DIRTY_VICTIM: u8 = 3;
+const GAP_LEN_SHIFT: u8 = 5;
+const AUX_LEN_SHIFT: u8 = 4;
 
-impl Trace {
-    /// Create an empty trace.
+/// Stateful encoder of a [`FrontOp`] sequence into the compact record
+/// format: two header bytes holding the kind, critical flag, L1 outcome
+/// and the byte lengths of three variable-width fields — the gap, the
+/// block (as a delta from the previous record's block) and the hit
+/// distance or victim (as a delta from the block). Records are
+/// 2–[`FRONT_RECORD_MAX`] bytes; every field length sits in the header,
+/// so decoding needs no per-byte loop. A sequence decodes only with a
+/// [`FrontDecoder`] started at the same record.
+#[derive(Debug, Clone, Default)]
+pub struct FrontEncoder {
+    prev_block: u64,
+}
+
+impl FrontEncoder {
+    /// An encoder at the start of a sequence.
     pub fn new() -> Self {
-        Trace { ops: Vec::new() }
+        Self::default()
     }
 
-    /// Append one operation.
-    pub fn push(&mut self, op: CoreOp) {
-        self.ops.push(op);
-    }
-
-    /// Number of recorded operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Serialise to the compact binary framing.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 + self.ops.len() * 13);
-        buf.put_u64_le(self.ops.len() as u64);
-        for op in &self.ops {
-            buf.put_u64_le(op.access.addr.0);
-            buf.put_u32_le(op.gap);
-            let kind = match op.access.kind {
-                AccessKind::Load => KIND_LOAD,
-                AccessKind::Store => KIND_STORE,
-                AccessKind::IFetch => KIND_IFETCH,
-            };
-            buf.put_u8(kind | if op.critical { CRITICAL_BIT } else { 0 });
+    /// Append the encoding of `op` to `out`.
+    pub fn encode(&mut self, op: &FrontOp, out: &mut Vec<u8>) {
+        let kind = match op.kind {
+            AccessKind::Load => KIND_LOAD,
+            AccessKind::Store => KIND_STORE,
+            AccessKind::IFetch => KIND_IFETCH,
+        };
+        let (outcome, aux) = match op.l1 {
+            L1Outcome::Hit { distance } => (OUTCOME_HIT, distance as u64),
+            L1Outcome::Miss { victim: None } => (OUTCOME_MISS, 0),
+            L1Outcome::Miss { victim: Some(v) } => (
+                if v.dirty {
+                    OUTCOME_DIRTY_VICTIM
+                } else {
+                    OUTCOME_CLEAN_VICTIM
+                },
+                zigzag(v.block.0.wrapping_sub(op.block.0)),
+            ),
+        };
+        let gap = u64::from(op.gap);
+        let block = zigzag(op.block.0.wrapping_sub(self.prev_block));
+        self.prev_block = op.block.0;
+        let (gap_len, block_len, aux_len) = (byte_len(gap), byte_len(block), byte_len(aux));
+        // Each field goes in as a whole word, overwritten past its
+        // length by the next: room for a word at the last field's start.
+        let mut record = [0u8; FRONT_RECORD_MAX + 8];
+        record[0] = kind
+            | if op.critical { CRITICAL_BIT } else { 0 }
+            | outcome << OUTCOME_SHIFT
+            | gap_len << GAP_LEN_SHIFT;
+        record[1] = block_len | aux_len << AUX_LEN_SHIFT;
+        let mut at = 2;
+        for (field, len) in [(gap, gap_len), (block, block_len), (aux, aux_len)] {
+            record[at..at + 8].copy_from_slice(&field.to_le_bytes());
+            at += usize::from(len);
         }
-        buf.freeze()
-    }
-
-    /// Deserialise from the compact binary framing.
-    pub fn from_bytes(mut bytes: Bytes) -> Result<Self, TraceDecodeError> {
-        if bytes.remaining() < 8 {
-            return Err(TraceDecodeError::Truncated);
-        }
-        let n = usize::try_from(bytes.get_u64_le()).map_err(|_| TraceDecodeError::Truncated)?;
-        if bytes.remaining() < n * 13 {
-            return Err(TraceDecodeError::Truncated);
-        }
-        let mut ops = Vec::with_capacity(n);
-        for _ in 0..n {
-            let addr = Addr(bytes.get_u64_le());
-            let gap = bytes.get_u32_le();
-            let raw = bytes.get_u8();
-            let critical = raw & CRITICAL_BIT != 0;
-            let kind = match raw & !CRITICAL_BIT {
-                KIND_LOAD => AccessKind::Load,
-                KIND_STORE => AccessKind::Store,
-                KIND_IFETCH => AccessKind::IFetch,
-                k => return Err(TraceDecodeError::BadKind(k)),
-            };
-            ops.push(CoreOp {
-                gap,
-                access: Access { addr, kind },
-                critical,
-            });
-        }
-        Ok(Trace { ops })
-    }
-
-    /// Total instruction count represented by the trace.
-    pub fn instructions(&self) -> u64 {
-        self.ops.iter().map(|o| o.instructions()).sum()
+        out.extend_from_slice(&record[..at]);
     }
 }
 
-/// Errors from [`Trace::from_bytes`].
+/// Stateful decoder of the [`FrontEncoder`] record format.
+#[derive(Debug, Clone, Default)]
+pub struct FrontDecoder {
+    prev_block: u64,
+}
+
+impl FrontDecoder {
+    /// A decoder at the start of a sequence.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Decode the record at the start of `bytes`: the op and the number
+    /// of bytes it took. On error the decoder state is unchanged.
+    pub fn decode(&mut self, bytes: &[u8]) -> Result<(FrontOp, usize), TraceDecodeError> {
+        let mut padded = [0u8; FRONT_RECORD_MAX];
+        let window = match bytes.first_chunk::<FRONT_RECORD_MAX>() {
+            Some(window) => window,
+            None => {
+                padded[..bytes.len()].copy_from_slice(bytes);
+                &padded
+            }
+        };
+        self.decode_window(window, bytes.len())
+    }
+
+    /// [`FrontDecoder::decode`] over a window whose first `valid` bytes
+    /// are record data (a record longer than `valid` is truncated); the
+    /// rest of the window is read but ignored. This is the reader's
+    /// path: one fixed-size window, no per-byte bounds checks.
+    #[inline]
+    pub fn decode_window(
+        &mut self,
+        window: &[u8; FRONT_RECORD_MAX],
+        valid: usize,
+    ) -> Result<(FrontOp, usize), TraceDecodeError> {
+        let [h0, h1, ..] = *window;
+        let kind =
+            KINDS[usize::from(h0 & KIND_MASK)].ok_or(TraceDecodeError::BadKind(h0 & KIND_MASK))?;
+        let outcome = (h0 >> OUTCOME_SHIFT) & 0b11;
+        let gap_len = usize::from(h0 >> GAP_LEN_SHIFT);
+        let block_len = usize::from(h1 & 0x0f);
+        let aux_len = usize::from(h1 >> AUX_LEN_SHIFT);
+        if gap_len > 4 || block_len > 8 || aux_len > 8 || (outcome == OUTCOME_MISS && aux_len > 0) {
+            return Err(TraceDecodeError::Malformed);
+        }
+        let len = 2 + gap_len + block_len + aux_len;
+        if len > valid {
+            return Err(TraceDecodeError::Truncated);
+        }
+        let gap = field(window, 2, gap_len).to_le_bytes();
+        let block = self
+            .prev_block
+            .wrapping_add(unzigzag(field(window, 2 + gap_len, block_len)));
+        let aux = field(window, 2 + gap_len + block_len, aux_len);
+        let l1 = match outcome {
+            OUTCOME_HIT => L1Outcome::Hit {
+                distance: usize::try_from(aux).map_err(|_| TraceDecodeError::Malformed)?,
+            },
+            OUTCOME_MISS => L1Outcome::Miss { victim: None },
+            _ => L1Outcome::Miss {
+                victim: Some(Victim {
+                    block: BlockAddr(block.wrapping_add(unzigzag(aux))),
+                    dirty: outcome == OUTCOME_DIRTY_VICTIM,
+                }),
+            },
+        };
+        self.prev_block = block;
+        let op = FrontOp {
+            gap: u32::from_le_bytes([gap[0], gap[1], gap[2], gap[3]]),
+            kind,
+            critical: h0 & CRITICAL_BIT != 0,
+            block: BlockAddr(block),
+            l1,
+        };
+        Ok((op, len))
+    }
+}
+
+/// The `len`-byte little-endian field at `at`: one 8-byte load, masked.
+/// Every header the decoder accepts keeps `at + 8` within the window.
+#[inline]
+fn field(window: &[u8; FRONT_RECORD_MAX], at: usize, len: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&window[at..at + 8]);
+    u64::from_le_bytes(word) & LOW_BYTES[len]
+}
+
+/// `LOW_BYTES[n]` keeps the low `n` bytes of a word.
+const LOW_BYTES: [u64; 9] = {
+    let mut masks = [u64::MAX; 9];
+    let mut n = 0;
+    while n < 8 {
+        masks[n] = (1 << (8 * n)) - 1;
+        n += 1;
+    }
+    masks
+};
+
+/// Bytes needed for `x` without leading zero bytes (0 for zero).
+#[inline]
+fn byte_len(x: u64) -> u8 {
+    let bits = 64 - x.leading_zeros();
+    low_byte(u64::from(bits.div_ceil(8)))
+}
+
+#[inline]
+fn zigzag(delta: u64) -> u64 {
+    let d = delta as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+#[inline]
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// The low 8 bits of `x`.
+#[inline]
+fn low_byte(x: u64) -> u8 {
+    x.to_le_bytes()[0]
+}
+
+/// Errors from [`FrontDecoder::decode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceDecodeError {
-    /// The byte stream ended before the declared record count.
+    /// The bytes ended inside a record.
     Truncated,
     /// An unknown access-kind discriminant was encountered.
     BadKind(u8),
+    /// A header field out of its range, or a field the outcome does
+    /// not have.
+    Malformed,
 }
 
 impl std::fmt::Display for TraceDecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TraceDecodeError::Truncated => write!(f, "trace bytes truncated"),
+            TraceDecodeError::Truncated => write!(f, "front-end record truncated"),
             TraceDecodeError::BadKind(k) => write!(f, "unknown access kind {k}"),
+            TraceDecodeError::Malformed => write!(f, "malformed front-end record header"),
         }
     }
 }
@@ -202,7 +384,6 @@ impl std::error::Error for TraceDecodeError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::Access;
 
     #[test]
     fn paper_plan_totals() {
@@ -235,96 +416,209 @@ mod tests {
         assert!(!c.finished());
     }
 
+    fn encode_all(ops: &[FrontOp]) -> Vec<u8> {
+        let mut enc = FrontEncoder::new();
+        let mut out = Vec::new();
+        for op in ops {
+            enc.encode(op, &mut out);
+        }
+        out
+    }
+
+    fn decode_all(mut bytes: &[u8]) -> Result<Vec<FrontOp>, TraceDecodeError> {
+        let mut dec = FrontDecoder::new();
+        let mut ops = Vec::new();
+        while !bytes.is_empty() {
+            let (op, n) = dec.decode(bytes)?;
+            ops.push(op);
+            bytes = &bytes[n..];
+        }
+        Ok(ops)
+    }
+
+    fn op(gap: u32, kind: AccessKind, block: u64, l1: L1Outcome) -> FrontOp {
+        FrontOp {
+            gap,
+            kind,
+            critical: false,
+            block: BlockAddr(block),
+            l1,
+        }
+    }
+
     #[test]
     fn trace_round_trips_through_bytes() {
-        let mut t = Trace::new();
-        t.push(CoreOp::critical(3, Access::load(0x1000)));
-        t.push(CoreOp::new(0, Access::store(0x2040)));
-        t.push(CoreOp::new(9, Access::ifetch(0x3080)));
-        let bytes = t.to_bytes();
-        let back = Trace::from_bytes(bytes).unwrap();
-        assert_eq!(back, t);
-        // gap + 1 instructions per op: (3+1) + (0+1) + (9+1).
-        assert_eq!(back.instructions(), 15);
+        let ops = vec![
+            FrontOp {
+                critical: true,
+                ..op(
+                    3,
+                    AccessKind::Load,
+                    0x1000,
+                    L1Outcome::Miss { victim: None },
+                )
+            },
+            op(0, AccessKind::Store, 0x2040, L1Outcome::Hit { distance: 2 }),
+            op(
+                9,
+                AccessKind::IFetch,
+                0x3080,
+                L1Outcome::Miss {
+                    victim: Some(Victim {
+                        block: BlockAddr(0x40),
+                        dirty: true,
+                    }),
+                },
+            ),
+            op(
+                u32::MAX,
+                AccessKind::Load,
+                u64::MAX,
+                L1Outcome::Miss {
+                    victim: Some(Victim {
+                        block: BlockAddr(0),
+                        dirty: false,
+                    }),
+                },
+            ),
+        ];
+        let bytes = encode_all(&ops);
+        let back = decode_all(&bytes).unwrap();
+        assert_eq!(back, ops);
+        // gap + 1 instructions per op: 4 + 1 + 10.
+        let total: u64 = back.iter().take(3).map(FrontOp::instructions).sum();
+        assert_eq!(total, 15);
     }
 
     #[test]
     fn truncated_trace_rejected() {
-        let mut t = Trace::new();
-        t.push(CoreOp::new(1, Access::load(0x40)));
-        let bytes = t.to_bytes();
-        let cut = bytes.slice(0..bytes.len() - 1);
-        assert_eq!(Trace::from_bytes(cut), Err(TraceDecodeError::Truncated));
+        let bytes = encode_all(&[op(
+            100,
+            AccessKind::Load,
+            1 << 40,
+            L1Outcome::Hit { distance: 1 },
+        )]);
+        for cut in 0..bytes.len() {
+            let mut dec = FrontDecoder::new();
+            assert_eq!(
+                dec.decode(&bytes[..cut]),
+                Err(TraceDecodeError::Truncated),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]
     fn bad_kind_rejected() {
-        let mut t = Trace::new();
-        t.push(CoreOp::new(1, Access::load(0x40)));
-        let mut raw = t.to_bytes().to_vec();
-        let last = raw.len() - 1;
-        raw[last] = 77;
+        let mut bytes = encode_all(&[op(
+            1,
+            AccessKind::Load,
+            0x40,
+            L1Outcome::Hit { distance: 1 },
+        )]);
+        bytes[0] |= KIND_MASK;
         assert_eq!(
-            Trace::from_bytes(Bytes::from(raw)),
-            Err(TraceDecodeError::BadKind(77))
+            FrontDecoder::new().decode(&bytes),
+            Err(TraceDecodeError::BadKind(3))
         );
+    }
+
+    #[test]
+    fn out_of_range_header_fields_are_rejected() {
+        let rejected = |h0: u8, h1: u8| {
+            let mut bytes = vec![h0, h1];
+            bytes.extend([0; 20]);
+            FrontDecoder::new().decode(&bytes)
+        };
+        // A 5-byte gap, a 9-byte block or aux field, or aux bytes on a
+        // miss without a victim.
+        assert_eq!(
+            rejected(5 << GAP_LEN_SHIFT, 0),
+            Err(TraceDecodeError::Malformed)
+        );
+        assert_eq!(rejected(0, 9), Err(TraceDecodeError::Malformed));
+        assert_eq!(
+            rejected(0, 9 << AUX_LEN_SHIFT),
+            Err(TraceDecodeError::Malformed)
+        );
+        assert_eq!(
+            rejected(OUTCOME_MISS << OUTCOME_SHIFT, 1 << AUX_LEN_SHIFT),
+            Err(TraceDecodeError::Malformed)
+        );
+        assert!(rejected(4 << GAP_LEN_SHIFT, 8 | 8 << AUX_LEN_SHIFT).is_ok());
     }
 
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
-        fn trace_of(ops: Vec<(u64, u32, u8, bool)>) -> Trace {
-            let mut t = Trace::new();
-            for (addr, gap, kind, critical) in ops {
-                let access = match kind {
-                    0 => Access::load(addr),
-                    1 => Access::store(addr),
-                    _ => Access::ifetch(addr),
-                };
-                t.push(CoreOp {
-                    gap,
-                    access,
-                    critical,
-                });
-            }
-            t
+        /// `((block, gap, small_gap), (kind, critical), (outcome, extra))`:
+        /// full-range blocks and gaps, half the gaps folded to the
+        /// zero- and one-byte widths real streams mostly produce.
+        type RawOp = ((u64, u32, bool), (u8, bool), (u8, u64));
+
+        fn ops_of(raw: Vec<RawOp>) -> Vec<FrontOp> {
+            raw.into_iter()
+                .map(
+                    |((block, gap, small), (kind, critical), (outcome, extra))| FrontOp {
+                        gap: if small { gap % 8 } else { gap },
+                        kind: match kind {
+                            0 => AccessKind::Load,
+                            1 => AccessKind::Store,
+                            _ => AccessKind::IFetch,
+                        },
+                        critical,
+                        block: BlockAddr(block),
+                        l1: match outcome {
+                            0 => L1Outcome::Hit {
+                                distance: usize::from(low_byte(extra) % 64),
+                            },
+                            1 => L1Outcome::Miss { victim: None },
+                            o => L1Outcome::Miss {
+                                victim: Some(Victim {
+                                    block: BlockAddr(extra),
+                                    dirty: o == 3,
+                                }),
+                            },
+                        },
+                    },
+                )
+                .collect()
+        }
+
+        fn raw_ops(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<RawOp>> {
+            proptest::collection::vec(
+                (
+                    (0..=u64::MAX, 0..=u32::MAX, proptest::bool::ANY),
+                    (0u8..3, proptest::bool::ANY),
+                    (0u8..4, 0..=u64::MAX),
+                ),
+                len,
+            )
         }
 
         proptest! {
-            /// Encode/decode is the identity on arbitrary op streams,
-            /// and the framing length matches the record layout
-            /// (8-byte header + 13 bytes per op).
+            /// Encode/decode is the identity on arbitrary op sequences,
+            /// and every record fits the documented size bounds.
             #[test]
-            fn encode_decode_round_trips(
-                ops in proptest::collection::vec(
-                    (0u64..1u64 << 48, 0u32..1024, 0u8..3, proptest::bool::ANY),
-                    0..300,
-                )
-            ) {
-                let t = trace_of(ops);
-                let bytes = t.to_bytes();
-                prop_assert_eq!(bytes.len(), 8 + t.len() * 13);
-                let back = Trace::from_bytes(bytes).map_err(|e| {
+            fn encode_decode_round_trips(raw in raw_ops(0..300)) {
+                let ops = ops_of(raw);
+                let bytes = encode_all(&ops);
+                prop_assert!(bytes.len() >= 2 * ops.len());
+                prop_assert!(bytes.len() <= FRONT_RECORD_MAX * ops.len());
+                let back = decode_all(&bytes).map_err(|e| {
                     TestCaseError::Fail(format!("decode failed: {e}"))
                 })?;
-                prop_assert_eq!(back, t);
+                prop_assert_eq!(back, ops);
             }
 
-            /// Any strict prefix of a valid encoding is rejected as
-            /// truncated — never mis-decoded.
+            /// Any strict prefix of a record is rejected as truncated —
+            /// never mis-decoded.
             #[test]
-            fn prefixes_are_rejected(
-                ops in proptest::collection::vec(
-                    (0u64..1u64 << 48, 0u32..64, 0u8..3, proptest::bool::ANY),
-                    1..40,
-                ),
-                cut in 0usize..100
-            ) {
-                let t = trace_of(ops);
-                let bytes = t.to_bytes();
+            fn prefixes_are_rejected(raw in raw_ops(1..2), cut in 0usize..FRONT_RECORD_MAX) {
+                let bytes = encode_all(&ops_of(raw));
                 prop_assume!(cut < bytes.len());
-                let r = Trace::from_bytes(bytes.slice(0..cut));
+                let r = FrontDecoder::new().decode(&bytes[..cut]);
                 prop_assert_eq!(r, Err(TraceDecodeError::Truncated));
             }
         }

@@ -45,13 +45,17 @@ struct StagePoint {
 }
 
 fn sweep_combo(combo: &snug_sim::workloads::Combo, cfg: &CompareConfig) -> (f64, Vec<StagePoint>) {
-    let base = IpcVector::new(run_point(combo, &SchemePoint::L2p, cfg, None, None).ipcs);
+    let base = IpcVector::new(
+        run_point(combo, &SchemePoint::L2p, cfg, None, None, None)
+            .expect("live run")
+            .ipcs,
+    );
     // CC(Best): the §4.1 oracle — run the spill sweep, keep the winner.
     let cc_sweep: Vec<(f64, f64)> = SchemePoint::all()
         .into_iter()
         .filter_map(|p| match p {
             SchemePoint::Cc { spill_probability } => {
-                let run = run_point(combo, &p, cfg, None, None);
+                let run = run_point(combo, &p, cfg, None, None, None).expect("live run");
                 let m = MetricSet::compute(&IpcVector::new(run.ipcs), &base);
                 Some((spill_probability, m.throughput))
             }

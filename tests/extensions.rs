@@ -1,53 +1,52 @@
-//! Integration tests for the beyond-paper extensions and the trace
-//! capture/replay plumbing.
+//! Integration tests for the beyond-paper extensions and the shared
+//! front-end replay plumbing.
 
-use sim_cmp::{L2Org, SimSession, SystemConfig};
-use sim_mem::{Geometry, OpStream, Trace, VecStream};
+use sim_cmp::{L2Org, SharedFront, SimSession, SystemConfig};
+use sim_mem::{Geometry, OpStream};
 use snug_core::{Cc, DsrConfig, SchemeSpec, Snug, SnugConfig};
 use snug_workloads::Benchmark;
+use std::sync::Arc;
 
-/// Capture a synthetic stream into a trace and replay it: the system
-/// must behave identically on the generator and on the recorded trace.
+/// Generate a combo's front ends once into shared record files and
+/// replay them: the system must behave identically on the live
+/// generators and on the shared front end, which the first session
+/// extends on demand and a second session re-reads.
 #[test]
 fn trace_replay_reproduces_generator_run() {
     let system = SystemConfig::paper();
     let bench = Benchmark::Apsi;
+    let dir = std::env::temp_dir().join(format!("snug-front-replay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let shared: Vec<Box<dyn OpStream + Send>> = (0..4)
+        .map(|core| Box::new(bench.spec().stream(system.l2_slice, core)) as _)
+        .collect();
+    let front = Arc::new(SharedFront::create(&dir, "apsi", shared, system.l1).unwrap());
 
-    // Record each core's op stream.
-    let mut traces = Vec::new();
-    for core in 0..4 {
-        let mut stream = bench.spec().stream(system.l2_slice, core);
-        let mut t = Trace::new();
-        for _ in 0..120_000 {
-            t.push(stream.next_op());
-        }
-        // Round-trip through the binary framing as well.
-        traces.push(Trace::from_bytes(t.to_bytes()).expect("decode"));
-    }
-
-    let run = |streams: Vec<Box<dyn OpStream>>| {
+    let build = || {
         SimSession::builder(system, Snug::new(system, SnugConfig::scaled(500)))
-            .streams(streams)
             .budget(30_000, 200_000)
-            .build()
-            .run_to_completion()
     };
-
     let live: Vec<Box<dyn OpStream>> = (0..4)
         .map(|core| Box::new(bench.spec().stream(system.l2_slice, core)) as Box<dyn OpStream>)
         .collect();
-    let replayed: Vec<Box<dyn OpStream>> = traces
+    let a = build().streams(live).build().run_to_completion();
+    let b = build()
+        .shared_front(front.clone())
+        .build()
+        .run_to_completion();
+    let c = build()
+        .shared_front(front.clone())
+        .build()
+        .run_to_completion();
+    assert_eq!(a, b, "identical run from the shared front end");
+    assert_eq!(b, c, "identical re-read of the extended files");
+    let paths: Vec<_> = front.paths().map(|p| p.to_path_buf()).collect();
+    assert!(paths
         .iter()
-        .map(|t| Box::new(VecStream::cycle("apsi", t.ops.clone())) as Box<dyn OpStream>)
-        .collect();
-
-    let a = run(live);
-    let b = run(replayed);
-    assert_eq!(a.l2, b.l2, "identical L2 behaviour from trace replay");
-    for (x, y) in a.cores.iter().zip(&b.cores) {
-        assert_eq!(x.instructions, y.instructions);
-        assert_eq!(x.cycles, y.cycles);
-    }
+        .all(|p| std::fs::metadata(p).unwrap().len() > 0));
+    drop(front);
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "files deleted");
+    std::fs::remove_dir(&dir).unwrap();
 }
 
 /// The whole stack is generic over core count: an 8-core system with

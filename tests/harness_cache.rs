@@ -6,7 +6,7 @@
 
 use snug_harness::{
     cached_results, run_sweep, run_unit_jobs, unit_jobs_for, BudgetPreset, JsonCodec, ResultStore,
-    SweepEvent, SweepSpec,
+    StopPreset, SweepEvent, SweepSpec,
 };
 use snug_sim::experiments::{run_combo, run_point, SchemePoint, SchemeRun};
 use snug_workloads::ComboClass;
@@ -27,7 +27,7 @@ fn tiny_spec() -> SweepSpec {
             warmup_cycles: 15_000,
             measure_cycles: 80_000,
         },
-        stop: snug_harness::StopPreset::Fixed,
+        stop: StopPreset::Fixed,
         phase_shift: None,
     }
 }
@@ -36,8 +36,27 @@ const UNITS: usize = SchemePoint::COUNT;
 
 #[test]
 fn cached_combo_results_are_bit_identical_to_fresh_runs() {
-    let spec = tiny_spec();
-    let dir = tmp_dir("bit-identity");
+    // A cold sweep runs each combo's units over one shared front end;
+    // under a convergence plan every sibling is also paced by its
+    // combo's baseline. Both must equal live `run_combo` bit for bit.
+    assert_cached_equals_fresh(tiny_spec(), "bit-identity");
+    let mut converged = tiny_spec();
+    converged.stop = StopPreset::Converged {
+        window_cycles: Some(15_000),
+        rel_epsilon: Some(0.05),
+    };
+    let windows = assert_cached_equals_fresh(converged, "bit-identity-conv");
+    assert!(
+        windows.iter().any(|m| m.is_some_and(|m| m < 80_000)),
+        "some converged unit must stop before its ceiling: {windows:?}"
+    );
+}
+
+/// Sweep `spec` cold, re-serve it from the re-opened store and check
+/// both against live, from-scratch `run_combo`s; returns every stored
+/// unit's measured window.
+fn assert_cached_equals_fresh(spec: SweepSpec, tag: &str) -> Vec<Option<u64>> {
+    let dir = tmp_dir(tag);
 
     // First sweep: everything executes.
     let mut store = ResultStore::open(&dir).unwrap();
@@ -58,23 +77,30 @@ fn cached_combo_results_are_bit_identical_to_fresh_runs() {
     assert_eq!(
         hits_reported,
         Some((3 * UNITS, 3 * UNITS)),
-        "second run plans zero executions"
+        "{tag}: second run plans zero executions"
     );
     assert_eq!(second.executed, 0);
     assert!(second.combos.iter().all(|c| c.from_cache));
 
     // The decoded results equal the stored ones bit-for-bit (ComboResult
     // is PartialEq over f64s — exact equality, not approximate).
-    assert_eq!(second.results(), first.results());
+    assert_eq!(second.results(), first.results(), "{tag}");
 
     // ... and both equal a from-scratch simulation of the same combos.
     let cfg = spec.compare_config();
-    for (job, outcome) in spec.combo_jobs().iter().zip(second.combos.iter()) {
+    for (job, outcome) in spec.combo_jobs().iter().zip(first.combos.iter()) {
         let fresh = run_combo(&job.combo, &cfg);
-        assert_eq!(outcome.result, fresh, "{}", job.combo.label());
+        assert_eq!(outcome.result, fresh, "{tag}: {}", job.combo.label());
     }
 
+    let windows = spec
+        .combo_jobs()
+        .iter()
+        .flat_map(|job| &job.units)
+        .map(|unit| reopened.get_unit(&unit.key).unwrap().measured_cycles)
+        .collect();
     std::fs::remove_dir_all(&dir).unwrap();
+    windows
 }
 
 #[test]
@@ -84,10 +110,11 @@ fn json_boundary_preserves_every_float_bit() {
     // exercises float round-tripping on realistic values.
     let spec = tiny_spec();
     for unit in &spec.combo_jobs()[0].units {
-        let run = run_point(&unit.combo, &unit.point, &unit.config, None, None);
-        let decoded =
-            SchemeRun::from_json(&snug_harness::json::parse(&run.to_json().render()).unwrap())
-                .unwrap();
+        let run = run_point(&unit.combo, &unit.point, &unit.config, None, None, None).unwrap();
+        let decoded = SchemeRun::from_json(
+            &snug_harness::json::parse(&run.to_json().render().unwrap()).unwrap(),
+        )
+        .unwrap();
         assert_eq!(decoded, run, "{}", unit.label());
         for (a, b) in decoded.ipcs.iter().zip(&run.ipcs) {
             assert_eq!(a.to_bits(), b.to_bits(), "bit-exact IPC");

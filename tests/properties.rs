@@ -6,7 +6,9 @@ use sim_cache::{
     block_required, DemandMonitor, DemandParams, LruOrder, SetDemandProfiler, ShadowSet, TagStack,
     WriteBuffer,
 };
-use sim_mem::{BlockAddr, Geometry, Trace};
+use sim_mem::{
+    AccessKind, BlockAddr, FrontDecoder, FrontEncoder, FrontOp, Geometry, L1Outcome, Victim,
+};
 use snug_core::{GroupCase, GtVector, OverheadParams};
 
 proptest! {
@@ -189,22 +191,59 @@ proptest! {
         prop_assert_eq!(wb.drain_one(), None);
     }
 
-    /// Trace serialisation round-trips arbitrary op streams.
+    /// The front-end record codec round-trips arbitrary op sequences —
+    /// any `u32` gap, all three access kinds, every L1 outcome — and on
+    /// truncated or garbage bytes returns an error instead of panicking.
     #[test]
     fn trace_round_trip(
-        ops in proptest::collection::vec((0u64..1u64<<40, 0u32..64, 0u8..3, proptest::bool::ANY), 0..200)
+        ops in proptest::collection::vec(
+            ((0..=u64::MAX, 0..=u32::MAX), (0u8..3, proptest::bool::ANY), (0u8..4, 0u64..1 << 40)),
+            0..200,
+        ),
+        garbage in proptest::collection::vec(0u8..=255, 0..64),
     ) {
-        let mut t = Trace::new();
-        for (addr, gap, kind, critical) in ops {
-            let access = match kind {
-                0 => sim_mem::Access::load(addr),
-                1 => sim_mem::Access::store(addr),
-                _ => sim_mem::Access::ifetch(addr),
-            };
-            t.push(sim_mem::CoreOp { gap, access, critical });
+        let ops: Vec<FrontOp> = ops
+            .into_iter()
+            .map(|((block, gap), (kind, critical), (outcome, other))| FrontOp {
+                gap,
+                kind: [AccessKind::Load, AccessKind::Store, AccessKind::IFetch][usize::from(kind)],
+                critical,
+                block: BlockAddr(block),
+                l1: match outcome {
+                    0 => L1Outcome::Hit { distance: (other % 17) as usize },
+                    1 => L1Outcome::Miss { victim: None },
+                    o => L1Outcome::Miss {
+                        victim: Some(Victim { block: BlockAddr(other), dirty: o == 3 }),
+                    },
+                },
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        let mut enc = FrontEncoder::new();
+        for op in &ops {
+            enc.encode(op, &mut bytes);
         }
-        let back = Trace::from_bytes(t.to_bytes()).unwrap();
-        prop_assert_eq!(back, t);
+        let mut dec = FrontDecoder::new();
+        let mut rest = &bytes[..];
+        for op in &ops {
+            let (back, n) = dec.decode(rest).unwrap();
+            prop_assert_eq!(&back, op);
+            rest = &rest[n..];
+        }
+        prop_assert!(rest.is_empty());
+        // The last record cut short is an error.
+        if let Some(last) = ops.last() {
+            let mut one = Vec::new();
+            FrontEncoder::new().encode(last, &mut one);
+            prop_assert!(FrontDecoder::new().decode(&one[..one.len() - 1]).is_err());
+        }
+        // Garbage decodes or errors; it never panics or over-reads.
+        let mut dec = FrontDecoder::new();
+        let mut rest = &garbage[..];
+        while let Ok((_, n)) = dec.decode(rest) {
+            prop_assert!(n >= 2 && n <= rest.len());
+            rest = &rest[n..];
+        }
     }
 
     /// Geometry decomposition is lossless for any block address.
