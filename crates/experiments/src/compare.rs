@@ -6,8 +6,8 @@
 //! combination. Class results aggregate with the geometric mean (§5).
 
 use sim_cmp::{
-    FrontError, L2Org, RunPlan, SessionBuilder, SharedFront, SimSession, StopSpec, SystemConfig,
-    SystemResult,
+    Checkpoints, FrontError, L2Org, RunPlan, SessionBuilder, SharedFront, SimSession, StopSpec,
+    SystemConfig, SystemResult,
 };
 use sim_mem::{Geometry, OpStream};
 use snug_core::{DsrConfig, SchemeSpec, SnugConfig};
@@ -216,18 +216,27 @@ pub fn combo_streams(combo: &Combo, system: &SystemConfig) -> Vec<Box<dyn OpStre
 }
 
 /// A combo's front ends on `system`, shared through record files
-/// `dir/{name}-core{c}.front`: every session built over it with
-/// [`run_point`] runs bit-identically to one over [`combo_streams`].
+/// `dir/{name}-core{c}.front` and their checkpoints: every session built
+/// over it with [`run_point`] runs bit-identically to one over
+/// [`combo_streams`]. Sessions with a phase schedule need `keep` to be
+/// [`Checkpoints::All`] to fork cheaply.
 pub fn combo_shared_front(
     combo: &Combo,
     system: &SystemConfig,
     dir: &Path,
     name: &str,
+    keep: Checkpoints,
 ) -> std::io::Result<SharedFront> {
-    let streams = combo_generators(combo, system)
-        .map(|s| Box::new(s) as Box<dyn OpStream + Send>)
-        .collect();
-    SharedFront::create(dir, name, streams, system.l1)
+    let specs: Vec<BenchmarkSpec> = combo.apps.iter().map(|b| b.spec()).collect();
+    let l2_slice = system.l2_slice;
+    SharedFront::create(
+        dir,
+        name,
+        specs.len(),
+        move |core| Box::new(specs[core].stream(l2_slice, core)),
+        system.l1,
+        keep,
+    )
 }
 
 /// What a combo's front ends depend on: each core slot's benchmark
@@ -561,10 +570,11 @@ pub struct Pace {
 ///
 /// With a `front` (the combo's [`combo_shared_front`] on `cfg.system`)
 /// the session reads its ops and L1 outcomes from the shared record
-/// files instead of generating them; the result is bit-identical. A
-/// shared front end cannot take a `phase` schedule, and is the only
-/// source of an error: a record file that cannot be read, written or
-/// decoded. Without one the run cannot fail.
+/// files instead of generating them, forking each core live at its
+/// first `phase` shift; the result is bit-identical. A shared front end
+/// is the only source of an error: a record or checkpoint file that
+/// cannot be read, written, decoded or restored. Without one the run
+/// cannot fail.
 pub fn run_point(
     combo: &Combo,
     point: &SchemePoint,

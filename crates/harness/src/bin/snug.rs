@@ -83,7 +83,7 @@ USAGE:
                     [--format md|csv]
   snug store gc     [--results DIR]
   snug store merge  SHARD.jsonl... [--results DIR]
-  snug bench        [kernel|sweep|micro]... [--emit|--check]
+  snug bench        [kernel|micro]... [--emit|--check]
   snug characterize [--bench NAME[,NAME]...] [--intervals N] [--accesses N] [--out DIR]
 
 Budget flags (shared by sweep/compare/report; trace takes the fixed
@@ -1239,19 +1239,18 @@ fn cmd_characterize(args: &[String]) -> Result<(), String> {
 }
 
 /// `snug bench`: one front door for the committed benchmark
-/// trajectories. Drives `cargo bench -p snug-bench` from the current
+/// trajectory. Drives `cargo bench -p snug-bench` from the current
 /// directory (cargo finds the workspace) for the requested suites —
-/// `kernel` (kernel_throughput → BENCH_kernel.json), `sweep`
-/// (sweep_scaling → BENCH_sweep.json) and `micro` (micro_kernels, the
-/// hot-path primitive microbenches, measure-only). With no suite both
-/// trajectory benches run; `--emit` re-baselines the committed files
-/// and `--check` applies the CI gate.
+/// `kernel` (kernel_throughput → BENCH_kernel.json) and `micro`
+/// (micro_kernels, the hot-path primitive microbenches, measure-only).
+/// With no suite the kernel bench runs; `--emit` re-baselines the
+/// committed file and `--check` applies the CI gate.
 fn cmd_bench(args: &[String]) -> Result<(), String> {
     let mut suites: Vec<&str> = Vec::new();
     let mut mode: Option<&str> = None;
     for arg in args {
         match arg.as_str() {
-            suite @ ("kernel" | "sweep" | "micro") => {
+            suite @ ("kernel" | "micro") => {
                 if !suites.contains(&suite) {
                     suites.push(suite);
                 }
@@ -1266,7 +1265,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         }
     }
     if suites.is_empty() {
-        suites = vec!["kernel", "sweep"];
+        suites = vec!["kernel"];
     }
     if mode.is_some() && suites.contains(&"micro") {
         return Err(
@@ -1276,7 +1275,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     for suite in suites {
         let target = match suite {
             "kernel" => "kernel_throughput",
-            "sweep" => "sweep_scaling",
             _ => "micro_kernels",
         };
         let mut cmd = std::process::Command::new("cargo");

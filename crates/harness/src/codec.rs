@@ -34,6 +34,44 @@ fn f64_arr(xs: &[f64]) -> Value {
     Value::Arr(xs.iter().map(|&x| Value::num(x)).collect())
 }
 
+/// The exhaustiveness guarantee, pinned: `to_json` destructures every
+/// [`SchemeRun`] field and `from_json` builds a full literal, the forms
+/// below. One field short, as both would be against a `SchemeRun` that
+/// grew a field, neither compiles:
+///
+/// ```compile_fail,E0027
+/// # use snug_experiments::SchemeRun;
+/// fn to_json(run: &SchemeRun) {
+///     let SchemeRun { scheme, ipcs, measured_cycles, stop_reason } = run;
+/// }
+/// ```
+///
+/// ```compile_fail,E0063
+/// # use snug_experiments::SchemeRun;
+/// fn from_json() -> SchemeRun {
+///     SchemeRun { scheme: String::new(), ipcs: Vec::new(), measured_cycles: None, stop_reason: None }
+/// }
+/// ```
+///
+/// With every field they do; a new field fails this example until the
+/// codec handles it:
+///
+/// ```
+/// # use snug_experiments::SchemeRun;
+/// fn to_json(run: &SchemeRun) {
+///     let SchemeRun { scheme, ipcs, measured_cycles, stop_reason, plateaus } = run;
+///     let _ = (scheme, ipcs, measured_cycles, stop_reason, plateaus);
+/// }
+/// fn from_json() -> SchemeRun {
+///     SchemeRun {
+///         scheme: String::new(),
+///         ipcs: Vec::new(),
+///         measured_cycles: None,
+///         stop_reason: None,
+///         plateaus: Vec::new(),
+///     }
+/// }
+/// ```
 impl JsonCodec for SchemeRun {
     fn to_json(&self) -> Value {
         let SchemeRun {

@@ -12,10 +12,10 @@
 //!
 //! A combo's units share one front end (op streams plus private L1s):
 //! the per-core sequence of ops and L1 outcomes is the same for every
-//! scheme point, so when two or more pending units of a combo run
-//! without a phase schedule they read it from one
-//! [`SharedFront`]'s record files under [`FRONTS_DIR`] instead of each
-//! regenerating it. Nothing of it outlives the sweep.
+//! scheme point, so when two or more pending units of a combo run they
+//! read it from one [`SharedFront`]'s record files under [`FRONTS_DIR`]
+//! instead of each regenerating it; a unit with a phase schedule forks
+//! each core live at its first shift. Nothing of it outlives the sweep.
 
 use crate::exec::{self, ExecEvent, JobOutcome};
 use crate::hash::content_key;
@@ -23,7 +23,7 @@ use crate::spec::{unit_key, SweepSpec, UnitJob, SCHEMA_VERSION};
 use crate::store::{
     ResultStore, ShardWriter, StoreEntry, StoreError, StoredResult, FRONTS_DIR, SHARDS_DIR,
 };
-use sim_cmp::SharedFront;
+use sim_cmp::{Checkpoints, SharedFront};
 use snug_experiments::{
     assemble_combo, combo_shared_front, pace_of, run_point, ComboResult, FrontKey, Pace,
     SchemePoint, SchemeRun,
@@ -302,27 +302,26 @@ impl ExecNode<'_> {
 }
 
 /// One front end shared by two or more pending units: created by the
-/// first of them to start, dropped — deleting its record files — when
-/// the last one finishes, fails or is skipped.
+/// first of them to start, dropped — deleting its record and checkpoint
+/// files — when the last one finishes, fails or is skipped.
 struct FrontSlot<'a> {
     /// A unit reading it: the combo and platform to generate from.
     job: &'a UnitJob,
+    /// [`Checkpoints::All`] when a unit reading it has a phase
+    /// schedule, so that its shifts fork cheaply.
+    keep: Checkpoints,
     front: Mutex<Option<Arc<SharedFront>>>,
     /// Units that have not finished, failed or been skipped yet.
     remaining: AtomicUsize,
 }
 
-/// Give every group of two or more stationary nodes with equal
-/// [`FrontKey`]s a shared front-end slot. Nodes under a phase schedule
-/// run live: their shifts land at timing-dependent points of the op
-/// sequence.
+/// Give every group of two or more nodes with equal [`FrontKey`]s a
+/// shared front-end slot. A node under a phase schedule reads it until
+/// each core's first shift, where its session forks that core live.
 fn plan_fronts<'a>(nodes: &mut [ExecNode<'a>]) -> Vec<FrontSlot<'a>> {
     let mut keys: Vec<FrontKey> = Vec::new();
     let mut members: Vec<Vec<usize>> = Vec::new();
     for (i, node) in nodes.iter().enumerate() {
-        if node.job.phase.is_some() {
-            continue;
-        }
         let key = FrontKey::of(&node.job.combo, &node.job.config.system);
         match keys.iter().position(|k| *k == key) {
             Some(g) => members[g].push(i),
@@ -337,8 +336,14 @@ fn plan_fronts<'a>(nodes: &mut [ExecNode<'a>]) -> Vec<FrontSlot<'a>> {
         for &i in &group {
             nodes[i].front = Some(slots.len());
         }
+        let phased = group.iter().any(|&i| nodes[i].job.phase.is_some());
         slots.push(FrontSlot {
             job: nodes[group[0]].job,
+            keep: if phased {
+                Checkpoints::All
+            } else {
+                Checkpoints::Latest
+            },
             front: Mutex::new(None),
             remaining: AtomicUsize::new(group.len()),
         });
@@ -361,6 +366,7 @@ impl FrontSlot<'_> {
                     &self.job.config.system,
                     dir,
                     &format!("front{index}"),
+                    self.keep,
                 )
                 .map_err(|e| e.to_string())
             })

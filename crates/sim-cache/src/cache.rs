@@ -13,9 +13,13 @@
 //! lives on the [`SetRef`]/[`SetMut`] views borrowed from these arrays.
 
 use crate::lru::LruOrder;
-use crate::set::{Evicted, LineFlags, SetMut, SetRef, INVALID_BLOCK, META_CC, META_VALID};
+use crate::set::{
+    Evicted, LineFlags, SetMut, SetRef, INVALID_BLOCK, META_CC, META_DIRTY, META_FLIPPED,
+    META_VALID,
+};
 use crate::stats::CacheStats;
-use sim_mem::{BlockAddr, Geometry};
+use sim_mem::state::put_u64;
+use sim_mem::{BlockAddr, Geometry, StateError, StateReader};
 
 /// Result of a demand access through [`SetAssocCache::access`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,7 +99,7 @@ impl SetAssocCache {
         if let Some(way) = probed {
             let m = &mut self.meta[base + way];
             if is_write {
-                *m |= crate::set::META_DIRTY;
+                *m |= META_DIRTY;
             }
             let was_cc = *m & META_CC != 0;
             let distance = self.lru[set].touch(way);
@@ -151,7 +155,7 @@ impl SetAssocCache {
         let m = &mut self.meta[base + way];
         debug_assert!(*m & META_VALID != 0, "touching an invalid way");
         if is_write {
-            *m |= crate::set::META_DIRTY;
+            *m |= META_DIRTY;
         }
         let was_cc = *m & META_CC != 0;
         (self.lru[set].touch(way), was_cc)
@@ -265,6 +269,50 @@ impl SetAssocCache {
     /// Reset statistics after warm-up (contents untouched).
     pub fn reset_stats(&mut self) {
         self.stats.reset();
+    }
+
+    /// Append the contents — block and metadata lanes and every set's
+    /// LRU order — so that [`SetAssocCache::restore_state`] on a cache
+    /// of the same geometry answers every later access identically.
+    /// Statistics are not part of the state.
+    pub fn save_state(&self, out: &mut Vec<u8>) {
+        out.reserve(9 * self.blocks.len() + self.lru.len() * self.geo.assoc);
+        for b in &self.blocks {
+            put_u64(out, b.0);
+        }
+        out.extend_from_slice(&self.meta);
+        for lru in &self.lru {
+            lru.save_state(out);
+        }
+    }
+
+    /// Read contents written by [`SetAssocCache::save_state`] for the
+    /// same geometry. Inconsistent lanes or LRU orders are an error, and
+    /// leave the cache unchanged.
+    pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        let blocks: Vec<BlockAddr> = r
+            .bytes(8 * self.blocks.len())?
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .map(|b| BlockAddr(u64::from_le_bytes(*b)))
+            .collect();
+        let meta = r.bytes(self.meta.len())?;
+        let known = META_VALID | META_DIRTY | META_CC | META_FLIPPED;
+        for (&m, &b) in meta.iter().zip(&blocks) {
+            if m & !known != 0 || (m & META_VALID != 0) != (b != INVALID_BLOCK) {
+                return Err(StateError::Invalid("cache line"));
+            }
+        }
+        let mut lru = self.lru.clone();
+        for order in &mut lru {
+            order.restore_state(r)?;
+        }
+        self.blocks = blocks;
+        self.meta.copy_from_slice(meta);
+        self.lru = lru;
+        self.cc_lines = self.cc_lines_scan() as u64;
+        Ok(())
     }
 }
 
@@ -393,6 +441,66 @@ mod tests {
             }
             assert_eq!(c.cc_lines(), c.cc_lines_scan(), "step {i}");
         }
+    }
+
+    /// An L1-like access sequence with stores, conflicts and repeats.
+    fn churn(c: &mut SetAssocCache, from: u64, n: u64) -> Vec<AccessResult> {
+        (from..from + n)
+            .map(|i| c.access(blk(i * 7 % 4, i * 13 % 11), i % 3 == 0))
+            .collect()
+    }
+
+    #[test]
+    fn a_restored_cache_answers_every_later_access_identically() {
+        let mut wide = SetAssocCache::new(Geometry::new(64, 4, 20));
+        for c in [&mut tiny(), &mut wide] {
+            churn(c, 0, 500);
+            c.fill_in_set(1, blk(1, 99), LineFlags::received(true));
+            let mut state = Vec::new();
+            c.save_state(&mut state);
+            let mut restored = SetAssocCache::new(c.geometry());
+            let mut r = StateReader::new(&state);
+            assert_eq!(restored.restore_state(&mut r), Ok(()));
+            assert_eq!(r.finish(), Ok(()));
+            assert_eq!(restored.cc_lines(), c.cc_lines());
+            assert_eq!(churn(&mut restored, 500, 2_000), churn(c, 500, 2_000));
+        }
+    }
+
+    #[test]
+    fn truncated_or_garbage_cache_state_is_an_error() {
+        let mut c = tiny();
+        churn(&mut c, 0, 100);
+        let mut state = Vec::new();
+        c.save_state(&mut state);
+        let before = c.clone();
+        for cut in 0..state.len() {
+            let mut r = StateReader::new(&state[..cut]);
+            assert_eq!(c.restore_state(&mut r), Err(StateError::Truncated));
+        }
+        // A valid line holding the invalid sentinel, an unknown metadata
+        // bit, a repeated way in an LRU order.
+        // Eight lines: the metadata lane follows eight block words.
+        let meta_at = 8 * 8;
+        let mut bad = [state.clone(), state.clone(), state.clone()];
+        bad[0][..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        bad[0][meta_at] = META_VALID;
+        bad[1][meta_at] |= 0x80;
+        let last = state.len() - 1;
+        bad[2][last] = bad[2][last - 1];
+        for b in &bad {
+            let mut r = StateReader::new(b);
+            assert!(matches!(
+                c.restore_state(&mut r),
+                Err(StateError::Invalid(_))
+            ));
+        }
+        for fill in [0x00, 0xff, 0x5a] {
+            let garbage = [fill; 200];
+            let mut r = StateReader::new(&garbage);
+            assert!(c.restore_state(&mut r).is_err(), "{fill:#x}");
+        }
+        assert_eq!(c, before, "failed restores leave the cache unchanged");
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! `Vec::remove`/`insert` pair. Associativities 17–255 (deep profiler
 //! stacks) keep the byte-vector representation.
 
+use sim_mem::{StateError, StateReader};
+
 /// `0x...11111`: broadcasts a nibble value across all 16 lanes.
 const NIBBLE_LSB: u64 = 0x1111_1111_1111_1111;
 /// `0x...88888`: the per-nibble detector bit for zero-nibble scans.
@@ -218,6 +220,43 @@ impl LruOrder {
     /// Iterate ways MRU → LRU.
     pub fn iter_mru_to_lru(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.ways()).map(move |p| self.way_at(p))
+    }
+
+    /// Append the order, one byte per way MRU → LRU.
+    pub fn save_state(&self, out: &mut Vec<u8>) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "new() caps the way count at u8::MAX"
+        )]
+        out.extend(self.iter_mru_to_lru().map(|w| w as u8));
+    }
+
+    /// Read an order written by [`LruOrder::save_state`] over the same
+    /// number of ways. Anything but a permutation of the ways is an
+    /// error, and leaves the order unchanged.
+    pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        let order = r.bytes(self.ways())?;
+        // One bit per way: at most 255 ways.
+        let mut seen = [0u64; 4];
+        for &w in order {
+            let (word, bit) = (usize::from(w) / 64, 1u64 << (w % 64));
+            if usize::from(w) >= order.len() || seen[word] & bit != 0 {
+                return Err(StateError::Invalid("lru order"));
+            }
+            seen[word] |= bit;
+        }
+        self.repr = match &self.repr {
+            Repr::Packed { n, .. } => Repr::Packed {
+                bits: order
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &w)| u64::from(w) << (4 * p))
+                    .sum(),
+                n: *n,
+            },
+            Repr::Wide(_) => Repr::Wide(order.to_vec()),
+        };
+        Ok(())
     }
 }
 

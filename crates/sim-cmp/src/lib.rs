@@ -41,7 +41,7 @@ pub mod session;
 pub use bus::{Bus, BusGrant, BusStats};
 pub use config::{BusConfig, CoreConfig, SystemConfig};
 pub use core::{CoreModel, CoreStats};
-pub use front::{FrontError, SharedFront};
+pub use front::{Checkpoints, FrontError, SharedFront};
 pub use plan::{
     Converged, FixedCycles, Reconverged, RunPlan, StopObservation, StopPolicy, StopSpec,
     WINDOW_SAMPLES,

@@ -187,8 +187,9 @@ impl<O: L2Org> SessionBuilder<O> {
 
     /// Read every core's ops and L1 outcomes from a shared front end
     /// (replaces any previous front ends). The run is bit-identical to
-    /// one over the streams the front end was created from. A session
-    /// over a shared front end cannot take a phase schedule.
+    /// one over the streams the front end was created from; a phase
+    /// schedule forks each core it shifts into a live front end at its
+    /// first shift.
     pub fn shared_front(mut self, front: Arc<SharedFront>) -> Self {
         self.source = FrontSource::Shared(front);
         self
@@ -245,10 +246,7 @@ impl<O: L2Org> SessionBuilder<O> {
     ///
     /// # Panics
     ///
-    /// Panics unless there is one front end per core, or when a phase
-    /// schedule is set over a shared front end: shifts land at
-    /// timing-dependent points of the op sequence, which a front end
-    /// shared across schemes cannot follow.
+    /// Panics unless there is one front end per core.
     pub fn build(self) -> SimSession<O> {
         let n = self.cfg.num_cores;
         let fronts: Vec<CoreFront> = match self.source {
@@ -260,10 +258,6 @@ impl<O: L2Org> SessionBuilder<O> {
                     .collect()
             }
             FrontSource::Shared(front) => {
-                assert!(
-                    self.shifts.is_empty(),
-                    "a session with a phase schedule needs live front ends"
-                );
                 assert_eq!(front.num_cores(), n, "one shared front end per core");
                 assert_eq!(front.l1(), self.cfg.l1, "shared front end L1 geometry");
                 (0..n)
@@ -503,8 +497,8 @@ impl<O: L2Org> SimSession<O> {
         // Apply scheduled workload shifts at frontier boundaries:
         // frontier-derived like the phase transition above, so a shift
         // lands before the exact same operation in every interleaving.
-        if self.next_shift < self.shifts.len() {
-            self.sync_shifts(min_cycle);
+        if self.next_shift < self.shifts.len() && !self.sync_shifts(min_cycle) {
+            return false;
         }
         if !self.exec_op(min_core) {
             return false;
@@ -591,8 +585,8 @@ impl<O: L2Org> SimSession<O> {
             if min_cycle >= horizon {
                 return;
             }
-            if self.next_shift < self.shifts.len() {
-                self.sync_shifts(min_cycle);
+            if self.next_shift < self.shifts.len() && !self.sync_shifts(min_cycle) {
+                return;
             }
             // Boundaries `step` honours *before* executing an op. The
             // warm-up edge only matters until measurement begins; a
@@ -656,7 +650,9 @@ impl<O: L2Org> SimSession<O> {
     /// streaming, or a core filter matching no stream) is *not*
     /// recorded into the probe samples: a phantom phase-boundary event
     /// for a workload that never changed would be worse than silence.
-    fn sync_shifts(&mut self, frontier: u64) {
+    /// Returns `false`, keeping the error for
+    /// [`SimSession::front_error`], when a shared core cannot be forked.
+    fn sync_shifts(&mut self, frontier: u64) -> bool {
         while self.next_shift < self.shifts.len() {
             if frontier < self.shifts[self.next_shift].at_cycle {
                 break;
@@ -665,7 +661,13 @@ impl<O: L2Org> SimSession<O> {
             let mut applied = false;
             for (core, front) in self.fronts.iter_mut().enumerate() {
                 if shift.targets(core) {
-                    applied |= front.apply_shift(&shift.directive);
+                    match front.apply_shift(&shift.directive) {
+                        Ok(a) => applied |= a,
+                        Err(e) => {
+                            self.front_error = Some(e);
+                            return false;
+                        }
+                    }
                 }
             }
             if applied {
@@ -673,6 +675,7 @@ impl<O: L2Org> SimSession<O> {
             }
             self.next_shift += 1;
         }
+        true
     }
 
     /// Run the whole window and return the measured result.

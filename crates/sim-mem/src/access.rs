@@ -7,6 +7,7 @@
 //! cache hierarchy.
 
 use crate::address::Addr;
+use crate::state::{put_count, StateError, StateReader};
 
 /// The kind of a memory reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,6 +132,21 @@ pub trait OpStream {
     fn apply_shift(&mut self, _directive: &crate::shift::ShiftDirective) -> bool {
         false
     }
+
+    /// Append everything this stream's future ops depend on to `out`,
+    /// so that [`OpStream::restore_state`] on a stream built the same
+    /// way continues with the identical ops. Returns whether the stream
+    /// can be checkpointed; the default cannot and writes nothing.
+    fn save_state(&self, _out: &mut Vec<u8>) -> bool {
+        false
+    }
+
+    /// Continue from a state [`OpStream::save_state`] wrote for a stream
+    /// built the same way. Truncated or garbage bytes are an error,
+    /// never a panic, and leave the stream unchanged.
+    fn restore_state(&mut self, _state: &[u8]) -> Result<(), StateError> {
+        Err(StateError::Unsupported)
+    }
 }
 
 /// A replayable in-memory stream, useful in tests and for trace replay.
@@ -182,6 +198,22 @@ impl OpStream for VecStream {
     fn label(&self) -> &str {
         &self.label
     }
+
+    fn save_state(&self, out: &mut Vec<u8>) -> bool {
+        put_count(out, self.pos);
+        true
+    }
+
+    fn restore_state(&mut self, state: &[u8]) -> Result<(), StateError> {
+        let mut r = StateReader::new(state);
+        let pos = r.count("pos")?;
+        r.finish()?;
+        if pos >= self.ops.len() {
+            return Err(StateError::Invalid("pos"));
+        }
+        self.pos = pos;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -208,6 +240,24 @@ mod tests {
         assert_eq!(a, vec![0, 64, 128, 0, 64, 128, 0]);
         assert_eq!(s.label(), "t");
         assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn vec_stream_checkpoints_its_position() {
+        let mut s = VecStream::loads("t", [0u64, 64, 128], 0);
+        s.next_op();
+        let mut state = Vec::new();
+        assert!(s.save_state(&mut state));
+        let mut r = VecStream::loads("t", [0u64, 64, 128], 0);
+        assert_eq!(r.restore_state(&state), Ok(()));
+        for _ in 0..5 {
+            assert_eq!(r.next_op(), s.next_op());
+        }
+        assert_eq!(r.restore_state(&state[..3]), Err(StateError::Truncated));
+        assert_eq!(
+            r.restore_state(&[9, 0, 0, 0, 0, 0, 0, 0]),
+            Err(StateError::Invalid("pos"))
+        );
     }
 
     #[test]

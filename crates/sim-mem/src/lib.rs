@@ -10,6 +10,8 @@
 //!   plus channel occupancy, paper Table 4);
 //! * [`shift`] — mid-run workload shift directives (phase-change
 //!   scenarios) delivered through [`access::OpStream::apply_shift`];
+//! * [`state`] — the byte encoding of checkpointed generator and cache
+//!   state ([`access::OpStream::save_state`]);
 //! * [`trace`] — [`trace::FrontOp`] records (an op plus its private-L1
 //!   outcome) with their compact binary codec, and the 1000 × 100
 //!   K-access interval sampling plan of the paper's characterisation
@@ -30,12 +32,14 @@ pub mod access;
 pub mod address;
 pub mod dram;
 pub mod shift;
+pub mod state;
 pub mod trace;
 
 pub use access::{Access, AccessKind, CoreOp, OpStream, VecStream};
 pub use address::{tag_bits, Addr, BlockAddr, Geometry};
 pub use dram::{Dram, DramConfig, DramStats};
 pub use shift::{ShiftDirective, StreamShift};
+pub use state::{StateError, StateReader};
 pub use trace::{
     FrontDecoder, FrontEncoder, FrontOp, IntervalClock, L1Outcome, SamplingPlan, TraceDecodeError,
     Victim, FRONT_RECORD_MAX,

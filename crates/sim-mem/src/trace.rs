@@ -194,6 +194,18 @@ impl FrontEncoder {
         Self::default()
     }
 
+    /// An encoder continuing a sequence whose last record's block was
+    /// `prev_block` (see [`FrontEncoder::prev_block`]).
+    pub fn resume(prev_block: u64) -> Self {
+        FrontEncoder { prev_block }
+    }
+
+    /// The block of the last record encoded (0 at the start): all the
+    /// state the encoder carries from one record to the next.
+    pub fn prev_block(&self) -> u64 {
+        self.prev_block
+    }
+
     /// Append the encoding of `op` to `out`.
     pub fn encode(&mut self, op: &FrontOp, out: &mut Vec<u8>) {
         let kind = match op.kind {

@@ -27,7 +27,8 @@
 
 use rand::rngs::SmallRng;
 use rand::{Divisor, Rng, RngCore, SeedableRng};
-use sim_mem::{Access, AccessKind, Addr, CoreOp, Geometry, OpStream};
+use sim_mem::state::{put_count, put_f64, put_u16, put_u32, put_u64};
+use sim_mem::{Access, AccessKind, Addr, CoreOp, Geometry, OpStream, StateError, StateReader};
 
 /// One component of a per-set demand mixture: `weight` fraction of sets
 /// get a demand drawn uniformly from `lo..=hi` blocks.
@@ -201,6 +202,10 @@ const CYCLIC_FRACTION: f64 = 0.6;
 /// Capacity of the per-set recency ring (≥ the largest near window).
 const RECENT_CAP: usize = 16;
 
+/// A checkpointed [`SetState`]: demand, cursor and the recency ring as
+/// little-endian `u16`s, then the ring's length and write position.
+const SET_STATE_BYTES: usize = 2 * (2 + RECENT_CAP) + 2;
+
 impl SetState {
     fn new(demand: u16) -> Self {
         SetState {
@@ -209,6 +214,30 @@ impl SetState {
             recent: [0; RECENT_CAP],
             recent_len: 0,
             recent_pos: 0,
+        }
+    }
+
+    /// The [`SET_STATE_BYTES`]-byte checkpoint record of this state.
+    fn encode(&self) -> [u8; SET_STATE_BYTES] {
+        let mut record = [0u8; SET_STATE_BYTES];
+        let fields = [self.demand, self.cursor].into_iter().chain(self.recent);
+        for (bytes, x) in record.chunks_exact_mut(2).zip(fields) {
+            bytes.copy_from_slice(&x.to_le_bytes());
+        }
+        record[SET_STATE_BYTES - 2] = self.recent_len;
+        record[SET_STATE_BYTES - 1] = self.recent_pos;
+        record
+    }
+
+    /// Read a [`SetState::encode`] record, unchecked.
+    fn decode(record: &[u8]) -> SetState {
+        let u16_at = |i: usize| u16::from_le_bytes([record[2 * i], record[2 * i + 1]]);
+        SetState {
+            demand: u16_at(0),
+            cursor: u16_at(1),
+            recent: std::array::from_fn(|i| u16_at(2 + i)),
+            recent_len: record[SET_STATE_BYTES - 2],
+            recent_pos: record[SET_STATE_BYTES - 1],
         }
     }
 
@@ -389,7 +418,13 @@ impl SyntheticStream {
                 }
             }
         }
-        // Traffic to a set scales with its working-set size.
+        self.build_set_cdf();
+    }
+
+    /// Rebuild the set-sampling distribution and its guide table from
+    /// the per-set demands: traffic to a set scales with its
+    /// working-set size.
+    fn build_set_cdf(&mut self) {
         let mut acc = 0.0;
         self.set_cdf = self
             .sets
@@ -416,15 +451,18 @@ impl SyntheticStream {
         let total = self.set_cdf.last().copied().unwrap_or(0.0);
         self.guide_scale = buckets as f64 / total;
         let bucket_of = |scale: f64, v: f64| -> usize { ((v * scale) as usize).min(buckets - 1) };
+        // Bucket `b`'s entry is the first index whose bucket is `b` or
+        // later (`n` past the last): buckets are monotone in the index,
+        // so each index claims the buckets up to its own.
         self.set_guide.clear();
         self.set_guide.reserve(buckets);
-        let mut i = 0usize;
-        for b in 0..buckets {
-            while i < n && bucket_of(self.guide_scale, self.set_cdf[i]) < b {
-                i += 1;
+        for (i, &v) in self.set_cdf.iter().enumerate() {
+            let b = bucket_of(self.guide_scale, v);
+            while self.set_guide.len() <= b {
+                self.set_guide.push(i as u32);
             }
-            self.set_guide.push(i as u32);
         }
+        self.set_guide.resize(buckets, n as u32);
     }
 
     /// Guided inverse-CDF walk: identical to
@@ -588,6 +626,233 @@ impl SyntheticStream {
     }
 }
 
+/// Opens every [`SyntheticStream`] checkpoint.
+const STATE_TAG: u64 = u64::from_le_bytes(*b"snugsyn1");
+
+/// Streams never run this many ops: state past it is garbage, and would
+/// overflow the access or streaming counters.
+const STATE_COUNTER_LIMIT: u64 = 1 << 34;
+
+impl SyntheticStream {
+    /// Append the generator state: the RNG words, the spec as shifted
+    /// so far (its name aside), the cycle, phase, streaming and burst
+    /// scalars, the phase bounds and every set's state. The set-sampling
+    /// distribution and the divisors are re-derived on restore by the
+    /// code that builds them.
+    fn save(&self, out: &mut Vec<u8>) {
+        put_u64(out, STATE_TAG);
+        save_spec(&self.spec, out);
+        for word in self.rng.state() {
+            put_u64(out, word);
+        }
+        for x in [
+            self.access_count,
+            self.cycle_pos,
+            self.cycle_len,
+            self.phase_end,
+            self.stream_cursor,
+            self.burst_block,
+        ] {
+            put_u64(out, x);
+        }
+        put_count(out, self.current_phase);
+        put_u32(out, self.burst_remaining);
+        put_count(out, self.phase_bounds.len());
+        for &b in &self.phase_bounds {
+            put_u64(out, b);
+        }
+        put_count(out, self.sets.len());
+        out.reserve(self.sets.len() * SET_STATE_BYTES);
+        for st in &self.sets {
+            out.extend_from_slice(&st.encode());
+        }
+    }
+
+    /// Read a state [`SyntheticStream::save`] wrote for a stream of the
+    /// same geometry, rejecting any value the generator could not be in.
+    fn restore(&mut self, state: &[u8]) -> Result<(), StateError> {
+        let invalid = StateError::Invalid;
+        let mut r = StateReader::new(state);
+        if r.u64()? != STATE_TAG {
+            return Err(invalid("tag"));
+        }
+        let spec = read_spec(&mut r, &self.spec.name)?;
+        let rng = SmallRng::from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
+        let [access_count, cycle_pos, cycle_len, phase_end, stream_cursor, burst_block] =
+            [r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+        let current_phase = r.count("current phase")?;
+        let burst_remaining = r.u32()?;
+        let n = r.count("phase bounds")?;
+        let phase_bounds = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
+        let n = r.count("sets")?;
+        let records = n
+            .checked_mul(SET_STATE_BYTES)
+            .ok_or(invalid("sets"))
+            .and_then(|len| r.bytes(len))?;
+        // Validated here, decoded into the existing set vector once the
+        // whole state has proved good.
+        for record in records.as_chunks::<SET_STATE_BYTES>().0 {
+            let [d0, d1, c0, c1, ..] = *record;
+            if u16::from_le_bytes([c0, c1]) >= u16::from_le_bytes([d0, d1]).max(1) {
+                return Err(invalid("cursor"));
+            }
+            let [.., recent_len, recent_pos] = *record;
+            if usize::from(recent_len) > RECENT_CAP || usize::from(recent_pos) >= RECENT_CAP {
+                return Err(invalid("recent ring"));
+            }
+        }
+        r.finish()?;
+        let num_sets = self.geo.num_sets;
+        match &spec.pattern {
+            Pattern::Pooled {
+                phases,
+                cycle_accesses,
+            } => {
+                if n as u64 != num_sets {
+                    return Err(invalid("sets"));
+                }
+                if phase_bounds.len() != phases.len() || current_phase >= phases.len() {
+                    return Err(invalid("current phase"));
+                }
+                if cycle_len != *cycle_accesses || cycle_pos >= cycle_len {
+                    return Err(invalid("cycle position"));
+                }
+            }
+            Pattern::Streaming => {
+                if n != 0 && n as u64 != num_sets {
+                    return Err(invalid("sets"));
+                }
+                if cycle_len != u64::MAX || cycle_pos >= STATE_COUNTER_LIMIT {
+                    return Err(invalid("cycle position"));
+                }
+            }
+        }
+        if access_count >= STATE_COUNTER_LIMIT || stream_cursor >= STATE_COUNTER_LIMIT {
+            return Err(invalid("access count"));
+        }
+        self.gap_width = Divisor::new(spec.gap_mean as u64 * 2 + 1);
+        self.burst_width = Divisor::new(spec.burst_mean as u64 * 2 + 1);
+        self.spec = spec;
+        self.rng = rng;
+        self.access_count = access_count;
+        self.cycle_pos = cycle_pos;
+        self.cycle_len = cycle_len;
+        self.phase_end = phase_end;
+        self.stream_cursor = stream_cursor;
+        self.burst_block = burst_block;
+        self.current_phase = current_phase;
+        self.burst_remaining = burst_remaining;
+        self.phase_bounds = phase_bounds;
+        self.sets.clear();
+        self.sets
+            .extend(records.chunks_exact(SET_STATE_BYTES).map(SetState::decode));
+        if self.sets.is_empty() {
+            self.set_cdf.clear();
+            self.set_guide.clear();
+            self.guide_scale = 0.0;
+        } else {
+            self.build_set_cdf();
+        }
+        Ok(())
+    }
+}
+
+/// Append a spec's generating fields (everything but its name).
+fn save_spec(spec: &BenchmarkSpec, out: &mut Vec<u8>) {
+    match &spec.pattern {
+        Pattern::Streaming => out.push(0),
+        Pattern::Pooled {
+            phases,
+            cycle_accesses,
+        } => {
+            out.push(1);
+            put_u64(out, *cycle_accesses);
+            put_count(out, phases.len());
+            for phase in phases {
+                put_f64(out, phase.fraction);
+                let p = &phase.profile;
+                put_count(out, p.components.len());
+                for c in &p.components {
+                    put_f64(out, c.weight);
+                    put_u16(out, c.lo);
+                    put_u16(out, c.hi);
+                }
+                put_f64(out, p.near_fraction);
+                put_count(out, p.near_window);
+            }
+        }
+    }
+    put_u32(out, spec.gap_mean);
+    put_f64(out, spec.write_fraction);
+    put_f64(out, spec.dependent_fraction);
+    put_u32(out, spec.burst_mean);
+    put_u64(out, spec.seed);
+}
+
+/// Read a spec written by [`save_spec`], named `name`. Every weight
+/// the generator samples from must be finite and non-negative with a
+/// positive total.
+fn read_spec(r: &mut StateReader<'_>, name: &str) -> Result<BenchmarkSpec, StateError> {
+    let weight = |r: &mut StateReader<'_>, field| {
+        let w = r.finite_f64(field)?;
+        if w >= 0.0 {
+            Ok(w)
+        } else {
+            Err(StateError::Invalid(field))
+        }
+    };
+    let pattern = match r.u8()? {
+        0 => Pattern::Streaming,
+        1 => {
+            let cycle_accesses = r.u64()?;
+            let n = r.count("phases")?;
+            let phases = (0..n)
+                .map(|_| {
+                    let fraction = weight(r, "phase fraction")?;
+                    let n = r.count("components")?;
+                    let components = (0..n)
+                        .map(|_| {
+                            Ok(DemandComponent {
+                                weight: weight(r, "component weight")?,
+                                lo: r.u16()?,
+                                hi: r.u16()?,
+                            })
+                        })
+                        .collect::<Result<Vec<_>, StateError>>()?;
+                    if components.iter().map(|c| c.weight).sum::<f64>() <= 0.0 {
+                        return Err(StateError::Invalid("component weight"));
+                    }
+                    Ok(Phase {
+                        fraction,
+                        profile: DemandProfile {
+                            components,
+                            near_fraction: r.finite_f64("near fraction")?,
+                            near_window: r.count("near window")?,
+                        },
+                    })
+                })
+                .collect::<Result<Vec<_>, StateError>>()?;
+            if cycle_accesses == 0 || phases.iter().map(|p| p.fraction).sum::<f64>() <= 0.0 {
+                return Err(StateError::Invalid("phases"));
+            }
+            Pattern::Pooled {
+                phases,
+                cycle_accesses,
+            }
+        }
+        _ => return Err(StateError::Invalid("pattern")),
+    };
+    Ok(BenchmarkSpec {
+        name: name.to_string(),
+        pattern,
+        gap_mean: r.u32()?,
+        write_fraction: r.finite_f64("write fraction")?,
+        dependent_fraction: r.finite_f64("dependent fraction")?,
+        burst_mean: r.u32()?,
+        seed: r.u64()?,
+    })
+}
+
 impl OpStream for SyntheticStream {
     fn next_op(&mut self) -> CoreOp {
         // Incremental phase tracking: `cycle_pos` mirrors
@@ -647,6 +912,15 @@ impl OpStream for SyntheticStream {
 
     fn apply_shift(&mut self, directive: &sim_mem::ShiftDirective) -> bool {
         self.shift(directive)
+    }
+
+    fn save_state(&self, out: &mut Vec<u8>) -> bool {
+        self.save(out);
+        true
+    }
+
+    fn restore_state(&mut self, state: &[u8]) -> Result<(), StateError> {
+        self.restore(state)
     }
 }
 
@@ -1003,6 +1277,119 @@ mod tests {
         let mut cloned = s.clone();
         for _ in 0..500 {
             assert_eq!(s.next_op(), cloned.next_op());
+        }
+    }
+
+    /// Checkpoint `s`, restore the state into `fresh` (built the same
+    /// way) and check both continue with the identical `n` ops.
+    fn assert_resumes(s: &mut SyntheticStream, mut fresh: SyntheticStream, n: usize) {
+        let mut state = Vec::new();
+        assert!(s.save_state(&mut state));
+        assert_eq!(fresh.restore_state(&state), Ok(()));
+        for i in 0..n {
+            assert_eq!(fresh.next_op(), s.next_op(), "op {i}");
+        }
+    }
+
+    #[test]
+    fn a_restored_stream_continues_with_the_identical_ops() {
+        use crate::spec::Benchmark;
+        use sim_mem::ShiftDirective;
+        let geo = Geometry::new(64, 64, 4);
+        // Two phases of 500 accesses: the restored stream crosses
+        // several phase boundaries.
+        let mut phased = pooled_spec(vec![DemandComponent::new(1.0, 2, 30)], 0.3);
+        if let Pattern::Pooled {
+            phases,
+            cycle_accesses,
+        } = &mut phased.pattern
+        {
+            let mut second = phases[0].clone();
+            second.profile = DemandProfile::uniform(12, 20, 0.1);
+            phases.push(second);
+            *cycle_accesses = 1_000;
+        }
+        let shifts = [
+            None,
+            Some(ShiftDirective::DemandScale { percent: 300 }),
+            Some(ShiftDirective::NearFraction { percent: 70 }),
+            Some(ShiftDirective::Profile { name: "mcf".into() }),
+            Some(ShiftDirective::Streaming),
+        ];
+        for spec in [phased, Benchmark::Ammp.spec(), Benchmark::Applu.spec()] {
+            for shift in &shifts {
+                let mut s = spec.stream(geo, 1);
+                for _ in 0..1_337 {
+                    s.next_op();
+                }
+                if let Some(d) = shift {
+                    s.apply_shift(d);
+                    s.next_op();
+                }
+                assert_resumes(&mut s, spec.stream(geo, 1), 3_000);
+                // A checkpoint taken before a shift resumes into the
+                // same shifted stream.
+                let mut fresh = spec.stream(geo, 1);
+                let mut state = Vec::new();
+                s.save_state(&mut state);
+                fresh.restore_state(&state).unwrap();
+                if let Some(d) = shift {
+                    assert_eq!(s.apply_shift(d), fresh.apply_shift(d));
+                }
+                for _ in 0..2_000 {
+                    assert_eq!(fresh.next_op(), s.next_op());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_or_garbage_stream_state_is_an_error() {
+        use crate::spec::Benchmark;
+        let geo = Geometry::new(64, 64, 4);
+        let mut s = Benchmark::Ammp.spec().stream(geo, 0);
+        for _ in 0..300 {
+            s.next_op();
+        }
+        let mut state = Vec::new();
+        assert!(s.save_state(&mut state));
+        let mut target = Benchmark::Ammp.spec().stream(geo, 0);
+        let expected: Vec<CoreOp> = {
+            let mut probe = target.clone();
+            (0..50).map(|_| probe.next_op()).collect()
+        };
+        for cut in 0..state.len() {
+            assert_eq!(
+                target.restore_state(&state[..cut]),
+                Err(StateError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        let mut longer = state.clone();
+        longer.push(0);
+        assert_eq!(
+            target.restore_state(&longer),
+            Err(StateError::TrailingBytes)
+        );
+        for garbage in [vec![0u8; 64], vec![0xff; 4096], b"snugsyn1".to_vec()] {
+            assert!(target.restore_state(&garbage).is_err());
+        }
+        let again: Vec<CoreOp> = (0..50).map(|_| target.next_op()).collect();
+        assert_eq!(
+            again, expected,
+            "failed restores leave the stream unchanged"
+        );
+        // Corrupting any one byte either fails the restore or yields a
+        // stream that still runs.
+        for at in 0..state.len() {
+            let mut bad = state.clone();
+            bad[at] ^= 0xa5;
+            let mut t = Benchmark::Ammp.spec().stream(geo, 0);
+            if t.restore_state(&bad).is_ok() {
+                for _ in 0..200 {
+                    t.next_op();
+                }
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Integration tests for the beyond-paper extensions and the shared
 //! front-end replay plumbing.
 
-use sim_cmp::{L2Org, SharedFront, SimSession, SystemConfig};
+use sim_cmp::{Checkpoints, L2Org, SharedFront, SimSession, SystemConfig};
 use sim_mem::{Geometry, OpStream};
 use snug_core::{Cc, DsrConfig, SchemeSpec, Snug, SnugConfig};
 use snug_workloads::Benchmark;
@@ -17,10 +17,16 @@ fn trace_replay_reproduces_generator_run() {
     let bench = Benchmark::Apsi;
     let dir = std::env::temp_dir().join(format!("snug-front-replay-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let shared: Vec<Box<dyn OpStream + Send>> = (0..4)
-        .map(|core| Box::new(bench.spec().stream(system.l2_slice, core)) as _)
-        .collect();
-    let front = Arc::new(SharedFront::create(&dir, "apsi", shared, system.l1).unwrap());
+    let l2 = system.l2_slice;
+    let front = SharedFront::create(
+        &dir,
+        "apsi",
+        4,
+        move |core| Box::new(bench.spec().stream(l2, core)),
+        system.l1,
+        Checkpoints::Latest,
+    );
+    let front = Arc::new(front.unwrap());
 
     let build = || {
         SimSession::builder(system, Snug::new(system, SnugConfig::scaled(500)))
@@ -40,7 +46,11 @@ fn trace_replay_reproduces_generator_run() {
         .run_to_completion();
     assert_eq!(a, b, "identical run from the shared front end");
     assert_eq!(b, c, "identical re-read of the extended files");
-    let paths: Vec<_> = front.paths().map(|p| p.to_path_buf()).collect();
+    let paths: Vec<_> = front
+        .paths()
+        .chain(front.checkpoint_paths())
+        .map(|p| p.to_path_buf())
+        .collect();
     assert!(paths
         .iter()
         .all(|p| std::fs::metadata(p).unwrap().len() > 0));

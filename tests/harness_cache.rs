@@ -8,8 +8,8 @@ use snug_harness::{
     cached_results, run_sweep, run_unit_jobs, unit_jobs_for, BudgetPreset, JsonCodec, ResultStore,
     StopPreset, SweepEvent, SweepSpec,
 };
-use snug_sim::experiments::{run_combo, run_point, SchemePoint, SchemeRun};
-use snug_workloads::ComboClass;
+use snug_sim::experiments::{pace_of, run_combo, run_point, SchemePoint, SchemeRun};
+use snug_workloads::{ComboClass, PhaseSchedule};
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -50,6 +50,60 @@ fn cached_combo_results_are_bit_identical_to_fresh_runs() {
         windows.iter().any(|m| m.is_some_and(|m| m < 80_000)),
         "some converged unit must stop before its ceiling: {windows:?}"
     );
+    // A shifted sweep: each unit forks its cores off the combo's shared
+    // front end at the shift, late enough that most forks restore a
+    // checkpoint.
+    let mut shifted = tiny_spec();
+    shifted.budget = BudgetPreset::Custom {
+        warmup_cycles: 15_000,
+        measure_cycles: 900_000,
+    };
+    shifted.stop = StopPreset::Reconverged {
+        window_cycles: Some(15_000),
+        rel_epsilon: Some(0.05),
+    };
+    shifted.phase_shift = Some(
+        PhaseSchedule::parse("700000:demand=250")
+            .unwrap()
+            .fingerprint(),
+    );
+    assert_shifted_equals_live(shifted, "bit-identity-reconv");
+}
+
+/// Sweep a shifted early-exit `spec` cold and check every stored unit
+/// against a live `run_point` under the same phase schedule: the
+/// baseline unpaced, its siblings paced by the live baseline.
+fn assert_shifted_equals_live(spec: SweepSpec, tag: &str) {
+    let dir = tmp_dir(tag);
+    let mut store = ResultStore::open(&dir).unwrap();
+    let first = run_sweep(&spec, &mut store, 2, |_| {}).unwrap();
+    assert_eq!(first.executed, 3 * UNITS, "{tag}: C5's 27 units ran");
+    for job in spec.combo_jobs() {
+        let mut pace = None;
+        for unit in &job.units {
+            assert!(unit.phase.is_some(), "{tag}: a shifted unit");
+            let live = run_point(
+                &unit.combo,
+                &unit.point,
+                &unit.config,
+                unit.phase.as_ref(),
+                pace.as_ref(),
+                None,
+            )
+            .unwrap();
+            if unit.point == SchemePoint::L2p {
+                pace = Some(pace_of(&live, &unit.config));
+            }
+            assert_eq!(
+                store.get_unit(&unit.key),
+                Some(&live),
+                "{tag}: {}",
+                unit.label()
+            );
+        }
+    }
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Sweep `spec` cold, re-serve it from the re-opened store and check

@@ -1,6 +1,7 @@
 //! The parallel-determinism contract of `snug sweep --jobs N` (ISSUE 7):
-//! however many workers execute a sweep, the post-merge
-//! `results/store.jsonl` is byte-identical to a sequential run —
+//! however many workers execute a sweep, it executes every unit exactly
+//! once and the post-merge `results/store.jsonl` is byte-identical to a
+//! sequential run —
 //! completed units land in plan order, never completion order — and a
 //! re-run over the merged store is 100% cache hits. Also covers crash
 //! recovery at the process boundary: a sweep killed mid-flight leaves
@@ -17,7 +18,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A three-combo (27-unit) plan small enough to run a dozen times.
+/// A three-combo ([`UNITS`]-unit) plan small enough to run a dozen
+/// times.
 fn tiny_spec(stop: StopPreset, phase_shift: Option<&str>) -> SweepSpec {
     SweepSpec {
         name: "par-det".into(),
@@ -40,14 +42,18 @@ fn store_path(dir: &Path) -> PathBuf {
     dir.join(snug_harness::store::STORE_FILE)
 }
 
+/// Unit jobs in [`tiny_spec`]: three combos of nine scheme points.
+const UNITS: usize = 27;
+
 /// Run the spec with `jobs` workers in a fresh store and return the
-/// merged store bytes (after asserting the sweep executed everything).
+/// merged store bytes (after asserting the sweep executed every unit
+/// exactly once, whatever the worker count).
 fn store_bytes(spec: &SweepSpec, jobs: usize, tag: &str) -> Vec<u8> {
     let dir = tmp_dir(tag);
     let mut store = ResultStore::open(&dir).unwrap();
     let outcome = run_sweep(spec, &mut store, jobs, |_| {}).unwrap();
     assert_eq!(outcome.cache_hits, 0, "{tag}: fresh store");
-    assert!(outcome.executed > 0, "{tag}: something ran");
+    assert_eq!(outcome.executed, UNITS, "{tag}: every unit ran once");
     drop(store);
 
     // A re-run over the merged store plans nothing, at any worker count.
@@ -132,7 +138,7 @@ fn crashed_sweep_recovers_shards_and_reruns_only_missing_units() {
     let mut store = ResultStore::open(&crash_dir).unwrap();
     let outcome = run_sweep(&spec, &mut store, 4, |_| {}).unwrap();
     assert_eq!(outcome.cache_hits, 7, "recovered units are cache hits");
-    assert_eq!(outcome.executed, 27 - 7, "only the missing units re-ran");
+    assert_eq!(outcome.executed, UNITS - 7, "only the missing units re-ran");
     drop(store);
 
     assert_eq!(

@@ -10,18 +10,22 @@
 //!    sequence);
 //! 3. a phase-change schedule (mid-run stream shifts) keeps all of the
 //!    above: shifts land before the identical operation in every
-//!    interleaving, and a `Reconverged` policy's extended stop cycle
-//!    and per-phase plateau records are interleaving-invariant;
+//!    interleaving, also over a shared front end whose cores fork live
+//!    at their first shift, and a `Reconverged` policy's extended stop
+//!    cycle and per-phase plateau records are interleaving-invariant;
 //! 4. observability is *observational*: harvesting `counters()` or
 //!    enabling probe recording never perturbs the retired op sequence,
 //!    and the measured-window counters themselves are
 //!    interleaving-invariant.
 
 use proptest::prelude::*;
-use sim_cmp::{RunPlan, SimSession, SystemConfig, SystemResult};
+use sim_cmp::{Checkpoints, RunPlan, SharedFront, SimSession, SystemConfig, SystemResult};
 use sim_mem::{OpStream, ShiftDirective, StreamShift};
 use snug_core::{AnyOrg, DsrConfig, SchemeSpec, SnugConfig};
 use snug_workloads::Benchmark;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const WARMUP: u64 = 3_000;
 const MEASURE: u64 = 30_000;
@@ -49,19 +53,44 @@ fn schemes() -> Vec<SchemeSpec> {
     ]
 }
 
+/// The programs of the mixed workload, by core.
+const MIX: [Benchmark; 4] = [
+    Benchmark::Ammp,
+    Benchmark::Vortex,
+    Benchmark::Art,
+    Benchmark::Applu,
+];
+
 /// A mixed multiprogrammed workload on the tiny platform: synthetic
 /// streams with RNG state.
 fn streams(cfg: &SystemConfig) -> Vec<Box<dyn OpStream>> {
-    [
-        Benchmark::Ammp,
-        Benchmark::Vortex,
-        Benchmark::Art,
-        Benchmark::Applu,
-    ]
-    .iter()
-    .enumerate()
-    .map(|(core, b)| Box::new(b.spec().stream(cfg.l2_slice, core)) as Box<dyn OpStream>)
-    .collect()
+    MIX.iter()
+        .enumerate()
+        .map(|(core, b)| Box::new(b.spec().stream(cfg.l2_slice, core)) as Box<dyn OpStream>)
+        .collect()
+}
+
+/// The mixed workload's front end shared through record files in a
+/// fresh directory, as a sweep shares a combo's across its units.
+fn shared_front() -> (Arc<SharedFront>, PathBuf) {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "snug-session-det-{}-{}",
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = SystemConfig::tiny_test();
+    let l2 = cfg.l2_slice;
+    let front = SharedFront::create(
+        &dir,
+        "mix",
+        MIX.len(),
+        move |core| Box::new(MIX[core].spec().stream(l2, core)),
+        cfg.l1,
+        Checkpoints::All,
+    );
+    (Arc::new(front.unwrap()), dir)
 }
 
 fn session(spec: &SchemeSpec) -> SimSession<AnyOrg> {
@@ -109,6 +138,16 @@ fn shifted_session(spec: &SchemeSpec) -> SimSession<AnyOrg> {
     let cfg = SystemConfig::tiny_test();
     SimSession::builder(cfg, spec.build_any(cfg))
         .streams(streams(&cfg))
+        .budget(WARMUP, MEASURE)
+        .phase_shifts(shifts())
+        .build()
+}
+
+/// [`shifted_session`] over a shared front end.
+fn shared_shifted_session(spec: &SchemeSpec, front: &Arc<SharedFront>) -> SimSession<AnyOrg> {
+    let cfg = SystemConfig::tiny_test();
+    SimSession::builder(cfg, spec.build_any(cfg))
+        .shared_front(front.clone())
         .budget(WARMUP, MEASURE)
         .phase_shifts(shifts())
         .build()
@@ -362,6 +401,35 @@ proptest! {
             }
         }
         prop_assert_eq!(interleaved.run_to_completion(), expected);
+    }
+
+    /// Over a shared front end each shifted core forks live after
+    /// exactly the ops it has read, so any interleaving of a shifted run
+    /// still matches the live one-shot run.
+    #[test]
+    fn shared_front_shifted_runs_are_interleaving_invariant(
+        scheme_idx in 0usize..5,
+        hops in proptest::collection::vec(1u64..9_000, 0..8),
+        step_runs in proptest::collection::vec(1usize..400, 0..6),
+    ) {
+        let spec = schemes()[scheme_idx];
+        let expected = shifted_session(&spec).run_to_completion();
+        let (front, dir) = shared_front();
+        let mut interleaved = shared_shifted_session(&spec, &front);
+        let mut cursor = 0;
+        for (i, hop) in hops.iter().enumerate() {
+            cursor += hop;
+            interleaved.run_until(cursor);
+            if let Some(n) = step_runs.get(i) {
+                for _ in 0..*n {
+                    interleaved.step();
+                }
+            }
+        }
+        let got = interleaved.run_to_completion();
+        drop((interleaved, front));
+        std::fs::remove_dir_all(&dir).unwrap();
+        prop_assert_eq!(got, expected);
     }
 
     /// A `Reconverged`-policy shifted run latches the same extended stop
