@@ -1,12 +1,13 @@
-//! # snug-bench — criterion benches over the experiment entry points
+//! # snug-bench — criterion benches over the simulator kernel
 //!
 //! The library target is intentionally empty: the crate exists for its
-//! `benches/` directory, which regenerates the paper's figures/tables
-//! under the criterion harness (vendored shim offline; the real crate
-//! if registry access appears). Bench budgets mirror the `--quick`
-//! preset so a full bench run stays interactive; use
-//! `snug sweep --mid` (see `snug-harness`) for the calibrated paper
-//! reproduction.
+//! `benches/` directory under the criterion harness (vendored shim
+//! offline): `kernel_throughput` (the committed `BENCH_kernel.json`
+//! trajectory), `micro_kernels` (per-primitive hot-path costs) and
+//! `ablations` (the E9–E12 design-choice sweeps). The paper's figures
+//! and tables render from the result store into `EXPERIMENTS.md`
+//! (`snug report --experiments-md`); `snug characterize` prints the
+//! Figs. 1–3 demand characterisation.
 
 #![warn(
     clippy::unwrap_used,

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! snug sweep        [--class C5]... [--quick|--mid|--eval|--warmup N --measure N]
-//!                   [--threads N] [--results DIR] [--name NAME]
+//!                   [--jobs N] [--results DIR] [--name NAME]
 //! snug report       [same selection flags] [--results DIR] [--out DIR]
 //!                   [--experiments-md [--check]]
 //! snug compare      --combo LABEL | --class C [budget flags] [--results DIR]
@@ -124,12 +124,12 @@ committed EXPERIMENTS_EVAL.md — the eval-budget converged sweep with the
 Fig. 9 SNUG-vs-CC(Best) verdict — over its pinned spec (no budget flags
 apply).
 
-Parallel execution: `snug sweep --jobs N` (`--threads` is an alias;
-0 = all cores) runs unit jobs on a worker pool. Each worker appends
-completed units to its own crash-safe shard under results/shards/, and
-shards merge into results/store.jsonl in deterministic plan order at
-sweep end — the store bytes are identical for every N, and a sweep
-killed mid-flight recovers its completed units on the next run.
+Parallel execution: `snug sweep --jobs N` (0 = all cores) runs unit
+jobs on a worker pool. Each worker appends completed units to its own
+crash-safe shard under results/shards/, and shards merge into
+results/store.jsonl in deterministic plan order at sweep end — the
+store bytes are identical for every N, and a sweep killed mid-flight
+recovers its completed units on the next run.
 Baseline pacing under --until-converged is a dependency edge, not a
 barrier: a combo's L2P unit gates only that combo's paced siblings, and
 everything else runs freely. If a baseline fails, its dependents are
@@ -285,7 +285,7 @@ struct Flags {
     classes: Vec<ComboClass>,
     spec_file: Option<PathBuf>,
     budget: BudgetFlags,
-    threads: usize,
+    jobs: usize,
     results_dir: PathBuf,
     out_dir: Option<PathBuf>,
     name: Option<String>,
@@ -311,7 +311,7 @@ impl Flags {
             classes: Vec::new(),
             spec_file: None,
             budget: BudgetFlags::default(),
-            threads: 0,
+            jobs: 0,
             results_dir: PathBuf::from("results"),
             out_dir: None,
             name: None,
@@ -348,10 +348,7 @@ impl Flags {
                         f.classes.push(part.trim().parse()?);
                     }
                 }
-                // `--jobs` is the canonical name since the parallel
-                // executor landed; `--threads` stays as an alias.
-                "--jobs" => f.threads = parse_num(&value("--jobs")?)? as usize,
-                "--threads" => f.threads = parse_num(&value("--threads")?)? as usize,
+                "--jobs" => f.jobs = parse_num(&value("--jobs")?)? as usize,
                 "--results" => f.results_dir = PathBuf::from(value("--results")?),
                 "--out" => f.out_dir = Some(PathBuf::from(value("--out")?)),
                 "--name" => f.name = Some(value("--name")?),
@@ -558,7 +555,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     }
     let verbose = flags.verbose;
     let mut spans: Vec<UnitSpan> = Vec::new();
-    let outcome = run_sweep(&spec, &mut store, flags.threads, |event| match event {
+    let outcome = run_sweep(&spec, &mut store, flags.jobs, |event| match event {
         SweepEvent::Planned { total, hits } => {
             println!(
                 "sweep `{}` ({}): {total} unit jobs, {hits} cache hits, {} to run",
@@ -890,7 +887,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     check_spec_phase_schedule(&spec)?;
 
     let mut store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
-    let outcome = run_sweep(&spec, &mut store, flags.threads, |_| {}).map_err(|e| e.to_string())?;
+    let outcome = run_sweep(&spec, &mut store, flags.jobs, |_| {}).map_err(|e| e.to_string())?;
     let results: Vec<_> = outcome
         .combos
         .iter()
@@ -1323,6 +1320,16 @@ mod tests {
             prop_assert!(named(flags.budget.budget(BudgetPreset::Quick)), "{text:?}");
         }
         Ok(())
+    }
+
+    /// Each option has one spelling: `--jobs` sets the worker count,
+    /// and `--threads` is an unknown flag.
+    #[test]
+    fn jobs_is_the_only_worker_count_flag() {
+        let args = |text: &str| text.split(' ').map(str::to_string).collect::<Vec<_>>();
+        assert_eq!(Flags::parse(&args("--jobs 2")).map(|f| f.jobs), Ok(2));
+        let err = Flags::parse(&args("--threads 2")).err().unwrap();
+        assert!(err.starts_with("unknown flag `--threads`"), "{err}");
     }
 
     proptest! {

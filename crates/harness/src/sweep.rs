@@ -1108,6 +1108,16 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A span key is pinned byte for byte: a changed format string would
+    /// orphan every span record already in a store.
+    #[test]
+    fn span_key_is_pinned() {
+        assert_eq!(
+            span_key("0123456789abcdef0123456789abcdef"),
+            "61d5a5af094be12e0b58c9a75a3153a6"
+        );
+    }
+
     #[test]
     fn telemetry_footer_is_order_independent_and_pinned() {
         let span =

@@ -7,9 +7,7 @@
 //! format string per unit, two separate FNV-1a passes — and checks the
 //! two agree for every spec the committed documents are served from,
 //! and for their trace keys. It also checks
-//! that the committed store holds every unit key of those specs, and
-//! that every `|frag` key fragment the key-building modules write is
-//! registered in `key_fragments.registry`.
+//! that the committed store holds every unit key of those specs.
 
 use snug_experiments::{CompareConfig, SchemePoint};
 use snug_harness::hash::fnv1a64;
@@ -147,31 +145,4 @@ fn every_committed_spec_unit_is_in_the_committed_store() {
         }
     }
     assert_eq!(keys.len(), 3 * 189, "unit keys are distinct across specs");
-}
-
-/// The modules that build content keys. A new key-building module
-/// belongs in this list.
-const KEY_MODULES: [&str; 3] = ["src/spec.rs", "src/codec.rs", "src/sweep.rs"];
-
-/// Every key fragment the key-building modules write is registered with
-/// a note, every registered fragment is still written (unless its note
-/// starts with `reserved:`), and the registry's `# schema:` header
-/// names the current `SCHEMA_VERSION` — so a new or renamed fragment,
-/// which re-keys the store, always arrives with a registry edit.
-#[test]
-fn key_fragments_match_the_registry() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let sources = KEY_MODULES.map(|module| std::fs::read_to_string(root.join(module)).unwrap());
-    let modules: Vec<(&str, &str)> = KEY_MODULES
-        .iter()
-        .zip(&sources)
-        .map(|(module, source)| (*module, source.as_str()))
-        .collect();
-    let registry = std::fs::read_to_string(root.join("key_fragments.registry")).unwrap();
-    let findings = snug_srcscan::registry_findings(&modules, &registry, SCHEMA_VERSION);
-    assert!(
-        findings.is_empty(),
-        "key_fragments.registry is out of step with the key modules:\n{}",
-        findings.join("\n")
-    );
 }
