@@ -1,13 +1,12 @@
-//! # snug-bench — criterion benches over the simulator kernel
+//! # snug-bench — the kernel throughput trajectory
 //!
 //! The library target is intentionally empty: the crate exists for its
-//! `benches/` directory under the criterion harness (vendored shim
-//! offline): `kernel_throughput` (the committed `BENCH_kernel.json`
-//! trajectory), `micro_kernels` (per-primitive hot-path costs) and
-//! `ablations` (the E9–E12 design-choice sweeps). The paper's figures
-//! and tables render from the result store into `EXPERIMENTS.md`
-//! (`snug report --experiments-md`); `snug characterize` prints the
-//! Figs. 1–3 demand characterisation.
+//! one bench, `benches/kernel_throughput.rs`, which measures and gates
+//! the committed `BENCH_kernel.json` (`snug bench [--emit|--check]`).
+//! The paper's figures and tables render from the result store into
+//! `EXPERIMENTS.md` (`snug report --experiments-md`), its design-choice
+//! ablations into `ABLATIONS.md` (`snug ablations`), and `snug
+//! characterize` prints the Figs. 1–3 demand characterisation.
 
 #![warn(
     clippy::unwrap_used,

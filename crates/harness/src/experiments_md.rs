@@ -339,7 +339,7 @@ fn eval_verdict_table(results: &[ComboResult]) -> Table {
     t
 }
 
-fn push_table(out: &mut String, table: &Table) {
+pub(crate) fn push_table(out: &mut String, table: &Table) {
     out.push_str(&table.to_markdown());
     out.push('\n');
 }

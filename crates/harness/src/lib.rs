@@ -17,6 +17,8 @@
 //!   from stored results;
 //! * [`experiments_md`] — the committed, regenerable `EXPERIMENTS.md`
 //!   (full paper evaluation + provenance) and its staleness check;
+//! * [`ablations`] — SNUG's design-choice ablations as keyed units in
+//!   their own store, rendered into the committed `ABLATIONS.md`;
 //! * [`json`] / [`codec`] / [`hash`] — the self-contained persistence
 //!   substrate (no external JSON or hashing dependency).
 //!
@@ -27,7 +29,8 @@
 //! jobs and every CC spill point caches independently.
 //!
 //! The `snug` binary (this crate's `src/bin/snug.rs`) exposes it all as
-//! `snug characterize | compare | sweep | report`.
+//! `snug sweep | report | compare | trace | profile | store | ablations |
+//! bench | characterize`.
 
 #![warn(
     clippy::unwrap_used,
@@ -39,6 +42,7 @@
 )]
 #![deny(missing_docs)]
 
+pub mod ablations;
 pub mod codec;
 pub mod exec;
 pub mod experiments_md;
@@ -49,6 +53,9 @@ pub mod spec;
 pub mod store;
 pub mod sweep;
 
+pub use ablations::{
+    ablation_jobs, render_ablations_md, ComboAblation, ABLATIONS_DIR, ABLATIONS_FILE,
+};
 pub use codec::JsonCodec;
 pub use exec::{run_graph, ExecEvent, JobOutcome};
 pub use experiments_md::{

@@ -1,0 +1,64 @@
+//! The ablation sweep is pinned against the committed stores: 49
+//! distinct unit keys, the variant keys absent from the main store, and
+//! the canonical units present in both with identical results.
+
+use snug_harness::{ablation_jobs, ResultStore, UnitJob, ABLATIONS_DIR};
+use std::collections::BTreeSet;
+use std::path::Path;
+
+fn open(dir: &str) -> ResultStore {
+    ResultStore::open(
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(dir),
+    )
+    .unwrap()
+}
+
+#[test]
+fn the_ablation_job_list_is_pinned_against_the_main_store() {
+    let combos = ablation_jobs();
+    assert_eq!(combos.len(), 7, "3 C1 + 4 C4 combos");
+    let units: Vec<&UnitJob> = combos.iter().flat_map(|c| c.units()).collect();
+    let keys: BTreeSet<&str> = units.iter().map(|u| u.key.as_str()).collect();
+    assert_eq!(
+        (units.len(), keys.len()),
+        (49, 49),
+        "pairwise-distinct keys"
+    );
+
+    let main = open("results");
+    let (mut canonical, mut variants) = (0, 0);
+    for c in &combos {
+        for unit in [&c.baseline, &c.snug[0]] {
+            assert!(main.get_unit(&unit.key).is_some(), "{}", unit.label());
+            canonical += 1;
+        }
+        for unit in &c.snug[1..] {
+            assert!(main.get_unit(&unit.key).is_none(), "{}", unit.label());
+            variants += 1;
+        }
+    }
+    assert_eq!((canonical, variants), (14, 35));
+}
+
+#[test]
+fn the_ablation_store_holds_the_sweep_and_its_canonical_units_match_the_main_store() {
+    let main = open("results");
+    let ablations = open(ABLATIONS_DIR);
+    assert_eq!(ablations.unit_count(), 49, "no stray entries");
+    for c in ablation_jobs() {
+        for unit in c.units() {
+            assert!(ablations.get_unit(&unit.key).is_some(), "{}", unit.label());
+        }
+        for unit in [&c.baseline, &c.snug[0]] {
+            let (ours, theirs) = (
+                ablations.get_unit(&unit.key).unwrap(),
+                main.get_unit(&unit.key).unwrap(),
+            );
+            let bits = |ipcs: &[f64]| ipcs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&ours.ipcs), bits(&theirs.ipcs), "{}", unit.label());
+            assert_eq!(ours, theirs, "{}", unit.label());
+        }
+    }
+}

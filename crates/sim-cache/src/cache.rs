@@ -452,7 +452,7 @@ mod tests {
 
     #[test]
     fn a_restored_cache_answers_every_later_access_identically() {
-        let mut wide = SetAssocCache::new(Geometry::new(64, 4, 20));
+        let mut wide = SetAssocCache::new(Geometry::new(64, 4, 16));
         for c in [&mut tiny(), &mut wide] {
             churn(c, 0, 500);
             c.fill_in_set(1, blk(1, 99), LineFlags::received(true));

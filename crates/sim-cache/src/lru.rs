@@ -8,42 +8,28 @@
 //!
 //! `LruOrder` maintains the recency permutation of the ways of one set,
 //! independent of what is stored in the ways, so the same structure
-//! serves real sets, shadow sets and the deep profiler stacks.
+//! serves real and shadow sets; the deep profiler stacks use
+//! [`TagStack`].
 //!
 //! ## Packed representation
 //!
-//! For associativities up to 16 (which covers every real, shadow and
-//! sweep geometry in this repo — the paper L2 slice is 16-way) the
-//! permutation lives in a single `u64` as 16 nibbles: nibble `p` holds
-//! the way index at stack position `p` (nibble 0 = MRU). `position` is
-//! then a branch-free broadcast-XOR + zero-nibble scan, and
-//! `touch`/`demote` are three shifts and two masks instead of a
-//! `Vec::remove`/`insert` pair. Associativities 17–255 (deep profiler
-//! stacks) keep the byte-vector representation.
+//! Every real, shadow and L1 geometry in this repo has at most 16 ways
+//! (the paper L2 slice is 16-way, the L1 4-way), so the permutation
+//! lives in a single `u64` as 16 nibbles: nibble `p` holds the way
+//! index at stack position `p` (nibble 0 = MRU). `position` is then a
+//! branch-free broadcast-XOR + zero-nibble scan, and `touch`/`demote`
+//! are three shifts and two masks. [`LruOrder::new`] rejects wider
+//! sets.
 
 use sim_mem::{StateError, StateReader};
+
+/// The widest set an [`LruOrder`] tracks: one nibble per way in a `u64`.
+const MAX_LRU_WAYS: usize = 16;
 
 /// `0x...11111`: broadcasts a nibble value across all 16 lanes.
 const NIBBLE_LSB: u64 = 0x1111_1111_1111_1111;
 /// `0x...88888`: the per-nibble detector bit for zero-nibble scans.
 const NIBBLE_MSB: u64 = 0x8888_8888_8888_8888;
-
-/// Find the 0-based stack position of `way` in a packed permutation of
-/// `n` nibbles.
-///
-/// `bits ^ (way * NIBBLE_LSB)` zeroes exactly the nibble holding `way`
-/// (the permutation contains it exactly once). The classic
-/// `(x - 1̄) & !x & 8̄` trick marks zero nibbles; borrow propagation can
-/// only create *false* marks **above** the true zero (all nibbles below
-/// it are non-zero, so no borrow reaches it), hence the lowest marked
-/// nibble is exactly the match and `trailing_zeros / 4` is its position.
-#[inline]
-fn packed_position(bits: u64, n: u8, way: usize) -> usize {
-    assert!(way < n as usize, "way must be tracked by this LruOrder");
-    let x = bits ^ (way as u64).wrapping_mul(NIBBLE_LSB);
-    let marks = x.wrapping_sub(NIBBLE_LSB) & !x & NIBBLE_MSB;
-    (marks.trailing_zeros() / 4) as usize
-}
 
 /// Low `4 * nibbles` bits set. `nibbles` must be ≤ 15 (callers only
 /// ever mask below an existing nibble position).
@@ -52,168 +38,112 @@ fn low_nibble_mask(nibbles: usize) -> u64 {
     (1u64 << (4 * nibbles)) - 1
 }
 
-/// Recency order over `n` ways of a set: a `u64` nibble-permutation for
-/// `n ≤ 16`, a byte vector MRU → LRU otherwise.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Repr {
-    /// Nibble `p` of `bits` is the way at stack position `p` (0 = MRU).
-    /// Nibbles at positions ≥ `n` are always zero.
-    Packed { bits: u64, n: u8 },
-    /// `order[0]` is the MRU way; `order[n-1]` the LRU way.
-    Wide(Vec<u8>),
-}
-
-/// Recency order over the `n` ways of a set.
+/// Recency order over the `n ≤ 16` ways of a set: nibble `p` of `bits`
+/// is the way at stack position `p` (0 = MRU). Nibbles at positions
+/// ≥ `n` are always zero.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LruOrder {
-    repr: Repr,
+    bits: u64,
+    n: u8,
 }
 
 impl LruOrder {
     /// Create the order for `n` ways; initially way 0 is MRU, way n-1 LRU.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= n <= 16`.
     pub fn new(n: usize) -> Self {
-        assert!(n >= 1 && n <= u8::MAX as usize);
-        let repr = if n <= 16 {
-            let mut bits = 0u64;
-            for p in 0..n {
-                bits |= (p as u64) << (4 * p);
-            }
-            #[expect(clippy::cast_possible_truncation, reason = "this branch has n <= 16")]
-            let n = n as u8;
-            Repr::Packed { bits, n }
-        } else {
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "new() asserts n <= u8::MAX"
-            )]
-            let n = n as u8;
-            Repr::Wide((0..n).collect())
-        };
-        LruOrder { repr }
+        assert!(
+            (1..=MAX_LRU_WAYS).contains(&n),
+            "LruOrder tracks 1 to {MAX_LRU_WAYS} ways, not {n}"
+        );
+        let mut bits = 0u64;
+        for p in 0..n {
+            bits |= (p as u64) << (4 * p);
+        }
+        #[expect(clippy::cast_possible_truncation, reason = "new() asserts n <= 16")]
+        let n = n as u8;
+        LruOrder { bits, n }
     }
 
     /// Number of ways tracked.
     #[inline]
     pub fn ways(&self) -> usize {
-        match &self.repr {
-            Repr::Packed { n, .. } => *n as usize,
-            Repr::Wide(order) => order.len(),
-        }
+        self.n as usize
+    }
+
+    /// Find the 0-based stack position of `way`.
+    ///
+    /// `bits ^ (way * NIBBLE_LSB)` zeroes exactly the nibble holding
+    /// `way` (the permutation contains it exactly once). The classic
+    /// `(x - 1̄) & !x & 8̄` trick marks zero nibbles; borrow propagation
+    /// can only create *false* marks **above** the true zero (all
+    /// nibbles below it are non-zero, so no borrow reaches it), hence
+    /// the lowest marked nibble is exactly the match and
+    /// `trailing_zeros / 4` is its position.
+    #[inline]
+    fn index_of(&self, way: usize) -> usize {
+        assert!(way < self.ways(), "way must be tracked by this LruOrder");
+        let x = self.bits ^ (way as u64).wrapping_mul(NIBBLE_LSB);
+        let marks = x.wrapping_sub(NIBBLE_LSB) & !x & NIBBLE_MSB;
+        (marks.trailing_zeros() / 4) as usize
     }
 
     /// The way at 0-based stack position `pos` (0 = MRU).
     #[inline]
     pub fn way_at(&self, pos: usize) -> usize {
-        match &self.repr {
-            Repr::Packed { bits, n } => {
-                assert!(pos < *n as usize);
-                ((bits >> (4 * pos)) & 0xF) as usize
-            }
-            Repr::Wide(order) => order[pos] as usize,
-        }
+        assert!(pos < self.ways());
+        ((self.bits >> (4 * pos)) & 0xF) as usize
     }
 
     /// 1-based stack position of `way` (1 = MRU). Panics if `way` is out
     /// of range.
     #[inline]
     pub fn position(&self, way: usize) -> usize {
-        match &self.repr {
-            Repr::Packed { bits, n } => packed_position(*bits, *n, way) + 1,
-            #[expect(
-                clippy::expect_used,
-                reason = "documented contract: callers pass a way belonging to this set; a miss is a simulator bug worth crashing on"
-            )]
-            Repr::Wide(order) => {
-                order
-                    .iter()
-                    .position(|&w| w as usize == way)
-                    .expect("way must be tracked by this LruOrder")
-                    + 1
-            }
-        }
+        self.index_of(way) + 1
     }
 
     /// Promote `way` to MRU, returning its previous 1-based position
     /// (the stack distance of the access that touched it).
     #[inline]
     pub fn touch(&mut self, way: usize) -> usize {
-        match &mut self.repr {
-            Repr::Packed { bits, n } => {
-                let p = packed_position(*bits, *n, way);
-                if p > 0 {
-                    // Keep nibbles above p, shift the p nibbles below it
-                    // up one lane, insert `way` at MRU. When p is the
-                    // top lane there is nothing above to keep.
-                    let keep = if p >= 15 {
-                        0
-                    } else {
-                        *bits & !low_nibble_mask(p + 1)
-                    };
-                    let low = *bits & low_nibble_mask(p);
-                    *bits = keep | (low << 4) | way as u64;
-                }
-                p + 1
-            }
-            Repr::Wide(order) => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "documented contract: callers pass a way belonging to this set; a miss is a simulator bug worth crashing on"
-                )]
-                let pos = order
-                    .iter()
-                    .position(|&w| w as usize == way)
-                    .expect("way must be tracked by this LruOrder");
-                let w = order.remove(pos);
-                order.insert(0, w);
-                pos + 1
-            }
+        let p = self.index_of(way);
+        if p > 0 {
+            // Keep nibbles above p, shift the p nibbles below it up one
+            // lane, insert `way` at MRU. When p is the top lane there is
+            // nothing above to keep.
+            let keep = if p >= 15 {
+                0
+            } else {
+                self.bits & !low_nibble_mask(p + 1)
+            };
+            let low = self.bits & low_nibble_mask(p);
+            self.bits = keep | (low << 4) | way as u64;
         }
+        p + 1
     }
 
     /// The current LRU way (replacement victim).
     #[inline]
     pub fn lru_way(&self) -> usize {
-        match &self.repr {
-            Repr::Packed { bits, n } => ((bits >> (4 * (*n as usize - 1))) & 0xF) as usize,
-            #[expect(
-                clippy::expect_used,
-                reason = "associativity is at least 1, so the order vec is never empty"
-            )]
-            Repr::Wide(order) => *order.last().expect("non-empty order") as usize,
-        }
+        self.way_at(self.ways() - 1)
     }
 
     /// Demote `way` to LRU position (used when invalidating a line so its
     /// way is reused first).
     #[inline]
     pub fn demote(&mut self, way: usize) {
-        match &mut self.repr {
-            Repr::Packed { bits, n } => {
-                let p = packed_position(*bits, *n, way);
-                let last = *n as usize - 1;
-                if p < last {
-                    // Remove nibble p (shift everything above it down one
-                    // lane) and re-insert `way` at the LRU lane. The
-                    // upper nibbles of `bits` are zero by invariant, so
-                    // the down-shift cannot smear garbage into lanes
-                    // p..last.
-                    let low = *bits & low_nibble_mask(p);
-                    let mid = (*bits >> (4 * (p + 1))) << (4 * p);
-                    *bits = low | mid | ((way as u64) << (4 * last));
-                }
-            }
-            Repr::Wide(order) => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "documented contract: callers pass a way belonging to this set; a miss is a simulator bug worth crashing on"
-                )]
-                let pos = order
-                    .iter()
-                    .position(|&w| w as usize == way)
-                    .expect("way must be tracked by this LruOrder");
-                let w = order.remove(pos);
-                order.push(w);
-            }
+        let p = self.index_of(way);
+        let last = self.ways() - 1;
+        if p < last {
+            // Remove nibble p (shift everything above it down one lane)
+            // and re-insert `way` at the LRU lane. The upper nibbles of
+            // `bits` are zero by invariant, so the down-shift cannot
+            // smear garbage into lanes p..last.
+            let low = self.bits & low_nibble_mask(p);
+            let mid = (self.bits >> (4 * (p + 1))) << (4 * p);
+            self.bits = low | mid | ((way as u64) << (4 * last));
         }
     }
 
@@ -226,7 +156,7 @@ impl LruOrder {
     pub fn save_state(&self, out: &mut Vec<u8>) {
         #[expect(
             clippy::cast_possible_truncation,
-            reason = "new() caps the way count at u8::MAX"
+            reason = "way indices are below MAX_LRU_WAYS"
         )]
         out.extend(self.iter_mru_to_lru().map(|w| w as u8));
     }
@@ -236,26 +166,18 @@ impl LruOrder {
     /// error, and leaves the order unchanged.
     pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         let order = r.bytes(self.ways())?;
-        // One bit per way: at most 255 ways.
-        let mut seen = [0u64; 4];
+        let mut seen = 0u32;
         for &w in order {
-            let (word, bit) = (usize::from(w) / 64, 1u64 << (w % 64));
-            if usize::from(w) >= order.len() || seen[word] & bit != 0 {
+            if usize::from(w) >= order.len() || seen & (1 << w) != 0 {
                 return Err(StateError::Invalid("lru order"));
             }
-            seen[word] |= bit;
+            seen |= 1 << w;
         }
-        self.repr = match &self.repr {
-            Repr::Packed { n, .. } => Repr::Packed {
-                bits: order
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &w)| u64::from(w) << (4 * p))
-                    .sum(),
-                n: *n,
-            },
-            Repr::Wide(_) => Repr::Wide(order.to_vec()),
-        };
+        self.bits = order
+            .iter()
+            .enumerate()
+            .map(|(p, &w)| u64::from(w) << (4 * p))
+            .sum();
         Ok(())
     }
 }
@@ -361,7 +283,7 @@ mod tests {
         assert_eq!(v, vec![2, 1, 0]);
     }
 
-    /// Reference implementation: the old byte-vector walk.
+    /// Reference implementation: a plain vector walk.
     struct RefOrder(Vec<usize>);
 
     impl RefOrder {
@@ -382,10 +304,10 @@ mod tests {
     }
 
     /// Drive the packed representation against the reference model with
-    /// a deterministic pseudo-random op mix at the boundary widths.
+    /// a deterministic pseudo-random op mix at every width it supports.
     #[test]
     fn packed_matches_reference_model() {
-        for n in [1usize, 2, 3, 4, 8, 15, 16] {
+        for n in 1usize..=16 {
             let mut packed = LruOrder::new(n);
             let mut model = RefOrder::new(n);
             let mut state = 0x243f_6a88_85a3_08d3u64 ^ n as u64;
@@ -416,21 +338,10 @@ mod tests {
         }
     }
 
-    /// The wide (vec) fallback must behave identically at depth > 16.
     #[test]
-    fn wide_fallback_matches_reference_model() {
-        let n = 24;
-        let mut wide = LruOrder::new(n);
-        let mut model = RefOrder::new(n);
-        let mut state = 0x1357_9bdf_2468_acefu64;
-        for _ in 0..800 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let way = (state >> 33) as usize % n;
-            assert_eq!(wide.touch(way), model.touch(way));
-            assert_eq!(wide.iter_mru_to_lru().collect::<Vec<_>>(), model.0);
-        }
+    #[should_panic(expected = "LruOrder tracks 1 to 16 ways, not 17")]
+    fn wider_than_sixteen_ways_is_rejected() {
+        LruOrder::new(17);
     }
 
     #[test]

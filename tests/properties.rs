@@ -117,7 +117,7 @@ proptest! {
     }
 
     /// The demand monitor's taker verdict matches the paper's σ > 1/p
-    /// criterion when fed `shadow` shadow-hits uniformly interleaved
+    /// rule when fed `shadow` shadow-hits uniformly interleaved
     /// among `real` real-hits (strictly: verdict is never taker when
     /// σ < 1/p − margin, always taker when σ > 1/p + margin).
     #[test]
