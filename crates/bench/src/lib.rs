@@ -2,7 +2,8 @@
 //!
 //! The library target is intentionally empty: the crate exists for its
 //! one bench, `benches/kernel_throughput.rs`, which measures and gates
-//! the committed `BENCH_kernel.json` (`snug bench [--emit|--check]`).
+//! the committed `BENCH_kernel.json` (`cargo bench -p snug-bench --bench
+//! kernel_throughput -- --emit|--check`).
 //! The paper's figures and tables render from the result store into
 //! `EXPERIMENTS.md` (`snug report --experiments-md`), its design-choice
 //! ablations into `ABLATIONS.md` (`snug ablations`), and `snug

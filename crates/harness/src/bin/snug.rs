@@ -1,10 +1,10 @@
 //! `snug` — the experiment-orchestration CLI.
 //!
 //! ```text
-//! snug sweep        [--class C5]... [--quick|--mid|--eval|--warmup N --measure N]
-//!                   [--jobs N] [--results DIR] [--name NAME]
+//! snug sweep        [--class C5]... [budget flags] [--phase-shift SPEC]...
+//!                   [--jobs N] [--results DIR] [--verbose]
 //! snug report       [same selection flags] [--results DIR] [--out DIR]
-//!                   [--experiments-md [--check]]
+//! snug report       --experiments-md | --experiments-eval-md [--check]
 //! snug compare      --combo LABEL | --class C [budget flags] [--results DIR]
 //! snug ablations    [--check]
 //! snug characterize [--bench ammp,...] [--intervals N] [--accesses N] [--out DIR]
@@ -17,6 +17,10 @@
 //! from the store without running anything; `report --experiments-md`
 //! renders the committed `EXPERIMENTS.md` and `--check` fails if the
 //! committed file is stale.
+//!
+//! Each subcommand (and each `report` mode) parses its arguments
+//! against one [`Command`] table of the flags it takes, so a flag the
+//! command would ignore is an error that names both, never a no-op.
 
 use snug_core::SchemeSpec;
 use snug_experiments::{default_stride, session_for, trace_point, SchemePoint};
@@ -24,25 +28,33 @@ use snug_harness::{
     ablation_jobs, cached_results, check_experiments_md, eval_converged_spec, fmt_eng,
     render_ablations_md, render_experiments_eval_md, render_experiments_md, render_markdown,
     run_sweep, run_unit_jobs, stop_summary_table, telemetry_footer, trace_key, BudgetPreset,
-    CheckOutcome, JsonCodec, ResultStore, StopPreset, SweepEvent, SweepSpec, UnitSpan,
-    CEILING_FOOTNOTE, EVAL_CONVERGED_REL_EPSILON, EVAL_CONVERGED_WINDOW,
+    CheckOutcome, ResultStore, StopPreset, SweepEvent, SweepSpec, UnitSpan, CEILING_FOOTNOTE,
+    EVAL_CONVERGED_REL_EPSILON, EVAL_CONVERGED_WINDOW,
 };
 use snug_metrics::TableFormat;
 use snug_workloads::{all_combos, Benchmark, ComboClass, PhaseSchedule};
+use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (command, rest) = match args.split_first() {
-        Some((c, rest)) => (c.as_str(), rest),
-        None => {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let Some((command, rest)) = args.split_first() else {
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
     };
-    let outcome = match command {
+    match run(command, rest) {
+        Ok(()) | Err(Failure::BrokenPipe) => ExitCode::SUCCESS,
+        Err(Failure::Error(msg)) => {
+            eprintln!("snug: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(command: &str, rest: &[String]) -> Result<(), Failure> {
+    match command {
         "sweep" => cmd_sweep(rest),
         "report" => cmd_report(rest),
         "compare" => cmd_compare(rest),
@@ -51,19 +63,8 @@ fn main() -> ExitCode {
         "profile" => cmd_profile(rest),
         "store" => cmd_store(rest),
         "ablations" => cmd_ablations(rest),
-        "bench" => cmd_bench(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("snug: {msg}");
-            ExitCode::FAILURE
-        }
+        "help" | "--help" | "-h" => Ok(writeln!(io::stdout().lock(), "{USAGE}")?),
+        other => Err(format!("unknown command `{other}`\n{USAGE}").into()),
     }
 }
 
@@ -72,11 +73,12 @@ snug — SNUG experiment orchestration
 
 USAGE:
   snug sweep        [--class C1..C6]... [budget flags] [--phase-shift SPEC]...
-                    [--jobs N] [--results DIR] [--name NAME] [--spec FILE]
-                    [--verbose]
+                    [--jobs N] [--results DIR] [--verbose]
   snug report       [--class ...] [budget flags] [--phase-shift SPEC]...
-                    [--results DIR] [--out DIR] [--format md|csv] [--name NAME]
-                    [--experiments-md | --experiments-eval-md [--check] [--md-path FILE]]
+                    [--results DIR] [--out DIR] [--format md|csv]
+  snug report       --experiments-md [--quick|--mid|--eval|--warmup N --measure N]
+                    [--check] [--md-path FILE] [--results DIR]
+  snug report       --experiments-eval-md [--check] [--md-path FILE] [--results DIR]
   snug compare      --combo LABEL | --class C [budget flags] [--phase-shift SPEC]...
                     [--jobs N] [--results DIR]
   snug trace        COMBO SCHEME [--stride N] [--phase-shift SPEC]...
@@ -87,12 +89,12 @@ USAGE:
   snug store gc     [--results DIR]
   snug store merge  SHARD.jsonl... [--results DIR]
   snug ablations    [--check]
-  snug bench        [--emit|--check]
   snug characterize [--bench NAME[,NAME]...] [--intervals N] [--accesses N] [--out DIR]
 
-Budget flags (shared by sweep/compare/report; trace takes the fixed
-subset): --quick | --mid | --eval | --warmup N --measure N pick the run
-budget, and --until-converged [--rel-eps E] [--window N] swaps the fixed
+Budget flags (shared by sweep/compare/report; trace, profile and
+report --experiments-md take the fixed subset): --quick | --mid |
+--eval | --warmup N --measure N pick the run budget, and
+--until-converged [--rel-eps E] [--window N] swaps the fixed
 window for convergence-based early exit: each combo's L2P baseline stops
 at the first window boundary where its last four window throughputs
 agree to within E (default 0.02), and every other scheme measures over
@@ -100,8 +102,8 @@ that same window — never past the budget ceiling. Converged runs are
 keyed separately from the canonical fixed-budget entries, and every
 early-exit-capable run persists an explicit stop_reason
 (converged/ceiling), so runs that never stabilised inside the budget are
-never mistaken for plateau measurements. Subcommands reject flags they
-would otherwise silently ignore.
+never mistaken for plateau measurements. Each subcommand takes only the
+flags listed for it above; any other flag is an error.
 
 Phase-change scenarios: --phase-shift SPEC re-parameterises the per-core
 synthetic streams mid-run at scheduled cycles. SPEC is
@@ -131,8 +133,6 @@ flipping, stage lengths, counter width k and threshold p, each one edit
 of the --mid configuration) on classes C1 and C4 as keyed units in
 results/ablations/, then renders the committed ABLATIONS.md; --check
 runs nothing and fails if the document is stale or a unit is missing.
-`snug bench` runs the kernel throughput bench: --check gates it against
-the committed BENCH_kernel.json and --emit re-baselines that file.
 
 Parallel execution: `snug sweep --jobs N` (0 = all cores) runs unit
 jobs on a worker pool. Each worker appends completed units to its own
@@ -166,67 +166,261 @@ throughput on its completion line; every sweep ends with a telemetry
 footer (total simulation wall time, sim-cycles/s, ops/s) aggregated
 from the spans persisted in the store.";
 
-/// The budget/stop flag family — one parser and one defaulting rule
-/// shared by `sweep`, `compare`, `report` and `trace`, and rejected
-/// wholesale by subcommands that would otherwise silently ignore it.
-#[derive(Default)]
-struct BudgetFlags {
-    /// `None` means "not given": each command picks its default
-    /// (`--quick` for sweeps, `--mid` for `trace` and
-    /// `--experiments-md`).
-    preset: Option<BudgetPreset>,
-    warmup: Option<u64>,
-    measure: Option<u64>,
-    until_converged: bool,
-    until_reconverged: bool,
-    rel_eps: Option<f64>,
-    window: Option<u64>,
+/// Why a command stopped early: an error to report, or a reader that
+/// closed stdout (`snug report | head`), which ends the command quietly
+/// with success.
+#[derive(Debug, PartialEq)]
+enum Failure {
+    Error(String),
+    BrokenPipe,
 }
 
-impl BudgetFlags {
-    /// Try to consume `arg` as one of the family's flags; returns
-    /// whether it was consumed.
-    fn parse_flag(
-        &mut self,
-        arg: &str,
-        value: &mut dyn FnMut(&str) -> Result<String, String>,
-    ) -> Result<bool, String> {
-        match arg {
-            "--quick" => self.preset = Some(BudgetPreset::Quick),
-            "--mid" => self.preset = Some(BudgetPreset::Mid),
-            "--eval" => self.preset = Some(BudgetPreset::Eval),
-            "--warmup" => self.warmup = Some(parse_num(&value("--warmup")?)?),
-            "--measure" => self.measure = Some(parse_num(&value("--measure")?)?),
-            "--until-converged" => self.until_converged = true,
-            "--until-reconverged" => self.until_reconverged = true,
-            "--rel-eps" => self.rel_eps = Some(parse_float(&value("--rel-eps")?)?),
-            "--window" => self.window = Some(parse_num(&value("--window")?)?),
-            _ => return Ok(false),
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Error(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Error(msg.to_string())
+    }
+}
+
+/// Only stdout writes reach `?` as a bare `io::Error`: every other I/O
+/// error is mapped to a message naming its path first.
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        match e.kind() {
+            io::ErrorKind::BrokenPipe => Failure::BrokenPipe,
+            _ => Failure::Error(format!("writing to stdout: {e}")),
         }
-        Ok(true)
+    }
+}
+
+/// Print one progress line from an executor callback, which cannot
+/// return an error: the first write error is kept in `printed` and
+/// later lines are dropped, so a sweep whose reader went away still
+/// finishes and stores its units before `printed` ends the command.
+fn progress_line(printed: &mut io::Result<()>, line: &str) {
+    if printed.is_ok() {
+        *printed = writeln!(io::stdout().lock(), "{line}");
+    }
+}
+
+/// One flag a subcommand takes: its spelling, and whether a value
+/// follows it.
+type Flag = (&'static str, bool);
+
+/// The budget/stop flag family, shared by `sweep`, `compare` and
+/// `report`.
+const BUDGET: &[Flag] = &[
+    ("--quick", false),
+    ("--mid", false),
+    ("--eval", false),
+    ("--warmup", true),
+    ("--measure", true),
+    ("--until-converged", false),
+    ("--until-reconverged", false),
+    ("--rel-eps", true),
+    ("--window", true),
+];
+
+/// The family's fixed-budget subset, for commands that always run (or
+/// document) the whole fixed window: `trace`, `profile` and
+/// `report --experiments-md`.
+const FIXED_BUDGET: &[Flag] = BUDGET.split_at(5).0;
+
+const CLASS: Flag = ("--class", true);
+const PHASE_SHIFT: Flag = ("--phase-shift", true);
+const JOBS: Flag = ("--jobs", true);
+const RESULTS: Flag = ("--results", true);
+const OUT: Flag = ("--out", true);
+const FORMAT: Flag = ("--format", true);
+const CHECK: Flag = ("--check", false);
+const MD_PATH: Flag = ("--md-path", true);
+
+/// A subcommand, or a mode of `report`, and the flags it takes.
+struct Command {
+    /// The name errors use: ``snug {name}``.
+    name: &'static str,
+    /// The flags it takes, as slices shared between tables.
+    flags: &'static [&'static [Flag]],
+}
+
+const SWEEP: Command = Command {
+    name: "sweep",
+    flags: &[
+        BUDGET,
+        &[CLASS, PHASE_SHIFT, JOBS, RESULTS, ("--verbose", false)],
+    ],
+};
+
+const REPORT: Command = Command {
+    name: "report",
+    flags: &[BUDGET, &[CLASS, PHASE_SHIFT, RESULTS, OUT, FORMAT]],
+};
+
+/// `report --experiments-md`: the canonical fixed-budget, stationary
+/// runs of all 21 combos, so no selection, stop or phase flag applies.
+const EXPERIMENTS_MD: Command = Command {
+    name: "report --experiments-md",
+    flags: &[
+        FIXED_BUDGET,
+        &[("--experiments-md", false), CHECK, MD_PATH, RESULTS],
+    ],
+};
+
+/// `report --experiments-eval-md`: one pinned spec
+/// ([`eval_converged_spec`]), so no budget flag applies either.
+const EXPERIMENTS_EVAL_MD: Command = Command {
+    name: "report --experiments-eval-md",
+    flags: &[&[("--experiments-eval-md", false), CHECK, MD_PATH, RESULTS]],
+};
+
+const COMPARE: Command = Command {
+    name: "compare",
+    flags: &[
+        BUDGET,
+        &[("--combo", true), CLASS, PHASE_SHIFT, JOBS, RESULTS],
+    ],
+};
+
+const TRACE: Command = Command {
+    name: "trace",
+    flags: &[
+        FIXED_BUDGET,
+        &[("--stride", true), PHASE_SHIFT, RESULTS, FORMAT],
+    ],
+};
+
+const PROFILE: Command = Command {
+    name: "profile",
+    flags: &[FIXED_BUDGET, &[FORMAT]],
+};
+
+const STORE_GC: Command = Command {
+    name: "store gc",
+    flags: &[&[RESULTS]],
+};
+
+const STORE_MERGE: Command = Command {
+    name: "store merge",
+    flags: &[&[RESULTS]],
+};
+
+const ABLATIONS: Command = Command {
+    name: "ablations",
+    flags: &[&[CHECK]],
+};
+
+const CHARACTERIZE: Command = Command {
+    name: "characterize",
+    flags: &[&[
+        ("--bench", true),
+        ("--intervals", true),
+        ("--accesses", true),
+        OUT,
+    ]],
+};
+
+impl Command {
+    /// Parse `args` left to right against this command's table.
+    fn parse(&self, args: &[String]) -> Result<Args, String> {
+        let mut given = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(&(flag, takes_value)) = self
+                .flags
+                .iter()
+                .flat_map(|table| table.iter())
+                .find(|(flag, _)| *flag == arg.as_str())
+            else {
+                return Err(format!("unknown flag `{arg}` for `snug {}`", self.name));
+            };
+            let value = if takes_value {
+                Some(it.next().ok_or_else(|| format!("{flag} needs a value"))?)
+            } else {
+                None
+            };
+            given.push((flag, value.cloned()));
+        }
+        Ok(Args(given))
+    }
+}
+
+/// The flags one command line gave, in order, each with its value if
+/// it takes one.
+struct Args(Vec<(&'static str, Option<String>)>);
+
+impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(f, _)| *f == flag)
     }
 
-    /// Whether any flag of the family was given.
-    fn any_given(&self) -> bool {
-        self.preset.is_some()
-            || self.warmup.is_some()
-            || self.measure.is_some()
-            || self.any_convergence_given()
+    /// Every value given for `flag`, in order.
+    fn all<'a>(&'a self, flag: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        self.0
+            .iter()
+            .filter(move |(f, _)| *f == flag)
+            .filter_map(|(_, value)| value.as_deref())
     }
 
-    /// Whether any of the convergence flags was given.
-    fn any_convergence_given(&self) -> bool {
-        self.until_converged
-            || self.until_reconverged
-            || self.rel_eps.is_some()
-            || self.window.is_some()
+    /// The last value given for `flag`: a repeated flag overrides.
+    fn last<'a>(&'a self, flag: &'a str) -> Option<&'a str> {
+        self.all(flag).last()
+    }
+
+    fn num(&self, flag: &str) -> Result<Option<u64>, String> {
+        self.last(flag).map(parse_num).transpose()
+    }
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.last(flag).map(PathBuf::from)
+    }
+
+    fn results_dir(&self) -> PathBuf {
+        self.path("--results")
+            .unwrap_or_else(|| PathBuf::from("results"))
+    }
+
+    /// The worker count; 0 (the default) means all cores.
+    fn jobs(&self) -> Result<usize, String> {
+        Ok(self.num("--jobs")?.unwrap_or(0) as usize)
+    }
+
+    fn format(&self) -> Result<TableFormat, String> {
+        self.last("--format")
+            .map_or(Ok(TableFormat::Markdown), |name| {
+                TableFormat::from_name(name)
+                    .ok_or_else(|| format!("unknown format `{name}` (md or csv)"))
+            })
+    }
+
+    /// The `--class` values; each may list several, comma-separated.
+    fn classes(&self) -> Result<Vec<ComboClass>, String> {
+        self.all("--class")
+            .flat_map(|value| value.split(','))
+            .map(|part| part.trim().parse())
+            .collect()
     }
 
     /// The budget preset, falling back to the subcommand's default. An
-    /// explicit `--warmup N --measure N` pair overrides a named preset.
+    /// explicit `--warmup N --measure N` pair overrides a named preset,
+    /// and of the named presets the last one given wins.
     fn budget(&self, default: BudgetPreset) -> Result<BudgetPreset, String> {
-        match (self.warmup, self.measure) {
-            (None, None) => Ok(self.preset.unwrap_or(default)),
+        match (self.num("--warmup")?, self.num("--measure")?) {
+            (None, None) => Ok(self
+                .0
+                .iter()
+                .rev()
+                .find_map(|(flag, _)| match *flag {
+                    "--quick" => Some(BudgetPreset::Quick),
+                    "--mid" => Some(BudgetPreset::Mid),
+                    "--eval" => Some(BudgetPreset::Eval),
+                    _ => None,
+                })
+                .unwrap_or(default)),
             (Some(w), Some(m)) => Ok(BudgetPreset::Custom {
                 warmup_cycles: w,
                 measure_cycles: m,
@@ -237,262 +431,66 @@ impl BudgetFlags {
 
     /// The stop preset the convergence flags describe.
     fn stop(&self) -> Result<StopPreset, String> {
-        if self.until_converged && self.until_reconverged {
-            return Err("--until-converged and --until-reconverged are mutually exclusive".into());
-        }
-        if !self.until_converged && !self.until_reconverged {
-            if self.rel_eps.is_some() || self.window.is_some() {
-                return Err(
-                    "--rel-eps/--window require --until-converged or --until-reconverged".into(),
-                );
+        let window_cycles = self.num("--window")?;
+        let rel_epsilon = self.last("--rel-eps").map(parse_float).transpose()?;
+        match (
+            self.has("--until-converged"),
+            self.has("--until-reconverged"),
+        ) {
+            (true, true) => {
+                Err("--until-converged and --until-reconverged are mutually exclusive".into())
             }
-            return Ok(StopPreset::Fixed);
-        }
-        if self.window == Some(0) {
-            return Err("--window must be positive".into());
-        }
-        if self.until_reconverged {
-            Ok(StopPreset::Reconverged {
-                window_cycles: self.window,
-                rel_epsilon: self.rel_eps,
-            })
-        } else {
-            Ok(StopPreset::Converged {
-                window_cycles: self.window,
-                rel_epsilon: self.rel_eps,
-            })
-        }
-    }
-
-    /// Reject the whole family on a subcommand that ignores it
-    /// (mirroring `reject_experiments_md_flags`).
-    fn reject(&self, command: &str) -> Result<(), String> {
-        if self.any_given() {
-            return Err(format!(
-                "budget flags (--quick/--mid/--eval/--warmup/--measure/--until-converged/\
-                 --until-reconverged/--rel-eps/--window) do not apply to `snug {command}`"
-            ));
-        }
-        Ok(())
-    }
-
-    /// Reject only the convergence flags (for `trace`, which takes the
-    /// fixed budget subset, and `--experiments-md`, which documents the
-    /// canonical fixed-budget runs).
-    fn reject_convergence(&self, command: &str) -> Result<(), String> {
-        if self.any_convergence_given() {
-            return Err(format!(
-                "--until-converged/--until-reconverged/--rel-eps/--window do not apply to \
-                 `snug {command}`"
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Flag parsing shared by the subcommands.
-struct Flags {
-    classes: Vec<ComboClass>,
-    spec_file: Option<PathBuf>,
-    budget: BudgetFlags,
-    jobs: usize,
-    results_dir: PathBuf,
-    out_dir: Option<PathBuf>,
-    name: Option<String>,
-    combo: Option<String>,
-    format: Option<TableFormat>,
-    benches: Vec<Benchmark>,
-    intervals: usize,
-    accesses: usize,
-    experiments_md: bool,
-    experiments_eval_md: bool,
-    check: bool,
-    /// `None` means "not given": each document command falls back to
-    /// its own committed default path.
-    md_path: Option<PathBuf>,
-    stride: Option<u64>,
-    phase_shift: Vec<String>,
-    verbose: bool,
-}
-
-impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut f = Flags {
-            classes: Vec::new(),
-            spec_file: None,
-            budget: BudgetFlags::default(),
-            jobs: 0,
-            results_dir: PathBuf::from("results"),
-            out_dir: None,
-            name: None,
-            combo: None,
-            format: None,
-            benches: Vec::new(),
-            intervals: 20,
-            accesses: 50_000,
-            experiments_md: false,
-            experiments_eval_md: false,
-            check: false,
-            md_path: None,
-            stride: None,
-            phase_shift: Vec::new(),
-            verbose: false,
-        };
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let mut value = |flag: &str| {
-                it.next()
-                    .map(|s| s.to_string())
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            if f.budget.parse_flag(arg.as_str(), &mut value)? {
-                continue;
+            (false, false) if window_cycles.is_some() || rel_epsilon.is_some() => {
+                Err("--rel-eps/--window require --until-converged or --until-reconverged".into())
             }
-            match arg.as_str() {
-                "--experiments-md" => f.experiments_md = true,
-                "--experiments-eval-md" => f.experiments_eval_md = true,
-                "--check" => f.check = true,
-                "--md-path" => f.md_path = Some(PathBuf::from(value("--md-path")?)),
-                "--class" => {
-                    for part in value("--class")?.split(',') {
-                        f.classes.push(part.trim().parse()?);
-                    }
-                }
-                "--jobs" => f.jobs = parse_num(&value("--jobs")?)? as usize,
-                "--results" => f.results_dir = PathBuf::from(value("--results")?),
-                "--out" => f.out_dir = Some(PathBuf::from(value("--out")?)),
-                "--name" => f.name = Some(value("--name")?),
-                "--spec" => f.spec_file = Some(PathBuf::from(value("--spec")?)),
-                "--combo" => f.combo = Some(value("--combo")?),
-                "--format" => {
-                    let name = value("--format")?;
-                    f.format = Some(
-                        TableFormat::from_name(&name)
-                            .ok_or_else(|| format!("unknown format `{name}` (md or csv)"))?,
-                    );
-                }
-                "--bench" => {
-                    for part in value("--bench")?.split(',') {
-                        let part = part.trim();
-                        f.benches.push(
-                            Benchmark::from_name(part)
-                                .ok_or_else(|| format!("unknown benchmark `{part}`"))?,
-                        );
-                    }
-                }
-                "--intervals" => f.intervals = parse_num(&value("--intervals")?)? as usize,
-                "--accesses" => f.accesses = parse_num(&value("--accesses")?)? as usize,
-                "--verbose" => f.verbose = true,
-                "--stride" => f.stride = Some(parse_num(&value("--stride")?)?),
-                "--phase-shift" => f.phase_shift.push(value("--phase-shift")?),
-                other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
-            }
+            (false, false) => Ok(StopPreset::Fixed),
+            _ if window_cycles == Some(0) => Err("--window must be positive".into()),
+            (true, false) => Ok(StopPreset::Converged {
+                window_cycles,
+                rel_epsilon,
+            }),
+            (false, true) => Ok(StopPreset::Reconverged {
+                window_cycles,
+                rel_epsilon,
+            }),
         }
-        Ok(f)
-    }
-
-    fn spec(&self) -> Result<SweepSpec, String> {
-        self.spec_with_default(BudgetPreset::Quick)
-    }
-
-    /// Reject the `--experiments-md` flag family on subcommands that
-    /// would silently ignore it (a typo'd `sweep --check` must not look
-    /// like the staleness gate ran).
-    fn reject_experiments_md_flags(&self, command: &str) -> Result<(), String> {
-        if self.experiments_md || self.experiments_eval_md || self.check || self.md_path.is_some() {
-            return Err(format!(
-                "--experiments-md/--experiments-eval-md/--check/--md-path only apply to \
-                 `snug report`, not `snug {command}`"
-            ));
-        }
-        Ok(())
-    }
-
-    /// Reject `--verbose` outside `snug sweep` (same pattern).
-    fn reject_verbose(&self, command: &str) -> Result<(), String> {
-        if self.verbose {
-            return Err(format!(
-                "--verbose only applies to `snug sweep`, not `snug {command}`"
-            ));
-        }
-        Ok(())
-    }
-
-    /// Reject `--stride` outside `snug trace` (same pattern).
-    fn reject_stride(&self, command: &str) -> Result<(), String> {
-        if self.stride.is_some() {
-            return Err(format!(
-                "--stride only applies to `snug trace`, not `snug {command}`"
-            ));
-        }
-        Ok(())
-    }
-
-    /// Reject `--phase-shift` on subcommands whose workload is not
-    /// simulated (same pattern).
-    fn reject_phase_shift(&self, command: &str) -> Result<(), String> {
-        if !self.phase_shift.is_empty() {
-            return Err(format!("--phase-shift does not apply to `snug {command}`"));
-        }
-        Ok(())
     }
 
     /// The canonical phase schedule of the `--phase-shift` flags
     /// (repeats compose into one schedule), or `None`.
     fn phase_schedule(&self) -> Result<Option<PhaseSchedule>, String> {
-        if self.phase_shift.is_empty() {
+        if !self.has("--phase-shift") {
             return Ok(None);
         }
-        PhaseSchedule::parse(&self.phase_shift.join(";"))
+        let spec = self.all("--phase-shift").collect::<Vec<_>>().join(";");
+        PhaseSchedule::parse(&spec)
             .map(Some)
             .map_err(|e| format!("--phase-shift: {e}"))
     }
 
-    fn spec_with_default(&self, default_budget: BudgetPreset) -> Result<SweepSpec, String> {
-        if let Some(path) = &self.spec_file {
-            if !self.classes.is_empty() || self.name.is_some() {
-                return Err("--spec cannot be combined with --class/--name".into());
-            }
-            if !self.phase_shift.is_empty() {
-                return Err(
-                    "--spec carries the phase schedule; --phase-shift cannot be combined \
-                     with it"
-                        .into(),
-                );
-            }
-            if self.budget.any_given() {
-                return Err(
-                    "--spec carries the budget and stop policy; budget flags cannot be \
-                     combined with it"
-                        .into(),
-                );
-            }
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            let value =
-                snug_harness::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-            return SweepSpec::from_json(&value).map_err(|e| format!("{}: {e}", path.display()));
-        }
-        let name = self.name.clone().unwrap_or_else(|| {
-            if self.classes.is_empty() {
-                "full".to_string()
-            } else {
-                self.classes
-                    .iter()
-                    .map(|c| c.name())
-                    .collect::<Vec<_>>()
-                    .join("+")
-            }
-        });
-        let stop = self.budget.stop()?;
-        Ok(SweepSpec {
+    /// The sweep the selection, budget and phase flags describe, named
+    /// after its classes (`full` for all of them).
+    fn spec(&self, default_budget: BudgetPreset) -> Result<SweepSpec, String> {
+        let classes = self.classes()?;
+        let name = if classes.is_empty() {
+            "full".to_string()
+        } else {
+            let names: Vec<&str> = classes.iter().map(|c| c.name()).collect();
+            names.join("+")
+        };
+        let phase = self.phase_schedule()?;
+        let spec = SweepSpec {
             name,
-            classes: self.classes.clone(),
+            classes,
             combos: Vec::new(),
-            budget: self.budget.budget(default_budget)?,
-            stop,
-            phase_shift: self.phase_schedule()?.map(|p| p.fingerprint()),
-        })
+            budget: self.budget(default_budget)?,
+            stop: self.stop()?,
+            phase_shift: phase.as_ref().map(PhaseSchedule::fingerprint),
+        };
+        if let Some(schedule) = &phase {
+            check_phase_schedule(schedule, &spec.compare_config())?;
+        }
+        Ok(spec)
     }
 }
 
@@ -536,94 +534,90 @@ fn check_phase_schedule(
     Ok(())
 }
 
-/// [`check_phase_schedule`] for a built sweep spec (covers both the
-/// flag and `--spec` paths).
-fn check_spec_phase_schedule(spec: &SweepSpec) -> Result<(), String> {
-    match spec.phase_schedule() {
-        Some(schedule) => check_phase_schedule(&schedule, &spec.compare_config()),
-        None => Ok(()),
-    }
-}
-
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.reject_experiments_md_flags("sweep")?;
-    flags.reject_stride("sweep")?;
-    let spec = flags.spec()?;
-    check_spec_phase_schedule(&spec)?;
-    let mut store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
-    if flags.verbose {
+fn cmd_sweep(args: &[String]) -> Result<(), Failure> {
+    let args = SWEEP.parse(args)?;
+    let spec = args.spec(BudgetPreset::Quick)?;
+    let results_dir = args.results_dir();
+    let verbose = args.has("--verbose");
+    let mut store = ResultStore::open(&results_dir).map_err(|e| e.to_string())?;
+    if verbose {
         // Cache hits never reach the executor, so they get their lines
         // here: every unit already in the store before this sweep.
+        let mut out = io::stdout().lock();
         for job in spec.combo_jobs() {
             for unit in &job.units {
                 if store.get_unit(&unit.key).is_some() {
-                    println!("  hit  {} (from store)", unit.label());
+                    writeln!(out, "  hit  {} (from store)", unit.label())?;
                 }
             }
         }
     }
-    let verbose = flags.verbose;
     let mut spans: Vec<UnitSpan> = Vec::new();
-    let outcome = run_sweep(&spec, &mut store, flags.jobs, |event| match event {
-        SweepEvent::Planned { total, hits } => {
-            println!(
+    let mut printed = Ok(());
+    let outcome = run_sweep(&spec, &mut store, args.jobs()?, |event| {
+        let line = match event {
+            SweepEvent::Planned { total, hits } => format!(
                 "sweep `{}` ({}): {total} unit jobs, {hits} cache hits, {} to run",
                 spec.name,
                 spec.budget_label(),
                 total - hits
-            );
-        }
-        SweepEvent::JobStarted { label } => println!("  run  {label}"),
-        SweepEvent::JobFinished {
-            label,
-            done,
-            to_run,
-            span,
-        } => {
-            if verbose {
-                // No running [done/total] counter here: with --jobs N
-                // the completion order races, and the verbose lines
-                // must be deterministic in content (only their order
-                // may vary between runs). Worker provenance replaces
-                // the counter.
-                println!(
-                    "  done {label} ({:.2} s wall, {}cyc/s, {}ops/s, worker {})",
-                    span.wall_nanos as f64 / 1e9,
-                    fmt_eng(span.cycles_per_sec()),
-                    fmt_eng(span.ops_per_sec()),
-                    span.worker,
-                );
-            } else {
-                println!("  done {label} [{done}/{to_run}]");
+            ),
+            SweepEvent::JobStarted { label } => format!("  run  {label}"),
+            SweepEvent::JobFinished {
+                label,
+                done,
+                to_run,
+                span,
+            } => {
+                // No running [done/total] counter on verbose lines: with
+                // --jobs N the completion order races, and the verbose
+                // lines must be deterministic in content (only their
+                // order may vary between runs). Worker provenance
+                // replaces the counter.
+                let line = if verbose {
+                    format!(
+                        "  done {label} ({:.2} s wall, {}cyc/s, {}ops/s, worker {})",
+                        span.wall_nanos as f64 / 1e9,
+                        fmt_eng(span.cycles_per_sec()),
+                        fmt_eng(span.ops_per_sec()),
+                        span.worker,
+                    )
+                } else {
+                    format!("  done {label} [{done}/{to_run}]")
+                };
+                spans.push(span);
+                line
             }
-            spans.push(span);
-        }
-        SweepEvent::JobFailed { label, error } => {
-            eprintln!("  FAIL {label}: {error}");
-        }
-        SweepEvent::JobSkipped { label, failed_dep } => {
-            eprintln!("  skip {label} (baseline {failed_dep} failed)");
-        }
+            SweepEvent::JobFailed { label, error } => {
+                eprintln!("  FAIL {label}: {error}");
+                return;
+            }
+            SweepEvent::JobSkipped { label, failed_dep } => {
+                eprintln!("  skip {label} (baseline {failed_dep} failed)");
+                return;
+            }
+        };
+        progress_line(&mut printed, &line);
     })
     .map_err(|e| e.to_string())?;
-    println!(
+    printed?;
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
         "sweep complete: {} executed, {} from cache → {}",
         outcome.executed,
         outcome.cache_hits,
-        flags
-            .results_dir
-            .join(snug_harness::store::STORE_FILE)
-            .display()
-    );
-    println!("{}", telemetry_footer(&spans));
+        results_dir.join(snug_harness::store::STORE_FILE).display()
+    )?;
+    writeln!(out, "{}", telemetry_footer(&spans))?;
     if outcome.simulated_cycles < outcome.budgeted_cycles {
         let saved =
             100.0 * (1.0 - outcome.simulated_cycles as f64 / outcome.budgeted_cycles as f64);
-        println!(
+        writeln!(
+            out,
             "early exit: simulated {} of {} budgeted cycles ({saved:.1}% saved)",
             outcome.simulated_cycles, outcome.budgeted_cycles
-        );
+        )?;
     }
     // Early-exit sweeps get an explicit stop-reason roll-up: a combo
     // whose baseline hit the ceiling never stabilised, so its numbers
@@ -647,71 +641,70 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             .filter(|r| **r == snug_experiments::StopReason::Ceiling)
             .count();
         if ceilings > 0 {
-            println!(
+            writeln!(
+                out,
                 "stop reasons: {ceilings}/{} combos hit the ceiling without stabilising \
                  (mid-ramp numbers; `snug report` with the same flags shows per-combo detail)",
                 reasons.len()
-            );
+            )?;
         } else {
-            println!(
+            writeln!(
+                out,
                 "stop reasons: all {} combos converged before the ceiling",
                 reasons.len()
-            );
+            )?;
         }
     }
     Ok(())
 }
 
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.reject_stride("report")?;
-    flags.reject_verbose("report")?;
-    if flags.experiments_md && flags.experiments_eval_md {
-        return Err("--experiments-md and --experiments-eval-md are mutually exclusive".into());
+/// `snug report`: each mode parses against its own table, so a flag of
+/// the other mode (or both mode flags at once) is an unknown flag.
+fn cmd_report(args: &[String]) -> Result<(), Failure> {
+    let given = |flag: &str| args.iter().any(|a| a == flag);
+    if given("--experiments-md") {
+        cmd_experiments_md(&EXPERIMENTS_MD.parse(args)?)
+    } else if given("--experiments-eval-md") {
+        cmd_experiments_eval_md(&EXPERIMENTS_EVAL_MD.parse(args)?)
+    } else {
+        report(&REPORT.parse(args)?)
     }
-    if flags.experiments_md {
-        return cmd_experiments_md(&flags);
-    }
-    if flags.experiments_eval_md {
-        return cmd_experiments_eval_md(&flags);
-    }
-    if flags.check {
-        return Err("--check only applies to --experiments-md/--experiments-eval-md".into());
-    }
-    if flags.md_path.is_some() {
-        return Err("--md-path only applies to --experiments-md/--experiments-eval-md".into());
-    }
-    let spec = flags.spec()?;
-    check_spec_phase_schedule(&spec)?;
-    let store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
+}
+
+fn report(args: &Args) -> Result<(), Failure> {
+    let spec = args.spec(BudgetPreset::Quick)?;
+    let results_dir = args.results_dir();
+    let format = args.format()?;
+    let store = ResultStore::open(&results_dir).map_err(|e| e.to_string())?;
     let results = cached_results(&spec, &store).ok_or_else(|| {
         format!(
             "store at `{}` is missing results for this spec — run `snug sweep` with the same flags first",
-            flags.results_dir.display()
+            results_dir.display()
         )
     })?;
     let stop_summary = stop_summary_table(&spec, &store);
-    match flags.format.unwrap_or(TableFormat::Markdown) {
+    let mut out = io::stdout().lock();
+    match format {
         TableFormat::Markdown => {
-            print!("{}", render_markdown(&spec, &results));
+            write!(out, "{}", render_markdown(&spec, &results))?;
             if let Some(table) = &stop_summary {
-                println!("{}", table.to_markdown());
-                println!("{CEILING_FOOTNOTE}");
+                writeln!(out, "{}", table.to_markdown())?;
+                writeln!(out, "{CEILING_FOOTNOTE}")?;
             }
         }
         TableFormat::Csv => {
             for table in snug_harness::report_tables(&results) {
-                println!("# {}", table.title);
-                print!("{}", table.render(TableFormat::Csv));
+                writeln!(out, "# {}", table.title)?;
+                write!(out, "{}", table.render(TableFormat::Csv))?;
             }
             if let Some(table) = &stop_summary {
-                println!("# {}", table.title);
-                print!("{}", table.render(TableFormat::Csv));
+                writeln!(out, "# {}", table.title)?;
+                write!(out, "{}", table.render(TableFormat::Csv))?;
             }
         }
     }
-    if let Some(out) = &flags.out_dir {
-        let written = snug_harness::write_report(out, &spec, &results, stop_summary.as_ref())
+    if let Some(dir) = args.path("--out") {
+        let written = snug_harness::write_report(&dir, &spec, &results, stop_summary.as_ref())
             .map_err(|e| format!("writing report: {e}"))?;
         for path in written {
             eprintln!("wrote {}", path.display());
@@ -724,56 +717,33 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 /// the full evaluation (budget defaults to `--mid`, always all 21
 /// combos) from the store into the committed EXPERIMENTS.md, or verify
 /// it.
-fn cmd_experiments_md(flags: &Flags) -> Result<(), String> {
-    // The document is *defined* as the full 21-combo evaluation: a
-    // narrowed or redirected variant would overwrite the committed file
-    // with a partial document and break the staleness gate.
-    if !flags.classes.is_empty() || flags.name.is_some() || flags.spec_file.is_some() {
-        return Err(
-            "--experiments-md renders the full evaluation; it cannot be combined \
-                    with --class/--name/--spec"
-                .into(),
-        );
-    }
-    // Converged and shifted runs are likewise keyed separately — the
-    // committed document is defined over the canonical fixed-budget,
-    // stationary-workload entries.
-    flags.budget.reject_convergence("report --experiments-md")?;
-    flags.reject_phase_shift("report --experiments-md")?;
-    if flags.out_dir.is_some() || flags.format.is_some() {
-        return Err(
-            "--experiments-md writes Markdown to --md-path; --out/--format do not apply".into(),
-        );
-    }
-    let spec = flags.spec_with_default(BudgetPreset::Mid)?;
-    let store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
+fn cmd_experiments_md(args: &Args) -> Result<(), Failure> {
+    let spec = args.spec(BudgetPreset::Mid)?;
+    let results_dir = args.results_dir();
+    let store = ResultStore::open(&results_dir).map_err(|e| e.to_string())?;
     let results = cached_results(&spec, &store).ok_or_else(|| {
         format!(
             "store at `{}` is missing results for the {} budget — run `snug sweep --{}` first",
-            flags.results_dir.display(),
+            results_dir.display(),
             spec.budget.label(),
             spec.budget.label(),
         )
     })?;
     drop(store);
     let rendered = render_experiments_md(&spec, &results);
-    let md_path = flags
-        .md_path
-        .clone()
+    let md_path = args
+        .path("--md-path")
         .unwrap_or_else(|| PathBuf::from(snug_harness::experiments_md::EXPERIMENTS_FILE));
-    write_or_check_doc(
-        &md_path,
-        &rendered,
-        flags.check,
-        "snug report --experiments-md",
-    )?;
-    if !flags.check {
-        println!(
+    let check = args.has("--check");
+    write_or_check_doc(&md_path, &rendered, check, "snug report --experiments-md")?;
+    if !check {
+        writeln!(
+            io::stdout().lock(),
             "wrote {} ({} combos, budget {})",
             md_path.display(),
             results.len(),
             spec.budget.label()
-        );
+        )?;
     }
     Ok(())
 }
@@ -781,141 +751,119 @@ fn cmd_experiments_md(flags: &Flags) -> Result<(), String> {
 /// `snug report --experiments-eval-md [--check] [--md-path FILE]`:
 /// render the committed eval-scale document — the converged eval sweep
 /// with the Fig. 9 SNUG-vs-CC(Best) verdict — or verify it. The spec is
-/// pinned ([`eval_converged_spec`]); no selection or budget flags apply.
-fn cmd_experiments_eval_md(flags: &Flags) -> Result<(), String> {
-    if !flags.classes.is_empty() || flags.name.is_some() || flags.spec_file.is_some() {
-        return Err(
-            "--experiments-eval-md renders the full eval evaluation; it cannot be combined \
-             with --class/--name/--spec"
-                .into(),
-        );
-    }
-    // The document is defined over one pinned spec — eval budget,
-    // calibrated convergence window/epsilon — so the whole budget flag
-    // family is rejected rather than silently overridden.
-    if flags.budget.any_given() {
-        return Err(format!(
-            "--experiments-eval-md pins the eval converged spec (--eval --until-converged \
-             --window {EVAL_CONVERGED_WINDOW} --rel-eps {EVAL_CONVERGED_REL_EPSILON}); \
-             budget flags cannot be combined with it"
-        ));
-    }
-    flags.reject_phase_shift("report --experiments-eval-md")?;
-    if flags.out_dir.is_some() || flags.format.is_some() {
-        return Err(
-            "--experiments-eval-md writes Markdown to --md-path; --out/--format do not apply"
-                .into(),
-        );
-    }
+/// pinned ([`eval_converged_spec`]).
+fn cmd_experiments_eval_md(args: &Args) -> Result<(), Failure> {
     let spec = eval_converged_spec();
-    let store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
+    let results_dir = args.results_dir();
+    let store = ResultStore::open(&results_dir).map_err(|e| e.to_string())?;
     let results = cached_results(&spec, &store).ok_or_else(|| {
         format!(
             "store at `{}` is missing the converged eval results — run `snug sweep --eval \
              --until-converged --window {EVAL_CONVERGED_WINDOW} --rel-eps \
              {EVAL_CONVERGED_REL_EPSILON}` first",
-            flags.results_dir.display(),
+            results_dir.display(),
         )
     })?;
     let stop_summary = stop_summary_table(&spec, &store);
     drop(store);
     let rendered = render_experiments_eval_md(&spec, &results, stop_summary.as_ref());
-    let md_path = flags
-        .md_path
-        .clone()
+    let md_path = args
+        .path("--md-path")
         .unwrap_or_else(|| PathBuf::from(snug_harness::EXPERIMENTS_EVAL_FILE));
+    let check = args.has("--check");
     write_or_check_doc(
         &md_path,
         &rendered,
-        flags.check,
+        check,
         "snug report --experiments-eval-md",
     )?;
-    if !flags.check {
-        println!(
+    if !check {
+        writeln!(
+            io::stdout().lock(),
             "wrote {} ({} combos, budget {})",
             md_path.display(),
             results.len(),
             spec.budget_label()
-        );
+        )?;
     }
     Ok(())
 }
 
-/// Shared `--check`/write tail of the two committed-document commands.
+/// Shared `--check`/write tail of the committed-document commands.
 fn write_or_check_doc(
     md_path: &std::path::Path,
     rendered: &str,
     check: bool,
     regen_cmd: &str,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     if check {
         // Only a genuinely absent file counts as Missing; any other
         // read failure (permissions, invalid UTF-8) is its own error.
         let committed = match std::fs::read_to_string(md_path) {
             Ok(text) => Some(text),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(format!("reading {}: {e}", md_path.display())),
+            Err(e) => return Err(format!("reading {}: {e}", md_path.display()).into()),
         };
         return match check_experiments_md(rendered, committed.as_deref()) {
-            CheckOutcome::Fresh => {
-                println!("{} is up to date", md_path.display());
-                Ok(())
-            }
+            CheckOutcome::Fresh => Ok(writeln!(
+                io::stdout().lock(),
+                "{} is up to date",
+                md_path.display()
+            )?),
             CheckOutcome::Missing => Err(format!(
                 "{} is missing — run `{regen_cmd}` and commit it",
                 md_path.display()
-            )),
+            )
+            .into()),
             CheckOutcome::Stale(line) => Err(format!(
                 "{} is stale (first difference at line {line}) — regenerate with \
                  `{regen_cmd}` and commit the result",
                 md_path.display()
-            )),
+            )
+            .into()),
         };
     }
-    std::fs::write(md_path, rendered).map_err(|e| format!("writing {}: {e}", md_path.display()))
+    std::fs::write(md_path, rendered)
+        .map_err(|e| format!("writing {}: {e}", md_path.display()).into())
 }
 
-fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.reject_experiments_md_flags("compare")?;
-    flags.reject_stride("compare")?;
-    flags.reject_verbose("compare")?;
-    let mut spec = flags.spec()?;
-    if let Some(label) = &flags.combo {
+fn cmd_compare(args: &[String]) -> Result<(), Failure> {
+    let args = COMPARE.parse(args)?;
+    let mut spec = args.spec(BudgetPreset::Quick)?;
+    let label = args.last("--combo");
+    if let Some(label) = label {
         let all = all_combos();
-        let combo = all.iter().find(|c| c.label() == *label).ok_or_else(|| {
+        let combo = all.iter().find(|c| c.label() == label).ok_or_else(|| {
             format!("unknown combo `{label}` (see Table 8 labels, e.g. `ammp+parser+swim+mesa`)")
         })?;
         // A single-combo sweep: restrict the job list to exactly this
         // combo (the store is keyed per combo, so nothing else runs).
         spec.classes = vec![combo.class];
-        spec.combos = vec![label.clone()];
-        spec.name = label.clone();
-    } else if flags.classes.is_empty() {
+        spec.combos = vec![label.to_string()];
+        spec.name = label.to_string();
+    } else if spec.classes.is_empty() {
         return Err("compare needs --combo LABEL or --class C".into());
     }
-    check_spec_phase_schedule(&spec)?;
 
-    let mut store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
-    let outcome = run_sweep(&spec, &mut store, flags.jobs, |_| {}).map_err(|e| e.to_string())?;
-    let results: Vec<_> = outcome
-        .combos
-        .iter()
-        .map(|c| c.result.clone())
-        .filter(|r| flags.combo.as_ref().map(|l| r.label == *l).unwrap_or(true))
-        .collect();
-
-    for r in &results {
-        println!("\n{} (class {})", r.label, r.class.name());
-        println!(
+    let mut store = ResultStore::open(args.results_dir()).map_err(|e| e.to_string())?;
+    let outcome = run_sweep(&spec, &mut store, args.jobs()?, |_| {}).map_err(|e| e.to_string())?;
+    let mut out = io::stdout().lock();
+    for r in outcome.combos.iter().map(|c| &c.result) {
+        if label.is_some_and(|l| r.label != l) {
+            continue;
+        }
+        writeln!(out, "\n{} (class {})", r.label, r.class.name())?;
+        writeln!(
+            out,
             "  {:<10} {:>10} {:>10} {:>10}",
             "scheme", "tp", "aws", "fair"
-        );
+        )?;
         for s in &r.schemes {
-            println!(
+            writeln!(
+                out,
                 "  {:<10} {:>10.3} {:>10.3} {:>10.3}",
                 s.scheme, s.metrics.throughput, s.metrics.aws, s.metrics.fair
-            );
+            )?;
         }
         let sweep = r
             .cc_sweep
@@ -923,43 +871,48 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             .map(|(p, tp)| format!("{:.0}%→{tp:.3}", p * 100.0))
             .collect::<Vec<_>>()
             .join("  ");
-        println!("  CC sweep: {sweep}");
+        writeln!(out, "  CC sweep: {sweep}")?;
     }
-    println!(
+    writeln!(
+        out,
         "\n({} executed, {} from cache)",
         outcome.executed, outcome.cache_hits
-    );
+    )?;
     Ok(())
 }
 
-/// `snug trace COMBO SCHEME`: record (or serve from the store) the
-/// per-period time series of one simulation and render it.
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let positional: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
-    let [combo_label, scheme_name] = positional.as_slice() else {
-        return Err("trace needs two arguments: COMBO SCHEME (e.g. \
-                    `snug trace ammp+ammp+ammp+ammp snug`)"
-            .into());
+/// The `COMBO SCHEME` arguments of `trace` and `profile`, and the flags
+/// after them.
+fn combo_and_scheme<'a>(
+    command: &str,
+    args: &'a [String],
+) -> Result<(snug_workloads::Combo, SchemeSpec, &'a [String]), String> {
+    let positional = args.iter().take_while(|a| !a.starts_with("--")).count();
+    let [combo_label, scheme_name] = &args[..positional] else {
+        return Err(format!(
+            "{command} needs two arguments: COMBO SCHEME (e.g. \
+             `snug {command} ammp+ammp+ammp+ammp snug`)"
+        ));
     };
-    let flags = Flags::parse(&args[positional.len()..])?;
-    flags.reject_experiments_md_flags("trace")?;
-    flags.reject_verbose("trace")?;
-    // Traces record the full fixed window (the point is seeing the
-    // whole time series), so the convergence flags are rejected rather
-    // than silently ignored.
-    flags.budget.reject_convergence("trace")?;
-
-    let all = all_combos();
-    let combo = all
-        .iter()
-        .find(|c| c.label() == **combo_label)
+    let combo = all_combos()
+        .into_iter()
+        .find(|c| c.label() == *combo_label)
         .ok_or_else(|| {
             format!(
                 "unknown combo `{combo_label}` (see Table 8 labels, e.g. \
                  `ammp+parser+swim+mesa`)"
             )
         })?;
-    let spec: SchemeSpec = scheme_name.parse()?;
+    Ok((combo, scheme_name.parse()?, &args[positional..]))
+}
+
+/// `snug trace COMBO SCHEME`: record (or serve from the store) the
+/// per-period time series of one simulation and render it. Traces
+/// record the full fixed window (the point is seeing the whole time
+/// series), so the convergence flags are not in its table.
+fn cmd_trace(args: &[String]) -> Result<(), Failure> {
+    let (combo, spec, flags) = combo_and_scheme("trace", args)?;
+    let args = TRACE.parse(flags)?;
     let point = match spec {
         SchemeSpec::L2p => SchemePoint::L2p,
         SchemeSpec::L2s => SchemePoint::L2s,
@@ -968,45 +921,35 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         SchemeSpec::Snug(_) => SchemePoint::Snug,
     };
 
-    let budget = flags.budget.budget(BudgetPreset::Mid)?;
+    let budget = args.budget(BudgetPreset::Mid)?;
     let cfg = budget.compare_config();
-    let stride = flags.stride.unwrap_or_else(|| default_stride(&cfg));
+    let stride = args
+        .num("--stride")?
+        .unwrap_or_else(|| default_stride(&cfg));
     if stride == 0 {
         return Err("--stride must be positive".into());
     }
-    let phase = flags.phase_schedule()?;
+    let phase = args.phase_schedule()?;
     if let Some(schedule) = &phase {
         check_phase_schedule(schedule, &cfg)?;
     }
+    let format = args.format()?;
 
-    let mut store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
-    let key = trace_key(combo, &point, &cfg, stride, phase.as_ref());
+    let mut store = ResultStore::open(args.results_dir()).map_err(|e| e.to_string())?;
+    let key = trace_key(&combo, &point, &cfg, stride, phase.as_ref());
     let (series, from_cache) = match store.get_series(&key) {
         Some(series) => (series.clone(), true),
         None => {
-            let series = trace_point(combo, &point, &cfg, stride, phase.as_ref());
-            let phase_inputs = phase
-                .as_ref()
-                .map(|p| format!(" | phase={}", p.fingerprint()))
-                .unwrap_or_default();
-            let inputs = format!(
-                "trace | {:?} | {} | {:?} | stride={stride}{phase_inputs}",
-                combo,
-                point.label(),
-                cfg
-            );
+            let series = trace_point(&combo, &point, &cfg, stride, phase.as_ref());
             store
-                .insert_series(key, inputs, series.clone())
+                .insert_series(key, series.clone())
                 .map_err(|e| e.to_string())?;
             (series, false)
         }
     };
 
     let table = series.table(&combo.label());
-    match flags.format.unwrap_or(TableFormat::Markdown) {
-        TableFormat::Markdown => print!("{}", table.to_markdown()),
-        TableFormat::Csv => print!("{}", table.render(TableFormat::Csv)),
-    }
+    write!(io::stdout().lock(), "{}", table.render(format))?;
     eprintln!(
         "\ntrace {} [{}] budget {} stride {stride}: {} samples, {} scheme events, \
          mean throughput {:.3}{}",
@@ -1037,32 +980,11 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 /// `snug profile COMBO SCHEME`: run one simulation in-process and
 /// render its observability counters as tables, with wall-clock
 /// throughput and the measured probe overhead in the footer.
-fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let positional: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
-    let [combo_label, scheme_name] = positional.as_slice() else {
-        return Err("profile needs two arguments: COMBO SCHEME (e.g. \
-                    `snug profile ammp+ammp+ammp+ammp snug`)"
-            .into());
-    };
-    let flags = Flags::parse(&args[positional.len()..])?;
-    flags.reject_experiments_md_flags("profile")?;
-    flags.budget.reject_convergence("profile")?;
-    flags.reject_stride("profile")?;
-    flags.reject_phase_shift("profile")?;
-    flags.reject_verbose("profile")?;
-
-    let all = all_combos();
-    let combo = all
-        .iter()
-        .find(|c| c.label() == **combo_label)
-        .ok_or_else(|| {
-            format!(
-                "unknown combo `{combo_label}` (see Table 8 labels, e.g. \
-                 `ammp+parser+swim+mesa`)"
-            )
-        })?;
-    let spec: SchemeSpec = scheme_name.parse()?;
-    let budget = flags.budget.budget(BudgetPreset::Quick)?;
+fn cmd_profile(args: &[String]) -> Result<(), Failure> {
+    let (combo, spec, flags) = combo_and_scheme("profile", args)?;
+    let args = PROFILE.parse(flags)?;
+    let budget = args.budget(BudgetPreset::Quick)?;
+    let format = args.format()?;
     let cfg = budget.compare_config();
 
     // The counters are always on, so the measurable overhead is the
@@ -1076,12 +998,12 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let mut harvested = None;
     for _ in 0..3 {
         let bare_started = Instant::now();
-        let mut bare = session_for(combo, spec.build_any(cfg.system), &cfg, None);
+        let mut bare = session_for(&combo, spec.build_any(cfg.system), &cfg, None);
         bare.run_to_completion();
         bare_nanos = bare_nanos.min(bare_started.elapsed().as_nanos().max(1) as u64);
 
         let probed_started = Instant::now();
-        let mut session = session_for(combo, spec.build_any(cfg.system), &cfg, None);
+        let mut session = session_for(&combo, spec.build_any(cfg.system), &cfg, None);
         session.enable_recording(stride);
         let result = session.run_to_completion();
         probed_nanos = probed_nanos.min(probed_started.elapsed().as_nanos().max(1) as u64);
@@ -1091,20 +1013,17 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let (result, counters) = harvested.expect("three repetitions ran");
 
     let window = cfg.plan.measure_cycles();
-    let format = flags.format.unwrap_or(TableFormat::Markdown);
+    let mut out = io::stdout().lock();
     for table in [
         counters.hit_miss_table(),
         counters.dispatch_table(window),
         counters.walk_depth_table(),
         counters.cost_center_table(window),
     ] {
-        match format {
-            TableFormat::Markdown => print!("{}", table.to_markdown()),
-            TableFormat::Csv => {
-                println!("# {}", table.title);
-                print!("{}", table.render(TableFormat::Csv));
-            }
+        if format == TableFormat::Csv {
+            writeln!(out, "# {}", table.title)?;
         }
+        write!(out, "{}", table.render(format))?;
     }
 
     let secs = probed_nanos as f64 / 1e9;
@@ -1134,149 +1053,106 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 
 /// `snug store gc | merge`: compact the JSONL store to the newest entry
 /// per key, or fold sharded stores into it under the same rule.
-fn cmd_store(args: &[String]) -> Result<(), String> {
+fn cmd_store(args: &[String]) -> Result<(), Failure> {
     let (sub, rest) = match args.split_first() {
         Some((s, rest)) => (s.as_str(), rest),
         None => return Err("store needs a subcommand: `snug store gc|merge`".into()),
     };
+    let mut out = io::stdout().lock();
     match sub {
         "gc" => {
-            let flags = Flags::parse(rest)?;
-            flags.reject_experiments_md_flags("store gc")?;
-            flags.budget.reject("store gc")?;
-            flags.reject_stride("store gc")?;
-            flags.reject_phase_shift("store gc")?;
-            flags.reject_verbose("store gc")?;
-            let mut store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
+            let results_dir = STORE_GC.parse(rest)?.results_dir();
+            let mut store = ResultStore::open(&results_dir).map_err(|e| e.to_string())?;
             let before = store.file_lines();
             let (kept, dropped) = store.compact().map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "store gc: {before} lines -> {kept} ({dropped} superseded dropped) in {}",
-                flags
-                    .results_dir
-                    .join(snug_harness::store::STORE_FILE)
-                    .display()
-            );
+                results_dir.join(snug_harness::store::STORE_FILE).display()
+            )?;
             Ok(())
         }
         "merge" => {
-            let shards: Vec<&String> = rest.iter().take_while(|a| !a.starts_with("--")).collect();
-            if shards.is_empty() {
+            let shards = rest.iter().take_while(|a| !a.starts_with("--")).count();
+            if shards == 0 {
                 return Err(
                     "store merge needs at least one shard file: `snug store merge \
                      SHARD.jsonl... [--results DIR]`"
                         .into(),
                 );
             }
-            let flags = Flags::parse(&rest[shards.len()..])?;
-            flags.reject_experiments_md_flags("store merge")?;
-            flags.budget.reject("store merge")?;
-            flags.reject_stride("store merge")?;
-            flags.reject_phase_shift("store merge")?;
-            flags.reject_verbose("store merge")?;
-            let mut store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
-            for shard in &shards {
+            let results_dir = STORE_MERGE.parse(&rest[shards..])?.results_dir();
+            let mut store = ResultStore::open(&results_dir).map_err(|e| e.to_string())?;
+            for shard in &rest[..shards] {
                 let stats = store
                     .merge_file(std::path::Path::new(shard.as_str()))
                     .map_err(|e| e.to_string())?;
-                println!(
+                writeln!(
+                    out,
                     "merged {shard}: {} entries read, {} added, {} superseded, {} unchanged",
                     stats.read, stats.added, stats.superseded, stats.unchanged
-                );
+                )?;
             }
             // Merging appends shard entries; one compaction pass leaves
             // the newest entry per key (merge ∘ gc is idempotent).
             let (kept, dropped) = store.compact().map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "store merge: {kept} entries ({dropped} superseded dropped) in {}",
-                flags
-                    .results_dir
-                    .join(snug_harness::store::STORE_FILE)
-                    .display()
-            );
+                results_dir.join(snug_harness::store::STORE_FILE).display()
+            )?;
             Ok(())
         }
-        other => Err(format!(
-            "unknown store subcommand `{other}` (expected `gc` or `merge`)"
-        )),
+        other => {
+            Err(format!("unknown store subcommand `{other}` (expected `gc` or `merge`)").into())
+        }
     }
 }
 
-fn cmd_characterize(args: &[String]) -> Result<(), String> {
+fn cmd_characterize(args: &[String]) -> Result<(), Failure> {
     use snug_experiments::{characterize, CharacterizeConfig};
-    let flags = Flags::parse(args)?;
-    flags.reject_experiments_md_flags("characterize")?;
-    // Characterisation has its own interval/access sizing; the sweep
-    // budget family would be silently ignored, so reject it.
-    flags.budget.reject("characterize")?;
-    flags.reject_stride("characterize")?;
-    flags.reject_phase_shift("characterize")?;
-    flags.reject_verbose("characterize")?;
-    let benches = if flags.benches.is_empty() {
-        vec![Benchmark::Ammp, Benchmark::Vortex, Benchmark::Applu]
-    } else {
-        flags.benches.clone()
-    };
-    let cfg = CharacterizeConfig::scaled(flags.intervals, flags.accesses);
-    println!(
-        "characterisation: {} intervals x {} L2 accesses",
-        flags.intervals, flags.accesses
-    );
-    println!(
+    let args = CHARACTERIZE.parse(args)?;
+    let mut benches = args
+        .all("--bench")
+        .flat_map(|value| value.split(','))
+        .map(|part| {
+            let part = part.trim();
+            Benchmark::from_name(part).ok_or_else(|| format!("unknown benchmark `{part}`"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if benches.is_empty() {
+        benches = vec![Benchmark::Ammp, Benchmark::Vortex, Benchmark::Applu];
+    }
+    let intervals = args.num("--intervals")?.unwrap_or(20) as usize;
+    let accesses = args.num("--accesses")?.unwrap_or(50_000) as usize;
+    let out_dir = args.path("--out");
+    let cfg = CharacterizeConfig::scaled(intervals, accesses);
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
+        "characterisation: {intervals} intervals x {accesses} L2 accesses"
+    )?;
+    writeln!(
+        out,
         "{:<8} {:>12} {:>16} {:>8}",
         "bench", "1-4 blocks", ">16 blocks", "spread"
-    );
+    )?;
     for b in &benches {
         let c = characterize(*b, &cfg);
-        println!(
+        writeln!(
+            out,
             "{:<8} {:>11.1}% {:>15.1}% {:>8.2}",
             c.benchmark,
             c.mean_low_demand() * 100.0,
             c.mean_above_baseline(16) * 100.0,
             c.mean_spread()
-        );
-        if let Some(out) = &flags.out_dir {
-            std::fs::create_dir_all(out).map_err(|e| e.to_string())?;
-            let path = out.join(format!("characterize_{}.csv", c.benchmark));
+        )?;
+        if let Some(dir) = &out_dir {
+            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+            let path = dir.join(format!("characterize_{}.csv", c.benchmark));
             std::fs::write(&path, c.to_csv()).map_err(|e| e.to_string())?;
             eprintln!("wrote {}", path.display());
         }
-    }
-    Ok(())
-}
-
-/// `snug bench [--emit|--check]`: one front door for the committed
-/// kernel throughput trajectory. Drives `cargo bench -p snug-bench`
-/// (kernel_throughput → BENCH_kernel.json) from the current directory
-/// (cargo finds the workspace); `--emit` re-baselines the committed
-/// file and `--check` applies the CI gate.
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let mode = match args {
-        [] => None,
-        [flag] if flag == "--emit" || flag == "--check" => Some(flag.as_str()),
-        _ => {
-            return Err(format!(
-                "`snug bench` takes at most one of --emit / --check\n{USAGE}"
-            ))
-        }
-    };
-    let mut cmd = std::process::Command::new("cargo");
-    cmd.args([
-        "bench",
-        "-q",
-        "-p",
-        "snug-bench",
-        "--bench",
-        "kernel_throughput",
-    ]);
-    if let Some(m) = mode {
-        cmd.args(["--", m]);
-    }
-    let status = cmd
-        .status()
-        .map_err(|e| format!("spawning cargo bench: {e}"))?;
-    if !status.success() {
-        return Err("`cargo bench --bench kernel_throughput` failed".into());
     }
     Ok(())
 }
@@ -1285,22 +1161,11 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 /// the store under `results/ablations/` is missing, then write
 /// `ABLATIONS.md`. With `--check`, run nothing: render from the store
 /// and fail on a stale document or a missing unit.
-fn cmd_ablations(args: &[String]) -> Result<(), String> {
-    let mut check = false;
-    for arg in args {
-        match arg.as_str() {
-            "--check" => check = true,
-            other => {
-                return Err(format!(
-                    "unknown flag `{other}` for `snug ablations`\n{USAGE}"
-                ))
-            }
-        }
-    }
+fn cmd_ablations(args: &[String]) -> Result<(), Failure> {
     ablations(
         std::path::Path::new(snug_harness::ABLATIONS_DIR),
         std::path::Path::new(snug_harness::ABLATIONS_FILE),
-        check,
+        ABLATIONS.parse(args)?.has("--check"),
     )
 }
 
@@ -1309,7 +1174,7 @@ fn ablations(
     results_dir: &std::path::Path,
     md_path: &std::path::Path,
     check: bool,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let combos = ablation_jobs();
     let mut store = ResultStore::open(results_dir).map_err(|e| e.to_string())?;
     if !check {
@@ -1318,28 +1183,36 @@ fn ablations(
             .iter()
             .filter(|u| store.get_unit(&u.key).is_some())
             .count();
-        println!(
+        writeln!(
+            io::stdout().lock(),
             "ablations: {} unit jobs, {hits} cache hits, {} to run",
             units.len(),
             units.len() - hits
-        );
+        )?;
+        let mut printed = Ok(());
         run_unit_jobs(&units, &mut store, 0, &mut |event| match event {
             SweepEvent::JobFinished {
                 label,
                 done,
                 to_run,
                 ..
-            } => println!("  done {label} [{done}/{to_run}]"),
+            } => progress_line(&mut printed, &format!("  done {label} [{done}/{to_run}]")),
             SweepEvent::JobFailed { label, error } => eprintln!("  FAIL {label}: {error}"),
             _ => {}
         })
         .map_err(|e| e.to_string())?;
+        printed?;
     }
     let rendered = render_ablations_md(&combos, &store)
         .map_err(|e| format!("{e} — run `snug ablations` to fill it"))?;
     write_or_check_doc(md_path, &rendered, check, "snug ablations")?;
     if !check {
-        println!("wrote {} ({} combos)", md_path.display(), combos.len());
+        writeln!(
+            io::stdout().lock(),
+            "wrote {} ({} combos)",
+            md_path.display(),
+            combos.len()
+        )?;
     }
     Ok(())
 }
@@ -1350,12 +1223,51 @@ mod tests {
     use proptest::prelude::*;
     use sim_mem::{ShiftDirective, StreamShift};
 
-    /// Near misses of the text grammars the CLI reaches, `|`-separated:
-    /// separators, directive words, scheme and class names, flags, and
-    /// a 30-digit run that overflows every integer field.
-    const PIECES: &str = "0|1|9|_|:|;|@|,|=|-|%|(|)| |.|demand|near|streaming|profile|mcf|l2p|\
-        cc|snug|dsr|C|--class|--phase-shift|--window|--rel-eps|--warmup|--measure|--jobs|\
-        --until-converged|123456789012345678901234567890|é|\0";
+    /// Every subcommand and `report` mode.
+    const COMMANDS: [Command; 11] = [
+        SWEEP,
+        REPORT,
+        EXPERIMENTS_MD,
+        EXPERIMENTS_EVAL_MD,
+        COMPARE,
+        TRACE,
+        PROFILE,
+        STORE_GC,
+        STORE_MERGE,
+        ABLATIONS,
+        CHARACTERIZE,
+    ];
+
+    fn words(text: &str) -> Vec<String> {
+        text.split(' ').map(str::to_string).collect()
+    }
+
+    /// A value each valued flag accepts.
+    fn valid_value(flag: &str) -> &'static str {
+        match flag {
+            "--class" => "C5",
+            "--phase-shift" => "400000:demand=300",
+            "--combo" => "ammp+parser+swim+mesa",
+            "--format" => "csv",
+            "--bench" => "ammp,vortex",
+            "--rel-eps" => "0.5",
+            "--results" | "--out" | "--md-path" => "some/path",
+            _ => "150_000",
+        }
+    }
+
+    /// The typed readers the commands share, each applied to `args`.
+    fn read_all(args: &Args) -> Vec<Result<(), String>> {
+        vec![
+            args.classes().map(drop),
+            args.budget(BudgetPreset::Quick).map(drop),
+            args.stop().map(drop),
+            args.phase_schedule().map(drop),
+            args.format().map(drop),
+            args.jobs().map(drop),
+            args.num("--stride").map(drop),
+        ]
+    }
 
     /// Feed `text` to every parser; each must return, never panic. An
     /// error must say what went wrong.
@@ -1368,23 +1280,71 @@ mod tests {
         prop_assert!(named(text.parse::<ShiftDirective>()), "{text:?}");
         prop_assert!(named(text.parse::<SchemeSpec>()), "{text:?}");
         prop_assert!(named(text.parse::<ComboClass>()), "{text:?}");
-        let args: Vec<String> = text.split(' ').map(str::to_string).collect();
-        if let Ok(flags) = Flags::parse(&args) {
-            prop_assert!(named(flags.phase_schedule()), "{text:?}");
-            prop_assert!(named(flags.budget.stop()), "{text:?}");
-            prop_assert!(named(flags.budget.budget(BudgetPreset::Quick)), "{text:?}");
+        for command in &COMMANDS {
+            match command.parse(&words(text)) {
+                Ok(args) => {
+                    for read in read_all(&args) {
+                        prop_assert!(named(read), "{text:?}");
+                    }
+                }
+                Err(e) => prop_assert!(!e.is_empty(), "{text:?}"),
+            }
         }
         Ok(())
+    }
+
+    /// Each command takes every flag in its table, with a valid value,
+    /// and no other: a flag from any other table (or a retired one) is
+    /// an unknown flag naming both the flag and the command.
+    #[test]
+    fn each_command_takes_exactly_the_flags_in_its_table() {
+        let retired = [("--spec", true), ("--name", true), ("--threads", true)];
+        let every: Vec<Flag> = COMMANDS
+            .iter()
+            .flat_map(|c| c.flags.iter().copied().flatten().copied())
+            .chain(retired)
+            .collect();
+        for command in &COMMANDS {
+            let own = |flag| command.flags.iter().copied().flatten().any(|f| f.0 == flag);
+            for &(flag, takes_value) in &every {
+                let mut args = vec![flag.to_string()];
+                if takes_value {
+                    args.push(valid_value(flag).into());
+                }
+                let parsed = command.parse(&args);
+                if own(flag) {
+                    // Cross-flag rules (`--warmup` needs `--measure`)
+                    // may still object, but never to the value itself.
+                    let parsed = parsed.unwrap_or_else(|e| panic!("{e}"));
+                    let bad: Vec<String> = read_all(&parsed)
+                        .into_iter()
+                        .filter_map(Result::err)
+                        .filter(|e| e.contains(valid_value(flag)))
+                        .collect();
+                    assert!(bad.is_empty(), "snug {} {flag}: {bad:?}", command.name);
+                } else {
+                    let unknown = format!("unknown flag `{flag}` for `snug {}`", command.name);
+                    assert_eq!(parsed.err(), Some(unknown));
+                }
+            }
+        }
+        let err = run("bench", &[]).unwrap_err();
+        assert!(
+            matches!(&err, Failure::Error(e) if e.starts_with("unknown command `bench`")),
+            "{err:?}"
+        );
     }
 
     /// Each option has one spelling: `--jobs` sets the worker count,
     /// and `--threads` is an unknown flag.
     #[test]
     fn jobs_is_the_only_worker_count_flag() {
-        let args = |text: &str| text.split(' ').map(str::to_string).collect::<Vec<_>>();
-        assert_eq!(Flags::parse(&args("--jobs 2")).map(|f| f.jobs), Ok(2));
-        let err = Flags::parse(&args("--threads 2")).err().unwrap();
-        assert!(err.starts_with("unknown flag `--threads`"), "{err}");
+        for command in [SWEEP, COMPARE] {
+            let jobs = command.parse(&words("--jobs 2")).and_then(|a| a.jobs());
+            assert_eq!(jobs, Ok(2));
+            let err = command.parse(&words("--threads 2")).err().unwrap();
+            assert!(err.starts_with("unknown flag `--threads`"), "{err}");
+        }
     }
 
     /// The repository root, where the committed documents live.
@@ -1411,6 +1371,9 @@ mod tests {
         std::fs::write(&stale, &text).unwrap();
         let err = ablations(&dir, &stale, true).unwrap_err();
         std::fs::remove_file(&stale).unwrap();
+        let Failure::Error(err) = err else {
+            panic!("{err:?}")
+        };
         assert!(err.contains(&stale.display().to_string()), "{err}");
         assert!(err.contains("is stale"), "{err}");
     }
@@ -1434,6 +1397,9 @@ mod tests {
         std::fs::write(dir.join("store.jsonl"), kept).unwrap();
         let err = ablations(&dir, &root.join(snug_harness::ABLATIONS_FILE), true).unwrap_err();
         std::fs::remove_dir_all(&dir).unwrap();
+        let Failure::Error(err) = err else {
+            panic!("{err:?}")
+        };
         assert!(err.contains(&key), "{err}");
         assert!(err.contains("[snug: k=6, p=16]"), "{err}");
     }
@@ -1462,4 +1428,12 @@ mod tests {
             }
         }
     }
+
+    /// Near misses of the text grammars the CLI reaches, `|`-separated:
+    /// separators, directive words, scheme and class names, flags, and
+    /// a 30-digit run that overflows every integer field.
+    const PIECES: &str = "0|1|9|_|:|;|@|,|=|-|%|(|)| |.|demand|near|streaming|profile|mcf|l2p|\
+        cc|snug|dsr|C|--class|--phase-shift|--window|--rel-eps|--warmup|--measure|--jobs|\
+        --until-converged|--quick|--check|--format|--stride|--bench|\
+        123456789012345678901234567890|é|\0";
 }

@@ -16,7 +16,6 @@ use sim_cache::CacheStats;
 use sim_cmp::{PeriodSample, SchemeEvent, SchemeEventKind};
 use snug_experiments::{SchemeRun, TraceSeries};
 use snug_metrics::{SimCounters, WALK_DEPTH_BUCKETS};
-use snug_workloads::ComboClass;
 
 /// Types storable in the result store.
 pub trait JsonCodec: Sized {
@@ -490,18 +489,6 @@ impl JsonCodec for TraceSeries {
     }
 }
 
-impl JsonCodec for ComboClass {
-    fn to_json(&self) -> Value {
-        Value::str(self.name())
-    }
-
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let name = v.as_str()?;
-        ComboClass::from_name(name)
-            .ok_or_else(|| JsonError(format!("unknown combo class `{name}`")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,14 +551,6 @@ mod tests {
             canonical.to_json().render().unwrap(),
             legacy_form.render().unwrap()
         );
-    }
-
-    #[test]
-    fn class_codec_covers_all_classes() {
-        for class in ComboClass::ALL {
-            assert_eq!(ComboClass::from_json(&class.to_json()).unwrap(), class);
-        }
-        assert!(ComboClass::from_json(&Value::str("C9")).is_err());
     }
 
     #[test]

@@ -326,41 +326,25 @@ where
     outcomes.into_iter().map(terminal).collect()
 }
 
-/// Run `n_jobs` independent jobs across `threads` workers
-/// ([`run_graph`] with no dependencies).
-///
-/// `job(i)` computes the result of job `i`; `on_event` observes
-/// progress. Results return in job order. A panicking job re-panics
-/// here, preserving the historical fail-fast contract.
-pub fn run<T, F, E>(n_jobs: usize, threads: usize, job: F, on_event: E) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    E: FnMut(ExecEvent) + Send,
-{
-    let deps = vec![Vec::new(); n_jobs];
-    run_graph(n_jobs, &deps, threads, |i, _w| Ok(job(i)), on_event)
-        .into_iter()
-        .map(|outcome| match outcome {
-            JobOutcome::Done(t) => t,
-            #[expect(
-                clippy::panic,
-                reason = "run() documents fail-fast: a panicking job re-panics on the caller thread"
-            )]
-            JobOutcome::Failed(msg) => panic!("executor job panicked: {msg}"),
-            #[expect(
-                clippy::unreachable,
-                reason = "deps are empty, so no job can be skipped"
-            )]
-            JobOutcome::Skipped { .. } => unreachable!("independent jobs are never skipped"),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// [`run_graph`] over `n_jobs` independent jobs, unwrapping each
+    /// outcome: none can fail or be skipped.
+    fn run<T: Send>(
+        n_jobs: usize,
+        threads: usize,
+        job: impl Fn(usize) -> T + Sync,
+        on_event: impl FnMut(ExecEvent) + Send,
+    ) -> Vec<T> {
+        let deps = vec![Vec::new(); n_jobs];
+        run_graph(n_jobs, &deps, threads, |i, _w| Ok(job(i)), on_event)
+            .into_iter()
+            .map(|outcome| outcome.done().unwrap())
+            .collect()
+    }
 
     #[test]
     fn results_come_back_in_job_order() {

@@ -298,9 +298,7 @@ mod tests {
                 // CC sweep and DSR left out of the store entirely: `-`.
                 _ => continue,
             };
-            store
-                .insert_unit(u.key.clone(), String::new(), run(plateaus))
-                .unwrap();
+            store.insert_unit(u.key.clone(), run(plateaus)).unwrap();
         }
 
         let md = stop_summary_table(&shifted, &store)
@@ -332,7 +330,7 @@ mod tests {
             .find(|u| u.point == SchemePoint::L2p)
             .unwrap();
         store
-            .insert_unit(base.key.clone(), String::new(), run(Vec::new()))
+            .insert_unit(base.key.clone(), run(Vec::new()))
             .unwrap();
         let md = stop_summary_table(&stationary, &store)
             .expect("converged spec summarises")
@@ -381,7 +379,7 @@ mod tests {
                 stop_reason: (i % 5 != 0).then_some(StopReason::Converged),
                 plateaus: vec![0.5 + i as f64 / 1000.0; (i % 3) as usize],
             };
-            store.insert_unit(u.key, String::new(), run).unwrap();
+            store.insert_unit(u.key, run).unwrap();
         }
 
         let mut reference = Table::new(

@@ -4,14 +4,11 @@
 //! schemes × a run budget — and expands into concrete [`UnitJob`]s, one
 //! per *(combo, scheme point)* simulation, each carrying the content
 //! key that addresses its result in the store. The CLI builds specs
-//! from flags; they also round-trip through JSON
-//! (`snug sweep --spec file.json`).
+//! from flags.
 
-use crate::codec::JsonCodec;
 use crate::hash::{
     content_key, content_key_split, fnv1a64, fnv1a64_fan, fnv1a64_rev_from, key_hex, FNV_OFFSET,
 };
-use crate::json::{JsonError, Value};
 use snug_experiments::{CompareConfig, RunPlan, SchemePoint};
 use snug_workloads::{all_combos, Combo, ComboClass, PhaseSchedule};
 
@@ -191,10 +188,10 @@ impl SweepSpec {
     ///
     /// Panics if the stored spec string does not parse — specs built by
     /// the CLI are canonicalised at parse time, so this only trips on a
-    /// hand-edited JSON spec, which `from_json` already rejects.
+    /// hand-built spec with a bad schedule.
     #[expect(
         clippy::expect_used,
-        reason = "documented # Panics: specs are canonicalised at parse time and from_json rejects bad schedules"
+        reason = "documented # Panics: specs are canonicalised at parse time"
     )]
     pub fn phase_schedule(&self) -> Option<PhaseSchedule> {
         self.phase_shift
@@ -240,188 +237,6 @@ impl SweepSpec {
             .flat_map(|c| c.units)
             .collect()
     }
-}
-
-impl JsonCodec for SweepSpec {
-    fn to_json(&self) -> Value {
-        let SweepSpec {
-            name,
-            classes,
-            combos,
-            budget,
-            stop,
-            phase_shift,
-        } = self;
-        let budget = match *budget {
-            BudgetPreset::Quick => Value::str("quick"),
-            BudgetPreset::Mid => Value::str("mid"),
-            BudgetPreset::Eval => Value::str("eval"),
-            BudgetPreset::Custom {
-                warmup_cycles,
-                measure_cycles,
-            } => Value::obj(vec![
-                ("warmup_cycles", Value::num(warmup_cycles as f64)),
-                ("measure_cycles", Value::num(measure_cycles as f64)),
-            ]),
-        };
-        let mut fields = vec![
-            ("name", Value::str(name)),
-            (
-                "classes",
-                Value::Arr(classes.iter().map(JsonCodec::to_json).collect()),
-            ),
-            (
-                "combos",
-                Value::Arr(combos.iter().map(|s| Value::str(s.as_str())).collect()),
-            ),
-            ("budget", budget),
-        ];
-        if let Some(spec) = phase_shift {
-            fields.push(("phase_shift", Value::str(spec)));
-        }
-        match *stop {
-            StopPreset::Fixed => {}
-            StopPreset::Converged {
-                window_cycles,
-                rel_epsilon,
-            } => {
-                fields.push(("until_converged", stop_params(window_cycles, rel_epsilon)));
-            }
-            StopPreset::Reconverged {
-                window_cycles,
-                rel_epsilon,
-            } => {
-                fields.push(("until_reconverged", stop_params(window_cycles, rel_epsilon)));
-            }
-        }
-        Value::obj(fields)
-    }
-
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let budget = match v.get("budget")? {
-            Value::Str(s) if s == "quick" => BudgetPreset::Quick,
-            Value::Str(s) if s == "mid" => BudgetPreset::Mid,
-            Value::Str(s) if s == "eval" => BudgetPreset::Eval,
-            custom @ Value::Obj(_) => BudgetPreset::Custom {
-                warmup_cycles: custom.get("warmup_cycles")?.as_num()? as u64,
-                measure_cycles: custom.get("measure_cycles")?.as_num()? as u64,
-            },
-            other => return Err(JsonError(format!("bad budget: {other:?}"))),
-        };
-        // `combos` is optional in the JSON form (older specs omit it).
-        let combos = match v.get("combos") {
-            Ok(list) => list
-                .as_arr()?
-                .iter()
-                .map(|s| s.as_str().map(str::to_string))
-                .collect::<Result<Vec<_>, _>>()?,
-            Err(_) => Vec::new(),
-        };
-        // Specs written before the shared-warm-up variant was removed
-        // carry `"shared_warmup": false`, which is the only semantics
-        // left; `true` asked for a variant that no longer exists.
-        if let Ok(flag) = v.get("shared_warmup") {
-            if flag.as_bool()? {
-                return Err(JsonError(
-                    "shared_warmup: the shared-warm-up variant was removed; \
-                     drop the field to run the canonical per-point sweep"
-                        .into(),
-                ));
-            }
-        }
-        // The stop presets are optional too: absent means the fixed
-        // stop policy every pre-plan spec used.
-        let stop = match (v.get("until_converged"), v.get("until_reconverged")) {
-            (Ok(_), Ok(_)) => {
-                return Err(JsonError(
-                    "a spec cannot carry both until_converged and until_reconverged".into(),
-                ))
-            }
-            (Ok(obj), Err(_)) => {
-                let (window_cycles, rel_epsilon) = parse_stop_params(obj)?;
-                StopPreset::Converged {
-                    window_cycles,
-                    rel_epsilon,
-                }
-            }
-            (Err(_), Ok(obj)) => {
-                let (window_cycles, rel_epsilon) = parse_stop_params(obj)?;
-                StopPreset::Reconverged {
-                    window_cycles,
-                    rel_epsilon,
-                }
-            }
-            (Err(_), Err(_)) => StopPreset::Fixed,
-        };
-        // `phase_shift` is optional: absent means the stationary
-        // canonical workload. The stored string is validated and
-        // canonicalised on load so bad hand-written specs fail here,
-        // not mid-sweep.
-        let phase_shift = match v.get("phase_shift") {
-            Ok(spec) => Some(
-                PhaseSchedule::parse(spec.as_str()?)
-                    .map_err(|e| JsonError(format!("phase_shift: {e}")))?
-                    .fingerprint(),
-            ),
-            Err(_) => None,
-        };
-        Ok(SweepSpec {
-            name: v.get("name")?.as_str()?.to_string(),
-            classes: v
-                .get("classes")?
-                .as_arr()?
-                .iter()
-                .map(ComboClass::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            combos,
-            budget,
-            stop,
-            phase_shift,
-        })
-    }
-}
-
-/// Render a stop preset's optional tuning knobs.
-fn stop_params(window_cycles: Option<u64>, rel_epsilon: Option<f64>) -> Value {
-    let mut stop = Vec::new();
-    if let Some(w) = window_cycles {
-        stop.push(("window_cycles", Value::num(w as f64)));
-    }
-    if let Some(e) = rel_epsilon {
-        stop.push(("rel_epsilon", Value::num(e)));
-    }
-    Value::obj(stop)
-}
-
-/// Decode a stop preset's optional tuning knobs, rejecting the values
-/// the `--window`/`--rel-eps` flags reject: a window below one cycle or
-/// a negative epsilon.
-fn parse_stop_params(obj: &Value) -> Result<(Option<u64>, Option<f64>), JsonError> {
-    let window_cycles = match obj.get("window_cycles") {
-        Ok(w) => {
-            let w = w.as_num()?;
-            if w < 1.0 {
-                return Err(JsonError(format!(
-                    "window_cycles must be at least 1, got {w}"
-                )));
-            }
-            Some(w as u64)
-        }
-        Err(_) => None,
-    };
-    let rel_epsilon = match obj.get("rel_epsilon") {
-        Ok(e) => {
-            let e = e.as_num()?;
-            if e < 0.0 {
-                return Err(JsonError(format!(
-                    "rel_epsilon must be non-negative, got {e}"
-                )));
-            }
-            Some(e)
-        }
-        Err(_) => None,
-    };
-    Ok((window_cycles, rel_epsilon))
 }
 
 /// One unit job: run a single scheme point on one combo — the cache
@@ -1096,117 +911,5 @@ mod tests {
         assert_eq!(spec.budget_label(), "mid+reconverged");
         spec.phase_shift = Some("1800000:demand=200".into());
         assert_eq!(spec.budget_label(), "mid+shifted+reconverged");
-    }
-
-    /// Spec fields the CLI flags would reject fail decoding too: an
-    /// unparsable phase schedule, and stop knobs outside `--window`'s
-    /// and `--rel-eps`'s bounds, which would otherwise reach
-    /// `RunPlan::until_converged`'s asserts.
-    #[test]
-    fn bad_phase_shift_specs_fail_json_decoding() {
-        let mut spec = SweepSpec::full(BudgetPreset::Quick);
-        spec.phase_shift = Some("1000:demand=200".into());
-        let base = spec.to_json().as_obj().unwrap().clone();
-        let mut bad = vec![("phase_shift", Value::str("1000:warp=9"))];
-        for preset in ["until_converged", "until_reconverged"] {
-            for (window, eps) in [(0.0, -1.0), (-5.0, 0.02), (0.5, 0.02), (1.0, -1.0)] {
-                let knobs = vec![
-                    ("window_cycles", Value::num(window)),
-                    ("rel_epsilon", Value::num(eps)),
-                ];
-                bad.push((preset, Value::obj(knobs)));
-            }
-        }
-        for (field, value) in bad {
-            let mut obj = base.clone();
-            obj.insert(field.into(), value.clone());
-            let decoded = SweepSpec::from_json(&Value::Obj(obj));
-            assert!(decoded.is_err(), "{field}: {value:?}");
-        }
-    }
-
-    #[test]
-    fn spec_round_trips_through_json() {
-        for spec in [
-            SweepSpec::full(BudgetPreset::Quick),
-            SweepSpec::full(BudgetPreset::Mid),
-            SweepSpec::full(BudgetPreset::Eval),
-            SweepSpec {
-                name: "x".into(),
-                classes: vec![ComboClass::C2, ComboClass::C6],
-                combos: vec!["ammp+parser+swim+mesa".into()],
-                budget: BudgetPreset::Custom {
-                    warmup_cycles: 5,
-                    measure_cycles: 9,
-                },
-                stop: StopPreset::Fixed,
-                phase_shift: None,
-            },
-            SweepSpec {
-                name: "conv".into(),
-                classes: Vec::new(),
-                combos: Vec::new(),
-                budget: BudgetPreset::Mid,
-                stop: StopPreset::Converged {
-                    window_cycles: None,
-                    rel_epsilon: None,
-                },
-                phase_shift: None,
-            },
-            SweepSpec {
-                name: "conv-tuned".into(),
-                classes: Vec::new(),
-                combos: Vec::new(),
-                budget: BudgetPreset::Mid,
-                stop: StopPreset::Converged {
-                    window_cycles: Some(150_000),
-                    rel_epsilon: Some(0.25),
-                },
-                phase_shift: None,
-            },
-            SweepSpec {
-                name: "shifted-reconv".into(),
-                classes: vec![ComboClass::C1],
-                combos: Vec::new(),
-                budget: BudgetPreset::Mid,
-                stop: StopPreset::Reconverged {
-                    window_cycles: Some(150_000),
-                    rel_epsilon: None,
-                },
-                phase_shift: Some("1500000:near=10;1800000:demand=200@0,2".into()),
-            },
-            SweepSpec {
-                name: "shifted-conv".into(),
-                classes: Vec::new(),
-                combos: Vec::new(),
-                budget: BudgetPreset::Quick,
-                stop: StopPreset::Converged {
-                    window_cycles: None,
-                    rel_epsilon: Some(0.5),
-                },
-                phase_shift: Some("400000:profile=mcf".into()),
-            },
-        ] {
-            let text = spec.to_json().render().unwrap();
-            let back = SweepSpec::from_json(&crate::json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, spec);
-
-            // Specs written while the shared-warm-up variant existed
-            // carry the field: `false` still decodes to the same spec,
-            // `true` names the removed variant instead of silently
-            // running canonical semantics.
-            let mut obj = spec.to_json().as_obj().unwrap().clone();
-            obj.insert("shared_warmup".into(), Value::Bool(false));
-            assert_eq!(
-                SweepSpec::from_json(&Value::Obj(obj.clone())).unwrap(),
-                spec
-            );
-            obj.insert("shared_warmup".into(), Value::Bool(true));
-            let err = SweepSpec::from_json(&Value::Obj(obj)).unwrap_err();
-            assert!(
-                err.0.contains("shared-warm-up variant was removed"),
-                "{err:?}"
-            );
-        }
     }
 }

@@ -74,40 +74,33 @@ pub enum StoredResult {
     Span(UnitSpan),
 }
 
-/// One stored line: the key, a little human-readable context, and the
-/// full result.
+/// One stored line: the key and the full result.
+///
+/// Lines written before the store stopped recording inputs also carry
+/// an `inputs` field, a debug rendering of what was hashed into the key;
+/// it is not a function of the key (the plan's spelling changed between
+/// releases), so decoding ignores it and rewriting drops it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreEntry {
     /// Content key of the producing job.
     pub key: String,
-    /// The input description that was hashed into the key (debug form,
-    /// for humans auditing the store).
-    pub inputs: String,
     /// The cached result.
     pub result: StoredResult,
 }
 
 impl StoreEntry {
     fn to_json(&self) -> Value {
-        let StoreEntry {
-            key,
-            inputs,
-            result,
-        } = self;
+        let StoreEntry { key, result } = self;
         let payload = match result {
             StoredResult::Unit(run) => ("unit", run.to_json()),
             StoredResult::Series(series) => ("series", series.to_json()),
             StoredResult::Span(span) => ("span", span.to_json()),
         };
-        Value::obj(vec![
-            ("key", Value::str(key)),
-            ("inputs", Value::str(inputs)),
-            payload,
-        ])
+        Value::obj(vec![("key", Value::str(key)), payload])
     }
 
-    /// Decode a parsed line, moving `key` and `inputs` out of the tree
-    /// rather than copying them.
+    /// Decode a parsed line, moving `key` out of the tree rather than
+    /// copying it.
     fn from_json(mut v: Value) -> Result<Self, JsonError> {
         let result = if let Ok(unit) = v.get("unit") {
             StoredResult::Unit(SchemeRun::from_json(unit)?)
@@ -124,7 +117,6 @@ impl StoreEntry {
         };
         Ok(StoreEntry {
             key: v.take_str("key")?,
-            inputs: v.take_str("inputs")?,
             result,
         })
     }
@@ -437,31 +429,20 @@ impl ResultStore {
     }
 
     /// Insert a fresh unit result and append it to the JSONL file.
-    pub fn insert_unit(
-        &mut self,
-        key: String,
-        inputs: String,
-        run: SchemeRun,
-    ) -> Result<(), StoreError> {
-        self.insert(key, inputs, StoredResult::Unit(run))
+    pub fn insert_unit(&mut self, key: String, run: SchemeRun) -> Result<(), StoreError> {
+        self.insert(key, StoredResult::Unit(run))
     }
 
     /// Insert a fresh result and append it to the backing JSONL file —
     /// `spans.jsonl` for telemetry spans, `store.jsonl` for everything
     /// else.
-    pub fn insert(
-        &mut self,
-        key: String,
-        inputs: String,
-        result: StoredResult,
-    ) -> Result<(), StoreError> {
+    pub fn insert(&mut self, key: String, result: StoredResult) -> Result<(), StoreError> {
         let file = match result {
             StoredResult::Span(_) => SPANS_FILE,
             _ => STORE_FILE,
         };
         let entry = StoreEntry {
             key: key.clone(),
-            inputs,
             result,
         };
         let line = entry.render_line()?;
@@ -479,23 +460,13 @@ impl ResultStore {
     }
 
     /// Insert an execution span.
-    pub fn insert_span(
-        &mut self,
-        key: String,
-        inputs: String,
-        span: UnitSpan,
-    ) -> Result<(), StoreError> {
-        self.insert(key, inputs, StoredResult::Span(span))
+    pub fn insert_span(&mut self, key: String, span: UnitSpan) -> Result<(), StoreError> {
+        self.insert(key, StoredResult::Span(span))
     }
 
     /// Insert a recorded time series.
-    pub fn insert_series(
-        &mut self,
-        key: String,
-        inputs: String,
-        series: TraceSeries,
-    ) -> Result<(), StoreError> {
-        self.insert(key, inputs, StoredResult::Series(series))
+    pub fn insert_series(&mut self, key: String, series: TraceSeries) -> Result<(), StoreError> {
+        self.insert(key, StoredResult::Series(series))
     }
 
     /// Merge a sharded store file (another store's `store.jsonl`, e.g.
@@ -525,7 +496,7 @@ impl ResultStore {
                 Some(_) => stats.superseded += 1,
                 None => stats.added += 1,
             }
-            self.insert(entry.key.clone(), entry.inputs, entry.result)
+            self.insert(entry.key.clone(), entry.result)
         })?;
         Ok(stats)
     }
@@ -652,12 +623,8 @@ mod tests {
     fn inserts_persist_across_reopen() {
         let dir = tmp_dir("persist");
         let mut store = ResultStore::open(&dir).unwrap();
-        store
-            .insert("k1".into(), "inputs-1".into(), fake("a+b", 1.25))
-            .unwrap();
-        store
-            .insert("k2".into(), "inputs-2".into(), fake("c+d", 0.75))
-            .unwrap();
+        store.insert("k1".into(), fake("a+b", 1.25)).unwrap();
+        store.insert("k2".into(), fake("c+d", 0.75)).unwrap();
         drop(store);
 
         let back = ResultStore::open(&dir).unwrap();
@@ -672,9 +639,7 @@ mod tests {
     fn corrupt_interior_lines_are_rejected_with_location() {
         let dir = tmp_dir("corrupt");
         let mut store = ResultStore::open(&dir).unwrap();
-        store
-            .insert("k".into(), "i".into(), fake("x+y", 1.0))
-            .unwrap();
+        store.insert("k".into(), fake("x+y", 1.0)).unwrap();
         let path = dir.join(STORE_FILE);
         let good_line = fs::read_to_string(&path).unwrap();
         // A v1 whole-combo entry is complete JSON the current schema no
@@ -709,9 +674,7 @@ mod tests {
     fn partial_trailing_line_is_dropped_and_truncated() {
         let dir = tmp_dir("partial-tail");
         let mut store = ResultStore::open(&dir).unwrap();
-        store
-            .insert("k1".into(), "i".into(), fake("x+y", 1.0))
-            .unwrap();
+        store.insert("k1".into(), fake("x+y", 1.0)).unwrap();
         let path = dir.join(STORE_FILE);
         let clean_len = fs::metadata(&path).unwrap().len();
 
@@ -731,9 +694,7 @@ mod tests {
         );
 
         // Appends after recovery land on a clean line.
-        recovered
-            .insert("k3".into(), "i".into(), fake("a+b", 1.5))
-            .unwrap();
+        recovered.insert("k3".into(), fake("a+b", 1.5)).unwrap();
         let reopened = ResultStore::open(&dir).unwrap();
         assert_eq!(reopened.len(), 2);
         fs::remove_dir_all(&dir).unwrap();
@@ -743,9 +704,7 @@ mod tests {
     fn a_tail_torn_inside_a_character_is_truncated_not_fatal() {
         let dir = tmp_dir("torn-utf8");
         let mut store = ResultStore::open(&dir).unwrap();
-        store
-            .insert("k1".into(), "i".into(), fake("x+y", 1.0))
-            .unwrap();
+        store.insert("k1".into(), fake("x+y", 1.0)).unwrap();
         let path = dir.join(STORE_FILE);
         let clean = fs::read(&path).unwrap();
         // An append cut off halfway through a two-byte character.
@@ -797,9 +756,7 @@ mod tests {
                 counters: None,
             }],
         };
-        store
-            .insert_series("t1".into(), "trace-inputs".into(), series.clone())
-            .unwrap();
+        store.insert_series("t1".into(), series.clone()).unwrap();
         let back = ResultStore::open(&dir).unwrap();
         assert_eq!(back.get_series("t1").unwrap(), &series);
         assert_eq!(back.series_count(), 1);
@@ -820,9 +777,7 @@ mod tests {
             worker: 3,
             shard: "worker-3.jsonl".into(),
         };
-        store
-            .insert_span("s1".into(), "span | inputs".into(), span.clone())
-            .unwrap();
+        store.insert_span("s1".into(), span.clone()).unwrap();
         let back = ResultStore::open(&dir).unwrap();
         assert_eq!(back.get_span("s1").unwrap(), &span);
         assert_eq!(back.span_count(), 1);
@@ -836,13 +791,9 @@ mod tests {
     fn spans_land_in_the_sidecar_not_the_deterministic_store() {
         let dir = tmp_dir("span-sidecar");
         let mut store = ResultStore::open(&dir).unwrap();
-        store
-            .insert("u1".into(), "i".into(), fake("x+y", 1.0))
-            .unwrap();
+        store.insert("u1".into(), fake("x+y", 1.0)).unwrap();
         let store_bytes = fs::read(dir.join(STORE_FILE)).unwrap();
-        store
-            .insert_span("s1".into(), "span".into(), UnitSpan::default())
-            .unwrap();
+        store.insert_span("s1".into(), UnitSpan::default()).unwrap();
         assert_eq!(
             fs::read(dir.join(STORE_FILE)).unwrap(),
             store_bytes,
@@ -859,13 +810,10 @@ mod tests {
     fn compact_migrates_legacy_inline_spans_to_the_sidecar() {
         let dir = tmp_dir("span-migrate");
         let mut store = ResultStore::open(&dir).unwrap();
-        store
-            .insert("u1".into(), "i".into(), fake("x+y", 1.0))
-            .unwrap();
+        store.insert("u1".into(), fake("x+y", 1.0)).unwrap();
         // Fake a legacy store with the span inline in store.jsonl.
         let span_entry = StoreEntry {
             key: "s1".into(),
-            inputs: "span".into(),
             result: StoredResult::Span(UnitSpan::default()),
         };
         let path = dir.join(STORE_FILE);
@@ -892,23 +840,19 @@ mod tests {
     fn recover_shards_merges_and_deletes_skipping_partial_tails() {
         let dir = tmp_dir("recover");
         let mut store = ResultStore::open(&dir).unwrap();
-        store
-            .insert("k1".into(), "i".into(), fake("x+y", 1.0))
-            .unwrap();
+        store.insert("k1".into(), fake("x+y", 1.0)).unwrap();
 
         // Shard 0: one duplicate of k1 plus a fresh k2.
         let mut shard0 = ShardWriter::new(dir.join(SHARDS_DIR).join("worker-0.jsonl"));
         shard0
             .append(&StoreEntry {
                 key: "k1".into(),
-                inputs: "i".into(),
                 result: fake("x+y", 1.0),
             })
             .unwrap();
         shard0
             .append(&StoreEntry {
                 key: "k2".into(),
-                inputs: "i".into(),
                 result: fake("a+b", 2.0),
             })
             .unwrap();
@@ -918,7 +862,6 @@ mod tests {
         shard1
             .append(&StoreEntry {
                 key: "k3".into(),
-                inputs: "i".into(),
                 result: fake("c+d", 3.0),
             })
             .unwrap();
@@ -945,16 +888,10 @@ mod tests {
     fn compact_drops_superseded_duplicates_and_is_idempotent() {
         let dir = tmp_dir("compact");
         let mut store = ResultStore::open(&dir).unwrap();
-        store
-            .insert("k1".into(), "old".into(), fake("x+y", 1.0))
-            .unwrap();
-        store
-            .insert("k2".into(), "i".into(), fake("a+b", 2.0))
-            .unwrap();
+        store.insert("k1".into(), fake("x+y", 1.0)).unwrap();
+        store.insert("k2".into(), fake("a+b", 2.0)).unwrap();
         // Supersede k1 (as a schema bump or re-run would).
-        store
-            .insert("k1".into(), "new".into(), fake("x+y", 3.0))
-            .unwrap();
+        store.insert("k1".into(), fake("x+y", 3.0)).unwrap();
         assert_eq!(store.file_lines(), 3);
         assert_eq!(store.len(), 2);
 
@@ -1007,22 +944,66 @@ mod tests {
         [first, richest]
     }
 
+    /// A committed line without its leading `inputs` member, which
+    /// decoding ignores (the committed lines spell no `"` inside it).
+    fn without_inputs(line: &str) -> String {
+        let rest = line.strip_prefix("{\"inputs\":\"").unwrap();
+        let end = rest.find('"').unwrap();
+        format!("{{{}", &rest[end + 2..])
+    }
+
+    /// Every committed line decodes and re-encodes to the same bytes,
+    /// less the ignored `inputs` member.
     #[test]
     fn committed_store_re_renders_byte_for_byte() {
         let store = ResultStore::open(committed_dir()).unwrap();
         let text = committed_store();
         let mut rendered = String::with_capacity(text.len());
+        let mut expected = String::with_capacity(text.len());
         for line in text.lines() {
             let key = parse(line).unwrap().take_str("key").unwrap();
             rendered.push_str(&store.entries[&key].render_line().unwrap());
             rendered.push('\n');
+            expected.push_str(&without_inputs(line));
+            expected.push('\n');
         }
         assert_eq!(text.lines().count(), 756);
         assert_eq!(store.unit_count(), 756);
         assert!(
-            rendered == text,
+            rendered == expected,
             "decode → encode changed the committed store"
         );
+    }
+
+    /// A store mixing a line written with `inputs` and one written
+    /// without serves both; compaction drops the field, and a shard line
+    /// that differs only in it merges as unchanged.
+    #[test]
+    fn lines_with_and_without_inputs_serve_alike() {
+        let dir = tmp_dir("inputs");
+        let old = committed_store().lines().next().unwrap();
+        let key = parse(old).unwrap().take_str("key").unwrap();
+        let new = StoreEntry {
+            key: "k2".into(),
+            result: fake("a+b", 2.0),
+        };
+        let new = new.render_line().unwrap();
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(STORE_FILE), format!("{old}\n{new}\n")).unwrap();
+        let mut store = ResultStore::open(&dir).unwrap();
+        assert!(store.get_unit(&key).is_some());
+        assert_eq!(store.get("k2"), Some(&fake("a+b", 2.0)));
+
+        store.compact().unwrap();
+        let compacted = fs::read_to_string(dir.join(STORE_FILE)).unwrap();
+        assert_eq!(compacted.lines().count(), 2);
+        assert!(!compacted.contains("\"inputs\""), "{compacted}");
+
+        let shard = dir.join("shard.jsonl");
+        fs::write(&shard, format!("{old}\n")).unwrap();
+        let stats = store.merge_file(&shard).unwrap();
+        assert_eq!((stats.read, stats.unchanged), (1, 1));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1067,9 +1048,7 @@ mod tests {
     fn blank_lines_are_tolerated() {
         let dir = tmp_dir("blank");
         let mut store = ResultStore::open(&dir).unwrap();
-        store
-            .insert("k".into(), "i".into(), fake("x+y", 1.0))
-            .unwrap();
+        store.insert("k".into(), fake("x+y", 1.0)).unwrap();
         let path = dir.join(STORE_FILE);
         let mut text = fs::read_to_string(&path).unwrap();
         text.push('\n');

@@ -523,23 +523,6 @@ fn span_key(unit_key: &str) -> String {
     content_key(&format!("{SCHEMA_VERSION}|span|{unit_key}"))
 }
 
-/// The human-readable input description recorded beside a unit's
-/// content key — shared by the shard and main-store paths so a shard
-/// line and the store line it merges into are byte-identical.
-fn unit_inputs(job: &UnitJob) -> String {
-    let phase = job
-        .phase
-        .as_ref()
-        .map(|p| format!(" | phase={}", p.fingerprint()))
-        .unwrap_or_default();
-    format!(
-        "{:?} | {} | {:?}{phase}",
-        job.combo,
-        job.point.label(),
-        job.config
-    )
-}
-
 /// Format `x` with an engineering suffix and a trailing space when a
 /// prefix is used, so call sites can append a unit: `1_234_567.0` →
 /// `"1.23 M"`.
@@ -714,7 +697,6 @@ pub fn run_unit_jobs(
             // its pace unblocks any sibling.
             let unit_line = StoreEntry {
                 key: job.key.clone(),
-                inputs: unit_inputs(job),
                 result: StoredResult::Unit(run.clone()),
             }
             .render_line()
@@ -746,7 +728,6 @@ pub fn run_unit_jobs(
                     .unwrap_or_else(PoisonError::into_inner);
                 let span_entry = StoreEntry {
                     key: span_key.clone(),
-                    inputs: format!("span | {}", span.label),
                     result: StoredResult::Span(span.clone()),
                 };
                 if let Err(e) = shard
@@ -826,11 +807,11 @@ pub fn run_unit_jobs(
     // bytes are identical for every `--jobs` value.
     for job in &pending {
         if let Some(run) = completed.remove(&job.key) {
-            store.insert_unit(job.key.clone(), unit_inputs(job), run)?;
+            store.insert_unit(job.key.clone(), run)?;
         }
     }
     for (key, span) in finished_spans {
-        store.insert_span(key, format!("span | {}", span.label), span)?;
+        store.insert_span(key, span)?;
     }
     // The shards' contents are now in the main store; drop them.
     let mut shard_io: Option<StoreError> = None;

@@ -29,9 +29,7 @@ fn unit(scheme: &str, tp: f64) -> StoredResult {
 fn build_store(dir: &PathBuf, entries: &[(&str, f64)]) -> PathBuf {
     let mut store = ResultStore::open(dir).unwrap();
     for (key, tp) in entries {
-        store
-            .insert(key.to_string(), format!("inputs-{key}"), unit(key, *tp))
-            .unwrap();
+        store.insert(key.to_string(), unit(key, *tp)).unwrap();
     }
     dir.join("store.jsonl")
 }
