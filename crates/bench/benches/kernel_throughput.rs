@@ -159,7 +159,7 @@ fn fingerprint(cfg: &snug_experiments::CompareConfig, points: &[(String, SchemeS
 fn measure(samples: usize) -> Vec<BenchEntry> {
     let (cfg, points) = definition();
     let all = all_combos();
-    let sim_cycles = cfg.plan.warmup_cycles + cfg.plan.measure_cycles();
+    let sim_cycles = cfg.plan.horizon();
     points
         .iter()
         .map(|(combo_label, spec)| {

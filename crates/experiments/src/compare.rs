@@ -487,7 +487,7 @@ fn run_with_phase_means<O: L2Org>(
             None => Ok(session.result()),
         }
     };
-    let horizon = plan.warmup_cycles + plan.measure_cycles();
+    let horizon = plan.horizon();
     let mut cuts: Vec<u64> = match phase {
         Some(p) if !plan.can_stop_early() => p
             .shifts()

@@ -133,7 +133,6 @@ impl ComboAblation {
 /// with its L2P baseline and one SNUG unit per column.
 pub fn ablation_jobs() -> Vec<ComboAblation> {
     let canonical = ablation_config();
-    let columns = snug_columns();
     let point = |combo: &Combo, config: &CompareConfig, want: SchemePoint| {
         #[expect(
             clippy::expect_used,
@@ -149,12 +148,15 @@ pub fn ablation_jobs() -> Vec<ComboAblation> {
         .filter(|c| ABLATION_CLASSES.contains(&c.class))
         .map(|combo| ComboAblation {
             baseline: point(&combo, &canonical, SchemePoint::L2p),
-            snug: columns
-                .iter()
-                .map(|&(_, _, snug)| {
+            snug: std::iter::once(point(&combo, &canonical, SchemePoint::Snug))
+                .chain(ABLATIONS.iter().map(|a| {
+                    let snug = (a.edit)(canonical.snug);
                     let config = CompareConfig { snug, ..canonical };
-                    point(&combo, &config, SchemePoint::Snug)
-                })
+                    UnitJob {
+                        variant: Some(a.name),
+                        ..point(&combo, &config, SchemePoint::Snug)
+                    }
+                }))
                 .collect(),
             combo,
         })
@@ -184,9 +186,8 @@ pub fn render_ablations_md(
     for c in combos {
         let base = ipcs(&c.baseline, c.baseline.label())?;
         let mut tps = Vec::with_capacity(c.snug.len());
-        for (unit, (name, _, _)) in c.snug.iter().zip(&columns) {
-            let what = format!("{} [snug: {name}]", c.combo.label());
-            tps.push(normalized_throughput(&ipcs(unit, what)?, &base));
+        for unit in &c.snug {
+            tps.push(normalized_throughput(&ipcs(unit, unit.label())?, &base));
         }
         rows.push((c.combo, tps));
     }

@@ -421,6 +421,9 @@ impl Args {
                     _ => None,
                 })
                 .unwrap_or(default)),
+            (Some(w), Some(m)) if w.checked_add(m).is_none() => Err(format!(
+                "--warmup {w} plus --measure {m} overflows the 64-bit cycle count"
+            )),
             (Some(w), Some(m)) => Ok(BudgetPreset::Custom {
                 warmup_cycles: w,
                 measure_cycles: m,
@@ -1027,7 +1030,7 @@ fn cmd_profile(args: &[String]) -> Result<(), Failure> {
     }
 
     let secs = probed_nanos as f64 / 1e9;
-    let sim_cycles = cfg.plan.warmup_cycles + window;
+    let sim_cycles = cfg.plan.horizon();
     let overhead = 100.0 * (probed_nanos as f64 - bare_nanos as f64) / bare_nanos as f64;
     eprintln!(
         "\nprofile {} [{}] budget {}: throughput {:.3}, {} retired ops in {:.2} s wall \
@@ -1345,6 +1348,25 @@ mod tests {
             let err = command.parse(&words("--threads 2")).err().unwrap();
             assert!(err.starts_with("unknown flag `--threads`"), "{err}");
         }
+    }
+
+    /// A `--warmup`/`--measure` pair whose sum overflows is rejected
+    /// where it is parsed, naming both flags, rather than wrapping the
+    /// horizon to zero cycles; the largest pair that fits still parses.
+    #[test]
+    fn an_overflowing_budget_is_rejected_naming_both_flags() {
+        let command = "--warmup 18446744073709551615 --measure 1 --phase-shift 1:demand=200";
+        let Err(Failure::Error(err)) = run("report", &words(command)) else {
+            panic!("an overflowing budget must fail");
+        };
+        assert!(
+            err.contains("--warmup") && err.contains("--measure") && err.contains("overflows"),
+            "{err}"
+        );
+        let fits = REPORT
+            .parse(&words("--warmup 18446744073709551614 --measure 1"))
+            .unwrap();
+        assert!(fits.budget(BudgetPreset::Quick).is_ok());
     }
 
     /// The repository root, where the committed documents live.

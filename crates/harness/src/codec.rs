@@ -1,40 +1,127 @@
 //! JSON codecs for the experiment result types.
 //!
-//! Hand-written (the environment has no `serde_json`): each codec maps a
-//! result type to/from [`crate::json::Value`]. Floats round-trip
-//! bit-exactly (see `json`), so a decoded [`SchemeRun`] is `==` to the
-//! one that was stored — the property the result cache's acceptance test
-//! pins down.
+//! Hand-written (the environment has no `serde_json`): each codec
+//! encodes a result type to a [`crate::json::Value`] and decodes it
+//! straight from a streaming [`Reader`], building no tree. Floats
+//! round-trip bit-exactly (see `json`), so a decoded [`SchemeRun`] is
+//! `==` to the one that was stored — the property the result cache's
+//! acceptance test pins down.
 //!
 //! Every `to_json` starts by destructuring its struct exhaustively (no
-//! `..`) and every `from_json` builds a full struct literal, so a field
+//! `..`) and every `read_json` builds a full struct literal, so a field
 //! added to a stored type fails to compile until both directions handle
 //! it, and a field dropped from the encoder leaves an unused binding.
+//! Decoders take members in any order, skip unknown ones (such as the
+//! `inputs` string older store lines carry) and keep the last of a
+//! repeated one; a missing required member, a value of the wrong kind
+//! or an integer that is not exactly one is an error naming its path.
 
-use crate::json::{JsonError, Value};
+use crate::json::{JsonError, Reader, Value};
 use sim_cache::CacheStats;
 use sim_cmp::{PeriodSample, SchemeEvent, SchemeEventKind};
-use snug_experiments::{SchemeRun, TraceSeries};
+use snug_experiments::{SchemeRun, StopReason, TraceSeries};
 use snug_metrics::{SimCounters, WALK_DEPTH_BUCKETS};
+use std::borrow::Cow;
 
 /// Types storable in the result store.
 pub trait JsonCodec: Sized {
     /// Encode to a JSON value.
     fn to_json(&self) -> Value;
-    /// Decode from a JSON value.
-    fn from_json(v: &Value) -> Result<Self, JsonError>;
-}
 
-fn f64_vec(v: &Value) -> Result<Vec<f64>, JsonError> {
-    v.as_arr()?.iter().map(Value::as_num).collect()
+    /// Decode the reader's next value.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError>;
+
+    /// Decode a whole JSON document.
+    fn from_json_str(text: &str) -> Result<Self, JsonError> {
+        let mut r = Reader::new(text);
+        let v = Self::read_json(&mut r)?;
+        r.finish()?;
+        Ok(v)
+    }
 }
 
 fn f64_arr(xs: &[f64]) -> Value {
     Value::Arr(xs.iter().map(|&x| Value::num(x)).collect())
 }
 
+/// 2^53: every integer up to it is exactly an `f64`, so a stored
+/// integer past it could not have round-tripped.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// Read a stored integer: finite, integral and in `0..=2^53` (the
+/// writer spells integers as floats, `3827149.0`). A fraction, a sign
+/// or a larger magnitude is an error, never a lossy cast.
+fn read_u64(r: &mut Reader<'_>) -> Result<u64, JsonError> {
+    let x = r.num()?;
+    if x.fract() == 0.0 && (0.0..=MAX_EXACT_INT).contains(&x) {
+        Ok(x as u64)
+    } else {
+        Err(JsonError(format!("{x} is not an integer in 0..=2^53")))
+    }
+}
+
+/// [`read_u64`], bounded to `u32`.
+fn read_u32(r: &mut Reader<'_>) -> Result<u32, JsonError> {
+    let x = read_u64(r)?;
+    u32::try_from(x).map_err(|_| JsonError(format!("{x} does not fit in 32 bits")))
+}
+
+fn read_string(r: &mut Reader<'_>) -> Result<String, JsonError> {
+    r.str().map(Cow::into_owned)
+}
+
+fn read_vec<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, JsonError>,
+) -> Result<Vec<T>, JsonError> {
+    let mut out = Vec::new();
+    r.array(|r| {
+        out.push(item(r)?);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+fn required<T>(slot: Option<T>, name: &str) -> Result<T, JsonError> {
+    slot.ok_or_else(|| JsonError(format!("missing field `{name}`")))
+}
+
+/// Read an object whose members `names` are required integers, handing
+/// every other member to `other`.
+fn read_u64_fields<'a, const N: usize>(
+    r: &mut Reader<'a>,
+    names: [&str; N],
+    mut other: impl FnMut(&mut Reader<'a>, &str) -> Result<(), JsonError>,
+) -> Result<[u64; N], JsonError> {
+    let mut slots = [None; N];
+    r.object(|r, name| {
+        match names.iter().zip(&mut slots).find(|(n, _)| **n == name) {
+            Some((_, slot)) => *slot = Some(read_u64(r)?),
+            None => other(r, name)?,
+        }
+        Ok(())
+    })?;
+    let mut out = [0; N];
+    for ((out, slot), name) in out.iter_mut().zip(slots).zip(names) {
+        *out = required(slot, name)?;
+    }
+    Ok(out)
+}
+
+/// Build `Type { field, … }` from the reader's next object: each listed
+/// field from the integer member of its own name ([`read_u64_fields`]),
+/// each `extra: value` after them, and every other member through
+/// `other`. The literal is exhaustive, and member and field names
+/// cannot drift apart.
+macro_rules! read_u64_struct {
+    ($r:expr, $other:expr, $ty:path { $($field:ident),+ $(,)? } $(, $extra:ident: $value:expr)* $(,)?) => {{
+        let [$($field),+] = read_u64_fields($r, [$(stringify!($field)),+], $other)?;
+        $ty { $($field,)+ $($extra: $value,)* }
+    }};
+}
+
 /// The exhaustiveness guarantee, pinned: `to_json` destructures every
-/// [`SchemeRun`] field and `from_json` builds a full literal, the forms
+/// [`SchemeRun`] field and `read_json` builds a full literal, the forms
 /// below. One field short, as both would be against a `SchemeRun` that
 /// grew a field, neither compiles:
 ///
@@ -47,7 +134,7 @@ fn f64_arr(xs: &[f64]) -> Value {
 ///
 /// ```compile_fail,E0063
 /// # use snug_experiments::SchemeRun;
-/// fn from_json() -> SchemeRun {
+/// fn read_json() -> SchemeRun {
 ///     SchemeRun { scheme: String::new(), ipcs: Vec::new(), measured_cycles: None, stop_reason: None }
 /// }
 /// ```
@@ -61,7 +148,7 @@ fn f64_arr(xs: &[f64]) -> Value {
 ///     let SchemeRun { scheme, ipcs, measured_cycles, stop_reason, plateaus } = run;
 ///     let _ = (scheme, ipcs, measured_cycles, stop_reason, plateaus);
 /// }
-/// fn from_json() -> SchemeRun {
+/// fn read_json() -> SchemeRun {
 ///     SchemeRun {
 ///         scheme: String::new(),
 ///         ipcs: Vec::new(),
@@ -95,37 +182,34 @@ impl JsonCodec for SchemeRun {
         Value::obj(fields)
     }
 
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(SchemeRun {
-            scheme: v.get("scheme")?.as_str()?.to_string(),
-            ipcs: f64_vec(v.get("ipcs")?)?,
-            measured_cycles: match v.get("measured_cycles") {
-                Ok(c) => Some(c.as_num()? as u64),
-                Err(_) => None,
-            },
-            stop_reason: match v.get("stop_reason") {
-                Ok(r) => {
-                    let label = r.as_str()?;
-                    Some(
-                        snug_experiments::StopReason::from_label(label)
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let (mut scheme, mut ipcs, mut measured_cycles, mut stop_reason, mut plateaus) =
+            (None, None, None, None, Vec::new());
+        r.object(|r, name| {
+            match name {
+                "scheme" => scheme = Some(read_string(r)?),
+                "ipcs" => ipcs = Some(read_vec(r, Reader::num)?),
+                "measured_cycles" => measured_cycles = Some(read_u64(r)?),
+                "stop_reason" => {
+                    let label = r.str()?;
+                    stop_reason = Some(
+                        StopReason::from_label(&label)
                             .ok_or_else(|| JsonError(format!("unknown stop reason `{label}`")))?,
-                    )
+                    );
                 }
-                Err(_) => None,
-            },
-            plateaus: match v.get("plateaus") {
-                Ok(p) => f64_vec(p)?,
-                Err(_) => Vec::new(),
-            },
+                "plateaus" => plateaus = read_vec(r, Reader::num)?,
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(SchemeRun {
+            scheme: required(scheme, "scheme")?,
+            ipcs: required(ipcs, "ipcs")?,
+            measured_cycles,
+            stop_reason,
+            plateaus,
         })
     }
-}
-
-fn u64_vec(v: &Value) -> Result<Vec<u64>, JsonError> {
-    v.as_arr()?
-        .iter()
-        .map(|x| x.as_num().map(|n| n as u64))
-        .collect()
 }
 
 fn u64_arr(xs: &[u64]) -> Value {
@@ -163,21 +247,24 @@ impl JsonCodec for CacheStats {
         ])
     }
 
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let field = |name: &str| -> Result<u64, JsonError> { Ok(v.get(name)?.as_num()? as u64) };
-        Ok(CacheStats {
-            hits: field("hits")?,
-            misses: field("misses")?,
-            cc_hits: field("cc_hits")?,
-            evictions: field("evictions")?,
-            writebacks: field("writebacks")?,
-            spills_out: field("spills_out")?,
-            spills_in: field("spills_in")?,
-            forwards: field("forwards")?,
-            retrieved_from_peer: field("retrieved_from_peer")?,
-            shadow_hits: field("shadow_hits")?,
-            write_buffer_hits: field("write_buffer_hits")?,
-        })
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        Ok(read_u64_struct!(
+            r,
+            |r, _| r.skip(),
+            CacheStats {
+                hits,
+                misses,
+                cc_hits,
+                evictions,
+                writebacks,
+                spills_out,
+                spills_in,
+                forwards,
+                retrieved_from_peer,
+                shadow_hits,
+                write_buffer_hits,
+            }
+        ))
     }
 }
 
@@ -250,49 +337,56 @@ impl JsonCodec for SimCounters {
         ])
     }
 
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let field = |name: &str| -> Result<u64, JsonError> { Ok(v.get(name)?.as_num()? as u64) };
-        let depths = u64_vec(v.get("l1_walk_depths")?)?;
-        if depths.len() != WALK_DEPTH_BUCKETS {
-            return Err(JsonError(format!(
-                "l1_walk_depths expects {WALK_DEPTH_BUCKETS} buckets, got {}",
-                depths.len()
-            )));
-        }
-        let mut l1_walk_depths = [0u64; WALK_DEPTH_BUCKETS];
-        l1_walk_depths.copy_from_slice(&depths);
-        Ok(SimCounters {
-            retired_ops: field("retired_ops")?,
-            l1i_hits: field("l1i_hits")?,
-            l1i_misses: field("l1i_misses")?,
-            l1d_hits: field("l1d_hits")?,
-            l1d_misses: field("l1d_misses")?,
-            l1_walk_depths,
-            l2_hits: field("l2_hits")?,
-            l2_misses: field("l2_misses")?,
-            l2_cc_hits: field("l2_cc_hits")?,
-            l2_evictions: field("l2_evictions")?,
-            l2_writebacks: field("l2_writebacks")?,
-            spills_out: field("spills_out")?,
-            spills_in: field("spills_in")?,
-            forwards: field("forwards")?,
-            retrieved_from_peer: field("retrieved_from_peer")?,
-            shadow_hits: field("shadow_hits")?,
-            write_buffer_hits: field("write_buffer_hits")?,
-            org_accesses: field("org_accesses")?,
-            org_writebacks: field("org_writebacks")?,
-            relatches: field("relatches")?,
-            identifies: field("identifies")?,
-            bus_address_transactions: field("bus_address_transactions")?,
-            bus_data_transactions: field("bus_data_transactions")?,
-            bus_queue_cycles: field("bus_queue_cycles")?,
-            dram_reads: field("dram_reads")?,
-            dram_writes: field("dram_writes")?,
-            dram_queue_cycles: field("dram_queue_cycles")?,
-            core_rob_stall_cycles: field("core_rob_stall_cycles")?,
-            core_mshr_stall_cycles: field("core_mshr_stall_cycles")?,
-            core_dep_stall_cycles: field("core_dep_stall_cycles")?,
-        })
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let mut depths = None;
+        Ok(read_u64_struct!(
+            r,
+            |r, name| {
+                if name != "l1_walk_depths" {
+                    return r.skip();
+                }
+                let buckets = read_vec(r, read_u64)?;
+                depths = Some(<[u64; WALK_DEPTH_BUCKETS]>::try_from(buckets).map_err(|b| {
+                    JsonError(format!(
+                        "expects {WALK_DEPTH_BUCKETS} buckets, got {}",
+                        b.len()
+                    ))
+                })?);
+                Ok(())
+            },
+            SimCounters {
+                retired_ops,
+                l1i_hits,
+                l1i_misses,
+                l1d_hits,
+                l1d_misses,
+                l2_hits,
+                l2_misses,
+                l2_cc_hits,
+                l2_evictions,
+                l2_writebacks,
+                spills_out,
+                spills_in,
+                forwards,
+                retrieved_from_peer,
+                shadow_hits,
+                write_buffer_hits,
+                org_accesses,
+                org_writebacks,
+                relatches,
+                identifies,
+                bus_address_transactions,
+                bus_data_transactions,
+                bus_queue_cycles,
+                dram_reads,
+                dram_writes,
+                dram_queue_cycles,
+                core_rob_stall_cycles,
+                core_mshr_stall_cycles,
+                core_dep_stall_cycles,
+            },
+            l1_walk_depths: required(depths, "l1_walk_depths")?,
+        ))
     }
 }
 
@@ -319,24 +413,35 @@ impl JsonCodec for crate::sweep::UnitSpan {
         ])
     }
 
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let field = |name: &str| -> Result<u64, JsonError> { Ok(v.get(name)?.as_num()? as u64) };
-        Ok(crate::sweep::UnitSpan {
-            label: v.get("label")?.as_str()?.to_string(),
-            queue_nanos: field("queue_nanos")?,
-            wall_nanos: field("wall_nanos")?,
-            sim_cycles: field("sim_cycles")?,
-            instructions: field("instructions")?,
-            // Provenance fields arrived with the parallel executor;
-            // spans persisted before it decode with no provenance.
-            worker: field("worker").unwrap_or(0) as usize,
-            shard: v
-                .get("shard")
-                .ok()
-                .and_then(|s| s.as_str().ok())
-                .unwrap_or_default()
-                .to_string(),
-        })
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        // Provenance fields arrived with the parallel executor; spans
+        // persisted before it decode with no provenance.
+        let (mut label, mut worker, mut shard) = (None, 0, String::new());
+        Ok(read_u64_struct!(
+            r,
+            |r, name| {
+                match name {
+                    "label" => label = Some(read_string(r)?),
+                    "worker" => {
+                        let w = read_u64(r)?;
+                        worker = usize::try_from(w)
+                            .map_err(|_| JsonError(format!("{w} does not fit in usize")))?;
+                    }
+                    "shard" => shard = read_string(r)?,
+                    _ => r.skip()?,
+                }
+                Ok(())
+            },
+            crate::sweep::UnitSpan {
+                queue_nanos,
+                wall_nanos,
+                sim_cycles,
+                instructions,
+            },
+            label: required(label, "label")?,
+            worker: worker,
+            shard: shard,
+        ))
     }
 }
 
@@ -361,21 +466,29 @@ impl JsonCodec for SchemeEvent {
         ])
     }
 
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let kind = match v.get("kind")?.as_str()? {
-            "identify" => SchemeEventKind::IdentifyBegin,
-            "grouped" => SchemeEventKind::GroupedBegin,
-            other => return Err(JsonError(format!("unknown scheme event kind `{other}`"))),
-        };
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let (mut cycle, mut kind, mut takers) = (None, None, None);
+        r.object(|r, name| {
+            match name {
+                "cycle" => cycle = Some(read_u64(r)?),
+                "kind" => {
+                    kind = Some(match &*r.str()? {
+                        "identify" => SchemeEventKind::IdentifyBegin,
+                        "grouped" => SchemeEventKind::GroupedBegin,
+                        other => {
+                            return Err(JsonError(format!("unknown scheme event kind `{other}`")))
+                        }
+                    })
+                }
+                "takers" => takers = Some(read_vec(r, read_u32)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
         Ok(SchemeEvent {
-            cycle: v.get("cycle")?.as_num()? as u64,
-            kind,
-            takers: v
-                .get("takers")?
-                .as_arr()?
-                .iter()
-                .map(|x| x.as_num().map(|n| n as u32))
-                .collect::<Result<Vec<_>, _>>()?,
+            cycle: required(cycle, "cycle")?,
+            kind: required(kind, "kind")?,
+            takers: required(takers, "takers")?,
         })
     }
 }
@@ -421,36 +534,36 @@ impl JsonCodec for PeriodSample {
         Value::obj(fields)
     }
 
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let shifts = match v.get("shifts") {
-            Ok(list) => list
-                .as_arr()?
-                .iter()
-                .map(|s| {
-                    s.as_str()?
-                        .parse::<sim_mem::StreamShift>()
-                        .map_err(JsonError)
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            Err(_) => Vec::new(),
-        };
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let (mut cycle, mut during_warmup, mut instructions, mut cycles) = (None, None, None, None);
+        let (mut l2, mut events, mut shifts, mut counters) = (None, None, Vec::new(), None);
+        r.object(|r, name| {
+            match name {
+                "cycle" => cycle = Some(read_u64(r)?),
+                "during_warmup" => during_warmup = Some(r.bool()?),
+                "instructions" => instructions = Some(read_vec(r, read_u64)?),
+                "cycles" => cycles = Some(read_vec(r, read_u64)?),
+                "l2" => l2 = Some(CacheStats::read_json(r)?),
+                "events" => events = Some(read_vec(r, SchemeEvent::read_json)?),
+                "shifts" => {
+                    shifts = read_vec(r, |r| {
+                        r.str()?.parse::<sim_mem::StreamShift>().map_err(JsonError)
+                    })?
+                }
+                "counters" => counters = Some(SimCounters::read_json(r)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
         Ok(PeriodSample {
-            cycle: v.get("cycle")?.as_num()? as u64,
-            during_warmup: v.get("during_warmup")?.as_bool()?,
-            instructions: u64_vec(v.get("instructions")?)?,
-            cycles: u64_vec(v.get("cycles")?)?,
-            l2: CacheStats::from_json(v.get("l2")?)?,
-            events: v
-                .get("events")?
-                .as_arr()?
-                .iter()
-                .map(SchemeEvent::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
+            cycle: required(cycle, "cycle")?,
+            during_warmup: required(during_warmup, "during_warmup")?,
+            instructions: required(instructions, "instructions")?,
+            cycles: required(cycles, "cycles")?,
+            l2: required(l2, "l2")?,
+            events: required(events, "events")?,
             shifts,
-            counters: match v.get("counters") {
-                Ok(c) => Some(SimCounters::from_json(c)?),
-                Err(_) => None,
-            },
+            counters,
         })
     }
 }
@@ -474,28 +587,40 @@ impl JsonCodec for TraceSeries {
         ])
     }
 
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let (mut scheme, mut stride, mut warmup_cycles, mut samples) = (None, None, None, None);
+        r.object(|r, name| {
+            match name {
+                "scheme" => scheme = Some(read_string(r)?),
+                "stride" => stride = Some(read_u64(r)?),
+                "warmup_cycles" => warmup_cycles = Some(read_u64(r)?),
+                "samples" => samples = Some(read_vec(r, PeriodSample::read_json)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
         Ok(TraceSeries {
-            scheme: v.get("scheme")?.as_str()?.to_string(),
-            stride: v.get("stride")?.as_num()? as u64,
-            warmup_cycles: v.get("warmup_cycles")?.as_num()? as u64,
-            samples: v
-                .get("samples")?
-                .as_arr()?
-                .iter()
-                .map(PeriodSample::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
+            scheme: required(scheme, "scheme")?,
+            stride: required(stride, "stride")?,
+            warmup_cycles: required(warmup_cycles, "warmup_cycles")?,
+            samples: required(samples, "samples")?,
         })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::sweep::UnitSpan;
+    use proptest::prelude::*;
+
+    /// Encode, render and decode back.
+    fn round_trip<T: JsonCodec>(value: &T) -> T {
+        T::from_json_str(&value.to_json().render().unwrap()).unwrap()
+    }
 
     #[test]
     fn scheme_run_round_trips_bit_identically() {
-        use snug_experiments::StopReason;
         let cases = [
             (None, None, Vec::new()),
             (Some(1_234_567u64), Some(StopReason::Converged), Vec::new()),
@@ -515,7 +640,7 @@ mod tests {
                 plateaus: plateaus.clone(),
             };
             let text = run.to_json().render().unwrap();
-            let back = SchemeRun::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+            let back = SchemeRun::from_json_str(&text).unwrap();
             assert_eq!(back, run);
             assert_eq!(back.to_json().render().unwrap(), text);
             assert_eq!(
@@ -553,41 +678,54 @@ mod tests {
         );
     }
 
+    /// Bump each key of `zero`'s encoding in turn (to 41, or to
+    /// `bumped(key)` where given): the decoder must see the change
+    /// (every key is read) and re-encoding must reproduce it (every
+    /// field is written back), so a field dropped or misnamed on either
+    /// side fails its key's iteration. Returns the key count.
+    fn assert_every_key_reaches_a_field<T: JsonCodec + PartialEq + std::fmt::Debug>(
+        zero: &T,
+        bumped: impl Fn(&str) -> Option<Value>,
+    ) -> usize {
+        let fields = zero.to_json().as_obj().unwrap().clone();
+        for key in fields.keys() {
+            let mut obj = fields.clone();
+            obj.insert(key.clone(), bumped(key).unwrap_or_else(|| Value::num(41.0)));
+            let text = Value::Obj(obj).render().unwrap();
+            let decoded = T::from_json_str(&text).unwrap();
+            assert_ne!(&decoded, zero, "key `{key}` must reach a field");
+            assert_eq!(decoded.to_json().render().unwrap(), text, "{key}");
+        }
+        fields.len()
+    }
+
     #[test]
     fn sim_counters_codec_covers_every_field_bijectively() {
         let zero = SimCounters::default();
-        let keys: Vec<String> = zero.to_json().as_obj().unwrap().keys().cloned().collect();
-        assert_eq!(keys.len(), 30, "one JSON key per counter field");
-        // Bump each key in turn: the decoder must see the change (every
-        // key is read) and re-encoding must reproduce it (every field
-        // is written back) — a field silently dropped on either side
-        // fails its key's iteration.
-        for key in &keys {
-            let mut obj = zero.to_json().as_obj().unwrap().clone();
-            let bumped = if key == "l1_walk_depths" {
-                let mut depths = vec![Value::num(0.0); WALK_DEPTH_BUCKETS];
-                depths[WALK_DEPTH_BUCKETS - 1] = Value::num(7.0);
-                Value::Arr(depths)
-            } else {
-                Value::num(41.0)
-            };
-            obj.insert(key.clone(), bumped);
-            let mutated = Value::Obj(obj);
-            let decoded = SimCounters::from_json(&mutated).unwrap();
-            assert_ne!(decoded, zero, "key `{key}` must reach a field");
-            assert_eq!(
-                decoded.to_json().render().unwrap(),
-                mutated.render().unwrap(),
-                "{key}"
-            );
-        }
-        let short = Value::obj(vec![("l1_walk_depths", f64_arr(&[1.0]))]);
-        assert!(SimCounters::from_json(&short).is_err(), "bucket count");
+        let depths = |n: f64| {
+            let mut depths = vec![Value::num(0.0); WALK_DEPTH_BUCKETS];
+            depths[WALK_DEPTH_BUCKETS - 1] = Value::num(n);
+            Value::Arr(depths)
+        };
+        let keys = assert_every_key_reaches_a_field(&zero, |key| {
+            (key == "l1_walk_depths").then(|| depths(7.0))
+        });
+        assert_eq!(keys, 30, "one JSON key per counter field");
+        let mut short = zero.to_json().as_obj().unwrap().clone();
+        short.insert("l1_walk_depths".into(), f64_arr(&[1.0]));
+        let err = SimCounters::from_json_str(&Value::Obj(short).render().unwrap()).unwrap_err();
+        assert!(err.0.contains("buckets"), "bucket count: {err}");
+    }
+
+    #[test]
+    fn cache_stats_codec_covers_every_field_bijectively() {
+        let keys = assert_every_key_reaches_a_field(&CacheStats::default(), |_| None);
+        assert_eq!(keys, 11, "one JSON key per statistic");
     }
 
     #[test]
     fn unit_span_round_trips_bit_identically() {
-        let span = crate::sweep::UnitSpan {
+        let span = UnitSpan {
             label: "C5 | ammp+parser+swim+mesa".into(),
             queue_nanos: 12,
             wall_nanos: 3_456_789_012,
@@ -597,12 +735,16 @@ mod tests {
             shard: "worker-3.jsonl".into(),
         };
         let text = span.to_json().render().unwrap();
-        let back = crate::sweep::UnitSpan::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+        let back = UnitSpan::from_json_str(&text).unwrap();
         assert_eq!(back, span);
         assert_eq!(back.to_json().render().unwrap(), text);
         // The throughput helpers stay defined at zero wall time.
-        assert_eq!(crate::sweep::UnitSpan::default().cycles_per_sec(), 0.0);
-        assert_eq!(crate::sweep::UnitSpan::default().ops_per_sec(), 0.0);
+        assert_eq!(UnitSpan::default().cycles_per_sec(), 0.0);
+        assert_eq!(UnitSpan::default().ops_per_sec(), 0.0);
+        // Spans from before parallel provenance decode without it.
+        let legacy = r#"{"instructions":4.0,"label":"x","queue_nanos":1.0,"sim_cycles":3.0,"wall_nanos":2.0}"#;
+        let legacy = UnitSpan::from_json_str(legacy).unwrap();
+        assert_eq!((legacy.worker, legacy.shard.as_str()), (0, ""));
     }
 
     #[test]
@@ -615,14 +757,331 @@ mod tests {
             plateaus: Vec::new(),
         }
         .to_json();
-        assert!(SchemeRun::from_json(&good).is_ok());
+        assert!(SchemeRun::from_json_str(&good.render().unwrap()).is_ok());
         for field in ["scheme", "ipcs"] {
             let mut missing = good.as_obj().unwrap().clone();
             missing.remove(field);
-            assert!(
-                SchemeRun::from_json(&Value::Obj(missing)).is_err(),
+            let err = SchemeRun::from_json_str(&Value::Obj(missing).render().unwrap());
+            assert_eq!(
+                err.unwrap_err().0,
+                format!("missing field `{field}`"),
                 "{field}"
             );
+        }
+        let mut unknown = good.as_obj().unwrap().clone();
+        unknown.insert("stop_reason".into(), Value::str("bored"));
+        let err = SchemeRun::from_json_str(&Value::Obj(unknown).render().unwrap()).unwrap_err();
+        assert_eq!(err.0, ".stop_reason: unknown stop reason `bored`");
+    }
+
+    /// One sample of every stored type, every optional field set: a
+    /// converged run, a span, and a two-sample series with counters,
+    /// events and shifts.
+    pub(crate) fn samples() -> (SchemeRun, UnitSpan, TraceSeries) {
+        let run = SchemeRun {
+            scheme: "cc@25%".into(),
+            ipcs: vec![0.1 + 0.2, 1.0 / 3.0],
+            measured_cycles: Some(1_234_567),
+            stop_reason: Some(StopReason::Converged),
+            plateaus: vec![2.1, 0.7],
+        };
+        let span = UnitSpan {
+            label: "ammp+ammp+ammp+ammp [snug]".into(),
+            queue_nanos: 11,
+            wall_nanos: 12,
+            sim_cycles: 13,
+            instructions: 14,
+            worker: 3,
+            shard: "worker-3.jsonl".into(),
+        };
+        let sample = |cycle: u64, counters: Option<SimCounters>| PeriodSample {
+            cycle,
+            during_warmup: counters.is_none(),
+            instructions: vec![10, 20],
+            cycles: vec![cycle, cycle],
+            l2: CacheStats {
+                hits: 7,
+                misses: 3,
+                ..Default::default()
+            },
+            events: vec![SchemeEvent {
+                cycle: 10_000,
+                kind: SchemeEventKind::GroupedBegin,
+                takers: vec![1, 2],
+            }],
+            shifts: vec!["30000:demand=200@0,1".parse().unwrap()],
+            counters,
+        };
+        let counters = SimCounters {
+            retired_ops: 99,
+            l1_walk_depths: [5; WALK_DEPTH_BUCKETS],
+            ..Default::default()
+        };
+        let series = TraceSeries {
+            scheme: "snug".into(),
+            stride: 50_000,
+            warmup_cycles: 50_000,
+            samples: vec![sample(50_000, None), sample(100_000, Some(counters))],
+        };
+        (run, span, series)
+    }
+
+    /// One value inside a tree: its path from the root (member names
+    /// and array indices), the nearest member name on that path,
+    /// whether it is an object member itself (not an array element),
+    /// and a copy of it.
+    pub(crate) struct Node {
+        pub(crate) path: Vec<String>,
+        pub(crate) name: String,
+        pub(crate) member: bool,
+        pub(crate) value: Value,
+    }
+
+    /// Every value below the root of `v`, parents before children.
+    pub(crate) fn nodes(v: &Value) -> Vec<Node> {
+        fn walk(v: &Value, name: &str, path: &mut Vec<String>, out: &mut Vec<Node>) {
+            let children: Vec<(String, &Value, bool)> = match v {
+                Value::Arr(items) => items
+                    .iter()
+                    .enumerate()
+                    .map(|(i, item)| (i.to_string(), item, false))
+                    .collect(),
+                Value::Obj(map) => map
+                    .iter()
+                    .map(|(k, item)| (k.clone(), item, true))
+                    .collect(),
+                _ => Vec::new(),
+            };
+            for (step, item, member) in children {
+                let name = if member { step.as_str() } else { name };
+                path.push(step.clone());
+                out.push(Node {
+                    path: path.clone(),
+                    name: name.to_string(),
+                    member,
+                    value: item.clone(),
+                });
+                walk(item, name, path, out);
+                path.pop();
+            }
+        }
+        let mut out = Vec::new();
+        walk(v, "", &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// The value at `path`.
+    pub(crate) fn node_mut<'v>(v: &'v mut Value, path: &[String]) -> &'v mut Value {
+        path.iter().fold(v, |v, step| match v {
+            Value::Arr(items) => &mut items[step.parse::<usize>().unwrap()],
+            Value::Obj(map) => map.get_mut(step).unwrap(),
+            _ => panic!("no {step} in a leaf"),
+        })
+    }
+
+    /// Every numeric leaf of `v` outside `ipcs` and `plateaus` (the
+    /// only float fields of the stored types).
+    fn integer_leaves(v: &Value) -> Vec<Node> {
+        nodes(v)
+            .into_iter()
+            .filter(|n| {
+                matches!(n.value, Value::Num(_))
+                    && !n.path.iter().any(|s| s == "ipcs" || s == "plateaus")
+            })
+            .collect()
+    }
+
+    /// Every integer field of every stored type takes exactly the
+    /// integers in `0..=2^53` (`0..=u32::MAX` for event takers), in
+    /// either spelling; a sign, a fraction or a larger magnitude is an
+    /// error naming the field, never a lossy cast.
+    #[test]
+    fn integer_fields_take_only_exact_integers() {
+        fn check<T: JsonCodec + std::fmt::Debug>(value: &T) -> usize {
+            let tree = value.to_json();
+            let leaves = integer_leaves(&tree);
+            for Node { path, name, .. } in &leaves {
+                let decode = |text: &str| {
+                    let mut v = tree.clone();
+                    let mut line = String::new();
+                    *node_mut(&mut v, path) = Value::Str(String::new());
+                    let hole = v.render().unwrap();
+                    let at = hole.find("\"\"").unwrap();
+                    line.push_str(&hole[..at]);
+                    line.push_str(text);
+                    line.push_str(&hole[at + 2..]);
+                    T::from_json_str(&line)
+                };
+                let max = if name == "takers" {
+                    "4294967295"
+                } else {
+                    "9007199254740992"
+                };
+                for good in ["0", "3827149", "3827149.0", "-0", "1e3", max] {
+                    assert!(decode(good).is_ok(), "{path:?} = {good}");
+                }
+                let too_big = if name == "takers" {
+                    "4294967296"
+                } else {
+                    "9007199254740994"
+                };
+                for bad in ["-1", "2.5", "1e30", "0.1", too_big] {
+                    let err = decode(bad).unwrap_err();
+                    assert!(
+                        err.0.contains(&format!(".{name}")),
+                        "{path:?} = {bad}: {err}"
+                    );
+                }
+            }
+            leaves.len()
+        }
+        let (run, span, series) = samples();
+        assert_eq!(check(&run), 1, "measured_cycles");
+        assert_eq!(check(&span), 5);
+        // Two samples of cycle, two cores' instructions and cycles, 11
+        // L2 statistics, an event cycle and two takers; one sample's 29
+        // counters and walk-depth buckets; stride and warm-up.
+        assert_eq!(
+            check(&series),
+            2 * (1 + 2 + 2 + 11 + 1 + 2) + 29 + WALK_DEPTH_BUCKETS + 2
+        );
+    }
+
+    /// Draws test values from a proptest-supplied word stream.
+    struct Draw<'w>(std::slice::Iter<'w, u64>);
+
+    impl Draw<'_> {
+        fn word(&mut self) -> u64 {
+            self.0.next().copied().unwrap_or(0x9e37_79b9_7f4a_7c15)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.word() % n
+        }
+        fn int(&mut self) -> u64 {
+            // Small, large and the extremes of the exact range.
+            match self.below(4) {
+                0 => self.below(100),
+                1 => 1 << 53,
+                _ => self.below((1 << 53) + 1),
+            }
+        }
+        fn f64(&mut self) -> f64 {
+            Some(f64::from_bits(self.word()))
+                .filter(|x| x.is_finite())
+                .unwrap_or(-0.0)
+        }
+        fn string(&mut self) -> String {
+            const TRICKY: &[char] = &['"', '\\', '\n', '\u{1}', '/', 'a', 'é', '\u{10348}'];
+            (0..self.below(8))
+                .map(|_| match self.below(TRICKY.len() as u64 + 1) as usize {
+                    i if i < TRICKY.len() => TRICKY[i],
+                    _ => char::from_u32(self.below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+                })
+                .collect()
+        }
+        fn vec<T>(&mut self, max: u64, mut item: impl FnMut(&mut Self) -> T) -> Vec<T> {
+            (0..self.below(max + 1)).map(|_| item(self)).collect()
+        }
+        fn counts<const N: usize>(&mut self) -> [u64; N] {
+            std::array::from_fn(|_| self.int())
+        }
+    }
+
+    fn draw_run(d: &mut Draw<'_>) -> SchemeRun {
+        SchemeRun {
+            scheme: d.string(),
+            ipcs: d.vec(4, Draw::f64),
+            measured_cycles: (d.below(2) == 0).then(|| d.int()),
+            stop_reason: [None, Some(StopReason::Converged), Some(StopReason::Ceiling)]
+                [d.below(3) as usize],
+            plateaus: d.vec(3, Draw::f64),
+        }
+    }
+
+    fn draw_series(d: &mut Draw<'_>) -> TraceSeries {
+        let stats = |d: &mut Draw<'_>| {
+            let [hits, misses, cc_hits, evictions, writebacks, spills_out, spills_in, forwards, retrieved_from_peer, shadow_hits, write_buffer_hits] =
+                d.counts();
+            CacheStats {
+                hits,
+                misses,
+                cc_hits,
+                evictions,
+                writebacks,
+                spills_out,
+                spills_in,
+                forwards,
+                retrieved_from_peer,
+                shadow_hits,
+                write_buffer_hits,
+            }
+        };
+        let counters = |d: &mut Draw<'_>| {
+            let [retired_ops, l2_hits, dram_reads, bus_queue_cycles, core_dep_stall_cycles] =
+                d.counts();
+            SimCounters {
+                retired_ops,
+                l2_hits,
+                dram_reads,
+                bus_queue_cycles,
+                core_dep_stall_cycles,
+                l1_walk_depths: d.counts(),
+                ..Default::default()
+            }
+        };
+        let shifts = ["1:streaming", "30000:demand=200@0,1", "7:near=50@3"];
+        TraceSeries {
+            scheme: d.string(),
+            stride: d.int(),
+            warmup_cycles: d.int(),
+            samples: d.vec(3, |d| PeriodSample {
+                cycle: d.int(),
+                during_warmup: d.below(2) == 0,
+                instructions: d.vec(4, Draw::int),
+                cycles: d.vec(4, Draw::int),
+                l2: stats(d),
+                events: d.vec(2, |d| SchemeEvent {
+                    cycle: d.int(),
+                    kind: [
+                        SchemeEventKind::IdentifyBegin,
+                        SchemeEventKind::GroupedBegin,
+                    ][d.below(2) as usize],
+                    takers: d.vec(4, |d| d.word() as u32),
+                }),
+                shifts: d.vec(2, |d| shifts[d.below(3) as usize].parse().unwrap()),
+                counters: (d.below(2) == 0).then(|| counters(d)),
+            }),
+        }
+    }
+
+    proptest! {
+        /// Every stored type survives render → decode: runs with IPCs
+        /// compared bit for bit (`-0.0`, subnormals, extremes), spans
+        /// and series with integers across the exact range and strings
+        /// full of escapes and multi-byte characters.
+        #[test]
+        fn stored_types_round_trip_through_the_reader(
+            words in proptest::collection::vec(0u64..=u64::MAX, 1024..1025)
+        ) {
+            let mut d = Draw(words.iter());
+            let run = draw_run(&mut d);
+            let back = round_trip(&run);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&back.ipcs), bits(&run.ipcs));
+            prop_assert_eq!(bits(&back.plateaus), bits(&run.plateaus));
+            prop_assert_eq!(back, run);
+            let span = UnitSpan {
+                label: d.string(),
+                queue_nanos: d.int(),
+                wall_nanos: d.int(),
+                sim_cycles: d.int(),
+                instructions: d.int(),
+                worker: d.below(64) as usize,
+                shard: d.string(),
+            };
+            prop_assert_eq!(round_trip(&span), span);
+            let series = draw_series(&mut d);
+            prop_assert_eq!(round_trip(&series), series);
         }
     }
 }

@@ -1,7 +1,10 @@
-//! A minimal JSON value model, parser and writer.
+//! A minimal JSON value model, streaming reader and writer.
 //!
 //! The build environment has no `serde_json`, so the result store
-//! carries its own codec. Two properties matter here and are tested:
+//! carries its own codec. One tokenizer, [`Reader`], reads everything:
+//! the typed store decoders pull values from it straight into their
+//! structs, and [`parse`] builds a [`Value`] tree on it for the few
+//! callers that want one. Two properties matter here and are tested:
 //!
 //! * **float fidelity** — `f64`s are written with Rust's shortest
 //!   round-trip formatting and parsed back bit-identically, so a cached
@@ -9,6 +12,7 @@
 //! * **determinism** — writing is a pure function of the value, so the
 //!   same result always produces the same JSONL line.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -55,14 +59,6 @@ impl Value {
         }
     }
 
-    /// The value as a boolean, when it is one.
-    pub fn as_bool(&self) -> Result<bool, JsonError> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            v => Err(JsonError::shape("bool", v)),
-        }
-    }
-
     /// The value as a string slice, when it is one.
     pub fn as_str(&self) -> Result<&str, JsonError> {
         match self {
@@ -92,21 +88,6 @@ impl Value {
         self.as_obj()?
             .get(key)
             .ok_or_else(|| JsonError(format!("missing field `{key}`")))
-    }
-
-    /// Move a required string field out of an object, leaving an empty
-    /// string behind — for decoders that own the parsed tree.
-    pub fn take_str(&mut self, key: &str) -> Result<String, JsonError> {
-        let field = match self {
-            Value::Obj(map) => map
-                .get_mut(key)
-                .ok_or_else(|| JsonError(format!("missing field `{key}`")))?,
-            v => return Err(JsonError::shape("object", v)),
-        };
-        match field {
-            Value::Str(s) => Ok(std::mem::take(s)),
-            v => Err(JsonError::shape("string", v)),
-        }
     }
 
     /// Render to a compact JSON string. Fails on a non-finite number,
@@ -218,29 +199,30 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Deepest array/object nesting [`parse`] accepts. Store lines nest a
-/// handful of levels; the cap turns a hostile `[[[[…` into an error
+/// Deepest array/object nesting a [`Reader`] accepts. Store lines nest
+/// a handful of levels; the cap turns a hostile `[[[[…` into an error
 /// instead of a stack overflow.
 const MAX_DEPTH: usize = 128;
 
-/// Parse one JSON document. Trailing garbage is an error.
+/// Parse one JSON document into a [`Value`] tree. Trailing garbage is an
+/// error.
 ///
-/// Linear in the input: every byte is scanned once, and each string is
-/// copied once, in runs between escapes.
+/// Linear in the input: a string holding an escape is scanned twice
+/// (to find its end, then to copy it in runs between escapes), every
+/// other byte once.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        text,
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(JsonError(format!("trailing characters at byte {}", p.pos)));
-    }
+    let mut r = Reader::new(text);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
+}
+
+/// Check that `text` is one JSON document, building nothing: exactly
+/// the inputs [`parse`] accepts.
+pub(crate) fn check(text: &str) -> Result<(), JsonError> {
+    let mut r = Reader::new(text);
+    r.skip()?;
+    r.finish()
 }
 
 /// The offset of the first `"` or `\` in `bytes` — where a string's
@@ -267,26 +249,85 @@ fn plain_run_len(bytes: &[u8]) -> Option<usize> {
     Some(8 * words.len() + rest)
 }
 
-struct Parser<'a> {
+/// What the next value is, told by its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool,
+    /// A number.
+    Num,
+    /// A string.
+    Str,
+    /// An array.
+    Arr,
+    /// An object.
+    Obj,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Null => "null",
+            Kind::Bool => "bool",
+            Kind::Num => "number",
+            Kind::Str => "string",
+            Kind::Arr => "array",
+            Kind::Obj => "object",
+        }
+    }
+}
+
+/// Prefix an error with the object member or array index it arose
+/// under, so a nested error reads `.unit.ipcs[2]: expected number, got
+/// string` — the form [`Value::render`]'s errors take.
+fn at(segment: std::fmt::Arguments<'_>, e: JsonError) -> JsonError {
+    if e.0.starts_with(['.', '[']) {
+        JsonError(format!("{segment}{}", e.0))
+    } else {
+        JsonError(format!("{segment}: {}", e.0))
+    }
+}
+
+/// A streaming pull reader over one JSON document — the one tokenizer
+/// behind [`parse`], the store's syntax check and the typed decoders of
+/// [`crate::codec`].
+///
+/// Each call consumes the next value: the typed readers ([`Reader::num`],
+/// [`Reader::str`], …) fail with `expected K, got K'` on a well-formed
+/// value of another kind, [`Reader::object`] and [`Reader::array`] hand
+/// each member or element to a callback, and [`Reader::skip`] steps over
+/// any value without allocating. Malformed input is an error from
+/// whichever call meets it; nothing panics.
+pub struct Reader<'a> {
     text: &'a str,
-    bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn expect_byte(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
+        if self.byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -297,33 +338,151 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    /// The kind of the next value, after any whitespace. Input that
+    /// starts no value is an error.
+    fn peek(&mut self) -> Result<Kind, JsonError> {
+        self.skip_ws();
+        match self.byte() {
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b'[') => Ok(Kind::Arr),
+            Some(b'{') => Ok(Kind::Obj),
+            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(Kind::Num),
+            _ => Err(JsonError(format!("unexpected input at byte {}", self.pos))),
+        }
+    }
+
+    fn want(&mut self, kind: Kind) -> Result<(), JsonError> {
+        match self.peek()? {
+            got if got == kind => Ok(()),
+            got => Err(JsonError(format!(
+                "expected {}, got {}",
+                kind.name(),
+                got.name()
+            ))),
+        }
+    }
+
+    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(JsonError(format!("invalid literal at byte {}", self.pos)))
         }
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(JsonError(format!("unexpected input at byte {}", self.pos))),
+    /// Read a `null`.
+    fn null(&mut self) -> Result<(), JsonError> {
+        self.want(Kind::Null)?;
+        self.literal("null")
+    }
+
+    /// Read a boolean.
+    pub fn bool(&mut self) -> Result<bool, JsonError> {
+        self.want(Kind::Bool)?;
+        let b = self.byte() == Some(b't');
+        self.literal(if b { "true" } else { "false" })?;
+        Ok(b)
+    }
+
+    /// Read a number. `1e999` parses to infinity, which JSON cannot
+    /// hold and the writer refuses, so it is an error here too.
+    pub fn num(&mut self) -> Result<f64, JsonError> {
+        self.want(Kind::Num)?;
+        let start = self.pos;
+        self.pos += 1;
+        while matches!(self.byte(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            self.pos += 1;
+        }
+        // The scanned bytes are ASCII, so the slice is on boundaries.
+        let text = self.text.get(start..self.pos).unwrap_or_default();
+        text.parse::<f64>()
+            .ok()
+            .filter(|x| x.is_finite())
+            .ok_or_else(|| JsonError(format!("invalid number `{text}`")))
+    }
+
+    /// Read a string: borrowed from the input when it holds no escape,
+    /// decoded into a fresh `String` when it does.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.want(Kind::Str)?;
+        self.string()
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let start = self.pos;
+        if !self.scan_string(None)? {
+            // Both quotes are ASCII, so the body is on boundaries.
+            return Ok(Cow::Borrowed(
+                self.text.get(start + 1..self.pos - 1).unwrap_or_default(),
+            ));
+        }
+        self.pos = start;
+        let mut out = String::new();
+        self.scan_string(Some(&mut out))?;
+        Ok(Cow::Owned(out))
+    }
+
+    /// Step over one string, validating every escape and appending the
+    /// decoded text to `out` when given. Plain runs up to the next `"`
+    /// or `\` go by [`plain_run_len`]; both delimiters are ASCII, so
+    /// every run ends on a character boundary. Returns whether the
+    /// string held an escape.
+    fn scan_string(&mut self, mut out: Option<&mut String>) -> Result<bool, JsonError> {
+        self.expect_byte(b'"')?;
+        let mut escaped = false;
+        loop {
+            let run = plain_run_len(&self.text.as_bytes()[self.pos..])
+                .ok_or_else(|| JsonError("unterminated string".into()))?;
+            if let Some(out) = out.as_deref_mut() {
+                out.push_str(self.text.get(self.pos..self.pos + run).unwrap_or_default());
+            }
+            self.pos += run;
+            if self.byte() == Some(b'"') {
+                self.pos += 1;
+                return Ok(escaped);
+            }
+            escaped = true;
+            self.pos += 1;
+            let c = match self.byte() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => {
+                    // Four hex digits; `from_str_radix` alone would
+                    // also take a sign.
+                    let code = self
+                        .text
+                        .get(self.pos + 1..self.pos + 5)
+                        .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .ok_or_else(|| JsonError("bad \\u escape".into()))?;
+                    self.pos += 4;
+                    // Surrogates never appear in our own output.
+                    char::from_u32(code).ok_or_else(|| JsonError("bad \\u code point".into()))?
+                }
+                _ => return Err(JsonError("bad escape".into())),
+            };
+            self.pos += 1;
+            if let Some(out) = out.as_deref_mut() {
+                out.push(c);
+            }
         }
     }
 
-    /// Parse an array or object one level deeper, within [`MAX_DEPTH`].
+    /// Run `body` one nesting level deeper, within [`MAX_DEPTH`].
     fn nested(
         &mut self,
-        body: fn(&mut Self) -> Result<Value, JsonError>,
-    ) -> Result<Value, JsonError> {
+        body: impl FnOnce(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         if self.depth == MAX_DEPTH {
             return Err(JsonError(format!(
                 "nesting deeper than {MAX_DEPTH} at byte {}",
@@ -331,148 +490,128 @@ impl Parser<'_> {
             )));
         }
         self.depth += 1;
-        let v = body(self);
+        let done = body(self);
         self.depth -= 1;
-        v
+        done
     }
 
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => {
-                    return Err(JsonError(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
-                    )))
-                }
+    /// Read an object, handing each member's name to `member`, which
+    /// must consume the member's value (or [`Reader::skip`] it).
+    /// Members come in input order; a repeated name is handed over
+    /// again, so a decoder that overwrites keeps the last.
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.want(Kind::Obj)?;
+        self.nested(|r| {
+            r.pos += 1;
+            r.skip_ws();
+            if r.byte() == Some(b'}') {
+                r.pos += 1;
+                return Ok(());
             }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.expect_byte(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect_byte(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                _ => {
-                    return Err(JsonError(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(JsonError("unterminated string".into())),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| JsonError("truncated \\u escape".into()))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| JsonError("bad \\u escape".into()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError("bad \\u escape".into()))?;
-                            // Surrogates never appear in our own output.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| JsonError("bad \\u code point".into()))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(JsonError("bad escape".into())),
+            loop {
+                r.skip_ws();
+                let name = r.string()?;
+                r.skip_ws();
+                r.expect_byte(b':')?;
+                member(r, &name).map_err(|e| at(format_args!(".{name}"), e))?;
+                r.skip_ws();
+                match r.byte() {
+                    Some(b',') => r.pos += 1,
+                    Some(b'}') => {
+                        r.pos += 1;
+                        return Ok(());
                     }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the plain run up to the next `"` or `\`. Both
-                    // are ASCII, so the run ends on a character boundary.
-                    let run = plain_run_len(&self.bytes[self.pos..])
-                        .ok_or_else(|| JsonError("unterminated string".into()))?;
-                    let end = self.pos + run;
-                    let plain = self
-                        .text
-                        .get(self.pos..end)
-                        .ok_or_else(|| JsonError("string splits a character".into()))?;
-                    out.push_str(plain);
-                    self.pos = end;
+                    _ => return Err(JsonError(format!("expected `,` or `}}` at byte {}", r.pos))),
                 }
             }
+        })
+    }
+
+    /// Read an array, calling `item` once per element; it must consume
+    /// the element.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.want(Kind::Arr)?;
+        self.nested(|r| {
+            r.pos += 1;
+            r.skip_ws();
+            if r.byte() == Some(b']') {
+                r.pos += 1;
+                return Ok(());
+            }
+            for i in 0.. {
+                item(r).map_err(|e| at(format_args!("[{i}]"), e))?;
+                r.skip_ws();
+                match r.byte() {
+                    Some(b',') => r.pos += 1,
+                    Some(b']') => break,
+                    _ => return Err(JsonError(format!("expected `,` or `]` at byte {}", r.pos))),
+                }
+            }
+            r.pos += 1;
+            Ok(())
+        })
+    }
+
+    /// Step over the next value of any kind, checking its syntax and
+    /// allocating nothing for it.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        match self.peek()? {
+            Kind::Null => self.null(),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Num => self.num().map(drop),
+            Kind::Str => self.scan_string(None).map(drop),
+            Kind::Arr => self.array(Self::skip),
+            Kind::Obj => self.object(|r, _| r.skip()),
         }
     }
 
-    fn number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+    /// Read the next value into a [`Value`] tree.
+    fn value(&mut self) -> Result<Value, JsonError> {
+        Ok(match self.peek()? {
+            Kind::Null => {
+                self.null()?;
+                Value::Null
+            }
+            Kind::Bool => Value::Bool(self.bool()?),
+            Kind::Num => Value::Num(self.num()?),
+            Kind::Str => Value::Str(self.str()?.into_owned()),
+            Kind::Arr => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Value::Arr(items)
+            }
+            Kind::Obj => {
+                let mut map = BTreeMap::new();
+                self.object(|r, name| {
+                    map.insert(name.to_string(), r.value()?);
+                    Ok(())
+                })?;
+                Value::Obj(map)
+            }
+        })
+    }
+
+    /// End the document: anything but whitespace after the value read
+    /// is an error.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(JsonError(format!(
+                "trailing characters at byte {}",
+                self.pos
+            )))
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError("invalid number bytes".into()))?;
-        // `1e999` parses to infinity, which JSON cannot hold and the
-        // writer refuses, so it is an error here too.
-        text.parse::<f64>()
-            .ok()
-            .filter(|x| x.is_finite())
-            .map(Value::Num)
-            .ok_or_else(|| JsonError(format!("invalid number `{text}`")))
     }
 }
 
@@ -572,13 +711,51 @@ mod tests {
         assert!(parse(&"{\"a\":[".repeat(100_000)).is_err());
     }
 
+    /// The reader hands out plain strings as slices of the input and
+    /// decodes escaped ones; a value of the wrong kind is an error that
+    /// names both kinds and the member or element it sits under.
     #[test]
-    fn take_str_moves_fields_and_checks_shape() {
-        let mut v = Value::obj(vec![("s", Value::str("moved")), ("n", Value::num(1.0))]);
-        assert_eq!(v.take_str("s").unwrap(), "moved");
-        assert!(v.take_str("n").is_err());
-        assert!(v.take_str("missing").is_err());
-        assert!(Value::Null.take_str("s").is_err());
+    fn reader_borrows_plain_strings_and_names_mistyped_values() {
+        let mut r = Reader::new(r#"["plain", "esc\"aped"]"#);
+        let mut got = Vec::new();
+        r.array(|r| {
+            got.push(r.str()?);
+            Ok(())
+        })
+        .unwrap();
+        r.finish().unwrap();
+        assert!(matches!(got[0], Cow::Borrowed("plain")));
+        assert!(matches!(&got[1], Cow::Owned(s) if s == "esc\"aped"));
+
+        let mut r = Reader::new(r#"{"a":[1,"x"]}"#);
+        let err = r.object(|r, _| r.array(|r| r.num().map(drop))).unwrap_err();
+        assert_eq!(err.0, ".a[1]: expected number, got string");
+    }
+
+    /// Escapes follow JSON's grammar: the eight short escapes, and
+    /// `\u` with exactly four hex digits — no sign, however
+    /// `from_str_radix` would read it, and no split character. Anything
+    /// else after a `\` is an error.
+    #[test]
+    fn escapes_follow_the_json_grammar() {
+        assert_eq!(
+            parse(r#""\"\\\/\b\f\n\r\t\u0041\u00e9""#),
+            Ok(Value::str("\"\\/\u{8}\u{c}\n\r\tAé"))
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u04""#,
+            "\"\\u00é\"",
+            r#""\ud800""#,
+            r#""\x41""#,
+            r#""\'""#,
+            r#""\a""#,
+            "\"\\é\"",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+            assert!(check(bad).is_err(), "{bad}");
+        }
     }
 
     /// A long string parses in time linear in its length: the bound
@@ -684,11 +861,13 @@ mod tests {
         }
 
         /// Arbitrary bytes (lossily decoded, as a reader of an
-        /// arbitrary file would) never panic the parser; anything it
-        /// does accept renders and re-parses to the same value.
+        /// arbitrary file would) never panic the parser or the
+        /// building-nothing [`check`], which accept the same inputs;
+        /// anything accepted renders and re-parses to the same value.
         #[test]
         fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..512)) {
             let text = String::from_utf8_lossy(&bytes);
+            prop_assert_eq!(check(&text).is_ok(), parse(&text).is_ok());
             if let Ok(v) = parse(&text) {
                 prop_assert_eq!(parse(&v.render().unwrap()), Ok(v));
             }
@@ -699,6 +878,7 @@ mod tests {
         fn json_token_soup_never_panics(picks in proptest::collection::vec(0usize..SOUP.len(), 0..256)) {
             let bytes: Vec<u8> = picks.iter().map(|&i| SOUP[i]).collect();
             let text = String::from_utf8_lossy(&bytes);
+            prop_assert_eq!(check(&text).is_ok(), parse(&text).is_ok());
             if let Ok(v) = parse(&text) {
                 prop_assert_eq!(parse(&v.render().unwrap()), Ok(v));
             }

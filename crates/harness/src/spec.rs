@@ -255,12 +255,20 @@ pub struct UnitJob {
     /// The phase-change schedule this job's workload runs under
     /// (`None`: stationary canonical workload; baked into the key).
     pub phase: Option<PhaseSchedule>,
+    /// The name of the scheme-parameter edit this job runs under, for
+    /// its label (`None`: the configuration's own parameters; the key
+    /// covers the parameters either way).
+    pub variant: Option<&'static str>,
 }
 
 impl UnitJob {
-    /// Display label: `"ammp+parser+swim+mesa [cc@50%]"`.
+    /// Display label: `"ammp+parser+swim+mesa [cc@50%]"`, or with a
+    /// variant `"ammp+ammp+ammp+ammp [snug: k=6, p=16]"`.
     pub fn label(&self) -> String {
-        format!("{} [{}]", self.combo.label(), self.point.label())
+        match self.variant {
+            None => format!("{} [{}]", self.combo.label(), self.point.label()),
+            Some(variant) => format!("{} [{}: {variant}]", self.combo.label(), self.point.label()),
+        }
     }
 }
 
@@ -345,6 +353,7 @@ impl<'a> KeyedPoints<'a> {
                 point: *point,
                 config: *self.config,
                 phase: self.phase.cloned(),
+                variant: None,
             })
             .collect()
     }

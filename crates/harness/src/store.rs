@@ -38,7 +38,7 @@
 //! rejected as corrupt: the v1 schema is no longer read.
 
 use crate::codec::JsonCodec;
-use crate::json::{parse, JsonError, Value};
+use crate::json::{self, JsonError, Reader, Value};
 use crate::sweep::UnitSpan;
 use snug_experiments::{SchemeRun, TraceSeries};
 use std::collections::BTreeMap;
@@ -89,52 +89,62 @@ pub struct StoreEntry {
 }
 
 impl StoreEntry {
-    fn to_json(&self) -> Value {
-        let StoreEntry { key, result } = self;
-        let payload = match result {
-            StoredResult::Unit(run) => ("unit", run.to_json()),
-            StoredResult::Series(series) => ("series", series.to_json()),
-            StoredResult::Span(span) => ("span", span.to_json()),
-        };
-        Value::obj(vec![("key", Value::str(key)), payload])
-    }
-
-    /// Decode a parsed line, moving `key` out of the tree rather than
-    /// copying it.
-    fn from_json(mut v: Value) -> Result<Self, JsonError> {
-        let result = if let Ok(unit) = v.get("unit") {
-            StoredResult::Unit(SchemeRun::from_json(unit)?)
-        } else if let Ok(series) = v.get("series") {
-            StoredResult::Series(TraceSeries::from_json(series)?)
-        } else if let Ok(span) = v.get("span") {
-            StoredResult::Span(UnitSpan::from_json(span)?)
-        } else {
-            return Err(JsonError(
-                "entry has no `unit`, `series` or `span` payload (a `result` payload is a \
-                 whole-combo entry of the removed v1 store schema)"
-                    .into(),
-            ));
-        };
-        Ok(StoreEntry {
-            key: v.take_str("key")?,
-            result,
+    /// Decode one JSONL line straight into an entry, building no
+    /// [`Value`] tree. A line that is not JSON at all — what a torn
+    /// append leaves — is a [`LineError::Syntax`]; JSON of the wrong
+    /// shape is a [`LineError::Schema`].
+    fn decode_line(text: &str) -> Result<Self, LineError> {
+        Self::read_line(text).map_err(|e| match json::check(text) {
+            Err(syntax) => LineError::Syntax(syntax),
+            Ok(()) => LineError::Schema(e),
         })
     }
 
-    /// Parse and decode one JSONL line.
-    #[cfg(test)]
-    fn parse_line(line: &str) -> Result<Self, JsonError> {
-        parse(line).and_then(StoreEntry::from_json)
+    /// Read one line's members into an entry. Of several payload
+    /// members, as of any repeated member, the last wins.
+    fn read_line(text: &str) -> Result<Self, JsonError> {
+        let mut r = Reader::new(text);
+        let (mut key, mut result) = (None, None);
+        r.object(|r, name| {
+            match name {
+                "key" => key = Some(r.str()?.into_owned()),
+                "unit" => result = Some(StoredResult::Unit(SchemeRun::read_json(r)?)),
+                "series" => result = Some(StoredResult::Series(TraceSeries::read_json(r)?)),
+                "span" => result = Some(StoredResult::Span(UnitSpan::read_json(r)?)),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        r.finish()?;
+        let result = result.ok_or_else(|| {
+            JsonError(
+                "entry has no `unit`, `series` or `span` payload (a `result` payload is a \
+                 whole-combo entry of the removed v1 store schema)"
+                    .into(),
+            )
+        })?;
+        let key = key.ok_or_else(|| JsonError("missing field `key`".into()))?;
+        Ok(StoreEntry { key, result })
     }
 
-    /// The entry rendered as one JSONL line (no trailing newline) — the
-    /// exact bytes `insert` appends, shared with the shard writers so a
-    /// shard line and a store line for the same result are identical.
+    /// The entry rendered as one JSONL line ([`render_line`]).
     pub(crate) fn render_line(&self) -> Result<String, StoreError> {
-        self.to_json()
-            .render()
-            .map_err(|e| StoreError::Encode(self.key.clone(), e.0))
+        render_line(&self.key, &self.result)
     }
+}
+
+/// An entry rendered as one JSONL line (no trailing newline) — the
+/// exact bytes `insert` appends, shared with the shard writers so a
+/// shard line and a store line for the same result are identical.
+fn render_line(key: &str, result: &StoredResult) -> Result<String, StoreError> {
+    let payload = match result {
+        StoredResult::Unit(run) => ("unit", run.to_json()),
+        StoredResult::Series(series) => ("series", series.to_json()),
+        StoredResult::Span(span) => ("span", span.to_json()),
+    };
+    Value::obj(vec![("key", Value::str(key)), payload])
+        .render()
+        .map_err(|e| StoreError::Encode(key.to_string(), e.0))
 }
 
 /// Load one JSONL file of store entries into `entries`, returning the
@@ -144,7 +154,7 @@ impl StoreEntry {
 /// missing file is an empty store.
 fn load_jsonl(
     path: &Path,
-    entries: &mut BTreeMap<String, StoreEntry>,
+    entries: &mut BTreeMap<String, StoredResult>,
 ) -> Result<usize, StoreError> {
     let file = match fs::File::open(path) {
         Ok(file) => file,
@@ -153,7 +163,7 @@ fn load_jsonl(
     };
     let mut file_lines = 0usize;
     let torn = read_entries(path, file, |entry| {
-        entries.insert(entry.key.clone(), entry);
+        entries.insert(entry.key, entry.result);
         file_lines += 1;
         Ok(())
     })?;
@@ -168,13 +178,14 @@ fn load_jsonl(
 }
 
 /// Decode the data lines of a JSONL store file in order, handing each
-/// entry to `visit`. The file streams through one reused line buffer, so
-/// it is never held whole next to the entries decoded from it. A line
-/// that does not parse is fatal, unless it is the file's last: that is
-/// the torn tail of an interrupted append, and its byte offset is
-/// returned for the caller to truncate at or skip. A line that parses
-/// but does not decode is fatal wherever it sits — a torn append is
-/// never complete JSON, so dropping it would discard a whole entry.
+/// entry to `visit`. The file streams through one reused line buffer,
+/// so it is never held whole next to the entries decoded from it, and
+/// each line decodes straight into its entry. A line that is not JSON
+/// is fatal, unless it is the file's last: that is the torn tail of an
+/// interrupted append, and its byte offset is returned for the caller
+/// to truncate at or skip. A line that is JSON but not an entry is
+/// fatal wherever it sits — a torn append is never complete JSON, so
+/// dropping it would discard a whole entry.
 fn read_entries(
     path: &Path,
     file: fs::File,
@@ -195,16 +206,14 @@ fn read_entries(
         let line_start = offset;
         offset += read as u64;
         lineno += 1;
-        let parsed = match std::str::from_utf8(&line) {
+        let decoded = match std::str::from_utf8(&line) {
             Ok(text) if text.trim().is_empty() => continue,
-            Ok(text) => parse(text),
-            Err(_) => Err(JsonError("invalid UTF-8".into())),
+            Ok(text) => StoreEntry::decode_line(text),
+            Err(_) => Err(LineError::Syntax(JsonError("invalid UTF-8".into()))),
         };
-        match parsed {
-            Ok(value) => visit(
-                StoreEntry::from_json(value).map_err(|e| StoreError::corrupt(path, lineno, e))?,
-            )?,
-            Err(_)
+        match decoded {
+            Ok(entry) => visit(entry)?,
+            Err(LineError::Syntax(_))
                 if reader
                     .fill_buf()
                     .map_err(|e| StoreError::io(path, e))?
@@ -212,9 +221,22 @@ fn read_entries(
             {
                 return Ok(Some(line_start))
             }
-            Err(e) => return Err(StoreError::corrupt(path, lineno, e)),
+            Err(LineError::Syntax(e) | LineError::Schema(e)) => {
+                return Err(StoreError::corrupt(path, lineno, e))
+            }
         }
     }
+}
+
+/// Why a store line did not decode.
+#[derive(Debug, Clone, PartialEq)]
+enum LineError {
+    /// Not one JSON document: fatal, unless it is a file's torn last
+    /// line.
+    Syntax(JsonError),
+    /// JSON, but not an entry (a missing, mistyped or unknown-valued
+    /// field): fatal wherever it sits.
+    Schema(JsonError),
 }
 
 /// A per-worker append-only shard file under `results/shards/`. Workers
@@ -275,7 +297,7 @@ impl ShardWriter {
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
-    entries: BTreeMap<String, StoreEntry>,
+    entries: BTreeMap<String, StoredResult>,
     /// Data lines currently in the JSONL file (blank lines excluded).
     /// Exceeds `entries.len()` when duplicate keys have accumulated —
     /// what [`ResultStore::compact`] reclaims.
@@ -316,7 +338,7 @@ impl ResultStore {
 
     /// Look up a cached result by content key.
     pub fn get(&self, key: &str) -> Option<&StoredResult> {
-        self.entries.get(key).map(|e| &e.result)
+        self.entries.get(key)
     }
 
     /// Look up a v2 unit result by content key.
@@ -347,7 +369,7 @@ impl ResultStore {
     pub fn spans(&self) -> Vec<&UnitSpan> {
         self.entries
             .values()
-            .filter_map(|e| match &e.result {
+            .filter_map(|result| match result {
                 StoredResult::Span(span) => Some(span),
                 _ => None,
             })
@@ -380,12 +402,12 @@ impl ResultStore {
         fs::create_dir_all(&self.dir).map_err(|e| StoreError::io(&self.dir, e))?;
         let mut store_text = String::new();
         let mut spans_text = String::new();
-        for entry in self.entries.values() {
-            let text = match entry.result {
+        for (key, result) in &self.entries {
+            let text = match result {
                 StoredResult::Span(_) => &mut spans_text,
                 _ => &mut store_text,
             };
-            text.push_str(&entry.render_line()?);
+            text.push_str(&render_line(key, result)?);
             text.push('\n');
         }
         let tmp = self.dir.join(format!("{STORE_FILE}.tmp"));
@@ -408,7 +430,7 @@ impl ResultStore {
     pub fn unit_count(&self) -> usize {
         self.entries
             .values()
-            .filter(|e| matches!(e.result, StoredResult::Unit(_)))
+            .filter(|result| matches!(result, StoredResult::Unit(_)))
             .count()
     }
 
@@ -416,7 +438,7 @@ impl ResultStore {
     pub fn series_count(&self) -> usize {
         self.entries
             .values()
-            .filter(|e| matches!(e.result, StoredResult::Series(_)))
+            .filter(|result| matches!(result, StoredResult::Series(_)))
             .count()
     }
 
@@ -424,7 +446,7 @@ impl ResultStore {
     pub fn span_count(&self) -> usize {
         self.entries
             .values()
-            .filter(|e| matches!(e.result, StoredResult::Span(_)))
+            .filter(|result| matches!(result, StoredResult::Span(_)))
             .count()
     }
 
@@ -441,11 +463,7 @@ impl ResultStore {
             StoredResult::Span(_) => SPANS_FILE,
             _ => STORE_FILE,
         };
-        let entry = StoreEntry {
-            key: key.clone(),
-            result,
-        };
-        let line = entry.render_line()?;
+        let line = render_line(&key, &result)?;
         fs::create_dir_all(&self.dir).map_err(|e| StoreError::io(&self.dir, e))?;
         let path = self.dir.join(file);
         let mut file = fs::OpenOptions::new()
@@ -454,7 +472,7 @@ impl ResultStore {
             .open(&path)
             .map_err(|e| StoreError::io(&path, e))?;
         writeln!(file, "{line}").map_err(|e| StoreError::io(&path, e))?;
-        self.entries.insert(key, entry);
+        self.entries.insert(key, result);
         self.file_lines += 1;
         Ok(())
     }
@@ -489,7 +507,7 @@ impl ResultStore {
         read_entries(path, file, |entry| {
             stats.read += 1;
             match self.entries.get(&entry.key) {
-                Some(existing) if *existing == entry => {
+                Some(existing) if *existing == entry.result => {
                     stats.unchanged += 1;
                     return Ok(());
                 }
@@ -961,8 +979,8 @@ mod tests {
         let mut rendered = String::with_capacity(text.len());
         let mut expected = String::with_capacity(text.len());
         for line in text.lines() {
-            let key = parse(line).unwrap().take_str("key").unwrap();
-            rendered.push_str(&store.entries[&key].render_line().unwrap());
+            let key = StoreEntry::decode_line(line).unwrap().key;
+            rendered.push_str(&render_line(&key, &store.entries[&key]).unwrap());
             rendered.push('\n');
             expected.push_str(&without_inputs(line));
             expected.push('\n');
@@ -982,7 +1000,7 @@ mod tests {
     fn lines_with_and_without_inputs_serve_alike() {
         let dir = tmp_dir("inputs");
         let old = committed_store().lines().next().unwrap();
-        let key = parse(old).unwrap().take_str("key").unwrap();
+        let key = StoreEntry::decode_line(old).unwrap().key;
         let new = StoreEntry {
             key: "k2".into(),
             result: fake("a+b", 2.0),
@@ -1010,9 +1028,12 @@ mod tests {
     fn every_truncation_of_a_committed_line_is_an_error() {
         for line in sample_lines() {
             for cut in (0..line.len()).filter(|&c| line.is_char_boundary(c)) {
-                assert!(parse(&line[..cut]).is_err(), "json prefix {cut}");
+                assert!(json::parse(&line[..cut]).is_err(), "json prefix {cut}");
                 assert!(
-                    StoreEntry::parse_line(&line[..cut]).is_err(),
+                    matches!(
+                        StoreEntry::decode_line(&line[..cut]),
+                        Err(LineError::Syntax(_))
+                    ),
                     "entry prefix {cut}"
                 );
             }
@@ -1034,12 +1055,249 @@ mod tests {
                 for &b in REPLACEMENTS {
                     bytes[pos] = b;
                     let text = String::from_utf8_lossy(&bytes);
-                    if let Ok(entry) = StoreEntry::parse_line(&text) {
-                        let again = StoreEntry::parse_line(&entry.render_line().unwrap());
+                    if let Ok(entry) = StoreEntry::decode_line(&text) {
+                        let again = StoreEntry::decode_line(&entry.render_line().unwrap());
                         assert_eq!(again.as_ref(), Ok(&entry), "byte {pos} = {b:#04x}");
                     }
                 }
                 bytes[pos] = original;
+            }
+        }
+    }
+
+    /// One rendered line of each payload kind, every optional field set.
+    fn sample_entries() -> [StoreEntry; 3] {
+        let (run, span, series) = crate::codec::tests::samples();
+        [
+            StoreEntry {
+                key: "u1".into(),
+                result: StoredResult::Unit(run),
+            },
+            StoreEntry {
+                key: "t1".into(),
+                result: StoredResult::Series(series),
+            },
+            StoreEntry {
+                key: "s1".into(),
+                result: StoredResult::Span(span),
+            },
+        ]
+    }
+
+    /// Write `lines` as a store file and open it.
+    fn open_lines(dir: &Path, lines: &str) -> Result<ResultStore, StoreError> {
+        fs::create_dir_all(dir).unwrap();
+        fs::write(dir.join(STORE_FILE), lines).unwrap();
+        ResultStore::open(dir)
+    }
+
+    /// For every payload kind, each strict prefix of a line is a syntax
+    /// error: as a file's last line it is the torn tail of an append,
+    /// dropped and truncated, while the intact line before it serves.
+    #[test]
+    fn every_prefix_of_every_payload_kind_is_a_torn_tail() {
+        let dir = tmp_dir("prefixes");
+        let good = format!("{}\n", sample_entries()[2].render_line().unwrap());
+        for entry in sample_entries() {
+            let line = entry.render_line().unwrap();
+            for cut in (0..line.len()).filter(|&c| line.is_char_boundary(c)) {
+                let prefix = &line[..cut];
+                assert!(
+                    matches!(StoreEntry::decode_line(prefix), Err(LineError::Syntax(_))),
+                    "{}: prefix {cut}",
+                    entry.key
+                );
+                let store = open_lines(&dir, &format!("{good}{prefix}")).unwrap();
+                assert_eq!(store.file_lines(), 1, "{}: prefix {cut}", entry.key);
+                assert_eq!(fs::read_to_string(dir.join(STORE_FILE)).unwrap(), good);
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// For every payload kind, a line that is valid JSON with any field
+    /// of the wrong kind, or any required field missing, is a schema
+    /// error naming the field — fatal even as the file's last line,
+    /// which is left as it was.
+    #[test]
+    fn a_missing_or_mistyped_field_is_fatal_wherever_it_sits() {
+        const OPTIONAL: &[&str] = &[
+            "measured_cycles",
+            "stop_reason",
+            "plateaus",
+            "shifts",
+            "counters",
+            "worker",
+            "shard",
+        ];
+        let dir = tmp_dir("schema");
+        let good = format!("{}\n", sample_entries()[0].render_line().unwrap());
+        let mut cases = 0;
+        for entry in sample_entries() {
+            let tree = json::parse(&entry.render_line().unwrap()).unwrap();
+            for node in crate::codec::tests::nodes(&tree) {
+                let mut mistyped = tree.clone();
+                *crate::codec::tests::node_mut(&mut mistyped, &node.path) = match node.value {
+                    Value::Num(_) => Value::str("7"),
+                    _ => Value::num(7.0),
+                };
+                let mut bad = vec![(mistyped, format!(".{}", node.name))];
+                if node.member && !OPTIONAL.contains(&node.name.as_str()) {
+                    let (name, parent) = node.path.split_last().unwrap();
+                    let mut missing = tree.clone();
+                    let Value::Obj(map) = crate::codec::tests::node_mut(&mut missing, parent)
+                    else {
+                        panic!("a member's parent is an object");
+                    };
+                    map.remove(name);
+                    bad.push((missing, format!("`{name}`")));
+                }
+                for (value, names) in bad {
+                    let line = value.render().unwrap();
+                    match StoreEntry::decode_line(&line) {
+                        Err(LineError::Schema(e)) => {
+                            assert!(e.0.contains(&names), "{:?}: {e}", node.path)
+                        }
+                        other => panic!("{:?}: expected a schema error, got {other:?}", node.path),
+                    }
+                    let text = format!("{good}{line}");
+                    match open_lines(&dir, &text) {
+                        Err(StoreError::Corrupt(_, 2, msg)) => assert!(msg.contains(&names)),
+                        other => panic!("{:?}: expected corrupt line 2, got {other:?}", node.path),
+                    }
+                    assert_eq!(fs::read_to_string(dir.join(STORE_FILE)).unwrap(), text);
+                    cases += 1;
+                }
+            }
+        }
+        assert!(cases > 150, "{cases}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_last_of_a_repeated_member_wins() {
+        let line = r#"{"key":"a","unit":{"scheme":"x","ipcs":[1],"scheme":"y"},"key":"b"}"#;
+        let entry = StoreEntry::decode_line(line).unwrap();
+        assert_eq!(entry.key, "b");
+        assert_eq!(entry.result, fake_run("y", &[1.0]));
+        let line =
+            r#"{"unit":{"scheme":"x","ipcs":[1]},"key":"k","unit":{"scheme":"z","ipcs":[2]}}"#;
+        assert_eq!(
+            StoreEntry::decode_line(line).unwrap().result,
+            fake_run("z", &[2.0])
+        );
+    }
+
+    fn fake_run(scheme: &str, ipcs: &[f64]) -> StoredResult {
+        StoredResult::Unit(SchemeRun {
+            scheme: scheme.into(),
+            ipcs: ipcs.to_vec(),
+            measured_cycles: None,
+            stop_reason: None,
+            plateaus: Vec::new(),
+        })
+    }
+
+    /// Render `v` with every object's members in an order drawn from
+    /// `next`.
+    fn render_shuffled(v: &Value, next: &mut impl FnMut() -> u64, out: &mut String) {
+        match v {
+            Value::Obj(map) => {
+                let mut members: Vec<_> = map.iter().collect();
+                for i in (1..members.len()).rev() {
+                    members.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+                out.push('{');
+                for (i, (name, item)) in members.into_iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str(&Value::str(name).render().unwrap());
+                    out.push(':');
+                    render_shuffled(item, next, out);
+                }
+                out.push('}');
+            }
+            Value::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    render_shuffled(item, next, out);
+                }
+                out.push(']');
+            }
+            leaf => out.push_str(&leaf.render().unwrap()),
+        }
+    }
+
+    /// Bytes JSON's grammar reacts to, for near-miss mutations.
+    const SOUP: &[u8] = b"{}[]\",:\\ \t0123456789.eE+-tfnrulsa\x00\x1f\x7f\xc3\xff";
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A line with its members in any order at every level, and
+        /// carrying an `inputs` member anywhere, decodes to the same
+        /// entry, for every payload kind.
+        #[test]
+        fn reordered_members_and_inputs_decode_alike(
+            words in proptest::collection::vec(0u64..=u64::MAX, 64..65)
+        ) {
+            let mut words = words.into_iter().cycle();
+            let mut next = || words.next().unwrap_or(0);
+            for entry in sample_entries() {
+                let mut tree = json::parse(&entry.render_line().unwrap()).unwrap();
+                if next() % 2 == 0 {
+                    if let Value::Obj(map) = &mut tree {
+                        map.insert("inputs".into(), Value::str("Combo { class: C1 } | l2p"));
+                    }
+                }
+                let mut line = String::new();
+                render_shuffled(&tree, &mut next, &mut line);
+                prop_assert_eq!(StoreEntry::decode_line(&line), Ok(entry));
+            }
+        }
+
+        /// Arbitrary bytes never panic the line decoder, and it sorts
+        /// every line as JSON's grammar does: a syntax error exactly
+        /// when the line is not one JSON document.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_line_decoder(
+            bytes in proptest::collection::vec(0u8..=255, 0..256)
+        ) {
+            let text = String::from_utf8_lossy(&bytes);
+            let decoded = StoreEntry::decode_line(&text);
+            prop_assert_eq!(
+                matches!(decoded, Err(LineError::Syntax(_))),
+                json::check(&text).is_err()
+            );
+        }
+
+        /// Lines a few grammar bytes away from a valid line of each
+        /// payload kind never panic the decoder, sort as JSON's grammar
+        /// does, and whatever they decode to round-trips.
+        #[test]
+        fn grammar_near_misses_never_panic_the_line_decoder(
+            edits in proptest::collection::vec((0usize..4096, 0usize..SOUP.len()), 1..4),
+            kind in 0usize..3
+        ) {
+            let entry = &sample_entries()[kind];
+            let mut bytes = entry.render_line().unwrap().into_bytes();
+            for &(at, b) in &edits {
+                let at = at % bytes.len();
+                bytes[at] = SOUP[b];
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let decoded = StoreEntry::decode_line(&text);
+            prop_assert_eq!(
+                matches!(decoded, Err(LineError::Syntax(_))),
+                json::check(&text).is_err()
+            );
+            if let Ok(entry) = decoded {
+                let again = StoreEntry::decode_line(&entry.render_line().unwrap());
+                prop_assert_eq!(again, Ok(entry));
             }
         }
     }

@@ -714,7 +714,7 @@ pub fn run_unit_jobs(
                 label: node.label(),
                 queue_nanos: picked.duration_since(submitted).as_nanos() as u64,
                 wall_nanos,
-                sim_cycles: plan.warmup_cycles + measured,
+                sim_cycles: plan.warmup_cycles.saturating_add(measured),
                 instructions: (run.ipcs.iter().sum::<f64>() * measured as f64).round() as u64,
                 worker,
                 shard: format!("worker-{worker}.jsonl"),
@@ -900,9 +900,10 @@ pub fn run_sweep(
         executed += units.iter().filter(|u| !u.from_cache).count();
         let plan = job.config.plan;
         for unit in &units {
-            simulated_cycles +=
-                plan.warmup_cycles + unit.run.measured_cycles.unwrap_or(plan.measure_cycles());
-            budgeted_cycles += plan.warmup_cycles + plan.measure_cycles();
+            simulated_cycles += plan
+                .warmup_cycles
+                .saturating_add(unit.run.measured_cycles.unwrap_or(plan.measure_cycles()));
+            budgeted_cycles += plan.horizon();
         }
         let runs: Vec<(SchemePoint, SchemeRun)> = job
             .units

@@ -62,3 +62,24 @@ fn the_ablation_store_holds_the_sweep_and_its_canonical_units_match_the_main_sto
         }
     }
 }
+
+/// Progress lines and unit failures name a unit by its label, so no
+/// two units of one `snug ablations` run may share one: each SNUG edit
+/// names itself, while the canonical units keep the labels (and so the
+/// span labels) they carry in every other sweep.
+#[test]
+fn no_two_ablation_units_share_a_label() {
+    let combos = ablation_jobs();
+    let labels: BTreeSet<String> = combos
+        .iter()
+        .flat_map(|c| c.units())
+        .map(UnitJob::label)
+        .collect();
+    assert_eq!(labels.len(), 49, "{labels:#?}");
+    for c in &combos {
+        let combo = c.combo.label();
+        assert_eq!(c.baseline.label(), format!("{combo} [l2p]"));
+        assert_eq!(c.snug[0].label(), format!("{combo} [snug]"));
+        assert_eq!(c.snug[5].label(), format!("{combo} [snug: k=6, p=16]"));
+    }
+}

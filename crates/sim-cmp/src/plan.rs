@@ -148,9 +148,11 @@ impl RunPlan {
         }
     }
 
-    /// The absolute cycle past which no plan ever runs.
+    /// The absolute cycle past which no plan ever runs. Saturates
+    /// rather than wrapping: a plan whose sum overflows runs as long as
+    /// a cycle count can, never zero cycles.
     pub fn horizon(&self) -> u64 {
-        self.warmup_cycles + self.measure_cycles()
+        self.warmup_cycles.saturating_add(self.measure_cycles())
     }
 
     /// Whether this plan can stop before its horizon.
@@ -555,6 +557,13 @@ mod tests {
         assert_eq!(plan.horizon(), 70_000);
         assert!(plan.can_stop_early());
         assert!(!RunPlan::fixed(1, 2).can_stop_early());
+    }
+
+    #[test]
+    fn an_overflowing_horizon_saturates_instead_of_wrapping() {
+        assert_eq!(RunPlan::fixed(u64::MAX, 1).horizon(), u64::MAX);
+        let plan = RunPlan::fixed(u64::MAX - 5, 10).until_reconverged(5, 0.1);
+        assert_eq!(plan.horizon(), u64::MAX);
     }
 
     #[test]

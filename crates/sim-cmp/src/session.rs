@@ -270,7 +270,7 @@ impl<O: L2Org> SessionBuilder<O> {
         // schedule's shift cycles; shifts during warm-up or past the
         // ceiling never segment it.
         let warmup = self.plan.warmup_cycles;
-        let horizon = warmup + self.plan.measure_cycles();
+        let horizon = self.plan.horizon();
         let mut boundaries: Vec<u64> = self
             .shifts
             .iter()
@@ -400,7 +400,8 @@ impl<O: L2Org> SimSession<O> {
     /// ceiling). A convergence policy may end the run earlier — see
     /// [`SimSession::stopped_at`].
     pub fn horizon(&self) -> u64 {
-        self.warmup_cycles + self.policy.max_measure_cycles()
+        self.warmup_cycles
+            .saturating_add(self.policy.max_measure_cycles())
     }
 
     /// The frontier cycle at which the stop policy ended the run early,

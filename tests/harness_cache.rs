@@ -165,10 +165,7 @@ fn json_boundary_preserves_every_float_bit() {
     let spec = tiny_spec();
     for unit in &spec.combo_jobs()[0].units {
         let run = run_point(&unit.combo, &unit.point, &unit.config, None, None, None).unwrap();
-        let decoded = SchemeRun::from_json(
-            &snug_harness::json::parse(&run.to_json().render().unwrap()).unwrap(),
-        )
-        .unwrap();
+        let decoded = SchemeRun::from_json_str(&run.to_json().render().unwrap()).unwrap();
         assert_eq!(decoded, run, "{}", unit.label());
         for (a, b) in decoded.ipcs.iter().zip(&run.ipcs) {
             assert_eq!(a.to_bits(), b.to_bits(), "bit-exact IPC");
