@@ -1,6 +1,22 @@
 //! Shared machinery for the private-L2 organisations (L2P, CC, DSR,
-//! SNUG): per-core slices, write-back buffers, latency composition and
-//! victim handling.
+//! SNUG): per-core slices, write-back buffers, latency composition,
+//! victim handling, and the one access path they all run.
+//!
+//! The four organisations differ only around an L2 miss, so
+//! [`Private<P>`] runs the access sequence once and a
+//! [`PrivatePolicy`] supplies each scheme's hooks:
+//!
+//! 1. drain the write buffers (after [`PrivatePolicy::advance`]);
+//! 2. look up the home set — a hit returns here
+//!    ([`PrivatePolicy::on_hit`]);
+//! 3. count the miss ([`PrivatePolicy::on_miss`]);
+//! 4. read from the write buffer;
+//! 5. retrieve from a peer ([`PrivatePolicy::probe_peers`],
+//!    [`PrivatePolicy::remote_latency`]);
+//! 6. fill from DRAM ([`PrivatePolicy::before_dram_fill`],
+//!    [`PrivatePolicy::DRAM_SNOOP`]);
+//! 7. dispose of the victim ([`PrivatePolicy::on_owned_eviction`],
+//!    [`PrivatePolicy::spill_target`]).
 //!
 //! Latency model (uncontended values recover the paper's §4.1 numbers;
 //! bus/DRAM queuing adds on top):
@@ -10,10 +26,11 @@
 //! * peer hit — snoop address transaction → peer lookup → data
 //!   transaction, floored at the configured flat remote latency
 //!   (30 cycles; 40 for SNUG);
-//! * off-chip — snoop address transaction → DRAM (300 cycles).
+//! * off-chip — snoop address transaction → DRAM (300 cycles); the
+//!   private baseline skips the snoop.
 
-use sim_cache::{Evicted, LineFlags, PushOutcome, SetAssocCache, WriteBuffer};
-use sim_cmp::{ChipResources, SystemConfig};
+use sim_cache::{CacheStats, Evicted, LineFlags, PushOutcome, SetAssocCache, WriteBuffer};
+use sim_cmp::{ChipResources, L2Fill, L2Org, L2Outcome, SchemeEvent, SystemConfig};
 use sim_mem::BlockAddr;
 
 /// Per-core private slices plus write buffers.
@@ -27,10 +44,10 @@ pub struct PrivateChassis {
     pub wbs: Vec<WriteBuffer>,
 }
 
-/// Where a retrieval found the block.
+/// Where a retrieval found the block, or where a spill places it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerHit {
-    /// Which peer cache held it.
+    /// Which peer cache.
     pub peer: usize,
     /// Which set of that cache (may be the flipped index).
     pub set: usize,
@@ -57,7 +74,7 @@ impl PrivateChassis {
 
     /// Opportunistically drain write buffers while the DRAM channel is
     /// free in the past of `now`. Called at the top of every access.
-    pub fn drain_write_buffers(&mut self, now: u64, res: &mut ChipResources<'_>) {
+    fn drain_write_buffers(&mut self, now: u64, res: &mut ChipResources<'_>) {
         // Common case: every buffer is empty — skip the DRAM-port query
         // and the round-robin scan entirely.
         if self.wbs.iter().all(|w| w.is_empty()) {
@@ -82,7 +99,7 @@ impl PrivateChassis {
 
     /// Push a dirty victim into core `c`'s write buffer, force-draining
     /// the oldest entry first if full.
-    pub fn push_writeback(
+    fn push_writeback(
         &mut self,
         c: usize,
         block: BlockAddr,
@@ -101,59 +118,45 @@ impl PrivateChassis {
         }
     }
 
-    /// Local-hit path: probe core `c`'s home set; on hit touch LRU and
-    /// update the dirty bit. Returns whether the hit line was a CC line.
-    pub fn local_access(&mut self, c: usize, block: BlockAddr, is_write: bool) -> Option<bool> {
+    /// Local-hit path: probe core `c`'s home set; on hit touch LRU,
+    /// update the dirty bit and count the hit.
+    fn local_access(&mut self, c: usize, block: BlockAddr, is_write: bool) -> bool {
         let slice = &mut self.slices[c];
         let set = slice.home_set(block);
-        let way = slice.probe_in_set(set, block)?;
+        let Some(way) = slice.probe_in_set(set, block) else {
+            return false;
+        };
         let (_, was_cc) = slice.touch_way_in_set(set, way, is_write);
         let st = slice.stats_mut();
         st.hits += 1;
         if was_cc {
             st.cc_hits += 1;
         }
-        Some(was_cc)
+        true
     }
 
     /// Direct read from core `c`'s write buffer: if the block is
-    /// buffered, remove it and re-install it (dirty) into the home set.
-    /// The displaced victim is returned for scheme-specific handling.
-    pub fn write_buffer_read(
-        &mut self,
-        c: usize,
-        block: BlockAddr,
-        is_write: bool,
-    ) -> Option<Option<Evicted>> {
+    /// buffered, take it out and count the hit. The caller re-installs
+    /// it (dirty: the buffered copy was dirty) into the home set.
+    fn write_buffer_read(&mut self, c: usize, block: BlockAddr) -> bool {
         if !self.wbs[c].direct_read(block) {
-            return None;
+            return false;
         }
         self.wbs[c].remove(block);
         self.slices[c].stats_mut().write_buffer_hits += 1;
-        let set = self.slices[c].home_set(block);
-        let _ = is_write; // the refill is dirty regardless: the buffered copy was dirty
-        let ev = self.slices[c].fill_in_set(set, block, LineFlags::owned(true));
-        Some(ev)
+        true
     }
 
     /// Fill `block` into core `c`'s home set as an owned line. Returns
     /// the displaced victim for scheme-specific handling.
-    pub fn fill_local(&mut self, c: usize, block: BlockAddr, dirty: bool) -> Option<Evicted> {
+    fn fill_local(&mut self, c: usize, block: BlockAddr, dirty: bool) -> Option<Evicted> {
         let set = self.slices[c].home_set(block);
         self.slices[c].fill_in_set(set, block, LineFlags::owned(dirty))
     }
 
-    /// Dispose of a victim that will *not* be spilled: dirty owned lines
-    /// go to the write buffer, everything else is dropped.
-    pub fn retire_victim(&mut self, c: usize, ev: Evicted, now: u64, res: &mut ChipResources<'_>) {
-        if ev.flags.dirty && !ev.flags.cc {
-            self.push_writeback(c, ev.block, now, res);
-        }
-    }
-
     /// Latency of a peer hit: snoop address phase, peer array lookup,
     /// data transfer back — floored at `remote_flat`.
-    pub fn peer_hit_latency(&self, now: u64, remote_flat: u64, res: &mut ChipResources<'_>) -> u64 {
+    fn peer_hit_latency(&self, now: u64, remote_flat: u64, res: &mut ChipResources<'_>) -> u64 {
         let addr = res.bus.address_transaction(now);
         let lookup_done = addr.done_at + self.cfg.l2_local_latency;
         let data = res
@@ -162,45 +165,43 @@ impl PrivateChassis {
         (data.done_at - now).max(remote_flat)
     }
 
-    /// Latency of an off-chip fill. The memory request launches in
-    /// parallel with the snoop broadcast (standard speculative fetch);
-    /// the fill completes when both the DRAM data and the snoop result
-    /// are in.
-    pub fn dram_fill_latency(&self, now: u64, res: &mut ChipResources<'_>) -> u64 {
-        let addr = res.bus.address_transaction(now);
-        let done = res.dram.read(now).max(addr.done_at);
-        done - now
+    /// Latency of an off-chip fill. With `snoop`, the memory request
+    /// launches in parallel with the snoop broadcast (standard
+    /// speculative fetch) and the fill completes when both the DRAM data
+    /// and the snoop result are in; without, it goes straight to DRAM.
+    fn dram_fill_latency(&self, now: u64, snoop: bool, res: &mut ChipResources<'_>) -> u64 {
+        let snoop_done = if snoop {
+            res.bus.address_transaction(now).done_at
+        } else {
+            now
+        };
+        res.dram.read(now).max(snoop_done) - now
     }
 
-    /// Charge the bus for a spill transfer (the core does not wait).
-    pub fn charge_spill_transfer(&self, now: u64, res: &mut ChipResources<'_>) {
-        let _ = res.bus.data_transaction(now, self.cfg.l2_slice.block_bytes);
-    }
-
-    /// Insert a spilled block into `peer`'s `set` as a received line.
-    /// Handles the receiving set's victim: a dirty owned victim goes to
-    /// the *peer's* write buffer; clean or CC victims are dropped
-    /// (one-chance forwarding). Updates spill counters.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "mirrors the bus transaction's fields"
-    )]
-    pub fn receive_spill(
+    /// Spill `block` from `from`'s slice into `to`: charge the bus for
+    /// the transfer (the core does not wait) and insert it as a received
+    /// line, flagged as flipped when `to.set` is not its home index.
+    /// The receiving set's victim: a dirty owned one goes to the
+    /// *peer's* write buffer; clean or CC victims are dropped (one-chance
+    /// forwarding). Updates spill counters.
+    fn receive_spill(
         &mut self,
         from: usize,
-        peer: usize,
-        set: usize,
+        to: PeerHit,
         block: BlockAddr,
-        flipped: bool,
         now: u64,
         res: &mut ChipResources<'_>,
     ) {
-        debug_assert_ne!(from, peer);
-        let ev = self.slices[peer].fill_in_set(set, block, LineFlags::received(flipped));
+        debug_assert_ne!(from, to.peer);
+        let _ = res.bus.data_transaction(now, self.cfg.l2_slice.block_bytes);
+        let flipped = to.set != self.cfg.l2_slice.set_index(block);
+        let ev = self.slices[to.peer].fill_in_set(to.set, block, LineFlags::received(flipped));
         self.slices[from].stats_mut().spills_out += 1;
-        self.slices[peer].stats_mut().spills_in += 1;
+        self.slices[to.peer].stats_mut().spills_in += 1;
         if let Some(ev) = ev {
-            self.retire_victim(peer, ev, now, res);
+            if ev.flags.dirty && !ev.flags.cc {
+                self.push_writeback(to.peer, ev.block, now, res);
+            }
         }
     }
 
@@ -222,9 +223,19 @@ impl PrivateChassis {
             .unwrap_or(false)
     }
 
+    /// The first peer, in core order, whose same-index set holds a CC
+    /// copy of `block` (CC's and DSR's retrieval probe).
+    pub(crate) fn probe_same_index(&self, owner: usize, block: BlockAddr) -> Option<PeerHit> {
+        let set = self.cfg.l2_slice.set_index(block);
+        (0..self.num_cores())
+            .filter(|&j| j != owner)
+            .find(|&j| self.probe_cc_in_set(j, set, block))
+            .map(|peer| PeerHit { peer, set })
+    }
+
     /// Forward a block found at `hit` to its owner: invalidate the peer
     /// copy and bump counters. The caller fills the owner's slice.
-    pub fn forward_from_peer(&mut self, owner: usize, hit: PeerHit, block: BlockAddr) {
+    fn forward_from_peer(&mut self, owner: usize, hit: PeerHit, block: BlockAddr) {
         let removed = self.slices[hit.peer].invalidate_in_set(hit.set, block);
         debug_assert!(removed.is_some(), "forwarded block must be resident");
         debug_assert!(
@@ -276,13 +287,7 @@ impl PrivateChassis {
     /// Handle an L1 dirty writeback: mark the local copy dirty if
     /// resident; otherwise invalidate any stale CC copies and buffer the
     /// data for DRAM.
-    pub fn l1_writeback(
-        &mut self,
-        c: usize,
-        block: BlockAddr,
-        now: u64,
-        res: &mut ChipResources<'_>,
-    ) {
+    fn l1_writeback(&mut self, c: usize, block: BlockAddr, now: u64, res: &mut ChipResources<'_>) {
         let set = self.slices[c].home_set(block);
         if self.slices[c].touch_in_set(set, block, true).is_some() {
             return;
@@ -294,7 +299,7 @@ impl PrivateChassis {
     }
 
     /// Reset all statistics (warm-up boundary).
-    pub fn reset_stats(&mut self) {
+    fn reset_stats(&mut self) {
         for s in &mut self.slices {
             s.reset_stats();
         }
@@ -317,6 +322,182 @@ impl PrivateChassis {
             }
         }
         true
+    }
+}
+
+/// What one private-slice organisation adds to the shared access path
+/// of [`Private`]. Every hook but the name has a no-op default, which
+/// is the private baseline's behaviour.
+pub trait PrivatePolicy: Clone + 'static {
+    /// Scheme name for reports ("L2P", "CC", "DSR", "SNUG").
+    const NAME: &'static str;
+
+    /// Whether an off-chip fill broadcasts a snoop on the bus. Only the
+    /// private baseline, which holds no peer copies, goes straight to
+    /// DRAM.
+    const DRAM_SNOOP: bool = true;
+
+    /// The flat floor of a peer hit's latency.
+    fn remote_latency(cfg: &SystemConfig) -> u64 {
+        cfg.l2_remote_latency
+    }
+
+    /// Advance time-driven policy state to `now` (SNUG's period clock).
+    /// Runs first on every access.
+    fn advance(&mut self, _now: u64) {}
+
+    /// A hit in `core`'s home set `set`.
+    fn on_hit(&mut self, _core: usize, _set: usize) {}
+
+    /// A home-set miss for `block`, counted, before the write buffer is
+    /// read (SNUG's shadow-tag lookup).
+    fn on_miss(&mut self, _ch: &mut PrivateChassis, _core: usize, _set: usize, _block: BlockAddr) {}
+
+    /// Find a peer's cooperatively cached copy of `block`.
+    fn probe_peers(
+        &self,
+        _ch: &PrivateChassis,
+        _owner: usize,
+        _block: BlockAddr,
+    ) -> Option<PeerHit> {
+        None
+    }
+
+    /// Runs when no peer had the block, before the DRAM fill (DSR's duel
+    /// tally, SNUG's stranded-copy sweep).
+    fn before_dram_fill(
+        &mut self,
+        _ch: &mut PrivateChassis,
+        _core: usize,
+        _set: usize,
+        _block: BlockAddr,
+    ) {
+    }
+
+    /// An owned line of `core`'s `set` was evicted, dirty or clean.
+    fn on_owned_eviction(&mut self, _core: usize, _set: usize, _block: BlockAddr) {}
+
+    /// Where to spill a clean owned victim of `core`'s `set`, if
+    /// anywhere.
+    fn spill_target(&mut self, _ch: &PrivateChassis, _core: usize, _set: usize) -> Option<PeerHit> {
+        None
+    }
+
+    /// Reset policy-side statistics at the warm-up boundary.
+    fn reset_stats(&mut self) {}
+
+    /// Drain buffered policy events (see [`L2Org::drain_events`]).
+    fn drain_events(&mut self) -> Vec<SchemeEvent> {
+        Vec::new()
+    }
+}
+
+/// A private-slice organisation: the shared chassis driven through one
+/// access path, with policy `P` supplying the scheme's hooks.
+#[derive(Clone)]
+pub struct Private<P> {
+    pub(crate) chassis: PrivateChassis,
+    pub(crate) policy: P,
+}
+
+impl<P: PrivatePolicy> Private<P> {
+    /// Build the organisation for `cfg` around `policy`.
+    pub(crate) fn with_policy(cfg: SystemConfig, policy: P) -> Self {
+        Private {
+            chassis: PrivateChassis::new(cfg),
+            policy,
+        }
+    }
+
+    /// Access to the underlying chassis (tests/diagnostics).
+    pub fn chassis(&self) -> &PrivateChassis {
+        &self.chassis
+    }
+
+    /// Dispose of a local victim. An evicted received line is dropped
+    /// (one-chance forwarding); an owned one tells the policy, then a
+    /// dirty one goes to the write buffer and a clean one spills where
+    /// the policy says, if anywhere.
+    fn dispose(&mut self, core: usize, ev: Evicted, now: u64, res: &mut ChipResources<'_>) {
+        if ev.flags.cc {
+            return;
+        }
+        let set = self.chassis.cfg.l2_slice.set_index(ev.block);
+        self.policy.on_owned_eviction(core, set, ev.block);
+        if ev.flags.dirty {
+            self.chassis.push_writeback(core, ev.block, now, res);
+        } else if let Some(to) = self.policy.spill_target(&self.chassis, core, set) {
+            self.chassis.receive_spill(core, to, ev.block, now, res);
+        }
+    }
+}
+
+impl<P: PrivatePolicy> L2Org for Private<P> {
+    fn access(
+        &mut self,
+        core: usize,
+        block: BlockAddr,
+        is_write: bool,
+        now: u64,
+        res: &mut ChipResources<'_>,
+    ) -> L2Outcome {
+        self.policy.advance(now);
+        let ch = &mut self.chassis;
+        ch.drain_write_buffers(now, res);
+        let set = ch.cfg.l2_slice.set_index(block);
+        if ch.local_access(core, block, is_write) {
+            self.policy.on_hit(core, set);
+            return L2Outcome {
+                latency: ch.cfg.l2_local_latency,
+                fill: L2Fill::LocalHit,
+            };
+        }
+        ch.slices[core].stats_mut().misses += 1;
+        self.policy.on_miss(ch, core, set, block);
+        let (latency, fill, dirty) = if ch.write_buffer_read(core, block) {
+            (ch.cfg.l2_local_latency, L2Fill::WriteBufferHit, true)
+        } else if let Some(hit) = self.policy.probe_peers(ch, core, block) {
+            let latency = ch.peer_hit_latency(now, P::remote_latency(&ch.cfg), res);
+            ch.forward_from_peer(core, hit, block);
+            (latency, L2Fill::RemoteHit, is_write)
+        } else {
+            self.policy.before_dram_fill(ch, core, set, block);
+            let latency = ch.dram_fill_latency(now, P::DRAM_SNOOP, res);
+            (latency, L2Fill::Dram, is_write)
+        };
+        if let Some(ev) = ch.fill_local(core, block, dirty) {
+            self.dispose(core, ev, now, res);
+        }
+        L2Outcome { latency, fill }
+    }
+
+    fn writeback(&mut self, core: usize, block: BlockAddr, now: u64, res: &mut ChipResources<'_>) {
+        self.chassis.l1_writeback(core, block, now, res);
+    }
+
+    fn slice_stats(&self, core: usize) -> &CacheStats {
+        self.chassis.slices[core].stats()
+    }
+
+    fn num_cores(&self) -> usize {
+        self.chassis.num_cores()
+    }
+
+    fn name(&self) -> &'static str {
+        P::NAME
+    }
+
+    fn reset_stats(&mut self) {
+        self.chassis.reset_stats();
+        self.policy.reset_stats();
+    }
+
+    fn clone_dyn(&self) -> Box<dyn L2Org> {
+        Box::new(self.clone())
+    }
+
+    fn drain_events(&mut self) -> Vec<SchemeEvent> {
+        self.policy.drain_events()
     }
 }
 
@@ -343,26 +524,35 @@ mod tests {
     fn local_access_hits_after_fill() {
         let (mut ch, _, _) = setup();
         let b = blk(3, 9);
-        assert!(ch.local_access(0, b, false).is_none());
+        assert!(!ch.local_access(0, b, false));
         ch.fill_local(0, b, false);
-        assert_eq!(ch.local_access(0, b, false), Some(false));
+        assert!(ch.local_access(0, b, false));
         assert_eq!(ch.slices[0].stats().hits, 1);
     }
 
     #[test]
     fn write_buffer_direct_read_reinstalls_dirty() {
-        let (mut ch, mut bus, mut dram) = setup();
+        let mut org = crate::L2p::new(SystemConfig::tiny_test());
+        let mut bus = Bus::new(BusConfig::paper());
+        // A busy DRAM channel keeps the buffered line from draining.
+        let mut dram = Dram::new(DramConfig {
+            latency: 300,
+            service_interval: 1_000_000,
+        });
         let mut res = ChipResources {
             bus: &mut bus,
             dram: &mut dram,
         };
+        let _ = res.dram.read(0);
         let b = blk(1, 2);
-        ch.push_writeback(0, b, 0, &mut res);
-        let got = ch.write_buffer_read(0, b, false);
-        assert!(got.is_some());
+        org.chassis.push_writeback(0, b, 0, &mut res);
+        let r = org.access(0, b, false, 10, &mut res);
+        assert_eq!(r.fill, L2Fill::WriteBufferHit);
+        let ch = org.chassis();
         let (s, w) = ch.slices[0].probe(b).expect("reinstalled");
         assert!(ch.slices[0].set(s).line(w).flags.dirty);
         assert_eq!(ch.wbs[0].len(), 0, "entry consumed");
+        assert_eq!(ch.slices[0].stats().write_buffer_hits, 1);
     }
 
     #[test]
@@ -384,13 +574,15 @@ mod tests {
             bus: &mut bus,
             dram: &mut dram,
         };
-        let lat = ch.dram_fill_latency(0, &mut res);
+        let lat = ch.dram_fill_latency(0, true, &mut res);
         assert_eq!(lat, 300, "speculative fetch: snoop hidden under DRAM");
         assert_eq!(
             res.bus.stats().address_transactions,
             1,
             "snoop still issued"
         );
+        assert_eq!(ch.dram_fill_latency(1000, false, &mut res), 300);
+        assert_eq!(res.bus.stats().address_transactions, 1, "no snoop");
     }
 
     #[test]
@@ -401,7 +593,7 @@ mod tests {
             dram: &mut dram,
         };
         let b = blk(5, 77);
-        ch.receive_spill(0, 2, 5, b, false, 0, &mut res);
+        ch.receive_spill(0, PeerHit { peer: 2, set: 5 }, b, 0, &mut res);
         assert_eq!(ch.slices[2].cc_lines(), 1);
         assert_eq!(ch.slices[0].stats().spills_out, 1);
         assert_eq!(ch.slices[2].stats().spills_in, 1);
@@ -423,7 +615,7 @@ mod tests {
             let ev = ch.slices[1].fill_in_set(5, blk(5, t), LineFlags::owned(true));
             assert!(ev.is_none());
         }
-        ch.receive_spill(0, 1, 5, blk(5, 100), false, 0, &mut res);
+        ch.receive_spill(0, PeerHit { peer: 1, set: 5 }, blk(5, 100), 0, &mut res);
         assert_eq!(ch.wbs[1].len(), 1, "displaced dirty owned line buffered");
     }
 

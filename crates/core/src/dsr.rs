@@ -11,9 +11,9 @@
 //! against: it exploits *application-level* asymmetry in capacity demand
 //! but is blind to set-level non-uniformity (the gap SNUG targets).
 
-use crate::chassis::{PeerHit, PrivateChassis};
-use sim_cache::{CacheStats, Evicted, Psel};
-use sim_cmp::{ChipResources, L2Fill, L2Org, L2Outcome, SystemConfig};
+use crate::chassis::{PeerHit, Private, PrivateChassis, PrivatePolicy};
+use sim_cache::Psel;
+use sim_cmp::SystemConfig;
 use sim_mem::BlockAddr;
 
 /// Role a set plays in the duel.
@@ -56,41 +56,21 @@ impl DsrConfig {
     }
 }
 
-/// The DSR organisation.
+/// DSR's policy: per-cache PSEL duels steering round-robin spills to
+/// receiving peers.
 #[derive(Clone)]
-pub struct Dsr {
-    chassis: PrivateChassis,
+pub struct DsrPolicy {
     cfg: DsrConfig,
+    /// One PSEL counter per cache.
     psel: Vec<Psel>,
     next_peer: usize,
 }
 
-impl Dsr {
-    /// Build DSR.
-    pub fn new(sys: SystemConfig, cfg: DsrConfig) -> Self {
-        assert!(cfg.sample_stride >= 2);
-        let n = sys.num_cores;
-        Dsr {
-            chassis: PrivateChassis::new(sys),
-            cfg,
-            psel: vec![Psel::new(cfg.psel_bits); n],
-            next_peer: 1,
-        }
-    }
-
-    /// Access to the underlying chassis (tests/diagnostics).
-    pub fn chassis(&self) -> &PrivateChassis {
-        &self.chassis
-    }
-
-    /// The duel role of `set` in cache `c`.
-    ///
-    /// Sample positions are staggered per cache (as in Qureshi's design)
-    /// so one cache's spiller samples land on other caches' followers or
-    /// receiver samples rather than their spiller samples.
-    pub fn set_role(&self, c: usize, set: usize) -> SetRole {
+impl DsrPolicy {
+    /// The duel role of `set` in cache `c`; see [`Dsr::set_role`].
+    fn set_role(&self, c: usize, set: usize) -> SetRole {
         let s = self.cfg.sample_stride;
-        let off = (c * s / self.chassis.num_cores()) % s;
+        let off = (c * s / self.psel.len()) % s;
         let r = set % s;
         if r == off {
             SetRole::SpillSample
@@ -101,12 +81,9 @@ impl Dsr {
         }
     }
 
-    /// Whether cache `c` currently acts as a spiller for its followers.
-    ///
-    /// Orientation: a DRAM-bound miss in a spiller-sample set increments
-    /// PSEL, one in a receiver-sample set decrements it. Low PSEL ⇒
-    /// spill-sample sets miss less ⇒ spilling pays for this cache.
-    pub fn is_spiller(&self, c: usize) -> bool {
+    /// Whether cache `c` currently acts as a spiller; see
+    /// [`Dsr::is_spiller`].
+    fn is_spiller(&self, c: usize) -> bool {
         !self.psel[c].high()
     }
 
@@ -127,133 +104,86 @@ impl Dsr {
             SetRole::Follower => !self.is_spiller(c),
         }
     }
+}
 
-    /// Record a DRAM-bound miss for the duel.
-    fn note_dram_miss(&mut self, c: usize, set: usize) {
-        match self.set_role(c, set) {
-            SetRole::SpillSample => self.psel[c].inc(),
-            SetRole::ReceiveSample => self.psel[c].dec(),
+impl PrivatePolicy for DsrPolicy {
+    const NAME: &'static str = "DSR";
+
+    fn probe_peers(&self, ch: &PrivateChassis, owner: usize, block: BlockAddr) -> Option<PeerHit> {
+        ch.probe_same_index(owner, block)
+    }
+
+    /// Tally a DRAM-bound miss for the duel.
+    fn before_dram_fill(
+        &mut self,
+        _ch: &mut PrivateChassis,
+        core: usize,
+        set: usize,
+        _block: BlockAddr,
+    ) {
+        match self.set_role(core, set) {
+            SetRole::SpillSample => self.psel[core].inc(),
+            SetRole::ReceiveSample => self.psel[core].dec(),
             SetRole::Follower => {}
         }
     }
 
-    fn probe_peers(&self, owner: usize, block: BlockAddr) -> Option<PeerHit> {
-        let set = self.chassis.cfg.l2_slice.set_index(block);
-        let n = self.chassis.num_cores();
-        (0..n)
-            .filter(|&j| j != owner)
-            .find(|&j| self.chassis.probe_cc_in_set(j, set, block))
-            .map(|peer| PeerHit { peer, set })
-    }
-
-    fn handle_victim(&mut self, core: usize, ev: Evicted, now: u64, res: &mut ChipResources<'_>) {
-        if ev.flags.cc {
-            return;
-        }
-        if ev.flags.dirty {
-            self.chassis.retire_victim(core, ev, now, res);
-            return;
-        }
-        let set = self.chassis.cfg.l2_slice.set_index(ev.block);
+    /// Round-robin over the peers whose same-index set receives.
+    fn spill_target(&mut self, _ch: &PrivateChassis, core: usize, set: usize) -> Option<PeerHit> {
         if !self.spills(core, set) {
-            return;
+            return None;
         }
-        // Round-robin over receiving peers.
-        let n = self.chassis.num_cores();
+        let n = self.psel.len();
         let start = self.next_peer;
-        for k in 0..n {
-            let j = (start + k) % n;
-            if j != core && self.receives(j, set) {
-                self.next_peer = (j + 1) % n;
-                self.chassis.charge_spill_transfer(now, res);
-                self.chassis
-                    .receive_spill(core, j, set, ev.block, false, now, res);
-                return;
-            }
-        }
+        let peer = (0..n)
+            .map(|k| (start + k) % n)
+            .find(|&j| j != core && self.receives(j, set))?;
+        self.next_peer = (peer + 1) % n;
+        Some(PeerHit { peer, set })
     }
 }
 
-impl L2Org for Dsr {
-    fn access(
-        &mut self,
-        core: usize,
-        block: BlockAddr,
-        is_write: bool,
-        now: u64,
-        res: &mut ChipResources<'_>,
-    ) -> L2Outcome {
-        self.chassis.drain_write_buffers(now, res);
-        if self.chassis.local_access(core, block, is_write).is_some() {
-            return L2Outcome {
-                latency: self.chassis.cfg.l2_local_latency,
-                fill: L2Fill::LocalHit,
-            };
-        }
-        self.chassis.slices[core].stats_mut().misses += 1;
-        if let Some(ev) = self.chassis.write_buffer_read(core, block, is_write) {
-            if let Some(ev) = ev {
-                self.handle_victim(core, ev, now, res);
-            }
-            return L2Outcome {
-                latency: self.chassis.cfg.l2_local_latency,
-                fill: L2Fill::WriteBufferHit,
-            };
-        }
-        if let Some(hit) = self.probe_peers(core, block) {
-            let latency =
-                self.chassis
-                    .peer_hit_latency(now, self.chassis.cfg.l2_remote_latency, res);
-            self.chassis.forward_from_peer(core, hit, block);
-            if let Some(ev) = self.chassis.fill_local(core, block, is_write) {
-                self.handle_victim(core, ev, now, res);
-            }
-            return L2Outcome {
-                latency,
-                fill: L2Fill::RemoteHit,
-            };
-        }
-        let set = self.chassis.cfg.l2_slice.set_index(block);
-        self.note_dram_miss(core, set);
-        let latency = self.chassis.dram_fill_latency(now, res);
-        if let Some(ev) = self.chassis.fill_local(core, block, is_write) {
-            self.handle_victim(core, ev, now, res);
-        }
-        L2Outcome {
-            latency,
-            fill: L2Fill::Dram,
-        }
+/// The DSR organisation.
+pub type Dsr = Private<DsrPolicy>;
+
+impl Dsr {
+    /// Build DSR.
+    pub fn new(sys: SystemConfig, cfg: DsrConfig) -> Self {
+        assert!(cfg.sample_stride >= 2);
+        let n = sys.num_cores;
+        Private::with_policy(
+            sys,
+            DsrPolicy {
+                cfg,
+                psel: vec![Psel::new(cfg.psel_bits); n],
+                next_peer: 1,
+            },
+        )
     }
 
-    fn writeback(&mut self, core: usize, block: BlockAddr, now: u64, res: &mut ChipResources<'_>) {
-        self.chassis.l1_writeback(core, block, now, res);
+    /// The duel role of `set` in cache `c`.
+    ///
+    /// Sample positions are staggered per cache (as in Qureshi's design)
+    /// so one cache's spiller samples land on other caches' followers or
+    /// receiver samples rather than their spiller samples.
+    pub fn set_role(&self, c: usize, set: usize) -> SetRole {
+        self.policy.set_role(c, set)
     }
 
-    fn slice_stats(&self, core: usize) -> &CacheStats {
-        self.chassis.slices[core].stats()
-    }
-
-    fn num_cores(&self) -> usize {
-        self.chassis.num_cores()
-    }
-
-    fn name(&self) -> &'static str {
-        "DSR"
-    }
-
-    fn reset_stats(&mut self) {
-        self.chassis.reset_stats();
-    }
-
-    fn clone_dyn(&self) -> Box<dyn L2Org> {
-        Box::new(self.clone())
+    /// Whether cache `c` currently acts as a spiller for its followers.
+    ///
+    /// Orientation: a DRAM-bound miss in a spiller-sample set increments
+    /// PSEL, one in a receiver-sample set decrements it. Low PSEL ⇒
+    /// spill-sample sets miss less ⇒ spilling pays for this cache.
+    pub fn is_spiller(&self, c: usize) -> bool {
+        self.policy.is_spiller(c)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_cmp::{Bus, BusConfig};
+    use sim_cmp::{Bus, BusConfig, ChipResources, L2Fill, L2Org};
     use sim_mem::{Dram, DramConfig};
 
     fn mk() -> (Dsr, Bus, Dram) {

@@ -122,17 +122,6 @@ pub enum AnyOrg {
     Snug(Snug),
 }
 
-impl AnyOrg {
-    /// The inner [`Cc`], if this is the CC scheme (the shared-warm-up
-    /// sweep retunes its spill probability in place).
-    pub fn as_cc_mut(&mut self) -> Option<&mut Cc> {
-        match self {
-            AnyOrg::Cc(cc) => Some(cc),
-            _ => None,
-        }
-    }
-}
-
 impl L2Org for AnyOrg {
     fn access(
         &mut self,

@@ -1,101 +1,36 @@
 //! L2P — the private-L2 baseline (no capacity sharing).
 //!
-//! Each core owns a 1 MB slice; misses go straight to DRAM. All three
-//! evaluation figures are normalised to this organisation.
+//! Each core owns a 1 MB slice; misses go straight to DRAM without a
+//! snoop. All three evaluation figures are normalised to this
+//! organisation.
 
-use crate::chassis::PrivateChassis;
-use sim_cache::CacheStats;
-use sim_cmp::{ChipResources, L2Fill, L2Org, L2Outcome, SystemConfig};
-use sim_mem::BlockAddr;
+use crate::chassis::{Private, PrivatePolicy};
+use sim_cmp::SystemConfig;
+
+/// The private baseline's policy: every hook keeps its no-op default.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct L2pPolicy;
+
+impl PrivatePolicy for L2pPolicy {
+    const NAME: &'static str = "L2P";
+    const DRAM_SNOOP: bool = false;
+}
 
 /// The private baseline.
-#[derive(Clone)]
-pub struct L2p {
-    chassis: PrivateChassis,
-}
+pub type L2p = Private<L2pPolicy>;
 
 impl L2p {
     /// Build the baseline for `cfg`.
     pub fn new(cfg: SystemConfig) -> Self {
-        L2p {
-            chassis: PrivateChassis::new(cfg),
-        }
-    }
-
-    /// Access to the underlying chassis (tests/diagnostics).
-    pub fn chassis(&self) -> &PrivateChassis {
-        &self.chassis
-    }
-}
-
-impl L2Org for L2p {
-    fn access(
-        &mut self,
-        core: usize,
-        block: BlockAddr,
-        is_write: bool,
-        now: u64,
-        res: &mut ChipResources<'_>,
-    ) -> L2Outcome {
-        let ch = &mut self.chassis;
-        ch.drain_write_buffers(now, res);
-        if ch.local_access(core, block, is_write).is_some() {
-            return L2Outcome {
-                latency: ch.cfg.l2_local_latency,
-                fill: L2Fill::LocalHit,
-            };
-        }
-        ch.slices[core].stats_mut().misses += 1;
-        if let Some(ev) = ch.write_buffer_read(core, block, is_write) {
-            if let Some(ev) = ev {
-                ch.retire_victim(core, ev, now, res);
-            }
-            return L2Outcome {
-                latency: ch.cfg.l2_local_latency,
-                fill: L2Fill::WriteBufferHit,
-            };
-        }
-        // Private baseline: no snoop broadcast; straight to DRAM.
-        let done = res.dram.read(now);
-        let latency = done - now;
-        if let Some(ev) = ch.fill_local(core, block, is_write) {
-            ch.retire_victim(core, ev, now, res);
-        }
-        L2Outcome {
-            latency,
-            fill: L2Fill::Dram,
-        }
-    }
-
-    fn writeback(&mut self, core: usize, block: BlockAddr, now: u64, res: &mut ChipResources<'_>) {
-        self.chassis.l1_writeback(core, block, now, res);
-    }
-
-    fn slice_stats(&self, core: usize) -> &CacheStats {
-        self.chassis.slices[core].stats()
-    }
-
-    fn num_cores(&self) -> usize {
-        self.chassis.num_cores()
-    }
-
-    fn name(&self) -> &'static str {
-        "L2P"
-    }
-
-    fn reset_stats(&mut self) {
-        self.chassis.reset_stats();
-    }
-
-    fn clone_dyn(&self) -> Box<dyn L2Org> {
-        Box::new(self.clone())
+        Private::with_policy(cfg, L2pPolicy)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_cmp::{Bus, BusConfig};
+    use sim_cmp::{Bus, BusConfig, ChipResources, L2Fill, L2Org};
+    use sim_mem::BlockAddr;
     use sim_mem::{Dram, DramConfig};
 
     fn res_pair() -> (Bus, Dram) {

@@ -14,7 +14,9 @@
 //!   periods and the index-bit flipping grouping scheme;
 //! * [`gt`] — G/T vectors and the Fig. 8 grouping cases;
 //! * [`chassis`] — shared private-slice machinery (write buffers,
-//!   latency composition, victim handling, coherence sweeps);
+//!   latency composition, victim handling, coherence sweeps) and the one
+//!   access path L2P, CC, DSR and SNUG run, each supplying only its
+//!   [`PrivatePolicy`] hooks;
 //! * [`overhead`] — the §3.4 storage-overhead arithmetic (Tables 2–3);
 //! * [`factory`] — one constructor for all five schemes.
 
@@ -39,7 +41,7 @@ pub mod overhead;
 pub mod snug;
 
 pub use cc::Cc;
-pub use chassis::{PeerHit, PrivateChassis};
+pub use chassis::{PeerHit, Private, PrivateChassis, PrivatePolicy};
 pub use dsr::{Dsr, DsrConfig, SetRole};
 pub use factory::{AnyOrg, SchemeSpec};
 pub use gt::{GroupCase, GtVector};

@@ -17,12 +17,10 @@
 //! 100 M cycles: taker sets spill; peers respond per the index-bit
 //! flipping cases of Fig. 8).
 
-use crate::chassis::{PeerHit, PrivateChassis};
+use crate::chassis::{PeerHit, Private, PrivateChassis, PrivatePolicy};
 use crate::gt::{GroupCase, GtVector};
-use sim_cache::{CacheStats, Evicted, ShadowArray};
-use sim_cmp::{
-    ChipResources, L2Fill, L2Org, L2Outcome, SchemeEvent, SchemeEventKind, SystemConfig,
-};
+use sim_cache::ShadowArray;
+use sim_cmp::{SchemeEvent, SchemeEventKind, SystemConfig};
 use sim_mem::BlockAddr;
 
 /// SNUG configuration.
@@ -101,7 +99,7 @@ pub enum Stage {
     Grouped,
 }
 
-/// SNUG-specific event counters (beyond [`CacheStats`]).
+/// SNUG-specific event counters (beyond [`sim_cache::CacheStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnugEvents {
     /// Completed sampling periods.
@@ -118,10 +116,10 @@ pub struct SnugEvents {
     pub stranded_invalidated: u64,
 }
 
-/// The SNUG organisation.
+/// SNUG's policy: per-slice shadow tags and G/T vectors, the two-stage
+/// period machine, and G/T-directed retrieval and spills.
 #[derive(Clone)]
-pub struct Snug {
-    chassis: PrivateChassis,
+pub struct SnugPolicy {
     cfg: SnugConfig,
     shadows: Vec<ShadowArray>,
     gt: Vec<GtVector>,
@@ -130,53 +128,43 @@ pub struct Snug {
     next_peer: usize,
     events: SnugEvents,
     /// Buffered stage/G-T transitions for session probes (drained via
-    /// [`L2Org::drain_events`]; bounded by the period count).
+    /// [`sim_cmp::L2Org::drain_events`]; bounded by the period count).
     event_log: Vec<SchemeEvent>,
 }
 
-impl Snug {
-    /// Build SNUG for the given system and parameters.
-    pub fn new(sys: SystemConfig, cfg: SnugConfig) -> Self {
-        let sets = sys.l2_slice.num_sets as usize;
-        let assoc = sys.l2_slice.assoc;
-        let n = sys.num_cores;
-        Snug {
-            chassis: PrivateChassis::new(sys),
-            cfg,
-            shadows: (0..n)
-                .map(|_| ShadowArray::new(sets, assoc, cfg.counter_bits, cfg.p))
-                .collect(),
-            gt: (0..n).map(|_| GtVector::all_givers(sets)).collect(),
-            stage: Stage::Identify,
-            period_start: 0,
-            next_peer: 1,
-            events: SnugEvents::default(),
-            event_log: Vec::new(),
+impl SnugPolicy {
+    /// Number of low index bits a retrieval or spill may flip (0 with
+    /// flipping off).
+    fn effective_flip_width(&self) -> u32 {
+        if self.cfg.flipping {
+            self.cfg.flip_width.max(1)
+        } else {
+            0
         }
     }
 
-    /// Access to the underlying chassis (tests/diagnostics).
-    pub fn chassis(&self) -> &PrivateChassis {
-        &self.chassis
+    /// Where `peer` would hold a block of home index `set`, per its G/T
+    /// vector (Fig. 8): the same index, the flip partner, or nowhere.
+    fn grouped(&self, peer: usize, set: usize) -> Option<PeerHit> {
+        let w = self.effective_flip_width();
+        let set = match self.gt[peer].group_case_wide(set, w) {
+            GroupCase::SameIndex => set,
+            GroupCase::FlippedIndex => self.gt[peer].flip_partner(set, w)?,
+            GroupCase::NoMatch => return None,
+        };
+        Some(PeerHit { peer, set })
     }
+}
 
-    /// Current stage.
-    pub fn stage(&self) -> Stage {
-        self.stage
-    }
+impl PrivatePolicy for SnugPolicy {
+    const NAME: &'static str = "SNUG";
 
-    /// The latched G/T vector of one slice.
-    pub fn gt(&self, core: usize) -> &GtVector {
-        &self.gt[core]
-    }
-
-    /// SNUG-specific event counters.
-    pub fn events(&self) -> SnugEvents {
-        self.events
+    fn remote_latency(cfg: &SystemConfig) -> u64 {
+        cfg.snug_remote_latency
     }
 
     /// Advance the two-stage period machine to `now` (paper Fig. 5).
-    fn advance_clock(&mut self, now: u64) {
+    fn advance(&mut self, now: u64) {
         loop {
             match self.stage {
                 Stage::Identify => {
@@ -230,177 +218,77 @@ impl Snug {
         }
     }
 
+    fn on_hit(&mut self, core: usize, set: usize) {
+        self.shadows[core].on_real_hit(set);
+    }
+
+    /// Shadow lookup: a hit means the block was recently evicted from
+    /// this very set — it is about to re-enter the real set, so the
+    /// entry is invalidated (exclusivity) and the monitor credited.
+    fn on_miss(&mut self, ch: &mut PrivateChassis, core: usize, set: usize, block: BlockAddr) {
+        if self.shadows[core].on_real_miss(set, block) {
+            ch.slices[core].stats_mut().shadow_hits += 1;
+        }
+    }
+
     /// Retrieval probe per §3.2: each peer consults its G/T vector for
     /// the two adjacent entries; at most one unambiguous set per peer
     /// may be searched.
-    fn effective_flip_width(&self) -> u32 {
-        if self.cfg.flipping {
-            self.cfg.flip_width.max(1)
-        } else {
-            0
-        }
+    fn probe_peers(&self, ch: &PrivateChassis, owner: usize, block: BlockAddr) -> Option<PeerHit> {
+        let set = ch.cfg.l2_slice.set_index(block);
+        (0..ch.num_cores())
+            .filter(|&j| j != owner)
+            .filter_map(|peer| self.grouped(peer, set))
+            .find(|hit| ch.probe_cc_in_set(hit.peer, hit.set, block))
     }
 
-    fn probe_peers(&self, owner: usize, block: BlockAddr) -> Option<PeerHit> {
-        let set = self.chassis.cfg.l2_slice.set_index(block);
-        let n = self.chassis.num_cores();
-        let w = self.effective_flip_width();
-        for j in (0..n).filter(|&j| j != owner) {
-            let probe_set = match self.gt[j].group_case_wide(set, w) {
-                GroupCase::SameIndex => set,
-                #[expect(
-                    clippy::expect_used,
-                    reason = "FlippedIndex is only returned when the flip partner exists in the group table"
-                )]
-                GroupCase::FlippedIndex => self.gt[j].flip_partner(set, w).expect("partner exists"),
-                GroupCase::NoMatch => continue,
-            };
-            if self.chassis.probe_cc_in_set(j, probe_set, block) {
-                return Some(PeerHit {
-                    peer: j,
-                    set: probe_set,
-                });
-            }
-        }
-        None
-    }
-
-    /// Handle a local victim (paper §3.2 + §3.3): owned victims always
-    /// leave their tag in the shadow set; dirty ones go to the write
-    /// buffer; clean ones spill if the evicting set is a taker and a
-    /// peer giver set exists (Stage II only).
-    fn handle_victim(&mut self, core: usize, ev: Evicted, now: u64, res: &mut ChipResources<'_>) {
-        if ev.flags.cc {
-            return; // one-chance: an evicted received line is dropped
-        }
-        let set = self.chassis.cfg.l2_slice.set_index(ev.block);
-        self.shadows[core].on_owned_eviction(set, ev.block);
-        if ev.flags.dirty {
-            self.chassis.retire_victim(core, ev, now, res);
-            return;
-        }
-        if self.stage != Stage::Grouped || !self.gt[core].is_taker(set) {
-            return;
-        }
-        // First responder: round-robin over peers, Fig. 8 cases.
-        let n = self.chassis.num_cores();
-        let start = self.next_peer;
-        let w = self.effective_flip_width();
-        for k in 0..n {
-            let j = (start + k) % n;
-            if j == core {
-                continue;
-            }
-            let (target_set, flipped) = match self.gt[j].group_case_wide(set, w) {
-                GroupCase::SameIndex => (set, false),
-                #[expect(
-                    clippy::expect_used,
-                    reason = "FlippedIndex is only returned when the flip partner exists in the group table"
-                )]
-                GroupCase::FlippedIndex => (
-                    self.gt[j].flip_partner(set, w).expect("partner exists"),
-                    true,
-                ),
-                GroupCase::NoMatch => continue,
-            };
-            self.next_peer = (j + 1) % n;
-            if flipped {
-                self.events.spills_flipped += 1;
-            } else {
-                self.events.spills_same_index += 1;
-            }
-            self.chassis.charge_spill_transfer(now, res);
-            self.chassis
-                .receive_spill(core, j, target_set, ev.block, flipped, now, res);
-            return;
-        }
-        self.events.spills_unplaced += 1;
-    }
-}
-
-impl L2Org for Snug {
-    fn access(
+    /// Off-chip. Any stranded CC copy (unreachable because the G/T
+    /// vector changed since it was spilled) is silently invalidated by
+    /// the snoop so the single-copy invariant holds after the refill.
+    fn before_dram_fill(
         &mut self,
+        ch: &mut PrivateChassis,
         core: usize,
+        _set: usize,
         block: BlockAddr,
-        is_write: bool,
-        now: u64,
-        res: &mut ChipResources<'_>,
-    ) -> L2Outcome {
-        self.advance_clock(now);
-        self.chassis.drain_write_buffers(now, res);
-        let set = self.chassis.cfg.l2_slice.set_index(block);
-        if self.chassis.local_access(core, block, is_write).is_some() {
-            self.shadows[core].on_real_hit(set);
-            return L2Outcome {
-                latency: self.chassis.cfg.l2_local_latency,
-                fill: L2Fill::LocalHit,
-            };
-        }
-        self.chassis.slices[core].stats_mut().misses += 1;
-        // Shadow lookup: a hit means the block was recently evicted from
-        // this very set — it is about to re-enter the real set, so the
-        // entry is invalidated (exclusivity) and the monitor credited.
-        if self.shadows[core].on_real_miss(set, block) {
-            self.chassis.slices[core].stats_mut().shadow_hits += 1;
-        }
-        if let Some(ev) = self.chassis.write_buffer_read(core, block, is_write) {
-            if let Some(ev) = ev {
-                self.handle_victim(core, ev, now, res);
-            }
-            return L2Outcome {
-                latency: self.chassis.cfg.l2_local_latency,
-                fill: L2Fill::WriteBufferHit,
-            };
-        }
-        if let Some(hit) = self.probe_peers(core, block) {
-            let latency =
-                self.chassis
-                    .peer_hit_latency(now, self.chassis.cfg.snug_remote_latency, res);
-            self.chassis.forward_from_peer(core, hit, block);
-            if let Some(ev) = self.chassis.fill_local(core, block, is_write) {
-                self.handle_victim(core, ev, now, res);
-            }
-            return L2Outcome {
-                latency,
-                fill: L2Fill::RemoteHit,
-            };
-        }
-        // Off-chip. Any stranded CC copy (unreachable because the G/T
-        // vector changed since it was spilled) is silently invalidated by
-        // the snoop so the single-copy invariant holds after the refill.
+    ) {
         let stranded =
-            self.chassis
-                .invalidate_cc_copies_wide(core, block, self.effective_flip_width().max(1));
+            ch.invalidate_cc_copies_wide(core, block, self.effective_flip_width().max(1));
         self.events.stranded_invalidated += stranded as u64;
-        let latency = self.chassis.dram_fill_latency(now, res);
-        if let Some(ev) = self.chassis.fill_local(core, block, is_write) {
-            self.handle_victim(core, ev, now, res);
+    }
+
+    /// Owned victims always leave their tag in the shadow set (§3.3).
+    fn on_owned_eviction(&mut self, core: usize, set: usize, block: BlockAddr) {
+        self.shadows[core].on_owned_eviction(set, block);
+    }
+
+    /// A clean victim spills if the evicting set is a taker and a peer
+    /// giver set exists (Stage II only); first responder is round-robin
+    /// over peers, per the Fig. 8 cases.
+    fn spill_target(&mut self, ch: &PrivateChassis, core: usize, set: usize) -> Option<PeerHit> {
+        if self.stage != Stage::Grouped || !self.gt[core].is_taker(set) {
+            return None;
         }
-        L2Outcome {
-            latency,
-            fill: L2Fill::Dram,
+        let n = ch.num_cores();
+        let start = self.next_peer;
+        let Some(to) = (0..n)
+            .map(|k| (start + k) % n)
+            .filter(|&j| j != core)
+            .find_map(|peer| self.grouped(peer, set))
+        else {
+            self.events.spills_unplaced += 1;
+            return None;
+        };
+        self.next_peer = (to.peer + 1) % n;
+        if to.set == set {
+            self.events.spills_same_index += 1;
+        } else {
+            self.events.spills_flipped += 1;
         }
-    }
-
-    fn writeback(&mut self, core: usize, block: BlockAddr, now: u64, res: &mut ChipResources<'_>) {
-        self.chassis.l1_writeback(core, block, now, res);
-    }
-
-    fn slice_stats(&self, core: usize) -> &CacheStats {
-        self.chassis.slices[core].stats()
-    }
-
-    fn num_cores(&self) -> usize {
-        self.chassis.num_cores()
-    }
-
-    fn name(&self) -> &'static str {
-        "SNUG"
+        Some(to)
     }
 
     fn reset_stats(&mut self) {
-        self.chassis.reset_stats();
         self.events = SnugEvents::default();
         // `event_log` deliberately survives: it is a transition log for
         // probes, not a statistic — clearing it here would drop any
@@ -408,19 +296,57 @@ impl L2Org for Snug {
         // the warm-up boundary from recorded traces.
     }
 
-    fn clone_dyn(&self) -> Box<dyn L2Org> {
-        Box::new(self.clone())
-    }
-
     fn drain_events(&mut self) -> Vec<SchemeEvent> {
         std::mem::take(&mut self.event_log)
+    }
+}
+
+/// The SNUG organisation.
+pub type Snug = Private<SnugPolicy>;
+
+impl Snug {
+    /// Build SNUG for the given system and parameters.
+    pub fn new(sys: SystemConfig, cfg: SnugConfig) -> Self {
+        let sets = sys.l2_slice.num_sets as usize;
+        let assoc = sys.l2_slice.assoc;
+        let n = sys.num_cores;
+        Private::with_policy(
+            sys,
+            SnugPolicy {
+                cfg,
+                shadows: (0..n)
+                    .map(|_| ShadowArray::new(sets, assoc, cfg.counter_bits, cfg.p))
+                    .collect(),
+                gt: (0..n).map(|_| GtVector::all_givers(sets)).collect(),
+                stage: Stage::Identify,
+                period_start: 0,
+                next_peer: 1,
+                events: SnugEvents::default(),
+                event_log: Vec::new(),
+            },
+        )
+    }
+
+    /// Current stage.
+    pub fn stage(&self) -> Stage {
+        self.policy.stage
+    }
+
+    /// The latched G/T vector of one slice.
+    pub fn gt(&self, core: usize) -> &GtVector {
+        &self.policy.gt[core]
+    }
+
+    /// SNUG-specific event counters.
+    pub fn events(&self) -> SnugEvents {
+        self.policy.events
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_cmp::{Bus, BusConfig};
+    use sim_cmp::{Bus, BusConfig, ChipResources, L2Org};
     use sim_mem::{Dram, DramConfig};
 
     fn tiny_cfg() -> SnugConfig {

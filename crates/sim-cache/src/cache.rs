@@ -173,19 +173,6 @@ impl SetAssocCache {
         evicted
     }
 
-    /// Fill into a specific set, preferring to reclaim donated (CC)
-    /// capacity before evicting owned lines.
-    pub fn fill_in_set_prefer_evict_cc(
-        &mut self,
-        set: usize,
-        block: BlockAddr,
-        flags: LineFlags,
-    ) -> Option<Evicted> {
-        let evicted = self.set_mut(set).fill_prefer_evict_cc(block, flags);
-        self.note_eviction(&evicted);
-        evicted
-    }
-
     fn note_eviction(&mut self, evicted: &Option<Evicted>) {
         if let Some(ev) = evicted {
             self.stats.evictions += 1;
@@ -410,9 +397,9 @@ mod tests {
     #[test]
     fn cc_tally_tracks_storage_through_mixed_operations() {
         let mut c = tiny();
-        // Interleave received fills, owned fills, hits, invalidations and
-        // CC-preferring evictions; the incremental tally must equal a
-        // fresh scan at every step.
+        // Interleave received fills, owned fills, hits and
+        // invalidations; the incremental tally must equal a fresh scan at
+        // every step.
         for i in 0..200u64 {
             let set = (i % 4) as usize;
             let block = blk(set as u64, 1 + i % 7);
@@ -430,7 +417,7 @@ mod tests {
                 }
                 3 => {
                     if c.probe_in_set(set, block).is_none() {
-                        c.fill_in_set_prefer_evict_cc(set, block, LineFlags::owned(false));
+                        c.fill_in_set(set, block, LineFlags::owned(false));
                     }
                 }
                 _ => {

@@ -36,13 +36,6 @@ impl SatCounter {
         }
     }
 
-    /// Create with an explicit initial value (clamped to range).
-    pub fn with_value(k: u32, value: u16) -> Self {
-        let mut c = Self::new(k);
-        c.value = value.min(c.max);
-        c
-    }
-
     /// Saturating increment.
     #[inline]
     pub fn inc(&mut self) {

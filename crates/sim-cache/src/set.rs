@@ -186,22 +186,6 @@ impl<'a> SetRef<'a> {
             .unwrap_or_else(|| self.lru.lru_way())
     }
 
-    /// The line that would be evicted if a fill happened now, if the
-    /// victim way holds a valid line.
-    pub fn peek_victim(&self) -> Option<CacheLine> {
-        let w = self.victim_way();
-        (self.meta[w] & META_VALID != 0).then(|| self.line(w))
-    }
-
-    /// The CC line closest to LRU, if any valid CC line exists.
-    pub fn lru_most_cc_way(&self) -> Option<usize> {
-        // Walk LRU → MRU and return the first valid CC line.
-        (0..self.assoc())
-            .rev()
-            .map(|p| self.lru.way_at(p))
-            .find(|&w| self.meta[w] & (META_VALID | META_CC) == META_VALID | META_CC)
-    }
-
     /// Number of valid lines.
     pub fn valid_count(&self) -> usize {
         self.meta.iter().filter(|&&m| m & META_VALID != 0).count()
@@ -256,16 +240,6 @@ impl<'a> SetMut<'a> {
     #[inline]
     pub fn victim_way(&self) -> usize {
         self.as_ref().victim_way()
-    }
-
-    /// See [`SetRef::peek_victim`].
-    pub fn peek_victim(&self) -> Option<CacheLine> {
-        self.as_ref().peek_victim()
-    }
-
-    /// See [`SetRef::lru_most_cc_way`].
-    pub fn lru_most_cc_way(&self) -> Option<usize> {
-        self.as_ref().lru_most_cc_way()
     }
 
     /// Number of valid lines.
@@ -331,22 +305,6 @@ impl<'a> SetMut<'a> {
             "fill of already-resident block"
         );
         let way = self.victim_way();
-        self.replace(way, block, flags)
-    }
-
-    /// Fill `block`, preferring to evict a cooperatively cached (CC=1)
-    /// line over an owned one if any exists; falls back to normal
-    /// victim selection. Used by receiving sets so donated capacity is
-    /// reclaimed before local blocks when a *local* fill arrives.
-    pub fn fill_prefer_evict_cc(&mut self, block: BlockAddr, flags: LineFlags) -> Option<Evicted> {
-        debug_assert!(self.probe(block).is_none());
-        // The LRU-most CC line, if any and no way is free, else the
-        // usual victim.
-        let all_valid = self.meta.iter().all(|&m| m & META_VALID != 0);
-        let way = self
-            .lru_most_cc_way()
-            .filter(|_| all_valid)
-            .unwrap_or_else(|| self.victim_way());
         self.replace(way, block, flags)
     }
 
@@ -450,45 +408,13 @@ mod tests {
     }
 
     #[test]
-    fn prefer_evicting_cc_lines() {
-        let mut c = single(4);
-        with_set(&mut c, |mut s| {
-            s.fill(b(10), LineFlags::owned(false));
-            s.fill(b(11), LineFlags::received(false));
-            s.fill(b(12), LineFlags::owned(false));
-            s.fill(b(13), LineFlags::owned(false));
-            // b(10) is LRU, but b(11) is the CC line: local fill should
-            // evict the CC line first.
-            let ev = s
-                .fill_prefer_evict_cc(b(14), LineFlags::owned(false))
-                .unwrap();
-            assert_eq!(ev.block, b(11));
-            assert!(ev.flags.cc);
-            assert!(s.probe(b(10)).is_some(), "owned LRU line survives");
-        });
-    }
-
-    #[test]
-    fn prefer_evict_cc_falls_back_to_lru() {
-        let mut c = single(2);
-        with_set(&mut c, |mut s| {
-            s.fill(b(1), LineFlags::owned(false));
-            s.fill(b(2), LineFlags::owned(false));
-            let ev = s
-                .fill_prefer_evict_cc(b(3), LineFlags::owned(false))
-                .unwrap();
-            assert_eq!(ev.block, b(1), "no CC line: plain LRU victim");
-        });
-    }
-
-    #[test]
     fn fill_uses_invalid_ways_before_evicting_cc() {
         let mut c = single(2);
         with_set(&mut c, |mut s| {
             s.fill(b(1), LineFlags::received(true));
             // One way still invalid: no eviction even though a CC line
             // exists.
-            assert_eq!(s.fill_prefer_evict_cc(b(2), LineFlags::owned(false)), None);
+            assert_eq!(s.fill(b(2), LineFlags::owned(false)), None);
             assert_eq!(s.valid_count(), 2);
         });
     }

@@ -167,15 +167,6 @@ impl CoreModel {
         }
     }
 
-    /// Advance the local clock to at least `t` (used to keep a finished
-    /// core's clock from falling behind the global horizon).
-    pub fn advance_to(&mut self, t: u64) {
-        if t > self.cycle {
-            self.cycle = t;
-            self.issue_slot = 0;
-        }
-    }
-
     /// Instantaneous IPC since cycle 0.
     pub fn ipc(&self) -> f64 {
         if self.cycle == 0 {
@@ -292,14 +283,5 @@ mod tests {
         c.track_load(500);
         c.drain();
         assert_eq!(c.cycle(), 500);
-    }
-
-    #[test]
-    fn advance_to_monotone() {
-        let mut c = CoreModel::new(cfg());
-        c.advance_to(50);
-        assert_eq!(c.cycle(), 50);
-        c.advance_to(10);
-        assert_eq!(c.cycle(), 50, "never goes backwards");
     }
 }

@@ -47,4 +47,4 @@ pub use plan::{
     WINDOW_SAMPLES,
 };
 pub use scheme::{ChipResources, L2Fill, L2Org, L2Outcome, SchemeEvent, SchemeEventKind};
-pub use session::{CoreResult, PeriodSample, Probe, SessionBuilder, SimSession, SystemResult};
+pub use session::{CoreResult, PeriodSample, SessionBuilder, SimSession, SystemResult};

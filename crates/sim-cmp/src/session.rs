@@ -14,10 +14,10 @@
 //!   window — or, under a [`RunPlan`] with a convergence stop policy,
 //!   until the policy ends the run early — and returns the
 //!   [`SystemResult`];
-//! * [`Probe`]s fire on a configurable cycle stride and receive
-//!   [`PeriodSample`]s — per-core IPC, the L2 event mix and any
-//!   scheme-side [`SchemeEvent`]s (SNUG stage/G-T transitions) for that
-//!   interval.
+//! * [`SimSession::enable_recording`] samples the run on a cycle
+//!   stride into [`PeriodSample`]s — per-core IPC, the L2 event mix and
+//!   any scheme-side [`SchemeEvent`]s (SNUG stage/G-T transitions) for
+//!   each interval — which [`SimSession::take_series`] returns.
 //!
 //! Determinism contract: a session driven by any interleaving of
 //! `step`/`run_until` calls retires exactly the same operation sequence
@@ -124,19 +124,6 @@ impl PeriodSample {
     }
 }
 
-/// An observer invoked at every probe stride boundary.
-pub trait Probe {
-    /// Called once per crossed stride boundary with that interval's
-    /// sample.
-    fn on_sample(&mut self, sample: &PeriodSample);
-}
-
-impl<F: FnMut(&PeriodSample)> Probe for F {
-    fn on_sample(&mut self, sample: &PeriodSample) {
-        self(sample)
-    }
-}
-
 /// Where a session's per-core ops come from.
 enum FrontSource {
     /// One stream per core, each behind a session-owned L1 pair.
@@ -146,16 +133,13 @@ enum FrontSource {
 }
 
 /// Builder for [`SimSession`]: platform + organisation + front ends +
-/// the run plan, with optional probing.
+/// the run plan.
 pub struct SessionBuilder<O: L2Org> {
     cfg: SystemConfig,
     org: O,
     source: FrontSource,
     plan: RunPlan,
     shifts: Vec<StreamShift>,
-    probe_stride: u64,
-    record: bool,
-    probes: Vec<Box<dyn Probe>>,
 }
 
 impl<O: L2Org> SessionBuilder<O> {
@@ -172,9 +156,6 @@ impl<O: L2Org> SessionBuilder<O> {
             source: FrontSource::Live(Vec::new()),
             plan: RunPlan::fixed(0, 0),
             shifts: Vec::new(),
-            probe_stride: 0,
-            record: false,
-            probes: Vec::new(),
         }
     }
 
@@ -217,28 +198,6 @@ impl<O: L2Org> SessionBuilder<O> {
     pub fn phase_shifts(mut self, mut shifts: Vec<StreamShift>) -> Self {
         shifts.sort_by_key(|s| s.at_cycle);
         self.shifts = shifts;
-        self
-    }
-
-    /// Fire probes every `stride` cycles of frontier progress (0
-    /// disables probing).
-    pub fn probe_stride(mut self, stride: u64) -> Self {
-        self.probe_stride = stride;
-        self
-    }
-
-    /// Record every probe sample into an internal time series,
-    /// retrievable with [`SimSession::take_series`]. Implies probing at
-    /// the configured stride.
-    pub fn record_series(mut self, stride: u64) -> Self {
-        self.probe_stride = stride;
-        self.record = true;
-        self
-    }
-
-    /// Attach an external probe.
-    pub fn probe(mut self, probe: Box<dyn Probe>) -> Self {
-        self.probes.push(probe);
         self
     }
 
@@ -302,16 +261,11 @@ impl<O: L2Org> SessionBuilder<O> {
             shifts: self.shifts,
             next_shift: 0,
             fired_shifts: Vec::new(),
-            probe_stride: self.probe_stride,
-            next_probe_at: if self.probe_stride > 0 {
-                self.probe_stride
-            } else {
-                0
-            },
+            probe_stride: 0,
+            next_probe_at: 0,
             probe_cores: Vec::new(),
             probe_l2: CacheStats::default(),
-            probes: self.probes,
-            series: if self.record { Some(Vec::new()) } else { None },
+            series: None,
             tally: SimCounters::default(),
             probe_counters: SimCounters::default(),
             cfg: self.cfg,
@@ -373,7 +327,6 @@ pub struct SimSession<O: L2Org> {
     probe_cores: Vec<(u64, u64)>,
     /// Aggregate L2 stats at the previous probe tick.
     probe_l2: CacheStats,
-    probes: Vec<Box<dyn Probe>>,
     series: Option<Vec<PeriodSample>>,
     /// Observability tallies the session itself increments on the hot
     /// path (retired ops, L1 walk depths, L2Org dispatches, scheme
@@ -839,9 +792,6 @@ impl<O: L2Org> SimSession<O> {
         };
         self.probe_cores = now_cores;
         self.probe_l2 = l2_now;
-        for p in &mut self.probes {
-            p.on_sample(&sample);
-        }
         if let Some(series) = &mut self.series {
             series.push(sample);
         }
@@ -931,12 +881,6 @@ impl<O: L2Org> SimSession<O> {
     /// The L2 organisation.
     pub fn org(&self) -> &O {
         &self.org
-    }
-
-    /// Mutable access to the organisation (e.g. to retune a policy
-    /// parameter mid-run).
-    pub fn org_mut(&mut self) -> &mut O {
-        &mut self.org
     }
 
     /// Per-phase plateau records from the stop policy (non-empty only
@@ -1330,12 +1274,14 @@ mod tests {
         let mut s = SimSession::builder(cfg, TestOrg::new(&cfg))
             .streams(streams(64, 3))
             .budget(2_000, 30_000)
-            .record_series(4_000)
             .build();
+        s.enable_recording(4_000);
         let _ = s.run_to_completion();
         let series = s.take_series();
-        assert!(!series.is_empty());
+        // One sample per crossed stride boundary over the 32 k-cycle run.
+        assert!(series.len() >= 7, "got {} samples", series.len());
         assert!(series[0].during_warmup || series[0].cycle >= 2_000);
+        assert!(series.iter().all(|p| p.cycle % 4_000 == 0));
         assert!(series.windows(2).all(|w| w[0].cycle < w[1].cycle));
         let last = series.last().unwrap();
         assert!(!last.during_warmup);
@@ -1347,19 +1293,17 @@ mod tests {
 
     #[test]
     fn external_probe_receives_samples() {
+        // The recorded series is the one consumer of probe samples: a
+        // caller enabling it on a built session receives every sample.
         let cfg = SystemConfig::tiny_test();
-        let count = std::rc::Rc::new(std::cell::RefCell::new(0usize));
-        let c2 = count.clone();
         let mut s = SimSession::builder(cfg, TestOrg::new(&cfg))
             .streams(streams(16, 3))
             .budget(1_000, 10_000)
-            .probe_stride(2_000)
-            .probe(Box::new(move |_: &PeriodSample| {
-                *c2.borrow_mut() += 1;
-            }))
             .build();
+        s.enable_recording(2_000);
         let _ = s.run_to_completion();
-        assert!(*count.borrow() >= 4, "got {}", *count.borrow());
+        let count = s.take_series().len();
+        assert!(count >= 4, "got {count}");
     }
 
     #[test]
@@ -1418,12 +1362,13 @@ mod tests {
         let cfg = SystemConfig::tiny_test();
         let shift = StreamShift::all_cores(10_000, ShiftDirective::DemandScale { percent: 300 });
         let build = |shifts: Vec<StreamShift>| {
-            SimSession::builder(cfg, TestOrg::new(&cfg))
+            let mut s = SimSession::builder(cfg, TestOrg::new(&cfg))
                 .streams(shiftable_streams(3))
                 .budget(2_000, 30_000)
                 .phase_shifts(shifts)
-                .record_series(4_000)
-                .build()
+                .build();
+            s.enable_recording(4_000);
+            s
         };
         let mut plain = build(Vec::new());
         let unshifted = plain.run_to_completion();

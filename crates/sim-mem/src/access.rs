@@ -57,15 +57,6 @@ impl Access {
             kind: AccessKind::Store,
         }
     }
-
-    /// Convenience constructor for an instruction fetch.
-    #[inline]
-    pub fn ifetch(addr: u64) -> Self {
-        Access {
-            addr: Addr(addr),
-            kind: AccessKind::IFetch,
-        }
-    }
 }
 
 /// One unit of work for a core: `gap` non-memory instructions, then one

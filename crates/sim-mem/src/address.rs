@@ -114,13 +114,6 @@ impl Geometry {
         set ^ 1
     }
 
-    /// Convert an access address to `(set, block)`.
-    #[inline]
-    pub fn locate(&self, addr: Addr) -> (usize, BlockAddr) {
-        let b = addr.block(self.block_bytes);
-        (self.set_index(b), b)
-    }
-
     /// Geometry of the paper's baseline private L2 slice (Table 4):
     /// 1 MB, 16-way, 64 B lines → 1024 sets.
     pub fn paper_l2() -> Self {

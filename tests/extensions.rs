@@ -3,7 +3,7 @@
 
 use sim_cmp::{Checkpoints, L2Org, SharedFront, SimSession, SystemConfig};
 use sim_mem::{Geometry, OpStream};
-use snug_core::{Cc, DsrConfig, SchemeSpec, Snug, SnugConfig};
+use snug_core::{DsrConfig, SchemeSpec, Snug, SnugConfig};
 use snug_workloads::Benchmark;
 use std::sync::Arc;
 
@@ -87,40 +87,6 @@ fn eight_core_system_works() {
     assert!(r.cores.iter().all(|c| c.ipc > 0.0));
     assert!(sys.org().chassis().single_copy_invariant());
     assert!(r.l2.spills_out > 0, "8-core SNUG cooperates too");
-}
-
-/// N-chance CC keeps more victims on chip than 1-chance under receiver
-/// pressure, and never breaks the single-copy invariant.
-#[test]
-fn n_chance_cc_extends_victim_lifetimes() {
-    let system = SystemConfig::paper();
-    let run = |chances: u32| {
-        let streams: Vec<Box<dyn OpStream>> = (0..4)
-            .map(|core| {
-                Box::new(Benchmark::Ammp.spec().stream(system.l2_slice, core)) as Box<dyn OpStream>
-            })
-            .collect();
-        let mut sys = SimSession::builder(system, Cc::with_chances(system, 1.0, chances))
-            .streams(streams)
-            .budget(300_000, 1_200_000)
-            .build();
-        let r = sys.run_to_completion();
-        assert!(sys.org().chassis().single_copy_invariant());
-        r.l2
-    };
-    let one = run(1);
-    let three = run(3);
-    assert!(
-        one.spills_out > 100,
-        "the stress test spills: {}",
-        one.spills_out
-    );
-    assert!(
-        three.spills_out > one.spills_out,
-        "re-spills add spill traffic: {} vs {}",
-        three.spills_out,
-        one.spills_out
-    );
 }
 
 /// Wider flip widths can only increase SNUG's placed-spill count on the

@@ -6,12 +6,75 @@ use sim_cache::{
     block_required, DemandMonitor, DemandParams, LruOrder, SetDemandProfiler, ShadowSet, TagStack,
     WriteBuffer,
 };
+use sim_cmp::{Bus, ChipResources, L2Org, SystemConfig};
 use sim_mem::{
-    AccessKind, BlockAddr, FrontDecoder, FrontEncoder, FrontOp, Geometry, L1Outcome, Victim,
+    AccessKind, BlockAddr, Dram, FrontDecoder, FrontEncoder, FrontOp, Geometry, L1Outcome, Victim,
 };
-use snug_core::{GroupCase, GtVector, OverheadParams};
+use snug_core::{
+    Cc, Dsr, DsrConfig, GroupCase, GtVector, OverheadParams, Private, PrivatePolicy, Snug,
+    SnugConfig,
+};
+
+/// One random call on a private-slice organisation: `(core, block code,
+/// kind, cycles since the previous call)`. Kind 0–1 is a read, 2 a
+/// write, 3 an L1 writeback. The block code picks a block of the core's
+/// own address space in sets 0–3 of the tiny 4-way L2: eight tags in
+/// each even set (a taker that evicts and spills), three in each odd
+/// one (a giver that receives flipped spills).
+type Call = (usize, u64, u8, u64);
+
+/// Drive `org` through `calls`, checking after every call that no block
+/// is on chip twice and that every slice's incremental CC-line tally
+/// equals a scan of its metadata.
+fn drive_private<P: PrivatePolicy>(
+    mut org: Private<P>,
+    calls: &[Call],
+) -> Result<(), TestCaseError> {
+    let cfg = SystemConfig::tiny_test();
+    let mut bus = Bus::new(cfg.bus);
+    let mut dram = Dram::new(cfg.dram);
+    let mut now = 0;
+    for (i, &(core, code, kind, dt)) in calls.iter().enumerate() {
+        let mut res = ChipResources {
+            bus: &mut bus,
+            dram: &mut dram,
+        };
+        now += dt;
+        let set = code % 4;
+        let tag = if set % 2 == 0 { code / 4 } else { code / 4 % 3 };
+        let block = BlockAddr(((core as u64 * 64 + tag) << 4) | set);
+        if kind == 3 {
+            org.writeback(core, block, now, &mut res);
+        } else {
+            org.access(core, block, kind == 2, now, &mut res);
+        }
+        let ch = org.chassis();
+        prop_assert!(ch.single_copy_invariant(), "{}: call {i}", org.name());
+        for (c, slice) in ch.slices.iter().enumerate() {
+            prop_assert_eq!(
+                slice.cc_lines(),
+                slice.cc_lines_scan(),
+                "slice {c}, call {i}"
+            );
+        }
+    }
+    Ok(())
+}
 
 proptest! {
+    /// Every sharing organisation keeps one copy per block and an exact
+    /// CC-line tally through any mix of accesses and L1 writebacks.
+    #[test]
+    fn private_slices_keep_single_copy_and_cc_tally(
+        calls in proptest::collection::vec((0usize..4, 0u64..32, 0u8..4, 1u64..400), 1..400)
+    ) {
+        let cfg = SystemConfig::tiny_test();
+        drive_private(Cc::new(cfg, 0.25), &calls)?;
+        drive_private(Cc::new(cfg, 1.0), &calls)?;
+        drive_private(Dsr::new(cfg, DsrConfig::tiny()), &calls)?;
+        drive_private(Snug::new(cfg, SnugConfig::scaled(25_000)), &calls)?;
+    }
+
     /// Mattson's stack property (paper §2.1): hit_count(S, I, A) is
     /// monotonically non-decreasing in A for any reference string.
     #[test]
