@@ -153,6 +153,7 @@ fn fingerprint(cfg: &snug_experiments::CompareConfig, points: &[(String, SchemeS
         BUDGET.label(),
         points_desc.join(",")
     ))
+    .to_string()
 }
 
 /// Measure every point of the definition, best-of-`samples`.

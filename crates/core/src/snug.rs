@@ -143,6 +143,12 @@ impl SnugPolicy {
         }
     }
 
+    /// How many low index bits a CC copy of a block may sit away from
+    /// its home set: the reach of every stale-copy sweep.
+    fn sweep_width(&self) -> u32 {
+        self.effective_flip_width().max(1)
+    }
+
     /// Where `peer` would hold a block of home index `set`, per its G/T
     /// vector (Fig. 8): the same index, the flip partner, or nowhere.
     fn grouped(&self, peer: usize, set: usize) -> Option<PeerHit> {
@@ -161,6 +167,10 @@ impl PrivatePolicy for SnugPolicy {
 
     fn remote_latency(cfg: &SystemConfig) -> u64 {
         cfg.snug_remote_latency
+    }
+
+    fn flip_width(&self) -> u32 {
+        self.sweep_width()
     }
 
     /// Advance the two-stage period machine to `now` (paper Fig. 5).
@@ -252,8 +262,7 @@ impl PrivatePolicy for SnugPolicy {
         _set: usize,
         block: BlockAddr,
     ) {
-        let stranded =
-            ch.invalidate_cc_copies_wide(core, block, self.effective_flip_width().max(1));
+        let stranded = ch.invalidate_cc_copies(core, block, self.sweep_width());
         self.events.stranded_invalidated += stranded as u64;
     }
 
@@ -544,6 +553,38 @@ mod tests {
             t += 100;
         }
         assert_eq!(org.aggregate_stats().spills_out, 0);
+    }
+
+    /// An L1 writeback sweeps stale CC copies as far from the home set
+    /// as SNUG's flip width lets a copy sit: with two flippable bits, a
+    /// copy at peer 2's home^2 set goes with the writeback that made it
+    /// stale.
+    #[test]
+    fn writeback_sweeps_stale_copies_at_the_full_flip_width() {
+        let cfg = SnugConfig {
+            flip_width: 2,
+            ..tiny_cfg()
+        };
+        let mut org = Snug::new(SystemConfig::tiny_test(), cfg);
+        let (mut bus, mut dram) = (
+            Bus::new(BusConfig::paper()),
+            Dram::new(DramConfig::uncontended(300)),
+        );
+        let mut res = ChipResources {
+            bus: &mut bus,
+            dram: &mut dram,
+        };
+        let home = 5u64;
+        let block = BlockAddr((7 << 4) | home);
+        let far = (home ^ 2) as usize;
+        org.chassis.slices[2].fill_in_set(far, block, sim_cache::LineFlags::received(true));
+        assert_eq!(org.chassis.slices[2].cc_lines(), 1);
+        org.writeback(0, block, 0, &mut res);
+        assert_eq!(
+            org.chassis.slices[2].cc_lines(),
+            0,
+            "stale copy at home^2 swept"
+        );
     }
 
     #[test]

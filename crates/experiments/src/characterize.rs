@@ -78,9 +78,15 @@ impl DemandCharacterization {
             .sum()
     }
 
-    /// Mean non-uniformity spread across intervals (0 = uniform).
+    /// Mean non-uniformity spread across intervals (0 = uniform). The
+    /// sum starts from `+0.0`, not `Sum`'s `-0.0`, so an all-uniform
+    /// benchmark's mean is `+0.0`.
     pub fn mean_spread(&self) -> f64 {
-        let s: f64 = self.intervals.iter().map(|d| d.spread()).sum();
+        let s = self
+            .intervals
+            .iter()
+            .map(|d| d.spread())
+            .fold(0.0, |s, x| s + x);
         s / self.intervals.len() as f64
     }
 
@@ -166,6 +172,23 @@ mod tests {
             c.mean_above_baseline(16)
         );
         assert!(c.mean_spread() > 0.4, "spread {:.3}", c.mean_spread());
+    }
+
+    /// A benchmark whose every interval sits in one bucket has a mean
+    /// spread of `+0.0` (sign bit clear), which prints as `0.00`.
+    #[test]
+    fn single_bucket_mean_spread_is_positive_zero() {
+        let params = DemandParams::paper();
+        let mut full = vec![0.0; params.m_buckets];
+        full[0] = 1.0;
+        let c = DemandCharacterization {
+            benchmark: "applu".into(),
+            params,
+            intervals: vec![BucketDistribution { sizes: full }; 3],
+        };
+        let spread = c.mean_spread();
+        assert_eq!(spread.to_bits(), 0.0f64.to_bits(), "{spread}");
+        assert_eq!(format!("{spread:.2}"), "0.00");
     }
 
     #[test]

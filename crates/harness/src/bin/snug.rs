@@ -1225,6 +1225,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use sim_mem::{ShiftDirective, StreamShift};
+    use snug_harness::ContentKey;
 
     /// Every subcommand and `report` mode.
     const COMMANDS: [Command; 11] = [
@@ -1283,6 +1284,7 @@ mod tests {
         prop_assert!(named(text.parse::<ShiftDirective>()), "{text:?}");
         prop_assert!(named(text.parse::<SchemeSpec>()), "{text:?}");
         prop_assert!(named(text.parse::<ComboClass>()), "{text:?}");
+        prop_assert!(named(text.parse::<ContentKey>()), "{text:?}");
         for command in &COMMANDS {
             match command.parse(&words(text)) {
                 Ok(args) => {
@@ -1407,7 +1409,7 @@ mod tests {
         let store =
             std::fs::read_to_string(root.join(snug_harness::ABLATIONS_DIR).join("store.jsonl"))
                 .unwrap();
-        let key = ablation_jobs().pop().unwrap().snug[5].key.clone();
+        let key = ablation_jobs().pop().unwrap().snug[5].key.to_string();
         let kept: String = store
             .lines()
             .filter(|line| !line.contains(&key))
@@ -1452,10 +1454,11 @@ mod tests {
     }
 
     /// Near misses of the text grammars the CLI reaches, `|`-separated:
-    /// separators, directive words, scheme and class names, flags, and
-    /// a 30-digit run that overflows every integer field.
+    /// separators, directive words, scheme and class names, flags, a
+    /// 30-digit run that overflows every integer field, and content-key
+    /// hex runs in both cases (two lowercase runs spell a whole key).
     const PIECES: &str = "0|1|9|_|:|;|@|,|=|-|%|(|)| |.|demand|near|streaming|profile|mcf|l2p|\
         cc|snug|dsr|C|--class|--phase-shift|--window|--rel-eps|--warmup|--measure|--jobs|\
         --until-converged|--quick|--check|--format|--stride|--bench|\
-        123456789012345678901234567890|é|\0";
+        123456789012345678901234567890|0123456789abcdef|0123456789ABCDEF|é|\0";
 }

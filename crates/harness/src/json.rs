@@ -225,28 +225,26 @@ pub(crate) fn check(text: &str) -> Result<(), JsonError> {
     r.finish()
 }
 
-/// The offset of the first `"` or `\` in `bytes` — where a string's
-/// plain run ends — found eight bytes at a time.
-///
-/// For a word `x`, `(x - 0x01…01) & !x & 0x80…80` flags each zero
-/// byte; a borrow can also flag bytes above a real zero, never below
-/// it, so the lowest flag of `word ^ "…"` or `word ^ \…\` is exact.
-/// Bytes ≥ 0x80 keep their top bit under the XOR and are never flagged.
+/// The offset of the first `"` or `\` in `bytes`: where a string's
+/// plain run ends.
 fn plain_run_len(bytes: &[u8]) -> Option<usize> {
-    const ONES: u64 = 0x0101_0101_0101_0101;
-    const TOPS: u64 = 0x8080_8080_8080_8080;
-    let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & TOPS;
-    let (words, tail) = bytes.as_chunks::<8>();
-    for (i, word) in words.iter().enumerate() {
-        let word = u64::from_le_bytes(*word);
-        let hits = zero_bytes(word ^ (ONES * u64::from(b'"')))
-            | zero_bytes(word ^ (ONES * u64::from(b'\\')));
-        if hits != 0 {
-            return Some(8 * i + hits.trailing_zeros() as usize / 8);
-        }
-    }
-    let rest = tail.iter().position(|&b| b == b'"' || b == b'\\')?;
-    Some(8 * words.len() + rest)
+    find_byte(bytes, |b| b == b'"' || b == b'\\')
+}
+
+/// The offset of the first byte of `bytes` that `hit` flags, found 32
+/// bytes at a time. Each block is tested whole, with no early exit
+/// inside it, so the test compiles to a few vector compares per block;
+/// only the block holding the hit (or the short tail) is scanned byte
+/// by byte.
+pub(crate) fn find_byte(bytes: &[u8], hit: impl Fn(u8) -> bool) -> Option<usize> {
+    let (blocks, _) = bytes.as_chunks::<32>();
+    let clear = blocks
+        .iter()
+        .take_while(|block| !block.iter().fold(false, |any, &b| any | hit(b)))
+        .count();
+    let from = 32 * clear;
+    let rest = bytes[from..].iter().position(|&b| hit(b))?;
+    Some(from + rest)
 }
 
 /// What the next value is, told by its first byte.
@@ -781,13 +779,13 @@ mod tests {
         bytes.iter().position(|&b| b == b'"' || b == b'\\')
     }
 
-    /// A lone `"` or `\` at every offset across two words and a tail,
-    /// flanked by bytes ≥ 0x80 (including each delimiter with its top
-    /// bit set) inside a multi-byte UTF-8 run.
+    /// A lone `"` or `\` at every offset across three blocks and a
+    /// tail, flanked by bytes ≥ 0x80 (including each delimiter with its
+    /// top bit set) inside a multi-byte UTF-8 run.
     #[test]
     fn plain_run_scan_finds_a_delimiter_at_every_offset() {
-        let run = "é€\u{10348}".repeat(3);
-        for at in 0..18 {
+        let run = "é€\u{10348}".repeat(12);
+        for at in 0..100 {
             for delimiter in [b'"', b'\\'] {
                 for flank in [0x80, 0xa2, 0xdc, 0xff] {
                     let mut bytes = run.as_bytes()[..at].to_vec();
@@ -836,16 +834,16 @@ mod tests {
         b"{}[]\",:\\ \t\n0123456789.eE+-tfnrulsabu\x00\x1f\x7f\xc3\xa9\xe2\x82\xac\xff";
 
     proptest! {
-        /// The word-at-a-time scan returns exactly the byte-wise
+        /// The block-at-a-time scan returns exactly the byte-wise
         /// position on arbitrary bytes, on bytes drawn mostly from the
         /// delimiters' near misses, and on multi-byte UTF-8 text with a
-        /// delimiter spliced in at any offset up to 17.
+        /// delimiter spliced in at any offset up to 99.
         #[test]
         fn plain_run_scan_matches_the_bytewise_scan(
-            bytes in proptest::collection::vec(0u8..=255, 0..48),
-            near in proptest::collection::vec(0usize..NEAR_MISSES.len() * 4, 0..48),
-            text in proptest::collection::vec(0u32..0x11_0000, 0..12),
-            at in 0usize..18,
+            bytes in proptest::collection::vec(0u8..=255, 0..160),
+            near in proptest::collection::vec(0usize..NEAR_MISSES.len() * 4, 0..160),
+            text in proptest::collection::vec(0u32..0x11_0000, 0..40),
+            at in 0usize..100,
         ) {
             let near: Vec<u8> = near
                 .iter()

@@ -62,6 +62,7 @@ pub use experiments_md::{
     check_experiments_md, eval_converged_spec, render_experiments_eval_md, render_experiments_md,
     CheckOutcome, EVAL_CONVERGED_REL_EPSILON, EVAL_CONVERGED_WINDOW, EXPERIMENTS_EVAL_FILE,
 };
+pub use hash::ContentKey;
 pub use report::{
     render_markdown, report_tables, stop_summary_table, write_report, CEILING_FOOTNOTE,
 };

@@ -1,7 +1,7 @@
 //! Report generation: the paper's Tables 7–8 / Figures 9–11 comparisons
 //! rendered from stored sweep results as Markdown and CSV.
 
-use crate::spec::{unit_key, ComboJob, SweepSpec};
+use crate::spec::{point_keys, ComboJob, SweepSpec};
 use crate::store::ResultStore;
 use snug_experiments::{
     figure_table, pace_of, summarize, ComboResult, Figure, SchemePoint, StopReason, FIGURE_SCHEMES,
@@ -90,9 +90,10 @@ pub fn stop_summary_table(spec: &SweepSpec, store: &ResultStore) -> Option<Table
     } else {
         Vec::new()
     };
-    for (i, combo) in spec.combos().iter().enumerate() {
-        let baseline = unit_key(combo, &SchemePoint::L2p, &config, phase.as_ref());
-        let run = store.get_unit(&baseline)?;
+    let combos = spec.combos();
+    let baselines = point_keys(&combos, &SchemePoint::L2p, &config, phase.as_ref());
+    for (i, (combo, baseline)) in combos.iter().zip(&baselines).enumerate() {
+        let run = store.get_unit(baseline)?;
         let pace = pace_of(run, &config);
         let stop = match pace.stop_reason {
             StopReason::Converged => "converged".to_string(),
@@ -298,7 +299,7 @@ mod tests {
                 // CC sweep and DSR left out of the store entirely: `-`.
                 _ => continue,
             };
-            store.insert_unit(u.key.clone(), run(plateaus)).unwrap();
+            store.insert_unit(u.key, run(plateaus)).unwrap();
         }
 
         let md = stop_summary_table(&shifted, &store)
@@ -329,9 +330,7 @@ mod tests {
             .iter()
             .find(|u| u.point == SchemePoint::L2p)
             .unwrap();
-        store
-            .insert_unit(base.key.clone(), run(Vec::new()))
-            .unwrap();
+        store.insert_unit(base.key, run(Vec::new())).unwrap();
         let md = stop_summary_table(&stationary, &store)
             .expect("converged spec summarises")
             .to_markdown();

@@ -6,9 +6,7 @@
 //! key that addresses its result in the store. The CLI builds specs
 //! from flags.
 
-use crate::hash::{
-    content_key, content_key_split, fnv1a64, fnv1a64_fan, fnv1a64_rev_from, key_hex, FNV_OFFSET,
-};
+use crate::hash::{content_key, content_keys, ContentKey};
 use snug_experiments::{CompareConfig, RunPlan, SchemePoint};
 use snug_workloads::{all_combos, Combo, ComboClass, PhaseSchedule};
 
@@ -219,15 +217,7 @@ impl SweepSpec {
     pub fn combo_jobs(&self) -> Vec<ComboJob> {
         let config = self.compare_config();
         let phase = self.phase_schedule();
-        let keyed = KeyedPoints::new(&config, phase.as_ref());
-        self.combos()
-            .into_iter()
-            .map(|combo| ComboJob {
-                units: keyed.unit_jobs(&combo),
-                combo,
-                config,
-            })
-            .collect()
+        KeyedPoints::new(&config, phase.as_ref(), SchemePoint::all()).combo_jobs(self.combos())
     }
 
     /// Every unit job of the spec, flattened in run order.
@@ -244,7 +234,7 @@ impl SweepSpec {
 #[derive(Debug, Clone)]
 pub struct UnitJob {
     /// Content key addressing this job's result in the store.
-    pub key: String,
+    pub key: ContentKey,
     /// The workload combination.
     pub combo: Combo,
     /// The scheme point to simulate.
@@ -292,34 +282,40 @@ pub fn unit_jobs_for(
     config: &CompareConfig,
     phase: Option<&PhaseSchedule>,
 ) -> Vec<UnitJob> {
-    KeyedPoints::new(config, phase).unit_jobs(combo)
+    KeyedPoints::new(config, phase, SchemePoint::all())
+        .combo_jobs(vec![*combo])
+        .into_iter()
+        .flat_map(|job| job.units)
+        .collect()
 }
 
-/// Every scheme point of one (configuration, phase) expansion with the
-/// key input it shares across combos. A unit key hashes
+/// Scheme points of one (configuration, phase) expansion with the key
+/// input they share across combos. A unit key hashes
 /// `{key_prefix}{suffix}`, where only the ~70-byte prefix names the
 /// combo and the ~1 KB suffix — the point, platform `Debug` string,
 /// plan and parameter fingerprints and phase — is the same for every
-/// combo. The reverse lane meets the suffix first, so its state after
-/// the suffix is hashed once here; per unit it covers only the prefix.
+/// combo. So the suffixes render once per expansion, and
+/// [`content_keys`] hashes each shared piece once and advances every
+/// (combo, point) lane in one loop.
 struct KeyedPoints<'a> {
     config: &'a CompareConfig,
     phase: Option<&'a PhaseSchedule>,
-    /// [`SchemePoint::all`].
+    /// The points keyed.
     points: Vec<SchemePoint>,
     /// Each point's [`key_suffix`].
     suffixes: Vec<String>,
-    /// Each suffix's reverse-lane state.
-    reverse: Vec<u64>,
 }
 
 impl<'a> KeyedPoints<'a> {
-    fn new(config: &'a CompareConfig, phase: Option<&'a PhaseSchedule>) -> Self {
+    fn new(
+        config: &'a CompareConfig,
+        phase: Option<&'a PhaseSchedule>,
+        points: Vec<SchemePoint>,
+    ) -> Self {
         let system = format!("{:?}", config.system);
         let plan = config.plan.fingerprint();
         let phase_fragment = phase_fragment(phase);
-        let points = SchemePoint::all();
-        let suffixes: Vec<String> = points
+        let suffixes = points
             .iter()
             .map(|point| key_suffix(point, config, &system, &plan, &phase_fragment))
             .collect();
@@ -327,33 +323,39 @@ impl<'a> KeyedPoints<'a> {
             config,
             phase,
             points,
-            reverse: suffixes
-                .iter()
-                .map(|s| fnv1a64_rev_from(FNV_OFFSET, s.as_bytes()))
-                .collect(),
             suffixes,
         }
     }
 
-    /// One combo's unit jobs: the forward lane hashes the combo's
-    /// prefix once and fans out over the nine suffixes; the reverse
-    /// lane finishes each point's pre-hashed suffix state over the
-    /// prefix.
-    fn unit_jobs(&self, combo: &Combo) -> Vec<UnitJob> {
-        let prefix = key_prefix(combo);
-        let prefix = prefix.as_bytes();
-        let forward = fnv1a64_fan(fnv1a64(prefix), &self.suffixes);
-        self.points
-            .iter()
-            .zip(forward)
-            .zip(&self.reverse)
-            .map(|((point, forward), &reverse)| UnitJob {
-                key: key_hex(forward, fnv1a64_rev_from(reverse, prefix)),
-                combo: *combo,
-                point: *point,
+    /// The key of every (combo, point), combo-major.
+    fn keys(&self, combos: &[Combo]) -> Vec<ContentKey> {
+        let prefixes: Vec<String> = combos.iter().map(key_prefix).collect();
+        let prefixes: Vec<&[u8]> = prefixes.iter().map(String::as_bytes).collect();
+        let suffixes: Vec<&[u8]> = self.suffixes.iter().map(String::as_bytes).collect();
+        content_keys(&prefixes, &suffixes)
+    }
+
+    /// Every combo's unit jobs, grouped per combo, keyed in one batch.
+    fn combo_jobs(&self, combos: Vec<Combo>) -> Vec<ComboJob> {
+        let mut keys = self.keys(&combos).into_iter();
+        combos
+            .into_iter()
+            .map(|combo| ComboJob {
+                units: self
+                    .points
+                    .iter()
+                    .zip(keys.by_ref())
+                    .map(|(point, key)| UnitJob {
+                        key,
+                        combo,
+                        point: *point,
+                        config: *self.config,
+                        phase: self.phase.cloned(),
+                        variant: None,
+                    })
+                    .collect(),
+                combo,
                 config: *self.config,
-                phase: self.phase.cloned(),
-                variant: None,
             })
             .collect()
     }
@@ -416,15 +418,20 @@ pub fn unit_key(
     point: &SchemePoint,
     config: &CompareConfig,
     phase: Option<&PhaseSchedule>,
-) -> String {
-    let suffix = key_suffix(
-        point,
-        config,
-        &format!("{:?}", config.system),
-        &config.plan.fingerprint(),
-        &phase_fragment(phase),
-    );
-    content_key_split(key_prefix(combo).as_bytes(), suffix.as_bytes())
+) -> ContentKey {
+    point_keys(std::slice::from_ref(combo), point, config, phase)[0]
+}
+
+/// The [`unit_key`] of one point on each of `combos`, in their order:
+/// the point's suffix renders and its reverse state hashes once, and
+/// the forward lane fans over the combos.
+pub(crate) fn point_keys(
+    combos: &[Combo],
+    point: &SchemePoint,
+    config: &CompareConfig,
+    phase: Option<&PhaseSchedule>,
+) -> Vec<ContentKey> {
+    KeyedPoints::new(config, phase, vec![*point]).keys(combos)
 }
 
 /// [`point_fragment`] for a one-off key, rendering the shared parts too.
@@ -447,7 +454,7 @@ pub fn trace_key(
     config: &CompareConfig,
     stride: u64,
     phase: Option<&PhaseSchedule>,
-) -> String {
+) -> ContentKey {
     content_key(&format!(
         "{SCHEMA_VERSION}|trace|{combo:?}|{}|stride={stride}{}",
         single_point_fragment(point, config),
@@ -489,8 +496,8 @@ mod tests {
     #[test]
     fn keys_differ_across_units_and_budgets() {
         let quick = SweepSpec::full(BudgetPreset::Quick);
-        let keys: Vec<String> = quick.unit_jobs().into_iter().map(|j| j.key).collect();
-        let unique: std::collections::BTreeSet<&String> = keys.iter().collect();
+        let keys: Vec<ContentKey> = quick.unit_jobs().into_iter().map(|j| j.key).collect();
+        let unique: std::collections::BTreeSet<&ContentKey> = keys.iter().collect();
         assert_eq!(unique.len(), keys.len(), "unit keys are distinct");
 
         let eval = SweepSpec::full(BudgetPreset::Eval);
@@ -538,8 +545,8 @@ mod tests {
         }
     }
 
-    /// A unit key hashed from its pieces — the expansion's shared
-    /// suffix states and four-lane fan, and the one-off split key —
+    /// A unit key hashed from its pieces — the expansion's batched
+    /// lanes, the one-off key and the stop summary's per-point keys —
     /// equals the key of the joined input string.
     #[test]
     fn expansion_keys_equal_the_joined_input_key() {
@@ -569,6 +576,19 @@ mod tests {
                 assert_eq!(u.key, joined, "{} ({})", u.label(), spec.budget_label());
                 let single = unit_key(&combo, &point, &cfg, u.phase.as_ref());
                 assert_eq!(single, joined, "{}", u.label());
+            }
+            let (config, phase) = (spec.compare_config(), spec.phase_schedule());
+            let jobs = spec.combo_jobs();
+            for (p, point) in SchemePoint::all().iter().enumerate() {
+                let keys = point_keys(&spec.combos(), point, &config, phase.as_ref());
+                let expanded: Vec<ContentKey> = jobs.iter().map(|j| j.units[p].key).collect();
+                assert_eq!(
+                    keys,
+                    expanded,
+                    "{} ({})",
+                    point.label(),
+                    spec.budget_label()
+                );
             }
         }
     }
@@ -753,25 +773,27 @@ mod tests {
     fn each_key_input_field_rekeys_exactly_its_points() {
         let combo = all_combos()[0];
         let points = SchemePoint::all();
-        let keys = |cfg: &CompareConfig, phase: Option<&PhaseSchedule>| -> Vec<String> {
-            let expanded: Vec<String> = unit_jobs_for(&combo, cfg, phase)
+        let keys = |cfg: &CompareConfig, phase: Option<&PhaseSchedule>| -> Vec<ContentKey> {
+            let expanded: Vec<ContentKey> = unit_jobs_for(&combo, cfg, phase)
                 .into_iter()
                 .map(|u| u.key)
                 .collect();
-            let single: Vec<String> = points
+            let single: Vec<ContentKey> = points
                 .iter()
                 .map(|p| unit_key(&combo, p, cfg, phase))
                 .collect();
             assert_eq!(expanded, single);
             expanded
         };
-        let check =
-            |what: &str, reads: Option<SchemePoint>, before: &[String], after: &[String]| {
-                for ((point, b), a) in points.iter().zip(before).zip(after) {
-                    let rekeyed = reads.is_none_or(|p| p == *point);
-                    assert_eq!(b != a, rekeyed, "{what}: {} key", point.label());
-                }
-            };
+        let check = |what: &str,
+                     reads: Option<SchemePoint>,
+                     before: &[ContentKey],
+                     after: &[ContentKey]| {
+            for ((point, b), a) in points.iter().zip(before).zip(after) {
+                let rekeyed = reads.is_none_or(|p| p == *point);
+                assert_eq!(b != a, rekeyed, "{what}: {} key", point.label());
+            }
+        };
 
         let quick = CompareConfig::quick();
         let bases = [
@@ -859,12 +881,12 @@ mod tests {
     #[test]
     fn converged_stop_rekeys_every_unit_and_label() {
         let mut spec = SweepSpec::full(BudgetPreset::Mid);
-        let fixed_keys: Vec<String> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
+        let fixed_keys: Vec<ContentKey> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
         spec.stop = StopPreset::Converged {
             window_cycles: None,
             rel_epsilon: None,
         };
-        let converged_keys: Vec<String> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
+        let converged_keys: Vec<ContentKey> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
         assert!(
             fixed_keys.iter().zip(&converged_keys).all(|(f, c)| f != c),
             "converged runs never collide with canonical entries"
@@ -876,16 +898,16 @@ mod tests {
             window_cycles: Some(150_000),
             rel_epsilon: None,
         };
-        let tuned: Vec<String> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
+        let tuned: Vec<ContentKey> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
         assert!(converged_keys.iter().zip(&tuned).all(|(a, b)| a != b));
     }
 
     #[test]
     fn phase_schedule_rekeys_every_unit_and_label() {
         let mut spec = SweepSpec::full(BudgetPreset::Mid);
-        let canonical: Vec<String> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
+        let canonical: Vec<ContentKey> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
         spec.phase_shift = Some("1800000:demand=200".into());
-        let shifted: Vec<String> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
+        let shifted: Vec<ContentKey> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
         assert!(
             canonical.iter().zip(&shifted).all(|(c, s)| c != s),
             "a shifted workload never collides with canonical entries"
@@ -896,10 +918,10 @@ mod tests {
         // A different schedule re-keys again; the stationary spec keeps
         // its original keys.
         spec.phase_shift = Some("1800000:demand=300".into());
-        let other: Vec<String> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
+        let other: Vec<ContentKey> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
         assert!(shifted.iter().zip(&other).all(|(a, b)| a != b));
         spec.phase_shift = None;
-        let back: Vec<String> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
+        let back: Vec<ContentKey> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
         assert_eq!(back, canonical, "canonical keys are untouched");
     }
 
@@ -910,12 +932,12 @@ mod tests {
             window_cycles: None,
             rel_epsilon: None,
         };
-        let converged: Vec<String> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
+        let converged: Vec<ContentKey> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
         spec.stop = StopPreset::Reconverged {
             window_cycles: None,
             rel_epsilon: None,
         };
-        let reconverged: Vec<String> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
+        let reconverged: Vec<ContentKey> = spec.unit_jobs().into_iter().map(|j| j.key).collect();
         assert!(converged.iter().zip(&reconverged).all(|(a, b)| a != b));
         assert_eq!(spec.budget_label(), "mid+reconverged");
         spec.phase_shift = Some("1800000:demand=200".into());

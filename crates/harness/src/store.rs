@@ -33,11 +33,14 @@
 //!
 //! Keys are [`crate::spec::SCHEMA_VERSION`] (v2) content hashes: one
 //! line per *(combo, scheme point)* simulation, value a
-//! [`snug_experiments::SchemeRun`] under the `"unit"` field. A v1 line
-//! (a whole five-scheme comparison under a `"result"` field) is
-//! rejected as corrupt: the v1 schema is no longer read.
+//! [`snug_experiments::SchemeRun`] under the `"unit"` field. A key is a
+//! 128-bit [`ContentKey`], written as 32 lowercase hex digits; a line
+//! whose `key` is spelled any other way is corrupt. A v1 line (a whole
+//! five-scheme comparison under a `"result"` field) is rejected as
+//! corrupt: the v1 schema is no longer read.
 
 use crate::codec::JsonCodec;
+use crate::hash::ContentKey;
 use crate::json::{self, JsonError, Reader, Value};
 use crate::sweep::UnitSpan;
 use snug_experiments::{SchemeRun, TraceSeries};
@@ -83,7 +86,7 @@ pub enum StoredResult {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreEntry {
     /// Content key of the producing job.
-    pub key: String,
+    pub key: ContentKey,
     /// The cached result.
     pub result: StoredResult,
 }
@@ -107,7 +110,7 @@ impl StoreEntry {
         let (mut key, mut result) = (None, None);
         r.object(|r, name| {
             match name {
-                "key" => key = Some(r.str()?.into_owned()),
+                "key" => key = Some(r.str()?.parse().map_err(JsonError)?),
                 "unit" => result = Some(StoredResult::Unit(SchemeRun::read_json(r)?)),
                 "series" => result = Some(StoredResult::Series(TraceSeries::read_json(r)?)),
                 "span" => result = Some(StoredResult::Span(UnitSpan::read_json(r)?)),
@@ -136,13 +139,13 @@ impl StoreEntry {
 /// An entry rendered as one JSONL line (no trailing newline) — the
 /// exact bytes `insert` appends, shared with the shard writers so a
 /// shard line and a store line for the same result are identical.
-fn render_line(key: &str, result: &StoredResult) -> Result<String, StoreError> {
+fn render_line(key: &ContentKey, result: &StoredResult) -> Result<String, StoreError> {
     let payload = match result {
         StoredResult::Unit(run) => ("unit", run.to_json()),
         StoredResult::Series(series) => ("series", series.to_json()),
         StoredResult::Span(span) => ("span", span.to_json()),
     };
-    Value::obj(vec![("key", Value::str(key)), payload])
+    Value::obj(vec![("key", Value::str(key.to_string())), payload])
         .render()
         .map_err(|e| StoreError::Encode(key.to_string(), e.0))
 }
@@ -154,7 +157,7 @@ fn render_line(key: &str, result: &StoredResult) -> Result<String, StoreError> {
 /// missing file is an empty store.
 fn load_jsonl(
     path: &Path,
-    entries: &mut BTreeMap<String, StoredResult>,
+    entries: &mut BTreeMap<ContentKey, StoredResult>,
 ) -> Result<usize, StoreError> {
     let file = match fs::File::open(path) {
         Ok(file) => file,
@@ -178,42 +181,45 @@ fn load_jsonl(
 }
 
 /// Decode the data lines of a JSONL store file in order, handing each
-/// entry to `visit`. The file streams through one reused line buffer,
-/// so it is never held whole next to the entries decoded from it, and
-/// each line decodes straight into its entry. A line that is not JSON
-/// is fatal, unless it is the file's last: that is the torn tail of an
-/// interrupted append, and its byte offset is returned for the caller
-/// to truncate at or skip. A line that is JSON but not an entry is
-/// fatal wherever it sits — a torn append is never complete JSON, so
-/// dropping it would discard a whole entry.
+/// entry to `visit`. Each line is checked for UTF-8 and decoded in
+/// place in the read buffer, straight into its entry; only a line that
+/// straddles a refill is copied, so the file is never held whole next
+/// to the entries decoded from it. A line that is not JSON (or not
+/// UTF-8) is fatal, unless it is the file's last: that is the torn tail
+/// of an interrupted append, and its byte offset is returned for the
+/// caller to truncate at or skip. A line that is JSON but not an entry
+/// is fatal wherever it sits — a torn append is never complete JSON,
+/// so dropping it would discard a whole entry.
 fn read_entries(
     path: &Path,
     file: fs::File,
     mut visit: impl FnMut(StoreEntry) -> Result<(), StoreError>,
 ) -> Result<Option<u64>, StoreError> {
     let mut reader = BufReader::with_capacity(1 << 16, file);
-    let mut line = Vec::new();
+    let mut straddle = Vec::new();
     let mut offset = 0u64;
     let mut lineno = 0usize;
     loop {
-        line.clear();
-        let read = reader
-            .read_until(b'\n', &mut line)
-            .map_err(|e| StoreError::io(path, e))?;
-        if read == 0 {
+        let next = next_line(
+            &mut reader,
+            &mut straddle,
+            |line| match std::str::from_utf8(line) {
+                Ok(text) if text.trim().is_empty() => None,
+                Ok(text) => Some(StoreEntry::decode_line(text)),
+                Err(_) => Some(Err(LineError::Syntax(JsonError("invalid UTF-8".into())))),
+            },
+        )
+        .map_err(|e| StoreError::io(path, e))?;
+        let Some((decoded, read)) = next else {
             return Ok(None);
-        }
+        };
         let line_start = offset;
         offset += read as u64;
         lineno += 1;
-        let decoded = match std::str::from_utf8(&line) {
-            Ok(text) if text.trim().is_empty() => continue,
-            Ok(text) => StoreEntry::decode_line(text),
-            Err(_) => Err(LineError::Syntax(JsonError("invalid UTF-8".into()))),
-        };
         match decoded {
-            Ok(entry) => visit(entry)?,
-            Err(LineError::Syntax(_))
+            None => {}
+            Some(Ok(entry)) => visit(entry)?,
+            Some(Err(LineError::Syntax(_)))
                 if reader
                     .fill_buf()
                     .map_err(|e| StoreError::io(path, e))?
@@ -221,10 +227,44 @@ fn read_entries(
             {
                 return Ok(Some(line_start))
             }
-            Err(LineError::Syntax(e) | LineError::Schema(e)) => {
+            Some(Err(LineError::Syntax(e) | LineError::Schema(e))) => {
                 return Err(StoreError::corrupt(path, lineno, e))
             }
         }
+    }
+}
+
+/// Hand the reader's next line, without its `\n`, to `decode`: in place
+/// in the read buffer when the line lies whole in it, or gathered into
+/// `straddle` when it crosses a refill. Returns what `decode` made of
+/// it and the line's length in the file (its `\n` included), or `None`
+/// at the end of the file.
+fn next_line<R>(
+    reader: &mut BufReader<fs::File>,
+    straddle: &mut Vec<u8>,
+    decode: impl FnOnce(&[u8]) -> R,
+) -> std::io::Result<Option<(R, usize)>> {
+    straddle.clear();
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            // The last line, with no `\n` after it.
+            return Ok((!straddle.is_empty()).then(|| (decode(straddle), straddle.len())));
+        }
+        if let Some(end) = json::find_byte(buf, |b| b == b'\n') {
+            let decoded = if straddle.is_empty() {
+                decode(&buf[..end])
+            } else {
+                straddle.extend_from_slice(&buf[..end]);
+                decode(straddle)
+            };
+            let read = straddle.len().max(end) + 1;
+            reader.consume(end + 1);
+            return Ok(Some((decoded, read)));
+        }
+        let filled = buf.len();
+        straddle.extend_from_slice(buf);
+        reader.consume(filled);
     }
 }
 
@@ -297,7 +337,7 @@ impl ShardWriter {
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
-    entries: BTreeMap<String, StoredResult>,
+    entries: BTreeMap<ContentKey, StoredResult>,
     /// Data lines currently in the JSONL file (blank lines excluded).
     /// Exceeds `entries.len()` when duplicate keys have accumulated —
     /// what [`ResultStore::compact`] reclaims.
@@ -337,12 +377,12 @@ impl ResultStore {
     }
 
     /// Look up a cached result by content key.
-    pub fn get(&self, key: &str) -> Option<&StoredResult> {
+    pub fn get(&self, key: &ContentKey) -> Option<&StoredResult> {
         self.entries.get(key)
     }
 
     /// Look up a v2 unit result by content key.
-    pub fn get_unit(&self, key: &str) -> Option<&SchemeRun> {
+    pub fn get_unit(&self, key: &ContentKey) -> Option<&SchemeRun> {
         match self.get(key) {
             Some(StoredResult::Unit(run)) => Some(run),
             _ => None,
@@ -350,7 +390,7 @@ impl ResultStore {
     }
 
     /// Look up a recorded time series by content key.
-    pub fn get_series(&self, key: &str) -> Option<&TraceSeries> {
+    pub fn get_series(&self, key: &ContentKey) -> Option<&TraceSeries> {
         match self.get(key) {
             Some(StoredResult::Series(series)) => Some(series),
             _ => None,
@@ -358,7 +398,7 @@ impl ResultStore {
     }
 
     /// Look up an execution span by content key.
-    pub fn get_span(&self, key: &str) -> Option<&UnitSpan> {
+    pub fn get_span(&self, key: &ContentKey) -> Option<&UnitSpan> {
         match self.get(key) {
             Some(StoredResult::Span(span)) => Some(span),
             _ => None,
@@ -451,14 +491,14 @@ impl ResultStore {
     }
 
     /// Insert a fresh unit result and append it to the JSONL file.
-    pub fn insert_unit(&mut self, key: String, run: SchemeRun) -> Result<(), StoreError> {
+    pub fn insert_unit(&mut self, key: ContentKey, run: SchemeRun) -> Result<(), StoreError> {
         self.insert(key, StoredResult::Unit(run))
     }
 
     /// Insert a fresh result and append it to the backing JSONL file —
     /// `spans.jsonl` for telemetry spans, `store.jsonl` for everything
     /// else.
-    pub fn insert(&mut self, key: String, result: StoredResult) -> Result<(), StoreError> {
+    pub fn insert(&mut self, key: ContentKey, result: StoredResult) -> Result<(), StoreError> {
         let file = match result {
             StoredResult::Span(_) => SPANS_FILE,
             _ => STORE_FILE,
@@ -478,12 +518,16 @@ impl ResultStore {
     }
 
     /// Insert an execution span.
-    pub fn insert_span(&mut self, key: String, span: UnitSpan) -> Result<(), StoreError> {
+    pub fn insert_span(&mut self, key: ContentKey, span: UnitSpan) -> Result<(), StoreError> {
         self.insert(key, StoredResult::Span(span))
     }
 
     /// Insert a recorded time series.
-    pub fn insert_series(&mut self, key: String, series: TraceSeries) -> Result<(), StoreError> {
+    pub fn insert_series(
+        &mut self,
+        key: ContentKey,
+        series: TraceSeries,
+    ) -> Result<(), StoreError> {
         self.insert(key, StoredResult::Series(series))
     }
 
@@ -514,7 +558,7 @@ impl ResultStore {
                 Some(_) => stats.superseded += 1,
                 None => stats.added += 1,
             }
-            self.insert(entry.key.clone(), entry.result)
+            self.insert(entry.key, entry.result)
         })?;
         Ok(stats)
     }
@@ -612,6 +656,11 @@ impl std::error::Error for StoreError {}
 mod tests {
     use super::*;
 
+    /// A test entry's key: the content key of its name.
+    fn key(name: &str) -> ContentKey {
+        crate::hash::content_key(name)
+    }
+
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("snug-store-test-{}-{tag}", std::process::id()));
@@ -641,15 +690,15 @@ mod tests {
     fn inserts_persist_across_reopen() {
         let dir = tmp_dir("persist");
         let mut store = ResultStore::open(&dir).unwrap();
-        store.insert("k1".into(), fake("a+b", 1.25)).unwrap();
-        store.insert("k2".into(), fake("c+d", 0.75)).unwrap();
+        store.insert(key("k1"), fake("a+b", 1.25)).unwrap();
+        store.insert(key("k2"), fake("c+d", 0.75)).unwrap();
         drop(store);
 
         let back = ResultStore::open(&dir).unwrap();
         assert_eq!(back.len(), 2);
-        assert_eq!(back.get("k1").unwrap(), &fake("a+b", 1.25));
-        assert_eq!(back.get("k2").unwrap(), &fake("c+d", 0.75));
-        assert!(back.get("k3").is_none());
+        assert_eq!(back.get(&key("k1")).unwrap(), &fake("a+b", 1.25));
+        assert_eq!(back.get(&key("k2")).unwrap(), &fake("c+d", 0.75));
+        assert!(back.get(&key("k3")).is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -657,14 +706,18 @@ mod tests {
     fn corrupt_interior_lines_are_rejected_with_location() {
         let dir = tmp_dir("corrupt");
         let mut store = ResultStore::open(&dir).unwrap();
-        store.insert("k".into(), fake("x+y", 1.0)).unwrap();
+        store.insert(key("k"), fake("x+y", 1.0)).unwrap();
         let path = dir.join(STORE_FILE);
         let good_line = fs::read_to_string(&path).unwrap();
         // A v1 whole-combo entry is complete JSON the current schema no
         // longer reads: rejected with its location even as the last
         // line, where a torn append would be dropped.
-        let v1 = "{\"key\":\"c1\",\"inputs\":\"combo-inputs\",\"result\":{\"label\":\"a+b\",\
-                  \"class\":\"C3\",\"baseline_ipcs\":[1,0.5],\"schemes\":[],\"cc_sweep\":[[0,1]]}}\n";
+        let v1 = format!(
+            "{{\"key\":\"{}\",\"inputs\":\"combo-inputs\",\"result\":{{\"label\":\"a+b\",\
+             \"class\":\"C3\",\"baseline_ipcs\":[1,0.5],\"schemes\":[],\"cc_sweep\":[[0,1]]}}}}\n",
+            key("c1")
+        );
+        let v1 = v1.as_str();
         for (bad, text) in [
             ("{\"key\": \"k2\", nope\n", None),
             (v1, None),
@@ -692,7 +745,7 @@ mod tests {
     fn partial_trailing_line_is_dropped_and_truncated() {
         let dir = tmp_dir("partial-tail");
         let mut store = ResultStore::open(&dir).unwrap();
-        store.insert("k1".into(), fake("x+y", 1.0)).unwrap();
+        store.insert(key("k1"), fake("x+y", 1.0)).unwrap();
         let path = dir.join(STORE_FILE);
         let clean_len = fs::metadata(&path).unwrap().len();
 
@@ -704,7 +757,7 @@ mod tests {
         // Open tolerates it, keeps the intact entry, truncates the tail.
         let mut recovered = ResultStore::open(&dir).unwrap();
         assert_eq!(recovered.len(), 1);
-        assert!(recovered.get("k1").is_some());
+        assert!(recovered.get(&key("k1")).is_some());
         assert_eq!(
             fs::metadata(&path).unwrap().len(),
             clean_len,
@@ -712,7 +765,7 @@ mod tests {
         );
 
         // Appends after recovery land on a clean line.
-        recovered.insert("k3".into(), fake("a+b", 1.5)).unwrap();
+        recovered.insert(key("k3"), fake("a+b", 1.5)).unwrap();
         let reopened = ResultStore::open(&dir).unwrap();
         assert_eq!(reopened.len(), 2);
         fs::remove_dir_all(&dir).unwrap();
@@ -722,7 +775,7 @@ mod tests {
     fn a_tail_torn_inside_a_character_is_truncated_not_fatal() {
         let dir = tmp_dir("torn-utf8");
         let mut store = ResultStore::open(&dir).unwrap();
-        store.insert("k1".into(), fake("x+y", 1.0)).unwrap();
+        store.insert(key("k1"), fake("x+y", 1.0)).unwrap();
         let path = dir.join(STORE_FILE);
         let clean = fs::read(&path).unwrap();
         // An append cut off halfway through a two-byte character.
@@ -739,6 +792,70 @@ mod tests {
         match ResultStore::open(&dir) {
             Err(StoreError::Corrupt(_, line, _)) => assert_eq!(line, 1),
             other => panic!("expected corrupt error, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A whole committed line whose skipped `inputs` string holds a
+    /// byte that is not UTF-8 is a syntax error, wherever in the string
+    /// the byte sits: as the file's last line it is dropped and
+    /// truncated like a torn append, anywhere else it is fatal and
+    /// located. Lines longer than the read buffer, which straddle a
+    /// refill, sort the same way.
+    #[test]
+    fn invalid_utf8_in_a_skipped_string_is_a_syntax_error() {
+        let dir = tmp_dir("bad-utf8");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(STORE_FILE);
+        let good = format!("{}\n", sample_lines()[0]);
+        let inputs = good.find("\"inputs\":\"").unwrap() + 10;
+        let long = good.replacen(
+            "\"inputs\":\"",
+            &format!("\"inputs\":\"{}", "x".repeat(70_000)),
+            1,
+        );
+        for (line, at) in [
+            (&good, inputs),
+            (&good, inputs + 500),
+            (&long, inputs + 69_999),
+        ] {
+            for bad in [
+                b"\xff".as_slice(),
+                b"\xc3",
+                b"\xed\xa0\x80",
+                b"\xf4\x90\x80\x80",
+            ] {
+                let mut bytes = line.as_bytes().to_vec();
+                bytes.splice(at..at + 1, bad.iter().copied());
+                let lossy = String::from_utf8_lossy(&bytes[..bytes.len() - 1]);
+                assert!(
+                    StoreEntry::decode_line(&lossy).is_ok(),
+                    "the line is whole but for its bytes"
+                );
+
+                // The last line: dropped and truncated.
+                let text = [good.as_bytes(), &bytes].concat();
+                fs::write(&path, &text).unwrap();
+                let store = ResultStore::open(&dir).unwrap();
+                assert_eq!(store.file_lines(), 1, "{bad:x?} at {at}");
+                assert_eq!(
+                    fs::read(&path).unwrap(),
+                    good.as_bytes(),
+                    "{bad:x?} at {at}"
+                );
+
+                // Anywhere else: fatal, located, nothing dropped.
+                let text = [good.as_bytes(), &bytes, good.as_bytes()].concat();
+                fs::write(&path, &text).unwrap();
+                match ResultStore::open(&dir) {
+                    Err(StoreError::Corrupt(_, line, msg)) => {
+                        assert_eq!(line, 2, "{bad:x?} at {at}: {msg}");
+                        assert!(msg.contains("UTF-8"), "{msg}");
+                    }
+                    other => panic!("{bad:x?} at {at}: expected corrupt line 2, got {other:?}"),
+                }
+                assert_eq!(fs::read(&path).unwrap(), text);
+            }
         }
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -774,11 +891,14 @@ mod tests {
                 counters: None,
             }],
         };
-        store.insert_series("t1".into(), series.clone()).unwrap();
+        store.insert_series(key("t1"), series.clone()).unwrap();
         let back = ResultStore::open(&dir).unwrap();
-        assert_eq!(back.get_series("t1").unwrap(), &series);
+        assert_eq!(back.get_series(&key("t1")).unwrap(), &series);
         assert_eq!(back.series_count(), 1);
-        assert!(back.get_unit("t1").is_none(), "typed lookup rejects kind");
+        assert!(
+            back.get_unit(&key("t1")).is_none(),
+            "typed lookup rejects kind"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -795,13 +915,16 @@ mod tests {
             worker: 3,
             shard: "worker-3.jsonl".into(),
         };
-        store.insert_span("s1".into(), span.clone()).unwrap();
+        store.insert_span(key("s1"), span.clone()).unwrap();
         let back = ResultStore::open(&dir).unwrap();
-        assert_eq!(back.get_span("s1").unwrap(), &span);
+        assert_eq!(back.get_span(&key("s1")).unwrap(), &span);
         assert_eq!(back.span_count(), 1);
         assert_eq!(back.spans(), vec![&span]);
-        assert!(back.get_unit("s1").is_none(), "typed lookup rejects kind");
-        assert!(back.get_span("missing").is_none());
+        assert!(
+            back.get_unit(&key("s1")).is_none(),
+            "typed lookup rejects kind"
+        );
+        assert!(back.get_span(&key("missing")).is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -809,9 +932,9 @@ mod tests {
     fn spans_land_in_the_sidecar_not_the_deterministic_store() {
         let dir = tmp_dir("span-sidecar");
         let mut store = ResultStore::open(&dir).unwrap();
-        store.insert("u1".into(), fake("x+y", 1.0)).unwrap();
+        store.insert(key("u1"), fake("x+y", 1.0)).unwrap();
         let store_bytes = fs::read(dir.join(STORE_FILE)).unwrap();
-        store.insert_span("s1".into(), UnitSpan::default()).unwrap();
+        store.insert_span(key("s1"), UnitSpan::default()).unwrap();
         assert_eq!(
             fs::read(dir.join(STORE_FILE)).unwrap(),
             store_bytes,
@@ -828,10 +951,10 @@ mod tests {
     fn compact_migrates_legacy_inline_spans_to_the_sidecar() {
         let dir = tmp_dir("span-migrate");
         let mut store = ResultStore::open(&dir).unwrap();
-        store.insert("u1".into(), fake("x+y", 1.0)).unwrap();
+        store.insert(key("u1"), fake("x+y", 1.0)).unwrap();
         // Fake a legacy store with the span inline in store.jsonl.
         let span_entry = StoreEntry {
-            key: "s1".into(),
+            key: key("s1"),
             result: StoredResult::Span(UnitSpan::default()),
         };
         let path = dir.join(STORE_FILE);
@@ -858,19 +981,19 @@ mod tests {
     fn recover_shards_merges_and_deletes_skipping_partial_tails() {
         let dir = tmp_dir("recover");
         let mut store = ResultStore::open(&dir).unwrap();
-        store.insert("k1".into(), fake("x+y", 1.0)).unwrap();
+        store.insert(key("k1"), fake("x+y", 1.0)).unwrap();
 
         // Shard 0: one duplicate of k1 plus a fresh k2.
         let mut shard0 = ShardWriter::new(dir.join(SHARDS_DIR).join("worker-0.jsonl"));
         shard0
             .append(&StoreEntry {
-                key: "k1".into(),
+                key: key("k1"),
                 result: fake("x+y", 1.0),
             })
             .unwrap();
         shard0
             .append(&StoreEntry {
-                key: "k2".into(),
+                key: key("k2"),
                 result: fake("a+b", 2.0),
             })
             .unwrap();
@@ -879,7 +1002,7 @@ mod tests {
         let mut shard1 = ShardWriter::new(dir.join(SHARDS_DIR).join("worker-1.jsonl"));
         shard1
             .append(&StoreEntry {
-                key: "k3".into(),
+                key: key("k3"),
                 result: fake("c+d", 3.0),
             })
             .unwrap();
@@ -895,7 +1018,7 @@ mod tests {
         assert_eq!(stats.unchanged, 1);
         assert!(!dir.join(SHARDS_DIR).exists(), "shards consumed");
         assert_eq!(store.len(), 3);
-        assert!(store.get("k4").is_none());
+        assert!(store.get(&key("k4")).is_none());
 
         // Nothing left: a second recovery is a no-op.
         assert_eq!(store.recover_shards().unwrap(), MergeStats::default());
@@ -906,10 +1029,10 @@ mod tests {
     fn compact_drops_superseded_duplicates_and_is_idempotent() {
         let dir = tmp_dir("compact");
         let mut store = ResultStore::open(&dir).unwrap();
-        store.insert("k1".into(), fake("x+y", 1.0)).unwrap();
-        store.insert("k2".into(), fake("a+b", 2.0)).unwrap();
+        store.insert(key("k1"), fake("x+y", 1.0)).unwrap();
+        store.insert(key("k2"), fake("a+b", 2.0)).unwrap();
         // Supersede k1 (as a schema bump or re-run would).
-        store.insert("k1".into(), fake("x+y", 3.0)).unwrap();
+        store.insert(key("k1"), fake("x+y", 3.0)).unwrap();
         assert_eq!(store.file_lines(), 3);
         assert_eq!(store.len(), 2);
 
@@ -920,8 +1043,8 @@ mod tests {
         // The newest value per key survived, on disk too.
         let back = ResultStore::open(&dir).unwrap();
         assert_eq!(back.file_lines(), 2);
-        assert_eq!(back.get("k1").unwrap(), &fake("x+y", 3.0));
-        assert_eq!(back.get("k2").unwrap(), &fake("a+b", 2.0));
+        assert_eq!(back.get(&key("k1")).unwrap(), &fake("x+y", 3.0));
+        assert_eq!(back.get(&key("k2")).unwrap(), &fake("a+b", 2.0));
 
         // Idempotent: nothing more to drop, bytes unchanged.
         let bytes = fs::read(dir.join(STORE_FILE)).unwrap();
@@ -970,27 +1093,32 @@ mod tests {
         format!("{{{}", &rest[end + 2..])
     }
 
-    /// Every committed line decodes and re-encodes to the same bytes,
-    /// less the ignored `inputs` member.
+    /// Every line of both committed stores — the main one and the
+    /// ablations' — decodes and re-encodes to the same bytes, less the
+    /// ignored `inputs` member.
     #[test]
     fn committed_store_re_renders_byte_for_byte() {
-        let store = ResultStore::open(committed_dir()).unwrap();
-        let text = committed_store();
-        let mut rendered = String::with_capacity(text.len());
-        let mut expected = String::with_capacity(text.len());
-        for line in text.lines() {
-            let key = StoreEntry::decode_line(line).unwrap().key;
-            rendered.push_str(&render_line(&key, &store.entries[&key]).unwrap());
-            rendered.push('\n');
-            expected.push_str(&without_inputs(line));
-            expected.push('\n');
+        let ablations = committed_dir().join("..").join(crate::ABLATIONS_DIR);
+        for (dir, lines) in [(committed_dir(), 756), (ablations, 49)] {
+            let store = ResultStore::open(&dir).unwrap();
+            let text = fs::read_to_string(dir.join(STORE_FILE)).unwrap();
+            let mut rendered = String::with_capacity(text.len());
+            let mut expected = String::with_capacity(text.len());
+            for line in text.lines() {
+                let key = StoreEntry::decode_line(line).unwrap().key;
+                rendered.push_str(&render_line(&key, &store.entries[&key]).unwrap());
+                rendered.push('\n');
+                expected.push_str(&without_inputs(line));
+                expected.push('\n');
+            }
+            assert_eq!(text.lines().count(), lines, "{}", dir.display());
+            assert_eq!(store.unit_count(), lines, "{}", dir.display());
+            assert!(
+                rendered == expected,
+                "decode → encode changed the committed store {}",
+                dir.display()
+            );
         }
-        assert_eq!(text.lines().count(), 756);
-        assert_eq!(store.unit_count(), 756);
-        assert!(
-            rendered == expected,
-            "decode → encode changed the committed store"
-        );
     }
 
     /// A store mixing a line written with `inputs` and one written
@@ -1000,17 +1128,17 @@ mod tests {
     fn lines_with_and_without_inputs_serve_alike() {
         let dir = tmp_dir("inputs");
         let old = committed_store().lines().next().unwrap();
-        let key = StoreEntry::decode_line(old).unwrap().key;
+        let old_key = StoreEntry::decode_line(old).unwrap().key;
         let new = StoreEntry {
-            key: "k2".into(),
+            key: key("k2"),
             result: fake("a+b", 2.0),
         };
         let new = new.render_line().unwrap();
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(STORE_FILE), format!("{old}\n{new}\n")).unwrap();
         let mut store = ResultStore::open(&dir).unwrap();
-        assert!(store.get_unit(&key).is_some());
-        assert_eq!(store.get("k2"), Some(&fake("a+b", 2.0)));
+        assert!(store.get_unit(&old_key).is_some());
+        assert_eq!(store.get(&key("k2")), Some(&fake("a+b", 2.0)));
 
         store.compact().unwrap();
         let compacted = fs::read_to_string(dir.join(STORE_FILE)).unwrap();
@@ -1070,15 +1198,15 @@ mod tests {
         let (run, span, series) = crate::codec::tests::samples();
         [
             StoreEntry {
-                key: "u1".into(),
+                key: key("u1"),
                 result: StoredResult::Unit(run),
             },
             StoreEntry {
-                key: "t1".into(),
+                key: key("t1"),
                 result: StoredResult::Series(series),
             },
             StoreEntry {
-                key: "s1".into(),
+                key: key("s1"),
                 result: StoredResult::Span(span),
             },
         ]
@@ -1176,16 +1304,58 @@ mod tests {
 
     #[test]
     fn the_last_of_a_repeated_member_wins() {
-        let line = r#"{"key":"a","unit":{"scheme":"x","ipcs":[1],"scheme":"y"},"key":"b"}"#;
-        let entry = StoreEntry::decode_line(line).unwrap();
-        assert_eq!(entry.key, "b");
+        let (a, b) = (key("a"), key("b"));
+        let line = format!(
+            r#"{{"key":"{a}","unit":{{"scheme":"x","ipcs":[1],"scheme":"y"}},"key":"{b}"}}"#
+        );
+        let entry = StoreEntry::decode_line(&line).unwrap();
+        assert_eq!(entry.key, b);
         assert_eq!(entry.result, fake_run("y", &[1.0]));
-        let line =
-            r#"{"unit":{"scheme":"x","ipcs":[1]},"key":"k","unit":{"scheme":"z","ipcs":[2]}}"#;
+        let line = format!(
+            r#"{{"unit":{{"scheme":"x","ipcs":[1]}},"key":"{}","unit":{{"scheme":"z","ipcs":[2]}}}}"#,
+            key("k")
+        );
         assert_eq!(
-            StoreEntry::decode_line(line).unwrap().result,
+            StoreEntry::decode_line(&line).unwrap().result,
             fake_run("z", &[2.0])
         );
+    }
+
+    /// A `key` that is not exactly 32 lowercase hex digits is a schema
+    /// error naming the file, the line and `.key` — fatal even as the
+    /// file's last line, which is left as it was.
+    #[test]
+    fn a_key_spelled_any_other_way_is_fatal_and_named() {
+        let dir = tmp_dir("bad-key");
+        let good = format!("{}\n", sample_entries()[0].render_line().unwrap());
+        let hex = key("u1").to_string();
+        for bad in [
+            "k1".to_string(),
+            hex.to_uppercase(),
+            hex[..31].to_string(),
+            format!("{hex}0"),
+            hex.replacen(|c: char| c.is_ascii_digit(), "g", 1),
+        ] {
+            let line = good.replacen(&hex, &bad, 1);
+            assert_ne!(line, good);
+            match StoreEntry::decode_line(line.trim_end()) {
+                Err(LineError::Schema(e)) => assert!(e.0.starts_with(".key: "), "{bad}: {e}"),
+                other => panic!("{bad}: expected a schema error, got {other:?}"),
+            }
+            for (text, at) in [(format!("{good}{line}"), 2), (format!("{line}{good}"), 1)] {
+                match open_lines(&dir, &text) {
+                    Err(StoreError::Corrupt(file, line, msg)) => {
+                        assert_eq!(file, dir.join(STORE_FILE).display().to_string());
+                        assert_eq!(line, at, "{bad}");
+                        assert!(msg.starts_with(".key: "), "{bad}: {msg}");
+                        assert!(msg.contains("32 lowercase hex digits"), "{bad}: {msg}");
+                    }
+                    other => panic!("{bad}: expected corrupt line {at}, got {other:?}"),
+                }
+                assert_eq!(fs::read_to_string(dir.join(STORE_FILE)).unwrap(), text);
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     fn fake_run(scheme: &str, ipcs: &[f64]) -> StoredResult {
@@ -1306,7 +1476,7 @@ mod tests {
     fn blank_lines_are_tolerated() {
         let dir = tmp_dir("blank");
         let mut store = ResultStore::open(&dir).unwrap();
-        store.insert("k".into(), fake("x+y", 1.0)).unwrap();
+        store.insert(key("k"), fake("x+y", 1.0)).unwrap();
         let path = dir.join(STORE_FILE);
         let mut text = fs::read_to_string(&path).unwrap();
         text.push('\n');

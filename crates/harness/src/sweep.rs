@@ -18,7 +18,7 @@
 //! each core live at its first shift. Nothing of it outlives the sweep.
 
 use crate::exec::{self, ExecEvent, JobOutcome};
-use crate::hash::content_key;
+use crate::hash::{content_key, ContentKey};
 use crate::spec::{unit_key, SweepSpec, UnitJob, SCHEMA_VERSION};
 use crate::store::{
     ResultStore, ShardWriter, StoreEntry, StoreError, StoredResult, FRONTS_DIR, SHARDS_DIR,
@@ -191,7 +191,7 @@ impl From<StoreError> for SweepError {
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnitOutcome {
     /// Content key of the unit job.
-    pub key: String,
+    pub key: ContentKey,
     /// Whether the result came from the store (fresh runs and cached
     /// results are indistinguishable by construction).
     pub from_cache: bool,
@@ -519,7 +519,7 @@ fn plan_exec_nodes<'a>(
 /// with this key. Derived from the unit key, so re-running the same
 /// piece supersedes its previous span (newest telemetry wins under the
 /// store's gc rule) instead of accumulating.
-fn span_key(unit_key: &str) -> String {
+fn span_key(unit_key: &ContentKey) -> ContentKey {
     content_key(&format!("{SCHEMA_VERSION}|span|{unit_key}"))
 }
 
@@ -696,7 +696,7 @@ pub fn run_unit_jobs(
             // A result the store cannot hold fails the unit here, before
             // its pace unblocks any sibling.
             let unit_line = StoreEntry {
-                key: job.key.clone(),
+                key: job.key,
                 result: StoredResult::Unit(run.clone()),
             }
             .render_line()
@@ -727,7 +727,7 @@ pub fn run_unit_jobs(
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
                 let span_entry = StoreEntry {
-                    key: span_key.clone(),
+                    key: span_key,
                     result: StoredResult::Span(span.clone()),
                 };
                 if let Err(e) = shard
@@ -784,14 +784,14 @@ pub fn run_unit_jobs(
     // store, the first failure (plus everything it doomed) is surfaced
     // after persistence so an interrupted sweep still keeps its
     // completed work.
-    let mut completed: BTreeMap<String, SchemeRun> = BTreeMap::new();
-    let mut finished_spans: Vec<(String, UnitSpan)> = Vec::new();
+    let mut completed: BTreeMap<ContentKey, SchemeRun> = BTreeMap::new();
+    let mut finished_spans: Vec<(ContentKey, UnitSpan)> = Vec::new();
     let mut failure: Option<(String, String)> = None;
     let mut skipped: Vec<String> = Vec::new();
     for (i, outcome) in outcomes.into_iter().enumerate() {
         match outcome {
             JobOutcome::Done((run, span_key, span)) => {
-                completed.insert(nodes[i].job.key.clone(), run);
+                completed.insert(nodes[i].job.key, run);
                 finished_spans.push((span_key, span));
             }
             JobOutcome::Failed(error) => {
@@ -807,7 +807,7 @@ pub fn run_unit_jobs(
     // bytes are identical for every `--jobs` value.
     for job in &pending {
         if let Some(run) = completed.remove(&job.key) {
-            store.insert_unit(job.key.clone(), run)?;
+            store.insert_unit(job.key, run)?;
         }
     }
     for (key, span) in finished_spans {
@@ -845,14 +845,14 @@ pub fn run_unit_jobs(
     }
 
     // Assemble outcomes in job order, now that everything is stored.
-    let executed: BTreeSet<&str> = pending.iter().map(|j| j.key.as_str()).collect();
+    let executed: BTreeSet<ContentKey> = pending.iter().map(|j| j.key).collect();
     #[expect(
         clippy::expect_used,
         reason = "every pending unit was persisted above and cached units were present before the sweep started"
     )]
     let outcome = |job: &UnitJob| UnitOutcome {
-        key: job.key.clone(),
-        from_cache: !executed.contains(job.key.as_str()),
+        key: job.key,
+        from_cache: !executed.contains(&job.key),
         run: store
             .get_unit(&job.key)
             .expect("unit just stored or cached")
@@ -1095,7 +1095,7 @@ mod tests {
     #[test]
     fn span_key_is_pinned() {
         assert_eq!(
-            span_key("0123456789abcdef0123456789abcdef"),
+            span_key(&"0123456789abcdef0123456789abcdef".parse().unwrap()),
             "61d5a5af094be12e0b58c9a75a3153a6"
         );
     }

@@ -2,7 +2,7 @@
 //! distinct unit keys, the variant keys absent from the main store, and
 //! the canonical units present in both with identical results.
 
-use snug_harness::{ablation_jobs, ResultStore, UnitJob, ABLATIONS_DIR};
+use snug_harness::{ablation_jobs, ContentKey, ResultStore, UnitJob, ABLATIONS_DIR};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -20,7 +20,7 @@ fn the_ablation_job_list_is_pinned_against_the_main_store() {
     let combos = ablation_jobs();
     assert_eq!(combos.len(), 7, "3 C1 + 4 C4 combos");
     let units: Vec<&UnitJob> = combos.iter().flat_map(|c| c.units()).collect();
-    let keys: BTreeSet<&str> = units.iter().map(|u| u.key.as_str()).collect();
+    let keys: BTreeSet<ContentKey> = units.iter().map(|u| u.key).collect();
     assert_eq!(
         (units.len(), keys.len()),
         (49, 49),

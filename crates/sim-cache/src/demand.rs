@@ -127,14 +127,18 @@ impl BucketDistribution {
     /// Shannon-style non-uniformity score in [0, 1]: 0 when all sets land
     /// in one bucket, 1 when spread evenly over all buckets. Used by
     /// workload-model calibration tests.
+    ///
+    /// The entropy sums from `+0.0`: `f64`'s `Sum` starts from `-0.0`,
+    /// so a single full bucket (`-1 · ln 1 = -0.0`) would score `-0.0`
+    /// and print as `-0.00`.
     pub fn spread(&self) -> f64 {
         let m = self.sizes.len() as f64;
-        let h: f64 = self
+        let h = self
             .sizes
             .iter()
             .filter(|&&p| p > 0.0)
             .map(|&p| -p * p.ln())
-            .sum();
+            .fold(0.0, |h, x| h + x);
         if m <= 1.0 {
             0.0
         } else {
@@ -247,6 +251,17 @@ mod tests {
         }
         let dist = prof.end_interval(|h| BucketDistribution::from_histograms(h, &params));
         assert_eq!(dist.spread(), 0.0);
+    }
+
+    /// One full bucket scores exactly `+0.0`, sign bit clear, so it
+    /// never prints as `-0.00`.
+    #[test]
+    fn spread_of_one_full_bucket_is_positive_zero() {
+        for sizes in [vec![1.0, 0.0, 0.0], vec![0.0, 1.0], vec![1.0], vec![]] {
+            let spread = BucketDistribution { sizes }.spread();
+            assert_eq!(spread.to_bits(), 0.0f64.to_bits(), "{spread}");
+            assert_eq!(format!("{spread:.2}"), "0.00");
+        }
     }
 
     #[test]

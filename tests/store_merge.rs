@@ -3,7 +3,8 @@
 //! idempotence contract — merging the same shard again (and gc'ing)
 //! changes nothing.
 
-use snug_harness::{MergeStats, ResultStore, StoredResult};
+use snug_harness::hash::content_key;
+use snug_harness::{ContentKey, MergeStats, ResultStore, StoredResult};
 use snug_sim::experiments::SchemeRun;
 use std::fs;
 use std::path::PathBuf;
@@ -12,6 +13,11 @@ fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("snug-merge-test-{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
+}
+
+/// A test entry's key: the content key of its name.
+fn key(name: &str) -> ContentKey {
+    content_key(name)
 }
 
 fn unit(scheme: &str, tp: f64) -> StoredResult {
@@ -28,8 +34,8 @@ fn unit(scheme: &str, tp: f64) -> StoredResult {
 /// return the path of its JSONL file.
 fn build_store(dir: &PathBuf, entries: &[(&str, f64)]) -> PathBuf {
     let mut store = ResultStore::open(dir).unwrap();
-    for (key, tp) in entries {
-        store.insert(key.to_string(), unit(key, *tp)).unwrap();
+    for (name, tp) in entries {
+        store.insert(key(name), unit(name, *tp)).unwrap();
     }
     dir.join("store.jsonl")
 }
@@ -56,14 +62,14 @@ fn merge_folds_shards_newest_entry_per_key() {
     assert_eq!(store.len(), 3);
     // Shard entries win on collision — the same rule gc applies to
     // later lines of one file.
-    assert_eq!(store.get("k2").unwrap(), &unit("k2", 2.0));
-    assert_eq!(store.get("k3").unwrap(), &unit("k3", 3.0));
+    assert_eq!(store.get(&key("k2")).unwrap(), &unit("k2", 2.0));
+    assert_eq!(store.get(&key("k3")).unwrap(), &unit("k3", 3.0));
     store.compact().unwrap();
 
     // Everything survives a reopen from disk.
     let back = ResultStore::open(&main_dir).unwrap();
     assert_eq!(back.len(), 3);
-    assert_eq!(back.get("k2").unwrap(), &unit("k2", 2.0));
+    assert_eq!(back.get(&key("k2")).unwrap(), &unit("k2", 2.0));
 
     fs::remove_dir_all(&main_dir).unwrap();
     fs::remove_dir_all(&shard_dir).unwrap();
@@ -115,7 +121,7 @@ fn merge_tolerates_a_partial_trailing_shard_line_and_rejects_interior_corruption
     let mut store = ResultStore::open(&main_dir).unwrap();
     let stats = store.merge_file(&shard).unwrap();
     assert_eq!((stats.read, stats.added), (1, 1));
-    assert!(store.get("x").is_some());
+    assert!(store.get(&key("x")).is_some());
 
     // Corruption anywhere else stays fatal.
     let good_line = fs::read_to_string(&shard)
