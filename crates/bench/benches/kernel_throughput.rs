@@ -1,11 +1,9 @@
 //! Kernel throughput trajectory: how fast the simulator simulates.
 //!
-//! Times one (combo, scheme) simulation for a representative combo of
-//! three workload classes under the private baseline and SNUG at the
-//! `--quick` budget, and reports simulated cycles/s and retired
-//! instructions/s per wall-clock second. The numbers live in the
-//! committed `BENCH_kernel.json` at the repository root so the
-//! throughput trajectory is tracked in CI:
+//! Times each (combo, scheme) point of [`snug_bench::definition`] and
+//! reports simulated cycles/s and retired instructions/s per wall-clock
+//! second. The numbers live in the committed `BENCH_kernel.json` at the
+//! repository root so the throughput trajectory is tracked in CI:
 //!
 //! ```text
 //! cargo bench -p snug-bench --bench kernel_throughput            # measure + print
@@ -28,19 +26,13 @@
 //! sample and never touches the file, so it cannot flake on machine
 //! speed.
 
-use snug_core::SchemeSpec;
-use snug_experiments::run_scheme;
-use snug_harness::hash::content_key;
-use snug_harness::json::{parse, Value};
-use snug_harness::BudgetPreset;
-use snug_workloads::{all_combos, ComboClass};
-use std::path::{Path, PathBuf};
+use snug_bench::{
+    definition, fingerprint, load, retired_instructions, BenchEntry, BUDGET, COMMITTED, SCHEMA,
+};
+use snug_harness::json::Value;
+use std::path::Path;
 use std::time::Instant;
 
-/// Schema tag of `BENCH_kernel.json`.
-const SCHEMA: &str = "snug-bench/v1";
-/// Budget preset the trajectory is defined over.
-const BUDGET: BudgetPreset = BudgetPreset::Quick;
 /// Allowed fractional ops/s drop on a single entry before `--check`
 /// fails. Loose: a lone (combo, scheme) point is exposed to scheduler
 /// noise even best-of-[`SAMPLES`], so this only catches a scheme whose
@@ -53,85 +45,6 @@ const GEOMEAN_TOLERANCE: f64 = 0.10;
 /// Timed samples per point (best-of, to shed scheduler noise).
 const SAMPLES: usize = 3;
 
-/// One measured (combo, scheme) point of the trajectory.
-struct BenchEntry {
-    combo: String,
-    scheme: String,
-    /// Simulated cycles per run (warm-up + measured window) — a pure
-    /// function of the definition, committed as a drift tripwire.
-    sim_cycles: u64,
-    /// Instructions retired over the measured window — deterministic
-    /// for the same reason.
-    instructions: u64,
-    /// Simulated cycles per wall-clock second (best sample).
-    cycles_per_sec: f64,
-    /// Retired instructions per wall-clock second (best sample).
-    ops_per_sec: f64,
-}
-
-impl BenchEntry {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("combo", Value::str(&self.combo)),
-            ("scheme", Value::str(&self.scheme)),
-            ("sim_cycles", Value::num(self.sim_cycles as f64)),
-            ("instructions", Value::num(self.instructions as f64)),
-            ("cycles_per_sec", Value::num(self.cycles_per_sec)),
-            ("ops_per_sec", Value::num(self.ops_per_sec)),
-        ])
-    }
-
-    fn from_json(v: &Value) -> Result<Self, String> {
-        let num = |name: &str| -> Result<f64, String> {
-            v.get(name)
-                .and_then(|x| x.as_num())
-                .map_err(|e| format!("entry field `{name}`: {e}"))
-        };
-        let text = |name: &str| -> Result<String, String> {
-            v.get(name)
-                .and_then(|x| x.as_str().map(str::to_string))
-                .map_err(|e| format!("entry field `{name}`: {e}"))
-        };
-        Ok(BenchEntry {
-            combo: text("combo")?,
-            scheme: text("scheme")?,
-            sim_cycles: num("sim_cycles")? as u64,
-            instructions: num("instructions")? as u64,
-            cycles_per_sec: num("cycles_per_sec")?,
-            ops_per_sec: num("ops_per_sec")?,
-        })
-    }
-}
-
-/// The measurement definition: representative combos (first of three
-/// spread-out classes) × all five paper schemes at the quick budget.
-/// CC runs at 100% spill probability — the point of the §4.1 sweep that
-/// exercises the spill/retrieve machinery hardest.
-fn definition() -> (snug_experiments::CompareConfig, Vec<(String, SchemeSpec)>) {
-    let cfg = BUDGET.compare_config();
-    let combos = [ComboClass::C1, ComboClass::C3, ComboClass::C5].map(|class| {
-        all_combos()
-            .into_iter()
-            .find(|c| c.class == class)
-            .expect("every class has combos")
-    });
-    let mut points = Vec::new();
-    for combo in &combos {
-        for spec in [
-            SchemeSpec::L2p,
-            SchemeSpec::L2s,
-            SchemeSpec::Cc {
-                spill_probability: 1.0,
-            },
-            SchemeSpec::Dsr(cfg.dsr),
-            SchemeSpec::Snug(cfg.snug),
-        ] {
-            points.push((combo.label(), spec));
-        }
-    }
-    (cfg, points)
-}
-
 /// Geometric mean of ops/s across entries — the single scalar the
 /// trajectory is tracked by.
 fn geomean_ops(entries: &[BenchEntry]) -> f64 {
@@ -139,46 +52,23 @@ fn geomean_ops(entries: &[BenchEntry]) -> f64 {
     (log_sum / entries.len().max(1) as f64).exp()
 }
 
-/// Fingerprint of everything that defines the trajectory: schema,
-/// budget, the full compare configuration (scheme parameters included)
-/// and the measured points. Changing any of it stales the committed
-/// file until `--emit` re-baselines.
-fn fingerprint(cfg: &snug_experiments::CompareConfig, points: &[(String, SchemeSpec)]) -> String {
-    let points_desc: Vec<String> = points
-        .iter()
-        .map(|(combo, spec)| format!("{combo}/{spec}"))
-        .collect();
-    content_key(&format!(
-        "{SCHEMA}|{}|{cfg:?}|{}",
-        BUDGET.label(),
-        points_desc.join(",")
-    ))
-    .to_string()
-}
-
 /// Measure every point of the definition, best-of-`samples`.
 fn measure(samples: usize) -> Vec<BenchEntry> {
     let (cfg, points) = definition();
-    let all = all_combos();
     let sim_cycles = cfg.plan.horizon();
     points
         .iter()
-        .map(|(combo_label, spec)| {
-            let combo = all
-                .iter()
-                .find(|c| c.label() == *combo_label)
-                .expect("definition combos exist");
+        .map(|(combo, spec)| {
             let mut best_nanos = u64::MAX;
             let mut instructions = 0u64;
             for _ in 0..samples {
                 let started = Instant::now();
-                let result = run_scheme(combo, spec, &cfg);
+                instructions = retired_instructions(combo, spec, &cfg);
                 best_nanos = best_nanos.min(started.elapsed().as_nanos().max(1) as u64);
-                instructions = result.cores.iter().map(|c| c.instructions).sum();
             }
             let secs = best_nanos as f64 / 1e9;
             let entry = BenchEntry {
-                combo: combo_label.clone(),
+                combo: combo.label(),
                 scheme: spec.to_string(),
                 sim_cycles,
                 instructions,
@@ -211,40 +101,6 @@ fn render(entries: &[BenchEntry]) -> String {
         ),
     ]);
     format!("{}\n", doc.render().expect("bench figures are finite"))
-}
-
-fn load(path: &Path) -> Result<(String, Vec<BenchEntry>), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        format!(
-            "{} is missing or unreadable ({e}) — run `cargo bench -p snug-bench --bench \
-             kernel_throughput -- --emit` and commit the result",
-            path.display()
-        )
-    })?;
-    let doc = parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let schema = doc
-        .get("schema")
-        .and_then(|v| v.as_str().map(str::to_string))
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    if schema != SCHEMA {
-        return Err(format!(
-            "{}: schema `{schema}` (expected `{SCHEMA}`)",
-            path.display()
-        ));
-    }
-    let fp = doc
-        .get("fingerprint")
-        .and_then(|v| v.as_str().map(str::to_string))
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    let entries = doc
-        .get("entries")
-        .and_then(|v| v.as_arr().map(<[Value]>::to_vec))
-        .map_err(|e| format!("{}: {e}", path.display()))?
-        .iter()
-        .map(BenchEntry::from_json)
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok((fp, entries))
 }
 
 fn check(path: &Path) -> Result<(), String> {
@@ -324,10 +180,6 @@ fn check(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-fn default_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernel.json")
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `cargo test --benches` invokes bench binaries with `--test`: take
@@ -336,10 +188,10 @@ fn main() {
         measure(1);
         return;
     }
-    let path = default_path();
+    let path = Path::new(COMMITTED);
     let outcome = if args.iter().any(|a| a == "--emit") {
         let entries = measure(SAMPLES);
-        std::fs::write(&path, render(&entries))
+        std::fs::write(path, render(&entries))
             .map_err(|e| format!("writing {}: {e}", path.display()))
             .map(|()| {
                 println!(
@@ -351,7 +203,7 @@ fn main() {
                 );
             })
     } else if args.iter().any(|a| a == "--check") {
-        check(&path)
+        check(path)
     } else {
         measure(SAMPLES);
         Ok(())

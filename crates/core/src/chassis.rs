@@ -247,27 +247,19 @@ impl PrivateChassis {
     }
 
     /// Invalidate any cooperatively cached copies of `block` held
-    /// anywhere on behalf of `owner`, in every set within `flip_width`
-    /// low index bits of its home set (coherence sweep used on L1
-    /// writebacks and on refetch-after-unreachable; the snoop broadcast
-    /// sees matching tags even when the G/T vector forbids forwarding).
-    pub fn invalidate_cc_copies(
-        &mut self,
-        owner: usize,
-        block: BlockAddr,
-        flip_width: u32,
-    ) -> usize {
+    /// anywhere on behalf of `owner`, in its home set and the home set's
+    /// flip partner (coherence sweep used on L1 writebacks and on
+    /// refetch-after-unreachable; the snoop broadcast sees matching tags
+    /// even when the G/T vector forbids forwarding).
+    pub fn invalidate_cc_copies(&mut self, owner: usize, block: BlockAddr) -> usize {
         let mut removed = 0;
         let home = self.cfg.l2_slice.set_index(block);
+        let num_sets = self.cfg.l2_slice.num_sets as usize;
         for peer in 0..self.num_cores() {
             if peer == owner || self.slices[peer].cc_lines() == 0 {
                 continue;
             }
-            for mask in 0..(1usize << flip_width) {
-                let s = home ^ mask;
-                if s >= self.cfg.l2_slice.num_sets as usize {
-                    continue;
-                }
+            for s in [home, home ^ 1].into_iter().filter(|&s| s < num_sets) {
                 if let Some(way) = self.slices[peer].probe_in_set(s, block) {
                     if self.slices[peer].set(s).line(way).flags.cc {
                         self.slices[peer].set_mut(s).invalidate_way(way);
@@ -280,22 +272,14 @@ impl PrivateChassis {
     }
 
     /// Handle an L1 dirty writeback: mark the local copy dirty if
-    /// resident; otherwise invalidate any stale CC copies within
-    /// `flip_width` index bits of the home set and buffer the data for
-    /// DRAM.
-    fn l1_writeback(
-        &mut self,
-        c: usize,
-        block: BlockAddr,
-        flip_width: u32,
-        now: u64,
-        res: &mut ChipResources<'_>,
-    ) {
+    /// resident; otherwise invalidate any stale CC copies in the home
+    /// set and its flip partner and buffer the data for DRAM.
+    fn l1_writeback(&mut self, c: usize, block: BlockAddr, now: u64, res: &mut ChipResources<'_>) {
         let set = self.slices[c].home_set(block);
         if self.slices[c].touch_in_set(set, block, true).is_some() {
             return;
         }
-        if self.invalidate_cc_copies(c, block, flip_width) > 0 {
+        if self.invalidate_cc_copies(c, block) > 0 {
             let _ = res.bus.address_transaction(now);
         }
         self.push_writeback(c, block, now, res);
@@ -343,14 +327,6 @@ pub trait PrivatePolicy: Clone + 'static {
     /// The flat floor of a peer hit's latency.
     fn remote_latency(cfg: &SystemConfig) -> u64 {
         cfg.l2_remote_latency
-    }
-
-    /// How many low index bits a CC copy may sit away from its block's
-    /// home set: the reach of the stale-copy sweep on an L1 writeback.
-    /// One (the home set and its flip partner) for every scheme but a
-    /// wide-flipping SNUG.
-    fn flip_width(&self) -> u32 {
-        1
     }
 
     /// Advance time-driven policy state to `now` (SNUG's period clock).
@@ -483,8 +459,7 @@ impl<P: PrivatePolicy> L2Org for Private<P> {
     }
 
     fn writeback(&mut self, core: usize, block: BlockAddr, now: u64, res: &mut ChipResources<'_>) {
-        let width = self.policy.flip_width();
-        self.chassis.l1_writeback(core, block, width, now, res);
+        self.chassis.l1_writeback(core, block, now, res);
     }
 
     fn slice_stats(&self, core: usize) -> &CacheStats {
@@ -640,7 +615,7 @@ mod tests {
         };
         let b = blk(2, 3);
         ch.fill_local(0, b, false);
-        ch.l1_writeback(0, b, 1, 0, &mut res);
+        ch.l1_writeback(0, b, 0, &mut res);
         let (s, w) = ch.slices[0].probe(b).unwrap();
         assert!(ch.slices[0].set(s).line(w).flags.dirty);
         assert_eq!(ch.wbs[0].len(), 0);
@@ -656,7 +631,7 @@ mod tests {
         let b = blk(2, 3);
         // Peer 3 holds a stale CC copy at the flipped index.
         ch.slices[3].fill_in_set(3, b, LineFlags::received(true));
-        ch.l1_writeback(0, b, 1, 0, &mut res);
+        ch.l1_writeback(0, b, 0, &mut res);
         assert_eq!(ch.slices[3].cc_lines(), 0, "stale copy invalidated");
         assert_eq!(ch.wbs[0].len(), 1, "data buffered for DRAM");
     }

@@ -71,37 +71,13 @@ impl GtVector {
     /// When `flipping` is disabled (ablation), case 2 degrades to
     /// [`GroupCase::NoMatch`].
     pub fn group_case(&self, set: usize, flipping: bool) -> GroupCase {
-        self.group_case_wide(set, if flipping { 1 } else { 0 })
-    }
-
-    /// Generalised grouping with `flip_width` low index bits eligible
-    /// for flipping (the paper's scheme is `flip_width = 1`; wider
-    /// widths explore the paper's future-work direction of more flexible
-    /// grouping at the cost of `flip_width` f bits per line and up to
-    /// `2^w − 1` extra G/T lookups). Neighbours are probed in Gray-ish
-    /// nearest-first order: s^1, s^2, s^3, …
-    pub fn group_case_wide(&self, set: usize, flip_width: u32) -> GroupCase {
         if self.is_giver(set) {
-            return GroupCase::SameIndex;
+            GroupCase::SameIndex
+        } else if flipping && (set ^ 1) < self.len() && self.is_giver(set ^ 1) {
+            GroupCase::FlippedIndex
+        } else {
+            GroupCase::NoMatch
         }
-        for mask in 1..(1usize << flip_width) {
-            let partner = set ^ mask;
-            if partner < self.len() && self.is_giver(partner) {
-                return GroupCase::FlippedIndex;
-            }
-        }
-        GroupCase::NoMatch
-    }
-
-    /// The partner set selected by [`GtVector::group_case_wide`] when it
-    /// returns [`GroupCase::FlippedIndex`].
-    pub fn flip_partner(&self, set: usize, flip_width: u32) -> Option<usize> {
-        if self.is_giver(set) {
-            return None;
-        }
-        (1..(1usize << flip_width))
-            .map(|mask| set ^ mask)
-            .find(|&p| p < self.len() && self.is_giver(p))
     }
 }
 
@@ -157,25 +133,5 @@ mod tests {
     #[should_panic]
     fn latch_length_mismatch_panics() {
         GtVector::all_givers(4).latch(vec![true]);
-    }
-
-    #[test]
-    fn wide_flipping_reaches_further_neighbours() {
-        let mut v = GtVector::all_givers(8);
-        // Sets 0..3 takers; set 6 is the only giver.
-        v.latch(vec![true, true, true, true, true, true, false, true]);
-        // Width 1 from set 4: partner 5 is a taker → no match.
-        assert_eq!(v.group_case_wide(4, 1), GroupCase::NoMatch);
-        // Width 2 reaches 4^2 = 6 → giver found.
-        assert_eq!(v.group_case_wide(4, 2), GroupCase::FlippedIndex);
-        assert_eq!(v.flip_partner(4, 2), Some(6));
-    }
-
-    #[test]
-    fn wide_flipping_width_zero_is_same_index_only() {
-        let mut v = GtVector::all_givers(2);
-        v.latch(vec![true, false]);
-        assert_eq!(v.group_case_wide(0, 0), GroupCase::NoMatch);
-        assert_eq!(v.group_case_wide(1, 0), GroupCase::SameIndex);
     }
 }

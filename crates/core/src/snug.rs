@@ -23,7 +23,9 @@ use sim_cache::ShadowArray;
 use sim_cmp::{SchemeEvent, SchemeEventKind, SystemConfig};
 use sim_mem::BlockAddr;
 
-/// SNUG configuration.
+/// SNUG configuration. Shadow tags persist across period boundaries,
+/// as a hardware array's would. Every field feeds SNUG's content keys,
+/// through an exhaustive encoder in the harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnugConfig {
     /// Saturating-counter width k in bits (paper: 4).
@@ -34,17 +36,11 @@ pub struct SnugConfig {
     pub stage1_cycles: u64,
     /// Stage II (grouped operation) length in cycles (paper: 100 M).
     pub stage2_cycles: u64,
-    /// Enable the index-bit flipping scheme (Fig. 8 case 2). Disabling
-    /// reduces grouping to same-index only — the ablation of §3.2.
+    /// Enable the index-bit flipping scheme (Fig. 8 case 2): a spilled
+    /// block may sit at its home index or at home^1, with one f bit per
+    /// line saying which. Disabling reduces grouping to same-index
+    /// only — the ablation of §3.2.
     pub flipping: bool,
-    /// Number of low index bits eligible for flipping. The paper's
-    /// scheme is 1 (one f bit per line); wider widths explore the
-    /// future-work direction of more flexible grouping. Ignored when
-    /// `flipping` is false.
-    pub flip_width: u32,
-    /// Drop shadow contents at each period boundary (off by default:
-    /// the victim history stays warm, as a hardware array would).
-    pub clear_shadows_each_period: bool,
     /// Keep the demand monitors counting during Stage II as well,
     /// latching the full period's accumulation at each Stage I boundary.
     /// The paper freezes counters outside the 5 M-cycle identification
@@ -64,8 +60,6 @@ impl SnugConfig {
             stage1_cycles: 5_000_000,
             stage2_cycles: 100_000_000,
             flipping: true,
-            flip_width: 1,
-            clear_shadows_each_period: false,
             continuous_sampling: false,
         }
     }
@@ -133,29 +127,12 @@ pub struct SnugPolicy {
 }
 
 impl SnugPolicy {
-    /// Number of low index bits a retrieval or spill may flip (0 with
-    /// flipping off).
-    fn effective_flip_width(&self) -> u32 {
-        if self.cfg.flipping {
-            self.cfg.flip_width.max(1)
-        } else {
-            0
-        }
-    }
-
-    /// How many low index bits a CC copy of a block may sit away from
-    /// its home set: the reach of every stale-copy sweep.
-    fn sweep_width(&self) -> u32 {
-        self.effective_flip_width().max(1)
-    }
-
     /// Where `peer` would hold a block of home index `set`, per its G/T
     /// vector (Fig. 8): the same index, the flip partner, or nowhere.
     fn grouped(&self, peer: usize, set: usize) -> Option<PeerHit> {
-        let w = self.effective_flip_width();
-        let set = match self.gt[peer].group_case_wide(set, w) {
+        let set = match self.gt[peer].group_case(set, self.cfg.flipping) {
             GroupCase::SameIndex => set,
-            GroupCase::FlippedIndex => self.gt[peer].flip_partner(set, w)?,
+            GroupCase::FlippedIndex => set ^ 1,
             GroupCase::NoMatch => return None,
         };
         Some(PeerHit { peer, set })
@@ -167,10 +144,6 @@ impl PrivatePolicy for SnugPolicy {
 
     fn remote_latency(cfg: &SystemConfig) -> u64 {
         cfg.snug_remote_latency
-    }
-
-    fn flip_width(&self) -> u32 {
-        self.sweep_width()
     }
 
     /// Advance the two-stage period machine to `now` (paper Fig. 5).
@@ -214,13 +187,10 @@ impl PrivatePolicy for SnugPolicy {
                         kind: SchemeEventKind::IdentifyBegin,
                         takers: Vec::new(),
                     });
-                    for sh in &mut self.shadows {
-                        if !self.cfg.continuous_sampling {
+                    if !self.cfg.continuous_sampling {
+                        for sh in &mut self.shadows {
                             sh.reset_monitors();
                             sh.set_sampling(true);
-                        }
-                        if self.cfg.clear_shadows_each_period {
-                            sh.clear_shadows();
                         }
                     }
                 }
@@ -262,7 +232,7 @@ impl PrivatePolicy for SnugPolicy {
         _set: usize,
         block: BlockAddr,
     ) {
-        let stranded = ch.invalidate_cc_copies(core, block, self.sweep_width());
+        let stranded = ch.invalidate_cc_copies(core, block);
         self.events.stranded_invalidated += stranded as u64;
     }
 
@@ -365,8 +335,6 @@ mod tests {
             stage1_cycles: 10_000,
             stage2_cycles: 200_000,
             flipping: true,
-            flip_width: 1,
-            clear_shadows_each_period: false,
             continuous_sampling: false,
         }
     }
@@ -555,35 +523,26 @@ mod tests {
         assert_eq!(org.aggregate_stats().spills_out, 0);
     }
 
-    /// An L1 writeback sweeps stale CC copies as far from the home set
-    /// as SNUG's flip width lets a copy sit: with two flippable bits, a
-    /// copy at peer 2's home^2 set goes with the writeback that made it
-    /// stale.
+    /// An L1 writeback sweeps a stale CC copy from the flipped-index
+    /// set as well as the home set: a copy spilled to peer 2's home^1
+    /// set (Fig. 8 case 2) goes with the writeback that made it stale.
     #[test]
     fn writeback_sweeps_stale_copies_at_the_full_flip_width() {
-        let cfg = SnugConfig {
-            flip_width: 2,
-            ..tiny_cfg()
-        };
-        let mut org = Snug::new(SystemConfig::tiny_test(), cfg);
-        let (mut bus, mut dram) = (
-            Bus::new(BusConfig::paper()),
-            Dram::new(DramConfig::uncontended(300)),
-        );
+        let (mut org, mut bus, mut dram) = mk();
         let mut res = ChipResources {
             bus: &mut bus,
             dram: &mut dram,
         };
         let home = 5u64;
         let block = BlockAddr((7 << 4) | home);
-        let far = (home ^ 2) as usize;
-        org.chassis.slices[2].fill_in_set(far, block, sim_cache::LineFlags::received(true));
+        let flipped = (home ^ 1) as usize;
+        org.chassis.slices[2].fill_in_set(flipped, block, sim_cache::LineFlags::received(true));
         assert_eq!(org.chassis.slices[2].cc_lines(), 1);
         org.writeback(0, block, 0, &mut res);
         assert_eq!(
             org.chassis.slices[2].cc_lines(),
             0,
-            "stale copy at home^2 swept"
+            "stale copy at home^1 swept"
         );
     }
 

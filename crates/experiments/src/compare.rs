@@ -358,18 +358,6 @@ impl SchemePoint {
             SchemePoint::Snug => SchemeSpec::Snug(cfg.snug),
         }
     }
-
-    /// The scheme-specific parameters that feed this point's content
-    /// key: only SNUG points depend on `cfg.snug` and only DSR points on
-    /// `cfg.dsr`, so a scheme-config edit invalidates exactly that
-    /// scheme's cached jobs.
-    pub fn param_fingerprint(&self, cfg: &CompareConfig) -> String {
-        match self {
-            SchemePoint::Dsr => format!("{:?}", cfg.dsr),
-            SchemePoint::Snug => format!("{:?}", cfg.snug),
-            _ => String::new(),
-        }
-    }
 }
 
 /// Why an early-exit-capable run ended where it did. `None` on a

@@ -67,8 +67,8 @@ pub use report::{
     render_markdown, report_tables, stop_summary_table, write_report, CEILING_FOOTNOTE,
 };
 pub use spec::{
-    trace_key, unit_jobs_for, unit_key, BudgetPreset, ComboJob, StopPreset, SweepSpec, UnitJob,
-    SCHEMA_VERSION,
+    config_key_text, params_key_text, system_key_text, trace_key, unit_jobs_for, unit_key,
+    BudgetPreset, ComboJob, StopPreset, SweepSpec, UnitJob, SCHEMA_VERSION,
 };
 pub use store::{
     MergeStats, ResultStore, StoreError, StoredResult, FRONTS_DIR, SHARDS_DIR, SPANS_FILE,

@@ -7,6 +7,9 @@
 //! from flags.
 
 use crate::hash::{content_key, content_keys, ContentKey};
+use sim_cmp::{BusConfig, CoreConfig, SystemConfig};
+use sim_mem::{DramConfig, Geometry};
+use snug_core::{DsrConfig, SnugConfig};
 use snug_experiments::{CompareConfig, RunPlan, SchemePoint};
 use snug_workloads::{all_combos, Combo, ComboClass, PhaseSchedule};
 
@@ -292,9 +295,9 @@ pub fn unit_jobs_for(
 /// Scheme points of one (configuration, phase) expansion with the key
 /// input they share across combos. A unit key hashes
 /// `{key_prefix}{suffix}`, where only the ~70-byte prefix names the
-/// combo and the ~1 KB suffix — the point, platform `Debug` string,
-/// plan and parameter fingerprints and phase — is the same for every
-/// combo. So the suffixes render once per expansion, and
+/// combo and the ~1 KB suffix — the point, platform key text, plan
+/// fingerprint, scheme parameter key text and phase — is the same for
+/// every combo. So the suffixes render once per expansion, and
 /// [`content_keys`] hashes each shared piece once and advances every
 /// (combo, point) lane in one loop.
 struct KeyedPoints<'a> {
@@ -302,7 +305,7 @@ struct KeyedPoints<'a> {
     phase: Option<&'a PhaseSchedule>,
     /// The points keyed.
     points: Vec<SchemePoint>,
-    /// Each point's [`key_suffix`].
+    /// Each point's [`point_fragment`] and the phase fragment.
     suffixes: Vec<String>,
 }
 
@@ -312,12 +315,12 @@ impl<'a> KeyedPoints<'a> {
         phase: Option<&'a PhaseSchedule>,
         points: Vec<SchemePoint>,
     ) -> Self {
-        let system = format!("{:?}", config.system);
+        let system = system_key_text(&config.system);
         let plan = config.plan.fingerprint();
         let phase_fragment = phase_fragment(phase);
         let suffixes = points
             .iter()
-            .map(|point| key_suffix(point, config, &system, &plan, &phase_fragment))
+            .map(|point| point_fragment(point, config, &system, &plan) + &phase_fragment)
             .collect();
         KeyedPoints {
             config,
@@ -367,26 +370,12 @@ fn key_prefix(combo: &Combo) -> String {
     format!("{SCHEMA_VERSION}|{combo:?}|")
 }
 
-/// The part of a unit key's input every combo shares:
-/// `{point fragment}{phase}`.
-fn key_suffix(
-    point: &SchemePoint,
-    config: &CompareConfig,
-    system: &str,
-    plan: &str,
-    phase: &str,
-) -> String {
-    let mut suffix = point_fragment(point, config, system, plan);
-    suffix.push_str(phase);
-    suffix
-}
-
 /// The key input after the combo that one point shares across combos:
-/// `{point:?}|{system:?}|{plan fingerprint}|{param fingerprint}`.
+/// `{point:?}|{system key text}|{plan fingerprint}|{params key text}`.
 fn point_fragment(point: &SchemePoint, config: &CompareConfig, system: &str, plan: &str) -> String {
     format!(
         "{point:?}|{system}|{plan}|{}",
-        point.param_fingerprint(config)
+        params_key_text(point, config)
     )
 }
 
@@ -398,6 +387,120 @@ fn phase_fragment(phase: Option<&PhaseSchedule>) -> String {
         .unwrap_or_default()
 }
 
+// Key text of the configuration types: each encoder destructures its
+// type exhaustively, so a new field does not compile until it is spelled
+// here, and writes the derived-`Debug` text the committed keys were
+// hashed from, a since-deleted field as the constant it always held.
+
+/// The platform's key text: `SystemConfig { num_cores: 4, l1: Geometry
+/// { … }, …, write_buffer_entries: 16, address_bits: 32 }`, the address
+/// width a retired field's constant.
+pub fn system_key_text(system: &SystemConfig) -> String {
+    let SystemConfig {
+        num_cores,
+        l1,
+        l2_slice,
+        l1_latency,
+        l2_local_latency,
+        l2_remote_latency,
+        snug_remote_latency,
+        core,
+        bus,
+        dram,
+        write_buffer_entries,
+    } = *system;
+    let CoreConfig {
+        issue_width,
+        rob_size,
+        max_outstanding,
+    } = core;
+    let BusConfig {
+        width_bytes,
+        speed_ratio,
+        arbitration,
+    } = bus;
+    let DramConfig {
+        latency,
+        service_interval,
+    } = dram;
+    format!(
+        "SystemConfig {{ num_cores: {num_cores}, l1: {}, l2_slice: {}, \
+         l1_latency: {l1_latency}, l2_local_latency: {l2_local_latency}, \
+         l2_remote_latency: {l2_remote_latency}, snug_remote_latency: {snug_remote_latency}, \
+         core: CoreConfig {{ issue_width: {issue_width}, rob_size: {rob_size}, \
+         max_outstanding: {max_outstanding} }}, \
+         bus: BusConfig {{ width_bytes: {width_bytes}, speed_ratio: {speed_ratio}, \
+         arbitration: {arbitration} }}, \
+         dram: DramConfig {{ latency: {latency}, service_interval: {service_interval} }}, \
+         write_buffer_entries: {write_buffer_entries}, address_bits: 32 }}",
+        geometry_key_text(l1),
+        geometry_key_text(l2_slice),
+    )
+}
+
+fn geometry_key_text(geometry: Geometry) -> String {
+    let Geometry {
+        block_bytes,
+        num_sets,
+        assoc,
+    } = geometry;
+    format!("Geometry {{ block_bytes: {block_bytes}, num_sets: {num_sets}, assoc: {assoc} }}")
+}
+
+/// The key text of the scheme parameters a point reads: `cfg.snug` for
+/// SNUG, `cfg.dsr` for DSR and nothing for the rest, so a scheme-config
+/// edit re-keys exactly that scheme's units.
+pub fn params_key_text(point: &SchemePoint, cfg: &CompareConfig) -> String {
+    match point {
+        SchemePoint::Dsr => dsr_key_text(&cfg.dsr),
+        SchemePoint::Snug => snug_key_text(&cfg.snug),
+        SchemePoint::L2p | SchemePoint::L2s | SchemePoint::Cc { .. } => String::new(),
+    }
+}
+
+/// SNUG's key text, with retired fields' constants `flip_width: 1` (one
+/// f bit per line) and `clear_shadows_each_period: false`.
+fn snug_key_text(snug: &SnugConfig) -> String {
+    let SnugConfig {
+        counter_bits,
+        p,
+        stage1_cycles,
+        stage2_cycles,
+        flipping,
+        continuous_sampling,
+    } = *snug;
+    format!(
+        "SnugConfig {{ counter_bits: {counter_bits}, p: {p}, stage1_cycles: {stage1_cycles}, \
+         stage2_cycles: {stage2_cycles}, flipping: {flipping}, flip_width: 1, \
+         clear_shadows_each_period: false, continuous_sampling: {continuous_sampling} }}"
+    )
+}
+
+fn dsr_key_text(dsr: &DsrConfig) -> String {
+    let DsrConfig {
+        sample_stride,
+        psel_bits,
+    } = *dsr;
+    format!("DsrConfig {{ sample_stride: {sample_stride}, psel_bits: {psel_bits} }}")
+}
+
+/// A whole comparison configuration's key text, for fingerprints that
+/// cover every scheme; the plan keeps its derived `Debug` spelling.
+pub fn config_key_text(cfg: &CompareConfig) -> String {
+    let CompareConfig {
+        system,
+        plan,
+        snug,
+        dsr,
+    } = cfg;
+    format!(
+        "CompareConfig {{ system: {}, plan: {plan:?}, snug: {}, dsr: {} }}",
+        system_key_text(system),
+        snug_key_text(snug),
+        dsr_key_text(dsr),
+    )
+}
+
 /// The content key of one (combo, scheme point) simulation.
 ///
 /// Hashes exactly the inputs that simulation depends on under
@@ -405,7 +508,7 @@ fn phase_fragment(phase: Option<&PhaseSchedule>) -> String {
 /// plan (via [`RunPlan::fingerprint`] — fixed plans render exactly as
 /// the legacy `RunBudget` debug string, so pre-plan store entries keep
 /// matching, while converged plans key separately), and — via
-/// [`SchemePoint::param_fingerprint`] — the scheme's own parameters
+/// [`params_key_text`] — the scheme's own parameters
 /// only (`cfg.snug` for SNUG points, `cfg.dsr` for DSR points, nothing
 /// extra for the rest). Editing one scheme's configuration therefore
 /// invalidates only that scheme's cached jobs; every other point keeps
@@ -434,16 +537,6 @@ pub(crate) fn point_keys(
     KeyedPoints::new(config, phase, vec![*point]).keys(combos)
 }
 
-/// [`point_fragment`] for a one-off key, rendering the shared parts too.
-fn single_point_fragment(point: &SchemePoint, config: &CompareConfig) -> String {
-    point_fragment(
-        point,
-        config,
-        &format!("{:?}", config.system),
-        &config.plan.fingerprint(),
-    )
-}
-
 /// The content key of a recorded time series (`snug trace`): the unit
 /// key's inputs plus the probe stride (and any phase schedule), under a
 /// distinct record tag so trace entries never collide with unit
@@ -457,7 +550,12 @@ pub fn trace_key(
 ) -> ContentKey {
     content_key(&format!(
         "{SCHEMA_VERSION}|trace|{combo:?}|{}|stride={stride}{}",
-        single_point_fragment(point, config),
+        point_fragment(
+            point,
+            config,
+            &system_key_text(&config.system),
+            &config.plan.fingerprint()
+        ),
         phase_fragment(phase),
     ))
 }
@@ -568,10 +666,10 @@ mod tests {
                 let (combo, point, cfg) = (u.combo, u.point, u.config);
                 let phase = phase_fragment(u.phase.as_ref());
                 let joined = content_key(&format!(
-                    "{SCHEMA_VERSION}|{combo:?}|{point:?}|{:?}|{}|{}{phase}",
-                    cfg.system,
+                    "{SCHEMA_VERSION}|{combo:?}|{point:?}|{}|{}|{}{phase}",
+                    system_key_text(&cfg.system),
                     cfg.plan.fingerprint(),
-                    point.param_fingerprint(&cfg),
+                    params_key_text(&point, &cfg),
                 ));
                 assert_eq!(u.key, joined, "{} ({})", u.label(), spec.budget_label());
                 let single = unit_key(&combo, &point, &cfg, u.phase.as_ref());
@@ -601,9 +699,7 @@ mod tests {
     /// make a new field of any of these types a compile error here
     /// until it gets an edit.
     fn config_edits() -> Vec<ConfigEdit> {
-        use sim_cmp::{BusConfig, CoreConfig, StopSpec, SystemConfig};
-        use sim_mem::{DramConfig, Geometry};
-        use snug_core::{DsrConfig, SnugConfig};
+        use sim_cmp::StopSpec;
 
         let cfg = CompareConfig::quick();
         let CompareConfig {
@@ -624,7 +720,6 @@ mod tests {
             bus,
             dram,
             write_buffer_entries: _,
-            address_bits: _,
         } = system;
         let Geometry {
             block_bytes: _,
@@ -655,8 +750,6 @@ mod tests {
             stage1_cycles: _,
             stage2_cycles: _,
             flipping: _,
-            flip_width: _,
-            clear_shadows_each_period: _,
             continuous_sampling: _,
         } = snug;
         let DsrConfig {
@@ -701,7 +794,6 @@ mod tests {
             ("write_buffer_entries", None, |c| {
                 c.system.write_buffer_entries += 1
             }),
-            ("address_bits", None, |c| c.system.address_bits += 1),
             ("plan.warmup_cycles", None, |c| c.plan.warmup_cycles += 1),
             ("plan.measured window", None, |c| match &mut c.plan.stop {
                 StopSpec::FixedCycles { measure_cycles: m }
@@ -752,10 +844,6 @@ mod tests {
             ("snug.stage1_cycles", snug, |c| c.snug.stage1_cycles += 1),
             ("snug.stage2_cycles", snug, |c| c.snug.stage2_cycles += 1),
             ("snug.flipping", snug, |c| c.snug.flipping ^= true),
-            ("snug.flip_width", snug, |c| c.snug.flip_width += 1),
-            ("snug.clear_shadows_each_period", snug, |c| {
-                c.snug.clear_shadows_each_period ^= true
-            }),
             ("snug.continuous_sampling", snug, |c| {
                 c.snug.continuous_sampling ^= true
             }),

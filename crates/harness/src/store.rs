@@ -804,7 +804,24 @@ mod tests {
     /// refill, sort the same way.
     #[test]
     fn invalid_utf8_in_a_skipped_string_is_a_syntax_error() {
-        let dir = tmp_dir("bad-utf8");
+        let bad: [&[u8]; 4] = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"];
+        bad_string_bytes_are_syntax_errors("bad-utf8", &bad, "UTF-8");
+    }
+
+    /// A raw control byte in a string, which JSON admits only escaped,
+    /// sorts the same way as a byte that is not UTF-8.
+    #[test]
+    fn a_raw_control_byte_in_a_string_is_a_syntax_error() {
+        let bad: [&[u8]; 4] = [b"\x00", b"\t", b"\r", b"\x1f"];
+        bad_string_bytes_are_syntax_errors("raw-control", &bad, "control byte");
+    }
+
+    /// Splice each of `bads` into the `inputs` string of a whole line,
+    /// at its start, 500 bytes in and 70 KB into a line that straddles
+    /// a refill: the line must be truncated as the file's last line and
+    /// fatal at line 2, with an error naming `why`, before another.
+    fn bad_string_bytes_are_syntax_errors(name: &str, bads: &[&[u8]], why: &str) {
+        let dir = tmp_dir(name);
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join(STORE_FILE);
         let good = format!("{}\n", sample_lines()[0]);
@@ -819,17 +836,12 @@ mod tests {
             (&good, inputs + 500),
             (&long, inputs + 69_999),
         ] {
-            for bad in [
-                b"\xff".as_slice(),
-                b"\xc3",
-                b"\xed\xa0\x80",
-                b"\xf4\x90\x80\x80",
-            ] {
+            for bad in bads {
                 let mut bytes = line.as_bytes().to_vec();
                 bytes.splice(at..at + 1, bad.iter().copied());
                 let lossy = String::from_utf8_lossy(&bytes[..bytes.len() - 1]);
                 assert!(
-                    StoreEntry::decode_line(&lossy).is_ok(),
+                    StoreEntry::decode_line(&lossy.replace(char::is_control, "?")).is_ok(),
                     "the line is whole but for its bytes"
                 );
 
@@ -850,7 +862,7 @@ mod tests {
                 match ResultStore::open(&dir) {
                     Err(StoreError::Corrupt(_, line, msg)) => {
                         assert_eq!(line, 2, "{bad:x?} at {at}: {msg}");
-                        assert!(msg.contains("UTF-8"), "{msg}");
+                        assert!(msg.contains(why), "{msg}");
                     }
                     other => panic!("{bad:x?} at {at}: expected corrupt line 2, got {other:?}"),
                 }

@@ -72,13 +72,6 @@ impl ShadowSet {
         }
     }
 
-    /// Drop all entries (start of a new sampling period, if configured).
-    pub fn clear(&mut self) {
-        for t in &mut self.tags {
-            *t = INVALID_BLOCK;
-        }
-    }
-
     /// Number of valid shadow entries.
     pub fn len(&self) -> usize {
         self.tags.iter().filter(|&&t| t != INVALID_BLOCK).count()
@@ -160,17 +153,10 @@ impl ShadowArray {
     }
 
     /// Reset all monitors (start of the next Stage I). Shadow contents
-    /// are preserved by default — `clear_shadows` drops them too.
+    /// are preserved, as a hardware array's would be.
     pub fn reset_monitors(&mut self) {
         for m in &mut self.monitors {
             m.reset();
-        }
-    }
-
-    /// Drop all shadow tags.
-    pub fn clear_shadows(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
         }
     }
 
@@ -285,15 +271,5 @@ mod tests {
             !a.shadow_set(0).contains(b(42)),
             "tag must leave shadow when block re-enters real set"
         );
-    }
-
-    #[test]
-    fn clear_shadows_empties() {
-        let mut a = ShadowArray::paper(2, 4);
-        a.on_owned_eviction(0, b(1));
-        a.on_owned_eviction(1, b(2));
-        a.clear_shadows();
-        assert!(a.shadow_set(0).is_empty());
-        assert!(a.shadow_set(1).is_empty());
     }
 }

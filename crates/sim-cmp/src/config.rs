@@ -61,7 +61,8 @@ impl BusConfig {
     }
 }
 
-/// Full system configuration (paper Table 4).
+/// Full system configuration (paper Table 4). Every field feeds every
+/// content key, through an exhaustive encoder in the harness.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Number of cores (paper: 4).
@@ -88,8 +89,6 @@ pub struct SystemConfig {
     pub dram: DramConfig,
     /// L2 write-back buffer entries (16).
     pub write_buffer_entries: usize,
-    /// Physical address width (32 in Table 4; 64/44 in Table 3).
-    pub address_bits: u32,
 }
 
 impl SystemConfig {
@@ -107,7 +106,6 @@ impl SystemConfig {
             bus: BusConfig::paper(),
             dram: DramConfig::paper(),
             write_buffer_entries: 16,
-            address_bits: 32,
         }
     }
 
@@ -131,7 +129,6 @@ impl SystemConfig {
             bus: BusConfig::paper(),
             dram: DramConfig::uncontended(300),
             write_buffer_entries: 4,
-            address_bits: 32,
         }
     }
 
