@@ -27,9 +27,9 @@
 //! speed.
 
 use snug_bench::{
-    definition, fingerprint, load, retired_instructions, BenchEntry, BUDGET, COMMITTED, SCHEMA,
+    definition, fingerprint, geomean_ops, load, render, retired_instructions, BenchEntry, BUDGET,
+    COMMITTED,
 };
-use snug_harness::json::Value;
 use std::path::Path;
 use std::time::Instant;
 
@@ -44,13 +44,6 @@ const ENTRY_TOLERANCE: f64 = 0.25;
 const GEOMEAN_TOLERANCE: f64 = 0.10;
 /// Timed samples per point (best-of, to shed scheduler noise).
 const SAMPLES: usize = 3;
-
-/// Geometric mean of ops/s across entries — the single scalar the
-/// trajectory is tracked by.
-fn geomean_ops(entries: &[BenchEntry]) -> f64 {
-    let log_sum: f64 = entries.iter().map(|e| e.ops_per_sec.ln()).sum();
-    (log_sum / entries.len().max(1) as f64).exp()
-}
 
 /// Measure every point of the definition, best-of-`samples`.
 fn measure(samples: usize) -> Vec<BenchEntry> {
@@ -84,23 +77,6 @@ fn measure(samples: usize) -> Vec<BenchEntry> {
             entry
         })
         .collect()
-}
-
-fn render(entries: &[BenchEntry]) -> String {
-    let (cfg, points) = definition();
-    let doc = Value::obj(vec![
-        ("schema", Value::str(SCHEMA)),
-        ("budget", Value::str(BUDGET.label())),
-        ("fingerprint", Value::str(fingerprint(&cfg, &points))),
-        // Informational; `--check` recomputes the geomean from the
-        // entries rather than trusting this field.
-        ("geomean_ops_per_sec", Value::num(geomean_ops(entries))),
-        (
-            "entries",
-            Value::Arr(entries.iter().map(BenchEntry::to_json).collect()),
-        ),
-    ]);
-    format!("{}\n", doc.render().expect("bench figures are finite"))
 }
 
 fn check(path: &Path) -> Result<(), String> {
@@ -191,8 +167,11 @@ fn main() {
     let path = Path::new(COMMITTED);
     let outcome = if args.iter().any(|a| a == "--emit") {
         let entries = measure(SAMPLES);
-        std::fs::write(path, render(&entries))
-            .map_err(|e| format!("writing {}: {e}", path.display()))
+        render(&entries)
+            .map_err(|e| e.to_string())
+            .and_then(|text| {
+                std::fs::write(path, text).map_err(|e| format!("writing {}: {e}", path.display()))
+            })
             .map(|()| {
                 println!(
                     "wrote {} ({} entries, budget {}, geomean {:.2} Mops/s)",

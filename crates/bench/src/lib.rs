@@ -5,7 +5,7 @@
 //! --bench kernel_throughput -- --emit|--check`), shares with
 //! `tests/work_counts.rs`, which checks the file's deterministic half
 //! on every `cargo test`: the measurement definition, its fingerprint,
-//! one point's retired work and the file's reader.
+//! one point's retired work, and the file's writer and reader.
 
 #![warn(
     clippy::unwrap_used,
@@ -19,8 +19,9 @@
 
 use snug_core::SchemeSpec;
 use snug_experiments::{run_scheme, CompareConfig};
+use snug_harness::codec::{read_u64, read_vec, required};
 use snug_harness::hash::content_key;
-use snug_harness::json::{parse, Value};
+use snug_harness::json::{JsonError, Reader, Writer};
 use snug_harness::{config_key_text, BudgetPreset};
 use snug_workloads::{all_combos, Combo, ComboClass};
 use std::path::Path;
@@ -51,38 +52,58 @@ pub struct BenchEntry {
 }
 
 impl BenchEntry {
-    /// The entry as one element of the file's `entries` array.
-    pub fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("combo", Value::str(&self.combo)),
-            ("scheme", Value::str(&self.scheme)),
-            ("sim_cycles", Value::num(self.sim_cycles as f64)),
-            ("instructions", Value::num(self.instructions as f64)),
-            ("cycles_per_sec", Value::num(self.cycles_per_sec)),
-            ("ops_per_sec", Value::num(self.ops_per_sec)),
-        ])
-    }
-
-    fn from_json(v: &Value) -> Result<Self, String> {
-        let num = |name: &str| -> Result<f64, String> {
-            v.get(name)
-                .and_then(|x| x.as_num())
-                .map_err(|e| format!("entry field `{name}`: {e}"))
-        };
-        let text = |name: &str| -> Result<String, String> {
-            v.get(name)
-                .and_then(|x| x.as_str().map(str::to_string))
-                .map_err(|e| format!("entry field `{name}`: {e}"))
-        };
-        Ok(BenchEntry {
-            combo: text("combo")?,
-            scheme: text("scheme")?,
-            sim_cycles: num("sim_cycles")? as u64,
-            instructions: num("instructions")? as u64,
-            cycles_per_sec: num("cycles_per_sec")?,
-            ops_per_sec: num("ops_per_sec")?,
+    /// Write the entry as one element of the file's `entries` array.
+    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
+        let BenchEntry {
+            combo,
+            scheme,
+            sim_cycles,
+            instructions,
+            cycles_per_sec,
+            ops_per_sec,
+        } = self;
+        w.object(|o| {
+            o.member("combo", |w| w.str(combo))?;
+            o.member("cycles_per_sec", |w| w.num(*cycles_per_sec))?;
+            o.member("instructions", |w| w.int(*instructions))?;
+            o.member("ops_per_sec", |w| w.num(*ops_per_sec))?;
+            o.member("scheme", |w| w.str(scheme))?;
+            o.member("sim_cycles", |w| w.int(*sim_cycles))
         })
     }
+
+    /// Read one element of the file's `entries` array.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let (mut combo, mut scheme, mut sim_cycles, mut instructions) = (None, None, None, None);
+        let (mut cycles_per_sec, mut ops_per_sec) = (None, None);
+        r.object(|r, name| {
+            match name {
+                "combo" => combo = Some(r.str()?.into_owned()),
+                "scheme" => scheme = Some(r.str()?.into_owned()),
+                "sim_cycles" => sim_cycles = Some(read_u64(r)?),
+                "instructions" => instructions = Some(read_u64(r)?),
+                "cycles_per_sec" => cycles_per_sec = Some(r.num()?),
+                "ops_per_sec" => ops_per_sec = Some(r.num()?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(BenchEntry {
+            combo: required(combo, "combo")?,
+            scheme: required(scheme, "scheme")?,
+            sim_cycles: required(sim_cycles, "sim_cycles")?,
+            instructions: required(instructions, "instructions")?,
+            cycles_per_sec: required(cycles_per_sec, "cycles_per_sec")?,
+            ops_per_sec: required(ops_per_sec, "ops_per_sec")?,
+        })
+    }
+}
+
+/// Geometric mean of ops/s across entries — the single scalar the
+/// trajectory is tracked by.
+pub fn geomean_ops(entries: &[BenchEntry]) -> f64 {
+    let log_sum: f64 = entries.iter().map(|e| e.ops_per_sec.ln()).sum();
+    (log_sum / entries.len().max(1) as f64).exp()
 }
 
 /// The measurement definition: representative combos (first of three
@@ -139,6 +160,25 @@ pub fn retired_instructions(combo: &Combo, spec: &SchemeSpec, cfg: &CompareConfi
         .sum()
 }
 
+/// The bench file for `entries`, newline-terminated: schema, budget,
+/// the definition's fingerprint, the entries and their geomean.
+pub fn render(entries: &[BenchEntry]) -> Result<String, JsonError> {
+    let (cfg, points) = definition();
+    let mut w = Writer::default();
+    w.object(|o| {
+        o.member("budget", |w| w.str(&BUDGET.label()))?;
+        o.member("entries", |w| w.array(entries, |w, e| e.write_json(w)))?;
+        o.member("fingerprint", |w| w.str(&fingerprint(&cfg, &points)))?;
+        // Informational; `--check` recomputes the geomean from the
+        // entries rather than trusting this member.
+        o.member("geomean_ops_per_sec", |w| w.num(geomean_ops(entries)))?;
+        o.member("schema", |w| w.str(SCHEMA))
+    })?;
+    let mut text = w.finish();
+    text.push('\n');
+    Ok(text)
+}
+
 /// Read a bench file: its fingerprint and entries.
 pub fn load(path: &Path) -> Result<(String, Vec<BenchEntry>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| {
@@ -148,23 +188,28 @@ pub fn load(path: &Path) -> Result<(String, Vec<BenchEntry>), String> {
             path.display()
         )
     })?;
-    let read = || -> Result<(String, Vec<BenchEntry>), String> {
-        let doc = parse(&text).map_err(|e| e.to_string())?;
-        let str_field = |name| -> Result<String, String> {
-            let field = doc.get(name).and_then(|v| v.as_str());
-            field.map(str::to_string).map_err(|e| e.to_string())
-        };
-        let schema = str_field("schema")?;
+    let read = || -> Result<(String, Vec<BenchEntry>), JsonError> {
+        let mut r = Reader::new(&text);
+        let (mut schema, mut fingerprint, mut entries) = (None, None, None);
+        r.object(|r, name| {
+            match name {
+                "schema" => schema = Some(r.str()?.into_owned()),
+                "fingerprint" => fingerprint = Some(r.str()?.into_owned()),
+                "entries" => entries = Some(read_vec(r, BenchEntry::read_json)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        r.finish()?;
+        let schema = required(schema, "schema")?;
         if schema != SCHEMA {
-            return Err(format!("schema `{schema}` (expected `{SCHEMA}`)"));
+            return Err(JsonError(format!(
+                "schema `{schema}` (expected `{SCHEMA}`)"
+            )));
         }
-        let entries = doc.get("entries").and_then(|v| v.as_arr());
-        let entries = entries.map_err(|e| e.to_string())?.iter();
         Ok((
-            str_field("fingerprint")?,
-            entries
-                .map(BenchEntry::from_json)
-                .collect::<Result<_, _>>()?,
+            required(fingerprint, "fingerprint")?,
+            required(entries, "entries")?,
         ))
     };
     read().map_err(|e| format!("{}: {e}", path.display()))

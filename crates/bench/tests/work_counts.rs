@@ -1,10 +1,13 @@
 //! The kernel bench's deterministic half, checked on every `cargo test`:
 //! the measurement definition still fingerprints as the committed
-//! `BENCH_kernel.json` says, and each of its points still simulates the
-//! committed cycles and retires the committed instructions. Throughput
-//! is left to the bench's `--check`, whose floors depend on the host.
+//! `BENCH_kernel.json` says, each of its points still simulates the
+//! committed cycles and retires the committed instructions, and the
+//! file reads and re-renders to its own bytes. Throughput is left to
+//! the bench's `--check`, whose floors depend on the host.
 
-use snug_bench::{definition, fingerprint, load, retired_instructions, BenchEntry, COMMITTED};
+use snug_bench::{
+    definition, fingerprint, load, render, retired_instructions, BenchEntry, COMMITTED,
+};
 use std::path::Path;
 
 fn committed() -> (String, Vec<BenchEntry>) {
@@ -42,4 +45,13 @@ fn every_point_does_the_committed_work() {
             "{what}: retired instructions"
         );
     }
+}
+
+/// The file decodes and re-renders to its committed bytes, geomean
+/// included: every member name, number spelling and the member order
+/// are as the file was written.
+#[test]
+fn the_committed_file_re_renders_byte_for_byte() {
+    let text = std::fs::read_to_string(COMMITTED).unwrap();
+    assert_eq!(render(&committed().1).unwrap(), text);
 }

@@ -1,22 +1,29 @@
 //! JSON codecs for the experiment result types.
 //!
-//! Hand-written (the environment has no `serde_json`): each codec
-//! encodes a result type to a [`crate::json::Value`] and decodes it
-//! straight from a streaming [`Reader`], building no tree. Floats
-//! round-trip bit-exactly (see `json`), so a decoded [`SchemeRun`] is
-//! `==` to the one that was stored — the property the result cache's
-//! acceptance test pins down.
+//! Hand-written (the environment has no `serde_json`): each stored type
+//! writes itself through a streaming [`Writer`] and reads itself from a
+//! streaming [`Reader`], one [`JsonCodec`] pair per type, with no value
+//! tree between. Floats round-trip bit-exactly (see `json`), so a
+//! decoded [`SchemeRun`] is `==` to the one that was stored — the
+//! property the result cache's acceptance test pins down.
 //!
-//! Every `to_json` starts by destructuring its struct exhaustively (no
-//! `..`) and every `read_json` builds a full struct literal, so a field
-//! added to a stored type fails to compile until both directions handle
-//! it, and a field dropped from the encoder leaves an unused binding.
-//! Decoders take members in any order, skip unknown ones (such as the
-//! `inputs` string older store lines carry) and keep the last of a
-//! repeated one; a missing required member, a value of the wrong kind
-//! or an integer that is not exactly one is an error naming its path.
+//! Every `write_json` starts by destructuring its struct exhaustively
+//! (no `..`) and every `read_json` builds a full struct literal, so a
+//! field added to a stored type fails to compile until both directions
+//! handle it, and a field dropped from the encoder leaves an unused
+//! binding. Encoders hand over an object's members in ascending byte
+//! order of their names, which the writer checks: that is the order
+//! every committed line has, so re-encoding a decoded line gives back
+//! its bytes. The three integer-record types ([`CacheStats`],
+//! [`SimCounters`], [`crate::sweep::UnitSpan`]) take their integer
+//! members' names from their field names in both directions
+//! (`read_u64_struct!`, `write_u64_struct!`). Decoders take members
+//! in any order, skip unknown ones (such as the `inputs` string older
+//! store lines carry) and keep the last of a repeated one; a missing
+//! required member, a value of the wrong kind or an integer that is not
+//! exactly one is an error naming its path.
 
-use crate::json::{JsonError, Reader, Value};
+use crate::json::{JsonError, Reader, Writer, MAX_EXACT_INT};
 use sim_cache::CacheStats;
 use sim_cmp::{PeriodSample, SchemeEvent, SchemeEventKind};
 use snug_experiments::{SchemeRun, StopReason, TraceSeries};
@@ -25,8 +32,8 @@ use std::borrow::Cow;
 
 /// Types storable in the result store.
 pub trait JsonCodec: Sized {
-    /// Encode to a JSON value.
-    fn to_json(&self) -> Value;
+    /// Encode as the writer's next value.
+    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError>;
 
     /// Decode the reader's next value.
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError>;
@@ -40,20 +47,12 @@ pub trait JsonCodec: Sized {
     }
 }
 
-fn f64_arr(xs: &[f64]) -> Value {
-    Value::Arr(xs.iter().map(|&x| Value::num(x)).collect())
-}
-
-/// 2^53: every integer up to it is exactly an `f64`, so a stored
-/// integer past it could not have round-tripped.
-const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
-
 /// Read a stored integer: finite, integral and in `0..=2^53` (the
 /// writer spells integers as floats, `3827149.0`). A fraction, a sign
 /// or a larger magnitude is an error, never a lossy cast.
-fn read_u64(r: &mut Reader<'_>) -> Result<u64, JsonError> {
+pub fn read_u64(r: &mut Reader<'_>) -> Result<u64, JsonError> {
     let x = r.num()?;
-    if x.fract() == 0.0 && (0.0..=MAX_EXACT_INT).contains(&x) {
+    if x.fract() == 0.0 && (0.0..=MAX_EXACT_INT as f64).contains(&x) {
         Ok(x as u64)
     } else {
         Err(JsonError(format!("{x} is not an integer in 0..=2^53")))
@@ -70,7 +69,8 @@ fn read_string(r: &mut Reader<'_>) -> Result<String, JsonError> {
     r.str().map(Cow::into_owned)
 }
 
-fn read_vec<'a, T>(
+/// Read an array, each element by `item`.
+pub fn read_vec<'a, T>(
     r: &mut Reader<'a>,
     mut item: impl FnMut(&mut Reader<'a>) -> Result<T, JsonError>,
 ) -> Result<Vec<T>, JsonError> {
@@ -82,7 +82,9 @@ fn read_vec<'a, T>(
     Ok(out)
 }
 
-fn required<T>(slot: Option<T>, name: &str) -> Result<T, JsonError> {
+/// The value read for the required member `name`, or an error naming
+/// it.
+pub fn required<T>(slot: Option<T>, name: &str) -> Result<T, JsonError> {
     slot.ok_or_else(|| JsonError(format!("missing field `{name}`")))
 }
 
@@ -120,14 +122,50 @@ macro_rules! read_u64_struct {
     }};
 }
 
-/// The exhaustiveness guarantee, pinned: `to_json` destructures every
-/// [`SchemeRun`] field and `read_json` builds a full literal, the forms
-/// below. One field short, as both would be against a `SchemeRun` that
-/// grew a field, neither compiles:
+/// A member's value in an object written by [`write_u64_struct!`].
+enum Member<'a> {
+    Int(u64),
+    Str(&'a str),
+    Ints(&'a [u64]),
+}
+
+/// Write `members` as one object, in ascending order of their names.
+fn write_members<const N: usize>(
+    w: &mut Writer,
+    mut members: [(&'static str, Member<'_>); N],
+) -> Result<(), JsonError> {
+    members.sort_unstable_by_key(|&(name, _)| name);
+    w.object(|o| {
+        members.iter().try_for_each(|(name, member)| {
+            o.member(name, |w| match member {
+                Member::Int(x) => w.int(*x),
+                Member::Str(s) => w.str(s),
+                Member::Ints(xs) => w.ints(xs),
+            })
+        })
+    })
+}
+
+/// Write `value`, a `Type { field, … }`, as one object: each listed
+/// field as the integer member of its own name and each `extra:
+/// member` beside them. The destructuring is exhaustive, and the
+/// integer members are named by the same field names
+/// [`read_u64_struct!`] reads them by.
+macro_rules! write_u64_struct {
+    ($w:expr, $value:expr, $ty:path { $($field:ident),+ $(,)? } $(, $extra:ident: $member:expr)* $(,)?) => {{
+        let $ty { $($field,)+ $($extra,)* } = $value;
+        write_members($w, [$((stringify!($field), Member::Int(*$field)),)+ $((stringify!($extra), $member),)*])
+    }};
+}
+
+/// The exhaustiveness guarantee, pinned: `write_json` destructures
+/// every [`SchemeRun`] field and `read_json` builds a full literal, the
+/// forms below. One field short, as both would be against a `SchemeRun`
+/// that grew a field, neither compiles:
 ///
 /// ```compile_fail,E0027
 /// # use snug_experiments::SchemeRun;
-/// fn to_json(run: &SchemeRun) {
+/// fn write_json(run: &SchemeRun) {
 ///     let SchemeRun { scheme, ipcs, measured_cycles, stop_reason } = run;
 /// }
 /// ```
@@ -144,7 +182,7 @@ macro_rules! read_u64_struct {
 ///
 /// ```
 /// # use snug_experiments::SchemeRun;
-/// fn to_json(run: &SchemeRun) {
+/// fn write_json(run: &SchemeRun) {
 ///     let SchemeRun { scheme, ipcs, measured_cycles, stop_reason, plateaus } = run;
 ///     let _ = (scheme, ipcs, measured_cycles, stop_reason, plateaus);
 /// }
@@ -159,7 +197,7 @@ macro_rules! read_u64_struct {
 /// }
 /// ```
 impl JsonCodec for SchemeRun {
-    fn to_json(&self) -> Value {
+    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
         let SchemeRun {
             scheme,
             ipcs,
@@ -167,19 +205,22 @@ impl JsonCodec for SchemeRun {
             stop_reason,
             plateaus,
         } = self;
-        let mut fields = vec![("scheme", Value::str(scheme)), ("ipcs", f64_arr(ipcs))];
-        // The optional fields are written only when set, so canonical
+        // The optional members are written only when set, so canonical
         // fixed-plan entries render exactly as they always did.
-        if let Some(cycles) = measured_cycles {
-            fields.push(("measured_cycles", Value::num(*cycles as f64)));
-        }
-        if let Some(reason) = stop_reason {
-            fields.push(("stop_reason", Value::str(reason.label())));
-        }
-        if !plateaus.is_empty() {
-            fields.push(("plateaus", f64_arr(plateaus)));
-        }
-        Value::obj(fields)
+        w.object(|o| {
+            o.member("ipcs", |w| w.nums(ipcs))?;
+            if let Some(cycles) = measured_cycles {
+                o.member("measured_cycles", |w| w.int(*cycles))?;
+            }
+            if !plateaus.is_empty() {
+                o.member("plateaus", |w| w.nums(plateaus))?;
+            }
+            o.member("scheme", |w| w.str(scheme))?;
+            match stop_reason {
+                Some(reason) => o.member("stop_reason", |w| w.str(reason.label())),
+                None => Ok(()),
+            }
+        })
     }
 
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
@@ -212,39 +253,25 @@ impl JsonCodec for SchemeRun {
     }
 }
 
-fn u64_arr(xs: &[u64]) -> Value {
-    Value::Arr(xs.iter().map(|&x| Value::num(x as f64)).collect())
-}
-
 impl JsonCodec for CacheStats {
-    fn to_json(&self) -> Value {
-        let CacheStats {
-            hits,
-            misses,
-            cc_hits,
-            evictions,
-            writebacks,
-            spills_out,
-            spills_in,
-            forwards,
-            retrieved_from_peer,
-            shadow_hits,
-            write_buffer_hits,
-        } = *self;
-        let n = |x: u64| Value::num(x as f64);
-        Value::obj(vec![
-            ("hits", n(hits)),
-            ("misses", n(misses)),
-            ("cc_hits", n(cc_hits)),
-            ("evictions", n(evictions)),
-            ("writebacks", n(writebacks)),
-            ("spills_out", n(spills_out)),
-            ("spills_in", n(spills_in)),
-            ("forwards", n(forwards)),
-            ("retrieved_from_peer", n(retrieved_from_peer)),
-            ("shadow_hits", n(shadow_hits)),
-            ("write_buffer_hits", n(write_buffer_hits)),
-        ])
+    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
+        write_u64_struct!(
+            w,
+            self,
+            CacheStats {
+                hits,
+                misses,
+                cc_hits,
+                evictions,
+                writebacks,
+                spills_out,
+                spills_in,
+                forwards,
+                retrieved_from_peer,
+                shadow_hits,
+                write_buffer_hits,
+            }
+        )
     }
 
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
@@ -269,72 +296,43 @@ impl JsonCodec for CacheStats {
 }
 
 impl JsonCodec for SimCounters {
-    fn to_json(&self) -> Value {
-        let SimCounters {
-            retired_ops,
-            l1i_hits,
-            l1i_misses,
-            l1d_hits,
-            l1d_misses,
-            l1_walk_depths,
-            l2_hits,
-            l2_misses,
-            l2_cc_hits,
-            l2_evictions,
-            l2_writebacks,
-            spills_out,
-            spills_in,
-            forwards,
-            retrieved_from_peer,
-            shadow_hits,
-            write_buffer_hits,
-            org_accesses,
-            org_writebacks,
-            relatches,
-            identifies,
-            bus_address_transactions,
-            bus_data_transactions,
-            bus_queue_cycles,
-            dram_reads,
-            dram_writes,
-            dram_queue_cycles,
-            core_rob_stall_cycles,
-            core_mshr_stall_cycles,
-            core_dep_stall_cycles,
-        } = *self;
-        let n = |x: u64| Value::num(x as f64);
-        Value::obj(vec![
-            ("retired_ops", n(retired_ops)),
-            ("l1i_hits", n(l1i_hits)),
-            ("l1i_misses", n(l1i_misses)),
-            ("l1d_hits", n(l1d_hits)),
-            ("l1d_misses", n(l1d_misses)),
-            ("l1_walk_depths", u64_arr(&l1_walk_depths)),
-            ("l2_hits", n(l2_hits)),
-            ("l2_misses", n(l2_misses)),
-            ("l2_cc_hits", n(l2_cc_hits)),
-            ("l2_evictions", n(l2_evictions)),
-            ("l2_writebacks", n(l2_writebacks)),
-            ("spills_out", n(spills_out)),
-            ("spills_in", n(spills_in)),
-            ("forwards", n(forwards)),
-            ("retrieved_from_peer", n(retrieved_from_peer)),
-            ("shadow_hits", n(shadow_hits)),
-            ("write_buffer_hits", n(write_buffer_hits)),
-            ("org_accesses", n(org_accesses)),
-            ("org_writebacks", n(org_writebacks)),
-            ("relatches", n(relatches)),
-            ("identifies", n(identifies)),
-            ("bus_address_transactions", n(bus_address_transactions)),
-            ("bus_data_transactions", n(bus_data_transactions)),
-            ("bus_queue_cycles", n(bus_queue_cycles)),
-            ("dram_reads", n(dram_reads)),
-            ("dram_writes", n(dram_writes)),
-            ("dram_queue_cycles", n(dram_queue_cycles)),
-            ("core_rob_stall_cycles", n(core_rob_stall_cycles)),
-            ("core_mshr_stall_cycles", n(core_mshr_stall_cycles)),
-            ("core_dep_stall_cycles", n(core_dep_stall_cycles)),
-        ])
+    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
+        write_u64_struct!(
+            w,
+            self,
+            SimCounters {
+                retired_ops,
+                l1i_hits,
+                l1i_misses,
+                l1d_hits,
+                l1d_misses,
+                l2_hits,
+                l2_misses,
+                l2_cc_hits,
+                l2_evictions,
+                l2_writebacks,
+                spills_out,
+                spills_in,
+                forwards,
+                retrieved_from_peer,
+                shadow_hits,
+                write_buffer_hits,
+                org_accesses,
+                org_writebacks,
+                relatches,
+                identifies,
+                bus_address_transactions,
+                bus_data_transactions,
+                bus_queue_cycles,
+                dram_reads,
+                dram_writes,
+                dram_queue_cycles,
+                core_rob_stall_cycles,
+                core_mshr_stall_cycles,
+                core_dep_stall_cycles,
+            },
+            l1_walk_depths: Member::Ints(l1_walk_depths),
+        )
     }
 
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
@@ -391,26 +389,20 @@ impl JsonCodec for SimCounters {
 }
 
 impl JsonCodec for crate::sweep::UnitSpan {
-    fn to_json(&self) -> Value {
-        let crate::sweep::UnitSpan {
-            label,
-            queue_nanos,
-            wall_nanos,
-            sim_cycles,
-            instructions,
-            worker,
-            shard,
-        } = self;
-        let n = |x: u64| Value::num(x as f64);
-        Value::obj(vec![
-            ("label", Value::str(label)),
-            ("queue_nanos", n(*queue_nanos)),
-            ("wall_nanos", n(*wall_nanos)),
-            ("sim_cycles", n(*sim_cycles)),
-            ("instructions", n(*instructions)),
-            ("worker", n(*worker as u64)),
-            ("shard", Value::str(shard)),
-        ])
+    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
+        write_u64_struct!(
+            w,
+            self,
+            crate::sweep::UnitSpan {
+                queue_nanos,
+                wall_nanos,
+                sim_cycles,
+                instructions,
+            },
+            label: Member::Str(label),
+            worker: Member::Int(*worker as u64),
+            shard: Member::Str(shard),
+        )
     }
 
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
@@ -446,7 +438,7 @@ impl JsonCodec for crate::sweep::UnitSpan {
 }
 
 impl JsonCodec for SchemeEvent {
-    fn to_json(&self) -> Value {
+    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
         let SchemeEvent {
             cycle,
             kind,
@@ -456,14 +448,11 @@ impl JsonCodec for SchemeEvent {
             SchemeEventKind::IdentifyBegin => "identify",
             SchemeEventKind::GroupedBegin => "grouped",
         };
-        Value::obj(vec![
-            ("cycle", Value::num(*cycle as f64)),
-            ("kind", Value::str(kind)),
-            (
-                "takers",
-                Value::Arr(takers.iter().map(|&t| Value::num(t as f64)).collect()),
-            ),
-        ])
+        w.object(|o| {
+            o.member("cycle", |w| w.int(*cycle))?;
+            o.member("kind", |w| w.str(kind))?;
+            o.member("takers", |w| w.array(takers, |w, &t| w.int(t.into())))
+        })
     }
 
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
@@ -494,7 +483,7 @@ impl JsonCodec for SchemeEvent {
 }
 
 impl JsonCodec for PeriodSample {
-    fn to_json(&self) -> Value {
+    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
         let PeriodSample {
             cycle,
             during_warmup,
@@ -505,33 +494,27 @@ impl JsonCodec for PeriodSample {
             shifts,
             counters,
         } = self;
-        let mut fields = vec![
-            ("cycle", Value::num(*cycle as f64)),
-            ("during_warmup", Value::Bool(*during_warmup)),
-            ("instructions", u64_arr(instructions)),
-            ("cycles", u64_arr(cycles)),
-            ("l2", l2.to_json()),
-            (
-                "events",
-                Value::Arr(events.iter().map(JsonCodec::to_json).collect()),
-            ),
-        ];
-        // Written only when a shift fired in the interval, so
-        // stationary traces (every pre-phase-schedule store entry)
-        // render exactly as they always did. Each shift round-trips
-        // through its canonical `CYCLE:DIRECTIVE[@CORES]` string.
-        if !shifts.is_empty() {
-            fields.push((
-                "shifts",
-                Value::Arr(shifts.iter().map(|s| Value::str(s.to_string())).collect()),
-            ));
-        }
-        // Same only-when-present discipline: every committed
-        // pre-counter series entry renders unchanged.
-        if let Some(c) = counters {
-            fields.push(("counters", c.to_json()));
-        }
-        Value::obj(fields)
+        w.object(|o| {
+            // Written only when present, so every committed pre-counter
+            // series entry renders unchanged.
+            if let Some(c) = counters {
+                o.member("counters", |w| c.write_json(w))?;
+            }
+            o.member("cycle", |w| w.int(*cycle))?;
+            o.member("cycles", |w| w.ints(cycles))?;
+            o.member("during_warmup", |w| w.bool(*during_warmup))?;
+            o.member("events", |w| w.array(events, |w, e| e.write_json(w)))?;
+            o.member("instructions", |w| w.ints(instructions))?;
+            o.member("l2", |w| l2.write_json(w))?;
+            // Written only when a shift fired in the interval, so
+            // stationary traces (every pre-phase-schedule store entry)
+            // render exactly as they always did. Each shift round-trips
+            // through its canonical `CYCLE:DIRECTIVE[@CORES]` string.
+            if shifts.is_empty() {
+                return Ok(());
+            }
+            o.member("shifts", |w| w.array(shifts, |w, s| w.str(&s.to_string())))
+        })
     }
 
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
@@ -569,22 +552,19 @@ impl JsonCodec for PeriodSample {
 }
 
 impl JsonCodec for TraceSeries {
-    fn to_json(&self) -> Value {
+    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
         let TraceSeries {
             scheme,
             stride,
             warmup_cycles,
             samples,
         } = self;
-        Value::obj(vec![
-            ("scheme", Value::str(scheme)),
-            ("stride", Value::num(*stride as f64)),
-            ("warmup_cycles", Value::num(*warmup_cycles as f64)),
-            (
-                "samples",
-                Value::Arr(samples.iter().map(JsonCodec::to_json).collect()),
-            ),
-        ])
+        w.object(|o| {
+            o.member("samples", |w| w.array(samples, |w, s| s.write_json(w)))?;
+            o.member("scheme", |w| w.str(scheme))?;
+            o.member("stride", |w| w.int(*stride))?;
+            o.member("warmup_cycles", |w| w.int(*warmup_cycles))
+        })
     }
 
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
@@ -613,10 +593,18 @@ pub(crate) mod tests {
     use super::*;
     use crate::sweep::UnitSpan;
     use proptest::prelude::*;
+    use std::ops::Range;
 
-    /// Encode, render and decode back.
+    /// `value` encoded as a whole JSON document.
+    fn encode<T: JsonCodec>(value: &T) -> String {
+        let mut w = Writer::default();
+        value.write_json(&mut w).unwrap();
+        w.finish()
+    }
+
+    /// Encode and decode back.
     fn round_trip<T: JsonCodec>(value: &T) -> T {
-        T::from_json_str(&value.to_json().render().unwrap()).unwrap()
+        T::from_json_str(&encode(value)).unwrap()
     }
 
     #[test]
@@ -639,10 +627,10 @@ pub(crate) mod tests {
                 stop_reason,
                 plateaus: plateaus.clone(),
             };
-            let text = run.to_json().render().unwrap();
+            let text = encode(&run);
             let back = SchemeRun::from_json_str(&text).unwrap();
             assert_eq!(back, run);
-            assert_eq!(back.to_json().render().unwrap(), text);
+            assert_eq!(encode(&back), text);
             assert_eq!(
                 text.contains("measured_cycles"),
                 measured_cycles.is_some(),
@@ -668,14 +656,15 @@ pub(crate) mod tests {
             stop_reason: None,
             plateaus: Vec::new(),
         };
-        let legacy_form = Value::obj(vec![
-            ("scheme", Value::str("l2p")),
-            ("ipcs", f64_arr(&[1.0, 2.0])),
-        ]);
-        assert_eq!(
-            canonical.to_json().render().unwrap(),
-            legacy_form.render().unwrap()
-        );
+        assert_eq!(encode(&canonical), r#"{"ipcs":[1.0,2.0],"scheme":"l2p"}"#);
+    }
+
+    /// The top-level members of `text`.
+    fn members(text: &str) -> Vec<Node> {
+        nodes(text)
+            .into_iter()
+            .filter(|n| n.path.len() == 1)
+            .collect()
     }
 
     /// Bump each key of `zero`'s encoding in turn (to 41, or to
@@ -685,35 +674,38 @@ pub(crate) mod tests {
     /// side fails its key's iteration. Returns the key count.
     fn assert_every_key_reaches_a_field<T: JsonCodec + PartialEq + std::fmt::Debug>(
         zero: &T,
-        bumped: impl Fn(&str) -> Option<Value>,
+        bumped: impl Fn(&str) -> Option<String>,
     ) -> usize {
-        let fields = zero.to_json().as_obj().unwrap().clone();
-        for key in fields.keys() {
-            let mut obj = fields.clone();
-            obj.insert(key.clone(), bumped(key).unwrap_or_else(|| Value::num(41.0)));
-            let text = Value::Obj(obj).render().unwrap();
-            let decoded = T::from_json_str(&text).unwrap();
-            assert_ne!(&decoded, zero, "key `{key}` must reach a field");
-            assert_eq!(decoded.to_json().render().unwrap(), text, "{key}");
+        let text = encode(zero);
+        let keys = members(&text);
+        for node in &keys {
+            let value = bumped(&node.name).unwrap_or_else(|| "41.0".into());
+            let edited = replaced(&text, node, &value);
+            let decoded = T::from_json_str(&edited).unwrap();
+            assert_ne!(&decoded, zero, "key `{}` must reach a field", node.name);
+            assert_eq!(encode(&decoded), edited, "{}", node.name);
         }
-        fields.len()
+        keys.len()
     }
 
     #[test]
     fn sim_counters_codec_covers_every_field_bijectively() {
         let zero = SimCounters::default();
-        let depths = |n: f64| {
-            let mut depths = vec![Value::num(0.0); WALK_DEPTH_BUCKETS];
-            depths[WALK_DEPTH_BUCKETS - 1] = Value::num(n);
-            Value::Arr(depths)
-        };
+        let mut depths = [0; WALK_DEPTH_BUCKETS];
+        depths[WALK_DEPTH_BUCKETS - 1] = 7;
+        let mut w = Writer::default();
+        w.ints(&depths).unwrap();
+        let depths = w.finish();
         let keys = assert_every_key_reaches_a_field(&zero, |key| {
-            (key == "l1_walk_depths").then(|| depths(7.0))
+            (key == "l1_walk_depths").then(|| depths.clone())
         });
         assert_eq!(keys, 30, "one JSON key per counter field");
-        let mut short = zero.to_json().as_obj().unwrap().clone();
-        short.insert("l1_walk_depths".into(), f64_arr(&[1.0]));
-        let err = SimCounters::from_json_str(&Value::Obj(short).render().unwrap()).unwrap_err();
+        let text = encode(&zero);
+        let node = members(&text)
+            .into_iter()
+            .find(|n| n.name == "l1_walk_depths")
+            .unwrap();
+        let err = SimCounters::from_json_str(&replaced(&text, &node, "[1.0]")).unwrap_err();
         assert!(err.0.contains("buckets"), "bucket count: {err}");
     }
 
@@ -734,10 +726,10 @@ pub(crate) mod tests {
             worker: 3,
             shard: "worker-3.jsonl".into(),
         };
-        let text = span.to_json().render().unwrap();
+        let text = encode(&span);
         let back = UnitSpan::from_json_str(&text).unwrap();
         assert_eq!(back, span);
-        assert_eq!(back.to_json().render().unwrap(), text);
+        assert_eq!(encode(&back), text);
         // The throughput helpers stay defined at zero wall time.
         assert_eq!(UnitSpan::default().cycles_per_sec(), 0.0);
         assert_eq!(UnitSpan::default().ops_per_sec(), 0.0);
@@ -749,28 +741,27 @@ pub(crate) mod tests {
 
     #[test]
     fn malformed_results_are_rejected() {
-        let good = SchemeRun {
+        let good = encode(&SchemeRun {
             scheme: "snug".into(),
             ipcs: vec![0.5, 1.25],
             measured_cycles: None,
             stop_reason: None,
             plateaus: Vec::new(),
-        }
-        .to_json();
-        assert!(SchemeRun::from_json_str(&good.render().unwrap()).is_ok());
-        for field in ["scheme", "ipcs"] {
-            let mut missing = good.as_obj().unwrap().clone();
-            missing.remove(field);
-            let err = SchemeRun::from_json_str(&Value::Obj(missing).render().unwrap());
+        });
+        assert!(SchemeRun::from_json_str(&good).is_ok());
+        let fields = members(&good);
+        assert_eq!(fields.len(), 2);
+        for node in fields {
+            let err = SchemeRun::from_json_str(&without(&good, &node));
             assert_eq!(
                 err.unwrap_err().0,
-                format!("missing field `{field}`"),
-                "{field}"
+                format!("missing field `{}`", node.name),
+                "{}",
+                node.name
             );
         }
-        let mut unknown = good.as_obj().unwrap().clone();
-        unknown.insert("stop_reason".into(), Value::str("bored"));
-        let err = SchemeRun::from_json_str(&Value::Obj(unknown).render().unwrap()).unwrap_err();
+        let unknown = good.replacen('}', r#","stop_reason":"bored"}"#, 1);
+        let err = SchemeRun::from_json_str(&unknown).unwrap_err();
         assert_eq!(err.0, ".stop_reason: unknown stop reason `bored`");
     }
 
@@ -826,68 +817,115 @@ pub(crate) mod tests {
         (run, span, series)
     }
 
-    /// One value inside a tree: its path from the root (member names
-    /// and array indices), the nearest member name on that path,
-    /// whether it is an object member itself (not an array element),
-    /// and a copy of it.
+    /// One value inside a written document: its path from the root
+    /// (member names and array indices), the nearest member name on
+    /// that path, whether it is an object member itself (not an array
+    /// element) and whether it is a number, with the byte range of the
+    /// value and that of the whole member (its name included) or
+    /// element.
     pub(crate) struct Node {
         pub(crate) path: Vec<String>,
         pub(crate) name: String,
         pub(crate) member: bool,
-        pub(crate) value: Value,
+        pub(crate) number: bool,
+        pub(crate) span: Range<usize>,
+        whole: Range<usize>,
     }
 
-    /// Every value below the root of `v`, parents before children.
-    pub(crate) fn nodes(v: &Value) -> Vec<Node> {
-        fn walk(v: &Value, name: &str, path: &mut Vec<String>, out: &mut Vec<Node>) {
-            let children: Vec<(String, &Value, bool)> = match v {
-                Value::Arr(items) => items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, item)| (i.to_string(), item, false))
-                    .collect(),
-                Value::Obj(map) => map
-                    .iter()
-                    .map(|(k, item)| (k.clone(), item, true))
-                    .collect(),
-                _ => Vec::new(),
-            };
-            for (step, item, member) in children {
-                let name = if member { step.as_str() } else { name };
-                path.push(step.clone());
-                out.push(Node {
-                    path: path.clone(),
+    /// Every value below the root of `text`, a document as the writer
+    /// spells it (no whitespace), parents before children.
+    pub(crate) fn nodes(text: &str) -> Vec<Node> {
+        struct Walk<'t> {
+            text: &'t str,
+            path: Vec<String>,
+            out: Vec<Node>,
+        }
+        impl Walk<'_> {
+            fn value(&mut self, r: &mut Reader<'_>, name: &str) -> Result<(), JsonError> {
+                match self.text.as_bytes()[r.offset()] {
+                    b'{' => {
+                        let mut whole = r.offset() + 1;
+                        r.object(|r, member| {
+                            self.child(r, member.to_string(), member, true, whole)?;
+                            whole = r.offset() + 1;
+                            Ok(())
+                        })
+                    }
+                    b'[' => {
+                        let mut i = 0;
+                        r.array(|r| {
+                            let whole = r.offset();
+                            self.child(r, i.to_string(), name, false, whole)?;
+                            i += 1;
+                            Ok(())
+                        })
+                    }
+                    _ => r.skip(),
+                }
+            }
+
+            fn child(
+                &mut self,
+                r: &mut Reader<'_>,
+                step: String,
+                name: &str,
+                member: bool,
+                whole: usize,
+            ) -> Result<(), JsonError> {
+                let start = r.offset();
+                let first = self.text.as_bytes()[start];
+                self.path.push(step);
+                let at = self.out.len();
+                self.out.push(Node {
+                    path: self.path.clone(),
                     name: name.to_string(),
                     member,
-                    value: item.clone(),
+                    number: first == b'-' || first.is_ascii_digit(),
+                    span: start..start,
+                    whole: whole..start,
                 });
-                walk(item, name, path, out);
-                path.pop();
+                self.value(r, name)?;
+                self.out[at].span.end = r.offset();
+                self.out[at].whole.end = r.offset();
+                self.path.pop();
+                Ok(())
             }
         }
-        let mut out = Vec::new();
-        walk(v, "", &mut Vec::new(), &mut out);
-        out
+        let mut walk = Walk {
+            text,
+            path: Vec::new(),
+            out: Vec::new(),
+        };
+        let mut r = Reader::new(text);
+        walk.value(&mut r, "").unwrap();
+        r.finish().unwrap();
+        walk.out
     }
 
-    /// The value at `path`.
-    pub(crate) fn node_mut<'v>(v: &'v mut Value, path: &[String]) -> &'v mut Value {
-        path.iter().fold(v, |v, step| match v {
-            Value::Arr(items) => &mut items[step.parse::<usize>().unwrap()],
-            Value::Obj(map) => map.get_mut(step).unwrap(),
-            _ => panic!("no {step} in a leaf"),
-        })
+    /// `text` with the value of `node` replaced by `value`.
+    pub(crate) fn replaced(text: &str, node: &Node, value: &str) -> String {
+        let Range { start, end } = node.span;
+        format!("{}{value}{}", &text[..start], &text[end..])
     }
 
-    /// Every numeric leaf of `v` outside `ipcs` and `plateaus` (the
+    /// `text` without the member or element `node` and one comma beside
+    /// it.
+    pub(crate) fn without(text: &str, node: &Node) -> String {
+        let Range { mut start, mut end } = node.whole;
+        if text.as_bytes()[end] == b',' {
+            end += 1;
+        } else if text.as_bytes()[start - 1] == b',' {
+            start -= 1;
+        }
+        format!("{}{}", &text[..start], &text[end..])
+    }
+
+    /// Every numeric leaf of `text` outside `ipcs` and `plateaus` (the
     /// only float fields of the stored types).
-    fn integer_leaves(v: &Value) -> Vec<Node> {
-        nodes(v)
+    fn integer_leaves(text: &str) -> Vec<Node> {
+        nodes(text)
             .into_iter()
-            .filter(|n| {
-                matches!(n.value, Value::Num(_))
-                    && !n.path.iter().any(|s| s == "ipcs" || s == "plateaus")
-            })
+            .filter(|n| n.number && !n.path.iter().any(|s| s == "ipcs" || s == "plateaus"))
             .collect()
     }
 
@@ -898,20 +936,11 @@ pub(crate) mod tests {
     #[test]
     fn integer_fields_take_only_exact_integers() {
         fn check<T: JsonCodec + std::fmt::Debug>(value: &T) -> usize {
-            let tree = value.to_json();
-            let leaves = integer_leaves(&tree);
-            for Node { path, name, .. } in &leaves {
-                let decode = |text: &str| {
-                    let mut v = tree.clone();
-                    let mut line = String::new();
-                    *node_mut(&mut v, path) = Value::Str(String::new());
-                    let hole = v.render().unwrap();
-                    let at = hole.find("\"\"").unwrap();
-                    line.push_str(&hole[..at]);
-                    line.push_str(text);
-                    line.push_str(&hole[at + 2..]);
-                    T::from_json_str(&line)
-                };
+            let text = encode(value);
+            let leaves = integer_leaves(&text);
+            for node in &leaves {
+                let Node { path, name, .. } = node;
+                let decode = |number: &str| T::from_json_str(&replaced(&text, node, number));
                 let max = if name == "takers" {
                     "4294967295"
                 } else {

@@ -1,147 +1,156 @@
-//! A minimal JSON value model, streaming reader and writer.
+//! A minimal streaming JSON reader and writer.
 //!
 //! The build environment has no `serde_json`, so the result store
-//! carries its own codec. One tokenizer, [`Reader`], reads everything:
-//! the typed store decoders pull values from it straight into their
-//! structs, and [`parse`] builds a [`Value`] tree on it for the few
-//! callers that want one. Two properties matter here and are tested:
+//! carries its own codec: one pull reader, [`Reader`], and one writer,
+//! [`Writer`], that mirrors it. The typed codecs of [`crate::codec`]
+//! read straight from the one into their structs and write straight
+//! from their structs into the other; no value tree sits between. Three
+//! properties matter here and are tested:
 //!
 //! * **float fidelity** — `f64`s are written with Rust's shortest
-//!   round-trip formatting and parsed back bit-identically, so a cached
+//!   round-trip formatting (`{x:?}`, so integers come out as
+//!   `3827149.0`) and read back bit-identically, so a cached
 //!   [`snug_experiments::ComboResult`] compares `==` to a fresh run;
-//! * **determinism** — writing is a pure function of the value, so the
-//!   same result always produces the same JSONL line.
+//! * **canonical objects** — a writer takes an object's members in
+//!   ascending byte order of their names and refuses any other order,
+//!   so the same result always produces the same bytes;
+//! * **no panics on input** — malformed text is an error from whichever
+//!   read meets it, and a non-finite number is a write error naming its
+//!   member path.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A JSON value. Objects keep key order in a `BTreeMap`, which makes the
-/// rendered form canonical (sorted keys) — important for hashing.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// A number. Only finite numbers render: [`Value::render`] refuses
-    /// NaN and the infinities, which JSON cannot express.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object with sorted keys.
-    Obj(BTreeMap<String, Value>),
+/// A writer of one compact JSON document into a `String` — the one
+/// JSON encoder, mirroring [`Reader`]. Each call writes one value:
+/// [`Writer::num`], [`Writer::int`], [`Writer::str`] and
+/// [`Writer::bool`] a scalar, [`Writer::array`] one element per item,
+/// and [`Writer::object`] the members its body hands over, which must
+/// come in ascending byte order of their names. A refused value — a
+/// non-finite number, a member out of order — is an error naming its
+/// path (`.ipcs[1]: NaN is not a finite JSON number`).
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
 }
 
-impl Value {
-    /// Build an object from key/value pairs.
-    pub fn obj(pairs: Vec<(&str, Value)>) -> Value {
-        Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+impl Writer {
+    /// The document written.
+    pub fn finish(self) -> String {
+        self.out
     }
 
-    /// Shorthand for a string value.
-    pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(s.into())
+    /// Write a boolean.
+    pub fn bool(&mut self, b: bool) -> Result<(), JsonError> {
+        self.out.push_str(if b { "true" } else { "false" });
+        Ok(())
     }
 
-    /// Shorthand for a number (rendering fails if it is not finite).
-    pub fn num(x: f64) -> Value {
-        Value::Num(x)
-    }
-
-    /// The value as a number, when it is one.
-    pub fn as_num(&self) -> Result<f64, JsonError> {
-        match self {
-            Value::Num(x) => Ok(*x),
-            v => Err(JsonError::shape("number", v)),
+    /// Write a number in Rust's shortest round-trip spelling, which
+    /// reads back to the same bits. NaN and the infinities, which JSON
+    /// cannot hold, are an error.
+    pub fn num(&mut self, x: f64) -> Result<(), JsonError> {
+        if !x.is_finite() {
+            return Err(JsonError(format!("{x} is not a finite JSON number")));
         }
+        let _ = write!(self.out, "{x:?}");
+        Ok(())
     }
 
-    /// The value as a string slice, when it is one.
-    pub fn as_str(&self) -> Result<&str, JsonError> {
-        match self {
-            Value::Str(s) => Ok(s),
-            v => Err(JsonError::shape("string", v)),
+    /// Write an integer, spelled as the float it converts to
+    /// (`3827149.0`): the form every stored integer has always had.
+    /// Past 2^53 that float is no longer exact, and the store's reader
+    /// refuses it, so such an integer is an error here too.
+    pub fn int(&mut self, x: u64) -> Result<(), JsonError> {
+        if x > MAX_EXACT_INT {
+            return Err(JsonError(format!("{x} is not an integer in 0..=2^53")));
         }
+        self.num(x as f64)
     }
 
-    /// The value as an array, when it is one.
-    pub fn as_arr(&self) -> Result<&[Value], JsonError> {
-        match self {
-            Value::Arr(a) => Ok(a),
-            v => Err(JsonError::shape("array", v)),
-        }
+    /// Write a quoted string, with `"`, `\` and every control
+    /// character escaped.
+    pub fn str(&mut self, s: &str) -> Result<(), JsonError> {
+        write_str(s, &mut self.out);
+        Ok(())
     }
 
-    /// The value as an object, when it is one.
-    pub fn as_obj(&self) -> Result<&BTreeMap<String, Value>, JsonError> {
-        match self {
-            Value::Obj(o) => Ok(o),
-            v => Err(JsonError::shape("object", v)),
-        }
-    }
-
-    /// Fetch a required object field.
-    pub fn get(&self, key: &str) -> Result<&Value, JsonError> {
-        self.as_obj()?
-            .get(key)
-            .ok_or_else(|| JsonError(format!("missing field `{key}`")))
-    }
-
-    /// Render to a compact JSON string. Fails on a non-finite number,
-    /// naming the field path that holds it.
-    pub fn render(&self) -> Result<String, JsonError> {
-        let mut out = String::new();
-        self.write(&mut out)?;
-        Ok(out)
-    }
-
-    fn write(&self, out: &mut String) -> Result<(), JsonError> {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(x) => write_num(*x, out)?,
-            Value::Str(s) => write_str(s, out),
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out)
-                        .map_err(|e| JsonError(format!("[{i}]{}", e.0)))?;
-                }
-                out.push(']');
+    /// Write an array, handing each of `items` to `item`, which must
+    /// write exactly one value for it.
+    pub fn array<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut item: impl FnMut(&mut Self, T) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.out.push('[');
+        for (i, x) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
             }
-            Value::Obj(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(k, out);
-                    out.push(':');
-                    v.write(out)
-                        .map_err(|e| JsonError(format!(".{k}{}", e.0)))?;
-                }
-                out.push('}');
-            }
+            item(self, x).map_err(|e| at(format_args!("[{i}]"), e))?;
         }
+        self.out.push(']');
+        Ok(())
+    }
+
+    /// An array of numbers.
+    pub fn nums(&mut self, xs: &[f64]) -> Result<(), JsonError> {
+        self.array(xs, |w, &x| w.num(x))
+    }
+
+    /// An array of integers.
+    pub fn ints(&mut self, xs: &[u64]) -> Result<(), JsonError> {
+        self.array(xs, |w, &x| w.int(x))
+    }
+
+    /// Write an object whose members `body` hands to
+    /// [`Members::member`], in ascending byte order of their names.
+    pub fn object<'n>(
+        &mut self,
+        body: impl FnOnce(&mut Members<'_, 'n>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.out.push('{');
+        body(&mut Members {
+            w: self,
+            last: None,
+        })?;
+        self.out.push('}');
         Ok(())
     }
 }
 
-fn write_num(x: f64, out: &mut String) -> Result<(), JsonError> {
-    if !x.is_finite() {
-        return Err(JsonError(format!(": {x} is not a finite JSON number")));
+/// The members of one object being written by [`Writer::object`].
+pub struct Members<'w, 'n> {
+    w: &'w mut Writer,
+    last: Option<&'n str>,
+}
+
+impl<'n> Members<'_, 'n> {
+    /// Write the member `name`, whose value `value` writes. Names must
+    /// strictly ascend in byte order — the sorted order every stored
+    /// line has always had — so a member out of order, or repeated, is
+    /// an error.
+    pub fn member(
+        &mut self,
+        name: &'n str,
+        value: impl FnOnce(&mut Writer) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if let Some(last) = self.last {
+            if name <= last {
+                return Err(at(
+                    format_args!(".{name}"),
+                    JsonError(format!(
+                        "written after `{last}`; members go in ascending byte order"
+                    )),
+                ));
+            }
+            self.w.out.push(',');
+        }
+        self.last = Some(name);
+        write_str(name, &mut self.w.out);
+        self.w.out.push(':');
+        value(self.w).map_err(|e| at(format_args!(".{name}"), e))
     }
-    // Rust's float formatting is shortest-round-trip: parsing the output
-    // recovers the exact bits. Integers render without a fraction; keep
-    // them as-is (JSON permits both).
-    let _ = write!(out, "{x:?}");
-    Ok(())
 }
 
 /// Write `s` as a quoted JSON string. Every byte that needs an escape is
@@ -173,23 +182,9 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// A parse or shape error, with a short human-readable message.
+/// A read or write error, with a short human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError(pub String);
-
-impl JsonError {
-    fn shape(wanted: &str, got: &Value) -> JsonError {
-        let kind = match got {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Num(_) => "number",
-            Value::Str(_) => "string",
-            Value::Arr(_) => "array",
-            Value::Obj(_) => "object",
-        };
-        JsonError(format!("expected {wanted}, got {kind}"))
-    }
-}
 
 impl std::fmt::Display for JsonError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -199,26 +194,16 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// 2^53: every integer up to it is exactly an `f64`, so an integer
+/// past it cannot round-trip through a JSON number.
+pub(crate) const MAX_EXACT_INT: u64 = 1 << 53;
+
 /// Deepest array/object nesting a [`Reader`] accepts. Store lines nest
 /// a handful of levels; the cap turns a hostile `[[[[…` into an error
 /// instead of a stack overflow.
 const MAX_DEPTH: usize = 128;
 
-/// Parse one JSON document into a [`Value`] tree. Trailing garbage is an
-/// error.
-///
-/// Linear in the input: a string holding an escape is scanned twice
-/// (to find its end, then to copy it in runs between escapes), every
-/// other byte once.
-pub fn parse(text: &str) -> Result<Value, JsonError> {
-    let mut r = Reader::new(text);
-    let v = r.value()?;
-    r.finish()?;
-    Ok(v)
-}
-
-/// Check that `text` is one JSON document, building nothing: exactly
-/// the inputs [`parse`] accepts.
+/// Check that `text` is one JSON document, building nothing.
 pub(crate) fn check(text: &str) -> Result<(), JsonError> {
     let mut r = Reader::new(text);
     r.skip()?;
@@ -281,7 +266,7 @@ impl Kind {
 
 /// Prefix an error with the object member or array index it arose
 /// under, so a nested error reads `.unit.ipcs[2]: expected number, got
-/// string` — the form [`Value::render`]'s errors take.
+/// string`; [`Writer`]'s errors take the same form.
 fn at(segment: std::fmt::Arguments<'_>, e: JsonError) -> JsonError {
     if e.0.starts_with(['.', '[']) {
         JsonError(format!("{segment}{}", e.0))
@@ -291,7 +276,7 @@ fn at(segment: std::fmt::Arguments<'_>, e: JsonError) -> JsonError {
 }
 
 /// A streaming pull reader over one JSON document — the one tokenizer
-/// behind [`parse`], the store's syntax check and the typed decoders of
+/// behind the store's syntax check and the typed decoders of
 /// [`crate::codec`].
 ///
 /// Each call consumes the next value: the typed readers ([`Reader::num`],
@@ -575,33 +560,10 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Read the next value into a [`Value`] tree.
-    fn value(&mut self) -> Result<Value, JsonError> {
-        Ok(match self.peek()? {
-            Kind::Null => {
-                self.null()?;
-                Value::Null
-            }
-            Kind::Bool => Value::Bool(self.bool()?),
-            Kind::Num => Value::Num(self.num()?),
-            Kind::Str => Value::Str(self.str()?.into_owned()),
-            Kind::Arr => {
-                let mut items = Vec::new();
-                self.array(|r| {
-                    items.push(r.value()?);
-                    Ok(())
-                })?;
-                Value::Arr(items)
-            }
-            Kind::Obj => {
-                let mut map = BTreeMap::new();
-                self.object(|r, name| {
-                    map.insert(name.to_string(), r.value()?);
-                    Ok(())
-                })?;
-                Value::Obj(map)
-            }
-        })
+    /// The byte offset of the next unread input.
+    #[cfg(test)]
+    pub(crate) fn offset(&self) -> usize {
+        self.pos
     }
 
     /// End the document: anything but whitespace after the value read
@@ -622,97 +584,201 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
+    /// One document, written by `write`.
+    fn written(
+        write: impl FnOnce(&mut Writer) -> Result<(), JsonError>,
+    ) -> Result<String, JsonError> {
+        let mut w = Writer::default();
+        write(&mut w)?;
+        Ok(w.finish())
+    }
+
+    /// `text` read as one document by `read`.
+    fn read<'a, T>(
+        text: &'a str,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        let mut r = Reader::new(text);
+        let v = read(&mut r)?;
+        r.finish()?;
+        Ok(v)
+    }
+
+    /// Write the reader's next value back through a [`Writer`], keeping
+    /// everything as a decoder would: the last of a repeated member, and
+    /// an object's members in sorted order.
+    fn transcribe(r: &mut Reader<'_>, w: &mut Writer) -> Result<(), JsonError> {
+        let raw = |w: &mut Writer, text: &str| {
+            w.out.push_str(text);
+            Ok(())
+        };
+        match r.peek()? {
+            Kind::Null => r.null().and_then(|()| raw(w, "null")),
+            Kind::Bool => w.bool(r.bool()?),
+            Kind::Num => w.num(r.num()?),
+            Kind::Str => w.str(&r.str()?),
+            Kind::Arr => {
+                let mut items = Vec::new();
+                r.array(|r| {
+                    items.push(written(|w| transcribe(r, w))?);
+                    Ok(())
+                })?;
+                w.array(&items, |w, item| raw(w, item))
+            }
+            Kind::Obj => {
+                let mut members = BTreeMap::new();
+                r.object(|r, name| {
+                    members.insert(name.to_string(), written(|w| transcribe(r, w))?);
+                    Ok(())
+                })?;
+                w.object(|o| {
+                    for (name, value) in &members {
+                        o.member(name, |w| raw(w, value))?;
+                    }
+                    Ok(())
+                })
+            }
+        }
+    }
+
+    /// `text` read and written back ([`transcribe`]).
+    fn rewritten(text: &str) -> Result<String, JsonError> {
+        read(text, |r| written(|w| transcribe(r, w)))
+    }
+
+    /// Every kind of value writes in its one spelling — integers as the
+    /// floats they convert to — and reads back to the same text.
     #[test]
     fn scalar_round_trips() {
-        for text in [
-            "null",
-            "true",
-            "false",
-            "1.5",
-            "-3.25",
-            "\"hi\\nthere\"",
-            "[]",
-            "{}",
-        ] {
-            let v = parse(text).unwrap();
-            assert_eq!(parse(&v.render().unwrap()).unwrap(), v, "{text}");
-        }
+        let text = written(|w| {
+            w.array(0..8, |w, i| match i {
+                0 => w.bool(true),
+                1 => w.bool(false),
+                2 => w.num(1.5),
+                3 => w.num(-3.25),
+                4 => w.int(3_827_149),
+                5 => w.str("hi\nthere"),
+                6 => w.ints(&[]),
+                _ => w.object(|_| Ok(())),
+            })
+        })
+        .unwrap();
+        assert_eq!(
+            text,
+            r#"[true,false,1.5,-3.25,3827149.0,"hi\nthere",[],{}]"#
+        );
+        assert_eq!(rewritten(&text), Ok(text));
     }
 
     #[test]
     fn non_finite_numbers_are_an_error_naming_their_path() {
         for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let v = Value::obj(vec![(
-                "ipcs",
-                Value::Arr(vec![Value::num(1.0), Value::num(x)]),
-            )]);
-            let err = v.render().unwrap_err();
+            let err = written(|w| w.object(|o| o.member("ipcs", |w| w.nums(&[1.0, x]))));
             assert_eq!(
-                err.0,
+                err.unwrap_err().0,
                 format!(".ipcs[1]: {x} is not a finite JSON number"),
                 "{x}"
             );
         }
+        // So is an integer past 2^53, which no float holds exactly.
+        let text = written(|w| w.ints(&[MAX_EXACT_INT])).unwrap();
+        assert_eq!(text, "[9007199254740992.0]");
+        let err = written(|w| w.object(|o| o.member("cycles", |w| w.ints(&[MAX_EXACT_INT + 1]))));
+        assert_eq!(
+            err.unwrap_err().0,
+            ".cycles[0]: 9007199254740993 is not an integer in 0..=2^53"
+        );
     }
 
     #[test]
     fn floats_round_trip_bit_exactly() {
         for x in [0.1, 1.0 / 3.0, 6.02e23, -0.0, 1e-308, 123456789.1234568] {
-            let v = Value::num(x);
-            let back = parse(&v.render().unwrap()).unwrap().as_num().unwrap();
+            let text = written(|w| w.num(x)).unwrap();
+            let back = read(&text, Reader::num).unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x}");
         }
     }
 
+    /// Members written in ascending byte order read back; one out of
+    /// order, or repeated, is an error naming its path.
     #[test]
     fn objects_render_sorted_and_reparse() {
-        let v = Value::obj(vec![
-            ("zeta", Value::num(1.0)),
-            ("alpha", Value::str("x")),
-            ("mid", Value::Arr(vec![Value::Bool(true), Value::Null])),
-        ]);
-        let text = v.render().unwrap();
-        assert!(
-            text.find("alpha").unwrap() < text.find("zeta").unwrap(),
-            "sorted keys"
+        let text = written(|w| {
+            w.object(|o| {
+                o.member("alpha", |w| w.str("x"))?;
+                o.member("mid", |w| w.array([true, false], Writer::bool))?;
+                o.member("mid_", |w| w.object(|_| Ok(())))?;
+                o.member("zeta", |w| w.num(1.0))
+            })
+        })
+        .unwrap();
+        assert_eq!(
+            text,
+            r#"{"alpha":"x","mid":[true,false],"mid_":{},"zeta":1.0}"#
         );
-        assert_eq!(parse(&text).unwrap(), v);
+        assert_eq!(rewritten(&text), Ok(text));
+        for (first, then) in [("zeta", "alpha"), ("mid_", "mid"), ("a", "a"), ("é", "z")] {
+            let err = written(|w| {
+                w.object(|o| {
+                    o.member("unit", |w| {
+                        w.object(|o| {
+                            o.member(first, |w| w.num(1.0))?;
+                            o.member(then, |w| w.num(2.0))
+                        })
+                    })
+                })
+            });
+            assert_eq!(
+                err.unwrap_err().0,
+                format!(
+                    ".unit.{then}: written after `{first}`; members go in ascending byte order"
+                )
+            );
+        }
     }
 
     #[test]
     fn string_escapes_survive() {
         let nasty = "quote\" slash\\ newline\n tab\t unicode\u{1}end";
-        let v = Value::str(nasty);
-        assert_eq!(
-            parse(&v.render().unwrap()).unwrap().as_str().unwrap(),
-            nasty
-        );
+        let text = written(|w| w.str(nasty)).unwrap();
+        assert_eq!(read(&text, Reader::str).unwrap(), nasty);
     }
 
     #[test]
     fn errors_are_reported() {
-        assert!(parse("{\"a\":}").is_err());
-        assert!(parse("[1,2").is_err());
-        assert!(parse("1 2").is_err());
-        assert!(Value::obj(vec![]).get("missing").is_err());
-        assert!(Value::Null.as_num().is_err());
+        assert!(check("{\"a\":}").is_err());
+        assert!(check("[1,2").is_err());
+        assert!(check("1 2").is_err());
+        assert_eq!(
+            read("null", Reader::num).unwrap_err().0,
+            "expected number, got null"
+        );
+        assert_eq!(
+            read("[1]", Reader::str).unwrap_err().0,
+            "expected string, got array"
+        );
     }
 
     #[test]
     fn non_finite_numbers_are_rejected() {
         for text in ["1e999", "-1e999", "[1,1e400]"] {
-            assert!(parse(text).is_err(), "{text}");
+            assert!(check(text).is_err(), "{text}");
         }
+        assert_eq!(
+            read("1e999", Reader::num).unwrap_err().0,
+            "invalid number `1e999`"
+        );
     }
 
     #[test]
     fn nesting_is_capped_not_a_stack_overflow() {
         let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
-        assert!(parse(&ok).is_ok());
+        assert!(check(&ok).is_ok());
         let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
-        assert!(parse(&deep).is_err());
-        assert!(parse(&"{\"a\":[".repeat(100_000)).is_err());
+        assert!(check(&deep).is_err());
+        assert!(check(&"{\"a\":[".repeat(100_000)).is_err());
     }
 
     /// The reader hands out plain strings as slices of the input and
@@ -744,8 +810,8 @@ mod tests {
     #[test]
     fn escapes_follow_the_json_grammar() {
         assert_eq!(
-            parse(r#""\"\\\/\b\f\n\r\t\u0041\u00e9""#),
-            Ok(Value::str("\"\\/\u{8}\u{c}\n\r\tAé"))
+            read(r#""\"\\\/\b\f\n\r\t\u0041\u00e9""#, Reader::str).unwrap(),
+            "\"\\/\u{8}\u{c}\n\r\tAé"
         );
         for bad in [
             r#""\u+041""#,
@@ -762,7 +828,6 @@ mod tests {
             "[\"\n\"]",
             "{\"\u{1f}\":1}",
         ] {
-            assert!(parse(bad).is_err(), "{bad}");
             assert!(check(bad).is_err(), "{bad}");
         }
     }
@@ -774,11 +839,11 @@ mod tests {
     fn a_mebibyte_string_parses_in_linear_time() {
         let pattern = "plain ascii é€𐍈 \"quoted\" back\\slash\n";
         let s = pattern.repeat((1 << 20) / pattern.len() + 1);
-        let text = Value::str(&s).render().unwrap();
+        let text = written(|w| w.str(&s)).unwrap();
         let start = std::time::Instant::now();
-        let back = parse(&text).unwrap();
+        let back = read(&text, Reader::str).unwrap();
         let took = start.elapsed();
-        assert_eq!(back.as_str().unwrap(), s);
+        assert_eq!(back, s);
         assert!(
             took < std::time::Duration::from_secs(5),
             "1 MiB string took {took:?}"
@@ -872,15 +937,17 @@ mod tests {
         }
 
         /// Arbitrary bytes (lossily decoded, as a reader of an
-        /// arbitrary file would) never panic the parser or the
+        /// arbitrary file would) never panic the reader or the
         /// building-nothing [`check`], which accept the same inputs;
-        /// anything accepted renders and re-parses to the same value.
+        /// anything accepted writes back to text that reads and writes
+        /// back to itself.
         #[test]
         fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..512)) {
             let text = String::from_utf8_lossy(&bytes);
-            prop_assert_eq!(check(&text).is_ok(), parse(&text).is_ok());
-            if let Ok(v) = parse(&text) {
-                prop_assert_eq!(parse(&v.render().unwrap()), Ok(v));
+            let once = rewritten(&text);
+            prop_assert_eq!(check(&text).is_ok(), once.is_ok());
+            if let Ok(once) = once {
+                prop_assert_eq!(rewritten(&once), Ok(once.clone()));
             }
         }
 
@@ -889,16 +956,17 @@ mod tests {
         fn json_token_soup_never_panics(picks in proptest::collection::vec(0usize..SOUP.len(), 0..256)) {
             let bytes: Vec<u8> = picks.iter().map(|&i| SOUP[i]).collect();
             let text = String::from_utf8_lossy(&bytes);
-            prop_assert_eq!(check(&text).is_ok(), parse(&text).is_ok());
-            if let Ok(v) = parse(&text) {
-                prop_assert_eq!(parse(&v.render().unwrap()), Ok(v));
+            let once = rewritten(&text);
+            prop_assert_eq!(check(&text).is_ok(), once.is_ok());
+            if let Ok(once) = once {
+                prop_assert_eq!(rewritten(&once), Ok(once.clone()));
             }
         }
 
         /// Strings mixing escapes, control characters and multi-byte
-        /// UTF-8 right next to `"` and `\` survive a render/parse round
-        /// trip, as values and as object keys, and render with no raw
-        /// control characters.
+        /// UTF-8 right next to `"` and `\` survive a write/read round
+        /// trip, as values and as member names, and are written with no
+        /// raw control characters.
         #[test]
         fn tricky_strings_round_trip(picks in proptest::collection::vec((0usize..=TRICKY.len(), 0u32..0x11_0000), 0..64)) {
             let s: String = picks
@@ -908,10 +976,17 @@ mod tests {
                     None => char::from_u32(code).unwrap_or('\u{fffd}'),
                 })
                 .collect();
-            let v = Value::Obj(BTreeMap::from([(s.clone(), Value::Str(s))]));
-            let text = v.render().unwrap();
+            let text = written(|w| w.object(|o| o.member(&s, |w| w.str(&s)))).unwrap();
             prop_assert!(!text.bytes().any(|b| b < 0x20), "raw control byte in {text:?}");
-            prop_assert_eq!(parse(&text), Ok(v));
+            let back = read(&text, |r| {
+                let mut members = Vec::new();
+                r.object(|r, name| {
+                    members.push((name.to_string(), r.str()?.into_owned()));
+                    Ok(())
+                })?;
+                Ok(members)
+            });
+            prop_assert_eq!(back, Ok(vec![(s.clone(), s)]));
         }
     }
 }

@@ -41,7 +41,7 @@
 
 use crate::codec::JsonCodec;
 use crate::hash::ContentKey;
-use crate::json::{self, JsonError, Reader, Value};
+use crate::json::{self, JsonError, Reader, Writer};
 use crate::sweep::UnitSpan;
 use snug_experiments::{SchemeRun, TraceSeries};
 use std::collections::BTreeMap;
@@ -93,7 +93,7 @@ pub struct StoreEntry {
 
 impl StoreEntry {
     /// Decode one JSONL line straight into an entry, building no
-    /// [`Value`] tree. A line that is not JSON at all — what a torn
+    /// value tree. A line that is not JSON at all — what a torn
     /// append leaves — is a [`LineError::Syntax`]; JSON of the wrong
     /// shape is a [`LineError::Schema`].
     fn decode_line(text: &str) -> Result<Self, LineError> {
@@ -140,19 +140,23 @@ impl StoreEntry {
 /// exact bytes `insert` appends, shared with the shard writers so a
 /// shard line and a store line for the same result are identical.
 fn render_line(key: &ContentKey, result: &StoredResult) -> Result<String, StoreError> {
-    let payload = match result {
-        StoredResult::Unit(run) => ("unit", run.to_json()),
-        StoredResult::Series(series) => ("series", series.to_json()),
-        StoredResult::Span(span) => ("span", span.to_json()),
-    };
-    Value::obj(vec![("key", Value::str(key.to_string())), payload])
-        .render()
-        .map_err(|e| StoreError::Encode(key.to_string(), e.0))
+    let mut w = Writer::default();
+    w.object(|o| {
+        o.member("key", |w| w.str(&key.to_string()))?;
+        match result {
+            StoredResult::Series(series) => o.member("series", |w| series.write_json(w)),
+            StoredResult::Span(span) => o.member("span", |w| span.write_json(w)),
+            StoredResult::Unit(run) => o.member("unit", |w| run.write_json(w)),
+        }
+    })
+    .map_err(|e| StoreError::Encode(key.to_string(), e.0))?;
+    Ok(w.finish())
 }
 
 /// Load one JSONL file of store entries into `entries`, returning the
 /// number of intact data lines. A partial trailing line (crash or full
-/// disk during append) is dropped and truncated so the next append
+/// disk during append) is dropped and truncated, and a whole last line
+/// without its `\n` (a hand edit) is terminated, so the next append
 /// starts on a clean line; corruption anywhere else stays fatal. A
 /// missing file is an empty store.
 fn load_jsonl(
@@ -165,19 +169,35 @@ fn load_jsonl(
         Err(e) => return Err(StoreError::io(path, e)),
     };
     let mut file_lines = 0usize;
-    let torn = read_entries(path, file, |entry| {
+    let tail = read_entries(path, file, |entry| {
         entries.insert(entry.key, entry.result);
         file_lines += 1;
         Ok(())
     })?;
-    if let Some(line_start) = torn {
-        fs::OpenOptions::new()
+    let mended = match tail {
+        Tail::Clean => Ok(()),
+        Tail::Torn(line_start) => fs::OpenOptions::new()
             .write(true)
             .open(path)
-            .and_then(|f| f.set_len(line_start))
-            .map_err(|e| StoreError::io(path, e))?;
-    }
+            .and_then(|f| f.set_len(line_start)),
+        Tail::Unterminated => fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .and_then(|mut f| f.write_all(b"\n")),
+    };
+    mended.map_err(|e| StoreError::io(path, e))?;
     Ok(file_lines)
+}
+
+/// How a store file ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tail {
+    /// With a `\n`, or empty.
+    Clean,
+    /// With a last line that is whole but has no `\n`.
+    Unterminated,
+    /// With a torn line, which starts at this byte offset.
+    Torn(u64),
 }
 
 /// Decode the data lines of a JSONL store file in order, handing each
@@ -194,7 +214,7 @@ fn read_entries(
     path: &Path,
     file: fs::File,
     mut visit: impl FnMut(StoreEntry) -> Result<(), StoreError>,
-) -> Result<Option<u64>, StoreError> {
+) -> Result<Tail, StoreError> {
     let mut reader = BufReader::with_capacity(1 << 16, file);
     let mut straddle = Vec::new();
     let mut offset = 0u64;
@@ -210,8 +230,8 @@ fn read_entries(
             },
         )
         .map_err(|e| StoreError::io(path, e))?;
-        let Some((decoded, read)) = next else {
-            return Ok(None);
+        let Some((decoded, read, terminated)) = next else {
+            return Ok(Tail::Clean);
         };
         let line_start = offset;
         offset += read as u64;
@@ -225,11 +245,14 @@ fn read_entries(
                     .map_err(|e| StoreError::io(path, e))?
                     .is_empty() =>
             {
-                return Ok(Some(line_start))
+                return Ok(Tail::Torn(line_start))
             }
             Some(Err(LineError::Syntax(e) | LineError::Schema(e))) => {
                 return Err(StoreError::corrupt(path, lineno, e))
             }
+        }
+        if !terminated {
+            return Ok(Tail::Unterminated);
         }
     }
 }
@@ -237,19 +260,19 @@ fn read_entries(
 /// Hand the reader's next line, without its `\n`, to `decode`: in place
 /// in the read buffer when the line lies whole in it, or gathered into
 /// `straddle` when it crosses a refill. Returns what `decode` made of
-/// it and the line's length in the file (its `\n` included), or `None`
-/// at the end of the file.
+/// it, the line's length in the file (its `\n` included) and whether it
+/// has a `\n`, or `None` at the end of the file.
 fn next_line<R>(
     reader: &mut BufReader<fs::File>,
     straddle: &mut Vec<u8>,
     decode: impl FnOnce(&[u8]) -> R,
-) -> std::io::Result<Option<(R, usize)>> {
+) -> std::io::Result<Option<(R, usize, bool)>> {
     straddle.clear();
     loop {
         let buf = reader.fill_buf()?;
         if buf.is_empty() {
             // The last line, with no `\n` after it.
-            return Ok((!straddle.is_empty()).then(|| (decode(straddle), straddle.len())));
+            return Ok((!straddle.is_empty()).then(|| (decode(straddle), straddle.len(), false)));
         }
         if let Some(end) = json::find_byte(buf, |b| b == b'\n') {
             let decoded = if straddle.is_empty() {
@@ -260,7 +283,7 @@ fn next_line<R>(
             };
             let read = straddle.len().max(end) + 1;
             reader.consume(end + 1);
-            return Ok(Some((decoded, read)));
+            return Ok(Some((decoded, read, true)));
         }
         let filled = buf.len();
         straddle.extend_from_slice(buf);
@@ -329,7 +352,11 @@ impl ShardWriter {
                 self.file.insert(file)
             }
         };
-        writeln!(file, "{line}").map_err(|e| StoreError::io(&self.path, e))
+        // The line and its `\n` in one write: a crash between two could
+        // leave the line whole but unterminated, for the next append to
+        // glue onto.
+        file.write_all(format!("{line}\n").as_bytes())
+            .map_err(|e| StoreError::io(&self.path, e))
     }
 }
 
@@ -511,7 +538,9 @@ impl ResultStore {
             .append(true)
             .open(&path)
             .map_err(|e| StoreError::io(&path, e))?;
-        writeln!(file, "{line}").map_err(|e| StoreError::io(&path, e))?;
+        // One write, as in `ShardWriter::append_line`.
+        file.write_all(format!("{line}\n").as_bytes())
+            .map_err(|e| StoreError::io(&path, e))?;
         self.entries.insert(key, result);
         self.file_lines += 1;
         Ok(())
@@ -738,6 +767,37 @@ mod tests {
             }
             assert_eq!(fs::read_to_string(&path).unwrap(), text, "nothing dropped");
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A whole last line without its `\n` is terminated on open, so
+    /// the next append starts a line of its own and both entries
+    /// survive a reopen.
+    #[test]
+    fn an_unterminated_last_line_is_terminated_not_glued_onto() {
+        let dir = tmp_dir("unterminated");
+        let mut store = ResultStore::open(&dir).unwrap();
+        store.insert(key("k1"), fake("x+y", 1.0)).unwrap();
+        let path = dir.join(STORE_FILE);
+        let line = fs::read_to_string(&path).unwrap();
+        fs::write(&path, line.trim_end()).unwrap();
+
+        let mut store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.len(), 1);
+        let run = SchemeRun {
+            scheme: "a+b".into(),
+            ipcs: vec![2.0],
+            measured_cycles: None,
+            stop_reason: None,
+            plateaus: Vec::new(),
+        };
+        store.insert_unit(key("k2"), run.clone()).unwrap();
+        let reopened = ResultStore::open(&dir).unwrap();
+        assert_eq!(reopened.len(), 2, "both entries survive");
+        assert_eq!(reopened.get_unit(&key("k2")), Some(&run));
+        let text = fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().next(), Some(line.trim_end()));
+        assert_eq!(text.lines().count(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1168,7 +1228,7 @@ mod tests {
     fn every_truncation_of_a_committed_line_is_an_error() {
         for line in sample_lines() {
             for cut in (0..line.len()).filter(|&c| line.is_char_boundary(c)) {
-                assert!(json::parse(&line[..cut]).is_err(), "json prefix {cut}");
+                assert!(json::check(&line[..cut]).is_err(), "json prefix {cut}");
                 assert!(
                     matches!(
                         StoreEntry::decode_line(&line[..cut]),
@@ -1224,6 +1284,54 @@ mod tests {
         ]
     }
 
+    /// The lines of [`sample_entries`] as literal text: every member
+    /// name, order and number spelling of the stored types that no
+    /// committed line holds (a converged run with plateaus, a series of
+    /// samples with events, shifts, L2 statistics and counters, a span).
+    const PINNED_LINES: [&str; 3] = [
+        concat!(
+            r#"{"key":"08c47b07b56747f307f84f07b4b996cb","#,
+            r#""unit":{"ipcs":[0.30000000000000004,0.3333333333333333],"measured_cycles":1234567.0,"#,
+            r#""plateaus":[2.1,0.7],"scheme":"cc@25%","stop_reason":"converged"}}"#,
+        ),
+        concat!(
+            r#"{"key":"08c7ff07b56a5e1607f84e07b4b99518","series":{"samples":[{"cycle":50000.0,"#,
+            r#""cycles":[50000.0,50000.0],"during_warmup":true,"events":[{"cycle":10000.0,"#,
+            r#""kind":"grouped","takers":[1.0,2.0]}],"instructions":[10.0,20.0],"l2":{"cc_hits":0.0,"#,
+            r#""evictions":0.0,"forwards":0.0,"hits":7.0,"misses":3.0,"retrieved_from_peer":0.0,"#,
+            r#""shadow_hits":0.0,"spills_in":0.0,"spills_out":0.0,"write_buffer_hits":0.0,"#,
+            r#""writebacks":0.0},"#,
+            r#""shifts":["30000:demand=200@0,1"]},{"counters":{"bus_address_transactions":0.0,"#,
+            r#""bus_data_transactions":0.0,"bus_queue_cycles":0.0,"core_dep_stall_cycles":0.0,"#,
+            r#""core_mshr_stall_cycles":0.0,"core_rob_stall_cycles":0.0,"dram_queue_cycles":0.0,"#,
+            r#""dram_reads":0.0,"dram_writes":0.0,"forwards":0.0,"identifies":0.0,"#,
+            r#""l1_walk_depths":[5.0,5.0,5.0,5.0,5.0,5.0,5.0,5.0],"l1d_hits":0.0,"l1d_misses":0.0,"#,
+            r#""l1i_hits":0.0,"l1i_misses":0.0,"l2_cc_hits":0.0,"l2_evictions":0.0,"l2_hits":0.0,"#,
+            r#""l2_misses":0.0,"l2_writebacks":0.0,"org_accesses":0.0,"org_writebacks":0.0,"#,
+            r#""relatches":0.0,"retired_ops":99.0,"retrieved_from_peer":0.0,"shadow_hits":0.0,"#,
+            r#""spills_in":0.0,"spills_out":0.0,"write_buffer_hits":0.0},"cycle":100000.0,"#,
+            r#""cycles":[100000.0,100000.0],"during_warmup":false,"events":[{"cycle":10000.0,"#,
+            r#""kind":"grouped","takers":[1.0,2.0]}],"instructions":[10.0,20.0],"l2":{"cc_hits":0.0,"#,
+            r#""evictions":0.0,"forwards":0.0,"hits":7.0,"misses":3.0,"retrieved_from_peer":0.0,"#,
+            r#""shadow_hits":0.0,"spills_in":0.0,"spills_out":0.0,"write_buffer_hits":0.0,"#,
+            r#""writebacks":0.0},"shifts":["30000:demand=200@0,1"]}],"scheme":"snug","stride":50000.0,"#,
+            r#""warmup_cycles":50000.0}}"#,
+        ),
+        concat!(
+            r#"{"key":"08d8ff07b578d14907f85507b4b9a0fd","span":{"instructions":14.0,"#,
+            r#""label":"ammp+ammp+ammp+ammp [snug]","queue_nanos":11.0,"shard":"worker-3.jsonl","#,
+            r#""sim_cycles":13.0,"wall_nanos":12.0,"worker":3.0}}"#,
+        ),
+    ];
+
+    #[test]
+    fn sample_entries_encode_to_pinned_text() {
+        for (entry, pinned) in sample_entries().iter().zip(PINNED_LINES) {
+            assert_eq!(entry.render_line().unwrap(), pinned, "{}", entry.key);
+            assert_eq!(StoreEntry::decode_line(pinned).as_ref(), Ok(entry));
+        }
+    }
+
     /// Write `lines` as a store file and open it.
     fn open_lines(dir: &Path, lines: &str) -> Result<ResultStore, StoreError> {
         fs::create_dir_all(dir).unwrap();
@@ -1261,6 +1369,7 @@ mod tests {
     /// which is left as it was.
     #[test]
     fn a_missing_or_mistyped_field_is_fatal_wherever_it_sits() {
+        use crate::codec::tests::{nodes, replaced, without};
         const OPTIONAL: &[&str] = &[
             "measured_cycles",
             "stop_reason",
@@ -1274,26 +1383,14 @@ mod tests {
         let good = format!("{}\n", sample_entries()[0].render_line().unwrap());
         let mut cases = 0;
         for entry in sample_entries() {
-            let tree = json::parse(&entry.render_line().unwrap()).unwrap();
-            for node in crate::codec::tests::nodes(&tree) {
-                let mut mistyped = tree.clone();
-                *crate::codec::tests::node_mut(&mut mistyped, &node.path) = match node.value {
-                    Value::Num(_) => Value::str("7"),
-                    _ => Value::num(7.0),
-                };
+            let line = entry.render_line().unwrap();
+            for node in nodes(&line) {
+                let mistyped = replaced(&line, &node, if node.number { "\"7\"" } else { "7.0" });
                 let mut bad = vec![(mistyped, format!(".{}", node.name))];
                 if node.member && !OPTIONAL.contains(&node.name.as_str()) {
-                    let (name, parent) = node.path.split_last().unwrap();
-                    let mut missing = tree.clone();
-                    let Value::Obj(map) = crate::codec::tests::node_mut(&mut missing, parent)
-                    else {
-                        panic!("a member's parent is an object");
-                    };
-                    map.remove(name);
-                    bad.push((missing, format!("`{name}`")));
+                    bad.push((without(&line, &node), format!("`{}`", node.name)));
                 }
-                for (value, names) in bad {
-                    let line = value.render().unwrap();
+                for (line, names) in bad {
                     match StoreEntry::decode_line(&line) {
                         Err(LineError::Schema(e)) => {
                             assert!(e.0.contains(&names), "{:?}: {e}", node.path)
@@ -1380,38 +1477,40 @@ mod tests {
         })
     }
 
-    /// Render `v` with every object's members in an order drawn from
-    /// `next`.
-    fn render_shuffled(v: &Value, next: &mut impl FnMut() -> u64, out: &mut String) {
-        match v {
-            Value::Obj(map) => {
-                let mut members: Vec<_> = map.iter().collect();
-                for i in (1..members.len()).rev() {
-                    members.swap(i, (next() % (i as u64 + 1)) as usize);
+    /// The reader's next value, a document as the writer spells it (no
+    /// whitespace), copied with every object's members in an order
+    /// drawn from `next`.
+    fn shuffled(r: &mut Reader<'_>, text: &str, next: &mut impl FnMut() -> u64) -> String {
+        let start = r.offset();
+        let mut items = Vec::new();
+        let (open, close) = match text.as_bytes()[start] {
+            b'{' => {
+                r.object(|r, name| {
+                    let mut w = Writer::default();
+                    w.str(name)?;
+                    items.push(format!("{}:{}", w.finish(), shuffled(r, text, next)));
+                    Ok(())
+                })
+                .unwrap();
+                for i in (1..items.len()).rev() {
+                    items.swap(i, (next() % (i as u64 + 1)) as usize);
                 }
-                out.push('{');
-                for (i, (name, item)) in members.into_iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&Value::str(name).render().unwrap());
-                    out.push(':');
-                    render_shuffled(item, next, out);
-                }
-                out.push('}');
+                ('{', '}')
             }
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_shuffled(item, next, out);
-                }
-                out.push(']');
+            b'[' => {
+                r.array(|r| {
+                    items.push(shuffled(r, text, next));
+                    Ok(())
+                })
+                .unwrap();
+                ('[', ']')
             }
-            leaf => out.push_str(&leaf.render().unwrap()),
-        }
+            _ => {
+                r.skip().unwrap();
+                return text[start..r.offset()].to_string();
+            }
+        };
+        format!("{open}{}{close}", items.join(","))
     }
 
     /// Bytes JSON's grammar reacts to, for near-miss mutations.
@@ -1430,14 +1529,11 @@ mod tests {
             let mut words = words.into_iter().cycle();
             let mut next = || words.next().unwrap_or(0);
             for entry in sample_entries() {
-                let mut tree = json::parse(&entry.render_line().unwrap()).unwrap();
+                let mut line = entry.render_line().unwrap();
                 if next() % 2 == 0 {
-                    if let Value::Obj(map) = &mut tree {
-                        map.insert("inputs".into(), Value::str("Combo { class: C1 } | l2p"));
-                    }
+                    line = line.replacen('{', r#"{"inputs":"Combo { class: C1 } | l2p","#, 1);
                 }
-                let mut line = String::new();
-                render_shuffled(&tree, &mut next, &mut line);
+                let line = shuffled(&mut Reader::new(&line), &line, &mut next);
                 prop_assert_eq!(StoreEntry::decode_line(&line), Ok(entry));
             }
         }

@@ -107,13 +107,6 @@ impl Geometry {
         BlockAddr((arch_tag << self.index_bits()) | set as u64)
     }
 
-    /// The peer set index with the last (least-significant) index bit
-    /// flipped — the SNUG index-bit flipping partner (paper §3.2).
-    #[inline]
-    pub fn flip_last_index_bit(&self, set: usize) -> usize {
-        set ^ 1
-    }
-
     /// Geometry of the paper's baseline private L2 slice (Table 4):
     /// 1 MB, 16-way, 64 B lines → 1024 sets.
     pub fn paper_l2() -> Self {
@@ -178,15 +171,6 @@ mod tests {
         let set = g.set_index(b);
         let tag = g.arch_tag(b);
         assert_eq!(g.compose(set, tag), b);
-    }
-
-    #[test]
-    fn flip_last_index_bit_is_involution() {
-        let g = Geometry::paper_l2();
-        for s in [0usize, 1, 2, 511, 1022, 1023] {
-            assert_eq!(g.flip_last_index_bit(g.flip_last_index_bit(s)), s);
-            assert_eq!(g.flip_last_index_bit(s), s ^ 1);
-        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! JSON encode/decode boundary; a scheme-config edit re-runs only that
 //! scheme's unit jobs.
 
+use snug_harness::json::Writer;
 use snug_harness::{
     cached_results, run_sweep, run_unit_jobs, unit_jobs_for, BudgetPreset, JsonCodec, ResultStore,
     StopPreset, SweepEvent, SweepSpec,
@@ -165,7 +166,9 @@ fn json_boundary_preserves_every_float_bit() {
     let spec = tiny_spec();
     for unit in &spec.combo_jobs()[0].units {
         let run = run_point(&unit.combo, &unit.point, &unit.config, None, None, None).unwrap();
-        let decoded = SchemeRun::from_json_str(&run.to_json().render().unwrap()).unwrap();
+        let mut w = Writer::default();
+        run.write_json(&mut w).unwrap();
+        let decoded = SchemeRun::from_json_str(&w.finish()).unwrap();
         assert_eq!(decoded, run, "{}", unit.label());
         for (a, b) in decoded.ipcs.iter().zip(&run.ipcs) {
             assert_eq!(a.to_bits(), b.to_bits(), "bit-exact IPC");
