@@ -27,7 +27,7 @@ use snug_workloads::{all_combos, Combo, ComboClass};
 use std::path::Path;
 
 /// Schema tag of `BENCH_kernel.json`.
-pub const SCHEMA: &str = "snug-bench/v1";
+pub(crate) const SCHEMA: &str = "snug-bench/v1";
 /// Budget preset the trajectory is defined over.
 pub const BUDGET: BudgetPreset = BudgetPreset::Quick;
 /// The committed `BENCH_kernel.json` at the repository root.

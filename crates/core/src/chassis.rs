@@ -55,7 +55,7 @@ pub struct PeerHit {
 
 impl PrivateChassis {
     /// Build empty slices and buffers.
-    pub fn new(cfg: SystemConfig) -> Self {
+    pub(crate) fn new(cfg: SystemConfig) -> Self {
         PrivateChassis {
             slices: (0..cfg.num_cores)
                 .map(|_| SetAssocCache::new(cfg.l2_slice))
@@ -68,7 +68,7 @@ impl PrivateChassis {
     }
 
     /// Number of cores.
-    pub fn num_cores(&self) -> usize {
+    pub(crate) fn num_cores(&self) -> usize {
         self.slices.len()
     }
 
@@ -209,7 +209,7 @@ impl PrivateChassis {
     /// `block`. Owned lines never match: with multiprogrammed workloads
     /// a peer's own line is a different program's data, and retrieval
     /// semantics (forward + invalidate) only apply to CC lines.
-    pub fn probe_cc_in_set(&self, peer: usize, set: usize, block: BlockAddr) -> bool {
+    pub(crate) fn probe_cc_in_set(&self, peer: usize, set: usize, block: BlockAddr) -> bool {
         // A slice with no CC lines at all cannot answer a retrieval
         // snoop; skip the tag probe (the common case whenever spills are
         // rare — homogeneous workloads group poorly, and Stage I refuses
@@ -251,7 +251,7 @@ impl PrivateChassis {
     /// flip partner (coherence sweep used on L1 writebacks and on
     /// refetch-after-unreachable; the snoop broadcast sees matching tags
     /// even when the G/T vector forbids forwarding).
-    pub fn invalidate_cc_copies(&mut self, owner: usize, block: BlockAddr) -> usize {
+    pub(crate) fn invalidate_cc_copies(&mut self, owner: usize, block: BlockAddr) -> usize {
         let mut removed = 0;
         let home = self.cfg.l2_slice.set_index(block);
         let num_sets = self.cfg.l2_slice.num_sets as usize;
@@ -289,9 +289,6 @@ impl PrivateChassis {
     fn reset_stats(&mut self) {
         for s in &mut self.slices {
             s.reset_stats();
-        }
-        for w in &mut self.wbs {
-            w.reset_stats();
         }
     }
 

@@ -18,7 +18,7 @@ use sim_mem::BlockAddr;
 
 /// Role a set plays in the duel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SetRole {
+pub(crate) enum SetRole {
     /// Dedicated always-spill sample set.
     SpillSample,
     /// Dedicated always-receive sample set.
@@ -67,7 +67,11 @@ pub struct DsrPolicy {
 }
 
 impl DsrPolicy {
-    /// The duel role of `set` in cache `c`; see [`Dsr::set_role`].
+    /// The duel role of `set` in cache `c`.
+    ///
+    /// Sample positions are staggered per cache (as in Qureshi's design)
+    /// so one cache's spiller samples land on other caches' followers or
+    /// receiver samples rather than their spiller samples.
     fn set_role(&self, c: usize, set: usize) -> SetRole {
         let s = self.cfg.sample_stride;
         let off = (c * s / self.psel.len()) % s;
@@ -81,8 +85,11 @@ impl DsrPolicy {
         }
     }
 
-    /// Whether cache `c` currently acts as a spiller; see
-    /// [`Dsr::is_spiller`].
+    /// Whether cache `c` currently acts as a spiller for its followers.
+    ///
+    /// Orientation: a DRAM-bound miss in a spiller-sample set increments
+    /// PSEL, one in a receiver-sample set decrements it. Low PSEL ⇒
+    /// spill-sample sets miss less ⇒ spilling pays for this cache.
     fn is_spiller(&self, c: usize) -> bool {
         !self.psel[c].high()
     }
@@ -160,24 +167,6 @@ impl Dsr {
             },
         )
     }
-
-    /// The duel role of `set` in cache `c`.
-    ///
-    /// Sample positions are staggered per cache (as in Qureshi's design)
-    /// so one cache's spiller samples land on other caches' followers or
-    /// receiver samples rather than their spiller samples.
-    pub fn set_role(&self, c: usize, set: usize) -> SetRole {
-        self.policy.set_role(c, set)
-    }
-
-    /// Whether cache `c` currently acts as a spiller for its followers.
-    ///
-    /// Orientation: a DRAM-bound miss in a spiller-sample set increments
-    /// PSEL, one in a receiver-sample set decrements it. Low PSEL ⇒
-    /// spill-sample sets miss less ⇒ spilling pays for this cache.
-    pub fn is_spiller(&self, c: usize) -> bool {
-        self.policy.is_spiller(c)
-    }
 }
 
 #[cfg(test)]
@@ -197,15 +186,15 @@ mod tests {
     #[test]
     fn sample_roles_follow_stride_and_stagger() {
         let (org, _, _) = mk(); // stride 4 over 16 sets, offsets 0..3
-        assert_eq!(org.set_role(0, 0), SetRole::SpillSample);
-        assert_eq!(org.set_role(0, 2), SetRole::ReceiveSample);
-        assert_eq!(org.set_role(0, 1), SetRole::Follower);
-        assert_eq!(org.set_role(0, 4), SetRole::SpillSample);
+        assert_eq!(org.policy.set_role(0, 0), SetRole::SpillSample);
+        assert_eq!(org.policy.set_role(0, 2), SetRole::ReceiveSample);
+        assert_eq!(org.policy.set_role(0, 1), SetRole::Follower);
+        assert_eq!(org.policy.set_role(0, 4), SetRole::SpillSample);
         // Cache 1 is staggered by one set.
-        assert_eq!(org.set_role(1, 1), SetRole::SpillSample);
-        assert_eq!(org.set_role(1, 3), SetRole::ReceiveSample);
+        assert_eq!(org.policy.set_role(1, 1), SetRole::SpillSample);
+        assert_eq!(org.policy.set_role(1, 3), SetRole::ReceiveSample);
         // Cache 2's receiver sample coincides with cache 0's spiller one.
-        assert_eq!(org.set_role(2, 0), SetRole::ReceiveSample);
+        assert_eq!(org.policy.set_role(2, 0), SetRole::ReceiveSample);
     }
 
     #[test]
@@ -244,9 +233,12 @@ mod tests {
             org.access(0, BlockAddr((tag << 4) | 2), false, t, &mut res);
             t += 500;
         }
-        assert!(org.is_spiller(0), "receive-sample misses drove PSEL low");
+        assert!(
+            org.policy.is_spiller(0),
+            "receive-sample misses drove PSEL low"
+        );
         // Peers' PSELs are untouched → midpoint → receivers.
-        assert!(!org.is_spiller(2));
+        assert!(!org.policy.is_spiller(2));
         for tag in 0..6u64 {
             org.access(0, BlockAddr((tag << 4) | 1), false, t, &mut res);
             t += 500;
@@ -268,7 +260,7 @@ mod tests {
             bus: &mut bus,
             dram: &mut dram,
         };
-        assert!(!org.is_spiller(0), "midpoint defaults to receiver");
+        assert!(!org.policy.is_spiller(0), "midpoint defaults to receiver");
         // DRAM misses in the spill-sample set push PSEL up (spilling
         // looks bad) → stays receiver.
         let mut t = 0;
@@ -276,6 +268,6 @@ mod tests {
             org.access(0, BlockAddr(tag << 4), false, t, &mut res);
             t += 500;
         }
-        assert!(!org.is_spiller(0));
+        assert!(!org.policy.is_spiller(0));
     }
 }

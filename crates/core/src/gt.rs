@@ -27,13 +27,13 @@ impl GtVector {
 
     /// Whether `set` is a taker.
     #[inline]
-    pub fn is_taker(&self, set: usize) -> bool {
+    pub(crate) fn is_taker(&self, set: usize) -> bool {
         self.bits[set]
     }
 
     /// Whether `set` is a giver.
     #[inline]
-    pub fn is_giver(&self, set: usize) -> bool {
+    pub(crate) fn is_giver(&self, set: usize) -> bool {
         !self.bits[set]
     }
 

@@ -21,7 +21,7 @@ pub type L2p = Private<L2pPolicy>;
 
 impl L2p {
     /// Build the baseline for `cfg`.
-    pub fn new(cfg: SystemConfig) -> Self {
+    pub(crate) fn new(cfg: SystemConfig) -> Self {
         Private::with_policy(cfg, L2pPolicy)
     }
 }

@@ -35,7 +35,7 @@ const LINK_OCCUPANCY: u64 = 4;
 impl L2s {
     /// Build the shared organisation: one bank per core, each with the
     /// private-slice geometry (same total capacity as L2P).
-    pub fn new(cfg: SystemConfig) -> Self {
+    pub(crate) fn new(cfg: SystemConfig) -> Self {
         let n = cfg.num_cores;
         assert!(
             n.is_power_of_two(),
@@ -62,13 +62,13 @@ impl L2s {
 
     /// The bank a block maps to (low block-address bits).
     #[inline]
-    pub fn bank_of(&self, block: BlockAddr) -> usize {
+    pub(crate) fn bank_of(&self, block: BlockAddr) -> usize {
         (block.0 & ((1 << self.bank_bits) - 1)) as usize
     }
 
     /// The set within the bank (bits above the bank-select bits).
     #[inline]
-    pub fn set_of(&self, block: BlockAddr) -> usize {
+    pub(crate) fn set_of(&self, block: BlockAddr) -> usize {
         ((block.0 >> self.bank_bits) & (self.cfg.l2_slice.num_sets - 1)) as usize
     }
 
@@ -211,9 +211,6 @@ impl L2Org for L2s {
         }
         for b in &mut self.banks {
             b.reset_stats();
-        }
-        for w in &mut self.wbs {
-            w.reset_stats();
         }
     }
 }

@@ -79,7 +79,7 @@ impl SnugConfig {
     }
 
     /// Length of one full sampling period.
-    pub fn period(&self) -> u64 {
+    pub(crate) fn period(&self) -> u64 {
         self.stage1_cycles + self.stage2_cycles
     }
 }
@@ -306,11 +306,6 @@ impl Snug {
         )
     }
 
-    /// Current stage.
-    pub fn stage(&self) -> Stage {
-        self.policy.stage
-    }
-
     /// The latched G/T vector of one slice.
     pub fn gt(&self, core: usize) -> &GtVector {
         &self.policy.gt[core]
@@ -370,7 +365,7 @@ mod tests {
     #[test]
     fn starts_in_identify_with_all_givers() {
         let (org, _, _) = mk();
-        assert_eq!(org.stage(), Stage::Identify);
+        assert_eq!(org.policy.stage, Stage::Identify);
         assert_eq!(org.gt(0).taker_count(), 0);
     }
 
@@ -387,7 +382,7 @@ mod tests {
             org.access(0, BlockAddr((tag << 4) | 3), false, t, &mut res);
             t += 100;
         }
-        assert_eq!(org.stage(), Stage::Identify);
+        assert_eq!(org.policy.stage, Stage::Identify);
         assert_eq!(org.aggregate_stats().spills_out, 0);
     }
 
@@ -406,7 +401,7 @@ mod tests {
         assert!(t < 10_000, "still inside stage I budget");
         // Cross the stage boundary.
         org.access(0, BlockAddr(0x9999 << 4), false, 10_001, &mut res);
-        assert_eq!(org.stage(), Stage::Grouped);
+        assert_eq!(org.policy.stage, Stage::Grouped);
         assert!(org.gt(0).is_taker(5), "thrashing set latched as taker");
         assert!(org.gt(0).is_giver(2), "satisfied set latched as giver");
     }
@@ -426,7 +421,7 @@ mod tests {
         }
         // Enter stage II.
         org.access(0, BlockAddr(0xAAAA << 4), false, 10_100, &mut res);
-        assert_eq!(org.stage(), Stage::Grouped);
+        assert_eq!(org.policy.stage, Stage::Grouped);
         t = 10_200;
         // Set 5 is taker in all caches; set 4 (= 5^1) was never touched →
         // giver → flipped-index spills must carry the traffic.
@@ -480,11 +475,11 @@ mod tests {
             dram: &mut dram,
         };
         org.access(0, BlockAddr(16), false, 5, &mut res);
-        assert_eq!(org.stage(), Stage::Identify);
+        assert_eq!(org.policy.stage, Stage::Identify);
         org.access(0, BlockAddr(32), false, 15_000, &mut res);
-        assert_eq!(org.stage(), Stage::Grouped);
+        assert_eq!(org.policy.stage, Stage::Grouped);
         org.access(0, BlockAddr(48), false, 211_000, &mut res);
-        assert_eq!(org.stage(), Stage::Identify, "next period began");
+        assert_eq!(org.policy.stage, Stage::Identify, "next period began");
         assert_eq!(org.events().periods, 1);
     }
 
@@ -527,7 +522,7 @@ mod tests {
     /// set as well as the home set: a copy spilled to peer 2's home^1
     /// set (Fig. 8 case 2) goes with the writeback that made it stale.
     #[test]
-    fn writeback_sweeps_stale_copies_at_the_full_flip_width() {
+    fn writeback_sweeps_stale_copies_in_the_flipped_set() {
         let (mut org, mut bus, mut dram) = mk();
         let mut res = ChipResources {
             bus: &mut bus,

@@ -59,7 +59,7 @@ pub struct DemandCharacterization {
 
 impl DemandCharacterization {
     /// Mean size of bucket `j` (1-based) across all intervals.
-    pub fn mean_bucket(&self, j: usize) -> f64 {
+    pub(crate) fn mean_bucket(&self, j: usize) -> f64 {
         let s: f64 = self.intervals.iter().map(|d| d.sizes[j - 1]).sum();
         s / self.intervals.len() as f64
     }
@@ -117,7 +117,7 @@ pub fn characterize(bench: Benchmark, cfg: &CharacterizeConfig) -> DemandCharact
 }
 
 /// Run the characterisation over any op stream.
-pub fn characterize_stream(
+pub(crate) fn characterize_stream(
     stream: &mut dyn OpStream,
     cfg: &CharacterizeConfig,
     name: &str,

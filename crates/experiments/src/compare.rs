@@ -40,13 +40,13 @@ pub fn default_window(plan: &RunPlan) -> u64 {
 impl CompareConfig {
     /// The default evaluation plan: ~4 SNUG sampling periods under the
     /// default_eval SNUG stage lengths (250 K + 1.25 M cycles).
-    pub fn default_eval_plan() -> RunPlan {
+    pub(crate) fn default_eval_plan() -> RunPlan {
         RunPlan::fixed(600_000, 6_300_000)
     }
 
     /// A fast plan for tests and smoke benches (pair with the quick
     /// SNUG stage lengths, period 300 K cycles).
-    pub fn quick_plan() -> RunPlan {
+    pub(crate) fn quick_plan() -> RunPlan {
         RunPlan::fixed(150_000, 1_200_000)
     }
 
@@ -55,7 +55,7 @@ impl CompareConfig {
     /// SNUG ≥ DSR, both above L2P, L2S far worst — while keeping a full
     /// 21-combo sweep under a minute on one core. Picked empirically —
     /// see `examples/calibrate_mid.rs`.
-    pub fn mid_plan() -> RunPlan {
+    pub(crate) fn mid_plan() -> RunPlan {
         RunPlan::fixed(300_000, 3_000_000)
     }
 }
@@ -111,7 +111,7 @@ impl CompareConfig {
 
     /// The calibrated mid configuration behind `snug sweep --mid`: the
     /// CI-fast paper reproduction. Ten short SNUG sampling periods fit
-    /// the [`CompareConfig::mid_plan`] window — at this scale frequent
+    /// the `CompareConfig::mid_plan` window — at this scale frequent
     /// re-identification beats the paper's 1:20 stage amortisation
     /// (Stage I costs only 3 % of each period, and fresher G/T vectors
     /// lift the capacity-sensitive mixed classes the most). Picked
@@ -781,7 +781,7 @@ pub enum Figure {
 
 impl Figure {
     /// Figure title as in the paper.
-    pub fn title(&self) -> &'static str {
+    pub(crate) fn title(&self) -> &'static str {
         match self {
             Figure::Throughput => "Figure 9: Throughput normalised to L2P",
             Figure::Aws => "Figure 10: Average Weighted Speedup",
@@ -907,7 +907,7 @@ mod tests {
         let s = summarize(&results, Figure::Aws);
         let t = figure_table(&s, Figure::Aws);
         assert!(t.to_markdown().contains("SNUG"));
-        assert_eq!(t.len(), 2, "C5 + AVG");
+        assert_eq!(t.rows.len(), 2, "C5 + AVG");
     }
 
     #[test]

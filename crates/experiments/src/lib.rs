@@ -2,21 +2,21 @@
 //!
 //! One module per experiment family:
 //!
-//! * [`characterize`](mod@characterize) — Figures 1–3: per-interval
+//! * `characterize` — Figures 1–3: per-interval
 //!   set-level capacity-demand distributions;
-//! * [`compare`] — Figures 9–11: the five-scheme comparison over the
+//! * `compare` — Figures 9–11: the five-scheme comparison over the
 //!   21 workload combinations, with CC(Best) sweeping §4.1's spill
 //!   probabilities. Every simulation is driven through a
 //!   [`sim_cmp::SimSession`] built by [`session_for`]; [`run_point`]
 //!   runs one (combo, scheme point) unit, optionally under a phase
 //!   schedule and a baseline's pace, or over the combo's
 //!   [`combo_shared_front`];
-//! * [`trace`] — phase-resolved time series ([`trace_point`]) behind
+//! * `trace` — phase-resolved time series ([`trace_point`]) behind
 //!   the `snug trace` CLI.
 //!
 //! Sweeps over many units run on `snug_harness`'s executor (`snug
 //! sweep`). Storage-overhead Tables 2–3 are pure arithmetic and live in
-//! `snug_core::overhead`.
+//! `snug_core::table3`.
 
 #![warn(
     clippy::unwrap_used,
@@ -28,9 +28,9 @@
 )]
 #![warn(missing_docs)]
 
-pub mod characterize;
-pub mod compare;
-pub mod trace;
+mod characterize;
+mod compare;
+mod trace;
 
 pub use characterize::{characterize, CharacterizeConfig, DemandCharacterization};
 /// The name the `snugbench` benchmark links [`session_for`] by.

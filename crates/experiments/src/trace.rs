@@ -32,7 +32,7 @@ pub struct TraceSeries {
 
 impl TraceSeries {
     /// Samples inside the measured window.
-    pub fn measured(&self) -> impl Iterator<Item = &PeriodSample> {
+    pub(crate) fn measured(&self) -> impl Iterator<Item = &PeriodSample> {
         self.samples.iter().filter(|s| !s.during_warmup)
     }
 
@@ -235,7 +235,7 @@ mod tests {
         let series = trace_point(&combo, &SchemePoint::L2p, &cfg, 50_000, None);
         assert_eq!(series.event_count(), 0, "L2P has no staged policy");
         let t = series.table(&combo.label());
-        assert_eq!(t.len(), series.samples.len());
+        assert_eq!(t.rows.len(), series.samples.len());
         assert!(t.to_markdown().contains("ipc0"));
     }
 

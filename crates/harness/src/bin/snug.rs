@@ -1127,7 +1127,13 @@ fn cmd_characterize(args: &[String]) -> Result<(), Failure> {
         benches = vec![Benchmark::Ammp, Benchmark::Vortex, Benchmark::Applu];
     }
     let intervals = args.num("--intervals")?.unwrap_or(20) as usize;
+    if intervals == 0 {
+        return Err("--intervals must be positive".into());
+    }
     let accesses = args.num("--accesses")?.unwrap_or(50_000) as usize;
+    if accesses == 0 {
+        return Err("--accesses must be positive".into());
+    }
     let out_dir = args.path("--out");
     let cfg = CharacterizeConfig::scaled(intervals, accesses);
     let mut out = io::stdout().lock();
@@ -1369,6 +1375,20 @@ mod tests {
             .parse(&words("--warmup 18446744073709551614 --measure 1"))
             .unwrap();
         assert!(fits.budget(BudgetPreset::Quick).is_ok());
+    }
+
+    /// A zero `--intervals` or `--accesses` is an error naming the
+    /// flag, not a sampling-plan assertion that panics.
+    #[test]
+    fn characterize_rejects_an_empty_sampling_plan() {
+        for flag in ["--intervals", "--accesses"] {
+            let err = run("characterize", &words(&format!("--bench applu {flag} 0")));
+            let expected = format!("{flag} must be positive");
+            assert!(
+                matches!(&err, Err(Failure::Error(e)) if *e == expected),
+                "{flag}: {err:?}"
+            );
+        }
     }
 
     /// The repository root, where the committed documents live.

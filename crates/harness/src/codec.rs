@@ -122,6 +122,18 @@ macro_rules! read_u64_struct {
     }};
 }
 
+/// Write `value`, a `Type { field, … }`, as one object: each listed
+/// field as the integer member of its own name and each `extra:
+/// member` beside them. The destructuring is exhaustive, and the
+/// integer members are named by the same field names
+/// [`read_u64_struct!`] reads them by.
+macro_rules! write_u64_struct {
+    ($w:expr, $value:expr, $ty:path { $($field:ident),+ $(,)? } $(, $extra:ident: $member:expr)* $(,)?) => {{
+        let $ty { $($field,)+ $($extra,)* } = $value;
+        write_members($w, [$((stringify!($field), Member::Int(*$field)),)+ $((stringify!($extra), $member),)*])
+    }};
+}
+
 /// A member's value in an object written by [`write_u64_struct!`].
 enum Member<'a> {
     Int(u64),
@@ -144,18 +156,6 @@ fn write_members<const N: usize>(
             })
         })
     })
-}
-
-/// Write `value`, a `Type { field, … }`, as one object: each listed
-/// field as the integer member of its own name and each `extra:
-/// member` beside them. The destructuring is exhaustive, and the
-/// integer members are named by the same field names
-/// [`read_u64_struct!`] reads them by.
-macro_rules! write_u64_struct {
-    ($w:expr, $value:expr, $ty:path { $($field:ident),+ $(,)? } $(, $extra:ident: $member:expr)* $(,)?) => {{
-        let $ty { $($field,)+ $($extra,)* } = $value;
-        write_members($w, [$((stringify!($field), Member::Int(*$field)),)+ $((stringify!($extra), $member),)*])
-    }};
 }
 
 /// The exhaustiveness guarantee, pinned: `write_json` destructures

@@ -23,7 +23,7 @@ use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Progress events streamed to the caller while a sweep runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExecEvent {
+pub(crate) enum ExecEvent {
     /// A worker picked up job `index`.
     Started {
         /// Index of the job in the submitted order.
@@ -73,7 +73,7 @@ pub enum ExecEvent {
 
 /// The terminal state of one submitted job.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobOutcome<T> {
+pub(crate) enum JobOutcome<T> {
     /// The job ran to completion.
     Done(T),
     /// The job returned an error or panicked; the error, or the panic
@@ -86,18 +86,8 @@ pub enum JobOutcome<T> {
     },
 }
 
-impl<T> JobOutcome<T> {
-    /// The result, if the job completed.
-    pub fn done(self) -> Option<T> {
-        match self {
-            JobOutcome::Done(t) => Some(t),
-            _ => None,
-        }
-    }
-}
-
 /// Resolve `threads == 0` to the machine's parallelism.
-pub fn effective_threads(threads: usize, jobs: usize) -> usize {
+pub(crate) fn effective_threads(threads: usize, jobs: usize) -> usize {
     let t = if threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -142,7 +132,7 @@ struct Sched {
 ///
 /// Panics if `deps` references an out-of-range job or contains a cycle
 /// (both are caller bugs, detected before any job runs).
-pub fn run_graph<T, F, E>(
+pub(crate) fn run_graph<T, F, E>(
     n_jobs: usize,
     deps: &[Vec<usize>],
     threads: usize,
@@ -342,7 +332,10 @@ mod tests {
         let deps = vec![Vec::new(); n_jobs];
         run_graph(n_jobs, &deps, threads, |i, _w| Ok(job(i)), on_event)
             .into_iter()
-            .map(|outcome| outcome.done().unwrap())
+            .map(|outcome| match outcome {
+                JobOutcome::Done(t) => t,
+                _ => panic!("a job that cannot fail did not complete"),
+            })
             .collect()
     }
 

@@ -589,6 +589,6 @@ mod tests {
         let t = overhead_table();
         let md = t.to_markdown();
         assert!(md.contains("3.85%"), "paper baseline overhead ≈3.9%: {md}");
-        assert_eq!(t.len(), 4, "2 address widths x 2 line sizes");
+        assert_eq!(t.rows.len(), 4, "2 address widths x 2 line sizes");
     }
 }

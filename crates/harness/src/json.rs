@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 /// A writer of one compact JSON document into a `String` — the one
 /// JSON encoder, mirroring [`Reader`]. Each call writes one value:
 /// [`Writer::num`], [`Writer::int`], [`Writer::str`] and
-/// [`Writer::bool`] a scalar, [`Writer::array`] one element per item,
+/// `Writer::bool` a scalar, [`Writer::array`] one element per item,
 /// and [`Writer::object`] the members its body hands over, which must
 /// come in ascending byte order of their names. A refused value — a
 /// non-finite number, a member out of order — is an error naming its
@@ -41,7 +41,7 @@ impl Writer {
     }
 
     /// Write a boolean.
-    pub fn bool(&mut self, b: bool) -> Result<(), JsonError> {
+    pub(crate) fn bool(&mut self, b: bool) -> Result<(), JsonError> {
         self.out.push_str(if b { "true" } else { "false" });
         Ok(())
     }
@@ -94,12 +94,12 @@ impl Writer {
     }
 
     /// An array of numbers.
-    pub fn nums(&mut self, xs: &[f64]) -> Result<(), JsonError> {
+    pub(crate) fn nums(&mut self, xs: &[f64]) -> Result<(), JsonError> {
         self.array(xs, |w, &x| w.num(x))
     }
 
     /// An array of integers.
-    pub fn ints(&mut self, xs: &[u64]) -> Result<(), JsonError> {
+    pub(crate) fn ints(&mut self, xs: &[u64]) -> Result<(), JsonError> {
         self.array(xs, |w, &x| w.int(x))
     }
 
@@ -281,7 +281,7 @@ fn at(segment: std::fmt::Arguments<'_>, e: JsonError) -> JsonError {
 ///
 /// Each call consumes the next value: the typed readers ([`Reader::num`],
 /// [`Reader::str`], …) fail with `expected K, got K'` on a well-formed
-/// value of another kind, [`Reader::object`] and [`Reader::array`] hand
+/// value of another kind, [`Reader::object`] and `Reader::array` hand
 /// each member or element to a callback, and [`Reader::skip`] steps over
 /// any value without allocating. Malformed input is an error from
 /// whichever call meets it; nothing panics.
@@ -365,7 +365,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a boolean.
-    pub fn bool(&mut self) -> Result<bool, JsonError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, JsonError> {
         self.want(Kind::Bool)?;
         let b = self.byte() == Some(b't');
         self.literal(if b { "true" } else { "false" })?;
@@ -521,7 +521,7 @@ impl<'a> Reader<'a> {
 
     /// Read an array, calling `item` once per element; it must consume
     /// the element.
-    pub fn array(
+    pub(crate) fn array(
         &mut self,
         mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {

@@ -4,20 +4,20 @@
 //! whose results died on stdout. This crate turns those experiments into
 //! a reusable pipeline:
 //!
-//! * [`spec`] — declarative [`spec::SweepSpec`]s (classes × schemes ×
+//! * `spec` — declarative [`SweepSpec`]s (classes × schemes ×
 //!   budget) that expand into content-keyed jobs;
-//! * [`exec`] — the parallel executor for deterministic simulation
+//! * `exec` — the parallel executor for deterministic simulation
 //!   jobs, run as a dependency graph;
 //! * [`store`] — the content-addressed JSONL result cache under
 //!   `results/`: re-running a sweep only executes jobs whose inputs
 //!   changed, and cached results decode bit-identically;
-//! * [`sweep`] — orchestration tying the three together with streamed
+//! * `sweep` — orchestration tying the three together with streamed
 //!   progress;
-//! * [`report`] — Figures 9–11 / Table 8 renderings (Markdown + CSV)
+//! * `report` — Figures 9–11 / Table 8 renderings (Markdown + CSV)
 //!   from stored results;
 //! * [`experiments_md`] — the committed, regenerable `EXPERIMENTS.md`
 //!   (full paper evaluation + provenance) and its staleness check;
-//! * [`ablations`] — SNUG's design-choice ablations as keyed units in
+//! * `ablations` — SNUG's design-choice ablations as keyed units in
 //!   their own store, rendered into the committed `ABLATIONS.md`;
 //! * [`json`] / [`codec`] / [`hash`] — the self-contained persistence
 //!   substrate (no external JSON or hashing dependency).
@@ -30,7 +30,7 @@
 //!
 //! The `snug` binary (this crate's `src/bin/snug.rs`) exposes it all as
 //! `snug sweep | report | compare | trace | profile | store | ablations |
-//! bench | characterize`.
+//! characterize`.
 
 #![warn(
     clippy::unwrap_used,
@@ -42,22 +42,21 @@
 )]
 #![deny(missing_docs)]
 
-pub mod ablations;
+mod ablations;
 pub mod codec;
-pub mod exec;
+mod exec;
 pub mod experiments_md;
 pub mod hash;
 pub mod json;
-pub mod report;
-pub mod spec;
+mod report;
+mod spec;
 pub mod store;
-pub mod sweep;
+mod sweep;
 
 pub use ablations::{
     ablation_jobs, render_ablations_md, ComboAblation, ABLATIONS_DIR, ABLATIONS_FILE,
 };
 pub use codec::JsonCodec;
-pub use exec::{run_graph, ExecEvent, JobOutcome};
 pub use experiments_md::{
     check_experiments_md, eval_converged_spec, render_experiments_eval_md, render_experiments_md,
     CheckOutcome, EVAL_CONVERGED_REL_EPSILON, EVAL_CONVERGED_WINDOW, EXPERIMENTS_EVAL_FILE,
@@ -70,9 +69,7 @@ pub use spec::{
     config_key_text, params_key_text, system_key_text, trace_key, unit_jobs_for, unit_key,
     BudgetPreset, ComboJob, StopPreset, SweepSpec, UnitJob, SCHEMA_VERSION,
 };
-pub use store::{
-    MergeStats, ResultStore, StoreError, StoredResult, FRONTS_DIR, SHARDS_DIR, SPANS_FILE,
-};
+pub use store::{MergeStats, ResultStore, StoreError, StoredResult, SHARDS_DIR};
 pub use sweep::{
     cached_results, fmt_eng, run_sweep, run_unit_jobs, telemetry_footer, ComboOutcome, SweepError,
     SweepEvent, SweepOutcome, UnitOutcome, UnitSpan,

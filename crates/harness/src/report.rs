@@ -10,7 +10,7 @@ use snug_metrics::{f3, Table};
 use std::path::{Path, PathBuf};
 
 /// All figures in paper order.
-pub const FIGURES: [Figure; 3] = [Figure::Throughput, Figure::Aws, Figure::FairSpeedup];
+pub(crate) const FIGURES: [Figure; 3] = [Figure::Throughput, Figure::Aws, Figure::FairSpeedup];
 
 /// The per-class figure tables (Figs. 9–11) plus the per-combo detail
 /// table (Table 8 expanded), in render order.
@@ -25,7 +25,7 @@ pub fn report_tables(results: &[ComboResult]) -> Vec<Table> {
 
 /// One row per combo: its class and every scheme's normalised
 /// throughput (the per-combo data behind Fig. 9's class bars).
-pub fn per_combo_table(results: &[ComboResult]) -> Table {
+pub(crate) fn per_combo_table(results: &[ComboResult]) -> Table {
     let mut headers = vec!["Combination".to_string(), "Class".to_string()];
     headers.extend(FIGURE_SCHEMES.iter().map(|s| format!("{s} tp")));
     let mut t = Table::new("Table 8: per-combination normalised throughput", headers);
@@ -412,7 +412,7 @@ mod tests {
             ]);
         }
         let table = stop_summary_table(&stationary, &store).unwrap();
-        assert_eq!(table.len(), 21);
+        assert_eq!(table.rows.len(), 21);
         assert_eq!(table.to_markdown(), reference.to_markdown());
         assert_eq!(table.to_csv(), reference.to_csv());
 
@@ -433,7 +433,7 @@ mod tests {
         assert_eq!(tables.len(), 4);
         assert!(tables[0].title.contains("Figure 9"));
         assert!(tables[3].title.contains("per-combination"));
-        assert_eq!(tables[3].len(), 2, "one row per combo");
+        assert_eq!(tables[3].rows.len(), 2, "one row per combo");
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub enum StopPreset {
 
 impl StopPreset {
     /// Apply this preset to a budget's comparison configuration.
-    pub fn apply(&self, cfg: CompareConfig) -> CompareConfig {
+    pub(crate) fn apply(&self, cfg: CompareConfig) -> CompareConfig {
         match *self {
             StopPreset::Fixed => cfg,
             StopPreset::Converged {

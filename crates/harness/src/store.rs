@@ -13,7 +13,7 @@
 //!   and series entries. Byte-identical for `--jobs 1` and
 //!   `--jobs N` sweeps, because sweeps merge results into it in job
 //!   order at sweep end.
-//! * [`SPANS_FILE`] (`spans.jsonl`) — wall-clock execution telemetry
+//! * `SPANS_FILE` (`spans.jsonl`) — wall-clock execution telemetry
 //!   ([`UnitSpan`]), kept out of `store.jsonl` precisely because wall
 //!   time is *not* deterministic. Span entries found in a legacy
 //!   `store.jsonl` still decode; [`ResultStore::compact`] migrates them
@@ -21,10 +21,10 @@
 //! * [`SHARDS_DIR`]`/worker-N.jsonl` — per-worker append-only shards a
 //!   running sweep writes for crash durability; merged into the main
 //!   store and deleted at sweep end. Leftover shards (a killed sweep)
-//!   are recovered through [`ResultStore::recover_shards`] under the
+//!   are recovered through `ResultStore::recover_shards` under the
 //!   usual merge semantics.
-//! * [`FRONTS_DIR`]`/front{N}-core{C}.front` — shared front-end record
-//!   files of an in-flight sweep (see [`crate::sweep`]): created on the
+//! * `FRONTS_DIR/front{N}-core{C}.front` — shared front-end record
+//!   files of an in-flight sweep (see [`crate::run_sweep`]): created on the
 //!   first unit that reads them, deleted when the last one finishes,
 //!   and the directory removed before the sweep returns. A leftover
 //!   directory (a killed sweep) is cleared when the next sweep starts.
@@ -55,7 +55,7 @@ pub const STORE_FILE: &str = "store.jsonl";
 /// File name of the execution-telemetry sidecar inside the results
 /// directory. Spans live here so `store.jsonl` stays byte-deterministic
 /// across worker counts and re-runs.
-pub const SPANS_FILE: &str = "spans.jsonl";
+pub(crate) const SPANS_FILE: &str = "spans.jsonl";
 
 /// Directory (inside the results directory) holding the per-worker
 /// shard files of an in-flight sweep.
@@ -63,7 +63,7 @@ pub const SHARDS_DIR: &str = "shards";
 
 /// Directory (inside the results directory) holding the shared
 /// front-end record files of an in-flight sweep.
-pub const FRONTS_DIR: &str = "fronts";
+pub(crate) const FRONTS_DIR: &str = "fronts";
 
 /// What a store entry holds: one unit simulation, a recorded probe time
 /// series, or the execution telemetry of one sweep piece.
@@ -84,7 +84,7 @@ pub enum StoredResult {
 /// it is not a function of the key (the plan's spelling changed between
 /// releases), so decoding ignores it and rewriting drops it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StoreEntry {
+pub(crate) struct StoreEntry {
     /// Content key of the producing job.
     pub key: ContentKey,
     /// The cached result.
@@ -389,7 +389,7 @@ impl ResultStore {
     }
 
     /// The directory this store persists under.
-    pub fn dir(&self) -> &Path {
+    pub(crate) fn dir(&self) -> &Path {
         &self.dir
     }
 
@@ -420,14 +420,6 @@ impl ResultStore {
     pub fn get_series(&self, key: &ContentKey) -> Option<&TraceSeries> {
         match self.get(key) {
             Some(StoredResult::Series(series)) => Some(series),
-            _ => None,
-        }
-    }
-
-    /// Look up an execution span by content key.
-    pub fn get_span(&self, key: &ContentKey) -> Option<&UnitSpan> {
-        match self.get(key) {
-            Some(StoredResult::Span(span)) => Some(span),
             _ => None,
         }
     }
@@ -501,24 +493,12 @@ impl ResultStore {
             .count()
     }
 
-    /// Number of recorded time-series entries.
-    pub fn series_count(&self) -> usize {
-        self.entries
-            .values()
-            .filter(|result| matches!(result, StoredResult::Series(_)))
-            .count()
-    }
-
-    /// Number of execution-span entries.
-    pub fn span_count(&self) -> usize {
-        self.entries
-            .values()
-            .filter(|result| matches!(result, StoredResult::Span(_)))
-            .count()
-    }
-
     /// Insert a fresh unit result and append it to the JSONL file.
-    pub fn insert_unit(&mut self, key: ContentKey, run: SchemeRun) -> Result<(), StoreError> {
+    pub(crate) fn insert_unit(
+        &mut self,
+        key: ContentKey,
+        run: SchemeRun,
+    ) -> Result<(), StoreError> {
         self.insert(key, StoredResult::Unit(run))
     }
 
@@ -547,7 +527,11 @@ impl ResultStore {
     }
 
     /// Insert an execution span.
-    pub fn insert_span(&mut self, key: ContentKey, span: UnitSpan) -> Result<(), StoreError> {
+    pub(crate) fn insert_span(
+        &mut self,
+        key: ContentKey,
+        span: UnitSpan,
+    ) -> Result<(), StoreError> {
         self.insert(key, StoredResult::Span(span))
     }
 
@@ -598,7 +582,7 @@ impl ResultStore {
     /// shards. A partial trailing shard line (the unit mid-append when
     /// the sweep died) is skipped; its unit simply re-runs. Returns the
     /// total merge stats, all zero when there is nothing to recover.
-    pub fn recover_shards(&mut self) -> Result<MergeStats, StoreError> {
+    pub(crate) fn recover_shards(&mut self) -> Result<MergeStats, StoreError> {
         let shards_dir = self.dir.join(SHARDS_DIR);
         let read_dir = match fs::read_dir(&shards_dir) {
             Ok(rd) => rd,
@@ -966,7 +950,7 @@ mod tests {
         store.insert_series(key("t1"), series.clone()).unwrap();
         let back = ResultStore::open(&dir).unwrap();
         assert_eq!(back.get_series(&key("t1")).unwrap(), &series);
-        assert_eq!(back.series_count(), 1);
+        assert_eq!(back.len(), 1);
         assert!(
             back.get_unit(&key("t1")).is_none(),
             "typed lookup rejects kind"
@@ -989,14 +973,17 @@ mod tests {
         };
         store.insert_span(key("s1"), span.clone()).unwrap();
         let back = ResultStore::open(&dir).unwrap();
-        assert_eq!(back.get_span(&key("s1")).unwrap(), &span);
-        assert_eq!(back.span_count(), 1);
+        assert_eq!(
+            back.get(&key("s1")),
+            Some(&StoredResult::Span(span.clone()))
+        );
+        assert_eq!(back.spans().len(), 1);
         assert_eq!(back.spans(), vec![&span]);
         assert!(
             back.get_unit(&key("s1")).is_none(),
             "typed lookup rejects kind"
         );
-        assert!(back.get_span(&key("missing")).is_none());
+        assert!(back.get(&key("missing")).is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1014,7 +1001,7 @@ mod tests {
         );
         assert!(dir.join(SPANS_FILE).exists());
         let back = ResultStore::open(&dir).unwrap();
-        assert_eq!(back.span_count(), 1);
+        assert_eq!(back.spans().len(), 1);
         assert_eq!(back.unit_count(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1036,7 +1023,7 @@ mod tests {
         fs::write(&path, text).unwrap();
 
         let mut back = ResultStore::open(&dir).unwrap();
-        assert_eq!(back.span_count(), 1, "legacy inline span still decodes");
+        assert_eq!(back.spans().len(), 1, "legacy inline span still decodes");
         back.compact().unwrap();
         let store_text = fs::read_to_string(&path).unwrap();
         assert!(
@@ -1045,7 +1032,7 @@ mod tests {
         );
         let spans_text = fs::read_to_string(dir.join(SPANS_FILE)).unwrap();
         assert!(spans_text.contains("\"span\""));
-        assert_eq!(ResultStore::open(&dir).unwrap().span_count(), 1);
+        assert_eq!(ResultStore::open(&dir).unwrap().spans().len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

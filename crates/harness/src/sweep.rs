@@ -1082,7 +1082,7 @@ mod tests {
         }
         // Persisted spans carry the same provenance, and the shards
         // themselves are gone (their contents merged into the store).
-        assert_eq!(store.span_count(), 3 * UNITS_PER_COMBO);
+        assert_eq!(store.spans().len(), 3 * UNITS_PER_COMBO);
         for span in store.spans() {
             assert_eq!(span.shard, format!("worker-{}.jsonl", span.worker));
         }

@@ -49,24 +49,9 @@ impl RollingThroughput {
         self.samples.clear();
     }
 
-    /// Samples currently held.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples have been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Whether the window holds its full `capacity` of samples.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.samples.len() == self.capacity
-    }
-
-    /// The configured window capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Mean of the samples currently held (0 when empty).
@@ -80,7 +65,7 @@ impl RollingThroughput {
     /// Relative spread of the window: `(max − min) / mean`. Infinite
     /// until the window is full or while the mean is not positive, so a
     /// partial or degenerate window can never read as converged.
-    pub fn rel_spread(&self) -> f64 {
+    pub(crate) fn rel_spread(&self) -> f64 {
         if !self.is_full() {
             return f64::INFINITY;
         }
@@ -164,7 +149,7 @@ mod tests {
             w.push(tp);
         }
         // The 10.0 outlier has rolled out of the window.
-        assert_eq!(w.len(), 3);
+        assert_eq!(w.samples.len(), 3);
         assert!(w.converged(0.0));
         assert!((w.mean() - 1.0).abs() < 1e-12);
     }
@@ -192,8 +177,8 @@ mod tests {
         }
         assert!(w.converged(0.0));
         w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.capacity(), 3);
+        assert!(w.samples.is_empty());
+        assert_eq!(w.capacity, 3);
         assert_eq!(w.rel_spread(), f64::INFINITY, "cleared window is partial");
         // Refilling converges again only once full.
         w.push(1.0);

@@ -95,7 +95,7 @@ pub struct SimCounters {
 
 /// Every `(label, value)` pair of a counter block, in declaration
 /// order, with the walk-depth histogram flattened to one entry per
-/// bucket. The single source of truth for merge/delta arithmetic and
+/// bucket. The single source of truth for the delta arithmetic and
 /// codec field lists.
 macro_rules! for_each_field {
     ($self:ident, $other:ident, $op:expr) => {{
@@ -151,11 +151,6 @@ macro_rules! for_each_field {
 }
 
 impl SimCounters {
-    /// Add every counter of `other` into `self`.
-    pub fn merge(&mut self, other: &SimCounters) {
-        for_each_field!(self, other, |a: &mut u64, b: u64| *a += b);
-    }
-
     /// Field-wise saturating difference: the interval block between two
     /// cumulative captures.
     pub fn delta(&self, earlier: &SimCounters) -> SimCounters {
@@ -164,30 +159,9 @@ impl SimCounters {
         d
     }
 
-    /// Whether every counter is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == SimCounters::default()
-    }
-
     /// Total L1 hits recorded in the walk-depth histogram.
     pub fn walk_samples(&self) -> u64 {
         self.l1_walk_depths.iter().sum()
-    }
-
-    /// Mean 1-based L1 hit stack depth (deep hits clamp at the last
-    /// bucket); 0 when no hits were recorded.
-    pub fn mean_walk_depth(&self) -> f64 {
-        let samples = self.walk_samples();
-        if samples == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self
-            .l1_walk_depths
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (i as u64 + 1) * n)
-            .sum();
-        weighted as f64 / samples as f64
     }
 
     /// Per-level hit/miss table (L1I, L1D, L2).
@@ -373,27 +347,24 @@ mod tests {
     fn merge_and_delta_are_inverse() {
         let a = sample();
         let mut b = a;
-        b.merge(&a);
+        for_each_field!(b, a, |x: &mut u64, y: u64| *x += y);
         assert_eq!(b.retired_ops, 200);
         assert_eq!(b.l1_walk_depths[0], 100);
         assert_eq!(b.delta(&a), a);
-        assert!(a.delta(&a).is_zero());
+        assert_eq!(a.delta(&a), SimCounters::default());
     }
 
     #[test]
     fn delta_saturates() {
         let a = SimCounters::default();
         let b = sample();
-        assert!(a.delta(&b).is_zero(), "no underflow wrap");
+        assert_eq!(a.delta(&b), SimCounters::default(), "no underflow wrap");
     }
 
     #[test]
     fn walk_depth_stats() {
         let c = sample();
         assert_eq!(c.walk_samples(), 90);
-        let mean = c.mean_walk_depth();
-        assert!(mean > 1.0 && mean < 3.0, "shallow-heavy sample: {mean}");
-        assert_eq!(SimCounters::default().mean_walk_depth(), 0.0);
     }
 
     #[test]
@@ -407,7 +378,7 @@ mod tests {
         assert_eq!(d.rows[0][2], "100.0", "100 ops per 1k cycles");
         assert!(c.dispatch_table(0).to_csv().contains(",-"));
         let w = c.walk_depth_table();
-        assert_eq!(w.len(), WALK_DEPTH_BUCKETS);
+        assert_eq!(w.rows.len(), WALK_DEPTH_BUCKETS);
         assert!(w.to_markdown().contains("8+"));
         let cc = c.cost_center_table(100);
         assert_eq!(cc.rows[0][0], "core ROB stalls", "largest pool first");

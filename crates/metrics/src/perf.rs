@@ -25,7 +25,7 @@ impl IpcVector {
     }
 
     /// Number of cores.
-    pub fn cores(&self) -> usize {
+    pub(crate) fn cores(&self) -> usize {
         self.ipcs.len()
     }
 
@@ -43,7 +43,7 @@ pub fn normalized_throughput(scheme: &IpcVector, baseline: &IpcVector) -> f64 {
 }
 
 /// Average Weighted Speedup (Fig. 10).
-pub fn average_weighted_speedup(scheme: &IpcVector, baseline: &IpcVector) -> f64 {
+pub(crate) fn average_weighted_speedup(scheme: &IpcVector, baseline: &IpcVector) -> f64 {
     assert_eq!(scheme.cores(), baseline.cores());
     let n = scheme.cores() as f64;
     scheme
@@ -56,7 +56,7 @@ pub fn average_weighted_speedup(scheme: &IpcVector, baseline: &IpcVector) -> f64
 }
 
 /// Fair Speedup (Fig. 11): harmonic mean of relative IPCs.
-pub fn fair_speedup(scheme: &IpcVector, baseline: &IpcVector) -> f64 {
+pub(crate) fn fair_speedup(scheme: &IpcVector, baseline: &IpcVector) -> f64 {
     assert_eq!(scheme.cores(), baseline.cores());
     let n = scheme.cores() as f64;
     n / scheme
@@ -85,15 +85,6 @@ impl MetricSet {
             throughput: normalized_throughput(scheme, baseline),
             aws: average_weighted_speedup(scheme, baseline),
             fair: fair_speedup(scheme, baseline),
-        }
-    }
-
-    /// The identity metric set (baseline vs itself).
-    pub fn identity() -> Self {
-        MetricSet {
-            throughput: 1.0,
-            aws: 1.0,
-            fair: 1.0,
         }
     }
 }

@@ -19,12 +19,6 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Population standard deviation.
-pub fn stddev(values: &[f64]) -> f64 {
-    let m = mean(values);
-    (values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / values.len() as f64).sqrt()
-}
-
 /// Minimum (panics on empty).
 pub fn min(values: &[f64]) -> f64 {
     values.iter().copied().fold(f64::INFINITY, f64::min)
@@ -60,11 +54,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn geomean_rejects_nonpositive() {
         geomean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn stddev_zero_for_constant() {
-        assert_eq!(stddev(&[3.0, 3.0, 3.0]), 0.0);
     }
 
     #[test]

@@ -70,16 +70,6 @@ impl Table {
             TableFormat::Csv => self.to_csv(),
         }
     }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
 }
 
 /// Output formats a [`Table`] renders to.
@@ -100,12 +90,6 @@ impl TableFormat {
             _ => None,
         }
     }
-}
-
-/// Format a ratio as a percentage delta over baseline, e.g. 1.139 →
-/// "+13.9 %".
-pub fn pct_delta(ratio: f64) -> String {
-    format!("{:+.1} %", (ratio - 1.0) * 100.0)
 }
 
 /// Format a float with 3 decimals.
@@ -159,11 +143,5 @@ mod tests {
         );
         assert_eq!(TableFormat::from_name("CSV"), Some(TableFormat::Csv));
         assert_eq!(TableFormat::from_name("tsv"), None);
-    }
-
-    #[test]
-    fn pct_delta_formats() {
-        assert_eq!(pct_delta(1.139), "+13.9 %");
-        assert_eq!(pct_delta(0.985), "-1.5 %");
     }
 }

@@ -188,12 +188,6 @@ impl SetAssocCache {
         self.set_mut(set).invalidate(block).map(|l| l.flags)
     }
 
-    /// Invalidate `block` from its home set.
-    pub fn invalidate(&mut self, block: BlockAddr) -> Option<LineFlags> {
-        let set = self.geo.set_index(block);
-        self.invalidate_in_set(set, block)
-    }
-
     /// Borrow one set read-only, for scheme logic and tests.
     pub fn set(&self, idx: usize) -> SetRef<'_> {
         let base = self.base(idx);
@@ -225,11 +219,6 @@ impl SetAssocCache {
     /// Mutable statistics (schemes bump spill/forward counters).
     pub fn stats_mut(&mut self) -> &mut CacheStats {
         &mut self.stats
-    }
-
-    /// Total valid lines across all sets.
-    pub fn valid_lines(&self) -> usize {
-        self.meta.iter().filter(|&&m| m & META_VALID != 0).count()
     }
 
     /// Total valid CC lines across all sets (O(1): maintained
@@ -368,10 +357,10 @@ mod tests {
         let mut c = tiny();
         let b = blk(1, 9);
         c.access(b, true);
-        let fl = c.invalidate(b).unwrap();
+        let fl = c.invalidate_in_set(c.home_set(b), b).unwrap();
         assert!(fl.dirty);
         assert!(c.probe(b).is_none());
-        assert_eq!(c.valid_lines(), 0);
+        assert_eq!(c.set(c.home_set(b)).valid_lines().count(), 0);
     }
 
     #[test]

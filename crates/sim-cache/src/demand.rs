@@ -22,7 +22,7 @@ pub struct DemandParams {
 impl DemandParams {
     /// Validated constructor: both values must be powers of two (paper
     /// restriction) and `M` must divide `A_threshold`.
-    pub fn new(a_threshold: usize, m_buckets: usize) -> Self {
+    pub(crate) fn new(a_threshold: usize, m_buckets: usize) -> Self {
         assert!(
             a_threshold.is_power_of_two(),
             "A_threshold must be a power of two"
@@ -109,19 +109,6 @@ impl BucketDistribution {
     /// Sum of all bucket sizes (should be 1 up to rounding).
     pub fn total(&self) -> f64 {
         self.sizes.iter().sum()
-    }
-
-    /// Fraction of sets in the lowest bucket (demand ≤ bucket width) —
-    /// the paper repeatedly cites the "1–4 blocks" fraction.
-    pub fn low_demand_fraction(&self) -> f64 {
-        self.sizes.first().copied().unwrap_or(0.0)
-    }
-
-    /// Fraction of sets in buckets whose demand exceeds `a_baseline`
-    /// (potential takers under capacity doubling).
-    pub fn above_baseline_fraction(&self, params: &DemandParams, a_baseline: usize) -> f64 {
-        let first_bucket_above = a_baseline / params.bucket_width() + 1;
-        self.sizes[first_bucket_above - 1..].iter().sum()
     }
 
     /// Shannon-style non-uniformity score in [0, 1]: 0 when all sets land
@@ -238,8 +225,7 @@ mod tests {
         feed_cyclic(&mut prof, 2, 30, 10); // bucket 8
         feed_cyclic(&mut prof, 3, 18, 10); // bucket 5
         let dist = prof.end_interval(|h| BucketDistribution::from_histograms(h, &params));
-        assert!((dist.low_demand_fraction() - 0.5).abs() < 1e-9);
-        assert!((dist.above_baseline_fraction(&params, 16) - 0.5).abs() < 1e-9);
+        assert_eq!(dist.sizes, [0.5, 0.0, 0.0, 0.0, 0.25, 0.0, 0.0, 0.25]);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl LruOrder {
 
     /// Number of ways tracked.
     #[inline]
-    pub fn ways(&self) -> usize {
+    pub(crate) fn ways(&self) -> usize {
         self.n as usize
     }
 
@@ -92,7 +92,7 @@ impl LruOrder {
 
     /// The way at 0-based stack position `pos` (0 = MRU).
     #[inline]
-    pub fn way_at(&self, pos: usize) -> usize {
+    pub(crate) fn way_at(&self, pos: usize) -> usize {
         assert!(pos < self.ways());
         ((self.bits >> (4 * pos)) & 0xF) as usize
     }
@@ -126,7 +126,7 @@ impl LruOrder {
 
     /// The current LRU way (replacement victim).
     #[inline]
-    pub fn lru_way(&self) -> usize {
+    pub(crate) fn lru_way(&self) -> usize {
         self.way_at(self.ways() - 1)
     }
 
@@ -153,7 +153,7 @@ impl LruOrder {
     }
 
     /// Append the order, one byte per way MRU → LRU.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
+    pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
         #[expect(
             clippy::cast_possible_truncation,
             reason = "way indices are below MAX_LRU_WAYS"
@@ -164,7 +164,7 @@ impl LruOrder {
     /// Read an order written by [`LruOrder::save_state`] over the same
     /// number of ways. Anything but a permutation of the ways is an
     /// error, and leaves the order unchanged.
-    pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+    pub(crate) fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         let order = r.bytes(self.ways())?;
         let mut seen = 0u32;
         for &w in order {
@@ -221,26 +221,6 @@ impl TagStack {
                 None
             }
         }
-    }
-
-    /// Number of resident tags.
-    pub fn len(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// Whether the stack holds no tags.
-    pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
-    }
-
-    /// Drop all tags (new sampling interval with cold stack, if desired).
-    pub fn clear(&mut self) {
-        self.tags.clear();
-    }
-
-    /// Maximum depth.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -386,7 +366,7 @@ mod tests {
         s.access(2);
         s.access(3); // evicts tag 1
         assert_eq!(s.access(1), None, "evicted tag is cold again");
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.tags.len(), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 /// A k-bit saturating counter (1 ≤ k ≤ 16).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SatCounter {
+pub(crate) struct SatCounter {
     value: u16,
     max: u16,
     init: u16,
@@ -17,7 +17,7 @@ pub struct SatCounter {
 
 impl SatCounter {
     /// Create a k-bit counter initialised to `2^(k-1) - 1` (paper Fig. 7).
-    pub fn new(k: u32) -> Self {
+    pub(crate) fn new(k: u32) -> Self {
         assert!((1..=16).contains(&k), "counter width must be 1..=16 bits");
         #[expect(
             clippy::cast_possible_truncation,
@@ -38,7 +38,7 @@ impl SatCounter {
 
     /// Saturating increment.
     #[inline]
-    pub fn inc(&mut self) {
+    pub(crate) fn inc(&mut self) {
         if self.value < self.max {
             self.value += 1;
         }
@@ -46,45 +46,29 @@ impl SatCounter {
 
     /// Saturating decrement.
     #[inline]
-    pub fn dec(&mut self) {
+    pub(crate) fn dec(&mut self) {
         if self.value > 0 {
             self.value -= 1;
         }
     }
 
-    /// Current value.
-    #[inline]
-    pub fn value(&self) -> u16 {
-        self.value
-    }
-
     /// Most significant bit of the counter. For SNUG this is the
     /// taker/giver verdict: `true` ⇒ taker.
     #[inline]
-    pub fn msb(&self) -> bool {
+    pub(crate) fn msb(&self) -> bool {
         self.value > self.init
     }
 
     /// Reset to the initial value `2^(k-1) - 1`.
     #[inline]
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.value = self.init;
-    }
-
-    /// Maximum representable value (`2^k - 1`).
-    pub fn max(&self) -> u16 {
-        self.max
-    }
-
-    /// The initial/neutral value (`2^(k-1) - 1`).
-    pub fn init(&self) -> u16 {
-        self.init
     }
 }
 
 /// Wider saturating counter for DSR's PSEL policy selector (10 bits in
-/// Qureshi's HPCA'09 paper). Semantics identical to [`SatCounter`] but
-/// u32-valued for convenience.
+/// Qureshi's HPCA'09 paper). Semantics identical to the k-bit
+/// `SatCounter` but u32-valued for convenience.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Psel {
     value: u32,
@@ -126,11 +110,6 @@ impl Psel {
     pub fn high(&self) -> bool {
         self.value >= self.mid
     }
-
-    /// Current value.
-    pub fn value(&self) -> u32 {
-        self.value
-    }
 }
 
 /// The complete per-set monitor: the k-bit saturating counter plus the
@@ -156,11 +135,6 @@ impl DemandMonitor {
             mod_count: 0,
             p,
         }
-    }
-
-    /// The paper's configuration (k = 4, p = 8; Table 2).
-    pub fn paper() -> Self {
-        DemandMonitor::new(4, 8)
     }
 
     /// Record a hit on the **real** L2 set: contributes only to the
@@ -196,14 +170,9 @@ impl DemandMonitor {
 
     /// Reset for the next sampling period (counter to neutral, mod-p
     /// phase cleared).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.counter.reset();
         self.mod_count = 0;
-    }
-
-    /// Raw counter value (for tests/ablation instrumentation).
-    pub fn counter_value(&self) -> u16 {
-        self.counter.value()
     }
 }
 
@@ -214,8 +183,8 @@ mod tests {
     #[test]
     fn four_bit_counter_inits_to_seven() {
         let c = SatCounter::new(4);
-        assert_eq!(c.value(), 7);
-        assert_eq!(c.max(), 15);
+        assert_eq!(c.value, 7);
+        assert_eq!(c.max, 15);
         assert!(!c.msb(), "init value has MSB clear");
     }
 
@@ -223,7 +192,7 @@ mod tests {
     fn msb_flips_at_eight() {
         let mut c = SatCounter::new(4);
         c.inc();
-        assert_eq!(c.value(), 8);
+        assert_eq!(c.value, 8);
         assert!(c.msb());
         c.dec();
         assert!(!c.msb());
@@ -235,11 +204,11 @@ mod tests {
         for _ in 0..10 {
             c.inc();
         }
-        assert_eq!(c.value(), 3);
+        assert_eq!(c.value, 3);
         for _ in 0..10 {
             c.dec();
         }
-        assert_eq!(c.value(), 0);
+        assert_eq!(c.value, 0);
     }
 
     #[test]
@@ -255,7 +224,7 @@ mod tests {
     #[test]
     fn monitor_marks_taker_when_shadow_hits_dominate() {
         // sigma = shadow / (real + shadow) > 1/8 should eventually set MSB.
-        let mut m = DemandMonitor::paper();
+        let mut m = DemandMonitor::new(4, 8);
         // 1 shadow hit per 4 total hits: sigma = 1/4 > 1/8 ⇒ taker.
         for _ in 0..64 {
             m.shadow_hit();
@@ -269,7 +238,7 @@ mod tests {
     #[test]
     fn monitor_marks_giver_when_shadow_hits_rare() {
         // 1 shadow hit per 16 total: sigma = 1/16 < 1/8 ⇒ giver.
-        let mut m = DemandMonitor::paper();
+        let mut m = DemandMonitor::new(4, 8);
         for _ in 0..64 {
             m.shadow_hit();
             for _ in 0..15 {
@@ -284,7 +253,7 @@ mod tests {
         // Exactly 1 shadow hit per 8 total hits: +1 per group, -1 per
         // group; the counter should hover at its init value and stay giver
         // (the paper requires sigma STRICTLY greater than 1/p).
-        let mut m = DemandMonitor::paper();
+        let mut m = DemandMonitor::new(4, 8);
         for _ in 0..100 {
             m.shadow_hit();
             for _ in 0..7 {
@@ -292,7 +261,7 @@ mod tests {
             }
         }
         assert!(!m.is_taker());
-        assert_eq!(m.counter_value(), 7);
+        assert_eq!(m.counter.value, 7);
     }
 
     #[test]
@@ -306,20 +275,20 @@ mod tests {
         for _ in 0..7 {
             m.real_hit();
         }
-        assert_eq!(m.counter_value(), 7);
+        assert_eq!(m.counter.value, 7);
         m.real_hit();
-        assert_eq!(m.counter_value(), 6);
+        assert_eq!(m.counter.value, 6);
     }
 
     #[test]
     fn streaming_set_is_giver() {
         // A streaming set sees no shadow hits at all: every eviction is
         // cold. The counter should drift to 0 and stay a giver.
-        let mut m = DemandMonitor::paper();
+        let mut m = DemandMonitor::new(4, 8);
         for _ in 0..1000 {
             m.real_hit();
         }
         assert!(!m.is_taker());
-        assert_eq!(m.counter_value(), 0);
+        assert_eq!(m.counter.value, 0);
     }
 }

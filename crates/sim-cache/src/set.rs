@@ -153,14 +153,14 @@ pub struct SetMut<'a> {
 impl<'a> SetRef<'a> {
     /// Associativity.
     #[inline]
-    pub fn assoc(&self) -> usize {
+    pub(crate) fn assoc(&self) -> usize {
         self.blocks.len()
     }
 
     /// Find the way holding `block`, if resident. Invalid ways hold the
     /// `INVALID_BLOCK` sentinel, so this is a pure tag compare.
     #[inline]
-    pub fn probe(&self, block: BlockAddr) -> Option<usize> {
+    pub(crate) fn probe(&self, block: BlockAddr) -> Option<usize> {
         debug_assert!(block != INVALID_BLOCK);
         probe_ways(self.blocks, block)
     }
@@ -179,24 +179,11 @@ impl<'a> SetRef<'a> {
     /// Choose the fill victim way: an invalid way if one exists, else the
     /// true-LRU way.
     #[inline]
-    pub fn victim_way(&self) -> usize {
+    pub(crate) fn victim_way(&self) -> usize {
         self.meta
             .iter()
             .position(|&m| m & META_VALID == 0)
             .unwrap_or_else(|| self.lru.lru_way())
-    }
-
-    /// Number of valid lines.
-    pub fn valid_count(&self) -> usize {
-        self.meta.iter().filter(|&&m| m & META_VALID != 0).count()
-    }
-
-    /// Number of valid cooperatively cached lines.
-    pub fn cc_count(&self) -> usize {
-        self.meta
-            .iter()
-            .filter(|&&m| m & (META_VALID | META_CC) == META_VALID | META_CC)
-            .count()
     }
 
     /// Iterate valid lines, by value.
@@ -210,7 +197,7 @@ impl<'a> SetRef<'a> {
 impl<'a> SetMut<'a> {
     /// Reborrow as a read-only view.
     #[inline]
-    pub fn as_ref(&self) -> SetRef<'_> {
+    pub(crate) fn as_ref(&self) -> SetRef<'_> {
         SetRef {
             blocks: self.blocks,
             meta: self.meta,
@@ -218,66 +205,22 @@ impl<'a> SetMut<'a> {
         }
     }
 
-    /// Associativity.
-    #[inline]
-    pub fn assoc(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Find the way holding `block`, if resident.
     #[inline]
-    pub fn probe(&self, block: BlockAddr) -> Option<usize> {
+    pub(crate) fn probe(&self, block: BlockAddr) -> Option<usize> {
         self.as_ref().probe(block)
     }
 
     /// Materialize the line in `way` by value.
     #[inline]
-    pub fn line(&self, way: usize) -> CacheLine {
+    pub(crate) fn line(&self, way: usize) -> CacheLine {
         self.as_ref().line(way)
     }
 
     /// See [`SetRef::victim_way`].
     #[inline]
-    pub fn victim_way(&self) -> usize {
+    pub(crate) fn victim_way(&self) -> usize {
         self.as_ref().victim_way()
-    }
-
-    /// Number of valid lines.
-    pub fn valid_count(&self) -> usize {
-        self.as_ref().valid_count()
-    }
-
-    /// Number of valid cooperatively cached lines.
-    pub fn cc_count(&self) -> usize {
-        self.as_ref().cc_count()
-    }
-
-    /// Promote `way` to MRU; returns the 1-based LRU stack distance the
-    /// access observed.
-    #[inline]
-    pub fn touch(&mut self, way: usize) -> usize {
-        self.lru.touch(way)
-    }
-
-    /// Promote `way` to MRU with an optional dirty update, without
-    /// re-probing. Returns the stack distance and whether the line is
-    /// cooperatively cached — the single-probe hit path.
-    #[inline]
-    pub fn touch_way(&mut self, way: usize, is_write: bool) -> (usize, bool) {
-        let meta = &mut self.meta[way];
-        debug_assert!(*meta & META_VALID != 0, "touching an invalid way");
-        if is_write {
-            *meta |= META_DIRTY;
-        }
-        let was_cc = *meta & META_CC != 0;
-        (self.lru.touch(way), was_cc)
-    }
-
-    /// Hit path: probe + touch + optional dirty update. Returns
-    /// `Some(stack_distance)` on hit.
-    pub fn access(&mut self, block: BlockAddr, is_write: bool) -> Option<usize> {
-        let way = self.probe(block)?;
-        Some(self.touch_way(way, is_write).0)
     }
 
     /// Overwrite `way` with `block` (at MRU), reporting the previous
@@ -299,7 +242,7 @@ impl<'a> SetMut<'a> {
     }
 
     /// Fill `block` into the set (at MRU), evicting the victim if valid.
-    pub fn fill(&mut self, block: BlockAddr, flags: LineFlags) -> Option<Evicted> {
+    pub(crate) fn fill(&mut self, block: BlockAddr, flags: LineFlags) -> Option<Evicted> {
         debug_assert!(
             self.probe(block).is_none(),
             "fill of already-resident block"
@@ -321,15 +264,8 @@ impl<'a> SetMut<'a> {
     }
 
     /// Invalidate `block` if resident; returns the line that was removed.
-    pub fn invalidate(&mut self, block: BlockAddr) -> Option<CacheLine> {
+    pub(crate) fn invalidate(&mut self, block: BlockAddr) -> Option<CacheLine> {
         self.probe(block).map(|w| self.invalidate_way(w))
-    }
-
-    /// Iterate valid lines, by value.
-    pub fn valid_lines(&self) -> impl Iterator<Item = CacheLine> + '_ {
-        (0..self.assoc())
-            .filter(|&w| self.meta[w] & META_VALID != 0)
-            .map(|w| self.line(w))
     }
 }
 
@@ -374,7 +310,10 @@ mod tests {
         with_set(&mut c, |mut s| {
             s.fill(b(1), LineFlags::owned(false));
             s.fill(b(2), LineFlags::owned(false));
-            assert_eq!(s.access(b(1), true), Some(2), "b1 was at distance 2");
+        });
+        let hit = c.access(b(1), true);
+        assert_eq!(hit.distance, Some(2), "b1 was at distance 2");
+        with_set(&mut c, |mut s| {
             let w = s.probe(b(1)).unwrap();
             assert!(s.line(w).flags.dirty);
             // Now b(2) is LRU; filling evicts it.
@@ -388,8 +327,8 @@ mod tests {
         let mut c = single(2);
         with_set(&mut c, |mut s| {
             s.fill(b(1), LineFlags::owned(false));
-            assert_eq!(s.access(b(9), false), None);
         });
+        assert_eq!(c.access(b(9), false).distance, None);
     }
 
     #[test]
@@ -400,7 +339,7 @@ mod tests {
             s.fill(b(2), LineFlags::owned(true));
             let line = s.invalidate(b(2)).unwrap();
             assert!(line.flags.dirty);
-            assert_eq!(s.valid_count(), 1);
+            assert_eq!(s.as_ref().valid_lines().count(), 1);
             // Next fill reuses the invalidated way without evicting b(1).
             assert_eq!(s.fill(b(3), LineFlags::owned(false)), None);
             assert!(s.probe(b(1)).is_some());
@@ -415,7 +354,7 @@ mod tests {
             // One way still invalid: no eviction even though a CC line
             // exists.
             assert_eq!(s.fill(b(2), LineFlags::owned(false)), None);
-            assert_eq!(s.valid_count(), 2);
+            assert_eq!(s.as_ref().valid_lines().count(), 2);
         });
     }
 
@@ -426,25 +365,25 @@ mod tests {
             s.fill(b(1), LineFlags::owned(false));
             s.fill(b(2), LineFlags::received(false));
             s.fill(b(3), LineFlags::received(true));
-            assert_eq!(s.valid_count(), 3);
-            assert_eq!(s.cc_count(), 2);
+            let valid: Vec<_> = s.as_ref().valid_lines().collect();
+            assert_eq!(valid.len(), 3);
+            assert_eq!(valid.iter().filter(|l| l.flags.cc).count(), 2);
         });
     }
 
     #[test]
     fn touch_way_reports_distance_and_cc_without_reprobing() {
         let mut c = single(4);
-        with_set(&mut c, |mut s| {
+        let (w1, w2) = with_set(&mut c, |mut s| {
             s.fill(b(1), LineFlags::owned(false));
             s.fill(b(2), LineFlags::received(false));
-            let w1 = s.probe(b(1)).unwrap();
-            let (d, cc) = s.touch_way(w1, true);
-            assert_eq!(d, 2, "b1 was one behind the MRU fill of b2");
-            assert!(!cc);
-            assert!(s.line(w1).flags.dirty, "write touch sets dirty");
-            let w2 = s.probe(b(2)).unwrap();
-            let (_, cc2) = s.touch_way(w2, false);
-            assert!(cc2, "received line reports its CC bit");
+            (s.probe(b(1)).unwrap(), s.probe(b(2)).unwrap())
         });
+        let (d, cc) = c.touch_way_in_set(0, w1, true);
+        assert_eq!(d, 2, "b1 was one behind the MRU fill of b2");
+        assert!(!cc);
+        assert!(c.set(0).line(w1).flags.dirty, "write touch sets dirty");
+        let (_, cc2) = c.touch_way_in_set(0, w2, false);
+        assert!(cc2, "received line reports its CC bit");
     }
 }

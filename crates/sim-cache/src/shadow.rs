@@ -106,19 +106,9 @@ impl ShadowArray {
         }
     }
 
-    /// Paper configuration: same set count/assoc as the L2, k = 4, p = 8.
-    pub fn paper(num_sets: usize, assoc: usize) -> Self {
-        Self::new(num_sets, assoc, 4, 8)
-    }
-
     /// Enable/disable counter sampling (Stage I vs Stage II).
     pub fn set_sampling(&mut self, on: bool) {
         self.sampling = on;
-    }
-
-    /// Whether counters are being updated.
-    pub fn sampling(&self) -> bool {
-        self.sampling
     }
 
     /// Record a hit on the real L2 set `set`.
@@ -158,21 +148,6 @@ impl ShadowArray {
         for m in &mut self.monitors {
             m.reset();
         }
-    }
-
-    /// Direct access to one shadow set (tests, invariants).
-    pub fn shadow_set(&self, set: usize) -> &ShadowSet {
-        &self.sets[set]
-    }
-
-    /// Taker verdict for one set right now (pre-latch).
-    pub fn is_taker(&self, set: usize) -> bool {
-        self.monitors[set].is_taker()
-    }
-
-    /// Number of sets.
-    pub fn num_sets(&self) -> usize {
-        self.sets.len()
     }
 }
 
@@ -220,7 +195,7 @@ mod tests {
 
     #[test]
     fn array_tracks_taker_sets() {
-        let mut a = ShadowArray::paper(4, 2);
+        let mut a = ShadowArray::new(4, 2, 4, 8);
         // Set 1: thrash pattern where the shadow catches every re-reference
         // (cycle length matches the shadow depth so victims survive until
         // their re-reference).
@@ -240,35 +215,38 @@ mod tests {
 
     #[test]
     fn sampling_off_freezes_counters() {
-        let mut a = ShadowArray::paper(1, 4);
+        let mut a = ShadowArray::new(1, 4, 4, 8);
         a.set_sampling(false);
         for i in 0..20 {
             a.on_owned_eviction(0, b(i));
             assert!(a.on_real_miss(0, b(i)), "shadow still functional");
         }
-        assert!(!a.is_taker(0), "counter frozen while not sampling");
+        assert!(
+            !a.monitors[0].is_taker(),
+            "counter frozen while not sampling"
+        );
     }
 
     #[test]
     fn reset_monitors_returns_to_neutral() {
-        let mut a = ShadowArray::paper(1, 4);
+        let mut a = ShadowArray::new(1, 4, 4, 8);
         for i in 0..20 {
             a.on_owned_eviction(0, b(i % 4));
             a.on_real_miss(0, b((i + 1) % 4));
         }
-        assert!(a.is_taker(0));
+        assert!(a.monitors[0].is_taker());
         a.reset_monitors();
-        assert!(!a.is_taker(0));
+        assert!(!a.monitors[0].is_taker());
     }
 
     #[test]
     fn exclusivity_after_miss_hit_cycle() {
-        let mut a = ShadowArray::paper(2, 4);
+        let mut a = ShadowArray::new(2, 4, 4, 8);
         a.on_owned_eviction(0, b(42));
-        assert!(a.shadow_set(0).contains(b(42)));
+        assert!(a.sets[0].contains(b(42)));
         assert!(a.on_real_miss(0, b(42)));
         assert!(
-            !a.shadow_set(0).contains(b(42)),
+            !a.sets[0].contains(b(42)),
             "tag must leave shadow when block re-enters real set"
         );
     }

@@ -38,16 +38,6 @@ impl SetHistogram {
         self.positions[0]
     }
 
-    /// Total references recorded.
-    pub fn total(&self) -> u64 {
-        self.positions.iter().sum()
-    }
-
-    /// Raw histogram access (index = distance; 0 = cold).
-    pub fn raw(&self) -> &[u64] {
-        &self.positions
-    }
-
     fn record(&mut self, distance: Option<usize>) {
         match distance {
             Some(d) if d < self.positions.len() => self.positions[d] += 1,
@@ -63,8 +53,6 @@ impl SetHistogram {
 /// Profiles the set-level capacity demand of an L2 access stream.
 #[derive(Debug, Clone)]
 pub struct SetDemandProfiler {
-    a_threshold: usize,
-    num_sets: usize,
     stacks: Vec<TagStack>,
     hists: Vec<SetHistogram>,
 }
@@ -76,18 +64,11 @@ impl SetDemandProfiler {
     pub fn new(num_sets: usize, a_threshold: usize) -> Self {
         assert!(num_sets >= 1 && a_threshold >= 1);
         SetDemandProfiler {
-            a_threshold,
-            num_sets,
             stacks: (0..num_sets).map(|_| TagStack::new(a_threshold)).collect(),
             hists: (0..num_sets)
                 .map(|_| SetHistogram::new(a_threshold))
                 .collect(),
         }
-    }
-
-    /// The paper's configuration for the baseline L2 (1024 sets, 32-deep).
-    pub fn paper() -> Self {
-        SetDemandProfiler::new(1024, 32)
     }
 
     /// Record one L2 access to `set` for `block`.
@@ -110,16 +91,6 @@ impl SetDemandProfiler {
             h.clear();
         }
         r
-    }
-
-    /// Number of sets profiled.
-    pub fn num_sets(&self) -> usize {
-        self.num_sets
-    }
-
-    /// Stack depth (`A_threshold`).
-    pub fn a_threshold(&self) -> usize {
-        self.a_threshold
     }
 }
 
@@ -145,7 +116,7 @@ mod tests {
             assert!(c >= prev, "stack property violated at A={a}");
             prev = c;
         }
-        assert_eq!(h.total(), refs.len() as u64);
+        assert_eq!(h.positions.iter().sum::<u64>(), refs.len() as u64);
     }
 
     #[test]
@@ -160,7 +131,7 @@ mod tests {
         }
         let h = p.histogram(0);
         // 9 warm rounds × 6 tags hit at distance exactly 6.
-        assert_eq!(h.raw()[6], 54);
+        assert_eq!(h.positions[6], 54);
         assert_eq!(h.cold(), 6, "first round is cold");
         assert_eq!(h.hit_count(5), 0);
         assert_eq!(h.hit_count(6), 54);
@@ -171,12 +142,16 @@ mod tests {
         let mut p = SetDemandProfiler::new(1, 8);
         p.access(0, b(1));
         p.access(0, b(1));
-        let total = p.end_interval(|h| h[0].total());
+        let total = p.end_interval(|h| h[0].positions.iter().sum::<u64>());
         assert_eq!(total, 2);
-        assert_eq!(p.histogram(0).total(), 0, "histogram cleared");
+        assert_eq!(
+            p.histogram(0).positions.iter().sum::<u64>(),
+            0,
+            "histogram cleared"
+        );
         // Stack is warm: the next access to b(1) is a hit at distance 1.
         p.access(0, b(1));
-        assert_eq!(p.histogram(0).raw()[1], 1);
+        assert_eq!(p.histogram(0).positions[1], 1);
     }
 
     #[test]

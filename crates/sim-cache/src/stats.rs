@@ -41,16 +41,6 @@ impl CacheStats {
         self.hits + self.misses
     }
 
-    /// Miss ratio in `[0, 1]`; 0 if no accesses.
-    pub fn miss_ratio(&self) -> f64 {
-        let a = self.accesses();
-        if a == 0 {
-            0.0
-        } else {
-            self.misses as f64 / a as f64
-        }
-    }
-
     /// Hit ratio in `[0, 1]`; 0 if no accesses.
     pub fn hit_ratio(&self) -> f64 {
         let a = self.accesses();
@@ -89,7 +79,6 @@ mod tests {
     #[test]
     fn ratios_empty_are_zero() {
         let s = CacheStats::default();
-        assert_eq!(s.miss_ratio(), 0.0);
         assert_eq!(s.hit_ratio(), 0.0);
     }
 
@@ -100,7 +89,6 @@ mod tests {
             misses: 10,
             ..Default::default()
         };
-        assert!((s.miss_ratio() - 0.25).abs() < 1e-12);
         assert!((s.hit_ratio() - 0.75).abs() < 1e-12);
         assert_eq!(s.accesses(), 40);
     }

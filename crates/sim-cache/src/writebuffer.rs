@@ -23,27 +23,11 @@ pub enum PushOutcome {
     Full,
 }
 
-/// Statistics for one write buffer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WriteBufferStats {
-    /// Victims accepted (stored or merged).
-    pub pushes: u64,
-    /// Pushes that merged with an existing entry.
-    pub merges: u64,
-    /// Reads satisfied directly from the buffer.
-    pub direct_reads: u64,
-    /// Entries drained to DRAM.
-    pub drains: u64,
-    /// Pushes that found the buffer full (stall events).
-    pub full_stalls: u64,
-}
-
 /// The FIFO mergeable write-back buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteBuffer {
     entries: VecDeque<BlockAddr>,
     capacity: usize,
-    stats: WriteBufferStats,
 }
 
 impl WriteBuffer {
@@ -53,40 +37,26 @@ impl WriteBuffer {
         WriteBuffer {
             entries: VecDeque::with_capacity(capacity),
             capacity,
-            stats: WriteBufferStats::default(),
         }
-    }
-
-    /// The paper's 16-entry buffer.
-    pub fn paper() -> Self {
-        WriteBuffer::new(16)
     }
 
     /// Push a dirty victim. Merges if the block is already buffered.
     pub fn push(&mut self, block: BlockAddr) -> PushOutcome {
         if self.entries.iter().any(|&b| b == block) {
-            self.stats.pushes += 1;
-            self.stats.merges += 1;
             return PushOutcome::Merged;
         }
         if self.entries.len() == self.capacity {
-            self.stats.full_stalls += 1;
             return PushOutcome::Full;
         }
         self.entries.push_back(block);
-        self.stats.pushes += 1;
         PushOutcome::Stored
     }
 
     /// Direct-read probe: `true` if `block` is buffered. Does not remove
     /// the entry (the data is still dirty and must eventually drain; a
     /// refetch into the cache copies it).
-    pub fn direct_read(&mut self, block: BlockAddr) -> bool {
-        let hit = self.entries.iter().any(|&b| b == block);
-        if hit {
-            self.stats.direct_reads += 1;
-        }
-        hit
+    pub fn direct_read(&self, block: BlockAddr) -> bool {
+        self.entries.iter().any(|&b| b == block)
     }
 
     /// Remove a buffered block (e.g. it was re-fetched into the cache
@@ -102,11 +72,7 @@ impl WriteBuffer {
 
     /// Drain the oldest entry (FIFO). Returns it, if any.
     pub fn drain_one(&mut self) -> Option<BlockAddr> {
-        let b = self.entries.pop_front();
-        if b.is_some() {
-            self.stats.drains += 1;
-        }
-        b
+        self.entries.pop_front()
     }
 
     /// Current occupancy.
@@ -117,26 +83,6 @@ impl WriteBuffer {
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Whether the buffer is full.
-    pub fn is_full(&self) -> bool {
-        self.entries.len() == self.capacity
-    }
-
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Statistics accessor.
-    pub fn stats(&self) -> WriteBufferStats {
-        self.stats
-    }
-
-    /// Reset statistics (warm-up boundary).
-    pub fn reset_stats(&mut self) {
-        self.stats = WriteBufferStats::default();
     }
 }
 
@@ -166,7 +112,6 @@ mod tests {
         assert_eq!(wb.push(b(5)), PushOutcome::Stored);
         assert_eq!(wb.push(b(5)), PushOutcome::Merged);
         assert_eq!(wb.len(), 1);
-        assert_eq!(wb.stats().merges, 1);
     }
 
     #[test]
@@ -175,7 +120,6 @@ mod tests {
         wb.push(b(1));
         wb.push(b(2));
         assert_eq!(wb.push(b(3)), PushOutcome::Full);
-        assert_eq!(wb.stats().full_stalls, 1);
         assert_eq!(wb.len(), 2);
         // Merging is still possible when full.
         assert_eq!(wb.push(b(2)), PushOutcome::Merged);
@@ -188,7 +132,6 @@ mod tests {
         assert!(wb.direct_read(b(7)));
         assert!(wb.direct_read(b(7)), "entry persists after direct read");
         assert!(!wb.direct_read(b(8)));
-        assert_eq!(wb.stats().direct_reads, 2);
     }
 
     #[test]
@@ -198,10 +141,5 @@ mod tests {
         assert!(wb.remove(b(7)));
         assert!(!wb.remove(b(7)));
         assert!(wb.is_empty());
-    }
-
-    #[test]
-    fn paper_buffer_has_16_entries() {
-        assert_eq!(WriteBuffer::paper().capacity(), 16);
     }
 }

@@ -95,13 +95,8 @@ impl Bus {
         self.stats
     }
 
-    /// Configuration accessor.
-    pub fn config(&self) -> BusConfig {
-        self.cfg
-    }
-
     /// Reset statistics (warm-up boundary); timing horizon kept.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = BusStats::default();
     }
 }

@@ -18,7 +18,7 @@ pub struct CoreConfig {
 
 impl CoreConfig {
     /// Table 4 values.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         CoreConfig {
             issue_width: 8,
             rob_size: 128,
@@ -50,13 +50,13 @@ impl BusConfig {
     }
 
     /// Core cycles to move one `block_bytes` line over the bus.
-    pub fn transfer_cycles(&self, block_bytes: u64) -> u64 {
+    pub(crate) fn transfer_cycles(&self, block_bytes: u64) -> u64 {
         let beats = block_bytes.div_ceil(self.width_bytes);
         beats * self.speed_ratio
     }
 
     /// Core cycles for an address-only transaction (one beat).
-    pub fn address_cycles(&self) -> u64 {
+    pub(crate) fn address_cycles(&self) -> u64 {
         self.speed_ratio
     }
 }
@@ -131,11 +131,6 @@ impl SystemConfig {
             write_buffer_entries: 4,
         }
     }
-
-    /// Aggregate L2 capacity across all slices.
-    pub fn total_l2_bytes(&self) -> u64 {
-        self.l2_slice.capacity_bytes() * self.num_cores as u64
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +148,6 @@ mod tests {
         assert_eq!(c.dram.latency, 300);
         assert_eq!(c.core.issue_width, 8);
         assert_eq!(c.bus.width_bytes, 16);
-        assert_eq!(c.total_l2_bytes(), 4 << 20);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct CoreStats {
 
 /// The core timing model.
 #[derive(Debug, Clone)]
-pub struct CoreModel {
+pub(crate) struct CoreModel {
     cfg: CoreConfig,
     cycle: u64,
     instrs: u64,
@@ -52,7 +52,7 @@ pub struct CoreModel {
 
 impl CoreModel {
     /// Create a core at cycle 0.
-    pub fn new(cfg: CoreConfig) -> Self {
+    pub(crate) fn new(cfg: CoreConfig) -> Self {
         CoreModel {
             cfg,
             cycle: 0,
@@ -65,20 +65,20 @@ impl CoreModel {
 
     /// Current core-local cycle.
     #[inline]
-    pub fn cycle(&self) -> u64 {
+    pub(crate) fn cycle(&self) -> u64 {
         self.cycle
     }
 
     /// Instructions retired so far.
     #[inline]
-    pub fn instructions(&self) -> u64 {
+    pub(crate) fn instructions(&self) -> u64 {
         self.instrs
     }
 
     /// Issue `n` instructions (the non-memory gap plus the memory op
     /// itself), consuming issue bandwidth and resolving any ROB-reach
     /// stalls caused by outstanding misses.
-    pub fn issue(&mut self, n: u64) {
+    pub(crate) fn issue(&mut self, n: u64) {
         // Drain outstanding misses whose ROB limit falls inside this run.
         let end_pos = self.instrs + n;
         while let Some(&m) = self.outstanding.front() {
@@ -123,7 +123,7 @@ impl CoreModel {
     /// latency) nothing is tracked. Otherwise it occupies an
     /// outstanding-miss slot; if all slots are busy the core stalls until
     /// the oldest miss returns.
-    pub fn track_load(&mut self, completes_at: u64) {
+    pub(crate) fn track_load(&mut self, completes_at: u64) {
         if completes_at <= self.cycle {
             return;
         }
@@ -148,7 +148,7 @@ impl CoreModel {
 
     /// Serialise on a critical load: the core cannot proceed past a
     /// dependent miss (pointer chasing), so its full latency is exposed.
-    pub fn stall_until(&mut self, completes_at: u64) {
+    pub(crate) fn stall_until(&mut self, completes_at: u64) {
         if completes_at > self.cycle {
             self.stats.dep_stall_cycles += completes_at - self.cycle;
             self.cycle = completes_at;
@@ -156,34 +156,9 @@ impl CoreModel {
         }
     }
 
-    /// Force completion of all outstanding misses (end of simulation).
-    pub fn drain(&mut self) {
-        while let Some(m) = self.outstanding.pop_front() {
-            if m.completes_at > self.cycle {
-                self.stats.rob_stall_cycles += m.completes_at - self.cycle;
-                self.cycle = m.completes_at;
-                self.issue_slot = 0;
-            }
-        }
-    }
-
-    /// Instantaneous IPC since cycle 0.
-    pub fn ipc(&self) -> f64 {
-        if self.cycle == 0 {
-            0.0
-        } else {
-            self.instrs as f64 / self.cycle as f64
-        }
-    }
-
     /// Stall counters.
-    pub fn stats(&self) -> CoreStats {
+    pub(crate) fn stats(&self) -> CoreStats {
         self.stats
-    }
-
-    /// Configuration accessor.
-    pub fn config(&self) -> CoreConfig {
-        self.cfg
     }
 }
 
@@ -204,7 +179,6 @@ mod tests {
         let mut c = CoreModel::new(cfg());
         c.issue(400);
         assert_eq!(c.cycle(), 100, "4-wide: 400 instrs in 100 cycles");
-        assert!((c.ipc() - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -275,13 +249,5 @@ mod tests {
         c.issue(1000);
         assert_eq!(c.stats().load_misses, 0);
         assert_eq!(c.stats().rob_stall_cycles, 0);
-    }
-
-    #[test]
-    fn drain_completes_everything() {
-        let mut c = CoreModel::new(cfg());
-        c.track_load(500);
-        c.drain();
-        assert_eq!(c.cycle(), 500);
     }
 }

@@ -28,7 +28,7 @@
 //! `Reconverged` policy segments at are not part of the spec (they
 //! belong to the workload's phase schedule); the session supplies them
 //! when it materialises the policy via
-//! [`RunPlan::policy_with_boundaries`].
+//! [`RunPlan::policy`].
 
 use snug_metrics::{PhasePlateau, RollingThroughput};
 
@@ -36,7 +36,7 @@ use snug_metrics::{PhasePlateau, RollingThroughput};
 /// is judged over the last `WINDOW_SAMPLES` intervals of
 /// `window_cycles` each, so the earliest possible stop is
 /// `WINDOW_SAMPLES * window_cycles` measured cycles.
-pub const WINDOW_SAMPLES: usize = 4;
+pub(crate) const WINDOW_SAMPLES: usize = 4;
 
 /// A run plan: warm-up length plus the stopping policy for the
 /// measured window.
@@ -58,7 +58,7 @@ pub enum StopSpec {
         measure_cycles: u64,
     },
     /// Stop at the first `window_cycles` boundary (past `min_cycles`,
-    /// with a full rolling window) where the last [`WINDOW_SAMPLES`]
+    /// with a full rolling window) where the last `WINDOW_SAMPLES` (4)
     /// interval throughputs agree to within `rel_epsilon`; never run
     /// past `max_cycles`.
     Converged {
@@ -163,19 +163,11 @@ impl RunPlan {
         )
     }
 
-    /// Materialise the runtime policy a session drives. A
-    /// [`StopSpec::Reconverged`] plan built this way has no phase
-    /// boundaries (it behaves as plain convergence); sessions with a
-    /// phase schedule use [`RunPlan::policy_with_boundaries`].
-    pub fn policy(&self) -> Box<dyn StopPolicy> {
-        self.policy_with_boundaries(&[])
-    }
-
     /// Materialise the runtime policy, segmenting a
     /// [`StopSpec::Reconverged`] plan at `boundaries` — the
     /// measured-relative cycles the workload shifts at (fixed and
     /// plain-converged plans ignore them).
-    pub fn policy_with_boundaries(&self, boundaries: &[u64]) -> Box<dyn StopPolicy> {
+    pub(crate) fn policy(&self, boundaries: &[u64]) -> Box<dyn StopPolicy> {
         match self.stop {
             StopSpec::FixedCycles { measure_cycles } => Box::new(FixedCycles { measure_cycles }),
             StopSpec::Converged {
@@ -213,13 +205,13 @@ impl RunPlan {
     /// and sub-half-stride samples skipped (the partial-interval fix).
     /// Fixed plans are untouched by observation semantics and never
     /// carry the marker — their keys stay frozen.
-    pub const OBSERVATION_REVISION: &'static str = "obs/v2";
+    pub(crate) const OBSERVATION_REVISION: &'static str = "obs/v2";
 
     /// Stable content-key fragment. Fixed plans render exactly as the
     /// legacy `RunBudget` debug string, so every result keyed before
     /// the plan layer existed keeps matching; converged and reconverged
     /// plans render their full parameters plus
-    /// [`RunPlan::OBSERVATION_REVISION`] and therefore live under their
+    /// `RunPlan::OBSERVATION_REVISION` and therefore live under their
     /// own keys.
     pub fn fingerprint(&self) -> String {
         match self.stop {
@@ -237,7 +229,7 @@ impl RunPlan {
 /// One measured-window observation delivered to a stop policy at its
 /// stride boundaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StopObservation {
+pub(crate) struct StopObservation {
     /// Frontier cycle of the observation.
     pub cycle: u64,
     /// Measured cycles completed so far (frontier − warm-up).
@@ -259,7 +251,7 @@ pub struct StopObservation {
 /// Implementations must be deterministic functions of the observation
 /// sequence, so every stepping interleaving stops at the same
 /// boundary.
-pub trait StopPolicy: Send {
+pub(crate) trait StopPolicy: Send {
     /// Hard ceiling on the measured window, in cycles.
     fn max_measure_cycles(&self) -> u64;
 
@@ -280,9 +272,6 @@ pub trait StopPolicy: Send {
     fn plateaus(&self) -> Vec<PhasePlateau> {
         Vec::new()
     }
-
-    /// Short human-readable description for logs.
-    fn describe(&self) -> String;
 }
 
 /// Fixed-window stopping: run the whole `measure_cycles`.
@@ -295,10 +284,6 @@ pub struct FixedCycles {
 impl StopPolicy for FixedCycles {
     fn max_measure_cycles(&self) -> u64 {
         self.measure_cycles
-    }
-
-    fn describe(&self) -> String {
-        format!("fixed({} cycles)", self.measure_cycles)
     }
 }
 
@@ -320,7 +305,12 @@ pub struct Converged {
 
 impl Converged {
     /// Build the policy with an empty rolling window.
-    pub fn new(window_cycles: u64, rel_epsilon: f64, min_cycles: u64, max_cycles: u64) -> Self {
+    pub(crate) fn new(
+        window_cycles: u64,
+        rel_epsilon: f64,
+        min_cycles: u64,
+        max_cycles: u64,
+    ) -> Self {
         assert!(window_cycles > 0, "window must be positive");
         Converged {
             window_cycles,
@@ -354,13 +344,6 @@ impl StopPolicy for Converged {
         }
         self.window.push(obs.throughput);
         obs.measured_cycles >= self.min_cycles && self.window.converged(self.rel_epsilon)
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "converged(window {} cycles, eps {}, {}..={} cycles)",
-            self.window_cycles, self.rel_epsilon, self.min_cycles, self.max_cycles
-        )
     }
 }
 
@@ -401,7 +384,7 @@ impl Reconverged {
     /// the workload shifts at; values outside `(0, max_cycles)` are
     /// dropped (a shift during warm-up or past the ceiling never
     /// segments the measured window), duplicates collapse.
-    pub fn new(
+    pub(crate) fn new(
         window_cycles: u64,
         rel_epsilon: f64,
         min_cycles: u64,
@@ -428,11 +411,6 @@ impl Reconverged {
             window: RollingThroughput::new(WINDOW_SAMPLES),
             recorded: Vec::new(),
         }
-    }
-
-    /// The phase boundaries the policy segments at.
-    pub fn boundaries(&self) -> &[u64] {
-        &self.boundaries
     }
 
     /// The plateau record of the phase in progress.
@@ -494,17 +472,6 @@ impl StopPolicy for Reconverged {
         let mut out = self.recorded.clone();
         out.push(self.current_plateau());
         out
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "reconverged(window {} cycles, eps {}, {}..={} cycles, {} shift boundaries)",
-            self.window_cycles,
-            self.rel_epsilon,
-            self.min_cycles,
-            self.max_cycles,
-            self.boundaries.len()
-        )
     }
 }
 
@@ -568,7 +535,7 @@ mod tests {
 
     #[test]
     fn fixed_policy_never_observes_or_stops() {
-        let policy = RunPlan::fixed(0, 500).policy();
+        let policy = RunPlan::fixed(0, 500).policy(&[]);
         assert_eq!(policy.max_measure_cycles(), 500);
         assert_eq!(policy.observe_stride(), 0);
     }
@@ -722,14 +689,14 @@ mod tests {
     fn reconverged_filters_boundaries_to_the_measured_window() {
         let policy = Reconverged::new(100, 0.05, 0, 5_000, &[0, 7_000, 2_000, 2_000, 5_000]);
         assert_eq!(
-            policy.boundaries(),
+            policy.boundaries,
             &[2_000],
             "0, duplicates, the ceiling and beyond are dropped"
         );
         assert_eq!(
             RunPlan::fixed(1_000, 5_000)
                 .until_reconverged(500, 0.1)
-                .policy_with_boundaries(&[2_000])
+                .policy(&[2_000])
                 .max_measure_cycles(),
             5_000
         );

@@ -144,7 +144,7 @@ pub struct SessionBuilder<O: L2Org> {
 
 impl<O: L2Org> SessionBuilder<O> {
     /// Start a builder for `cfg` around an organisation.
-    pub fn new(cfg: SystemConfig, org: O) -> Self {
+    pub(crate) fn new(cfg: SystemConfig, org: O) -> Self {
         assert_eq!(
             org.num_cores(),
             cfg.num_cores,
@@ -250,7 +250,7 @@ impl<O: L2Org> SessionBuilder<O> {
             org: self.org,
             labels,
             warmup_cycles: self.plan.warmup_cycles,
-            policy: self.plan.policy_with_boundaries(&boundaries),
+            policy: self.plan.policy(&boundaries),
             stopped_at: None,
             policy_next_at: 0,
             policy_origin: 0,
@@ -345,7 +345,7 @@ impl<O: L2Org> SimSession<O> {
 
     /// The simulation frontier: the minimum core-local clock. All state
     /// at cycles below the frontier is final.
-    pub fn frontier(&self) -> u64 {
+    pub(crate) fn frontier(&self) -> u64 {
         self.cores.iter().map(|c| c.cycle()).min().unwrap_or(0)
     }
 
@@ -362,17 +362,6 @@ impl<O: L2Org> SimSession<O> {
     /// horizon.
     pub fn stopped_at(&self) -> Option<u64> {
         self.stopped_at
-    }
-
-    /// Measured cycles completed so far (0 before the warm-up
-    /// boundary).
-    pub fn measured_cycles(&self) -> u64 {
-        self.frontier().saturating_sub(self.warmup_cycles)
-    }
-
-    /// Whether the measurement phase has begun.
-    pub fn measuring(&self) -> bool {
-        self.measuring
     }
 
     /// Begin measurement when the frontier has crossed the warm-up
@@ -888,11 +877,6 @@ impl<O: L2Org> SimSession<O> {
     /// in progress when the run ended).
     pub fn phase_plateaus(&self) -> Vec<PhasePlateau> {
         self.policy.plateaus()
-    }
-
-    /// System configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
     }
 
     /// Bus statistics.
@@ -1472,7 +1456,6 @@ mod tests {
         let mut s = session(64);
         let _ = s.run_to_completion();
         assert_eq!(s.stopped_at(), None);
-        assert_eq!(s.measured_cycles(), s.frontier() - 2_000);
     }
 
     #[test]

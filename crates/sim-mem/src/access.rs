@@ -92,12 +92,6 @@ impl CoreOp {
             critical: true,
         }
     }
-
-    /// Total instructions represented by this op (gap + the memory op).
-    #[inline]
-    pub fn instructions(&self) -> u64 {
-        self.gap as u64 + 1
-    }
 }
 
 /// A source of [`CoreOp`]s driving one core.
@@ -113,7 +107,7 @@ pub trait OpStream {
     fn label(&self) -> &str;
 
     /// Re-parameterise the stream mid-run (a phase-change scenario; see
-    /// [`crate::shift`]). Returns whether the directive was understood
+    /// [`crate::ShiftDirective`]). Returns whether the directive was understood
     /// and applied; the default implementation ignores every directive —
     /// fixed traces and replay streams have no parameters to shift.
     ///
@@ -167,16 +161,6 @@ impl VecStream {
             .collect::<Vec<_>>();
         Self::cycle(label, ops)
     }
-
-    /// Number of distinct ops in one replay cycle.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the cycle body is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
 }
 
 impl OpStream for VecStream {
@@ -219,18 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn core_op_counts_itself() {
-        let op = CoreOp::new(7, Access::load(0x40));
-        assert_eq!(op.instructions(), 8);
-    }
-
-    #[test]
     fn vec_stream_cycles() {
         let mut s = VecStream::loads("t", [0u64, 64, 128], 0);
         let a: Vec<u64> = (0..7).map(|_| s.next_op().access.addr.0).collect();
         assert_eq!(a, vec![0, 64, 128, 0, 64, 128, 0]);
         assert_eq!(s.label(), "t");
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.ops.len(), 3);
     }
 
     #[test]

@@ -29,8 +29,8 @@ impl Addr {
 
 impl BlockAddr {
     /// The first byte address covered by this block.
-    #[inline]
-    pub fn base_addr(self, block_bytes: u64) -> Addr {
+    #[cfg(test)]
+    pub(crate) fn base_addr(self, block_bytes: u64) -> Addr {
         Addr(self.0 << block_bytes.trailing_zeros())
     }
 }

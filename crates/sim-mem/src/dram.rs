@@ -96,11 +96,6 @@ impl Dram {
         self.stats
     }
 
-    /// Configuration accessor.
-    pub fn config(&self) -> DramConfig {
-        self.cfg
-    }
-
     /// Reset statistics (e.g. after warm-up) without disturbing timing state.
     pub fn reset_stats(&mut self) {
         self.stats = DramStats::default();

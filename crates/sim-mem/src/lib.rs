@@ -2,17 +2,17 @@
 //!
 //! Foundation types shared by every other crate in the workspace:
 //!
-//! * [`address`] — physical addresses, block addresses and set/tag
-//!   decomposition under a cache [`address::Geometry`];
-//! * [`access`] — memory references and the [`access::OpStream`] trait
+//! * `address` — physical addresses, block addresses and set/tag
+//!   decomposition under a cache [`Geometry`];
+//! * `access` — memory references and the [`OpStream`] trait
 //!   that workload generators implement;
-//! * [`dram`] — the off-chip DRAM timing model (flat 300-cycle latency
+//! * `dram` — the off-chip DRAM timing model (flat 300-cycle latency
 //!   plus channel occupancy, paper Table 4);
-//! * [`shift`] — mid-run workload shift directives (phase-change
-//!   scenarios) delivered through [`access::OpStream::apply_shift`];
+//! * `shift` — mid-run workload shift directives (phase-change
+//!   scenarios) delivered through [`OpStream::apply_shift`];
 //! * [`state`] — the byte encoding of checkpointed generator and cache
-//!   state ([`access::OpStream::save_state`]);
-//! * [`trace`] — [`trace::FrontOp`] records (an op plus its private-L1
+//!   state ([`OpStream::save_state`]);
+//! * `trace` — [`FrontOp`] records (an op plus its private-L1
 //!   outcome) with their compact binary codec, and the 1000 × 100
 //!   K-access interval sampling plan of the paper's characterisation
 //!   (§2.2).
@@ -28,12 +28,12 @@
 #![warn(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
-pub mod access;
-pub mod address;
-pub mod dram;
-pub mod shift;
+mod access;
+mod address;
+mod dram;
+mod shift;
 pub mod state;
-pub mod trace;
+mod trace;
 
 pub use access::{Access, AccessKind, CoreOp, OpStream, VecStream};
 pub use address::{tag_bits, Addr, BlockAddr, Geometry};

@@ -36,11 +36,6 @@ impl SamplingPlan {
             accesses_per_interval,
         }
     }
-
-    /// Total accesses covered by the plan.
-    pub fn total_accesses(&self) -> usize {
-        self.intervals * self.accesses_per_interval
-    }
 }
 
 /// Tracks progress through a [`SamplingPlan`]: call [`IntervalClock::tick`]
@@ -76,19 +71,9 @@ impl IntervalClock {
         }
     }
 
-    /// Index of the interval currently being filled.
-    pub fn current_interval(&self) -> usize {
-        self.current
-    }
-
     /// Whether the whole plan is complete.
     pub fn finished(&self) -> bool {
         self.current >= self.plan.intervals
-    }
-
-    /// The plan being tracked.
-    pub fn plan(&self) -> SamplingPlan {
-        self.plan
     }
 }
 
@@ -400,7 +385,7 @@ mod tests {
     #[test]
     fn paper_plan_totals() {
         let p = SamplingPlan::paper();
-        assert_eq!(p.total_accesses(), 100_000_000);
+        assert_eq!((p.intervals, p.accesses_per_interval), (1000, 100_000));
     }
 
     #[test]
@@ -422,9 +407,9 @@ mod tests {
         for _ in 0..9 {
             assert_eq!(c.tick(), None);
         }
-        assert_eq!(c.current_interval(), 0);
+        assert_eq!(c.current, 0);
         assert_eq!(c.tick(), Some(0));
-        assert_eq!(c.current_interval(), 1);
+        assert_eq!(c.current, 1);
         assert!(!c.finished());
     }
 

@@ -45,22 +45,10 @@ impl ComboClass {
     }
 
     /// Parse a class name ("C1".."C6", case-insensitive).
-    pub fn from_name(name: &str) -> Option<ComboClass> {
+    pub(crate) fn from_name(name: &str) -> Option<ComboClass> {
         ComboClass::ALL
             .into_iter()
             .find(|c| c.name().eq_ignore_ascii_case(name))
-    }
-
-    /// Table 7 description.
-    pub fn description(self) -> &'static str {
-        match self {
-            ComboClass::C1 => "4 identical class-A applications (stress test, no data sharing)",
-            ComboClass::C2 => "4 identical class-C applications (stress test, no data sharing)",
-            ComboClass::C3 => "2 class-A + 2 class-C applications",
-            ComboClass::C4 => "2 class-A + 1 class-B + 1 class-C application",
-            ComboClass::C5 => "2 class-A + 2 class-D applications",
-            ComboClass::C6 => "2 class-A + 1 class-B + 1 class-D application",
-        }
     }
 }
 
@@ -131,18 +119,18 @@ pub fn all_combos() -> Vec<Combo> {
     ]
 }
 
-/// The combinations belonging to one class.
-pub fn combos_in_class(class: ComboClass) -> Vec<Combo> {
-    all_combos()
-        .into_iter()
-        .filter(|c| c.class == class)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::AppClass;
+
+    /// The combinations belonging to one class.
+    fn combos_in_class(class: ComboClass) -> Vec<Combo> {
+        all_combos()
+            .into_iter()
+            .filter(|c| c.class == class)
+            .collect()
+    }
 
     #[test]
     fn twenty_one_combos_total() {

@@ -9,12 +9,12 @@
 //! those profiles exercises the same policy decisions as the original
 //! binaries would.
 //!
-//! * [`model`] — the generator engine (demand mixtures, phases,
+//! * `model` — the generator engine (demand mixtures, phases,
 //!   near/far reference patterns, streaming);
-//! * [`spec`] — the 13 calibrated benchmark models;
-//! * [`combos`] — Tables 7–8: the 6 combination classes and 21
+//! * `spec` — the 13 calibrated benchmark models;
+//! * `combos` — Tables 7–8: the 6 combination classes and 21
 //!   quad-core workload combinations;
-//! * [`phase`] — phase-change schedules: deterministic mid-run shifts
+//! * `phase` — phase-change schedules: deterministic mid-run shifts
 //!   of the per-core streams (the scenario axis that exercises SNUG's
 //!   stage-based adaptation).
 
@@ -28,12 +28,12 @@
 )]
 #![warn(missing_docs)]
 
-pub mod combos;
-pub mod model;
-pub mod phase;
-pub mod spec;
+mod combos;
+mod model;
+mod phase;
+mod spec;
 
-pub use combos::{all_combos, combos_in_class, Combo, ComboClass};
+pub use combos::{all_combos, Combo, ComboClass};
 pub use model::{BenchmarkSpec, DemandComponent, DemandProfile, Pattern, Phase, SyntheticStream};
 pub use phase::PhaseSchedule;
 pub use spec::{AppClass, Benchmark};

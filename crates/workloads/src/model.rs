@@ -44,7 +44,7 @@ pub struct DemandComponent {
 
 impl DemandComponent {
     /// Convenience constructor.
-    pub const fn new(weight: f64, lo: u16, hi: u16) -> Self {
+    pub(crate) const fn new(weight: f64, lo: u16, hi: u16) -> Self {
         DemandComponent { weight, lo, hi }
     }
 }
@@ -62,7 +62,8 @@ pub struct DemandProfile {
 
 impl DemandProfile {
     /// Uniform demand profile (class C/D): every set in `lo..=hi`.
-    pub fn uniform(lo: u16, hi: u16, near_fraction: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn uniform(lo: u16, hi: u16, near_fraction: f64) -> Self {
         DemandProfile {
             components: vec![DemandComponent::new(1.0, lo, hi)],
             near_fraction,
@@ -82,7 +83,7 @@ impl DemandProfile {
         clippy::unreachable,
         reason = "the last-component guard always returns on the final iteration"
     )]
-    pub fn assign(&self, num_sets: usize, seed: u64) -> Vec<u16> {
+    pub(crate) fn assign(&self, num_sets: usize, seed: u64) -> Vec<u16> {
         let total: f64 = self.components.iter().map(|c| c.weight).sum();
         assert!(total > 0.0, "profile must have positive weight");
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -165,7 +166,8 @@ impl BenchmarkSpec {
 
     /// Average demand in blocks per set (first phase), used to sanity-
     /// check class membership (>1 MB ⇔ avg > baseline associativity).
-    pub fn mean_demand(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_demand(&self) -> f64 {
         match &self.pattern {
             Pattern::Streaming => 1.0,
             Pattern::Pooled { phases, .. } => {
@@ -541,13 +543,9 @@ impl SyntheticStream {
     }
 
     /// The demand assigned to `set` in the current phase (test hook).
-    pub fn demand_of(&self, set: usize) -> u16 {
+    #[cfg(test)]
+    pub(crate) fn demand_of(&self, set: usize) -> u16 {
         self.sets.get(set).map_or(1, |s| s.demand)
-    }
-
-    /// The spec this stream was built from.
-    pub fn spec(&self) -> &BenchmarkSpec {
-        &self.spec
     }
 
     /// Re-derive phase bounds and per-set state from the (mutated) spec:
@@ -1219,7 +1217,7 @@ mod tests {
         let spec = pooled_spec(vec![DemandComponent::new(1.0, 3, 3)], 0.5);
         let mut s = spec.stream(Geometry::new(64, 16, 4), 0);
         assert!(s.apply_shift(&ShiftDirective::NearFraction { percent: 10 }));
-        let Pattern::Pooled { phases, .. } = &s.spec().pattern else {
+        let Pattern::Pooled { phases, .. } = &s.spec.pattern else {
             panic!("still pooled")
         };
         assert!((phases[0].profile.near_fraction - 0.1).abs() < 1e-12);

@@ -30,18 +30,13 @@ pub struct PhaseSchedule {
 impl PhaseSchedule {
     /// Build a schedule from shifts (sorted by cycle; same-cycle shifts
     /// keep their given order).
-    pub fn new(mut shifts: Vec<StreamShift>) -> Self {
+    pub(crate) fn new(mut shifts: Vec<StreamShift>) -> Self {
         assert!(
             !shifts.is_empty(),
             "a phase schedule needs at least one shift"
         );
         shifts.sort_by_key(|s| s.at_cycle);
         PhaseSchedule { shifts }
-    }
-
-    /// A single all-core shift — the common scenario shape.
-    pub fn single(at_cycle: u64, directive: ShiftDirective) -> Self {
-        PhaseSchedule::new(vec![StreamShift::all_cores(at_cycle, directive)])
     }
 
     /// Parse a semicolon-separated SPEC string, e.g.
@@ -86,17 +81,6 @@ impl PhaseSchedule {
         &self.shifts
     }
 
-    /// Number of shifts.
-    pub fn len(&self) -> usize {
-        self.shifts.len()
-    }
-
-    /// Whether the schedule holds no shifts (never true by
-    /// construction).
-    pub fn is_empty(&self) -> bool {
-        self.shifts.is_empty()
-    }
-
     /// Canonical string form — stable under parse → render round trips,
     /// so it doubles as the content-key fragment for shifted runs.
     /// (The re-convergence phase boundaries are derived from the raw
@@ -134,7 +118,7 @@ mod tests {
     #[test]
     fn parse_sorts_and_round_trips() {
         let sched = PhaseSchedule::parse("2400000:near=10; 1_800_000:demand=200").unwrap();
-        assert_eq!(sched.len(), 2);
+        assert_eq!(sched.shifts.len(), 2);
         assert_eq!(sched.shifts()[0].at_cycle, 1_800_000, "sorted by cycle");
         let canon = sched.fingerprint();
         assert_eq!(canon, "1800000:demand=200;2400000:near=10");
@@ -159,7 +143,10 @@ mod tests {
 
     #[test]
     fn single_builds_an_all_core_shift() {
-        let sched = PhaseSchedule::single(1_000, ShiftDirective::Streaming);
+        let sched = PhaseSchedule::new(vec![StreamShift::all_cores(
+            1_000,
+            ShiftDirective::Streaming,
+        )]);
         assert_eq!(sched.shifts().len(), 1);
         assert!(sched.shifts()[0].cores.is_empty());
         assert_eq!(sched.fingerprint(), "1000:streaming");

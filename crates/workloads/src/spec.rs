@@ -56,7 +56,7 @@ pub enum Benchmark {
 
 impl Benchmark {
     /// All thirteen modelled benchmarks.
-    pub const ALL: [Benchmark; 13] = [
+    pub(crate) const ALL: [Benchmark; 13] = [
         Benchmark::Ammp,
         Benchmark::Parser,
         Benchmark::Vortex,
@@ -105,13 +105,6 @@ impl Benchmark {
             Benchmark::Gzip | Benchmark::Swim | Benchmark::Mesa => AppClass::D,
             Benchmark::Applu => AppClass::Streaming,
         }
-    }
-
-    /// Whether the paper lists this benchmark as showing set-level
-    /// non-uniformity of capacity demand (§2.3 names 7; the 5 used in
-    /// the evaluation are classes A and B).
-    pub fn set_level_nonuniform(self) -> bool {
-        matches!(self.class(), AppClass::A | AppClass::B)
     }
 
     /// The synthetic model for this benchmark.
@@ -443,15 +436,6 @@ mod tests {
                 AppClass::Streaming => assert!(mean <= 4.0),
             }
         }
-    }
-
-    #[test]
-    fn nonuniform_flag_covers_classes_a_b() {
-        assert!(Benchmark::Ammp.set_level_nonuniform());
-        assert!(Benchmark::Apsi.set_level_nonuniform());
-        assert!(!Benchmark::Mcf.set_level_nonuniform());
-        assert!(!Benchmark::Gzip.set_level_nonuniform());
-        assert!(!Benchmark::Applu.set_level_nonuniform());
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! cargo run --release --example calibrate_eval
 //! ```
 
-use snug_sim::experiments::{pace_of, summarize, Figure, SchemePoint, StopReason};
-use snug_sim::harness::{run_sweep, BudgetPreset, ResultStore, StopPreset, SweepSpec};
+use snug_experiments::{pace_of, summarize, Figure, SchemePoint, StopReason};
+use snug_harness::{run_sweep, BudgetPreset, ResultStore, StopPreset, SweepSpec};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -42,7 +42,7 @@ fn eval_spec(stop: StopPreset) -> SweepSpec {
 
 /// Run (or serve from its candidate-local cache) one full eval sweep
 /// and return `(results, simulated, budgeted, ceilings)`.
-fn run(name: &str, spec: &SweepSpec) -> (Vec<snug_sim::experiments::ComboResult>, u64, u64, usize) {
+fn run(name: &str, spec: &SweepSpec) -> (Vec<snug_experiments::ComboResult>, u64, u64, usize) {
     let dir = PathBuf::from("target/calibrate-eval").join(name);
     let mut store = ResultStore::open(&dir).expect("open candidate store");
     let outcome = run_sweep(spec, &mut store, 0, |_| {}).expect("sweep runs");
@@ -70,7 +70,7 @@ fn run(name: &str, spec: &SweepSpec) -> (Vec<snug_sim::experiments::ComboResult>
     )
 }
 
-fn avg_row(results: &[snug_sim::experiments::ComboResult]) -> Vec<(String, f64)> {
+fn avg_row(results: &[snug_experiments::ComboResult]) -> Vec<(String, f64)> {
     summarize(results, Figure::Throughput)
         .into_iter()
         .find(|row| row.class == "AVG")

@@ -12,8 +12,8 @@
 //! cargo run --release --example calibrate_mid -- --all   # every candidate
 //! ```
 
-use snug_sim::experiments::{run_combo, summarize, CompareConfig, Figure, RunPlan};
-use snug_sim::workloads::all_combos;
+use snug_experiments::{run_combo, summarize, CompareConfig, Figure, RunPlan};
+use snug_workloads::all_combos;
 use std::time::Instant;
 
 /// SNUG-only probe: fix the mid budget, sweep stage lengths, and print
@@ -21,8 +21,8 @@ use std::time::Instant;
 /// DSR/CC do not depend on the SNUG stages, so their mid-budget numbers
 /// from the main probe are the comparison targets.
 fn snug_stage_probe() {
-    use snug_sim::experiments::run_scheme;
-    use snug_sim::metrics::{geomean, IpcVector};
+    use snug_experiments::run_scheme;
+    use snug_metrics::{geomean, IpcVector};
     // (warmup, measure, stage1, stage2)
     let stage_candidates: &[(u64, u64, u64, u64)] = &[
         (300_000, 3_000_000, 5_000, 295_000),
@@ -42,14 +42,10 @@ fn snug_stage_probe() {
         let start = Instant::now();
         let mut per_class: Vec<(String, Vec<f64>)> = Vec::new();
         for combo in all_combos() {
-            let base = run_scheme(
-                &combo,
-                &snug_sim::experiments::SchemePoint::L2p.spec(&cfg),
-                &cfg,
-            );
+            let base = run_scheme(&combo, &snug_experiments::SchemePoint::L2p.spec(&cfg), &cfg);
             let snug = run_scheme(
                 &combo,
-                &snug_sim::experiments::SchemePoint::Snug.spec(&cfg),
+                &snug_experiments::SchemePoint::Snug.spec(&cfg),
                 &cfg,
             );
             let tp =
@@ -189,9 +185,9 @@ fn main() {
         // the figure geomeans.
         let combos = all_combos();
         let combo = &combos[0];
-        let snug = snug_sim::experiments::SchemePoint::Snug.spec(&cfg);
+        let snug = snug_experiments::SchemePoint::Snug.spec(&cfg);
         let mut session =
-            snug_sim::experiments::session_for(combo, snug.build_any(cfg.system), &cfg, None);
+            snug_experiments::session_for(combo, snug.build_any(cfg.system), &cfg, None);
         session.run_to_completion();
         println!(
             "counters [SNUG | {}]: {}",

@@ -1,7 +1,8 @@
-//! # snug-sim — workspace facade
+//! # snug-sim — root package
 //!
-//! Re-exports the workspace crates behind one name so examples and
-//! integration tests can reach everything through `snug_sim`. The crate
+//! The root package's library target. It exports nothing: examples and
+//! integration tests import the workspace crates (`snug_experiments`,
+//! `snug_harness`, …) directly, each through its crate root. The crate
 //! map, data flow and result-store key schema are documented in
 //! `ARCHITECTURE.md`; the committed evaluation is `EXPERIMENTS.md`.
 
@@ -14,8 +15,3 @@
     clippy::unimplemented
 )]
 #![warn(missing_docs)]
-
-pub use snug_experiments as experiments;
-pub use snug_harness as harness;
-pub use snug_metrics as metrics;
-pub use snug_workloads as workloads;

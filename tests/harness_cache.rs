@@ -4,12 +4,12 @@
 //! JSON encode/decode boundary; a scheme-config edit re-runs only that
 //! scheme's unit jobs.
 
+use snug_experiments::{pace_of, run_combo, run_point, SchemePoint, SchemeRun};
 use snug_harness::json::Writer;
 use snug_harness::{
     cached_results, run_sweep, run_unit_jobs, unit_jobs_for, BudgetPreset, JsonCodec, ResultStore,
     StopPreset, SweepEvent, SweepSpec,
 };
-use snug_sim::experiments::{pace_of, run_combo, run_point, SchemePoint, SchemeRun};
 use snug_workloads::{ComboClass, PhaseSchedule};
 use std::path::PathBuf;
 

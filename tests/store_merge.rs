@@ -3,9 +3,9 @@
 //! idempotence contract — merging the same shard again (and gc'ing)
 //! changes nothing.
 
+use snug_experiments::SchemeRun;
 use snug_harness::hash::content_key;
 use snug_harness::{ContentKey, MergeStats, ResultStore, StoredResult};
-use snug_sim::experiments::SchemeRun;
 use std::fs;
 use std::path::PathBuf;
 

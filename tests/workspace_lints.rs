@@ -1,8 +1,11 @@
 //! Every first-party package (the root and each `crates/*` member) opts
 //! into the workspace lint tables with `[lints]` followed by
-//! `workspace = true`, so `unsafe_code = "forbid"` and the clippy
-//! settings in the root `Cargo.toml` reach all of them. The vendored
-//! shims under `vendor/` are exempt.
+//! `workspace = true`, so the settings in the root `Cargo.toml` reach
+//! all of them: `unsafe_code = "forbid"`, `unreachable_pub = "warn"`
+//! (a `pub` item its crate root does not re-export is flagged, so each
+//! crate's API is its `lib.rs` `pub use` list) and the clippy table
+//! (`allow_attributes`, `allow_attributes_without_reason`). The
+//! vendored shims under `vendor/` are exempt.
 
 use std::fs;
 use std::path::PathBuf;
