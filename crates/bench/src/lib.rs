@@ -20,7 +20,7 @@
 use snug_core::SchemeSpec;
 use snug_experiments::{run_scheme, CompareConfig};
 use snug_harness::codec::{read_u64, read_vec, required};
-use snug_harness::hash::content_key;
+use snug_harness::content_key;
 use snug_harness::json::{JsonError, Reader, Writer};
 use snug_harness::{config_key_text, BudgetPreset};
 use snug_workloads::{all_combos, Combo, ComboClass};

@@ -39,19 +39,19 @@ impl OverheadParams {
     }
 
     /// Number of sets.
-    pub fn num_sets(&self) -> u64 {
+    pub(crate) fn num_sets(&self) -> u64 {
         self.capacity_bytes / (self.block_bytes * self.assoc)
     }
 
     /// Architectural tag width.
-    pub fn tag_bits(&self) -> u32 {
+    pub(crate) fn tag_bits(&self) -> u32 {
         let offset = self.block_bytes.trailing_zeros();
         let index = self.num_sets().trailing_zeros();
         self.address_bits - offset - index
     }
 
     /// LRU field width per line (paper Table 2: 4 bits for 16 ways).
-    pub fn lru_bits(&self) -> u32 {
+    pub(crate) fn lru_bits(&self) -> u32 {
         (self.assoc as f64).log2().ceil() as u32
     }
 
@@ -65,7 +65,7 @@ impl OverheadParams {
 
     /// Bits in one L2 set: assoc × {tag, v, d, CC, f, LRU, data} + the
     /// per-set G/T bit.
-    pub fn l2_set_bits(&self) -> u64 {
+    pub(crate) fn l2_set_bits(&self) -> u64 {
         self.assoc * (self.tag_bits() as u64 + 4 + self.lru_bits() as u64 + self.block_bytes * 8)
             + 1
     }

@@ -7,7 +7,7 @@
 //! snug report       --experiments-md | --experiments-eval-md [--check]
 //! snug compare      --combo LABEL | --class C [budget flags] [--results DIR]
 //! snug ablations    [--check]
-//! snug characterize [--bench ammp,...] [--intervals N] [--accesses N] [--out DIR]
+//! snug characterize [--check]
 //! ```
 //!
 //! `sweep` runs the five-scheme comparison for the selected combos at
@@ -16,7 +16,8 @@
 //! `results/`). `report` renders Figures 9–11 and the per-combo table
 //! from the store without running anything; `report --experiments-md`
 //! renders the committed `EXPERIMENTS.md` and `--check` fails if the
-//! committed file is stale.
+//! committed file is stale. `ablations` and `characterize` render
+//! `ABLATIONS.md` and `CHARACTERIZATION.md` the same way.
 //!
 //! Each subcommand (and each `report` mode) parses its arguments
 //! against one [`Command`] table of the flags it takes, so a flag the
@@ -26,13 +27,13 @@ use snug_core::SchemeSpec;
 use snug_experiments::{default_stride, session_for, trace_point, SchemePoint};
 use snug_harness::{
     ablation_jobs, cached_results, check_experiments_md, eval_converged_spec, fmt_eng,
-    render_ablations_md, render_experiments_eval_md, render_experiments_md, render_markdown,
-    run_sweep, run_unit_jobs, stop_summary_table, telemetry_footer, trace_key, BudgetPreset,
-    CheckOutcome, ResultStore, StopPreset, SweepEvent, SweepSpec, UnitSpan, CEILING_FOOTNOTE,
-    EVAL_CONVERGED_REL_EPSILON, EVAL_CONVERGED_WINDOW,
+    render_ablations_md, render_characterization_md, render_experiments_eval_md,
+    render_experiments_md, render_markdown, run_sweep, run_unit_jobs, stop_summary_table,
+    telemetry_footer, trace_key, BudgetPreset, CheckOutcome, ResultStore, StopPreset, SweepEvent,
+    SweepSpec, UnitSpan, CEILING_FOOTNOTE, EVAL_CONVERGED_REL_EPSILON, EVAL_CONVERGED_WINDOW,
 };
 use snug_metrics::TableFormat;
-use snug_workloads::{all_combos, Benchmark, ComboClass, PhaseSchedule};
+use snug_workloads::{all_combos, ComboClass, PhaseSchedule};
 use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -89,7 +90,7 @@ USAGE:
   snug store gc     [--results DIR]
   snug store merge  SHARD.jsonl... [--results DIR]
   snug ablations    [--check]
-  snug characterize [--bench NAME[,NAME]...] [--intervals N] [--accesses N] [--out DIR]
+  snug characterize [--check]
 
 Budget flags (shared by sweep/compare/report; trace, profile and
 report --experiments-md take the fixed subset): --quick | --mid |
@@ -133,6 +134,10 @@ flipping, stage lengths, counter width k and threshold p, each one edit
 of the --mid configuration) on classes C1 and C4 as keyed units in
 results/ablations/, then renders the committed ABLATIONS.md; --check
 runs nothing and fails if the document is stale or a unit is missing.
+`snug characterize` renders the committed CHARACTERIZATION.md: the
+Figures 1-3 set-level capacity-demand distributions (ammp, vortex,
+applu) and every modelled benchmark's summary, at one pinned sampling
+plan of 100 intervals x 20 K L2 accesses; --check fails if it is stale.
 
 Parallel execution: `snug sweep --jobs N` (0 = all cores) runs unit
 jobs on a worker pool. Each worker appends completed units to its own
@@ -316,12 +321,7 @@ const ABLATIONS: Command = Command {
 
 const CHARACTERIZE: Command = Command {
     name: "characterize",
-    flags: &[&[
-        ("--bench", true),
-        ("--intervals", true),
-        ("--accesses", true),
-        OUT,
-    ]],
+    flags: &[&[CHECK]],
 };
 
 impl Command {
@@ -406,8 +406,9 @@ impl Args {
     }
 
     /// The budget preset, falling back to the subcommand's default. An
-    /// explicit `--warmup N --measure N` pair overrides a named preset,
-    /// and of the named presets the last one given wins.
+    /// explicit `--warmup N --measure N` pair (with a positive measured
+    /// window) overrides a named preset, and of the named presets the
+    /// last one given wins.
     fn budget(&self, default: BudgetPreset) -> Result<BudgetPreset, String> {
         match (self.num("--warmup")?, self.num("--measure")?) {
             (None, None) => Ok(self
@@ -421,6 +422,7 @@ impl Args {
                     _ => None,
                 })
                 .unwrap_or(default)),
+            (Some(_), Some(0)) => Err("--measure must be positive".into()),
             (Some(w), Some(m)) if w.checked_add(m).is_none() => Err(format!(
                 "--warmup {w} plus --measure {m} overflows the 64-bit cycle count"
             )),
@@ -726,10 +728,10 @@ fn cmd_experiments_md(args: &Args) -> Result<(), Failure> {
     let store = ResultStore::open(&results_dir).map_err(|e| e.to_string())?;
     let results = cached_results(&spec, &store).ok_or_else(|| {
         format!(
-            "store at `{}` is missing results for the {} budget — run `snug sweep --{}` first",
+            "store at `{}` is missing results for the {} budget — run `snug sweep {}` first",
             results_dir.display(),
             spec.budget.label(),
-            spec.budget.label(),
+            budget_flags(spec.budget),
         )
     })?;
     drop(store);
@@ -749,6 +751,18 @@ fn cmd_experiments_md(args: &Args) -> Result<(), Failure> {
         )?;
     }
     Ok(())
+}
+
+/// The flags that select `budget` on a command line: `--mid`, or
+/// `--warmup N --measure N` for a custom budget.
+fn budget_flags(budget: BudgetPreset) -> String {
+    match budget {
+        BudgetPreset::Custom {
+            warmup_cycles,
+            measure_cycles,
+        } => format!("--warmup {warmup_cycles} --measure {measure_cycles}"),
+        preset => format!("--{}", preset.label()),
+    }
 }
 
 /// `snug report --experiments-eval-md [--check] [--md-path FILE]`:
@@ -1112,56 +1126,20 @@ fn cmd_store(args: &[String]) -> Result<(), Failure> {
     }
 }
 
+/// `snug characterize [--check]`: characterise every modelled
+/// benchmark at the pinned plan and write `CHARACTERIZATION.md`, or,
+/// with `--check`, fail if the committed document is stale.
 fn cmd_characterize(args: &[String]) -> Result<(), Failure> {
-    use snug_experiments::{characterize, CharacterizeConfig};
-    let args = CHARACTERIZE.parse(args)?;
-    let mut benches = args
-        .all("--bench")
-        .flat_map(|value| value.split(','))
-        .map(|part| {
-            let part = part.trim();
-            Benchmark::from_name(part).ok_or_else(|| format!("unknown benchmark `{part}`"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    if benches.is_empty() {
-        benches = vec![Benchmark::Ammp, Benchmark::Vortex, Benchmark::Applu];
-    }
-    let intervals = args.num("--intervals")?.unwrap_or(20) as usize;
-    if intervals == 0 {
-        return Err("--intervals must be positive".into());
-    }
-    let accesses = args.num("--accesses")?.unwrap_or(50_000) as usize;
-    if accesses == 0 {
-        return Err("--accesses must be positive".into());
-    }
-    let out_dir = args.path("--out");
-    let cfg = CharacterizeConfig::scaled(intervals, accesses);
-    let mut out = io::stdout().lock();
-    writeln!(
-        out,
-        "characterisation: {intervals} intervals x {accesses} L2 accesses"
+    let check = CHARACTERIZE.parse(args)?.has("--check");
+    let md_path = std::path::Path::new(snug_harness::CHARACTERIZATION_FILE);
+    write_or_check_doc(
+        md_path,
+        &render_characterization_md(),
+        check,
+        "snug characterize",
     )?;
-    writeln!(
-        out,
-        "{:<8} {:>12} {:>16} {:>8}",
-        "bench", "1-4 blocks", ">16 blocks", "spread"
-    )?;
-    for b in &benches {
-        let c = characterize(*b, &cfg);
-        writeln!(
-            out,
-            "{:<8} {:>11.1}% {:>15.1}% {:>8.2}",
-            c.benchmark,
-            c.mean_low_demand() * 100.0,
-            c.mean_above_baseline(16) * 100.0,
-            c.mean_spread()
-        )?;
-        if let Some(dir) = &out_dir {
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-            let path = dir.join(format!("characterize_{}.csv", c.benchmark));
-            std::fs::write(&path, c.to_csv()).map_err(|e| e.to_string())?;
-            eprintln!("wrote {}", path.display());
-        }
+    if !check {
+        writeln!(io::stdout().lock(), "wrote {}", md_path.display())?;
     }
     Ok(())
 }
@@ -1259,7 +1237,6 @@ mod tests {
             "--phase-shift" => "400000:demand=300",
             "--combo" => "ammp+parser+swim+mesa",
             "--format" => "csv",
-            "--bench" => "ammp,vortex",
             "--rel-eps" => "0.5",
             "--results" | "--out" | "--md-path" => "some/path",
             _ => "150_000",
@@ -1309,7 +1286,14 @@ mod tests {
     /// an unknown flag naming both the flag and the command.
     #[test]
     fn each_command_takes_exactly_the_flags_in_its_table() {
-        let retired = [("--spec", true), ("--name", true), ("--threads", true)];
+        let retired = [
+            ("--spec", true),
+            ("--name", true),
+            ("--threads", true),
+            ("--bench", true),
+            ("--intervals", true),
+            ("--accesses", true),
+        ];
         let every: Vec<Flag> = COMMANDS
             .iter()
             .flat_map(|c| c.flags.iter().copied().flatten().copied())
@@ -1377,18 +1361,50 @@ mod tests {
         assert!(fits.budget(BudgetPreset::Quick).is_ok());
     }
 
-    /// A zero `--intervals` or `--accesses` is an error naming the
-    /// flag, not a sampling-plan assertion that panics.
+    /// A zero `--measure` is an error where every budget command parses
+    /// it, not a run that stores all-zero IPCs and then panics; a zero
+    /// warm-up is fine.
     #[test]
-    fn characterize_rejects_an_empty_sampling_plan() {
-        for flag in ["--intervals", "--accesses"] {
-            let err = run("characterize", &words(&format!("--bench applu {flag} 0")));
-            let expected = format!("{flag} must be positive");
+    fn a_zero_measure_window_is_rejected() {
+        for command in [SWEEP, REPORT, COMPARE, TRACE, PROFILE, EXPERIMENTS_MD] {
+            let args = command.parse(&words("--warmup 1000 --measure 0")).unwrap();
+            let err = args.budget(BudgetPreset::Quick).err();
+            assert_eq!(
+                err.as_deref(),
+                Some("--measure must be positive"),
+                "snug {}",
+                command.name
+            );
+            let args = command.parse(&words("--warmup 0 --measure 1")).unwrap();
             assert!(
-                matches!(&err, Err(Failure::Error(e)) if *e == expected),
-                "{flag}: {err:?}"
+                args.budget(BudgetPreset::Quick).is_ok(),
+                "snug {}",
+                command.name
             );
         }
+    }
+
+    /// `report --experiments-md` on an unswept store names the sweep
+    /// flags that fill it, and `snug sweep` takes them.
+    #[test]
+    fn the_experiments_md_hint_is_a_sweep_command_line() {
+        let empty = std::env::temp_dir().join(format!("snug-hint-{}", std::process::id()));
+        let results = empty.display().to_string();
+        for (budget, sweep) in [
+            ("--warmup 10 --measure 20", "--warmup 10 --measure 20"),
+            ("--quick", "--quick"),
+            ("", "--mid"),
+        ] {
+            let line = format!("--experiments-md {budget} --results {results}");
+            let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+            let Err(Failure::Error(err)) = run("report", &args) else {
+                panic!("an unswept store must fail: {line}");
+            };
+            let hint = format!("run `snug sweep {sweep}` first");
+            assert!(err.contains(&hint), "{err}");
+            assert!(SWEEP.parse(&words(sweep)).is_ok(), "{sweep}");
+        }
+        assert!(!empty.exists());
     }
 
     /// The repository root, where the committed documents live.
@@ -1420,6 +1436,35 @@ mod tests {
         };
         assert!(err.contains(&stale.display().to_string()), "{err}");
         assert!(err.contains("is stale"), "{err}");
+    }
+
+    /// `snug characterize --check` passes on the committed document,
+    /// and a one-byte edit fails naming the file and the edited line.
+    #[test]
+    fn characterize_check_fails_on_a_one_byte_edit() {
+        let rendered = render_characterization_md();
+        let check =
+            |path: &std::path::Path| write_or_check_doc(path, &rendered, true, "snug characterize");
+        let committed = repo_root().join(snug_harness::CHARACTERIZATION_FILE);
+        assert_eq!(check(&committed), Ok(()));
+
+        let text = std::fs::read_to_string(&committed).unwrap();
+        let figure = text.find("## Figure 2").unwrap();
+        let digit = figure + text[figure..].find("% |").unwrap() - 1;
+        let line = text[..digit].lines().count();
+        let mut text = text.into_bytes();
+        text[digit] = b'0' + (text[digit] - b'0' + 1) % 10;
+        let stale =
+            std::env::temp_dir().join(format!("snug-characterize-{}.md", std::process::id()));
+        std::fs::write(&stale, &text).unwrap();
+        let err = check(&stale).unwrap_err();
+        std::fs::remove_file(&stale).unwrap();
+        let Failure::Error(err) = err else {
+            panic!("{err:?}")
+        };
+        assert!(err.contains(&stale.display().to_string()), "{err}");
+        let stale_at = format!("is stale (first difference at line {line})");
+        assert!(err.contains(&stale_at), "{err}");
     }
 
     /// `--check` on a store missing one unit names that unit.

@@ -19,7 +19,10 @@
 //!   (full paper evaluation + provenance) and its staleness check;
 //! * `ablations` — SNUG's design-choice ablations as keyed units in
 //!   their own store, rendered into the committed `ABLATIONS.md`;
-//! * [`json`] / [`codec`] / [`hash`] — the self-contained persistence
+//! * `characterization` — the committed `CHARACTERIZATION.md`
+//!   (Figures 1–3 and every benchmark's set-level demand at one pinned
+//!   plan);
+//! * [`json`] / [`codec`] / `hash` — the self-contained persistence
 //!   substrate (no external JSON or hashing dependency).
 //!
 //! Jobs are cached per *(combo, scheme point)*: the 21 Table 8
@@ -43,10 +46,11 @@
 #![deny(missing_docs)]
 
 mod ablations;
+mod characterization;
 pub mod codec;
 mod exec;
 pub mod experiments_md;
-pub mod hash;
+mod hash;
 pub mod json;
 mod report;
 mod spec;
@@ -56,12 +60,13 @@ mod sweep;
 pub use ablations::{
     ablation_jobs, render_ablations_md, ComboAblation, ABLATIONS_DIR, ABLATIONS_FILE,
 };
+pub use characterization::{render_characterization_md, CHARACTERIZATION_FILE};
 pub use codec::JsonCodec;
 pub use experiments_md::{
     check_experiments_md, eval_converged_spec, render_experiments_eval_md, render_experiments_md,
     CheckOutcome, EVAL_CONVERGED_REL_EPSILON, EVAL_CONVERGED_WINDOW, EXPERIMENTS_EVAL_FILE,
 };
-pub use hash::ContentKey;
+pub use hash::{content_key, fnv1a64, ContentKey};
 pub use report::{
     render_markdown, report_tables, stop_summary_table, write_report, CEILING_FOOTNOTE,
 };

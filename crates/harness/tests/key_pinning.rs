@@ -13,7 +13,7 @@
 //! key of those specs, and that the encoders write the literals.
 
 use snug_experiments::{CompareConfig, SchemePoint};
-use snug_harness::hash::fnv1a64;
+use snug_harness::fnv1a64;
 use snug_harness::{
     eval_converged_spec, params_key_text, system_key_text, trace_key, unit_key, BudgetPreset,
     ResultStore, StopPreset, SweepSpec, SCHEMA_VERSION,

@@ -18,8 +18,7 @@ use crate::set::{
     META_VALID,
 };
 use crate::stats::CacheStats;
-use sim_mem::state::put_u64;
-use sim_mem::{BlockAddr, Geometry, StateError, StateReader};
+use sim_mem::{put_u64, BlockAddr, Geometry, StateError, StateReader};
 
 /// Result of a demand access through [`SetAssocCache::access`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -20,15 +20,8 @@ pub struct SamplingPlan {
 }
 
 impl SamplingPlan {
-    /// The paper's plan: 1000 intervals × 100 K L2 accesses.
-    pub fn paper() -> Self {
-        SamplingPlan {
-            intervals: 1000,
-            accesses_per_interval: 100_000,
-        }
-    }
-
-    /// A scaled-down plan preserving the structure (for tests/benches).
+    /// A plan of `intervals` × `accesses_per_interval` L2 accesses; the
+    /// paper's is 1000 × 100 K.
     pub fn scaled(intervals: usize, accesses_per_interval: usize) -> Self {
         assert!(intervals > 0 && accesses_per_interval > 0);
         SamplingPlan {
@@ -383,9 +376,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_plan_totals() {
-        let p = SamplingPlan::paper();
-        assert_eq!((p.intervals, p.accesses_per_interval), (1000, 100_000));
+    #[should_panic(expected = "intervals > 0")]
+    fn an_empty_plan_is_rejected() {
+        SamplingPlan::scaled(0, 100);
     }
 
     #[test]

@@ -27,8 +27,10 @@
 
 use rand::rngs::SmallRng;
 use rand::{Divisor, Rng, RngCore, SeedableRng};
-use sim_mem::state::{put_count, put_f64, put_u16, put_u32, put_u64};
-use sim_mem::{Access, AccessKind, Addr, CoreOp, Geometry, OpStream, StateError, StateReader};
+use sim_mem::{
+    put_count, put_f64, put_u16, put_u32, put_u64, Access, AccessKind, Addr, CoreOp, Geometry,
+    OpStream, StateError, StateReader,
+};
 
 /// One component of a per-set demand mixture: `weight` fraction of sets
 /// get a demand drawn uniformly from `lo..=hi` blocks.

@@ -32,6 +32,19 @@ pub enum AppClass {
     Streaming,
 }
 
+impl AppClass {
+    /// Table 6 name: `A`–`D`, or `streaming` for applu.
+    pub fn name(self) -> &'static str {
+        match self {
+            AppClass::A => "A",
+            AppClass::B => "B",
+            AppClass::C => "C",
+            AppClass::D => "D",
+            AppClass::Streaming => "streaming",
+        }
+    }
+}
+
 /// The benchmarks modelled from the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[expect(
@@ -56,7 +69,7 @@ pub enum Benchmark {
 
 impl Benchmark {
     /// All thirteen modelled benchmarks.
-    pub(crate) const ALL: [Benchmark; 13] = [
+    pub const ALL: [Benchmark; 13] = [
         Benchmark::Ammp,
         Benchmark::Parser,
         Benchmark::Vortex,
@@ -92,7 +105,7 @@ impl Benchmark {
     }
 
     /// Parse a paper-style name.
-    pub fn from_name(name: &str) -> Option<Benchmark> {
+    pub(crate) fn from_name(name: &str) -> Option<Benchmark> {
         Benchmark::ALL.into_iter().find(|b| b.name() == name)
     }
 

@@ -4,7 +4,7 @@
 //! changes nothing.
 
 use snug_experiments::SchemeRun;
-use snug_harness::hash::content_key;
+use snug_harness::content_key;
 use snug_harness::{ContentKey, MergeStats, ResultStore, StoredResult};
 use std::fs;
 use std::path::PathBuf;
