@@ -35,7 +35,7 @@ use snug_harness::{
 use snug_metrics::TableFormat;
 use snug_workloads::{all_combos, ComboClass, PhaseSchedule};
 use std::io::{self, Write as _};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -68,6 +68,9 @@ fn run(command: &str, rest: &[String]) -> Result<(), Failure> {
         other => Err(format!("unknown command `{other}`\n{USAGE}").into()),
     }
 }
+
+/// The store a command reads and writes without `--results`.
+const DEFAULT_RESULTS: &str = "results";
 
 const USAGE: &str = "\
 snug — SNUG experiment orchestration
@@ -381,7 +384,18 @@ impl Args {
 
     fn results_dir(&self) -> PathBuf {
         self.path("--results")
-            .unwrap_or_else(|| PathBuf::from("results"))
+            .unwrap_or_else(|| PathBuf::from(DEFAULT_RESULTS))
+    }
+
+    /// ` --results DIR` when the store is not the default, so that a
+    /// printed `snug sweep …` fills the store this command reads.
+    fn results_flag(&self) -> String {
+        let dir = self.results_dir();
+        if dir == Path::new(DEFAULT_RESULTS) {
+            String::new()
+        } else {
+            format!(" --results {}", dir.display())
+        }
     }
 
     /// The worker count; 0 (the default) means all cores.
@@ -683,8 +697,10 @@ fn report(args: &Args) -> Result<(), Failure> {
     let store = ResultStore::open(&results_dir).map_err(|e| e.to_string())?;
     let results = cached_results(&spec, &store).ok_or_else(|| {
         format!(
-            "store at `{}` is missing results for this spec — run `snug sweep` with the same flags first",
-            results_dir.display()
+            "store at `{}` is missing results for this spec — run `snug sweep{}` with the same \
+             flags first",
+            results_dir.display(),
+            args.results_flag(),
         )
     })?;
     let stop_summary = stop_summary_table(&spec, &store);
@@ -728,10 +744,11 @@ fn cmd_experiments_md(args: &Args) -> Result<(), Failure> {
     let store = ResultStore::open(&results_dir).map_err(|e| e.to_string())?;
     let results = cached_results(&spec, &store).ok_or_else(|| {
         format!(
-            "store at `{}` is missing results for the {} budget — run `snug sweep {}` first",
+            "store at `{}` is missing results for the {} budget — run `snug sweep {}{}` first",
             results_dir.display(),
             spec.budget.label(),
             budget_flags(spec.budget),
+            args.results_flag(),
         )
     })?;
     drop(store);
@@ -777,8 +794,9 @@ fn cmd_experiments_eval_md(args: &Args) -> Result<(), Failure> {
         format!(
             "store at `{}` is missing the converged eval results — run `snug sweep --eval \
              --until-converged --window {EVAL_CONVERGED_WINDOW} --rel-eps \
-             {EVAL_CONVERGED_REL_EPSILON}` first",
+             {EVAL_CONVERGED_REL_EPSILON}{}` first",
             results_dir.display(),
+            args.results_flag(),
         )
     })?;
     let stop_summary = stop_summary_table(&spec, &store);
@@ -1384,8 +1402,16 @@ mod tests {
         }
     }
 
+    /// The `snug sweep …` command line a missing-results error hints at.
+    fn hinted_sweep(err: &str) -> &str {
+        let command = err
+            .split('`')
+            .find_map(|quoted| quoted.strip_prefix("snug sweep"));
+        command.unwrap_or_default().trim()
+    }
+
     /// `report --experiments-md` on an unswept store names the sweep
-    /// flags that fill it, and `snug sweep` takes them.
+    /// flags that fill it — the store too — and `snug sweep` takes them.
     #[test]
     fn the_experiments_md_hint_is_a_sweep_command_line() {
         let empty = std::env::temp_dir().join(format!("snug-hint-{}", std::process::id()));
@@ -1400,10 +1426,51 @@ mod tests {
             let Err(Failure::Error(err)) = run("report", &args) else {
                 panic!("an unswept store must fail: {line}");
             };
+            let sweep = format!("{sweep} --results {results}");
             let hint = format!("run `snug sweep {sweep}` first");
             assert!(err.contains(&hint), "{err}");
-            assert!(SWEEP.parse(&words(sweep)).is_ok(), "{sweep}");
+            assert!(SWEEP.parse(&words(&sweep)).is_ok(), "{sweep}");
         }
+        assert!(!empty.exists());
+    }
+
+    /// `report` on an unswept store other than the default hints at a
+    /// sweep into that store; on the default store the hint names none.
+    #[test]
+    fn the_report_hint_names_a_non_default_store() {
+        let empty = std::env::temp_dir().join(format!("snug-report-hint-{}", std::process::id()));
+        let results = empty.display().to_string();
+        let flags = "--class C5 --quick";
+        let args = words(&format!("{flags} --results {results}"));
+        let Err(Failure::Error(err)) = run("report", &args) else {
+            panic!("an unswept store must fail");
+        };
+        assert_eq!(hinted_sweep(&err), format!("--results {results}"), "{err}");
+        assert!(err.contains("with the same flags first"), "{err}");
+        let sweep = format!("{flags} {}", hinted_sweep(&err));
+        assert_eq!(SWEEP.parse(&words(&sweep)).unwrap().results_dir(), empty);
+        assert!(!empty.exists());
+        // The default store, relative to the test's directory, is empty.
+        let Err(Failure::Error(err)) = run("report", &words(flags)) else {
+            panic!("an unswept default store must fail");
+        };
+        assert_eq!(hinted_sweep(&err), "", "{err}");
+    }
+
+    /// `report --experiments-eval-md` on an unswept store other than the
+    /// default hints at the converged eval sweep into that store.
+    #[test]
+    fn the_experiments_eval_md_hint_names_a_non_default_store() {
+        let empty = std::env::temp_dir().join(format!("snug-eval-hint-{}", std::process::id()));
+        let results = empty.display().to_string();
+        let args = words(&format!("--experiments-eval-md --results {results}"));
+        let Err(Failure::Error(err)) = run("report", &args) else {
+            panic!("an unswept store must fail");
+        };
+        let sweep = hinted_sweep(&err);
+        assert!(sweep.starts_with("--eval --until-converged"), "{err}");
+        assert!(sweep.ends_with(&format!(" --results {results}")), "{err}");
+        assert_eq!(SWEEP.parse(&words(sweep)).unwrap().results_dir(), empty);
         assert!(!empty.exists());
     }
 

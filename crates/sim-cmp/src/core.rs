@@ -47,6 +47,9 @@ pub(crate) struct CoreModel {
     /// Sub-cycle issue debt: instructions issued this cycle so far.
     issue_slot: u32,
     outstanding: VecDeque<OutstandingMiss>,
+    /// The ROB limit of the oldest outstanding miss (`u64::MAX` with
+    /// none in flight): the one an `issue` checks first.
+    rob_reach: u64,
     stats: CoreStats,
 }
 
@@ -59,6 +62,7 @@ impl CoreModel {
             instrs: 0,
             issue_slot: 0,
             outstanding: VecDeque::with_capacity(cfg.max_outstanding),
+            rob_reach: u64::MAX,
             stats: CoreStats::default(),
         }
     }
@@ -75,23 +79,46 @@ impl CoreModel {
         self.instrs
     }
 
+    /// Instructions the core issues before it reaches the ROB limit of
+    /// its oldest outstanding miss (`u64::MAX` with none in flight): an
+    /// [`CoreModel::issue`] of fewer drains nothing, so its instructions
+    /// only consume issue bandwidth.
+    #[inline]
+    pub(crate) fn rob_room(&self) -> u64 {
+        self.rob_reach.saturating_sub(self.instrs)
+    }
+
+    /// Instructions that issue, below [`CoreModel::rob_room`], before
+    /// the clock reaches `limit`: an op with at least that many ahead of
+    /// it starts at or past `limit`.
+    #[inline]
+    pub(crate) fn slots_before(&self, limit: u64) -> u64 {
+        limit
+            .saturating_sub(self.cycle)
+            .saturating_mul(u64::from(self.cfg.issue_width))
+            .saturating_sub(u64::from(self.issue_slot))
+    }
+
     /// Issue `n` instructions (the non-memory gap plus the memory op
-    /// itself), consuming issue bandwidth and resolving any ROB-reach
-    /// stalls caused by outstanding misses.
+    /// itself, or a run of L1 hits), consuming issue bandwidth and
+    /// resolving any ROB-reach stalls caused by outstanding misses.
     pub(crate) fn issue(&mut self, n: u64) {
         // Drain outstanding misses whose ROB limit falls inside this run.
         let end_pos = self.instrs + n;
-        while let Some(&m) = self.outstanding.front() {
-            if m.rob_limit <= end_pos {
-                if m.completes_at > self.cycle {
-                    self.stats.rob_stall_cycles += m.completes_at - self.cycle;
-                    self.cycle = m.completes_at;
-                    self.issue_slot = 0;
+        if self.rob_reach <= end_pos {
+            while let Some(&m) = self.outstanding.front() {
+                if m.rob_limit <= end_pos {
+                    if m.completes_at > self.cycle {
+                        self.stats.rob_stall_cycles += m.completes_at - self.cycle;
+                        self.cycle = m.completes_at;
+                        self.issue_slot = 0;
+                    }
+                    self.outstanding.pop_front();
+                } else {
+                    break;
                 }
-                self.outstanding.pop_front();
-            } else {
-                break;
             }
+            self.rob_reach = self.oldest_rob_limit();
         }
         // Charge issue bandwidth. Issue widths are powers of two in every
         // shipped configuration; keep the hot path a shift/mask and fall
@@ -144,6 +171,12 @@ impl CoreModel {
             completes_at,
             rob_limit: self.instrs + self.cfg.rob_size,
         });
+        self.rob_reach = self.oldest_rob_limit();
+    }
+
+    /// The ROB limit of the oldest outstanding miss, if any.
+    fn oldest_rob_limit(&self) -> u64 {
+        self.outstanding.front().map_or(u64::MAX, |m| m.rob_limit)
     }
 
     /// Serialise on a critical load: the core cannot proceed past a

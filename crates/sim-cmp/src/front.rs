@@ -5,11 +5,14 @@
 //! or other core reads or writes it — so the sequence of
 //! [`FrontOp`]s (op plus L1 outcome) a front end yields depends only on
 //! the stream and the L1 geometry, never on timing or on the scheme
-//! behind the L1. A session consumes its ops from one of two sources:
+//! behind the L1. A session takes a core's ops as misses, one at a time,
+//! and runs of L1 hits, whole or split at any hit, from one of two
+//! sources:
 //!
 //! * **live** — the stream and an L1 pair owned by the session;
-//! * **shared** — a [`SharedFront`]: per-core record files, generated
-//!   once and read by every session over the same workload. Whichever
+//! * **shared** — a [`SharedFront`]: per-core record files, one record
+//!   per L1 miss and one per run of L1 hits, generated once and read by
+//!   every session over the same workload. Whichever
 //!   reader runs past the end of a core's file extends it — one reader
 //!   per core at a time, publishing records chunk by chunk so that the
 //!   others go on meanwhile — so no op budget has to be known up front.
@@ -23,7 +26,7 @@
 //! first op a core runs once the frontier reaches the shift cycle, so
 //! until then a shifted session's ops are the shared ones. At a core's
 //! first shift the session *forks* it: it restores the nearest
-//! checkpoint at or before the ops it has read, regenerates the rest and
+//! checkpoint at or before the ops it has taken, regenerates the rest and
 //! goes on live from exactly there. A front end created for sessions
 //! with a phase schedule ([`Checkpoints::All`]) keeps a checkpoint every
 //! 4 Ki ops, so a fork regenerates fewer than that; otherwise only the
@@ -37,8 +40,8 @@
 
 use sim_cache::SetAssocCache;
 use sim_mem::{
-    AccessKind, FrontDecoder, FrontEncoder, FrontOp, Geometry, L1Outcome, OpStream, ShiftDirective,
-    StateError, StateReader, TraceDecodeError, Victim, FRONT_RECORD_MAX,
+    AccessKind, FrontDecoder, FrontEncoder, FrontOp, FrontRecord, Geometry, Hits, L1Outcome,
+    OpStream, ShiftDirective, StateError, StateReader, TraceDecodeError, Victim, FRONT_RECORD_MAX,
 };
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
@@ -272,7 +275,8 @@ impl Drop for Extension<'_> {
 }
 
 /// One workload's front ends shared by every session simulated over it:
-/// per-core record files of [`FrontOp`]s, extended on demand from
+/// per-core record files of the [`FrontOp`]s' misses and runs of hits,
+/// extended on demand from
 /// per-core checkpoint files (see the module docs). The files are
 /// deleted when the value drops.
 pub struct SharedFront {
@@ -446,6 +450,11 @@ impl SharedFront {
             encoder.encode(&live.next_op(), &mut buf);
             let last = i == EXTEND_OPS;
             let checkpoint = last || (self.keep == Checkpoints::All && i % CHECKPOINT_SPACING == 0);
+            if checkpoint {
+                // A checkpoint sits at a record boundary: the open run
+                // of hits ends there.
+                encoder.flush(&mut buf);
+            }
             if buf.len() < WRITE_CHUNK && !checkpoint {
                 continue;
             }
@@ -552,6 +561,17 @@ impl Drop for SharedFront {
     }
 }
 
+/// Where a core front end's current run of hits is.
+struct Run {
+    /// Whether the hits are on the L1I.
+    ifetch: bool,
+    /// Bytes per entry.
+    width: usize,
+    /// The entries of the hits not yet taken, in the shared reader's
+    /// buffer or in a live front end's `single`.
+    entries: std::ops::Range<usize>,
+}
+
 /// A session's sequential reader over one core of a [`SharedFront`].
 pub(crate) struct FrontReader {
     front: Arc<SharedFront>,
@@ -562,12 +582,10 @@ pub(crate) struct FrontReader {
     /// File offset of `buf[end]`.
     file_off: u64,
     decoder: FrontDecoder,
-    /// Ops read so far.
-    ops: u64,
 }
 
 impl FrontReader {
-    pub(crate) fn new(front: Arc<SharedFront>, core: usize) -> Self {
+    fn new(front: Arc<SharedFront>, core: usize) -> Self {
         FrontReader {
             front,
             core,
@@ -576,34 +594,49 @@ impl FrontReader {
             end: 0,
             file_off: 0,
             decoder: FrontDecoder::new(),
-            ops: 0,
         }
     }
 
+    /// Decode the next record into `miss` or `run`. A run's entries stay
+    /// in the buffer until the next call.
     #[inline]
-    pub(crate) fn next_op(&mut self) -> Result<FrontOp, FrontError> {
+    fn read(&mut self, miss: &mut Option<FrontOp>, run: &mut Run) -> Result<(), FrontError> {
+        // Whole records end at or before `end`. A refill leaves `pos`
+        // at 0 with as many bytes as the buffer takes, so one refill
+        // brings in any record that started in the buffer.
+        let mut refilled = false;
         if self.end - self.pos < FRONT_RECORD_MAX {
             self.refill()?;
+            refilled = true;
         }
-        // Whole records end at or before `end`; the window may run past
-        // it into stale bytes the decoder masks off. A refill leaves
-        // `pos` at 0 whenever fewer than a window's bytes remain, so the
-        // window always fits the buffer.
-        let valid = self.end - self.pos;
-        let decoded = match self.buf[self.pos..].first_chunk::<FRONT_RECORD_MAX>() {
-            Some(window) => self.decoder.decode_window(window, valid),
-            None => Err(TraceDecodeError::Truncated),
-        };
-        match decoded {
-            Ok((op, n)) => {
-                self.pos += n;
-                self.ops += 1;
-                Ok(op)
+        loop {
+            let at = self.pos;
+            match self.decoder.decode(&self.buf[at..self.end]) {
+                Ok((FrontRecord::Miss(op), n)) => {
+                    *miss = Some(op);
+                    self.pos = at + n;
+                    return Ok(());
+                }
+                Ok((FrontRecord::Hits(hits), n)) => {
+                    *run = Run {
+                        ifetch: hits.ifetch(),
+                        width: hits.width(),
+                        entries: at + n - hits.byte_len()..at + n,
+                    };
+                    self.pos = at + n;
+                    return Ok(());
+                }
+                Err(TraceDecodeError::Truncated) if !refilled => {
+                    self.refill()?;
+                    refilled = true;
+                }
+                Err(e) => {
+                    return Err(FrontError {
+                        path: self.front.cores[self.core].path.clone(),
+                        message: format!("{e} at byte {}", self.file_off - (self.end - at) as u64),
+                    })
+                }
             }
-            Err(e) => Err(FrontError {
-                path: self.front.cores[self.core].path.clone(),
-                message: format!("{e} at byte {}", self.file_off - valid as u64),
-            }),
         }
     }
 
@@ -637,42 +670,150 @@ impl FrontReader {
     }
 }
 
-/// A session core's front end.
+/// Generate `live`'s next op into `miss`, or into `run` as a run of one
+/// hit whose entry is written to `single`.
+#[inline]
+fn generate(live: &mut LiveFront, miss: &mut Option<FrontOp>, run: &mut Run, single: &mut [u8; 8]) {
+    let op = live.next_op();
+    match op.l1 {
+        L1Outcome::Hit { .. } => {
+            let hit = Hits::single(&op, single);
+            *run = Run {
+                ifetch: hit.ifetch(),
+                width: hit.width(),
+                entries: 0..hit.width(),
+            };
+        }
+        L1Outcome::Miss { .. } => *miss = Some(op),
+    }
+}
+
+/// Where a core's ops come from.
 #[expect(
     clippy::large_enum_variant,
     reason = "one per core, held in place for the whole run; boxing the live L1 pair would add a pointer chase per op"
 )]
-pub(crate) enum CoreFront {
+enum Source {
     Live(LiveFront),
     Shared(FrontReader),
 }
 
+/// A session core's front end. It holds the core's next op once
+/// [`CoreFront::fill`] has read or generated it: a miss, or a run of L1
+/// hits that the session may take whole or split at any hit. A shared
+/// front end's runs are its run records; a live one's are single hits.
+pub(crate) struct CoreFront {
+    source: Source,
+    /// The next op, when it is a miss waiting for its core's turn.
+    miss: Option<FrontOp>,
+    /// The current run: its hits not yet taken are the next ops while
+    /// `miss` is empty.
+    run: Run,
+    /// A live front end's one hit.
+    single: [u8; 8],
+    /// Ops taken so far.
+    ops: u64,
+}
+
 impl CoreFront {
-    #[inline]
-    pub(crate) fn next_op(&mut self) -> Result<FrontOp, FrontError> {
-        match self {
-            CoreFront::Live(live) => Ok(live.next_op()),
-            CoreFront::Shared(reader) => reader.next_op(),
+    pub(crate) fn live(front: LiveFront) -> Self {
+        Self::new(Source::Live(front))
+    }
+
+    pub(crate) fn shared(front: Arc<SharedFront>, core: usize) -> Self {
+        Self::new(Source::Shared(FrontReader::new(front, core)))
+    }
+
+    fn new(source: Source) -> Self {
+        CoreFront {
+            source,
+            miss: None,
+            run: Run {
+                ifetch: false,
+                width: 1,
+                entries: 0..0,
+            },
+            single: [0; 8],
+            ops: 0,
         }
     }
 
+    /// Make sure the front end holds its next op, reading or generating
+    /// it if not.
+    #[inline(always)]
+    pub(crate) fn fill(&mut self) -> Result<(), FrontError> {
+        if !self.run.entries.is_empty() || self.miss.is_some() {
+            return Ok(());
+        }
+        match &mut self.source {
+            Source::Shared(reader) => reader.read(&mut self.miss, &mut self.run),
+            Source::Live(live) => {
+                generate(live, &mut self.miss, &mut self.run, &mut self.single);
+                Ok(())
+            }
+        }
+    }
+
+    /// Take the next op if it is a miss (after [`CoreFront::fill`]);
+    /// otherwise the next ops are [`CoreFront::hits`].
+    #[inline]
+    pub(crate) fn take_miss(&mut self) -> Option<FrontOp> {
+        let miss = self.miss.take();
+        self.ops += u64::from(miss.is_some());
+        miss
+    }
+
+    /// Whether the next ops are hits (after [`CoreFront::fill`]).
+    #[inline]
+    pub(crate) fn has_hits(&self) -> bool {
+        !self.run.entries.is_empty()
+    }
+
+    /// The hits left of the current run (none while a miss waits).
+    #[inline]
+    pub(crate) fn hits(&self) -> Hits<'_> {
+        let run = &self.run;
+        let bytes = match &self.source {
+            Source::Shared(reader) => &reader.buf[run.entries.clone()],
+            Source::Live(_) => &self.single[run.entries.clone()],
+        };
+        Hits::new(run.ifetch, run.width, bytes)
+    }
+
+    /// Take the first `n` of [`CoreFront::hits`].
+    #[inline]
+    pub(crate) fn take_hits(&mut self, n: usize) {
+        let entries = &mut self.run.entries;
+        entries.start = (entries.start + n * self.run.width).min(entries.end);
+        self.ops += n as u64;
+    }
+
     pub(crate) fn label(&self) -> &str {
-        match self {
-            CoreFront::Live(live) => live.stream.label(),
-            CoreFront::Shared(reader) => &reader.front.labels[reader.core],
+        match &self.source {
+            Source::Live(live) => live.stream.label(),
+            Source::Shared(reader) => &reader.front.labels[reader.core],
         }
     }
 
     /// Apply a workload shift, forking a shared core into a live front
-    /// end positioned after the ops it has read. Returns whether the
-    /// stream understood the directive.
+    /// end positioned after the ops taken so far. A shift lands before
+    /// the first op starting at or past its cycle, which no front end
+    /// has generated yet; the rest of a shared run read before it is
+    /// dropped, for the fork regenerates it. Returns whether the stream
+    /// understood the directive.
     pub(crate) fn apply_shift(&mut self, directive: &ShiftDirective) -> Result<bool, FrontError> {
-        if let CoreFront::Shared(reader) = self {
-            *self = CoreFront::Live(reader.front.fork(reader.core, reader.ops)?);
+        debug_assert!(
+            self.miss.is_none()
+                && (self.run.entries.is_empty() || matches!(self.source, Source::Shared(_))),
+            "an op generated ahead of a shift"
+        );
+        if let Source::Shared(reader) = &self.source {
+            self.source = Source::Live(reader.front.fork(reader.core, self.ops)?);
+            self.run.entries = 0..0;
         }
-        Ok(match self {
-            CoreFront::Live(live) => live.stream.apply_shift(directive),
-            CoreFront::Shared(_) => false,
+        Ok(match &mut self.source {
+            Source::Live(live) => live.stream.apply_shift(directive),
+            Source::Shared(_) => false,
         })
     }
 }
@@ -713,6 +854,46 @@ mod tests {
         SharedFront::create(dir, "t", cores, |c| Box::new(stream(c)), geo(), keep)
     }
 
+    /// What a shared front end keeps of one op: a miss whole; a hit's
+    /// L1 side, instructions and walk-depth bucket.
+    #[derive(Debug, PartialEq)]
+    enum Kept {
+        Miss(FrontOp),
+        Hit(bool, u64, usize),
+    }
+
+    /// The first of `hits`.
+    fn first(hits: &Hits<'_>) -> Kept {
+        let mut hit = Kept::Hit(hits.ifetch(), 0, 0);
+        hits.scan(|n, bucket| {
+            hit = Kept::Hit(hits.ifetch(), n, bucket + 1);
+            false
+        });
+        hit
+    }
+
+    fn kept(op: FrontOp) -> Kept {
+        match op.l1 {
+            L1Outcome::Hit { .. } => first(&Hits::single(&op, &mut [0; 8])),
+            L1Outcome::Miss { .. } => Kept::Miss(op),
+        }
+    }
+
+    impl CoreFront {
+        /// Take exactly one op.
+        fn next_kept(&mut self) -> Result<Kept, FrontError> {
+            self.fill()?;
+            Ok(match self.take_miss() {
+                Some(op) => Kept::Miss(op),
+                None => {
+                    let hit = first(&self.hits());
+                    self.take_hits(1);
+                    hit
+                }
+            })
+        }
+    }
+
     fn live(core: usize) -> LiveFront {
         LiveFront::new(Box::new(stream(core)) as Box<dyn OpStream>, geo())
     }
@@ -725,13 +906,14 @@ mod tests {
         let mut live: Vec<LiveFront> = (0..2).map(live).collect();
         // Two readers per core at different paces: the second starts
         // after the first has already extended the file several times.
-        let mut first: Vec<FrontReader> =
-            (0..2).map(|c| FrontReader::new(front.clone(), c)).collect();
+        let mut first: Vec<CoreFront> = (0..2)
+            .map(|c| CoreFront::shared(front.clone(), c))
+            .collect();
         let mut expected: Vec<Vec<FrontOp>> = vec![Vec::new(); 2];
         for _ in 0..3 * EXTEND_OPS + 5 {
             for c in 0..2 {
                 let op = live[c].next_op();
-                assert_eq!(first[c].next_op(), Ok(op));
+                assert_eq!(first[c].next_kept(), Ok(kept(op)));
                 expected[c].push(op);
             }
         }
@@ -741,9 +923,9 @@ mod tests {
             assert_eq!(producer.checkpoints[0].op, 4 * EXTEND_OPS);
         }
         for (c, ops) in expected.iter().enumerate() {
-            let mut late = FrontReader::new(front.clone(), c);
+            let mut late = CoreFront::shared(front.clone(), c);
             for op in ops {
-                assert_eq!(late.next_op(), Ok(*op));
+                assert_eq!(late.next_kept(), Ok(kept(*op)));
             }
         }
         let paths: Vec<PathBuf> = front
@@ -771,10 +953,10 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..3 {
                 scope.spawn(|| {
-                    let mut reader = FrontReader::new(front.clone(), 0);
+                    let mut reader = CoreFront::shared(front.clone(), 0);
                     start.wait();
                     for (i, op) in expected.iter().enumerate() {
-                        assert_eq!(reader.next_op().as_ref(), Ok(op), "op {i}");
+                        assert_eq!(reader.next_kept(), Ok(kept(*op)), "op {i}");
                     }
                 });
             }
@@ -798,16 +980,16 @@ mod tests {
             let front = Arc::new(front(&dir, 1, keep).unwrap());
             // Another reader runs far ahead, so the latest checkpoint
             // lies past every fork below.
-            let mut ahead = FrontReader::new(front.clone(), 0);
+            let mut ahead = CoreFront::shared(front.clone(), 0);
             for _ in 0..2 * EXTEND_OPS + 1 {
-                ahead.next_op().unwrap();
+                ahead.next_kept().unwrap();
             }
             let (s, e) = (CHECKPOINT_SPACING, EXTEND_OPS);
             for ops in [0, 1, s - 1, s, s + 1, 2 * s + 777, e, e + s + 3, 3 * e - 1] {
-                let mut reader = FrontReader::new(front.clone(), 0);
+                let mut reader = CoreFront::shared(front.clone(), 0);
                 let mut reference = live(0);
                 for _ in 0..ops {
-                    assert_eq!(reader.next_op(), Ok(reference.next_op()));
+                    assert_eq!(reader.next_kept(), Ok(kept(reference.next_op())));
                 }
                 let mut fork = front.fork(0, reader.ops).unwrap();
                 for i in 0..3_000 {
@@ -871,8 +1053,8 @@ mod tests {
     fn a_corrupt_record_fails_naming_the_file() {
         let dir = scratch("corrupt");
         let front = Arc::new(front(&dir, 1, Checkpoints::Latest).unwrap());
-        let mut reader = FrontReader::new(front.clone(), 0);
-        reader.next_op().unwrap();
+        let mut reader = CoreFront::shared(front.clone(), 0);
+        reader.next_kept().unwrap();
         // Overwrite the file with an unknown access kind in every byte.
         let path = front.paths().next().unwrap().to_path_buf();
         let len = usize::try_from(front.cores[0].published.load(Ordering::Acquire)).unwrap();
@@ -880,8 +1062,8 @@ mod tests {
             .file
             .write_all_at(&vec![0xff; len], 0)
             .unwrap();
-        let mut fresh = FrontReader::new(front.clone(), 0);
-        let err = fresh.next_op().expect_err("garbage must not decode");
+        let mut fresh = CoreFront::shared(front.clone(), 0);
+        let err = fresh.next_kept().expect_err("garbage must not decode");
         assert_eq!(err.path, path);
         assert_eq!(err.message, "unknown access kind 3 at byte 0");
         assert!(
@@ -896,9 +1078,9 @@ mod tests {
     fn a_corrupt_checkpoint_fails_extensions_and_forks_naming_the_file() {
         let dir = scratch("ckpt");
         let front = Arc::new(front(&dir, 1, Checkpoints::All).unwrap());
-        let mut reader = FrontReader::new(front.clone(), 0);
+        let mut reader = CoreFront::shared(front.clone(), 0);
         for _ in 0..EXTEND_OPS + 1 {
-            reader.next_op().unwrap();
+            reader.next_kept().unwrap();
         }
         // Two extensions' checkpoints, all the same length: flip one bit
         // in the stream state of the one a fork here restores and of the
@@ -918,7 +1100,7 @@ mod tests {
         let err = front.fork(0, reader.ops).err().expect("fork restores it");
         assert_eq!((&err.path, &err.message), (&path, &expected));
         let err = loop {
-            match reader.next_op() {
+            match reader.next_kept() {
                 Ok(_) => assert!(reader.ops <= 2 * EXTEND_OPS),
                 Err(e) => break e,
             }
@@ -934,9 +1116,9 @@ mod tests {
         // extensions fail with its error, even before any checkpoint.
         let err = front.fork(0, 1).err().expect("the core is broken");
         assert_eq!((&err.path, &err.message), (&path, &expected_latest));
-        let mut late = FrontReader::new(front.clone(), 0);
+        let mut late = CoreFront::shared(front.clone(), 0);
         assert_eq!(
-            late.next_op().map(|_| ()),
+            late.next_kept().map(|_| ()),
             Ok(()),
             "published records stay readable"
         );

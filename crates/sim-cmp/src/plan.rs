@@ -252,9 +252,6 @@ pub(crate) struct StopObservation {
 /// sequence, so every stepping interleaving stops at the same
 /// boundary.
 pub(crate) trait StopPolicy: Send {
-    /// Hard ceiling on the measured window, in cycles.
-    fn max_measure_cycles(&self) -> u64;
-
     /// Cycle stride at which the policy wants observations (0: never
     /// observe — the run always reaches the ceiling).
     fn observe_stride(&self) -> u64 {
@@ -281,11 +278,7 @@ pub struct FixedCycles {
     pub measure_cycles: u64,
 }
 
-impl StopPolicy for FixedCycles {
-    fn max_measure_cycles(&self) -> u64 {
-        self.measure_cycles
-    }
-}
+impl StopPolicy for FixedCycles {}
 
 /// Convergence-based stopping: a rolling window of interval
 /// throughputs must agree to within `rel_epsilon` (see
@@ -323,10 +316,6 @@ impl Converged {
 }
 
 impl StopPolicy for Converged {
-    fn max_measure_cycles(&self) -> u64 {
-        self.max_cycles
-    }
-
     fn observe_stride(&self) -> u64 {
         self.window_cycles
     }
@@ -425,10 +414,6 @@ impl Reconverged {
 }
 
 impl StopPolicy for Reconverged {
-    fn max_measure_cycles(&self) -> u64 {
-        self.max_cycles
-    }
-
     fn observe_stride(&self) -> u64 {
         self.window_cycles
     }
@@ -535,9 +520,9 @@ mod tests {
 
     #[test]
     fn fixed_policy_never_observes_or_stops() {
-        let policy = RunPlan::fixed(0, 500).policy(&[]);
-        assert_eq!(policy.max_measure_cycles(), 500);
-        assert_eq!(policy.observe_stride(), 0);
+        let plan = RunPlan::fixed(0, 500);
+        assert_eq!(plan.measure_cycles(), 500);
+        assert_eq!(plan.policy(&[]).observe_stride(), 0);
     }
 
     #[test]
@@ -696,8 +681,7 @@ mod tests {
         assert_eq!(
             RunPlan::fixed(1_000, 5_000)
                 .until_reconverged(500, 0.1)
-                .policy(&[2_000])
-                .max_measure_cycles(),
+                .measure_cycles(),
             5_000
         );
     }

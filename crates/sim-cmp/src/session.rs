@@ -23,23 +23,30 @@
 //! `step`/`run_until` calls retires exactly the same operation sequence
 //! as a single `run_to_completion`, because every step picks the
 //! globally minimal core clock and phase transitions are functions of
-//! the frontier alone. Stop policies keep the contract: they observe
-//! only at fixed frontier-derived boundaries, and the early-exit
-//! decision latches after the exact same operation in every
-//! interleaving. The property tests in
+//! the frontier alone. The batched loop behind `run_until` charges a
+//! core's L1 hits ahead of the other cores, up to the next boundary;
+//! hits touch no state outside their core, so every miss and every
+//! boundary sees the state stepping would give it. Stop policies keep
+//! the contract: they observe only at fixed frontier-derived
+//! boundaries, and the early-exit decision latches after the exact same
+//! operation in every interleaving. The property tests in
 //! `tests/session_determinism.rs` pin this down for all five schemes,
 //! fixed and converged plans alike.
 
 use crate::config::SystemConfig;
 use crate::core::{CoreModel, CoreStats};
-use crate::front::{CoreFront, FrontError, FrontReader, LiveFront, SharedFront};
+use crate::front::{CoreFront, FrontError, LiveFront, SharedFront};
 use crate::plan::{RunPlan, StopObservation, StopPolicy};
 use crate::scheme::{ChipResources, L2Org, SchemeEvent, SchemeEventKind};
 use crate::Bus;
 use sim_cache::CacheStats;
-use sim_mem::{AccessKind, Dram, L1Outcome, OpStream, StreamShift};
+use sim_mem::{AccessKind, Dram, FrontOp, L1Outcome, OpStream, StreamShift, HIT_DEPTHS};
 use snug_metrics::{PhasePlateau, SimCounters, WALK_DEPTH_BUCKETS};
 use std::sync::Arc;
+
+// A run's walk-depth counts add bucket for bucket into the session's
+// histogram.
+const _: () = assert!(HIT_DEPTHS == WALK_DEPTH_BUCKETS);
 
 /// Result for one core after a measured run.
 #[derive(Debug, Clone, PartialEq)]
@@ -213,14 +220,14 @@ impl<O: L2Org> SessionBuilder<O> {
                 assert_eq!(streams.len(), n, "one stream per core");
                 streams
                     .into_iter()
-                    .map(|s| CoreFront::Live(LiveFront::new(s, self.cfg.l1)))
+                    .map(|s| CoreFront::live(LiveFront::new(s, self.cfg.l1)))
                     .collect()
             }
             FrontSource::Shared(front) => {
                 assert_eq!(front.num_cores(), n, "one shared front end per core");
                 assert_eq!(front.l1(), self.cfg.l1, "shared front end L1 geometry");
                 (0..n)
-                    .map(|c| CoreFront::Shared(FrontReader::new(front.clone(), c)))
+                    .map(|c| CoreFront::shared(front.clone(), c))
                     .collect()
             }
         };
@@ -237,6 +244,7 @@ impl<O: L2Org> SessionBuilder<O> {
             .map(|s| s.at_cycle - warmup)
             .collect();
         boundaries.dedup();
+        let policy = self.plan.policy(&boundaries);
         SimSession {
             cores: (0..self.cfg.num_cores)
                 .map(|_| CoreModel::new(self.cfg.core))
@@ -250,7 +258,9 @@ impl<O: L2Org> SessionBuilder<O> {
             org: self.org,
             labels,
             warmup_cycles: self.plan.warmup_cycles,
-            policy: self.plan.policy(&boundaries),
+            horizon,
+            observe_stride: policy.observe_stride(),
+            policy,
             stopped_at: None,
             policy_next_at: 0,
             policy_origin: 0,
@@ -289,6 +299,11 @@ pub struct SimSession<O: L2Org> {
     org: O,
     labels: Vec<String>,
     warmup_cycles: u64,
+    /// The end of the run window: `warmup_cycles` plus the policy's
+    /// measured ceiling, saturating.
+    horizon: u64,
+    /// The policy's observation stride (0: it never observes).
+    observe_stride: u64,
     /// The stop policy governing the measured window.
     policy: Box<dyn StopPolicy>,
     /// The frontier cycle at which the policy ended the run early
@@ -353,8 +368,7 @@ impl<O: L2Org> SimSession<O> {
     /// ceiling). A convergence policy may end the run earlier — see
     /// [`SimSession::stopped_at`].
     pub fn horizon(&self) -> u64 {
-        self.warmup_cycles
-            .saturating_add(self.policy.max_measure_cycles())
+        self.horizon
     }
 
     /// The frontier cycle at which the stop policy ended the run early,
@@ -401,7 +415,7 @@ impl<O: L2Org> SimSession<O> {
         // observation grid — and therefore the early-exit decision —
         // latches at the same point in the op sequence however the
         // session is driven.
-        let stride = self.policy.observe_stride();
+        let stride = self.observe_stride;
         if stride > 0 {
             self.policy_cores = self.baseline.clone();
             self.policy_origin = self.frontier();
@@ -434,7 +448,7 @@ impl<O: L2Org> SimSession<O> {
         if !self.measuring && min_cycle >= self.warmup_cycles {
             self.begin_measurement();
         }
-        if min_cycle >= self.horizon() {
+        if min_cycle >= self.horizon {
             return false;
         }
         // Apply scheduled workload shifts at frontier boundaries:
@@ -443,7 +457,7 @@ impl<O: L2Org> SimSession<O> {
         if self.next_shift < self.shifts.len() && !self.sync_shifts(min_cycle) {
             return false;
         }
-        if !self.exec_op(min_core) {
+        if !self.exec_one(min_core) {
             return false;
         }
         if self.probe_stride > 0 {
@@ -456,14 +470,15 @@ impl<O: L2Org> SimSession<O> {
     /// Advance until the frontier reaches `cycle` (clamped to the
     /// horizon) — every core's local clock ends at or beyond the target.
     pub fn run_until(&mut self, cycle: u64) {
-        let target = cycle.min(self.horizon());
+        let target = cycle.min(self.horizon);
         self.run_batched(target);
         self.sync_phase();
     }
 
-    /// The batched drive loop: byte-identical op interleaving to
+    /// The batched drive loop: the same state at every boundary as
     /// repeated [`SimSession::step`] calls, but the per-op work drops to
-    /// one `exec_op` plus two compares in the common case.
+    /// one `exec_miss` plus two compares per miss, and one charge per
+    /// run of L1 hits.
     ///
     /// `step()` pays an O(num_cores) min-clock scan and re-checks every
     /// boundary (warm-up, horizon, shift, probe, policy) per op. The
@@ -471,7 +486,8 @@ impl<O: L2Org> SimSession<O> {
     /// the *second*-smallest clock, and every boundary is a fixed cycle
     /// known up front — so one scan pins `min_core`, a second pins the
     /// runner-up `(second_cycle, second_idx)`, and `min_core` then
-    /// executes ops back-to-back until either
+    /// executes turns ([`SimSession::exec_turn`]) back-to-back until
+    /// either
     ///
     /// * its clock passes the runner-up (strictly, or equal with a
     ///   smaller index elsewhere — the tie order of `step`'s first-index
@@ -483,10 +499,24 @@ impl<O: L2Org> SimSession<O> {
     ///   stride, policy observation), which `step` fires after an op —
     ///   handled inline without ending the batch.
     ///
+    /// **Hit run-ahead.** An L1 hit touches no state outside its own
+    /// core: its instructions, clock and L1 tally. And before any
+    /// boundary's actions run, each core has executed exactly the ops
+    /// that start before that boundary. So a turn also charges the runs
+    /// of hits that follow its op, past the runner-up's clock, as long
+    /// as each hit starts before the next boundary of either kind.
+    /// Misses still execute in global order (lowest clock first, lowest
+    /// core index on ties): a core's clock is always where its next op
+    /// starts, and a miss read ahead waits in its front end for the
+    /// core's turn. A live front end generates an op only while its
+    /// core's clock is below the next boundary, so none is generated
+    /// before a shift that precedes it.
+    ///
     /// While the batch runs, the frontier is `min(running core's clock,
     /// second_cycle)` by construction, so no boundary can be crossed
-    /// unnoticed; `fire_probes`/`observe_policy` are invoked at exactly
-    /// the ops where stepping would have invoked them non-trivially.
+    /// unnoticed; `fire_probes`/`observe_policy` are invoked once every
+    /// core has executed exactly the ops stepping would have executed
+    /// when it invoked them non-trivially.
     fn run_batched(&mut self, target: u64) {
         loop {
             if self.stopped_at.is_some() || self.front_error.is_some() {
@@ -524,7 +554,7 @@ impl<O: L2Org> SimSession<O> {
             if !self.measuring && min_cycle >= self.warmup_cycles {
                 self.begin_measurement();
             }
-            let horizon = self.horizon();
+            let horizon = self.horizon;
             if min_cycle >= horizon {
                 return;
             }
@@ -544,7 +574,7 @@ impl<O: L2Org> SimSession<O> {
             }
             let mut post_limit = self.post_exec_limit();
             loop {
-                if !self.exec_op(min_core) {
+                if !self.exec_turn(min_core, pre_limit.min(post_limit)) {
                     return;
                 }
                 let cyc = self.cores[min_core].cycle();
@@ -580,7 +610,7 @@ impl<O: L2Org> SimSession<O> {
         if self.probe_stride > 0 {
             limit = limit.min(self.next_probe_at);
         }
-        if self.measuring && self.stopped_at.is_none() && self.policy.observe_stride() > 0 {
+        if self.measuring && self.stopped_at.is_none() && self.observe_stride > 0 {
             limit = limit.min(self.policy_next_at);
         }
         limit
@@ -675,18 +705,107 @@ impl<O: L2Org> SimSession<O> {
         }
     }
 
-    /// Execute one operation on core `c`: take its next op and L1
-    /// outcome from the core's front end, then charge the L2 path.
-    /// Returns `false`, executing nothing, when a shared front end
-    /// fails; the error is kept for [`SimSession::front_error`].
-    fn exec_op(&mut self, c: usize) -> bool {
-        let op = match self.fronts[c].next_op() {
-            Ok(op) => op,
-            Err(e) => {
+    /// Execute exactly one op on core `c`: its next miss, or the first
+    /// hit of its run. Returns `false`, executing nothing, when a shared
+    /// front end fails; the error is kept for
+    /// [`SimSession::front_error`].
+    fn exec_one(&mut self, c: usize) -> bool {
+        self.exec_next(c, u64::MAX, 1)
+    }
+
+    /// One turn of core `c`, whose clock is below `limit` (the next
+    /// boundary): its next op — a miss, or its run of hits — then, while
+    /// its clock stays below `limit`, the runs of hits that follow (see
+    /// [`SimSession::run_batched`]). Returns `false` as
+    /// [`SimSession::exec_one`] does.
+    #[inline]
+    fn exec_turn(&mut self, c: usize, limit: u64) -> bool {
+        if !self.exec_next(c, limit, usize::MAX) {
+            return false;
+        }
+        while self.cores[c].cycle() < limit {
+            if let Err(e) = self.fronts[c].fill() {
                 self.front_error = Some(e);
                 return false;
             }
-        };
+            if !self.fronts[c].has_hits() {
+                // A miss: it waits for the core's turn.
+                break;
+            }
+            self.charge_hits(c, limit, usize::MAX);
+        }
+        true
+    }
+
+    /// Execute core `c`'s next op: its miss, or at most `most` hits of
+    /// its run, as [`SimSession::charge_hits`] takes them. Returns
+    /// `false` as [`SimSession::exec_one`] does.
+    #[inline]
+    fn exec_next(&mut self, c: usize, limit: u64, most: usize) -> bool {
+        if let Err(e) = self.fronts[c].fill() {
+            self.front_error = Some(e);
+            return false;
+        }
+        match self.fronts[c].take_miss() {
+            Some(op) => self.exec_miss(c, op),
+            None => self.charge_hits(c, limit, most),
+        }
+        true
+    }
+
+    /// Charge core `c`'s run of L1 hits: every hit that starts before
+    /// `limit`, up to `most`, the rest staying in the front end. Hits go to
+    /// `CoreModel::issue` together as long as none ends at the ROB limit
+    /// of the oldest outstanding miss, so a run usually costs one
+    /// `issue`; the hit that reaches that limit goes alone, after the
+    /// hits before it, and drains the miss.
+    #[inline]
+    fn charge_hits(&mut self, c: usize, limit: u64, most: usize) {
+        let front = &mut self.fronts[c];
+        let core = &mut self.cores[c];
+        let hits = front.hits();
+        let depths = &mut self.tally.l1_walk_depths;
+        let mut before = core.slots_before(limit);
+        let mut within = core.rob_room();
+        // Instructions of the hits kept but not yet issued.
+        let mut ahead = 0;
+        let mut left = most;
+        let taken = hits.scan(|n, bucket| {
+            if ahead >= before || left == 0 {
+                // This hit starts at or past `limit`, or is one too many.
+                return false;
+            }
+            left -= 1;
+            depths[bucket] += 1;
+            if ahead + n < within {
+                ahead += n;
+                return true;
+            }
+            if ahead > 0 {
+                core.issue(ahead);
+                ahead = 0;
+            }
+            core.issue(n);
+            before = core.slots_before(limit);
+            within = core.rob_room();
+            true
+        });
+        if ahead > 0 {
+            core.issue(ahead);
+        }
+        count_hits(
+            &mut self.tally,
+            &mut self.l1d_stats[c],
+            &mut self.l1i_stats[c],
+            hits.ifetch(),
+            taken,
+        );
+        front.take_hits(taken);
+    }
+
+    /// Execute the L1 miss `op` on core `c`: charge its instructions,
+    /// write back a dirty victim and take the L2 path.
+    fn exec_miss(&mut self, c: usize, op: FrontOp) {
         self.cores[c].issue(op.instructions());
         let now = self.cores[c].cycle();
         let (l1, stalls_core) = match op.kind {
@@ -695,21 +814,12 @@ impl<O: L2Org> SimSession<O> {
             AccessKind::Store => (&mut self.l1d_stats[c], false),
         };
         self.tally.retired_ops += 1;
-        let victim = match op.l1 {
-            L1Outcome::Hit { distance } => {
-                // 1-cycle pipelined L1 hit: covered by the issue slot.
-                l1.hits += 1;
-                self.tally.l1_walk_depths[distance.clamp(1, WALK_DEPTH_BUCKETS) - 1] += 1;
-                return true;
-            }
-            L1Outcome::Miss { victim } => victim,
-        };
         l1.misses += 1;
         let mut res = ChipResources {
             bus: &mut self.bus,
             dram: &mut self.dram,
         };
-        if let Some(v) = victim {
+        if let L1Outcome::Miss { victim: Some(v) } = op.l1 {
             l1.evictions += 1;
             // L1 fill displaced a dirty victim: write it back to L2 (off
             // the critical path, no demand-access accounting).
@@ -732,7 +842,6 @@ impl<O: L2Org> SimSession<O> {
                 self.cores[c].track_load(completes);
             }
         }
-        true
     }
 
     /// Emit probe samples for every stride boundary the frontier has
@@ -797,7 +906,7 @@ impl<O: L2Org> SimSession<O> {
         if self.stopped_at.is_some() || !self.measuring {
             return;
         }
-        let stride = self.policy.observe_stride();
+        let stride = self.observe_stride;
         if stride == 0 {
             return;
         }
@@ -805,14 +914,14 @@ impl<O: L2Org> SimSession<O> {
         if frontier < self.policy_next_at {
             return;
         }
-        let rel = frontier - self.warmup_cycles;
         // An observation at or past the ceiling cannot stop anything
         // early — the run is ending anyway — and must never latch a
         // stop cycle beyond the horizon (a run that reaches the
         // ceiling reports the full window, not an "early" stop there).
-        if rel >= self.policy.max_measure_cycles() {
+        if frontier >= self.horizon {
             return;
         }
+        let rel = frontier - self.warmup_cycles;
         // The boundary grid is anchored at the measurement-start
         // frontier (`policy_origin`), so every interval spans full
         // strides.
@@ -972,6 +1081,25 @@ impl<O: L2Org> SimSession<O> {
         let events = self.org.drain_events();
         self.note_events(&events);
         self.assemble_counters()
+    }
+}
+
+/// Tally `n` L1 hits on the L1I (`ifetch`) or L1D as retired ops and
+/// hits: one add each however many.
+#[inline]
+fn count_hits(
+    tally: &mut SimCounters,
+    l1d: &mut CacheStats,
+    l1i: &mut CacheStats,
+    ifetch: bool,
+    n: usize,
+) {
+    let n = n as u64;
+    tally.retired_ops += n;
+    if ifetch {
+        l1i.hits += n;
+    } else {
+        l1d.hits += n;
     }
 }
 

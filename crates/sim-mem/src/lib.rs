@@ -12,9 +12,10 @@
 //!   scenarios) delivered through [`OpStream::apply_shift`];
 //! * `state` — the byte encoding of checkpointed generator and cache
 //!   state ([`OpStream::save_state`]);
-//! * `trace` — [`FrontOp`] records (an op plus its private-L1
-//!   outcome) with their compact binary codec, and the interval
-//!   [`SamplingPlan`] of the paper's characterisation (§2.2).
+//! * `trace` — [`FrontOp`]s (an op plus its private-L1 outcome) and
+//!   their compact binary codec, one record per L1 miss and one per
+//!   run of L1 hits ([`Hits`]), and the interval [`SamplingPlan`] of
+//!   the paper's characterisation (§2.2).
 
 #![warn(
     clippy::unwrap_used,
@@ -40,6 +41,6 @@ pub use dram::{Dram, DramConfig, DramStats};
 pub use shift::{ShiftDirective, StreamShift};
 pub use state::{put_count, put_f64, put_u16, put_u32, put_u64, StateError, StateReader};
 pub use trace::{
-    FrontDecoder, FrontEncoder, FrontOp, IntervalClock, L1Outcome, SamplingPlan, TraceDecodeError,
-    Victim, FRONT_RECORD_MAX,
+    FrontDecoder, FrontEncoder, FrontOp, FrontRecord, Hits, IntervalClock, L1Outcome, SamplingPlan,
+    TraceDecodeError, Victim, FRONT_RECORD_MAX, HIT_DEPTHS,
 };

@@ -4,8 +4,9 @@
 //! stream into 1000 sampling intervals of 100 K accesses each. This
 //! module provides the interval bookkeeping plus [`FrontOp`], one op
 //! together with its private-L1 outcome, and a compact variable-length
-//! codec for sequences of them, so a stream's generation and L1 can run
-//! once and be replayed by every scheme simulated over it.
+//! codec for sequences of them — one record per L1 miss, one per run of
+//! L1 hits — so a stream's generation and L1 can run once and be
+//! replayed by every scheme simulated over it.
 
 use crate::access::AccessKind;
 use crate::address::BlockAddr;
@@ -122,17 +123,33 @@ impl FrontOp {
     }
 }
 
-/// The longest encoding of one [`FrontOp`]: two header bytes, a 4-byte
-/// gap and two 8-byte fields.
+/// L1 walk-depth buckets a hit record distinguishes: depths 1 to
+/// `HIT_DEPTHS`, deeper hits sharing the last bucket.
+pub const HIT_DEPTHS: usize = 8;
+
+/// The most hits one run record holds; a longer run of hits goes on in
+/// the next record.
+const MAX_RUN_HITS: usize = 255;
+
+/// The longest miss record, and the bytes a reader must hold to decode
+/// any record's header: two header bytes, a 4-byte gap and two 8-byte
+/// fields.
 pub const FRONT_RECORD_MAX: usize = 22;
 
 // Header byte 0: bits 0-1 the access kind, bit 2 the critical flag,
-// bits 3-4 the L1 outcome, bits 5-7 the gap's byte length (0-4).
-// Header byte 1: bits 0-3 the block field's byte length, bits 4-7 the
-// aux field's (0-8 each). The fields follow little-endian, without
-// leading zero bytes: the gap, the block as a zigzag delta from the
-// previous record's block, and the aux field — the hit distance, or the
-// victim as a zigzag delta from the block.
+// bits 3-4 the L1 outcome, bits 5-7 a byte length. A miss record's
+// outcome is 1-3 (no victim, clean victim, dirty victim) and the length
+// is the gap's (0-4). Header byte 1 holds the byte lengths of the block
+// field (bits 0-3) and the victim field (bits 4-7), 0-8 each. The
+// fields follow little-endian, without leading zero bytes: the gap, the
+// block as a zigzag delta from the previous miss record's block, and
+// the victim as a zigzag delta from the block.
+//
+// A run record's outcome is 0. Its kind is `Load` for data hits (L1D)
+// or `IFetch` for instruction hits (L1I), its critical flag is clear and
+// its length is the byte width of one entry (1-5). Header byte 1 is the
+// hit count (1-255). One little-endian entry per hit follows:
+// `gap << 3 | (depth - 1)`, the depth clamped to `1..=HIT_DEPTHS`.
 const KIND_LOAD: u8 = 0;
 const KIND_STORE: u8 = 1;
 const KIND_IFETCH: u8 = 2;
@@ -146,24 +163,152 @@ const KINDS: [Option<AccessKind>; 4] = [
 ];
 const CRITICAL_BIT: u8 = 0b100;
 const OUTCOME_SHIFT: u8 = 3;
-const OUTCOME_HIT: u8 = 0;
+const OUTCOME_RUN: u8 = 0;
 const OUTCOME_MISS: u8 = 1;
 const OUTCOME_CLEAN_VICTIM: u8 = 2;
 const OUTCOME_DIRTY_VICTIM: u8 = 3;
-const GAP_LEN_SHIFT: u8 = 5;
+const LEN_SHIFT: u8 = 5;
 const AUX_LEN_SHIFT: u8 = 4;
+/// Bits of a run entry below the gap: the depth bucket.
+const DEPTH_BITS: u8 = 3;
 
-/// Stateful encoder of a [`FrontOp`] sequence into the compact record
-/// format: two header bytes holding the kind, critical flag, L1 outcome
-/// and the byte lengths of three variable-width fields — the gap, the
-/// block (as a delta from the previous record's block) and the hit
-/// distance or victim (as a delta from the block). Records are
-/// 2–[`FRONT_RECORD_MAX`] bytes; every field length sits in the header,
-/// so decoding needs no per-byte loop. A sequence decodes only with a
-/// [`FrontDecoder`] started at the same record.
+/// Consecutive L1 hits of one core on one L1 side: the entries of a run
+/// record, or what is left of them once hits were taken off the front.
+/// Entry `i` is `gap << 3 | (depth - 1)`, little-endian in
+/// [`Hits::width`] bytes; its first byte holds the depth. A hit's block,
+/// load/store kind and critical flag change nothing it does, so a run
+/// keeps only its gap and walk depth.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hits<'a> {
+    ifetch: bool,
+    width: usize,
+    entries: &'a [u8],
+}
+
+impl<'a> Hits<'a> {
+    /// Hits on the L1I (`ifetch`) or L1D whose `width`-byte entries are
+    /// `entries`.
+    pub fn new(ifetch: bool, width: usize, entries: &'a [u8]) -> Hits<'a> {
+        debug_assert!((1..=8).contains(&width) && entries.len().is_multiple_of(width));
+        Hits {
+            ifetch,
+            width,
+            entries,
+        }
+    }
+
+    /// The L1 hit `op` as a run of one, its entry written to `scratch`.
+    pub fn single(op: &FrontOp, scratch: &'a mut [u8; 8]) -> Hits<'a> {
+        let distance = match op.l1 {
+            L1Outcome::Hit { distance } => distance,
+            L1Outcome::Miss { .. } => 1,
+        };
+        let entry = hit_entry(op.gap, distance);
+        *scratch = entry.to_le_bytes();
+        let width = usize::from(byte_len(entry).max(1));
+        Hits::new(op.kind == AccessKind::IFetch, width, &scratch[..width])
+    }
+
+    /// Whether the hits are instruction fetches (L1I) rather than data
+    /// references (L1D).
+    #[inline]
+    pub fn ifetch(&self) -> bool {
+        self.ifetch
+    }
+
+    /// Bytes per entry.
+    #[inline]
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of hits.
+    #[inline]
+    pub fn len(&self) -> usize {
+        // Most runs have 1-byte entries: no division for them.
+        match self.width {
+            1 => self.entries.len(),
+            width => self.entries.len() / width,
+        }
+    }
+
+    /// Bytes of the entries.
+    #[inline]
+    pub fn byte_len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether there are no hits.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Feed each hit's instructions (its gap plus one) and walk-depth
+    /// bucket (its depth less one, the last bucket deeper ones too) to
+    /// `keep`, in order, until it returns `false`: the number of hits it
+    /// kept.
+    #[inline]
+    pub fn scan(&self, mut keep: impl FnMut(u64, usize) -> bool) -> usize {
+        if self.width == 1 {
+            for (i, &entry) in self.entries.iter().enumerate() {
+                if !keep(
+                    u64::from(entry >> DEPTH_BITS) + 1,
+                    usize::from(entry & 0b111),
+                ) {
+                    return i;
+                }
+            }
+        } else {
+            for (i, entry) in self.entries.chunks_exact(self.width).enumerate() {
+                let bucket = usize::from(entry[0] & 0b111);
+                if !keep((word(entry) >> DEPTH_BITS) + 1, bucket) {
+                    return i;
+                }
+            }
+        }
+        self.len()
+    }
+}
+
+/// A hit's run entry: its gap above its walk-depth bucket.
+#[inline]
+fn hit_entry(gap: u32, distance: usize) -> u64 {
+    u64::from(gap) << DEPTH_BITS | (distance.clamp(1, HIT_DEPTHS) - 1) as u64
+}
+
+/// The little-endian word of up to 8 bytes.
+#[inline]
+fn word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// One decoded record: a miss, or a run of hits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrontRecord<'a> {
+    /// An L1 miss, with its block and victim.
+    Miss(FrontOp),
+    /// Consecutive L1 hits, their entries in the decoded bytes.
+    Hits(Hits<'a>),
+}
+
+/// Stateful encoder of a [`FrontOp`] sequence into the record format:
+/// each miss is one record of 2–[`FRONT_RECORD_MAX`] bytes (kind,
+/// critical flag, victim, and three variable-width fields — the gap, the
+/// block as a delta from the previous miss's block, and the victim as a
+/// delta from the block); each maximal run of hits on one L1 side is one
+/// record of 2 header bytes and one 1–5-byte entry (gap and walk depth)
+/// per hit, up to 255 hits. Every field length sits in a
+/// header, so decoding needs no per-byte loop. A sequence decodes only
+/// with a [`FrontDecoder`] started at the same record.
 #[derive(Debug, Clone, Default)]
 pub struct FrontEncoder {
     prev_block: u64,
+    /// The open run's entries, written out when it ends.
+    run: Vec<u64>,
+    run_ifetch: bool,
 }
 
 impl FrontEncoder {
@@ -172,29 +317,48 @@ impl FrontEncoder {
         Self::default()
     }
 
-    /// An encoder continuing a sequence whose last record's block was
-    /// `prev_block` (see [`FrontEncoder::prev_block`]).
+    /// An encoder continuing a sequence whose last miss record's block
+    /// was `prev_block` (see [`FrontEncoder::prev_block`]).
     pub fn resume(prev_block: u64) -> Self {
-        FrontEncoder { prev_block }
+        FrontEncoder {
+            prev_block,
+            ..Self::default()
+        }
     }
 
-    /// The block of the last record encoded (0 at the start): all the
-    /// state the encoder carries from one record to the next.
+    /// The block of the last miss encoded (0 at the start): all the
+    /// state the encoder carries across a [`FrontEncoder::flush`].
     pub fn prev_block(&self) -> u64 {
         self.prev_block
     }
 
-    /// Append the encoding of `op` to `out`.
+    /// Encode `op`, appending to `out` every record it completes: a hit
+    /// joins the open run, which a miss, a full run or a hit on the
+    /// other L1 side writes out first.
     pub fn encode(&mut self, op: &FrontOp, out: &mut Vec<u8>) {
+        let victim = match op.l1 {
+            L1Outcome::Hit { distance } => {
+                let ifetch = op.kind == AccessKind::IFetch;
+                if self.run.len() == MAX_RUN_HITS
+                    || (!self.run.is_empty() && ifetch != self.run_ifetch)
+                {
+                    self.flush(out);
+                }
+                self.run_ifetch = ifetch;
+                self.run.push(hit_entry(op.gap, distance));
+                return;
+            }
+            L1Outcome::Miss { victim } => victim,
+        };
+        self.flush(out);
         let kind = match op.kind {
             AccessKind::Load => KIND_LOAD,
             AccessKind::Store => KIND_STORE,
             AccessKind::IFetch => KIND_IFETCH,
         };
-        let (outcome, aux) = match op.l1 {
-            L1Outcome::Hit { distance } => (OUTCOME_HIT, distance as u64),
-            L1Outcome::Miss { victim: None } => (OUTCOME_MISS, 0),
-            L1Outcome::Miss { victim: Some(v) } => (
+        let (outcome, aux) = match victim {
+            None => (OUTCOME_MISS, 0),
+            Some(v) => (
                 if v.dirty {
                     OUTCOME_DIRTY_VICTIM
                 } else {
@@ -213,7 +377,7 @@ impl FrontEncoder {
         record[0] = kind
             | if op.critical { CRITICAL_BIT } else { 0 }
             | outcome << OUTCOME_SHIFT
-            | gap_len << GAP_LEN_SHIFT;
+            | gap_len << LEN_SHIFT;
         record[1] = block_len | aux_len << AUX_LEN_SHIFT;
         let mut at = 2;
         for (field, len) in [(gap, gap_len), (block, block_len), (aux, aux_len)] {
@@ -221,6 +385,25 @@ impl FrontEncoder {
             at += usize::from(len);
         }
         out.extend_from_slice(&record[..at]);
+    }
+
+    /// Write out the open run, if any: records then end at an op
+    /// boundary, where a decoder can stop or an encoder resume.
+    pub fn flush(&mut self, out: &mut Vec<u8>) {
+        let Some(&widest) = self.run.iter().max() else {
+            return;
+        };
+        let width = byte_len(widest).max(1);
+        let kind = if self.run_ifetch {
+            KIND_IFETCH
+        } else {
+            KIND_LOAD
+        };
+        out.push(kind | OUTCOME_RUN << OUTCOME_SHIFT | width << LEN_SHIFT);
+        out.push(low_byte(self.run.len() as u64));
+        for entry in self.run.drain(..) {
+            out.extend_from_slice(&entry.to_le_bytes()[..usize::from(width)]);
+        }
     }
 }
 
@@ -236,9 +419,13 @@ impl FrontDecoder {
         Self::default()
     }
 
-    /// Decode the record at the start of `bytes`: the op and the number
-    /// of bytes it took. On error the decoder state is unchanged.
-    pub fn decode(&mut self, bytes: &[u8]) -> Result<(FrontOp, usize), TraceDecodeError> {
+    /// Decode the record at the start of `bytes`: the record and the
+    /// number of bytes it took. On error the decoder state is unchanged.
+    #[inline]
+    pub fn decode<'a>(
+        &mut self,
+        bytes: &'a [u8],
+    ) -> Result<(FrontRecord<'a>, usize), TraceDecodeError> {
         let mut padded = [0u8; FRONT_RECORD_MAX];
         let window = match bytes.first_chunk::<FRONT_RECORD_MAX>() {
             Some(window) => window,
@@ -247,24 +434,19 @@ impl FrontDecoder {
                 &padded
             }
         };
-        self.decode_window(window, bytes.len())
-    }
-
-    /// [`FrontDecoder::decode`] over a window whose first `valid` bytes
-    /// are record data (a record longer than `valid` is truncated); the
-    /// rest of the window is read but ignored. This is the reader's
-    /// path: one fixed-size window, no per-byte bounds checks.
-    #[inline]
-    pub fn decode_window(
-        &mut self,
-        window: &[u8; FRONT_RECORD_MAX],
-        valid: usize,
-    ) -> Result<(FrontOp, usize), TraceDecodeError> {
+        let valid = bytes.len();
+        if valid < 2 {
+            return Err(TraceDecodeError::Truncated);
+        }
         let [h0, h1, ..] = *window;
         let kind =
             KINDS[usize::from(h0 & KIND_MASK)].ok_or(TraceDecodeError::BadKind(h0 & KIND_MASK))?;
         let outcome = (h0 >> OUTCOME_SHIFT) & 0b11;
-        let gap_len = usize::from(h0 >> GAP_LEN_SHIFT);
+        let len_field = usize::from(h0 >> LEN_SHIFT);
+        if outcome == OUTCOME_RUN {
+            return decode_run(bytes, kind, h0, h1, len_field);
+        }
+        let gap_len = len_field;
         let block_len = usize::from(h1 & 0x0f);
         let aux_len = usize::from(h1 >> AUX_LEN_SHIFT);
         if gap_len > 4 || block_len > 8 || aux_len > 8 || (outcome == OUTCOME_MISS && aux_len > 0) {
@@ -279,17 +461,12 @@ impl FrontDecoder {
             .prev_block
             .wrapping_add(unzigzag(field(window, 2 + gap_len, block_len)));
         let aux = field(window, 2 + gap_len + block_len, aux_len);
-        let l1 = match outcome {
-            OUTCOME_HIT => L1Outcome::Hit {
-                distance: usize::try_from(aux).map_err(|_| TraceDecodeError::Malformed)?,
-            },
-            OUTCOME_MISS => L1Outcome::Miss { victim: None },
-            _ => L1Outcome::Miss {
-                victim: Some(Victim {
-                    block: BlockAddr(block.wrapping_add(unzigzag(aux))),
-                    dirty: outcome == OUTCOME_DIRTY_VICTIM,
-                }),
-            },
+        let victim = match outcome {
+            OUTCOME_MISS => None,
+            _ => Some(Victim {
+                block: BlockAddr(block.wrapping_add(unzigzag(aux))),
+                dirty: outcome == OUTCOME_DIRTY_VICTIM,
+            }),
         };
         self.prev_block = block;
         let op = FrontOp {
@@ -297,10 +474,38 @@ impl FrontDecoder {
             kind,
             critical: h0 & CRITICAL_BIT != 0,
             block: BlockAddr(block),
-            l1,
+            l1: L1Outcome::Miss { victim },
         };
-        Ok((op, len))
+        Ok((FrontRecord::Miss(op), len))
     }
+}
+
+/// Decode the run record at the start of `bytes`, whose header bytes
+/// are `h0` and `h1`.
+#[inline]
+fn decode_run(
+    bytes: &[u8],
+    kind: AccessKind,
+    h0: u8,
+    h1: u8,
+    width: usize,
+) -> Result<(FrontRecord<'_>, usize), TraceDecodeError> {
+    let count = usize::from(h1);
+    if kind == AccessKind::Store
+        || h0 & CRITICAL_BIT != 0
+        || !(1..=5).contains(&width)
+        || count == 0
+    {
+        return Err(TraceDecodeError::Malformed);
+    }
+    let len = 2 + count * width;
+    let entries = bytes.get(2..len).ok_or(TraceDecodeError::Truncated)?;
+    // Only a 5-byte entry can hold more than a `u32` gap.
+    if width == 5 && entries.chunks_exact(5).any(|e| e[4] >> DEPTH_BITS != 0) {
+        return Err(TraceDecodeError::Malformed);
+    }
+    let hits = Hits::new(kind == AccessKind::IFetch, width, entries);
+    Ok((FrontRecord::Hits(hits), len))
 }
 
 /// The `len`-byte little-endian field at `at`: one 8-byte load, masked.
@@ -354,7 +559,7 @@ pub enum TraceDecodeError {
     Truncated,
     /// An unknown access-kind discriminant was encountered.
     BadKind(u8),
-    /// A header field out of its range, or a field the outcome does
+    /// A header field out of its range, or a field the record does
     /// not have.
     Malformed,
 }
@@ -412,15 +617,55 @@ mod tests {
         for op in ops {
             enc.encode(op, &mut out);
         }
+        enc.flush(&mut out);
         out
     }
 
-    fn decode_all(mut bytes: &[u8]) -> Result<Vec<FrontOp>, TraceDecodeError> {
+    /// What a record keeps of one op: a miss whole; a hit's L1 side,
+    /// instructions and clamped walk depth.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Kept {
+        Miss(FrontOp),
+        Hit(bool, u64, usize),
+    }
+
+    fn kept(op: &FrontOp) -> Kept {
+        match op.l1 {
+            L1Outcome::Hit { distance } => Kept::Hit(
+                op.kind == AccessKind::IFetch,
+                op.instructions(),
+                distance.clamp(1, HIT_DEPTHS),
+            ),
+            L1Outcome::Miss { .. } => Kept::Miss(*op),
+        }
+    }
+
+    /// Each hit's instructions and walk depth, in order.
+    fn each(hits: &Hits<'_>) -> Vec<(u64, usize)> {
+        let mut seen = Vec::new();
+        hits.scan(|n, bucket| {
+            seen.push((n, bucket + 1));
+            true
+        });
+        seen
+    }
+
+    fn decode_all(mut bytes: &[u8]) -> Result<Vec<Kept>, TraceDecodeError> {
         let mut dec = FrontDecoder::new();
         let mut ops = Vec::new();
         while !bytes.is_empty() {
-            let (op, n) = dec.decode(bytes)?;
-            ops.push(op);
+            let (record, n) = dec.decode(bytes)?;
+            match record {
+                FrontRecord::Miss(op) => ops.push(Kept::Miss(op)),
+                FrontRecord::Hits(hits) => {
+                    let ifetch = hits.ifetch();
+                    ops.extend(
+                        each(&hits)
+                            .into_iter()
+                            .map(|(n, d)| Kept::Hit(ifetch, n, d)),
+                    );
+                }
+            }
             bytes = &bytes[n..];
         }
         Ok(ops)
@@ -436,6 +681,10 @@ mod tests {
         }
     }
 
+    fn hit(gap: u32, distance: usize) -> FrontOp {
+        op(gap, AccessKind::Load, 0x40, L1Outcome::Hit { distance })
+    }
+
     #[test]
     fn trace_round_trips_through_bytes() {
         let ops = vec![
@@ -449,6 +698,13 @@ mod tests {
                 )
             },
             op(0, AccessKind::Store, 0x2040, L1Outcome::Hit { distance: 2 }),
+            op(7, AccessKind::Load, 0x2080, L1Outcome::Hit { distance: 12 }),
+            op(
+                1,
+                AccessKind::IFetch,
+                0x20c0,
+                L1Outcome::Hit { distance: 1 },
+            ),
             op(
                 9,
                 AccessKind::IFetch,
@@ -463,6 +719,12 @@ mod tests {
             op(
                 u32::MAX,
                 AccessKind::Load,
+                0x3080,
+                L1Outcome::Hit { distance: 0 },
+            ),
+            op(
+                u32::MAX,
+                AccessKind::Load,
                 u64::MAX,
                 L1Outcome::Miss {
                     victim: Some(Victim {
@@ -473,39 +735,137 @@ mod tests {
             ),
         ];
         let bytes = encode_all(&ops);
-        let back = decode_all(&bytes).unwrap();
-        assert_eq!(back, ops);
-        // gap + 1 instructions per op: 4 + 1 + 10.
-        let total: u64 = back.iter().take(3).map(FrontOp::instructions).sum();
-        assert_eq!(total, 15);
+        let expected: Vec<Kept> = ops.iter().map(kept).collect();
+        assert_eq!(decode_all(&bytes).unwrap(), expected);
+        // A miss, a data run of two, an instruction run of one, a miss,
+        // a run of one with a 5-byte entry, a miss.
+        let mut dec = FrontDecoder::new();
+        let mut rest = &bytes[..];
+        let mut runs = Vec::new();
+        while !rest.is_empty() {
+            let (record, n) = dec.decode(rest).unwrap();
+            if let FrontRecord::Hits(hits) = record {
+                let sum: u64 = each(&hits).iter().map(|&(n, _)| n).sum();
+                runs.push((hits.ifetch(), hits.len(), sum, n));
+            }
+            rest = &rest[n..];
+        }
+        let widest = u64::from(u32::MAX) + 1;
+        assert_eq!(
+            runs,
+            [(false, 2, 1 + 8, 4), (true, 1, 2, 3), (false, 1, widest, 7)]
+        );
+    }
+
+    #[test]
+    fn runs_end_at_full_length_and_at_misses() {
+        let miss = op(0, AccessKind::Load, 0x80, L1Outcome::Miss { victim: None });
+        let mut ops: Vec<FrontOp> = (0..2 * MAX_RUN_HITS + 3)
+            .map(|i| hit(u32::try_from(i % 40).unwrap(), i % 5 + 1))
+            .collect();
+        ops.insert(10, miss);
+        let bytes = encode_all(&ops);
+        let expected: Vec<Kept> = ops.iter().map(kept).collect();
+        assert_eq!(decode_all(&bytes).unwrap(), expected);
+        let mut dec = FrontDecoder::new();
+        let mut rest = &bytes[..];
+        let mut counts = Vec::new();
+        while !rest.is_empty() {
+            let (record, n) = dec.decode(rest).unwrap();
+            counts.push(match record {
+                FrontRecord::Hits(hits) => hits.len(),
+                FrontRecord::Miss(_) => 0,
+            });
+            rest = &rest[n..];
+        }
+        let tail = 2 * MAX_RUN_HITS + 3 - 10 - MAX_RUN_HITS;
+        assert_eq!(counts, [10, 0, MAX_RUN_HITS, tail]);
+    }
+
+    #[test]
+    fn a_run_splits_at_every_position() {
+        let ops: Vec<FrontOp> = (0..9).map(|i| hit(i * 37, (i as usize) % 9 + 1)).collect();
+        let bytes = encode_all(&ops);
+        let (record, n) = FrontDecoder::new().decode(&bytes).unwrap();
+        assert_eq!(n, bytes.len());
+        let FrontRecord::Hits(run) = record else {
+            panic!("one run record");
+        };
+        let hits = each(&run);
+        let expected: Vec<(u64, usize)> = ops
+            .iter()
+            .map(|op| match kept(op) {
+                Kept::Hit(_, n, depth) => (n, depth),
+                Kept::Miss(_) => (0, 0),
+            })
+            .collect();
+        assert_eq!(hits, expected);
+        let total: u64 = hits.iter().map(|&(n, _)| n).sum();
+        for cut in 0..=hits.len() {
+            // The scan stops at the hit its callback refuses, having
+            // seen each hit's instructions and depth bucket in order.
+            let mut seen = Vec::new();
+            let kept = run.scan(|n, bucket| {
+                seen.push((n, bucket + 1));
+                seen.len() <= cut
+            });
+            assert_eq!(kept, cut);
+            assert_eq!(seen, hits[..(cut + 1).min(hits.len())]);
+        }
+        let mut sum = 0;
+        assert_eq!(
+            run.scan(|n, _| {
+                sum += n;
+                true
+            }),
+            hits.len()
+        );
+        assert_eq!(sum, total);
+    }
+
+    #[test]
+    fn a_single_hit_is_a_run_of_one() {
+        let mut scratch = [0; 8];
+        let one = op(6, AccessKind::IFetch, 0x40, L1Outcome::Hit { distance: 3 });
+        let hits = Hits::single(&one, &mut scratch);
+        assert!(hits.ifetch());
+        assert_eq!(hits.len(), 1);
+        assert_eq!(each(&hits), [(7, 3)]);
+        let wide = op(
+            u32::MAX,
+            AccessKind::Load,
+            0x40,
+            L1Outcome::Hit { distance: 99 },
+        );
+        let hits = Hits::single(&wide, &mut scratch);
+        assert_eq!((hits.width(), hits.ifetch()), (5, false));
+        assert_eq!(each(&hits), [(u64::from(u32::MAX) + 1, HIT_DEPTHS)]);
     }
 
     #[test]
     fn truncated_trace_rejected() {
-        let bytes = encode_all(&[op(
+        let miss = op(
             100,
             AccessKind::Load,
             1 << 40,
-            L1Outcome::Hit { distance: 1 },
-        )]);
-        for cut in 0..bytes.len() {
-            let mut dec = FrontDecoder::new();
-            assert_eq!(
-                dec.decode(&bytes[..cut]),
-                Err(TraceDecodeError::Truncated),
-                "cut at {cut}"
-            );
+            L1Outcome::Miss { victim: None },
+        );
+        for ops in [vec![miss], vec![hit(1 << 20, 1), hit(3, 2)]] {
+            let bytes = encode_all(&ops);
+            for cut in 0..bytes.len() {
+                let mut dec = FrontDecoder::new();
+                assert_eq!(
+                    dec.decode(&bytes[..cut]),
+                    Err(TraceDecodeError::Truncated),
+                    "cut at {cut}"
+                );
+            }
         }
     }
 
     #[test]
     fn bad_kind_rejected() {
-        let mut bytes = encode_all(&[op(
-            1,
-            AccessKind::Load,
-            0x40,
-            L1Outcome::Hit { distance: 1 },
-        )]);
+        let mut bytes = encode_all(&[hit(1, 1)]);
         bytes[0] |= KIND_MASK;
         assert_eq!(
             FrontDecoder::new().decode(&bytes),
@@ -517,25 +877,61 @@ mod tests {
     fn out_of_range_header_fields_are_rejected() {
         let rejected = |h0: u8, h1: u8| {
             let mut bytes = vec![h0, h1];
-            bytes.extend([0; 20]);
-            FrontDecoder::new().decode(&bytes)
+            bytes.extend([0; 40]);
+            FrontDecoder::new().decode(&bytes).map(|(_, n)| n)
         };
-        // A 5-byte gap, a 9-byte block or aux field, or aux bytes on a
-        // miss without a victim.
+        let miss = OUTCOME_MISS << OUTCOME_SHIFT;
+        let run = OUTCOME_RUN << OUTCOME_SHIFT;
+        // A miss with a 5-byte gap, a 9-byte block or victim field, or
+        // victim bytes without a victim.
         assert_eq!(
-            rejected(5 << GAP_LEN_SHIFT, 0),
+            rejected(miss | 5 << LEN_SHIFT, 0),
             Err(TraceDecodeError::Malformed)
         );
-        assert_eq!(rejected(0, 9), Err(TraceDecodeError::Malformed));
+        assert_eq!(rejected(miss, 9), Err(TraceDecodeError::Malformed));
+        let victim = OUTCOME_CLEAN_VICTIM << OUTCOME_SHIFT;
         assert_eq!(
-            rejected(0, 9 << AUX_LEN_SHIFT),
+            rejected(victim, 9 << AUX_LEN_SHIFT),
             Err(TraceDecodeError::Malformed)
         );
         assert_eq!(
-            rejected(OUTCOME_MISS << OUTCOME_SHIFT, 1 << AUX_LEN_SHIFT),
+            rejected(miss, 1 << AUX_LEN_SHIFT),
             Err(TraceDecodeError::Malformed)
         );
-        assert!(rejected(4 << GAP_LEN_SHIFT, 8 | 8 << AUX_LEN_SHIFT).is_ok());
+        assert_eq!(
+            rejected(victim | 4 << LEN_SHIFT, 8 | 8 << AUX_LEN_SHIFT),
+            Ok(FRONT_RECORD_MAX)
+        );
+        // A run of no hits, of 0- or 6-byte entries, of stores, or with
+        // the critical flag.
+        assert_eq!(
+            rejected(run | 1 << LEN_SHIFT, 0),
+            Err(TraceDecodeError::Malformed)
+        );
+        assert_eq!(rejected(run, 1), Err(TraceDecodeError::Malformed));
+        assert_eq!(
+            rejected(run | 6 << LEN_SHIFT, 1),
+            Err(TraceDecodeError::Malformed)
+        );
+        assert_eq!(
+            rejected(run | KIND_STORE | 1 << LEN_SHIFT, 1),
+            Err(TraceDecodeError::Malformed)
+        );
+        assert_eq!(
+            rejected(run | CRITICAL_BIT | 1 << LEN_SHIFT, 1),
+            Err(TraceDecodeError::Malformed)
+        );
+        assert_eq!(rejected(run | KIND_IFETCH | 5 << LEN_SHIFT, 8), Ok(42));
+    }
+
+    #[test]
+    fn a_five_byte_entry_wider_than_a_gap_is_rejected() {
+        let mut bytes = vec![OUTCOME_RUN << OUTCOME_SHIFT | 5 << LEN_SHIFT, 1];
+        bytes.extend([0xff; 5]);
+        assert_eq!(
+            FrontDecoder::new().decode(&bytes),
+            Err(TraceDecodeError::Malformed)
+        );
     }
 
     mod properties {
@@ -560,14 +956,16 @@ mod tests {
                         critical,
                         block: BlockAddr(block),
                         l1: match outcome {
-                            0 => L1Outcome::Hit {
+                            // Hits twice as often as each miss form, so
+                            // runs of several hits are common.
+                            0 | 1 => L1Outcome::Hit {
                                 distance: usize::from(low_byte(extra) % 64),
                             },
-                            1 => L1Outcome::Miss { victim: None },
+                            2 => L1Outcome::Miss { victim: None },
                             o => L1Outcome::Miss {
                                 victim: Some(Victim {
                                     block: BlockAddr(extra),
-                                    dirty: o == 3,
+                                    dirty: o == 4,
                                 }),
                             },
                         },
@@ -581,34 +979,36 @@ mod tests {
                 (
                     (0..=u64::MAX, 0..=u32::MAX, proptest::bool::ANY),
                     (0u8..3, proptest::bool::ANY),
-                    (0u8..4, 0..=u64::MAX),
+                    (0u8..5, 0..=u64::MAX),
                 ),
                 len,
             )
         }
 
         proptest! {
-            /// Encode/decode is the identity on arbitrary op sequences,
-            /// and every record fits the documented size bounds.
+            /// Encode/decode keeps every miss whole and every hit's
+            /// side, gap and depth, and every record fits the
+            /// documented size bounds.
             #[test]
             fn encode_decode_round_trips(raw in raw_ops(0..300)) {
                 let ops = ops_of(raw);
                 let bytes = encode_all(&ops);
-                prop_assert!(bytes.len() >= 2 * ops.len());
-                prop_assert!(bytes.len() <= FRONT_RECORD_MAX * ops.len());
+                let misses = ops.iter().filter(|op| matches!(op.l1, L1Outcome::Miss { .. })).count();
+                prop_assert!(bytes.len() >= 2 * misses);
+                prop_assert!(bytes.len() <= FRONT_RECORD_MAX * ops.len() + 2);
                 let back = decode_all(&bytes).map_err(|e| {
                     TestCaseError::Fail(format!("decode failed: {e}"))
                 })?;
-                prop_assert_eq!(back, ops);
+                prop_assert_eq!(back, ops.iter().map(kept).collect::<Vec<_>>());
             }
 
             /// Any strict prefix of a record is rejected as truncated —
             /// never mis-decoded.
             #[test]
-            fn prefixes_are_rejected(raw in raw_ops(1..2), cut in 0usize..FRONT_RECORD_MAX) {
+            fn prefixes_are_rejected(raw in raw_ops(1..8), cut in 0usize..2 + 5 * MAX_RUN_HITS) {
                 let bytes = encode_all(&ops_of(raw));
-                prop_assume!(cut < bytes.len());
-                let r = FrontDecoder::new().decode(&bytes[..cut]);
+                let (_, n) = FrontDecoder::new().decode(&bytes).unwrap();
+                let r = FrontDecoder::new().decode(&bytes[..cut % n]);
                 prop_assert_eq!(r, Err(TraceDecodeError::Truncated));
             }
         }

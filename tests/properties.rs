@@ -8,7 +8,8 @@ use sim_cache::{
 };
 use sim_cmp::{Bus, ChipResources, L2Org, SystemConfig};
 use sim_mem::{
-    AccessKind, BlockAddr, Dram, FrontDecoder, FrontEncoder, FrontOp, Geometry, L1Outcome, Victim,
+    AccessKind, BlockAddr, Dram, FrontDecoder, FrontEncoder, FrontOp, FrontRecord, Geometry,
+    L1Outcome, Victim, HIT_DEPTHS,
 };
 use snug_core::{
     Cc, Dsr, DsrConfig, GroupCase, GtVector, OverheadParams, Private, PrivatePolicy, Snug,
@@ -255,12 +256,15 @@ proptest! {
     }
 
     /// The front-end record codec round-trips arbitrary op sequences —
-    /// any `u32` gap, all three access kinds, every L1 outcome — and on
-    /// truncated or garbage bytes returns an error instead of panicking.
+    /// any `u32` gap, all three access kinds, every L1 outcome, runs of
+    /// hits on both L1 sides — keeping each miss whole and each hit's
+    /// side, gap and walk depth; every run splits at every position into
+    /// parts that sum to it; every record cut short is an error; and
+    /// truncated or garbage bytes return an error instead of panicking.
     #[test]
     fn trace_round_trip(
         ops in proptest::collection::vec(
-            ((0..=u64::MAX, 0..=u32::MAX), (0u8..3, proptest::bool::ANY), (0u8..4, 0u64..1 << 40)),
+            ((0..=u64::MAX, 0..=u32::MAX), (0u8..3, proptest::bool::ANY), (0u8..6, 0u64..1 << 40)),
             0..200,
         ),
         garbage in proptest::collection::vec(0u8..=255, 0..64),
@@ -268,15 +272,16 @@ proptest! {
         let ops: Vec<FrontOp> = ops
             .into_iter()
             .map(|((block, gap), (kind, critical), (outcome, other))| FrontOp {
-                gap,
+                // Small gaps, as real streams mostly have, half the time.
+                gap: if other & 1 == 0 { gap % 32 } else { gap },
                 kind: [AccessKind::Load, AccessKind::Store, AccessKind::IFetch][usize::from(kind)],
                 critical,
                 block: BlockAddr(block),
                 l1: match outcome {
-                    0 => L1Outcome::Hit { distance: (other % 17) as usize },
-                    1 => L1Outcome::Miss { victim: None },
+                    0..=2 => L1Outcome::Hit { distance: (other % 17) as usize },
+                    3 => L1Outcome::Miss { victim: None },
                     o => L1Outcome::Miss {
-                        victim: Some(Victim { block: BlockAddr(other), dirty: o == 3 }),
+                        victim: Some(Victim { block: BlockAddr(other), dirty: o == 5 }),
                     },
                 },
             })
@@ -286,25 +291,57 @@ proptest! {
         for op in &ops {
             enc.encode(op, &mut bytes);
         }
+        enc.flush(&mut bytes);
         let mut dec = FrontDecoder::new();
         let mut rest = &bytes[..];
-        for op in &ops {
-            let (back, n) = dec.decode(rest).unwrap();
-            prop_assert_eq!(&back, op);
+        let mut expected = ops.iter();
+        while !rest.is_empty() {
+            let (record, n) = dec.decode(rest).unwrap();
+            // The record cut short is an error, never a shorter record.
+            for cut in 0..n {
+                prop_assert!(dec.clone().decode(&rest[..cut]).is_err());
+            }
+            match record {
+                FrontRecord::Miss(back) => prop_assert_eq!(Some(&back), expected.next()),
+                FrontRecord::Hits(run) => {
+                    // Each hit's instructions (gap plus one) and depth.
+                    let mut hits = Vec::new();
+                    prop_assert_eq!(run.scan(|n, bucket| { hits.push((n, bucket + 1)); true }), run.len());
+                    prop_assert_eq!(hits.len(), run.len());
+                    for &(n, depth) in &hits {
+                        let op = expected.next().unwrap();
+                        let L1Outcome::Hit { distance } = op.l1 else {
+                            return Err(TestCaseError::Fail("a miss read as a hit".into()));
+                        };
+                        prop_assert_eq!(run.ifetch(), op.kind == AccessKind::IFetch);
+                        prop_assert_eq!(n, op.instructions());
+                        prop_assert_eq!(depth, distance.clamp(1, HIT_DEPTHS));
+                    }
+                    // Split at every position: the scan stops there,
+                    // having seen the hits up to it in order.
+                    for cut in 0..=run.len() {
+                        let mut seen = Vec::new();
+                        let kept = run.scan(|n, bucket| {
+                            seen.push((n, bucket + 1));
+                            seen.len() <= cut
+                        });
+                        prop_assert_eq!(kept, cut);
+                        prop_assert_eq!(seen, &hits[..(cut + 1).min(hits.len())]);
+                    }
+                }
+            }
             rest = &rest[n..];
         }
-        prop_assert!(rest.is_empty());
-        // The last record cut short is an error.
-        if let Some(last) = ops.last() {
-            let mut one = Vec::new();
-            FrontEncoder::new().encode(last, &mut one);
-            prop_assert!(FrontDecoder::new().decode(&one[..one.len() - 1]).is_err());
-        }
+        prop_assert!(expected.next().is_none());
         // Garbage decodes or errors; it never panics or over-reads.
         let mut dec = FrontDecoder::new();
         let mut rest = &garbage[..];
-        while let Ok((_, n)) = dec.decode(rest) {
+        while let Ok((record, n)) = dec.decode(rest) {
             prop_assert!(n >= 2 && n <= rest.len());
+            if let FrontRecord::Hits(run) = record {
+                prop_assert!(!run.is_empty());
+                prop_assert_eq!(run.scan(|_, _| true), run.len());
+            }
             rest = &rest[n..];
         }
     }

@@ -16,11 +16,16 @@
 //! 4. observability is *observational*: harvesting `counters()` or
 //!    enabling probe recording never perturbs the retired op sequence,
 //!    and the measured-window counters themselves are
-//!    interleaving-invariant.
+//!    interleaving-invariant;
+//! 5. the batched drive loop charges runs of L1 hits at once, splitting
+//!    a run at a ROB drain, the warm-up edge, a shift fork, a policy
+//!    observation, a `run_until` target and the horizon: each matches a
+//!    session driven one op at a time by `step()`, over live and shared
+//!    front ends.
 
 use proptest::prelude::*;
 use sim_cmp::{Checkpoints, RunPlan, SharedFront, SimSession, SystemConfig, SystemResult};
-use sim_mem::{OpStream, ShiftDirective, StreamShift};
+use sim_mem::{Access, CoreOp, OpStream, ShiftDirective, StateError, StateReader, StreamShift};
 use snug_core::{AnyOrg, DsrConfig, SchemeSpec, SnugConfig};
 use snug_workloads::Benchmark;
 use std::path::PathBuf;
@@ -278,6 +283,156 @@ fn converged_policy_stops_every_scheme_early() {
         assert!(stop >= WARMUP + 4 * 2_000, "{spec}: full window first");
         assert!(result.throughput() > 0.0, "{spec}");
     }
+}
+
+/// Long runs of L1 hits between misses: after each load of a fresh
+/// block, which misses everywhere, come `hits` loads of four hot blocks,
+/// one per set of the tiny L1, which stay resident. The misses are not
+/// critical, so each run reaches the ROB limit of the miss before it
+/// and drains it mid-run; the drain's stall spans most of a period, so
+/// any boundary cycle falls inside some core's run. A demand shift
+/// scales the run length.
+struct HitRuns {
+    label: String,
+    base: u64,
+    hits: u64,
+    gap: u32,
+    /// Ops generated so far.
+    at: u64,
+    /// Fresh blocks loaded so far.
+    fresh: u64,
+}
+
+impl HitRuns {
+    fn boxed(core: usize) -> Box<dyn OpStream + Send> {
+        let core = core as u64;
+        Box::new(HitRuns {
+            label: format!("runs{core}"),
+            base: (core + 1) << 32,
+            hits: 20 + 7 * core,
+            gap: u32::try_from(1 + core).unwrap(),
+            at: 0,
+            fresh: 0,
+        })
+    }
+}
+
+impl OpStream for HitRuns {
+    fn next_op(&mut self) -> CoreOp {
+        let i = self.at % (self.hits + 1);
+        self.at += 1;
+        let block = if i == 0 {
+            self.fresh += 1;
+            (1 << 20) + self.fresh
+        } else {
+            i % 4
+        };
+        CoreOp::new(self.gap, Access::load(self.base + block * 64))
+    }
+
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn apply_shift(&mut self, directive: &ShiftDirective) -> bool {
+        match directive {
+            ShiftDirective::DemandScale { percent } => {
+                self.hits = (self.hits * u64::from(*percent) / 100).max(1);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn save_state(&self, out: &mut Vec<u8>) -> bool {
+        for field in [self.hits, self.at, self.fresh] {
+            sim_mem::put_u64(out, field);
+        }
+        true
+    }
+
+    fn restore_state(&mut self, state: &[u8]) -> Result<(), StateError> {
+        let mut r = StateReader::new(state);
+        let (hits, at, fresh) = (r.u64()?, r.u64()?, r.u64()?);
+        r.finish()?;
+        (self.hits, self.at, self.fresh) = (hits, at, fresh);
+        Ok(())
+    }
+}
+
+/// Each boundary that splits a hit run, with the plan and phase
+/// schedule that put it there.
+fn split_scenarios() -> Vec<(&'static str, RunPlan, Vec<StreamShift>)> {
+    let fixed = RunPlan::fixed(WARMUP, MEASURE);
+    let demand = ShiftDirective::DemandScale { percent: 250 };
+    vec![
+        (
+            "ROB drains, the warm-up edge and the horizon",
+            fixed,
+            Vec::new(),
+        ),
+        (
+            "a shift fork",
+            fixed,
+            vec![StreamShift::all_cores(WARMUP + 8_123, demand)],
+        ),
+        (
+            "policy observations",
+            fixed.until_converged(1_000, 0.5),
+            Vec::new(),
+        ),
+    ]
+}
+
+#[test]
+fn hit_runs_split_at_every_boundary_match_stepping() {
+    let cfg = SystemConfig::tiny_test();
+    let dir = std::env::temp_dir().join(format!("snug-hit-runs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let front = Arc::new(
+        SharedFront::create(&dir, "runs", 4, HitRuns::boxed, cfg.l1, Checkpoints::All).unwrap(),
+    );
+    for (what, plan, shifts) in split_scenarios() {
+        for spec in schemes() {
+            for shared in [false, true] {
+                let build = || {
+                    let builder = SimSession::builder(cfg, spec.build_any(cfg))
+                        .plan(plan)
+                        .phase_shifts(shifts.clone());
+                    if shared {
+                        builder.shared_front(front.clone()).build()
+                    } else {
+                        let streams = (0..4).map(|c| HitRuns::boxed(c) as Box<dyn OpStream>);
+                        builder.streams(streams.collect()).build()
+                    }
+                };
+                let what = format!("{what}: {spec}, shared {shared}");
+                let mut stepped = build();
+                while stepped.step() {}
+                let expected = stepped.result();
+                if plan.can_stop_early() {
+                    assert!(
+                        stepped.stopped_at().is_some(),
+                        "{what}: observations stop it"
+                    );
+                }
+                let mut one_shot = build();
+                let mut hopped = build();
+                for t in (0..WARMUP + MEASURE).step_by(977) {
+                    hopped.run_until(t);
+                }
+                for batched in [&mut one_shot, &mut hopped] {
+                    assert_eq!(batched.run_to_completion(), expected, "{what}");
+                    assert_eq!(batched.counters(), stepped.counters(), "{what}");
+                    assert_eq!(batched.stopped_at(), stepped.stopped_at(), "{what}");
+                    assert_eq!(batched.front_error(), None, "{what}");
+                }
+            }
+        }
+    }
+    drop(front);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
