@@ -19,10 +19,10 @@
 
 use snug_core::SchemeSpec;
 use snug_experiments::{run_scheme, CompareConfig};
-use snug_harness::codec::{read_u64, read_vec, required};
-use snug_harness::content_key;
-use snug_harness::json::{JsonError, Reader, Writer};
-use snug_harness::{config_key_text, BudgetPreset};
+use snug_harness::{
+    config_key_text, content_key, read_required, read_u64, read_vec, BudgetPreset, JsonError,
+    JsonReader, JsonWriter,
+};
 use snug_workloads::{all_combos, Combo, ComboClass};
 use std::path::Path;
 
@@ -53,7 +53,7 @@ pub struct BenchEntry {
 
 impl BenchEntry {
     /// Write the entry as one element of the file's `entries` array.
-    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
+    fn write_json(&self, w: &mut JsonWriter) -> Result<(), JsonError> {
         let BenchEntry {
             combo,
             scheme,
@@ -73,7 +73,7 @@ impl BenchEntry {
     }
 
     /// Read one element of the file's `entries` array.
-    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
         let (mut combo, mut scheme, mut sim_cycles, mut instructions) = (None, None, None, None);
         let (mut cycles_per_sec, mut ops_per_sec) = (None, None);
         r.object(|r, name| {
@@ -89,12 +89,12 @@ impl BenchEntry {
             Ok(())
         })?;
         Ok(BenchEntry {
-            combo: required(combo, "combo")?,
-            scheme: required(scheme, "scheme")?,
-            sim_cycles: required(sim_cycles, "sim_cycles")?,
-            instructions: required(instructions, "instructions")?,
-            cycles_per_sec: required(cycles_per_sec, "cycles_per_sec")?,
-            ops_per_sec: required(ops_per_sec, "ops_per_sec")?,
+            combo: read_required(combo, "combo")?,
+            scheme: read_required(scheme, "scheme")?,
+            sim_cycles: read_required(sim_cycles, "sim_cycles")?,
+            instructions: read_required(instructions, "instructions")?,
+            cycles_per_sec: read_required(cycles_per_sec, "cycles_per_sec")?,
+            ops_per_sec: read_required(ops_per_sec, "ops_per_sec")?,
         })
     }
 }
@@ -164,7 +164,7 @@ pub fn retired_instructions(combo: &Combo, spec: &SchemeSpec, cfg: &CompareConfi
 /// the definition's fingerprint, the entries and their geomean.
 pub fn render(entries: &[BenchEntry]) -> Result<String, JsonError> {
     let (cfg, points) = definition();
-    let mut w = Writer::default();
+    let mut w = JsonWriter::default();
     w.object(|o| {
         o.member("budget", |w| w.str(&BUDGET.label()))?;
         o.member("entries", |w| w.array(entries, |w, e| e.write_json(w)))?;
@@ -189,7 +189,7 @@ pub fn load(path: &Path) -> Result<(String, Vec<BenchEntry>), String> {
         )
     })?;
     let read = || -> Result<(String, Vec<BenchEntry>), JsonError> {
-        let mut r = Reader::new(&text);
+        let mut r = JsonReader::new(&text);
         let (mut schema, mut fingerprint, mut entries) = (None, None, None);
         r.object(|r, name| {
             match name {
@@ -201,15 +201,15 @@ pub fn load(path: &Path) -> Result<(String, Vec<BenchEntry>), String> {
             Ok(())
         })?;
         r.finish()?;
-        let schema = required(schema, "schema")?;
+        let schema = read_required(schema, "schema")?;
         if schema != SCHEMA {
             return Err(JsonError(format!(
                 "schema `{schema}` (expected `{SCHEMA}`)"
             )));
         }
         Ok((
-            required(fingerprint, "fingerprint")?,
-            required(entries, "entries")?,
+            read_required(fingerprint, "fingerprint")?,
+            read_required(entries, "entries")?,
         ))
     };
     read().map_err(|e| format!("{}: {e}", path.display()))

@@ -1,18 +1,16 @@
 //! Scheme specification and construction — the five L2 organisations of
 //! the paper's §4.1 behind one factory.
 //!
-//! [`SchemeSpec`] is the single parse/print path for scheme names:
-//! `Display` renders the paper's figure labels (`L2P`, `CC(50%)`, …) and
-//! [`FromStr`] parses both those labels and the store's compact job
-//! labels (`l2p`, `cc@50%`, …), so CLI arguments, report headers and
-//! store audits all agree on one vocabulary.
+//! [`SchemeSpec`]'s `Display` renders the paper's figure labels (`L2P`,
+//! `CC(50%)`, …); `snug_experiments::SchemePoint` parses those and the
+//! store's compact job labels (`l2p`, `cc@50%`, …) back, taking DSR's
+//! and SNUG's parameters from the run's configuration.
 
 use crate::{Cc, Dsr, DsrConfig, L2p, L2s, Snug, SnugConfig};
 use sim_cache::CacheStats;
 use sim_cmp::{ChipResources, L2Org, L2Outcome, SchemeEvent, SystemConfig};
 use sim_mem::BlockAddr;
 use std::fmt;
-use std::str::FromStr;
 
 /// Which organisation to build, with its policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,44 +42,6 @@ impl fmt::Display for SchemeSpec {
             SchemeSpec::Dsr(_) => write!(f, "DSR"),
             SchemeSpec::Snug(_) => write!(f, "SNUG"),
         }
-    }
-}
-
-/// Parse a scheme name: the figure labels (`L2P`, `CC(50%)`) and the
-/// store job labels (`l2p`, `cc@50%`) both round-trip, case-insensitive.
-/// DSR and SNUG parse to their paper parameters (a parsed spec names the
-/// *scheme*; run configurations supply tuned parameters separately).
-impl FromStr for SchemeSpec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lower = s.trim().to_ascii_lowercase();
-        match lower.as_str() {
-            "l2p" => return Ok(SchemeSpec::L2p),
-            "l2s" => return Ok(SchemeSpec::L2s),
-            "dsr" => return Ok(SchemeSpec::Dsr(DsrConfig::paper())),
-            "snug" => return Ok(SchemeSpec::Snug(SnugConfig::paper())),
-            _ => {}
-        }
-        // `cc@50%` (store label) or `cc(50%)` (figure label).
-        let percent = lower
-            .strip_prefix("cc@")
-            .or_else(|| lower.strip_prefix("cc(").and_then(|r| r.strip_suffix(')')));
-        if let Some(percent) = percent {
-            let digits = percent.strip_suffix('%').unwrap_or(percent);
-            let value: f64 = digits
-                .parse()
-                .map_err(|_| format!("bad CC spill probability `{digits}` in `{s}`"))?;
-            if !(0.0..=100.0).contains(&value) {
-                return Err(format!("CC spill probability `{digits}%` outside 0–100%"));
-            }
-            return Ok(SchemeSpec::Cc {
-                spill_probability: value / 100.0,
-            });
-        }
-        Err(format!(
-            "unknown scheme `{s}` (expected L2P, L2S, CC(<p>%), cc@<p>%, DSR or SNUG)"
-        ))
     }
 }
 
@@ -228,60 +188,6 @@ mod tests {
         );
         assert_eq!(SchemeSpec::Dsr(DsrConfig::paper()).to_string(), "DSR");
         assert_eq!(SchemeSpec::Snug(SnugConfig::paper()).to_string(), "SNUG");
-    }
-
-    #[test]
-    fn parse_accepts_figure_and_store_labels() {
-        for (text, expected) in [
-            ("L2P", SchemeSpec::L2p),
-            ("l2p", SchemeSpec::L2p),
-            ("L2S", SchemeSpec::L2s),
-            ("DSR", SchemeSpec::Dsr(DsrConfig::paper())),
-            ("snug", SchemeSpec::Snug(SnugConfig::paper())),
-            (
-                "CC(50%)",
-                SchemeSpec::Cc {
-                    spill_probability: 0.5,
-                },
-            ),
-            (
-                "cc@25%",
-                SchemeSpec::Cc {
-                    spill_probability: 0.25,
-                },
-            ),
-            (
-                "cc@100",
-                SchemeSpec::Cc {
-                    spill_probability: 1.0,
-                },
-            ),
-        ] {
-            assert_eq!(text.parse::<SchemeSpec>().unwrap(), expected, "{text}");
-        }
-    }
-
-    #[test]
-    fn parse_round_trips_display() {
-        for spec in [
-            SchemeSpec::L2p,
-            SchemeSpec::L2s,
-            SchemeSpec::Cc {
-                spill_probability: 0.75,
-            },
-            SchemeSpec::Dsr(DsrConfig::paper()),
-            SchemeSpec::Snug(SnugConfig::paper()),
-        ] {
-            assert_eq!(spec.to_string().parse::<SchemeSpec>().unwrap(), spec);
-        }
-    }
-
-    #[test]
-    fn parse_rejects_nonsense() {
-        assert!("l3".parse::<SchemeSpec>().is_err());
-        assert!("cc@".parse::<SchemeSpec>().is_err());
-        assert!("cc@150%".parse::<SchemeSpec>().is_err());
-        assert!("cc(half)".parse::<SchemeSpec>().is_err());
     }
 
     #[test]

@@ -14,6 +14,7 @@ use snug_core::{DsrConfig, SchemeSpec, SnugConfig};
 use snug_metrics::{geomean, IpcVector, MetricSet, Table};
 use snug_workloads::{BenchmarkSpec, Combo, ComboClass, PhaseSchedule, SyntheticStream};
 use std::path::Path;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// Default relative-spread threshold for convergence-based early exit
@@ -54,7 +55,7 @@ impl CompareConfig {
     /// scheme separation on the capacity-sensitive classes — on average
     /// SNUG ≥ DSR, both above L2P, L2S far worst — while keeping a full
     /// 21-combo sweep under a minute on one core. Picked empirically —
-    /// see `examples/calibrate_mid.rs`.
+    /// see the calibration section of `ABLATIONS.md`.
     pub(crate) fn mid_plan() -> RunPlan {
         RunPlan::fixed(300_000, 3_000_000)
     }
@@ -115,8 +116,8 @@ impl CompareConfig {
     /// re-identification beats the paper's 1:20 stage amortisation
     /// (Stage I costs only 3 % of each period, and fresher G/T vectors
     /// lift the capacity-sensitive mixed classes the most). Picked
-    /// empirically with `examples/calibrate_mid.rs`; see the candidate
-    /// table there before changing these numbers.
+    /// empirically; see the candidate tables in `ABLATIONS.md`'s
+    /// calibration section before changing these numbers.
     pub fn mid() -> Self {
         let mut snug = SnugConfig::paper();
         snug.stage1_cycles = 10_000;
@@ -356,6 +357,39 @@ impl SchemePoint {
             SchemePoint::Cc { spill_probability } => SchemeSpec::Cc { spill_probability },
             SchemePoint::Dsr => SchemeSpec::Dsr(cfg.dsr),
             SchemePoint::Snug => SchemeSpec::Snug(cfg.snug),
+        }
+    }
+}
+
+/// Parse a scheme name: the figure labels (`L2P`, `CC(50%)`) and the
+/// store job labels (`l2p`, `cc@50%`) both round-trip, case-insensitive.
+/// A point names the *scheme*; [`SchemePoint::spec`] takes DSR's and
+/// SNUG's parameters from the run's configuration.
+impl FromStr for SchemePoint {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let lower = s.trim().to_ascii_lowercase();
+        let named = [Self::L2p, Self::L2s, Self::Dsr, Self::Snug];
+        if let Some(point) = named.into_iter().find(|p| p.label() == lower) {
+            return Ok(point);
+        }
+        // `cc@50%` (store label) or `cc(50%)` (figure label).
+        let percent = lower
+            .strip_prefix("cc@")
+            .or_else(|| lower.strip_prefix("cc(")?.strip_suffix(')'));
+        let Some(percent) = percent else {
+            return Err(format!(
+                "unknown scheme `{s}` (expected L2P, L2S, CC(<p>%), cc@<p>%, DSR or SNUG)"
+            ));
+        };
+        let digits = percent.strip_suffix('%').unwrap_or(percent);
+        match digits.parse::<f64>() {
+            Ok(value) if (0.0..=100.0).contains(&value) => Ok(SchemePoint::Cc {
+                spill_probability: value / 100.0,
+            }),
+            Ok(_) => Err(format!("CC spill probability `{digits}%` outside 0–100%")),
+            Err(_) => Err(format!("bad CC spill probability `{digits}` in `{s}`")),
         }
     }
 }
@@ -908,6 +942,65 @@ mod tests {
         let t = figure_table(&s, Figure::Aws);
         assert!(t.to_markdown().contains("SNUG"));
         assert_eq!(t.rows.len(), 2, "C5 + AVG");
+    }
+
+    #[test]
+    fn parse_accepts_figure_and_store_labels() {
+        for (text, expected) in [
+            ("L2P", SchemePoint::L2p),
+            ("l2p", SchemePoint::L2p),
+            ("L2S", SchemePoint::L2s),
+            ("DSR", SchemePoint::Dsr),
+            ("snug", SchemePoint::Snug),
+            (
+                "CC(50%)",
+                SchemePoint::Cc {
+                    spill_probability: 0.5,
+                },
+            ),
+            (
+                "cc@25%",
+                SchemePoint::Cc {
+                    spill_probability: 0.25,
+                },
+            ),
+            (
+                "cc@100",
+                SchemePoint::Cc {
+                    spill_probability: 1.0,
+                },
+            ),
+        ] {
+            assert_eq!(text.parse::<SchemePoint>().unwrap(), expected, "{text}");
+        }
+    }
+
+    /// Both spellings round-trip: the store label and the figure label
+    /// of the scheme a point builds.
+    #[test]
+    fn parse_round_trips_display() {
+        let cfg = CompareConfig::quick();
+        for point in [
+            SchemePoint::L2p,
+            SchemePoint::L2s,
+            SchemePoint::Cc {
+                spill_probability: 0.75,
+            },
+            SchemePoint::Dsr,
+            SchemePoint::Snug,
+        ] {
+            assert_eq!(point.label().parse::<SchemePoint>().unwrap(), point);
+            let figure = point.spec(&cfg).to_string();
+            assert_eq!(figure.parse::<SchemePoint>().unwrap(), point);
+        }
+    }
+
+    #[test]
+    fn parse_rejects_nonsense() {
+        assert!("l3".parse::<SchemePoint>().is_err());
+        assert!("cc@".parse::<SchemePoint>().is_err());
+        assert!("cc@150%".parse::<SchemePoint>().is_err());
+        assert!("cc(half)".parse::<SchemePoint>().is_err());
     }
 
     #[test]

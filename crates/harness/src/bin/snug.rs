@@ -26,7 +26,7 @@
 use snug_core::SchemeSpec;
 use snug_experiments::{default_stride, session_for, trace_point, SchemePoint};
 use snug_harness::{
-    ablation_jobs, cached_results, check_experiments_md, eval_converged_spec, fmt_eng,
+    ablation_units, cached_results, check_experiments_md, eval_converged_spec, fmt_eng,
     render_ablations_md, render_characterization_md, render_experiments_eval_md,
     render_experiments_md, render_markdown, run_sweep, run_unit_jobs, stop_summary_table,
     telemetry_footer, trace_key, BudgetPreset, CheckOutcome, ResultStore, StopPreset, SweepEvent,
@@ -134,9 +134,11 @@ committed EXPERIMENTS_EVAL.md — the eval-budget converged sweep with the
 Fig. 9 SNUG-vs-CC(Best) verdict — over its pinned spec (no budget flags
 apply). `snug ablations` runs SNUG's design-choice ablations (index-bit
 flipping, stage lengths, counter width k and threshold p, each one edit
-of the --mid configuration) on classes C1 and C4 as keyed units in
-results/ablations/, then renders the committed ABLATIONS.md; --check
-runs nothing and fails if the document is stale or a unit is missing.
+of the --mid configuration) on classes C1 and C4, and the budget
+calibration (the --mid and eval-convergence candidates on all 21
+combos), as keyed units in results/ablations/, then renders the
+committed ABLATIONS.md; --check runs nothing and fails if the document
+is stale or a unit is missing.
 `snug characterize` renders the committed CHARACTERIZATION.md: the
 Figures 1-3 set-level capacity-demand distributions (ammp, vortex,
 applu) and every modelled benchmark's summary, at one pinned sampling
@@ -747,7 +749,7 @@ fn cmd_experiments_md(args: &Args) -> Result<(), Failure> {
             "store at `{}` is missing results for the {} budget — run `snug sweep {}{}` first",
             results_dir.display(),
             spec.budget.label(),
-            budget_flags(spec.budget),
+            spec.budget.flags(),
             args.results_flag(),
         )
     })?;
@@ -768,18 +770,6 @@ fn cmd_experiments_md(args: &Args) -> Result<(), Failure> {
         )?;
     }
     Ok(())
-}
-
-/// The flags that select `budget` on a command line: `--mid`, or
-/// `--warmup N --measure N` for a custom budget.
-fn budget_flags(budget: BudgetPreset) -> String {
-    match budget {
-        BudgetPreset::Custom {
-            warmup_cycles,
-            measure_cycles,
-        } => format!("--warmup {warmup_cycles} --measure {measure_cycles}"),
-        preset => format!("--{}", preset.label()),
-    }
 }
 
 /// `snug report --experiments-eval-md [--check] [--md-path FILE]`:
@@ -921,7 +911,7 @@ fn cmd_compare(args: &[String]) -> Result<(), Failure> {
 fn combo_and_scheme<'a>(
     command: &str,
     args: &'a [String],
-) -> Result<(snug_workloads::Combo, SchemeSpec, &'a [String]), String> {
+) -> Result<(snug_workloads::Combo, SchemePoint, &'a [String]), String> {
     let positional = args.iter().take_while(|a| !a.starts_with("--")).count();
     let [combo_label, scheme_name] = &args[..positional] else {
         return Err(format!(
@@ -946,15 +936,8 @@ fn combo_and_scheme<'a>(
 /// record the full fixed window (the point is seeing the whole time
 /// series), so the convergence flags are not in its table.
 fn cmd_trace(args: &[String]) -> Result<(), Failure> {
-    let (combo, spec, flags) = combo_and_scheme("trace", args)?;
+    let (combo, point, flags) = combo_and_scheme("trace", args)?;
     let args = TRACE.parse(flags)?;
-    let point = match spec {
-        SchemeSpec::L2p => SchemePoint::L2p,
-        SchemeSpec::L2s => SchemePoint::L2s,
-        SchemeSpec::Cc { spill_probability } => SchemePoint::Cc { spill_probability },
-        SchemeSpec::Dsr(_) => SchemePoint::Dsr,
-        SchemeSpec::Snug(_) => SchemePoint::Snug,
-    };
 
     let budget = args.budget(BudgetPreset::Mid)?;
     let cfg = budget.compare_config();
@@ -1012,13 +995,23 @@ fn cmd_trace(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
+/// What `snug profile COMBO SCHEME [flags]` simulates: the combo, the
+/// budget, and the scheme with that budget's parameters (SNUG's stage
+/// lengths among them), plus the parsed flags.
+fn profile_target(
+    args: &[String],
+) -> Result<(snug_workloads::Combo, BudgetPreset, SchemeSpec, Args), String> {
+    let (combo, point, flags) = combo_and_scheme("profile", args)?;
+    let args = PROFILE.parse(flags)?;
+    let budget = args.budget(BudgetPreset::Quick)?;
+    Ok((combo, budget, point.spec(&budget.compare_config()), args))
+}
+
 /// `snug profile COMBO SCHEME`: run one simulation in-process and
 /// render its observability counters as tables, with wall-clock
 /// throughput and the measured probe overhead in the footer.
 fn cmd_profile(args: &[String]) -> Result<(), Failure> {
-    let (combo, spec, flags) = combo_and_scheme("profile", args)?;
-    let args = PROFILE.parse(flags)?;
-    let budget = args.budget(BudgetPreset::Quick)?;
+    let (combo, budget, spec, args) = profile_target(args)?;
     let format = args.format()?;
     let cfg = budget.compare_config();
 
@@ -1162,10 +1155,10 @@ fn cmd_characterize(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// `snug ablations [--check]`: run whatever units of the ablation sweep
-/// the store under `results/ablations/` is missing, then write
-/// `ABLATIONS.md`. With `--check`, run nothing: render from the store
-/// and fail on a stale document or a missing unit.
+/// `snug ablations [--check]`: run whatever units of the ablations and
+/// the calibration the store under `results/ablations/` is missing,
+/// then write `ABLATIONS.md`. With `--check`, run nothing: render from
+/// the store and fail on a stale document or a missing unit.
 fn cmd_ablations(args: &[String]) -> Result<(), Failure> {
     ablations(
         std::path::Path::new(snug_harness::ABLATIONS_DIR),
@@ -1180,10 +1173,9 @@ fn ablations(
     md_path: &std::path::Path,
     check: bool,
 ) -> Result<(), Failure> {
-    let combos = ablation_jobs();
     let mut store = ResultStore::open(results_dir).map_err(|e| e.to_string())?;
     if !check {
-        let units: Vec<_> = combos.iter().flat_map(|c| c.units().cloned()).collect();
+        let units = ablation_units();
         let hits = units
             .iter()
             .filter(|u| store.get_unit(&u.key).is_some())
@@ -1208,16 +1200,11 @@ fn ablations(
         .map_err(|e| e.to_string())?;
         printed?;
     }
-    let rendered = render_ablations_md(&combos, &store)
+    let rendered = render_ablations_md(&store)
         .map_err(|e| format!("{e} — run `snug ablations` to fill it"))?;
     write_or_check_doc(md_path, &rendered, check, "snug ablations")?;
     if !check {
-        writeln!(
-            io::stdout().lock(),
-            "wrote {} ({} combos)",
-            md_path.display(),
-            combos.len()
-        )?;
+        writeln!(io::stdout().lock(), "wrote {}", md_path.display())?;
     }
     Ok(())
 }
@@ -1283,7 +1270,7 @@ mod tests {
         prop_assert!(named(PhaseSchedule::parse(text)), "{text:?}");
         prop_assert!(named(text.parse::<StreamShift>()), "{text:?}");
         prop_assert!(named(text.parse::<ShiftDirective>()), "{text:?}");
-        prop_assert!(named(text.parse::<SchemeSpec>()), "{text:?}");
+        prop_assert!(named(text.parse::<SchemePoint>()), "{text:?}");
         prop_assert!(named(text.parse::<ComboClass>()), "{text:?}");
         prop_assert!(named(text.parse::<ContentKey>()), "{text:?}");
         for command in &COMMANDS {
@@ -1399,6 +1386,26 @@ mod tests {
                 "snug {}",
                 command.name
             );
+        }
+    }
+
+    /// `snug profile COMBO snug` simulates SNUG with the budget's stage
+    /// lengths: at `--quick` a Stage I as long as the paper's 5 M cycles
+    /// would never end inside the 1.35 M-cycle run.
+    #[test]
+    fn profile_builds_the_scheme_from_its_budget() {
+        for (flags, budget) in [
+            ("", BudgetPreset::Quick),
+            (" --quick", BudgetPreset::Quick),
+            (" --mid", BudgetPreset::Mid),
+        ] {
+            for (scheme, point) in [("snug", SchemePoint::Snug), ("DSR", SchemePoint::Dsr)] {
+                let line = format!("ammp+parser+swim+mesa {scheme}{flags}");
+                let (combo, parsed, spec, _) = profile_target(&words(&line)).unwrap();
+                assert_eq!(combo.label(), "ammp+parser+swim+mesa");
+                assert_eq!(parsed, budget, "{line}");
+                assert_eq!(spec, point.spec(&budget.compare_config()), "{line}");
+            }
         }
     }
 
@@ -1541,7 +1548,9 @@ mod tests {
         let store =
             std::fs::read_to_string(root.join(snug_harness::ABLATIONS_DIR).join("store.jsonl"))
                 .unwrap();
-        let key = ablation_jobs().pop().unwrap().snug[5].key.to_string();
+        let key = snug_harness::ablation_jobs().pop().unwrap().snug[5]
+            .key
+            .to_string();
         let kept: String = store
             .lines()
             .filter(|line| !line.contains(&key))

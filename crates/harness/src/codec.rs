@@ -1,8 +1,8 @@
 //! JSON codecs for the experiment result types.
 //!
 //! Hand-written (the environment has no `serde_json`): each stored type
-//! writes itself through a streaming [`Writer`] and reads itself from a
-//! streaming [`Reader`], one [`JsonCodec`] pair per type, with no value
+//! writes itself through a streaming [`JsonWriter`] and reads itself from a
+//! streaming [`JsonReader`], one [`JsonCodec`] pair per type, with no value
 //! tree between. Floats round-trip bit-exactly (see `json`), so a
 //! decoded [`SchemeRun`] is `==` to the one that was stored — the
 //! property the result cache's acceptance test pins down.
@@ -23,7 +23,7 @@
 //! required member, a value of the wrong kind or an integer that is not
 //! exactly one is an error naming its path.
 
-use crate::json::{JsonError, Reader, Writer, MAX_EXACT_INT};
+use crate::json::{JsonError, JsonReader, JsonWriter, MAX_EXACT_INT};
 use sim_cache::CacheStats;
 use sim_cmp::{PeriodSample, SchemeEvent, SchemeEventKind};
 use snug_experiments::{SchemeRun, StopReason, TraceSeries};
@@ -33,14 +33,14 @@ use std::borrow::Cow;
 /// Types storable in the result store.
 pub trait JsonCodec: Sized {
     /// Encode as the writer's next value.
-    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError>;
+    fn write_json(&self, w: &mut JsonWriter) -> Result<(), JsonError>;
 
     /// Decode the reader's next value.
-    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError>;
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError>;
 
     /// Decode a whole JSON document.
     fn from_json_str(text: &str) -> Result<Self, JsonError> {
-        let mut r = Reader::new(text);
+        let mut r = JsonReader::new(text);
         let v = Self::read_json(&mut r)?;
         r.finish()?;
         Ok(v)
@@ -50,7 +50,7 @@ pub trait JsonCodec: Sized {
 /// Read a stored integer: finite, integral and in `0..=2^53` (the
 /// writer spells integers as floats, `3827149.0`). A fraction, a sign
 /// or a larger magnitude is an error, never a lossy cast.
-pub fn read_u64(r: &mut Reader<'_>) -> Result<u64, JsonError> {
+pub fn read_u64(r: &mut JsonReader<'_>) -> Result<u64, JsonError> {
     let x = r.num()?;
     if x.fract() == 0.0 && (0.0..=MAX_EXACT_INT as f64).contains(&x) {
         Ok(x as u64)
@@ -60,19 +60,19 @@ pub fn read_u64(r: &mut Reader<'_>) -> Result<u64, JsonError> {
 }
 
 /// [`read_u64`], bounded to `u32`.
-fn read_u32(r: &mut Reader<'_>) -> Result<u32, JsonError> {
+fn read_u32(r: &mut JsonReader<'_>) -> Result<u32, JsonError> {
     let x = read_u64(r)?;
     u32::try_from(x).map_err(|_| JsonError(format!("{x} does not fit in 32 bits")))
 }
 
-fn read_string(r: &mut Reader<'_>) -> Result<String, JsonError> {
+fn read_string(r: &mut JsonReader<'_>) -> Result<String, JsonError> {
     r.str().map(Cow::into_owned)
 }
 
 /// Read an array, each element by `item`.
 pub fn read_vec<'a, T>(
-    r: &mut Reader<'a>,
-    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, JsonError>,
+    r: &mut JsonReader<'a>,
+    mut item: impl FnMut(&mut JsonReader<'a>) -> Result<T, JsonError>,
 ) -> Result<Vec<T>, JsonError> {
     let mut out = Vec::new();
     r.array(|r| {
@@ -84,16 +84,16 @@ pub fn read_vec<'a, T>(
 
 /// The value read for the required member `name`, or an error naming
 /// it.
-pub fn required<T>(slot: Option<T>, name: &str) -> Result<T, JsonError> {
+pub fn read_required<T>(slot: Option<T>, name: &str) -> Result<T, JsonError> {
     slot.ok_or_else(|| JsonError(format!("missing field `{name}`")))
 }
 
 /// Read an object whose members `names` are required integers, handing
 /// every other member to `other`.
 fn read_u64_fields<'a, const N: usize>(
-    r: &mut Reader<'a>,
+    r: &mut JsonReader<'a>,
     names: [&str; N],
-    mut other: impl FnMut(&mut Reader<'a>, &str) -> Result<(), JsonError>,
+    mut other: impl FnMut(&mut JsonReader<'a>, &str) -> Result<(), JsonError>,
 ) -> Result<[u64; N], JsonError> {
     let mut slots = [None; N];
     r.object(|r, name| {
@@ -105,7 +105,7 @@ fn read_u64_fields<'a, const N: usize>(
     })?;
     let mut out = [0; N];
     for ((out, slot), name) in out.iter_mut().zip(slots).zip(names) {
-        *out = required(slot, name)?;
+        *out = read_required(slot, name)?;
     }
     Ok(out)
 }
@@ -143,7 +143,7 @@ enum Member<'a> {
 
 /// Write `members` as one object, in ascending order of their names.
 fn write_members<const N: usize>(
-    w: &mut Writer,
+    w: &mut JsonWriter,
     mut members: [(&'static str, Member<'_>); N],
 ) -> Result<(), JsonError> {
     members.sort_unstable_by_key(|&(name, _)| name);
@@ -197,7 +197,7 @@ fn write_members<const N: usize>(
 /// }
 /// ```
 impl JsonCodec for SchemeRun {
-    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
+    fn write_json(&self, w: &mut JsonWriter) -> Result<(), JsonError> {
         let SchemeRun {
             scheme,
             ipcs,
@@ -223,13 +223,13 @@ impl JsonCodec for SchemeRun {
         })
     }
 
-    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
         let (mut scheme, mut ipcs, mut measured_cycles, mut stop_reason, mut plateaus) =
             (None, None, None, None, Vec::new());
         r.object(|r, name| {
             match name {
                 "scheme" => scheme = Some(read_string(r)?),
-                "ipcs" => ipcs = Some(read_vec(r, Reader::num)?),
+                "ipcs" => ipcs = Some(read_vec(r, JsonReader::num)?),
                 "measured_cycles" => measured_cycles = Some(read_u64(r)?),
                 "stop_reason" => {
                     let label = r.str()?;
@@ -238,14 +238,14 @@ impl JsonCodec for SchemeRun {
                             .ok_or_else(|| JsonError(format!("unknown stop reason `{label}`")))?,
                     );
                 }
-                "plateaus" => plateaus = read_vec(r, Reader::num)?,
+                "plateaus" => plateaus = read_vec(r, JsonReader::num)?,
                 _ => r.skip()?,
             }
             Ok(())
         })?;
         Ok(SchemeRun {
-            scheme: required(scheme, "scheme")?,
-            ipcs: required(ipcs, "ipcs")?,
+            scheme: read_required(scheme, "scheme")?,
+            ipcs: read_required(ipcs, "ipcs")?,
             measured_cycles,
             stop_reason,
             plateaus,
@@ -254,7 +254,7 @@ impl JsonCodec for SchemeRun {
 }
 
 impl JsonCodec for CacheStats {
-    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
+    fn write_json(&self, w: &mut JsonWriter) -> Result<(), JsonError> {
         write_u64_struct!(
             w,
             self,
@@ -274,7 +274,7 @@ impl JsonCodec for CacheStats {
         )
     }
 
-    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
         Ok(read_u64_struct!(
             r,
             |r, _| r.skip(),
@@ -296,7 +296,7 @@ impl JsonCodec for CacheStats {
 }
 
 impl JsonCodec for SimCounters {
-    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
+    fn write_json(&self, w: &mut JsonWriter) -> Result<(), JsonError> {
         write_u64_struct!(
             w,
             self,
@@ -335,7 +335,7 @@ impl JsonCodec for SimCounters {
         )
     }
 
-    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
         let mut depths = None;
         Ok(read_u64_struct!(
             r,
@@ -383,13 +383,13 @@ impl JsonCodec for SimCounters {
                 core_mshr_stall_cycles,
                 core_dep_stall_cycles,
             },
-            l1_walk_depths: required(depths, "l1_walk_depths")?,
+            l1_walk_depths: read_required(depths, "l1_walk_depths")?,
         ))
     }
 }
 
 impl JsonCodec for crate::sweep::UnitSpan {
-    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
+    fn write_json(&self, w: &mut JsonWriter) -> Result<(), JsonError> {
         write_u64_struct!(
             w,
             self,
@@ -405,7 +405,7 @@ impl JsonCodec for crate::sweep::UnitSpan {
         )
     }
 
-    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
         // Provenance fields arrived with the parallel executor; spans
         // persisted before it decode with no provenance.
         let (mut label, mut worker, mut shard) = (None, 0, String::new());
@@ -430,7 +430,7 @@ impl JsonCodec for crate::sweep::UnitSpan {
                 sim_cycles,
                 instructions,
             },
-            label: required(label, "label")?,
+            label: read_required(label, "label")?,
             worker: worker,
             shard: shard,
         ))
@@ -438,7 +438,7 @@ impl JsonCodec for crate::sweep::UnitSpan {
 }
 
 impl JsonCodec for SchemeEvent {
-    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
+    fn write_json(&self, w: &mut JsonWriter) -> Result<(), JsonError> {
         let SchemeEvent {
             cycle,
             kind,
@@ -455,7 +455,7 @@ impl JsonCodec for SchemeEvent {
         })
     }
 
-    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
         let (mut cycle, mut kind, mut takers) = (None, None, None);
         r.object(|r, name| {
             match name {
@@ -475,15 +475,15 @@ impl JsonCodec for SchemeEvent {
             Ok(())
         })?;
         Ok(SchemeEvent {
-            cycle: required(cycle, "cycle")?,
-            kind: required(kind, "kind")?,
-            takers: required(takers, "takers")?,
+            cycle: read_required(cycle, "cycle")?,
+            kind: read_required(kind, "kind")?,
+            takers: read_required(takers, "takers")?,
         })
     }
 }
 
 impl JsonCodec for PeriodSample {
-    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
+    fn write_json(&self, w: &mut JsonWriter) -> Result<(), JsonError> {
         let PeriodSample {
             cycle,
             during_warmup,
@@ -517,7 +517,7 @@ impl JsonCodec for PeriodSample {
         })
     }
 
-    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
         let (mut cycle, mut during_warmup, mut instructions, mut cycles) = (None, None, None, None);
         let (mut l2, mut events, mut shifts, mut counters) = (None, None, Vec::new(), None);
         r.object(|r, name| {
@@ -539,12 +539,12 @@ impl JsonCodec for PeriodSample {
             Ok(())
         })?;
         Ok(PeriodSample {
-            cycle: required(cycle, "cycle")?,
-            during_warmup: required(during_warmup, "during_warmup")?,
-            instructions: required(instructions, "instructions")?,
-            cycles: required(cycles, "cycles")?,
-            l2: required(l2, "l2")?,
-            events: required(events, "events")?,
+            cycle: read_required(cycle, "cycle")?,
+            during_warmup: read_required(during_warmup, "during_warmup")?,
+            instructions: read_required(instructions, "instructions")?,
+            cycles: read_required(cycles, "cycles")?,
+            l2: read_required(l2, "l2")?,
+            events: read_required(events, "events")?,
             shifts,
             counters,
         })
@@ -552,7 +552,7 @@ impl JsonCodec for PeriodSample {
 }
 
 impl JsonCodec for TraceSeries {
-    fn write_json(&self, w: &mut Writer) -> Result<(), JsonError> {
+    fn write_json(&self, w: &mut JsonWriter) -> Result<(), JsonError> {
         let TraceSeries {
             scheme,
             stride,
@@ -567,7 +567,7 @@ impl JsonCodec for TraceSeries {
         })
     }
 
-    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
         let (mut scheme, mut stride, mut warmup_cycles, mut samples) = (None, None, None, None);
         r.object(|r, name| {
             match name {
@@ -580,10 +580,10 @@ impl JsonCodec for TraceSeries {
             Ok(())
         })?;
         Ok(TraceSeries {
-            scheme: required(scheme, "scheme")?,
-            stride: required(stride, "stride")?,
-            warmup_cycles: required(warmup_cycles, "warmup_cycles")?,
-            samples: required(samples, "samples")?,
+            scheme: read_required(scheme, "scheme")?,
+            stride: read_required(stride, "stride")?,
+            warmup_cycles: read_required(warmup_cycles, "warmup_cycles")?,
+            samples: read_required(samples, "samples")?,
         })
     }
 }
@@ -597,7 +597,7 @@ pub(crate) mod tests {
 
     /// `value` encoded as a whole JSON document.
     fn encode<T: JsonCodec>(value: &T) -> String {
-        let mut w = Writer::default();
+        let mut w = JsonWriter::default();
         value.write_json(&mut w).unwrap();
         w.finish()
     }
@@ -693,7 +693,7 @@ pub(crate) mod tests {
         let zero = SimCounters::default();
         let mut depths = [0; WALK_DEPTH_BUCKETS];
         depths[WALK_DEPTH_BUCKETS - 1] = 7;
-        let mut w = Writer::default();
+        let mut w = JsonWriter::default();
         w.ints(&depths).unwrap();
         let depths = w.finish();
         let keys = assert_every_key_reaches_a_field(&zero, |key| {
@@ -841,7 +841,7 @@ pub(crate) mod tests {
             out: Vec<Node>,
         }
         impl Walk<'_> {
-            fn value(&mut self, r: &mut Reader<'_>, name: &str) -> Result<(), JsonError> {
+            fn value(&mut self, r: &mut JsonReader<'_>, name: &str) -> Result<(), JsonError> {
                 match self.text.as_bytes()[r.offset()] {
                     b'{' => {
                         let mut whole = r.offset() + 1;
@@ -866,7 +866,7 @@ pub(crate) mod tests {
 
             fn child(
                 &mut self,
-                r: &mut Reader<'_>,
+                r: &mut JsonReader<'_>,
                 step: String,
                 name: &str,
                 member: bool,
@@ -896,7 +896,7 @@ pub(crate) mod tests {
             path: Vec::new(),
             out: Vec::new(),
         };
-        let mut r = Reader::new(text);
+        let mut r = JsonReader::new(text);
         walk.value(&mut r, "").unwrap();
         r.finish().unwrap();
         walk.out

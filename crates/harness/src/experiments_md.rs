@@ -21,15 +21,9 @@ pub const EXPERIMENTS_FILE: &str = "EXPERIMENTS.md";
 /// repo root.
 pub const EXPERIMENTS_EVAL_FILE: &str = "EXPERIMENTS_EVAL.md";
 
-/// Convergence sample window (cycles) the committed eval sweep uses.
-/// Calibrated at the eval budget by `examples/calibrate_eval.rs`: at
-/// this window (a tenth of the 6.3 M-cycle ceiling) and epsilon, 16 of
-/// 21 combos converge before the ceiling, ~18% of the budgeted cycles
-/// are saved, and the spilling-scheme Fig. 9 geomeans track the
-/// fixed-budget reference within 0.006 (only the ever-ramping L2S reads
-/// lower — the documented mid-ramp caveat). A finer window (315 k)
-/// saved 35% but drifted SNUG by 0.018; a coarser one (1.26 M) never
-/// converged at all.
+/// Convergence sample window (cycles) the committed eval sweep uses: a
+/// tenth of the 6.3 M-cycle ceiling. `ABLATIONS.md`'s eval-convergence
+/// table compares it, at this epsilon, with the other candidates.
 pub const EVAL_CONVERGED_WINDOW: u64 = 630_000;
 
 /// Relative spread threshold paired with [`EVAL_CONVERGED_WINDOW`].
@@ -49,28 +43,18 @@ pub fn eval_converged_spec() -> SweepSpec {
     spec
 }
 
-/// The CLI flags that reproduce `budget` on `snug sweep` / `snug report
-/// --experiments-md` (empty for the canonical `--mid`, which is the
-/// experiments-md default).
-fn budget_flags(budget: BudgetPreset) -> String {
-    match budget {
-        BudgetPreset::Quick => " --quick".into(),
-        BudgetPreset::Mid => String::new(),
-        BudgetPreset::Eval => " --eval".into(),
-        BudgetPreset::Custom {
-            warmup_cycles,
-            measure_cycles,
-        } => format!(" --warmup {warmup_cycles} --measure {measure_cycles}"),
-    }
-}
-
 /// Render the full evaluation document from assembled results. A pure
 /// function of `(spec, results)` — nothing outside the rendered sweep
 /// (other store entries, timestamps, machine state) reaches the output,
 /// so the staleness check only trips when the rendered data changes.
 pub fn render_experiments_md(spec: &SweepSpec, results: &[ComboResult]) -> String {
     let cfg = spec.compare_config();
-    let flags = budget_flags(spec.budget);
+    // `--mid` is `report --experiments-md`'s default, so the canonical
+    // document's command line leaves it out.
+    let flags = match spec.budget {
+        BudgetPreset::Mid => String::new(),
+        budget => format!(" {}", budget.flags()),
+    };
     let mut out = String::new();
     out.push_str("# EXPERIMENTS — the SNUG paper evaluation\n\n");
     out.push_str(&format!(
@@ -107,7 +91,7 @@ pub fn render_experiments_md(spec: &SweepSpec, results: &[ComboResult]) -> Strin
     if spec.budget == BudgetPreset::Mid {
         out.push_str(
             "This document uses the calibrated `--mid` budget (the CI-fast\n\
-             reproduction — see `examples/calibrate_mid.rs` for how it was\n\
+             reproduction — see the calibration in `ABLATIONS.md` for how it was\n\
              picked). The stress classes C1/C2 separate only at the larger\n\
              `--eval` budget.\n\n",
         );
@@ -233,7 +217,7 @@ pub fn render_experiments_eval_md(
          - Budget: `{}` — {} warm-up + {} measured-cycle ceiling per\n\
          \x20 simulation; SNUG stages {} + {} cycles\n\
          - Convergence: window {} cycles, relative epsilon {}\n\
-         \x20 (`examples/calibrate_eval.rs`)\n\
+         \x20 (calibrated in `ABLATIONS.md`)\n\
          - Sweep: {} combinations × {} scheme points = {} unit jobs, all\n\
          \x20 served from `results/store.jsonl`\n",
         spec.budget_label(),

@@ -1,8 +1,8 @@
 //! A minimal streaming JSON reader and writer.
 //!
 //! The build environment has no `serde_json`, so the result store
-//! carries its own codec: one pull reader, [`Reader`], and one writer,
-//! [`Writer`], that mirrors it. The typed codecs of [`crate::codec`]
+//! carries its own codec: one pull reader, [`JsonReader`], and one writer,
+//! [`JsonWriter`], that mirrors it. The typed codecs of [`crate::codec`]
 //! read straight from the one into their structs and write straight
 //! from their structs into the other; no value tree sits between. Three
 //! properties matter here and are tested:
@@ -22,19 +22,19 @@ use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A writer of one compact JSON document into a `String` — the one
-/// JSON encoder, mirroring [`Reader`]. Each call writes one value:
-/// [`Writer::num`], [`Writer::int`], [`Writer::str`] and
-/// `Writer::bool` a scalar, [`Writer::array`] one element per item,
-/// and [`Writer::object`] the members its body hands over, which must
+/// JSON encoder, mirroring [`JsonReader`]. Each call writes one value:
+/// [`JsonWriter::num`], [`JsonWriter::int`], [`JsonWriter::str`] and
+/// `JsonWriter::bool` a scalar, [`JsonWriter::array`] one element per item,
+/// and [`JsonWriter::object`] the members its body hands over, which must
 /// come in ascending byte order of their names. A refused value — a
 /// non-finite number, a member out of order — is an error naming its
 /// path (`.ipcs[1]: NaN is not a finite JSON number`).
 #[derive(Debug, Default)]
-pub struct Writer {
+pub struct JsonWriter {
     out: String,
 }
 
-impl Writer {
+impl JsonWriter {
     /// The document written.
     pub fn finish(self) -> String {
         self.out
@@ -104,7 +104,7 @@ impl Writer {
     }
 
     /// Write an object whose members `body` hands to
-    /// [`Members::member`], in ascending byte order of their names.
+    /// `Members::member`, in ascending byte order of their names.
     pub fn object<'n>(
         &mut self,
         body: impl FnOnce(&mut Members<'_, 'n>) -> Result<(), JsonError>,
@@ -119,9 +119,9 @@ impl Writer {
     }
 }
 
-/// The members of one object being written by [`Writer::object`].
+/// The members of one object being written by [`JsonWriter::object`].
 pub struct Members<'w, 'n> {
-    w: &'w mut Writer,
+    w: &'w mut JsonWriter,
     last: Option<&'n str>,
 }
 
@@ -133,7 +133,7 @@ impl<'n> Members<'_, 'n> {
     pub fn member(
         &mut self,
         name: &'n str,
-        value: impl FnOnce(&mut Writer) -> Result<(), JsonError>,
+        value: impl FnOnce(&mut JsonWriter) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
         if let Some(last) = self.last {
             if name <= last {
@@ -198,14 +198,14 @@ impl std::error::Error for JsonError {}
 /// past it cannot round-trip through a JSON number.
 pub(crate) const MAX_EXACT_INT: u64 = 1 << 53;
 
-/// Deepest array/object nesting a [`Reader`] accepts. Store lines nest
+/// Deepest array/object nesting a [`JsonReader`] accepts. Store lines nest
 /// a handful of levels; the cap turns a hostile `[[[[…` into an error
 /// instead of a stack overflow.
 const MAX_DEPTH: usize = 128;
 
 /// Check that `text` is one JSON document, building nothing.
 pub(crate) fn check(text: &str) -> Result<(), JsonError> {
-    let mut r = Reader::new(text);
+    let mut r = JsonReader::new(text);
     r.skip()?;
     r.finish()
 }
@@ -266,7 +266,7 @@ impl Kind {
 
 /// Prefix an error with the object member or array index it arose
 /// under, so a nested error reads `.unit.ipcs[2]: expected number, got
-/// string`; [`Writer`]'s errors take the same form.
+/// string`; [`JsonWriter`]'s errors take the same form.
 fn at(segment: std::fmt::Arguments<'_>, e: JsonError) -> JsonError {
     if e.0.starts_with(['.', '[']) {
         JsonError(format!("{segment}{}", e.0))
@@ -277,24 +277,24 @@ fn at(segment: std::fmt::Arguments<'_>, e: JsonError) -> JsonError {
 
 /// A streaming pull reader over one JSON document — the one tokenizer
 /// behind the store's syntax check and the typed decoders of
-/// [`crate::codec`].
+/// [`JsonCodec`](crate::JsonCodec).
 ///
-/// Each call consumes the next value: the typed readers ([`Reader::num`],
-/// [`Reader::str`], …) fail with `expected K, got K'` on a well-formed
-/// value of another kind, [`Reader::object`] and `Reader::array` hand
-/// each member or element to a callback, and [`Reader::skip`] steps over
+/// Each call consumes the next value: the typed readers ([`JsonReader::num`],
+/// [`JsonReader::str`], …) fail with `expected K, got K'` on a well-formed
+/// value of another kind, [`JsonReader::object`] and `JsonReader::array` hand
+/// each member or element to a callback, and [`JsonReader::skip`] steps over
 /// any value without allocating. Malformed input is an error from
 /// whichever call meets it; nothing panics.
-pub struct Reader<'a> {
+pub struct JsonReader<'a> {
     text: &'a str,
     pos: usize,
     depth: usize,
 }
 
-impl<'a> Reader<'a> {
+impl<'a> JsonReader<'a> {
     /// A reader at the start of `text`.
     pub fn new(text: &'a str) -> Self {
-        Reader {
+        JsonReader {
             text,
             pos: 0,
             depth: 0,
@@ -485,7 +485,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read an object, handing each member's name to `member`, which
-    /// must consume the member's value (or [`Reader::skip`] it).
+    /// must consume the member's value (or [`JsonReader::skip`] it).
     /// Members come in input order; a repeated name is handed over
     /// again, so a decoder that overwrites keeps the last.
     pub fn object(
@@ -588,9 +588,9 @@ mod tests {
 
     /// One document, written by `write`.
     fn written(
-        write: impl FnOnce(&mut Writer) -> Result<(), JsonError>,
+        write: impl FnOnce(&mut JsonWriter) -> Result<(), JsonError>,
     ) -> Result<String, JsonError> {
-        let mut w = Writer::default();
+        let mut w = JsonWriter::default();
         write(&mut w)?;
         Ok(w.finish())
     }
@@ -598,19 +598,19 @@ mod tests {
     /// `text` read as one document by `read`.
     fn read<'a, T>(
         text: &'a str,
-        read: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+        read: impl FnOnce(&mut JsonReader<'a>) -> Result<T, JsonError>,
     ) -> Result<T, JsonError> {
-        let mut r = Reader::new(text);
+        let mut r = JsonReader::new(text);
         let v = read(&mut r)?;
         r.finish()?;
         Ok(v)
     }
 
-    /// Write the reader's next value back through a [`Writer`], keeping
+    /// Write the reader's next value back through a [`JsonWriter`], keeping
     /// everything as a decoder would: the last of a repeated member, and
     /// an object's members in sorted order.
-    fn transcribe(r: &mut Reader<'_>, w: &mut Writer) -> Result<(), JsonError> {
-        let raw = |w: &mut Writer, text: &str| {
+    fn transcribe(r: &mut JsonReader<'_>, w: &mut JsonWriter) -> Result<(), JsonError> {
+        let raw = |w: &mut JsonWriter, text: &str| {
             w.out.push_str(text);
             Ok(())
         };
@@ -696,7 +696,7 @@ mod tests {
     fn floats_round_trip_bit_exactly() {
         for x in [0.1, 1.0 / 3.0, 6.02e23, -0.0, 1e-308, 123456789.1234568] {
             let text = written(|w| w.num(x)).unwrap();
-            let back = read(&text, Reader::num).unwrap();
+            let back = read(&text, JsonReader::num).unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x}");
         }
     }
@@ -708,7 +708,7 @@ mod tests {
         let text = written(|w| {
             w.object(|o| {
                 o.member("alpha", |w| w.str("x"))?;
-                o.member("mid", |w| w.array([true, false], Writer::bool))?;
+                o.member("mid", |w| w.array([true, false], JsonWriter::bool))?;
                 o.member("mid_", |w| w.object(|_| Ok(())))?;
                 o.member("zeta", |w| w.num(1.0))
             })
@@ -743,7 +743,7 @@ mod tests {
     fn string_escapes_survive() {
         let nasty = "quote\" slash\\ newline\n tab\t unicode\u{1}end";
         let text = written(|w| w.str(nasty)).unwrap();
-        assert_eq!(read(&text, Reader::str).unwrap(), nasty);
+        assert_eq!(read(&text, JsonReader::str).unwrap(), nasty);
     }
 
     #[test]
@@ -752,11 +752,11 @@ mod tests {
         assert!(check("[1,2").is_err());
         assert!(check("1 2").is_err());
         assert_eq!(
-            read("null", Reader::num).unwrap_err().0,
+            read("null", JsonReader::num).unwrap_err().0,
             "expected number, got null"
         );
         assert_eq!(
-            read("[1]", Reader::str).unwrap_err().0,
+            read("[1]", JsonReader::str).unwrap_err().0,
             "expected string, got array"
         );
     }
@@ -767,7 +767,7 @@ mod tests {
             assert!(check(text).is_err(), "{text}");
         }
         assert_eq!(
-            read("1e999", Reader::num).unwrap_err().0,
+            read("1e999", JsonReader::num).unwrap_err().0,
             "invalid number `1e999`"
         );
     }
@@ -786,7 +786,7 @@ mod tests {
     /// names both kinds and the member or element it sits under.
     #[test]
     fn reader_borrows_plain_strings_and_names_mistyped_values() {
-        let mut r = Reader::new(r#"["plain", "esc\"aped"]"#);
+        let mut r = JsonReader::new(r#"["plain", "esc\"aped"]"#);
         let mut got = Vec::new();
         r.array(|r| {
             got.push(r.str()?);
@@ -797,7 +797,7 @@ mod tests {
         assert!(matches!(got[0], Cow::Borrowed("plain")));
         assert!(matches!(&got[1], Cow::Owned(s) if s == "esc\"aped"));
 
-        let mut r = Reader::new(r#"{"a":[1,"x"]}"#);
+        let mut r = JsonReader::new(r#"{"a":[1,"x"]}"#);
         let err = r.object(|r, _| r.array(|r| r.num().map(drop))).unwrap_err();
         assert_eq!(err.0, ".a[1]: expected number, got string");
     }
@@ -810,7 +810,7 @@ mod tests {
     #[test]
     fn escapes_follow_the_json_grammar() {
         assert_eq!(
-            read(r#""\"\\\/\b\f\n\r\t\u0041\u00e9""#, Reader::str).unwrap(),
+            read(r#""\"\\\/\b\f\n\r\t\u0041\u00e9""#, JsonReader::str).unwrap(),
             "\"\\/\u{8}\u{c}\n\r\tAé"
         );
         for bad in [
@@ -841,7 +841,7 @@ mod tests {
         let s = pattern.repeat((1 << 20) / pattern.len() + 1);
         let text = written(|w| w.str(&s)).unwrap();
         let start = std::time::Instant::now();
-        let back = read(&text, Reader::str).unwrap();
+        let back = read(&text, JsonReader::str).unwrap();
         let took = start.elapsed();
         assert_eq!(back, s);
         assert!(

@@ -17,13 +17,15 @@
 //!   from stored results;
 //! * [`experiments_md`] — the committed, regenerable `EXPERIMENTS.md`
 //!   (full paper evaluation + provenance) and its staleness check;
-//! * `ablations` — SNUG's design-choice ablations as keyed units in
-//!   their own store, rendered into the committed `ABLATIONS.md`;
+//! * `ablations` — SNUG's design-choice ablations and the budget
+//!   calibration as keyed units in their own store, rendered into the
+//!   committed `ABLATIONS.md`;
 //! * `characterization` — the committed `CHARACTERIZATION.md`
 //!   (Figures 1–3 and every benchmark's set-level demand at one pinned
 //!   plan);
-//! * [`json`] / [`codec`] / `hash` — the self-contained persistence
-//!   substrate (no external JSON or hashing dependency).
+//! * `json` / `codec` / `hash` — the self-contained persistence
+//!   substrate (no external JSON or hashing dependency): [`JsonReader`],
+//!   [`JsonWriter`] and the [`JsonCodec`] of every stored type.
 //!
 //! Jobs are cached per *(combo, scheme point)*: the 21 Table 8
 //! combinations × the 9 points (L2P, L2S, the five-probability CC
@@ -47,26 +49,28 @@
 
 mod ablations;
 mod characterization;
-pub mod codec;
+mod codec;
 mod exec;
 pub mod experiments_md;
 mod hash;
-pub mod json;
+mod json;
 mod report;
 mod spec;
 pub mod store;
 mod sweep;
 
 pub use ablations::{
-    ablation_jobs, render_ablations_md, ComboAblation, ABLATIONS_DIR, ABLATIONS_FILE,
+    ablation_jobs, ablation_units, render_ablations_md, ComboAblation, ABLATIONS_DIR,
+    ABLATIONS_FILE,
 };
 pub use characterization::{render_characterization_md, CHARACTERIZATION_FILE};
-pub use codec::JsonCodec;
+pub use codec::{read_required, read_u64, read_vec, JsonCodec};
 pub use experiments_md::{
     check_experiments_md, eval_converged_spec, render_experiments_eval_md, render_experiments_md,
     CheckOutcome, EVAL_CONVERGED_REL_EPSILON, EVAL_CONVERGED_WINDOW, EXPERIMENTS_EVAL_FILE,
 };
 pub use hash::{content_key, fnv1a64, ContentKey};
+pub use json::{JsonError, JsonReader, JsonWriter};
 pub use report::{
     render_markdown, report_tables, stop_summary_table, write_report, CEILING_FOOTNOTE,
 };

@@ -71,6 +71,18 @@ impl BudgetPreset {
             }
         }
     }
+
+    /// The command-line flags that select this budget: `--quick`,
+    /// `--mid`, `--eval`, or `--warmup N --measure N`.
+    pub fn flags(&self) -> String {
+        match self {
+            BudgetPreset::Custom {
+                warmup_cycles,
+                measure_cycles,
+            } => format!("--warmup {warmup_cycles} --measure {measure_cycles}"),
+            preset => format!("--{}", preset.label()),
+        }
+    }
 }
 
 /// How a sweep's runs stop: at the fixed budget horizon, or early on

@@ -41,7 +41,7 @@
 
 use crate::codec::JsonCodec;
 use crate::hash::ContentKey;
-use crate::json::{self, JsonError, Reader, Writer};
+use crate::json::{self, JsonError, JsonReader, JsonWriter};
 use crate::sweep::UnitSpan;
 use snug_experiments::{SchemeRun, TraceSeries};
 use std::collections::BTreeMap;
@@ -106,7 +106,7 @@ impl StoreEntry {
     /// Read one line's members into an entry. Of several payload
     /// members, as of any repeated member, the last wins.
     fn read_line(text: &str) -> Result<Self, JsonError> {
-        let mut r = Reader::new(text);
+        let mut r = JsonReader::new(text);
         let (mut key, mut result) = (None, None);
         r.object(|r, name| {
             match name {
@@ -140,7 +140,7 @@ impl StoreEntry {
 /// exact bytes `insert` appends, shared with the shard writers so a
 /// shard line and a store line for the same result are identical.
 fn render_line(key: &ContentKey, result: &StoredResult) -> Result<String, StoreError> {
-    let mut w = Writer::default();
+    let mut w = JsonWriter::default();
     w.object(|o| {
         o.member("key", |w| w.str(&key.to_string()))?;
         match result {
@@ -1154,11 +1154,13 @@ mod tests {
 
     /// Every line of both committed stores — the main one and the
     /// ablations' — decodes and re-encodes to the same bytes, less the
-    /// ignored `inputs` member.
+    /// ignored `inputs` member. The ablation store's 49 ablation lines
+    /// carry it; its 1,666 calibration lines, written by today's
+    /// encoder, do not.
     #[test]
     fn committed_store_re_renders_byte_for_byte() {
         let ablations = committed_dir().join("..").join(crate::ABLATIONS_DIR);
-        for (dir, lines) in [(committed_dir(), 756), (ablations, 49)] {
+        for (dir, lines) in [(committed_dir(), 756), (ablations, 49 + 1666)] {
             let store = ResultStore::open(&dir).unwrap();
             let text = fs::read_to_string(dir.join(STORE_FILE)).unwrap();
             let mut rendered = String::with_capacity(text.len());
@@ -1167,7 +1169,11 @@ mod tests {
                 let key = StoreEntry::decode_line(line).unwrap().key;
                 rendered.push_str(&render_line(&key, &store.entries[&key]).unwrap());
                 rendered.push('\n');
-                expected.push_str(&without_inputs(line));
+                if line.starts_with("{\"inputs\":") {
+                    expected.push_str(&without_inputs(line));
+                } else {
+                    expected.push_str(line);
+                }
                 expected.push('\n');
             }
             assert_eq!(text.lines().count(), lines, "{}", dir.display());
@@ -1467,13 +1473,13 @@ mod tests {
     /// The reader's next value, a document as the writer spells it (no
     /// whitespace), copied with every object's members in an order
     /// drawn from `next`.
-    fn shuffled(r: &mut Reader<'_>, text: &str, next: &mut impl FnMut() -> u64) -> String {
+    fn shuffled(r: &mut JsonReader<'_>, text: &str, next: &mut impl FnMut() -> u64) -> String {
         let start = r.offset();
         let mut items = Vec::new();
         let (open, close) = match text.as_bytes()[start] {
             b'{' => {
                 r.object(|r, name| {
-                    let mut w = Writer::default();
+                    let mut w = JsonWriter::default();
                     w.str(name)?;
                     items.push(format!("{}:{}", w.finish(), shuffled(r, text, next)));
                     Ok(())
@@ -1520,7 +1526,7 @@ mod tests {
                 if next() % 2 == 0 {
                     line = line.replacen('{', r#"{"inputs":"Combo { class: C1 } | l2p","#, 1);
                 }
-                let line = shuffled(&mut Reader::new(&line), &line, &mut next);
+                let line = shuffled(&mut JsonReader::new(&line), &line, &mut next);
                 prop_assert_eq!(StoreEntry::decode_line(&line), Ok(entry));
             }
         }

@@ -5,7 +5,7 @@
 //! scheme's unit jobs.
 
 use snug_experiments::{pace_of, run_combo, run_point, SchemePoint, SchemeRun};
-use snug_harness::json::Writer;
+use snug_harness::JsonWriter;
 use snug_harness::{
     cached_results, run_sweep, run_unit_jobs, unit_jobs_for, BudgetPreset, JsonCodec, ResultStore,
     StopPreset, SweepEvent, SweepSpec,
@@ -166,7 +166,7 @@ fn json_boundary_preserves_every_float_bit() {
     let spec = tiny_spec();
     for unit in &spec.combo_jobs()[0].units {
         let run = run_point(&unit.combo, &unit.point, &unit.config, None, None, None).unwrap();
-        let mut w = Writer::default();
+        let mut w = JsonWriter::default();
         run.write_json(&mut w).unwrap();
         let decoded = SchemeRun::from_json_str(&w.finish()).unwrap();
         assert_eq!(decoded, run, "{}", unit.label());
